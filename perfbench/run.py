@@ -8,10 +8,13 @@ Run from the root of a checkout (nothing to build or install)::
     python3 perfbench/run.py --workload inrp-local --seed 3 --trace 1
     python3 perfbench/run.py --workload all --trace 1
 
-``--trace 0`` reports the end-to-end metrics (``setup_s``, ``run_s``,
-``flows_per_s``, ``peak_rss_mb``) from untraced runs.  ``--trace 1``
-also times every layer from outside (see ``tracing.py``) in separate
-traced runs and reports the per-layer metrics plus the tracing
+``--trace 0`` reports the end-to-end metrics (``setup_s``,
+``run_ref_s``, ``flows_per_ref_s``, ``peak_rss_mb``) from untraced
+runs.  Times are in reference seconds: CPU seconds corrected for the
+shared host's drifting speed by a fixed probe interleaved with the
+work (see ``hostclock.py``).  ``--trace 1`` also times every layer
+from outside (see ``tracing.py``) in separate traced runs and reports
+the per-layer metrics, in plain wall seconds, plus the tracing
 overhead.  Both print every figure by name and unit, then, as the
 last line, one JSON object::
 

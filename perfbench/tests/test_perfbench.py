@@ -41,7 +41,7 @@ def test_traced_run_passes_its_self_checks(traced_run):
 
 def test_traced_recomputes_equal_result_allocations(traced_run):
     _, _, trace, run = traced_run
-    metrics = trace.metrics(run.run_s, run.run_s, run.build_s, run.init_s)
+    metrics = trace.metrics(run.run_s, 0.0, run.build_s, run.init_s)
     assert metrics["simulator.recomputes"] == run.result.allocations
     assert metrics["allocation.recompute_calls"] == run.result.allocations
     assert metrics["kernel.switches"] == run.result.total_switches

@@ -40,36 +40,36 @@ NESTED = (("tree", "route"), ("closure", "add"), ("fill", "recompute"))
 LAYER_METRICS = (
     ("topology.build_s", "s", "lower", "setup_s, most on inrp-local"),
     ("strategy.init_s", "s", "lower", "setup_s, most on inrp-local (DetourTable build)"),
-    ("routing.route_calls", "count", "lower", "run_s on sp-stream; no change on inrp-overload"),
-    ("routing.route_s", "s", "lower", "run_s on sp-stream, some on inrp-local; no change on inrp-overload"),
-    ("routing.tree_builds", "count", "lower", "run_s on sp-stream; no change on inrp-overload"),
-    ("routing.tree_s", "s", "lower", "run_s on sp-stream, some on inrp-local; no change on inrp-overload"),
-    ("routing.tree_hit_ratio", "ratio", "higher", "run_s on sp-stream; no change on inrp-overload"),
-    ("allocation.add_s", "s", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.remove_s", "s", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.closure_builds", "count", "lower", "run_s on inrp-local and inrp-overload; none on sp-stream"),
-    ("allocation.closure_s", "s", "lower", "run_s on inrp-local and inrp-overload; none on sp-stream"),
-    ("allocation.recompute_calls", "count", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.recompute_s", "s", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.recompute_p50_us", "us", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.recompute_p99_us", "us", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.select_s", "s", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.probe_s", "s", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.refilled_flows", "count", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.changed_flows", "count", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.useful_ratio", "ratio", "higher", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("allocation.full_refills", "count", "lower", "run_s on inrp-overload and inrp-local; no change on sp-stream"),
-    ("kernel.fill_calls", "count", "lower", "run_s on inrp-local and inrp-overload; no change on sp-stream"),
-    ("kernel.fill_flows", "count", "lower", "run_s on inrp-local and inrp-overload; no change on sp-stream"),
-    ("kernel.fill_s", "s", "lower", "run_s on inrp-local and inrp-overload; no change on sp-stream"),
-    ("kernel.fill_us_per_flow", "us", "lower", "run_s on inrp-local and inrp-overload; no change on sp-stream"),
-    ("kernel.switches", "count", "lower", "run_s on inrp-local and inrp-overload; none on sp-stream"),
-    ("simulator.recomputes", "count", "lower", "run_s and flows_per_s on sp-stream"),
-    ("simulator.self_s", "s", "lower", "run_s and flows_per_s on sp-stream"),
-    ("simulator.self_us_per_event", "us", "lower", "run_s and flows_per_s on sp-stream"),
+    ("routing.route_calls", "count", "lower", "run_ref_s on sp-stream; no change on inrp-overload"),
+    ("routing.route_s", "s", "lower", "run_ref_s on sp-stream, some on inrp-local; no change on inrp-overload"),
+    ("routing.tree_builds", "count", "lower", "run_ref_s on sp-stream; no change on inrp-overload"),
+    ("routing.tree_s", "s", "lower", "run_ref_s on sp-stream, some on inrp-local; no change on inrp-overload"),
+    ("routing.tree_hit_ratio", "ratio", "higher", "run_ref_s on sp-stream; no change on inrp-overload"),
+    ("allocation.add_s", "s", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.remove_s", "s", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.closure_builds", "count", "lower", "run_ref_s on inrp-local and inrp-overload; none on sp-stream"),
+    ("allocation.closure_s", "s", "lower", "run_ref_s on inrp-local and inrp-overload; none on sp-stream"),
+    ("allocation.recompute_calls", "count", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.recompute_s", "s", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.recompute_p50_us", "us", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.recompute_p99_us", "us", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.select_s", "s", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.probe_s", "s", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.refilled_flows", "count", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.changed_flows", "count", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.useful_ratio", "ratio", "higher", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("allocation.full_refills", "count", "lower", "run_ref_s on inrp-overload and inrp-local; no change on sp-stream"),
+    ("kernel.fill_calls", "count", "lower", "run_ref_s on inrp-local and inrp-overload; no change on sp-stream"),
+    ("kernel.fill_flows", "count", "lower", "run_ref_s on inrp-local and inrp-overload; no change on sp-stream"),
+    ("kernel.fill_s", "s", "lower", "run_ref_s on inrp-local and inrp-overload; no change on sp-stream"),
+    ("kernel.fill_us_per_flow", "us", "lower", "run_ref_s on inrp-local and inrp-overload; no change on sp-stream"),
+    ("kernel.switches", "count", "lower", "run_ref_s on inrp-local and inrp-overload; none on sp-stream"),
+    ("simulator.recomputes", "count", "lower", "run_ref_s and flows_per_ref_s on sp-stream"),
+    ("simulator.self_s", "s", "lower", "run_ref_s and flows_per_ref_s on sp-stream"),
+    ("simulator.self_us_per_event", "us", "lower", "run_ref_s and flows_per_ref_s on sp-stream"),
     ("sinks.records", "count", "higher", "peak_rss_mb on sp-stream (streaming) vs inrp-local (materializing)"),
     ("sinks.consume_s", "s", "lower", "peak_rss_mb on sp-stream (streaming) vs inrp-local (materializing)"),
-    ("trace.overhead", "ratio", "lower", "none: traced run_s over untraced run_s, minus 1"),
+    ("trace.overhead", "ratio", "lower", "none: traced over untraced CPU time of the run, minus 1"),
 )
 
 
@@ -184,8 +184,9 @@ class LayerTrace:
         """The event loop's own time: the run minus its wrapped children."""
         return run_s - sum(self.seconds[key] for key in CHILDREN)
 
-    def metrics(self, run_s: float, untraced_run_s: float, build_s: float, init_s: float) -> Dict[str, float]:
-        """Every :data:`LAYER_METRICS` value for this traced run."""
+    def metrics(self, run_s: float, overhead: float, build_s: float, init_s: float) -> Dict[str, float]:
+        """Every :data:`LAYER_METRICS` value for this traced run of
+        *run_s* seconds; *overhead* is ``trace.overhead``."""
         calls, seconds = self.calls, self.seconds
         samples = sorted(self.recompute_us) or [0.0]
         events = calls["route"] + calls["remove"]
@@ -222,7 +223,7 @@ class LayerTrace:
             "simulator.self_us_per_event": self_s * 1e6 / max(events, 1),
             "sinks.records": calls["consume"],
             "sinks.consume_s": seconds["consume"],
-            "trace.overhead": run_s / untraced_run_s - 1.0,
+            "trace.overhead": overhead,
         }
 
     def check(self, run_s: float, result, num_flows: int) -> List[str]:
