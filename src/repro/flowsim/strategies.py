@@ -31,7 +31,8 @@ from repro.flowsim.multipath import inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.ecmp import all_shortest_paths, ecmp_hash
 from repro.routing.paths import Path, cached_path_links
-from repro.routing.shortest import dijkstra
+# Named dijkstra because perfbench's tracer times tree builds via this global.
+from repro.routing.shortest import hop_tree as dijkstra
 from repro.topology.graph import Node, Topology
 
 FlowId = Hashable
@@ -54,10 +55,10 @@ class RoutingStrategy(abc.ABC):
 
     name: str = "abstract"
 
-    #: Byte budget for cached Dijkstra trees, packed as one int32
+    #: Byte budget for cached shortest-path trees, one int32
     #: predecessor-index array per source (~4 bytes/node instead of the
-    #: ~60 bytes/node of the raw ``(distances, predecessors)`` dict
-    #: pair).  Unbounded dict trees used to saturate at >100 MB on ISP
+    #: ~60 bytes/node of a ``(distances, predecessors)`` dict pair).
+    #: Unbounded dict trees used to saturate at >100 MB on ISP
     #: maps once a workload had sampled most sources; packed and under
     #: this budget, every source of the shipped ISP maps fits in a few
     #: MB, and on maps too large for that the LRU evicts — an eviction
@@ -82,15 +83,11 @@ class RoutingStrategy(abc.ABC):
         )
 
     def _packed_tree(self, source: Node) -> array:
-        """Predecessor indices of the full Dijkstra tree from *source*
+        """Predecessor indices of the hop-count tree from *source*
         (-1 marks unreachable), cached per source."""
         packed = self._sp_trees.get(source)
         if packed is None:
-            _, predecessors = dijkstra(self.topology, source)
-            index = self._node_index
-            packed = array("i", [-1]) * len(self._nodes)
-            for node, pred in predecessors.items():
-                packed[index[node]] = index[pred]
+            packed = dijkstra(self.topology, source)
             self._sp_trees[source] = packed
             if len(self._sp_trees) > self._tree_cache_size:
                 self._sp_trees.popitem(last=False)
@@ -101,10 +98,11 @@ class RoutingStrategy(abc.ABC):
     def route(self, flow_id: FlowId, source: Node, destination: Node) -> Path:
         """Primary path for a flow (deterministic, cached).
 
-        One full Dijkstra tree is cached per source and amortised over
-        every destination routed from it; per the tie-break argument in
-        :func:`repro.routing.shortest.dijkstra` the paths are identical
-        to per-pair :func:`~repro.routing.shortest.shortest_path` calls.
+        One full shortest-path tree is cached per source and amortised
+        over every destination routed from it; per the tie-break
+        argument in :mod:`repro.routing.shortest` the paths are
+        identical to per-pair
+        :func:`~repro.routing.shortest.shortest_path` calls.
         """
         key = (source, destination)
         path = self._path_cache.get(key)

@@ -16,6 +16,7 @@ from repro.routing.paths import (
 from repro.routing.shortest import (
     all_pairs_hop_counts,
     dijkstra,
+    hop_tree,
     shortest_path,
     shortest_path_length,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "path_stretch",
     "validate_path",
     "dijkstra",
+    "hop_tree",
     "shortest_path",
     "shortest_path_length",
     "all_pairs_hop_counts",

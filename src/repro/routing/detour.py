@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.routing.paths import Path
@@ -126,25 +126,50 @@ def find_detour_paths(
         raise TopologyError(f"unknown link: {u!r} -- {v!r}")
     if max_intermediate < 1:
         raise RoutingError(f"max_intermediate must be >= 1, got {max_intermediate}")
-    results: List[Path] = []
-    neighbours_u = set(topo.neighbors(u))
-    neighbours_v = set(topo.neighbors(v))
-    for w in sorted(neighbours_u & neighbours_v, key=repr):
-        if w not in (u, v):
-            results.append((u, w, v))
-    if max_intermediate >= 2:
-        for w1 in sorted(neighbours_u - {v}, key=repr):
-            for w2 in sorted(neighbours_v - {u}, key=repr):
-                if w1 == w2 or w1 == u or w2 == v:
-                    continue
-                if topo.has_link(w1, w2):
-                    results.append((u, w1, w2, v))
-    if max_intermediate >= 3:
-        results.extend(
-            _deep_detours(topo, u, v, max_intermediate, {p for p in results})
-        )
-    results.sort(key=lambda p: (len(p), tuple(repr(n) for n in p)))
-    return results
+    return _DetourFinder(topo).paths(u, v, max_intermediate)
+
+
+class _DetourFinder:
+    """Detour enumeration over one topology: every node's neighbour set
+    and ``repr`` are computed once and shared by all the links asked
+    about."""
+
+    def __init__(self, topo: Topology):
+        self.topo = topo
+        self._neighbour_sets: Dict[Node, Set[Node]] = {
+            node: set(topo.neighbors(node)) for node in topo.nodes()
+        }
+        self._reprs: Dict[Node, str] = {node: repr(node) for node in topo.nodes()}
+
+    def _linked_neighbours(self, a: Node, b: Node) -> List[Tuple[Node, Node]]:
+        """Pairs ``(x, y)``: *x* a neighbour of *a* other than *b*, *y*
+        a neighbour of *b* other than *a*, and ``x -- y`` a link (so
+        ``x != y``; there are no self-loops)."""
+        sets = self._neighbour_sets
+        around_b = sets[b]
+        return [
+            (x, y) for x in sets[a] if x != b for y in sets[x] & around_b if y != a
+        ]
+
+    def paths(self, u: Node, v: Node, max_intermediate: int) -> List[Path]:
+        """:func:`find_detour_paths` for a known link."""
+        around_u, around_v = self._neighbour_sets[u], self._neighbour_sets[v]
+        # One intermediate: the common neighbours of u and v.
+        results: List[Path] = [(u, w, v) for w in around_u & around_v]
+        if max_intermediate >= 2:
+            # Two intermediates, enumerated from the endpoint of smaller
+            # degree: hub links would otherwise scan the hub's fan.
+            if len(around_u) <= len(around_v):
+                results += [(u, x, y, v) for x, y in self._linked_neighbours(u, v)]
+            else:
+                results += [(u, x, y, v) for y, x in self._linked_neighbours(v, u)]
+        if max_intermediate >= 3:
+            results.extend(
+                _deep_detours(self.topo, u, v, max_intermediate, set(results))
+            )
+        key = self._reprs.__getitem__
+        results.sort(key=lambda p: (len(p), tuple(map(key, p))))
+        return results
 
 
 def _deep_detours(
@@ -158,7 +183,7 @@ def _deep_detours(
         head = path[-1]
         if len(path) - 1 > limit:
             return
-        for neighbour in sorted(topo.neighbors(head), key=repr):
+        for neighbour in topo.neighbors(head):
             if len(path) == 1 and neighbour == v:
                 continue  # the direct link
             if neighbour == v:
@@ -201,8 +226,9 @@ class DetourTable:
         # holds the same detours walked backwards, so both directions
         # enumerate candidates in the same deterministic order.
         self._options: Dict[Link, List[Path]] = {}
+        finder = _DetourFinder(topo)
         for u, v in topo.links():
-            forward = find_detour_paths(topo, u, v, max_intermediate)
+            forward = finder.paths(u, v, max_intermediate)
             self._options[(u, v)] = forward
             self._options[(v, u)] = [tuple(reversed(path)) for path in forward]
 

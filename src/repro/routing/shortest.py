@@ -1,29 +1,95 @@
 """Deterministic single-source shortest paths.
 
-Implemented from scratch (heap-based Dijkstra) so that tie-breaking is
-under our control: when several predecessors give the same distance,
-the lexicographically smallest ``repr`` wins, making routing tables
-stable across runs, platforms and networkx versions.
+Implemented from scratch so that tie-breaking is under our control:
+when several predecessors give the same distance, the one first in
+:func:`~repro.topology.graph.node_rank` order (type name, then
+``repr``) wins, making routing tables stable across runs and
+platforms.
+
+Two searches produce the same trees.  The hop metric (``weight=None``,
+the paper's) runs a level-synchronous BFS over the topology's integer
+adjacency, expanding each level in rank order.  Heap Dijkstra pops
+nodes in ``(distance, rank)`` order, and with unit weights a node's
+first discovery comes from the lowest-ranked node of the previous
+level, so that is its predecessor in both.  Explicit weights run heap
+Dijkstra.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from array import array
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing.paths import Path
-from repro.topology.graph import Node, Topology
+from repro.topology.graph import Node, Topology, node_rank
 
 WeightFn = Callable[[Node, Node], float]
 
 
-def _hop_weight(_u: Node, _v: Node) -> float:
-    return 1.0
+def _hop_search(
+    topo: Topology, source: int, target: int = -1
+) -> Tuple[List[int], List[int]]:
+    """Level-synchronous BFS from node index *source*.
+
+    Returns ``(pred, order)``: ``pred[i]`` is the index node *i* was
+    reached from (*source* maps to itself, -1 if unreached) and
+    ``order`` lists the reached indices in discovery order.  Each level
+    is expanded in :meth:`Topology.node_ranks` order, which is the
+    order heap Dijkstra pops it in.  Stops once *target* is reached:
+    its predecessor is final from its first discovery.
+    """
+    adjacency = topo.adjacency()
+    rank = topo.node_ranks().__getitem__
+    pred = [-1] * len(adjacency)
+    pred[source] = source
+    order = [source]
+    level = [source]
+    while level and (target < 0 or pred[target] < 0):
+        reached = []
+        for node in level:
+            for neighbour in adjacency[node]:
+                if pred[neighbour] < 0:
+                    pred[neighbour] = node
+                    reached.append(neighbour)
+        order += reached
+        reached.sort(key=rank)
+        level = reached
+    return pred, order
 
 
-def _node_rank(node: Node):
-    return (str(type(node).__name__), repr(node))
+def hop_tree(topo: Topology, source: Node) -> array:
+    """The hop-count shortest-path tree from *source*, packed.
+
+    An int32 array over :meth:`Topology.nodes` indices: entry *i* is
+    the index of node *i*'s predecessor, -1 for *source* and for nodes
+    it cannot reach.  The same tree as ``dijkstra(topo, source)``.
+    """
+    if not topo.has_node(source):
+        raise RoutingError(f"unknown node: {source!r}")
+    origin = topo.node_index(source)
+    pred, _ = _hop_search(topo, origin)
+    pred[origin] = -1
+    return array("i", pred)
+
+
+def _hop_dijkstra(
+    topo: Topology, source: Node, target: Optional[Node]
+) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
+    """:func:`dijkstra` for the hop metric, from the BFS."""
+    goal = -1
+    if target is not None and topo.has_node(target):
+        goal = topo.node_index(target)
+    pred, order = _hop_search(topo, topo.node_index(source), goal)
+    nodes = topo.nodes()
+    distances: Dict[Node, float] = {source: 0.0}
+    predecessors: Dict[Node, Node] = {}
+    for index in order[1:]:
+        node, parent = nodes[index], nodes[pred[index]]
+        distances[node] = distances[parent] + 1.0
+        predecessors[node] = parent
+    return distances, predecessors
 
 
 def dijkstra(
@@ -37,8 +103,9 @@ def dijkstra(
     Parameters
     ----------
     weight:
-        Callable ``(u, v) -> cost``; defaults to hop count, the metric
-        used throughout the paper's evaluation.
+        Callable ``(u, v) -> cost``.  None (the default) is hop count,
+        the metric used throughout the paper's evaluation, and runs
+        the BFS.
     target:
         Stop as soon as this node is settled.  The returned maps then
         cover only the explored region, but the path to *target* (and
@@ -58,11 +125,12 @@ def dijkstra(
     """
     if not topo.has_node(source):
         raise RoutingError(f"unknown node: {source!r}")
-    weight = weight or _hop_weight
+    if weight is None:
+        return _hop_dijkstra(topo, source, target)
     distances: Dict[Node, float] = {source: 0.0}
     predecessors: Dict[Node, Node] = {}
     visited = set()
-    frontier = [(0.0, _node_rank(source), source)]
+    frontier = [(0.0, node_rank(source), source)]
     while frontier:
         dist, _, node = heapq.heappop(frontier)
         if node in visited:
@@ -83,12 +151,12 @@ def dijkstra(
                 or candidate < best - 1e-12
                 or (
                     abs(candidate - best) <= 1e-12
-                    and _node_rank(node) < _node_rank(predecessors[neighbour])
+                    and node_rank(node) < node_rank(predecessors[neighbour])
                 )
             ):
                 distances[neighbour] = candidate
                 predecessors[neighbour] = node
-                heapq.heappush(frontier, (candidate, _node_rank(neighbour), neighbour))
+                heapq.heappush(frontier, (candidate, node_rank(neighbour), neighbour))
     return distances, predecessors
 
 
@@ -105,33 +173,6 @@ def shortest_path(
     if not topo.has_node(destination):
         raise RoutingError(f"unknown node: {destination!r}")
     distances, predecessors = dijkstra(topo, source, weight, target=destination)
-    if destination not in distances:
-        raise NoPathError(source, destination)
-    path = [destination]
-    while path[-1] != source:
-        path.append(predecessors[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def path_from_tree(
-    topo: Topology,
-    source: Node,
-    destination: Node,
-    tree: Tuple[Dict[Node, float], Dict[Node, Node]],
-) -> Path:
-    """The shortest path read out of a full single-source Dijkstra tree.
-
-    ``tree`` is the ``(distances, predecessors)`` pair of a *full*
-    :func:`dijkstra` run from *source* (no ``target``).  Per the
-    tie-break argument in :func:`dijkstra`, the reconstructed path is
-    exactly what :func:`shortest_path` would return — callers routing
-    many destinations from the same source can amortise one tree over
-    all of them.  Raises :class:`NoPathError` when disconnected.
-    """
-    if not topo.has_node(destination):
-        raise RoutingError(f"unknown node: {destination!r}")
-    distances, predecessors = tree
     if destination not in distances:
         raise NoPathError(source, destination)
     path = [destination]

@@ -1,9 +1,11 @@
 """Capacitated topology model with per-direction link capacities.
 
-:class:`Topology` wraps a :class:`networkx.Graph` and enforces the
+:class:`Topology` is a plain adjacency structure that enforces the
 library-wide conventions: capacities in bits/s, delays in seconds and a
 routing weight per link (1.0 by default, i.e. hop-count routing as in
-the paper's flow-level evaluation).
+the paper's flow-level evaluation).  Nodes are numbered in insertion
+order, and alongside the node-keyed view it keeps the same adjacency
+as lists of node indices, which the hop-count routing walks.
 
 The substrate is **directed**: every physical link carries one
 capacity per traversal direction, keyed by the traversal-order tuple
@@ -19,8 +21,6 @@ classification, serialisation, reporting).
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
-
-import networkx as nx
 
 from repro.errors import TopologyError
 
@@ -88,6 +88,15 @@ def split_capacity_spec(capacity: CapacitySpec) -> Tuple[float, float]:
         ) from None
 
 
+
+
+def node_rank(node: Node) -> Tuple[str, str]:
+    """Deterministic total order over nodes of any type: type name, then
+    ``repr``.  Routing breaks ties between equal-cost predecessors by
+    it, so routes do not depend on insertion order or the process."""
+    return (type(node).__name__, repr(node))
+
+
 class Topology:
     """A capacitated network topology with per-direction capacities.
 
@@ -104,18 +113,39 @@ class Topology:
     convention in flow-level network simulation and what the paper's
     Fig. 3 arithmetic assumes); pass ``capacity_reverse`` (or a
     ``(forward, reverse)`` capacity spec) for asymmetric links.
+
+    Iteration order is insertion order throughout: :meth:`nodes` in the
+    order nodes were first added, :meth:`neighbors` in the order the
+    node's links were added, and :meth:`links` node by node, each link
+    listed once from its earlier-added endpoint.  Workload samplers and
+    detour tables read these orders, so they are part of the contract.
     """
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self._graph = nx.Graph()
+        #: Nodes in insertion order; a node's position is its index.
+        self._nodes: List[Node] = []
+        self._index: Dict[Node, int] = {}
+        #: Per node, neighbour -> link attributes, in link insertion
+        #: order; both endpoints share one attribute dict per link.
+        self._adj: Dict[Node, Dict[Node, Dict[str, float]]] = {}
+        #: The same adjacency as neighbour indices, in the same order.
+        self._nbrs: List[List[int]] = []
+        self._num_links = 0
+        #: Cached :meth:`node_ranks`; reset when a node is added.
+        self._ranks: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> Node:
         """Add *node* (idempotent) and return it."""
-        self._graph.add_node(node)
+        if node not in self._index:
+            self._index[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._adj[node] = {}
+            self._nbrs.append([])
+            self._ranks = None
         return node
 
     def add_link(
@@ -150,7 +180,7 @@ class Topology:
             reverse = float(capacity_reverse)
         if u == v:
             raise TopologyError(f"self-loop not allowed: {u!r}")
-        if self._graph.has_edge(u, v):
+        if self.has_link(u, v):
             raise TopologyError(f"duplicate link: {u!r} -- {v!r}")
         if forward <= 0 or reverse <= 0:
             bad = forward if forward <= 0 else reverse
@@ -159,77 +189,91 @@ class Topology:
             raise TopologyError(f"delay must be non-negative, got {delay!r}")
         key = Link.key(u, v)
         cap_fwd, cap_rev = (forward, reverse) if (u, v) == key else (reverse, forward)
-        self._graph.add_edge(
-            u,
-            v,
-            capacity=cap_fwd,
-            capacity_rev=cap_rev,
-            delay=float(delay),
-            weight=float(weight),
-        )
+        self.add_node(u)
+        self.add_node(v)
+        self._adj[u][v] = self._adj[v][u] = {
+            "capacity": cap_fwd,
+            "capacity_rev": cap_rev,
+            "delay": float(delay),
+            "weight": float(weight),
+        }
+        iu, iv = self._index[u], self._index[v]
+        self._nbrs[iu].append(iv)
+        self._nbrs[iv].append(iu)
+        self._num_links += 1
         return key
 
     def remove_link(self, u: Node, v: Node) -> None:
         """Remove the link between *u* and *v*."""
         self._require_link(u, v)
-        self._graph.remove_edge(u, v)
+        del self._adj[u][v]
+        del self._adj[v][u]
+        iu, iv = self._index[u], self._index[v]
+        self._nbrs[iu].remove(iv)
+        self._nbrs[iv].remove(iu)
+        self._num_links -= 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def num_links(self) -> int:
-        return self._graph.number_of_edges()
+        return self._num_links
 
     def nodes(self) -> List[Node]:
         """All nodes, in insertion order."""
-        return list(self._graph.nodes())
+        return list(self._nodes)
 
     def links(self) -> List[Link]:
         """All links as canonical ``(u, v)`` tuples."""
-        return [Link.key(u, v) for u, v in self._graph.edges()]
+        return [Link.key(u, v) for u, v, _ in self._edges()]
 
     def directed_links(self) -> Iterator[Link]:
         """Both orientations of every link (for per-direction state)."""
-        for u, v in self._graph.edges():
+        for u, v, _ in self._edges():
             yield (u, v)
             yield (v, u)
 
     def has_node(self, node: Node) -> bool:
-        return self._graph.has_node(node)
+        try:
+            return node in self._index
+        except TypeError:
+            return False
 
     def has_link(self, u: Node, v: Node) -> bool:
-        return self._graph.has_edge(u, v)
+        nbrs = self._adj.get(u)
+        return nbrs is not None and v in nbrs
 
     def neighbors(self, node: Node) -> List[Node]:
-        if not self._graph.has_node(node):
+        nbrs = self._adj.get(node)
+        if nbrs is None:
             raise TopologyError(f"unknown node: {node!r}")
-        return list(self._graph.neighbors(node))
+        return list(nbrs)
 
     def degree(self, node: Node) -> int:
-        if not self._graph.has_node(node):
+        nbrs = self._adj.get(node)
+        if nbrs is None:
             raise TopologyError(f"unknown node: {node!r}")
-        return int(self._graph.degree(node))
+        return len(nbrs)
 
     def capacity(self, u: Node, v: Node) -> float:
         """Capacity of the ``u -> v`` direction of the link, in bits/s."""
-        self._require_link(u, v)
-        data = self._graph.edges[u, v]
+        data = self._link_data(u, v)
         if (u, v) == Link.key(u, v):
             return float(data["capacity"])
         return float(data["capacity_rev"])
 
     def delay(self, u: Node, v: Node) -> float:
         """One-way propagation delay of link ``(u, v)`` in seconds."""
-        return float(self._link_attr(u, v, "delay"))
+        return float(self._link_data(u, v)["delay"])
 
     def weight(self, u: Node, v: Node) -> float:
         """Routing weight of link ``(u, v)``."""
-        return float(self._link_attr(u, v, "weight"))
+        return float(self._link_data(u, v)["weight"])
 
     def set_capacity(self, u: Node, v: Node, capacity: CapacitySpec) -> None:
         """Set the link capacity.
@@ -246,48 +290,89 @@ class Topology:
         """Set the capacity of the ``u -> v`` direction only."""
         if capacity <= 0:
             raise TopologyError(f"capacity must be positive, got {capacity!r}")
-        self._require_link(u, v)
+        data = self._link_data(u, v)
         attr = "capacity" if (u, v) == Link.key(u, v) else "capacity_rev"
-        self._graph.edges[u, v][attr] = float(capacity)
+        data[attr] = float(capacity)
 
     def set_delay(self, u: Node, v: Node, delay: float) -> None:
         if delay < 0:
             raise TopologyError(f"delay must be non-negative, got {delay!r}")
-        self._require_link(u, v)
-        self._graph.edges[u, v]["delay"] = float(delay)
+        self._link_data(u, v)["delay"] = float(delay)
 
     def is_symmetric(self) -> bool:
         """True when every link has equal capacity in both directions."""
         return all(
-            data["capacity"] == data["capacity_rev"]
-            for _, _, data in self._graph.edges(data=True)
+            data["capacity"] == data["capacity_rev"] for _, _, data in self._edges()
         )
 
     def total_capacity(self) -> float:
         """Sum of canonical-direction link capacities, bits/s."""
-        return sum(data["capacity"] for _, _, data in self._graph.edges(data=True))
+        return sum(data["capacity"] for _, _, data in self._edges())
 
     def is_connected(self) -> bool:
-        if self.num_nodes == 0:
+        if not self._nodes:
             return True
-        return nx.is_connected(self._graph)
+        return len(self._reachable(0)) == len(self._nodes)
 
     def is_bridge(self, u: Node, v: Node) -> bool:
-        """True if removing link ``(u, v)`` disconnects *u* from *v*."""
+        """True if removing link ``(u, v)`` disconnects *u* from *v*.
+
+        A search that never takes the link itself; the topology, and
+        with it every iteration order, is left untouched.
+        """
         self._require_link(u, v)
-        data = dict(self._graph.edges[u, v])
-        self._graph.remove_edge(u, v)
-        try:
-            return not nx.has_path(self._graph, u, v)
-        finally:
-            self._graph.add_edge(u, v, **data)
+        return self._index[v] not in self._reachable(
+            self._index[u], skip=self._index[v]
+        )
+
+    # ------------------------------------------------------------------
+    # Integer view (read-only; used by hop-count routing)
+    # ------------------------------------------------------------------
+    def node_index(self, node: Node) -> int:
+        """Position of *node* in :meth:`nodes`."""
+        index = self._index.get(node)
+        if index is None:
+            raise TopologyError(f"unknown node: {node!r}")
+        return index
+
+    def adjacency(self) -> List[List[int]]:
+        """Neighbour indices of every node, in :meth:`neighbors` order.
+
+        The live structure, not a copy: callers must not modify it.
+        """
+        return self._nbrs
+
+    def node_ranks(self) -> List[int]:
+        """Position of every node in :func:`node_rank` order, by index.
+
+        Computed once and cached until a node is added.
+        """
+        if self._ranks is None:
+            nodes = self._nodes
+            order = sorted(range(len(nodes)), key=lambda i: node_rank(nodes[i]))
+            ranks = [0] * len(nodes)
+            for rank, index in enumerate(order):
+                ranks[index] = rank
+            self._ranks = ranks
+        return self._ranks
 
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Topology":
+        """An independent copy with the same iteration orders."""
         clone = Topology(name or self.name)
-        clone._graph = self._graph.copy()
+        clone._nodes = list(self._nodes)
+        clone._index = dict(self._index)
+        clone._nbrs = [list(nbrs) for nbrs in self._nbrs]
+        clone._num_links = self._num_links
+        clone._ranks = self._ranks
+        clone._adj = {node: {} for node in self._nodes}
+        for u, nbrs in self._adj.items():
+            copied = clone._adj[u]
+            for v, data in nbrs.items():
+                shared = clone._adj[v].get(u)
+                copied[v] = dict(data) if shared is None else shared
         return clone
 
     def without_link(self, u: Node, v: Node) -> "Topology":
@@ -295,15 +380,6 @@ class Topology:
         clone = self.copy(f"{self.name}-without-{u}-{v}")
         clone.remove_link(u, v)
         return clone
-
-    def to_networkx(self) -> nx.Graph:
-        """A defensive copy of the underlying :class:`networkx.Graph`."""
-        return self._graph.copy()
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The live underlying graph (read-only use by routing code)."""
-        return self._graph
 
     @classmethod
     def from_links(
@@ -322,16 +398,41 @@ class Topology:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _require_link(self, u: Node, v: Node) -> None:
-        if not self._graph.has_edge(u, v):
-            raise TopologyError(f"unknown link: {u!r} -- {v!r}")
+    def _edges(self) -> Iterator[Tuple[Node, Node, Dict[str, float]]]:
+        """Every link once, as ``(u, v, attributes)`` with *u* the
+        endpoint added first."""
+        done = set()
+        for u, nbrs in self._adj.items():
+            for v, data in nbrs.items():
+                if v not in done:
+                    yield u, v, data
+            done.add(u)
 
-    def _link_attr(self, u: Node, v: Node, attr: str):
-        self._require_link(u, v)
-        return self._graph.edges[u, v][attr]
+    def _reachable(self, start: int, skip: int = -1) -> set:
+        """Indices reachable from *start*, never taking the direct link
+        ``start -- skip``."""
+        nbrs = self._nbrs
+        seen = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for neighbour in nbrs[node]:
+                if neighbour not in seen and not (node == start and neighbour == skip):
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        return seen
+
+    def _require_link(self, u: Node, v: Node) -> None:
+        self._link_data(u, v)
+
+    def _link_data(self, u: Node, v: Node) -> Dict[str, float]:
+        try:
+            return self._adj[u][v]
+        except KeyError:
+            raise TopologyError(f"unknown link: {u!r} -- {v!r}") from None
 
     def __contains__(self, node: Node) -> bool:
-        return self._graph.has_node(node)
+        return self.has_node(node)
 
     def __repr__(self) -> str:
         return f"Topology({self.name!r}, nodes={self.num_nodes}, links={self.num_links})"
@@ -342,10 +443,7 @@ class Topology:
         Only meaningful on symmetric topologies (one scalar per link);
         allocators index per direction via :meth:`directed_capacities`.
         """
-        return {
-            Link.key(u, v): float(data["capacity"])
-            for u, v, data in self._graph.edges(data=True)
-        }
+        return {Link.key(u, v): float(data["capacity"]) for u, v, data in self._edges()}
 
     def directed_capacities(self) -> Dict[Link, float]:
         """Mapping of directed ``(u, v)`` link -> capacity (bits/s).
@@ -354,7 +452,7 @@ class Topology:
         flow-level allocators consume.
         """
         capacities: Dict[Link, float] = {}
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, data in self._edges():
             key = Link.key(u, v)
             fwd, rev = float(data["capacity"]), float(data["capacity_rev"])
             if (u, v) == key:

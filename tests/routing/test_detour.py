@@ -1,6 +1,7 @@
 """Detour classification and enumeration (the Table 1 machinery)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError, TopologyError
 from repro.routing import (
@@ -10,7 +11,7 @@ from repro.routing import (
     detour_breakdown,
     find_detour_paths,
 )
-from repro.topology import Topology, fig3_topology
+from repro.topology import Topology, build_isp_topology, fig3_topology
 
 
 def _cycle(n):
@@ -107,3 +108,79 @@ def test_detour_options_respect_residual_structure():
         options = table.options(u, v)
         assert options, "square links must have depth-2 detours"
         assert all(len(option) == 4 for option in options)
+
+
+# ----------------------------------------------------------------------
+# The detour tables against a plain enumeration: every pair of
+# neighbours probed link by link, then a DFS for longer detours.
+# ----------------------------------------------------------------------
+
+
+def _oracle_detours(topo, u, v, max_intermediate):
+    results = []
+    neighbours_u = set(topo.neighbors(u))
+    neighbours_v = set(topo.neighbors(v))
+    for w in sorted(neighbours_u & neighbours_v, key=repr):
+        if w not in (u, v):
+            results.append((u, w, v))
+    if max_intermediate >= 2:
+        for w1 in sorted(neighbours_u - {v}, key=repr):
+            for w2 in sorted(neighbours_v - {u}, key=repr):
+                if w1 != w2 and w1 != u and w2 != v and topo.has_link(w1, w2):
+                    results.append((u, w1, w2, v))
+    if max_intermediate >= 3:
+        limit = max_intermediate + 1  # links allowed
+
+        def _dfs(path):
+            for neighbour in sorted(topo.neighbors(path[-1]), key=repr):
+                if neighbour == v:
+                    candidate = tuple(path) + (v,)
+                    if len(candidate) >= 5 and candidate not in results:
+                        results.append(candidate)
+                elif neighbour not in path and len(path) < limit:
+                    _dfs(path + [neighbour])
+
+        _dfs([u])
+    results.sort(key=lambda p: (len(p), tuple(repr(n) for n in p)))
+    return results
+
+
+def _assert_table_matches_oracle(topo, depth):
+    table = DetourTable(topo, max_intermediate=depth)
+    for u, v in topo.links():
+        expected = _oracle_detours(topo, u, v, depth)
+        assert table.options(u, v) == expected
+        assert table.options(v, u) == [tuple(reversed(p)) for p in expected]
+        assert find_detour_paths(topo, u, v, depth) == expected
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("isp", ["exodus", "ebone", "tiscali"])
+def test_detour_table_matches_oracle_on_isp_maps(isp, depth):
+    _assert_table_matches_oracle(build_isp_topology(isp, seed=0), depth)
+
+
+_LABELS = st.one_of(
+    st.integers(-20, 60),
+    st.text("abxy01", max_size=3),
+    st.tuples(st.integers(0, 3), st.text("ab", max_size=2)),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(labels=st.lists(_LABELS, min_size=3, max_size=14, unique=True), data=st.data())
+def test_detour_table_matches_oracle_on_mixed_type_meshes(labels, data):
+    last = len(labels) - 1
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, last), st.integers(0, last)),
+            max_size=3 * len(labels),
+        )
+    )
+    topo = Topology()
+    for i, j in pairs:
+        u, v = labels[i], labels[j]
+        if u != v and not topo.has_link(u, v):
+            topo.add_link(u, v)
+    for depth in (1, 2, 3):
+        _assert_table_matches_oracle(topo, depth)

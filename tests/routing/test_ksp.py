@@ -7,6 +7,8 @@ from repro.errors import NoPathError, RoutingError
 from repro.routing import k_shortest_paths
 from repro.topology import Topology, mesh_topology
 
+from networkx_oracle import to_networkx
+
 
 def test_k1_is_shortest_path():
     topo = Topology.from_links([(0, 1), (1, 2), (0, 2)])
@@ -38,7 +40,7 @@ def test_paths_are_loopless_and_sorted_by_cost():
 @pytest.mark.parametrize("seed", [1, 4])
 def test_matches_networkx_shortest_simple_paths(seed):
     topo = mesh_topology(12, extra_links=10, seed=seed)
-    graph = topo.to_networkx()
+    graph = to_networkx(topo)
     expected = []
     for path in nx.shortest_simple_paths(graph, 0, 7):
         expected.append(len(path) - 1)

@@ -2,11 +2,19 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing import shortest_path, shortest_path_length
-from repro.routing.shortest import all_pairs_hop_counts, dijkstra, iter_sp_next_hops
-from repro.topology import Topology, mesh_topology
+from repro.routing.shortest import (
+    all_pairs_hop_counts,
+    dijkstra,
+    hop_tree,
+    iter_sp_next_hops,
+)
+from repro.topology import Topology, build_isp_topology, mesh_topology
+
+from networkx_oracle import to_networkx
 
 
 def test_line_path():
@@ -37,7 +45,7 @@ def test_unknown_nodes_raise():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lengths_match_networkx(seed):
     topo = mesh_topology(30, extra_links=25, seed=seed)
-    graph = topo.to_networkx()
+    graph = to_networkx(topo)
     expected = dict(nx.all_pairs_shortest_path_length(graph))
     for source, lengths in all_pairs_hop_counts(topo).items():
         assert lengths == expected[source]
@@ -70,3 +78,80 @@ def test_iter_sp_next_hops_builds_fib():
     topo = Topology.from_links([(0, 1), (1, 2), (2, 3)])
     fib = dict(iter_sp_next_hops(topo, 3))
     assert fib == {0: 1, 1: 2, 2: 3}
+
+
+# ----------------------------------------------------------------------
+# The hop-metric BFS against heap Dijkstra, its oracle: an explicit unit
+# weight forces the heap search, which must build the very same trees.
+# ----------------------------------------------------------------------
+
+
+def _unit(_u, _v):
+    return 1.0
+
+
+def _path_or_none(topo, source, destination, weight=None):
+    try:
+        return shortest_path(topo, source, destination, weight)
+    except NoPathError:
+        return None
+
+
+def _assert_bfs_matches_heap(topo):
+    nodes = topo.nodes()
+    for source in nodes:
+        distances, predecessors = dijkstra(topo, source)
+        heap_distances, heap_predecessors = dijkstra(topo, source, weight=_unit)
+        # Same maps, filled in the same order.
+        assert list(distances.items()) == list(heap_distances.items())
+        assert list(predecessors.items()) == list(heap_predecessors.items())
+        packed = hop_tree(topo, source)
+        assert [nodes[i] if i >= 0 else None for i in packed] == [
+            heap_predecessors.get(node) for node in nodes
+        ]
+
+
+@pytest.mark.parametrize("isp", ["exodus", "ebone", "tiscali"])
+def test_bfs_trees_match_heap_dijkstra_on_isp_maps(isp):
+    _assert_bfs_matches_heap(build_isp_topology(isp, seed=0))
+
+
+_LABELS = st.one_of(
+    st.integers(-20, 60),
+    st.text("abxy01", max_size=3),
+    st.tuples(st.integers(0, 3), st.text("ab", max_size=2)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(labels=st.lists(_LABELS, min_size=2, max_size=24, unique=True), data=st.data())
+def test_bfs_trees_match_heap_dijkstra_on_mixed_type_meshes(labels, data):
+    """Random (possibly disconnected) meshes over int, str and tuple
+    nodes: the tie-break rank orders across types."""
+    last = len(labels) - 1
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, last), st.integers(0, last)),
+            max_size=3 * len(labels),
+        )
+    )
+    topo = Topology()
+    for i, j in pairs:
+        u, v = labels[i], labels[j]
+        if u != v and not topo.has_link(u, v):
+            topo.add_link(u, v)
+    for label in labels:
+        topo.add_node(label)
+    _assert_bfs_matches_heap(topo)
+    # Per-pair searches stop early and must still agree.
+    for source in labels[:4]:
+        for destination in labels:
+            assert _path_or_none(topo, source, destination) == _path_or_none(
+                topo, source, destination, _unit
+            )
+
+
+def test_hop_tree_unknown_source_raises():
+    topo = Topology.from_links([(0, 1)])
+    with pytest.raises(RoutingError):
+        hop_tree(topo, 99)

@@ -1,6 +1,8 @@
 """Topology graph model tests."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.topology import Link, Topology, link_key, split_capacity_spec
@@ -69,9 +71,16 @@ def test_is_bridge(triangle):
     assert not triangle.is_bridge("a", "b")
     triangle.add_link("c", "leaf")
     assert triangle.is_bridge("c", "leaf")
-    # is_bridge must not mutate the graph.
+    # is_bridge must not mutate the graph, iteration orders included.
     assert triangle.has_link("c", "leaf")
     assert triangle.num_links == 4
+    topo = Topology.from_links([(0, 1), (0, 2), (1, 2), (2, 3)])
+    neighbours = {node: topo.neighbors(node) for node in topo.nodes()}
+    links = topo.links()
+    assert not topo.is_bridge(0, 1)
+    assert topo.is_bridge(2, 3)
+    assert {node: topo.neighbors(node) for node in topo.nodes()} == neighbours
+    assert topo.links() == links
 
 
 def test_without_link_copies(triangle):
@@ -112,6 +121,52 @@ def test_copy_independent(triangle):
     clone.remove_link("a", "b")
     assert triangle.has_link("a", "b")
     assert not clone.has_link("a", "b")
+
+
+def test_copy_keeps_iteration_orders():
+    topo = Topology.from_links([(3, 1), (0, 2), (1, 2), (2, 3), (0, 3)])
+    clone = topo.copy()
+    assert clone.nodes() == topo.nodes()
+    assert clone.links() == topo.links()
+    for node in topo.nodes():
+        assert clone.neighbors(node) == topo.neighbors(node)
+    clone.set_capacity(0, 2, mbps(1))
+    assert topo.capacity(0, 2) != mbps(1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, 12)), max_size=60
+    )
+)
+def test_iteration_orders_match_networkx(steps):
+    """Nodes, neighbours and links come out in the order a
+    networkx.Graph built by the same calls gives them."""
+    topo, graph = Topology(), nx.Graph()
+    for add, u, v in steps:
+        if u == v:
+            topo.add_node(u)
+            graph.add_node(u)
+        elif not topo.has_link(u, v):
+            if add:
+                topo.add_link(u, v)
+                graph.add_edge(u, v)
+        elif not add:
+            topo.remove_link(u, v)
+            graph.remove_edge(u, v)
+    assert topo.nodes() == list(graph.nodes())
+    assert topo.links() == [link_key(u, v) for u, v in graph.edges()]
+    for node in topo.nodes():
+        assert topo.neighbors(node) == list(graph.neighbors(node))
+        assert [topo.nodes()[i] for i in topo.adjacency()[topo.node_index(node)]] == (
+            topo.neighbors(node)
+        )
+    assert topo.num_links == graph.number_of_edges()
+    assert topo.is_connected() == (graph.number_of_nodes() == 0 or nx.is_connected(graph))
+    for u, v in topo.links():
+        without = nx.restricted_view(graph, [], [(u, v)])
+        assert topo.is_bridge(u, v) == (not nx.has_path(without, u, v))
 
 
 # ----------------------------------------------------------------------
