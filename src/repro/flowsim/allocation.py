@@ -30,7 +30,7 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.multipath import inrp_allocation
+from repro.flowsim.multipath import MultipathAllocation, inrp_allocation
 from repro.flowsim.multipath import _rel_tol as _fill_rel_tol
 from repro.routing.detour import DetourTable
 from repro.routing.paths import Path, cached_path_links
@@ -652,6 +652,8 @@ class IncrementalInrp:
         self._members: Dict[LinkId, Set[FlowId]] = {}
         self._rates: Dict[FlowId, float] = {}
         self._splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
+        #: Per-flow detour switches of the flow's latest fill.
+        self._switches: Dict[FlowId, int] = {}
         #: Per-link running usage, maintained only under ``verify=True``
         #: to feed the :meth:`_pinned_usage` guard; see that docstring.
         self._usage: Dict[LinkId, float] = {}
@@ -663,9 +665,6 @@ class IncrementalInrp:
         }
         self._dirty_links: Set[LinkId] = set()
         self._dirty_flows: Set[FlowId] = set()
-        #: Active flows with an empty closure (src == dst): they carry
-        #: no traffic and are excluded from the fluid fill.
-        self._no_closure: Set[FlowId] = set()
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
         self.max_verify_deviation = 0.0
@@ -715,7 +714,6 @@ class IncrementalInrp:
         if not closure:
             # Source == destination: never shares a link with anyone.
             self._dirty_flows.add(flow)
-            self._no_closure.add(flow)
         if self._primary_store is not None:
             self._primary_store.add(
                 flow, self._space.columns(cached_path_links(path)), float(demand)
@@ -731,11 +729,11 @@ class IncrementalInrp:
         del self._demands[flow]
         del self._order[flow]
         self._rates.pop(flow, None)
+        self._switches.pop(flow, None)
         departed_splits = self._splits.pop(flow, [])
         if self._verify:
             self._account_usage(departed_splits, -1.0)
         self._dirty_flows.discard(flow)
-        self._no_closure.discard(flow)
         closure = self._closures.pop(flow)
         for link in closure:
             members = self._members.get(link)
@@ -800,75 +798,35 @@ class IncrementalInrp:
         The two mappings cover exactly the flows whose allocation *may*
         have changed since the previous call; flows outside them keep
         their previous rates and splits.  ``switches`` counts the
-        detour switches performed by this re-fill.  With ``full=True``
-        the whole population is re-filled (the adaptive core's
-        fallback for spanning components).
+        detour switches performed by this re-fill.
+
+        ``full=True`` (the adaptive core's mode for spanning
+        components) fills the same dirty component and returns the
+        same mappings; only ``switches`` differs: it is the sum of
+        every active flow's switch count from that flow's latest fill.
+        INRP fills decompose over closure components, so that sum is
+        exactly what a re-fill of the whole population would count.
         """
-        if self._kernel == "vectorized":
-            return self._recompute_vectorized(full)
-        if not full and not self._dirty_links and not self._dirty_flows:
-            return {}, {}, 0
+        if not self._dirty_links and not self._dirty_flows:
+            return {}, {}, sum(self._switches.values()) if full else 0
         changed_rates: Dict[FlowId, float] = {}
         changed_splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
         for flow in self._dirty_flows:
             changed_rates[flow] = self._demands[flow]
             changed_splits[flow] = [(self._paths[flow], 0.0)]
-        if full:
-            # ``self._paths`` is insertion-ordered and flows are added
-            # exactly once, so it already enumerates the population in
-            # arrival order — no sort, and when every active flow has a
-            # closure (the common case; only src == dst flows do not)
-            # the registry dicts feed the fill without copies.
-            if len(self._no_closure) == len(self._paths):
-                component_map: Mapping[FlowId, Path] = {}
-            elif self._no_closure:
-                component_map = {
-                    flow: path
-                    for flow, path in self._paths.items()
-                    if flow not in self._no_closure
-                }
-            else:
-                component_map = self._paths
-            capacities: Mapping[LinkId, float] = self._capacities
-            pinned: Optional[Dict[LinkId, float]] = None
+        if self._kernel == "vectorized":
+            result = self._fill_vectorized()
         else:
-            component, reach = self._dirty_component()
-            # The re-fill can only ever touch the component's closure
-            # links; restricting the capacity map keeps its setup cost
-            # proportional to the component, not the topology.
-            capacities = {link: self._capacities[link] for link in reach}
-            # Pinned usage exists only as a verify-mode guard: the
-            # dirty-component BFS collects *every* flow with a closure
-            # link in ``reach``, so no outside flow can carry traffic
-            # there and the pinned map is zero by construction.
-            pinned = (
-                self._pinned_usage(component, reach) if self._verify else None
-            )
-            ordered = sorted(component, key=self._order.__getitem__)
-            component_map = {flow: self._paths[flow] for flow in ordered}
-        if component_map is self._paths:
-            demands: Mapping[FlowId, float] = self._demands
-        else:
-            demands = {flow: self._demands[flow] for flow in component_map}
+            result = self._fill_scalar()
         switches = 0
-        if component_map:
-            result = inrp_allocation(
-                capacities,
-                component_map,
-                demands,
-                self._table,
-                max_replacements=self._max_replacements,
-                max_switches_per_flow=self._max_switches,
-                pinned_usage=pinned,
-                saturation_floors=self._floors,
-                pooling_fraction=self._pooling_fraction,
-            )
+        if result is not None:
             switches = result.switches
             for flow, splits in result.splits.items():
                 if self._verify:
                     self._account_usage(self._splits.get(flow, []), -1.0)
                     self._account_usage(splits, +1.0)
                 self._splits[flow] = splits
+            self._switches.update(result.flow_switches)
             changed_rates.update(result.rates)
             changed_splits.update(result.splits)
         self._rates.update(changed_rates)
@@ -878,88 +836,83 @@ class IncrementalInrp:
         self._dirty_flows.clear()
         if self._verify:
             self._check_against_scratch()
+        if full:
+            switches = sum(self._switches.values())
         return changed_rates, changed_splits, switches
 
-    def _recompute_vectorized(
-        self, full: bool = False
-    ) -> Tuple[
-        Dict[FlowId, float], Dict[FlowId, List[Tuple[Path, float]]], int
-    ]:
-        """The ``kernel="vectorized"`` re-fill: component selection via
-        the closure store's vectorized BFS, filling via
-        :func:`repro.flowsim.kernel.inrp_fill`.  Same contract and
-        (to <= 1e-9) same results as the scalar path."""
-        if not full and not self._dirty_links and not self._dirty_flows:
-            return {}, {}, 0
-        changed_rates: Dict[FlowId, float] = {}
-        changed_splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
-        for flow in self._dirty_flows:
-            changed_rates[flow] = self._demands[flow]
-            changed_splits[flow] = [(self._paths[flow], 0.0)]
-        if full:
-            flows: List[FlowId] = self._primary_store.live_flows()
-            if self._no_closure:
-                flows = [
-                    flow for flow in flows if flow not in self._no_closure
-                ]
-            in_reach = None
-            capacity_count = len(self._capacities)
-            pinned = None
-        else:
-            if self._verify:
-                # The reach restriction is unobservable (every link a
-                # component fill can touch lies inside some member's
-                # closure, hence inside ``reach``), so the exact BFS,
-                # the restricted column set and the pinned-usage guard
-                # are built only when the fill is being cross-checked
-                # against scratch.
-                component, reach = self._dirty_component()
-                capacity_count = len(reach)
-                index = self._space.index
-                in_reach = frozenset(index[link] for link in reach)
-                pinned = self._pinned_cols(component, reach)
-            else:
-                component = self._tracker.component(self._dirty_links)
-                capacity_count = len(self._capacities)
-                in_reach = None
-                pinned = None
-            flows = sorted(component, key=self._order.__getitem__)
-        switches = 0
-        if flows:
-            paths = [self._paths[flow] for flow in flows]
-            cols, lengths, demands = self._primary_store.gather(flows)
-            result = _kernel.inrp_fill(
-                self._space,
-                flows,
-                paths,
-                cols,
-                lengths,
-                demands,
-                self._table,
-                max_replacements=self._max_replacements,
-                max_switches_per_flow=self._max_switches,
-                in_reach=in_reach,
-                pinned=pinned,
-                capacity_count=capacity_count,
-                option_cache=self._option_cache,
-                path_cols_cache=self._path_cols_cache,
-            )
-            switches = result.switches
-            for flow, splits in result.splits.items():
-                if self._verify:
-                    self._account_usage(self._splits.get(flow, []), -1.0)
-                    self._account_usage(splits, +1.0)
-                self._splits[flow] = splits
-            changed_rates.update(result.rates)
-            changed_splits.update(result.splits)
-        self._rates.update(changed_rates)
-        for flow in self._dirty_flows:
-            self._splits[flow] = changed_splits[flow]
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
+    def _fill_scalar(self) -> Optional[MultipathAllocation]:
+        """Fill the exact dirty component with the scalar solver
+        (:func:`~repro.flowsim.multipath.inrp_allocation`); None when
+        the component is empty."""
+        component, reach = self._dirty_component()
+        if not component:
+            return None
+        # The re-fill can only ever touch the component's closure
+        # links; restricting the capacity map keeps its setup cost
+        # proportional to the component, not the topology.
+        capacities = {link: self._capacities[link] for link in reach}
+        # Pinned usage exists only as a verify-mode guard: the
+        # dirty-component BFS collects *every* flow with a closure
+        # link in ``reach``, so no outside flow can carry traffic
+        # there and the pinned map is zero by construction.
+        pinned = self._pinned_usage(component, reach) if self._verify else None
+        ordered = sorted(component, key=self._order.__getitem__)
+        return inrp_allocation(
+            capacities,
+            {flow: self._paths[flow] for flow in ordered},
+            {flow: self._demands[flow] for flow in ordered},
+            self._table,
+            max_replacements=self._max_replacements,
+            max_switches_per_flow=self._max_switches,
+            pinned_usage=pinned,
+            saturation_floors=self._floors,
+            pooling_fraction=self._pooling_fraction,
+        )
+
+    def _fill_vectorized(self) -> Optional[MultipathAllocation]:
+        """Fill the dirty component with the CSR kernel
+        (:func:`repro.flowsim.kernel.inrp_fill`); None when the
+        component is empty.  Outside ``verify=True`` the component
+        comes from the union-find tracker, whose classes are unions
+        of whole closure components and so fill to the same
+        allocation (to <= 1e-9) as the exact component."""
         if self._verify:
-            self._check_against_scratch()
-        return changed_rates, changed_splits, switches
+            # The reach restriction is unobservable (every link a
+            # component fill can touch lies inside some member's
+            # closure, hence inside ``reach``), so the exact BFS, the
+            # restricted column set and the pinned-usage guard are
+            # built only when the fill is being cross-checked against
+            # scratch.
+            component, reach = self._dirty_component()
+            capacity_count = len(reach)
+            index = self._space.index
+            in_reach = frozenset(index[link] for link in reach)
+            pinned = self._pinned_cols(component, reach)
+        else:
+            component = self._tracker.component(self._dirty_links)
+            capacity_count = len(self._capacities)
+            in_reach = None
+            pinned = None
+        if not component:
+            return None
+        flows = sorted(component, key=self._order.__getitem__)
+        cols, lengths, demands = self._primary_store.gather(flows)
+        return _kernel.inrp_fill(
+            self._space,
+            flows,
+            [self._paths[flow] for flow in flows],
+            cols,
+            lengths,
+            demands,
+            self._table,
+            max_replacements=self._max_replacements,
+            max_switches_per_flow=self._max_switches,
+            in_reach=in_reach,
+            pinned=pinned,
+            capacity_count=capacity_count,
+            option_cache=self._option_cache,
+            path_cols_cache=self._path_cols_cache,
+        )
 
     def _pinned_cols(
         self, component: Set[FlowId], reach: Set[LinkId]

@@ -1031,4 +1031,5 @@ def inrp_fill(
         freeze_reasons={
             flow_ids[flow]: reasons[flow] for flow in range(num_flows)
         },
+        flow_switches=dict(zip(flow_ids, switches.tolist())),
     )

@@ -68,16 +68,27 @@ class MultipathAllocation:
         Per flow, the ``(path, rate)`` pairs with positive rate, in
         creation order (primary first).
     switches:
-        Total number of detour switches performed.
+        Total number of detour switches this fill performed, summed
+        over the flows it filled (the sum of :attr:`flow_switches`).
+        A fill covers only the flows handed to it: when
+        :class:`~repro.flowsim.allocation.IncrementalInrp` re-fills one
+        dirty closure component, that component's switches are all it
+        reports, and the simulator's
+        :attr:`~repro.flowsim.sinks.SimulationResult.total_switches`
+        adds up what each recompute reported (measured examples
+        there).
     freeze_reasons:
         Per flow, why it stopped growing (``"demand"`` or
         ``"no-detour"``).
+    flow_switches:
+        Per flow, the detour switches it performed in this fill.
     """
 
     rates: Dict[FlowId, float]
     splits: Dict[FlowId, List[Tuple[Path, float]]]
     switches: int
     freeze_reasons: Dict[FlowId, str]
+    flow_switches: Dict[FlowId, int]
 
     def stretch(self, flow: FlowId) -> float:
         """Bit-weighted path stretch of *flow* (the Fig. 4b metric)."""
@@ -446,8 +457,12 @@ def inrp_allocation(
         ]
         for flow_id, state in flows.items()
     }
-    switches = sum(state.switches for state in flows.values())
+    flow_switches = {flow_id: state.switches for flow_id, state in flows.items()}
     reasons = {flow_id: state.freeze_reason for flow_id, state in flows.items()}
     return MultipathAllocation(
-        rates=rates, splits=splits, switches=switches, freeze_reasons=reasons
+        rates=rates,
+        splits=splits,
+        switches=sum(flow_switches.values()),
+        freeze_reasons=reasons,
+        flow_switches=flow_switches,
     )

@@ -236,11 +236,12 @@ class _IncrementalRecompute:
 class _AdaptiveCorePolicy:
     """Decides when ``core="auto"`` falls back to full refills.
 
-    ``core="auto"`` always runs the vectorized CSR kernel (it is the
-    fastest core at every calibrated bench point — 5.95x over the
-    scalar incremental core at the SP point and outright fastest at
-    the INRP overload point); what remains adaptive is *how much* each
-    recompute refills.  Dirty-component search pays off only while
+    ``core="auto"`` always runs the vectorized CSR kernel (the
+    committed bench trajectory has it at 1.24x (full) and 0.97x
+    (smoke) of the scalar incremental core at the SP point, and
+    2.33x/2.19x at the INRP calibrated/overload points); what remains
+    adaptive is *how much* each recompute refills.  Dirty-component
+    search pays off only while
     components are small relative to the active set.  In deep overload
     the population snowballs into one spanning component: every
     recompute touches everything and the component search plus subset
@@ -252,6 +253,13 @@ class _AdaptiveCorePolicy:
     (no fill, so probing costs a component search, not a wasted
     spanning re-fill) every ``probe_every``-th event to notice when
     components have shrunk again.
+
+    Only max-min allocators (SP/ECMP) re-fill the whole population in
+    full mode.  An INRP full refill fills the same dirty component as
+    an incremental one and differs only in the switch count it
+    reports (see :meth:`IncrementalInrp.recompute
+    <repro.flowsim.allocation.IncrementalInrp.recompute>`), so for
+    INRP the policy moves ``total_switches`` and nothing else.
     """
 
     def __init__(
@@ -324,11 +332,9 @@ class FlowLevelSimulator:
         machinery with the progressive-filling rounds run by the CSR
         kernel of :mod:`repro.flowsim.kernel`), ``"reference"`` (the
         original full-rescan loop) or ``"auto"`` (the default: the
-        vectorized kernel — fastest at every calibrated bench point —
-        plus an adaptive fallback to full refills while the dirty
-        component keeps spanning the active set, the deep-overload
-        regime where pure dirty-component search is slower than
-        refilling).  All cores produce the same
+        vectorized kernel plus an adaptive fallback to full refills
+        while the dirty component keeps spanning the active set; see
+        :class:`_AdaptiveCorePolicy`).  All cores produce the same
         :class:`SimulationResult` up to float tolerance.
     sink:
         Where finalized flows go: ``"materialize"`` (default; the
@@ -454,11 +460,10 @@ class FlowLevelSimulator:
         )
 
     def _make_adapter(self):
-        # ``auto`` rides the vectorized kernel: per the committed bench
-        # trajectory it is at least as fast as the scalar solvers at
-        # every calibrated point (5.95x at sp-calibrated, fastest at
-        # inrp-overload), so adaptivity is only about full vs component
-        # refills, not about which kernel fills.
+        # ``auto`` rides the vectorized kernel (committed trajectory:
+        # 1.24x full / 0.97x smoke at sp-calibrated, 2.33x and 2.19x at
+        # the INRP points), so adaptivity is only about full vs
+        # component refills, not about which kernel fills.
         kernel = "vectorized" if self.core in ("auto", "vectorized") else "scalar"
         allocator = self.strategy.incremental_allocator(
             verify=self.verify_allocator, kernel=kernel

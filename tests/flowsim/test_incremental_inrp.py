@@ -1,5 +1,7 @@
 """Incremental INRP allocator: detour-closure components vs scratch."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +10,10 @@ from repro.flowsim import IncrementalInrp, detour_closure, inrp_allocation
 from repro.routing import DetourTable, shortest_path
 from repro.routing.paths import cached_path_links
 from repro.topology import Topology, fig3_topology, mesh_topology
+from repro.topology.isp import build_isp_topology
 from repro.units import mbps
 from repro.workloads import uniform_pairs
+from repro.workloads.traffic import local_pairs
 
 
 def _assert_matches_scratch(allocator, capacities, table, paths, demands):
@@ -60,18 +64,87 @@ def test_untouched_closure_component_not_recomputed():
     assert allocator.rates["left"] == pytest.approx(mbps(10))
 
 
-def test_full_refill_returns_whole_population():
-    topo = _two_island_topology()
+def _triangle_and_bar_topology():
+    """Two islands: a triangle x1-x2-x3, where x1-x2 can detour via x3,
+    and a bare b1-b2 link with no detour."""
+    topo = Topology()
+    topo.add_link("x1", "x2", capacity=mbps(10))
+    topo.add_link("x1", "x3", capacity=mbps(10))
+    topo.add_link("x3", "x2", capacity=mbps(10))
+    topo.add_link("b1", "b2", capacity=mbps(10))
+    return topo
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+def test_full_refill_fills_only_the_dirty_component(kernel):
+    """``full=True`` re-fills the dirty island alone, yet reports the
+    switch count of a whole-population fill: the clean island's detour
+    switch is carried over from its last fill."""
+    topo = _triangle_and_bar_topology()
+    capacities = topo.directed_capacities()
     table = DetourTable(topo, max_intermediate=1)
-    allocator = IncrementalInrp(topo.directed_capacities(), table)
-    allocator.add_flow("left", ("a1", "a2"), mbps(10))
-    allocator.add_flow("right", ("b1", "b2"), mbps(10))
+    allocator = IncrementalInrp(capacities, table, kernel=kernel)
+    paths = {"tri": ("x1", "x2"), "bar": ("b1", "b2")}
+    demands = {"tri": mbps(20), "bar": mbps(10)}
+    for flow in paths:
+        allocator.add_flow(flow, paths[flow], demands[flow])
     allocator.recompute()
-    allocator.add_flow("right2", ("b1", "b2"), mbps(10))
-    rates, splits, _ = allocator.recompute(full=True)
-    assert set(rates) == {"left", "right", "right2"}
-    assert rates["left"] == pytest.approx(mbps(10))
-    assert rates["right"] == pytest.approx(mbps(5))
+    paths["bar2"], demands["bar2"] = ("b1", "b2"), mbps(10)
+    allocator.add_flow("bar2", paths["bar2"], demands["bar2"])
+    rates, splits, switches = allocator.recompute(full=True)
+    assert set(rates) == set(splits) == {"bar", "bar2"}
+    assert set(allocator.rates) == {"tri", "bar", "bar2"}
+    assert allocator.rates["tri"] == pytest.approx(mbps(20))
+    assert rates["bar"] == pytest.approx(mbps(5))
+    scratch = inrp_allocation(capacities, paths, demands, table)
+    assert scratch.flow_switches["tri"] == 1
+    assert switches == scratch.switches
+    # Nothing dirty: no fill, but the same whole-population count.
+    assert allocator.recompute(full=True) == ({}, {}, scratch.switches)
+    assert allocator.recompute() == ({}, {}, 0)
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+@pytest.mark.parametrize("topology", ["fig3", "ebone"])
+def test_mixed_full_refills_match_scratch_under_churn(topology, kernel):
+    """Seeded churn with ``full=True`` and ``full=False`` recomputes
+    mixed at random: rates stay within 1e-9 of scratch, and every full
+    recompute reports exactly the switches of a from-scratch fill over
+    the active population."""
+    if topology == "fig3":
+        topo = fig3_topology()
+        sampler = uniform_pairs(topo, seed=7)
+    else:
+        # Local pairs keep several closure components apart, so full
+        # recomputes leave clean components with detour switches.
+        topo = build_isp_topology("ebone", seed=0)
+        sampler = local_pairs(topo, seed=7, max_hops=2)
+    capacities = topo.directed_capacities()
+    table = DetourTable(topo)
+    allocator = IncrementalInrp(capacities, table, verify=True, kernel=kernel)
+    rng = random.Random(11)
+    paths, demands = {}, {}
+    full_refills = switched = 0
+    for next_id in range(150):
+        if paths and rng.random() < 0.45:
+            victim = rng.choice(sorted(paths))
+            allocator.remove_flow(victim)
+            del paths[victim], demands[victim]
+        else:
+            src, dst = sampler()
+            paths[next_id] = tuple(shortest_path(topo, src, dst))
+            demands[next_id] = mbps(rng.choice([1, 4, 12]))
+            allocator.add_flow(next_id, paths[next_id], demands[next_id])
+        full = rng.random() < 0.5
+        _, _, switches = allocator.recompute(full=full)
+        _assert_matches_scratch(allocator, capacities, table, paths, demands)
+        if full:
+            scratch = inrp_allocation(capacities, paths, demands, table)
+            assert switches == scratch.switches
+            full_refills += 1
+            switched += scratch.switches > 0
+    assert full_refills > 0 and switched > 0
+    assert allocator.max_verify_deviation <= 1e-9
 
 
 def test_recompute_without_churn_is_empty():
