@@ -46,6 +46,7 @@ cross-checks hold them to <= 1e-9 of the scratch solvers.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import (
     AbstractSet,
     Dict,
@@ -78,7 +79,15 @@ class LinkSpace:
     the allocator's lifetime.
     """
 
-    __slots__ = ("index", "links", "capacity", "floor", "num_links")
+    __slots__ = (
+        "index",
+        "links",
+        "capacity",
+        "floor",
+        "num_links",
+        "_marks",
+        "_local",
+    )
 
     def __init__(self, capacities: Mapping[LinkId, float]):
         self.index: Dict[LinkId, int] = {}
@@ -96,6 +105,9 @@ class LinkSpace:
         self.floor = _EPS * (1.0 + np.abs(self.capacity))
         self.floor[np.isinf(self.capacity)] = _EPS
         self.num_links = len(links)
+        # Scratch for :meth:`compress`; all-False between calls.
+        self._marks = np.zeros(self.num_links, dtype=bool)
+        self._local = np.empty(self.num_links, dtype=np.int64)
 
     def columns(self, links: Sequence[LinkId]) -> np.ndarray:
         """Column ids for *links* (raises ``KeyError`` on unknown)."""
@@ -103,6 +115,23 @@ class LinkSpace:
         return np.fromiter(
             (index[link] for link in links), dtype=np.int64, count=len(links)
         )
+
+    def compress(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``np.unique(cols, return_inverse=True)`` without the sort.
+
+        Marks *cols* in a bool array over the column space, reads the
+        sorted distinct columns back from the marks, and maps each
+        entry of *cols* to its position among them.  Costs a few
+        fixed-size vector ops, where ``np.unique`` pays a sort and its
+        own Python-level setup on every call.
+        """
+        marks = self._marks
+        marks[cols] = True
+        unique = np.flatnonzero(marks)
+        marks[unique] = False
+        local = self._local
+        local[unique] = np.arange(len(unique))
+        return unique, local[cols]
 
 
 def _grow(array: np.ndarray, needed: int) -> np.ndarray:
@@ -433,11 +462,10 @@ def _maxmin_rounds(
             residual[sat_local] = 0.0
             if col_rows is None:
                 col_rows = entry_row[np.argsort(lcols, kind="stable")]
-                bounds_arr = np.zeros(width + 1, dtype=np.int64)
-                np.cumsum(
-                    np.bincount(lcols, minlength=width), out=bounds_arr[1:]
-                )
-                col_bounds = bounds_arr.tolist()
+                col_bounds = [
+                    0,
+                    *accumulate(np.bincount(lcols, minlength=width).tolist()),
+                ]
             for col in sat_local.tolist():
                 for row in col_rows[
                     col_bounds[col] : col_bounds[col + 1]
@@ -494,42 +522,42 @@ def maxmin_fill(
     Every floating-point expression matches the mask-sweep form
     operation for operation, so the returned rates are bit-identical.
     """
-    num_rows = len(row_lengths)
-    rates_arr = np.zeros(num_rows, dtype=np.float64)
-    demands = np.asarray(demands, dtype=np.float64)
-    row_lengths = np.asarray(row_lengths, dtype=np.int64)
-    active = (row_lengths > 0) & (demands > _EPS)
-    inactive = ~active
-    rates_arr[inactive] = demands[inactive]
-    if not active.any():
-        return rates_arr
-    # Local column space: only the component's links.
-    unique_cols, lcols = np.unique(np.asarray(cols), return_inverse=True)
-    width = len(unique_cols)
-    entry_row = np.repeat(np.arange(num_rows, dtype=np.int64), row_lengths)
-    counts = np.bincount(lcols[active[entry_row]], minlength=width).astype(
-        np.float64
-    )
-    residual = space.capacity[unique_cols].copy()
-    steps = np.empty(width, dtype=np.float64)
-    sat_mask = np.empty(width, dtype=bool)
-    scratch = np.empty(width, dtype=np.float64)
-    row_starts = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(row_lengths, out=row_starts[1:])
+    # Per-row state lives in Python lists: the round loop reads it one
+    # row at a time, and building it costs no per-call numpy dispatch.
+    demands_list = np.asarray(demands, dtype=np.float64).tolist()
+    lengths_list = np.asarray(row_lengths, dtype=np.int64).tolist()
+    active_flag = [
+        length > 0 and demand > _EPS
+        for length, demand in zip(lengths_list, demands_list)
+    ]
+    rates = [
+        0.0 if active else demand
+        for active, demand in zip(active_flag, demands_list)
+    ]
     # Demand events in sorted order: min over active demands is a
     # cursor walk, and (subtraction being monotone) the frozen prefix
     # is exactly the rows the full-mask comparison would freeze.
-    act_rows = np.flatnonzero(active)
-    order = act_rows[np.argsort(demands[act_rows], kind="stable")].tolist()
+    order = sorted(
+        [row for row, active in enumerate(active_flag) if active],
+        key=demands_list.__getitem__,
+    )
     num_ordered = len(order)
-    active_left = num_ordered
-    # Python-native mirrors for the scalar-indexed hot path; the numpy
-    # arrays keep serving the vector ops.
-    demands_list = demands.tolist()
-    active_flag = active.tolist()
-    rates = rates_arr.tolist()
-    starts_list = row_starts.tolist()
-    lengths_list = row_lengths.tolist()
+    if not num_ordered:
+        return np.asarray(rates, dtype=np.float64)
+    # Local column space: only the component's links.
+    unique_cols, lcols = space.compress(np.asarray(cols))
+    width = len(unique_cols)
+    entry_row = np.repeat(
+        np.arange(len(lengths_list), dtype=np.int64), row_lengths
+    )
+    counts = np.bincount(
+        lcols[np.array(active_flag)[entry_row]], minlength=width
+    ).astype(np.float64)
+    residual = space.capacity[unique_cols]
+    steps = np.empty(width, dtype=np.float64)
+    sat_mask = np.empty(width, dtype=bool)
+    scratch = np.empty(width, dtype=np.float64)
+    starts_list = [0, *accumulate(lengths_list)]
     # Full-width division inside the round loop leaves inf (headroom,
     # zero carriers) or nan (0/0 on a drained column) in dead slots;
     # suppress just those warnings around the loop.
@@ -537,7 +565,7 @@ def maxmin_fill(
     err_state.__enter__()
     try:
         return _maxmin_rounds(
-            active_left,
+            num_ordered,
             active_flag,
             order,
             num_ordered,

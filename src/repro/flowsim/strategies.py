@@ -58,11 +58,14 @@ class RoutingStrategy(abc.ABC):
     #: Byte budget for cached shortest-path trees, one int32
     #: predecessor-index array per source (~4 bytes/node instead of the
     #: ~60 bytes/node of a ``(distances, predecessors)`` dict pair).
-    #: Unbounded dict trees used to saturate at >100 MB on ISP
-    #: maps once a workload had sampled most sources; packed and under
-    #: this budget, every source of the shipped ISP maps fits in a few
-    #: MB, and on maps too large for that the LRU evicts — an eviction
-    #: only costs a recompute, never changes a path.
+    #: A cached tree may be searched only to the level of the farthest
+    #: destination routed from its source so far; it is still one
+    #: full-length array.  Unbounded dict trees used to saturate at
+    #: >100 MB on ISP maps once a workload had sampled most sources;
+    #: packed and under this budget, every source of the shipped ISP
+    #: maps fits in a few MB, and on maps too large for that the LRU
+    #: evicts — an eviction only costs a new search, never changes a
+    #: path.
     _TREE_CACHE_BUDGET_BYTES = 16 << 20
     #: Per-pair caches (paths, ECMP path sets) are LRU-bounded too:
     #: a uniform-pair million-flow stream touches ~every pair once, and
@@ -82,43 +85,54 @@ class RoutingStrategy(abc.ABC):
             64, self._TREE_CACHE_BUDGET_BYTES // (4 * max(len(self._nodes), 1))
         )
 
-    def _packed_tree(self, source: Node) -> array:
-        """Predecessor indices of the hop-count tree from *source*
-        (-1 marks unreachable), cached per source."""
-        packed = self._sp_trees.get(source)
-        if packed is None:
-            packed = dijkstra(self.topology, source)
-            self._sp_trees[source] = packed
-            if len(self._sp_trees) > self._tree_cache_size:
-                self._sp_trees.popitem(last=False)
-        else:
-            self._sp_trees.move_to_end(source)
+    def _packed_tree(self, source: Node, target: int) -> array:
+        """Predecessor indices of the hop-count tree from *source*,
+        searched at least to the level of node index *target* (-1 marks
+        *source* and the nodes not reached), cached per source.
+
+        A cached tree that has not reached *target* is searched again,
+        this time to *target*'s level, and replaces the entry.
+        """
+        trees = self._sp_trees
+        packed = trees.get(source)
+        if packed is None or packed[target] < 0:
+            packed = dijkstra(self.topology, source, self._nodes[target])
+            trees[source] = packed
+            if len(trees) > self._tree_cache_size:
+                trees.popitem(last=False)
+        trees.move_to_end(source)
         return packed
 
     def route(self, flow_id: FlowId, source: Node, destination: Node) -> Path:
         """Primary path for a flow (deterministic, cached).
 
-        One full shortest-path tree is cached per source and amortised
-        over every destination routed from it; per the tie-break
-        argument in :mod:`repro.routing.shortest` the paths are
-        identical to per-pair
-        :func:`~repro.routing.shortest.shortest_path` calls.
+        One shortest-path tree is cached per source and amortised over
+        every destination routed from it.  It is searched only as far
+        as the deepest of those destinations needs (see
+        :func:`~repro.routing.shortest.hop_tree`), so a locality-bounded
+        workload pays for each source's neighbourhood, not the whole
+        map.  Per the tie-break argument in
+        :mod:`repro.routing.shortest` the paths are identical to
+        per-pair :func:`~repro.routing.shortest.shortest_path` calls.
         """
         key = (source, destination)
         path = self._path_cache.get(key)
         if path is None:
-            if destination not in self._node_index:
-                raise RoutingError(f"unknown node: {destination!r}")
-            packed = self._packed_tree(source)
+            index = self._node_index
+            for node in (destination, source):
+                if node not in index:
+                    raise RoutingError(f"unknown node: {node!r}")
             nodes = self._nodes
-            cursor = self._node_index[destination]
-            origin = self._node_index[source]
-            if cursor != origin and packed[cursor] < 0:
-                raise NoPathError(source, destination)
+            cursor = index[destination]
+            origin = index[source]
             reverse = [destination]
-            while cursor != origin:
-                cursor = packed[cursor]
-                reverse.append(nodes[cursor])
+            if cursor != origin:
+                packed = self._packed_tree(source, cursor)
+                if packed[cursor] < 0:
+                    raise NoPathError(source, destination)
+                while cursor != origin:
+                    cursor = packed[cursor]
+                    reverse.append(nodes[cursor])
             reverse.reverse()
             path = tuple(reverse)
             self._path_cache[key] = path

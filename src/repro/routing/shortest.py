@@ -59,17 +59,30 @@ def _hop_search(
     return pred, order
 
 
-def hop_tree(topo: Topology, source: Node) -> array:
+def hop_tree(
+    topo: Topology, source: Node, target: Optional[Node] = None
+) -> array:
     """The hop-count shortest-path tree from *source*, packed.
 
     An int32 array over :meth:`Topology.nodes` indices: entry *i* is
     the index of node *i*'s predecessor, -1 for *source* and for nodes
-    it cannot reach.  The same tree as ``dijkstra(topo, source)``.
+    the search did not reach.  The same tree as
+    ``dijkstra(topo, source)``.
+
+    With *target*, the search stops after the level that reaches it,
+    as ``dijkstra(..., target=)`` does.  Every node it reached still
+    has its full-tree predecessor (a level-synchronous BFS fixes each
+    node's predecessor in the level that discovers it); nodes further
+    out read -1.  A *target* that is unreachable, or not in *topo*,
+    searches the whole tree.
     """
     if not topo.has_node(source):
         raise RoutingError(f"unknown node: {source!r}")
     origin = topo.node_index(source)
-    pred, _ = _hop_search(topo, origin)
+    goal = -1
+    if target is not None and topo.has_node(target):
+        goal = topo.node_index(target)
+    pred, _ = _hop_search(topo, origin, goal)
     pred[origin] = -1
     return array("i", pred)
 

@@ -10,7 +10,9 @@ after every event.
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.flowsim.allocation import (
@@ -195,6 +197,28 @@ def test_incidence_store_compaction_preserves_rows():
     assert list(lengths) == [1, 1]
     assert list(demands) == [9.0, 11.0]
     assert list(cols) == [space.index[("a", "b")], space.index[("c", "d")]]
+
+
+_COMPRESS_LINKS = 40
+_COLUMN_MULTISETS = st.lists(st.integers(0, _COMPRESS_LINKS - 1), max_size=60)
+
+
+@settings(deadline=None, max_examples=200)
+@given(first=_COLUMN_MULTISETS, second=_COLUMN_MULTISETS)
+@example(first=[], second=[3, 3])
+@example(first=[7, 2, 7, 39, 0], second=[5])
+def test_link_space_compress_matches_unique(first, second):
+    """``LinkSpace.compress`` is ``np.unique(..., return_inverse=True)``,
+    also on duplicates, one column and no columns, and two calls in a
+    row do not see each other's columns."""
+    space = LinkSpace({(i, i + 1): 1.0 for i in range(_COMPRESS_LINKS)})
+    for cols in (first, second, first[:1]):
+        cols = np.asarray(cols, dtype=np.int64)
+        unique, inverse = space.compress(cols)
+        want_unique, want_inverse = np.unique(cols, return_inverse=True)
+        assert np.array_equal(unique, want_unique)
+        assert np.array_equal(inverse, want_inverse)
+        assert len(inverse) == len(cols)
 
 
 def test_inrp_cross_core_overload_equivalence():

@@ -1,10 +1,14 @@
 """Strategy object tests (SP / ECMP / INRP)."""
 
+import random
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NoPathError, RoutingError
 from repro.flowsim import make_strategy
-from repro.topology import Topology, fig3_topology
+from repro.flowsim import strategies
+from repro.routing import shortest_path
+from repro.topology import Topology, build_isp_topology, fig3_topology
 from repro.units import mbps
 
 
@@ -67,6 +71,77 @@ def test_sp_route_is_cached_and_deterministic():
     topo = fig3_topology()
     strategy = make_strategy("sp", topo)
     assert strategy.route(1, 1, 4) is strategy.route(2, 1, 4)
+
+
+@pytest.fixture
+def tree_searches(monkeypatch):
+    """Count the tree searches routing makes."""
+    calls = []
+    search = strategies.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "dijkstra", counted)
+    return calls
+
+
+def test_sp_routes_match_shortest_path_for_all_pairs():
+    topo = build_isp_topology("ebone", seed=0)
+    strategy = make_strategy("sp", topo)
+    pairs = [(s, d) for s in topo.nodes() for d in topo.nodes()]
+    random.Random(7).shuffle(pairs)
+    for fid, (source, destination) in enumerate(pairs):
+        assert strategy.route(fid, source, destination) == shortest_path(
+            topo, source, destination
+        )
+
+
+def test_sp_route_searches_further_for_a_deeper_destination(tree_searches):
+    topo = Topology.from_links([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    strategy = make_strategy("sp", topo)
+    assert strategy.route(1, 0, 1) == (0, 1)
+    assert len(tree_searches) == 1
+    # Node 5 is two hops out, past the level the first search stopped
+    # at: the tree is searched again and replaces the first.
+    assert strategy.route(2, 0, 5) == (0, 1, 5)
+    assert len(tree_searches) == 2
+    assert strategy.route(3, 0, 2) == (0, 1, 2)
+    assert len(tree_searches) == 2
+    assert strategy.route(4, 0, 4) == (0, 1, 2, 3, 4)
+    assert len(tree_searches) == 3
+    assert len(strategy._sp_trees) == 1
+
+
+def test_sp_route_to_itself_keeps_the_cached_tree(tree_searches):
+    topo = Topology.from_links([(0, 1), (1, 2), (2, 3)])
+    strategy = make_strategy("sp", topo)
+    assert strategy.route(1, 0, 3) == (0, 1, 2, 3)
+    tree = strategy._sp_trees[0]
+    assert strategy.route(2, 0, 0) == (0,)
+    assert strategy._sp_trees[0] is tree
+    assert strategy.route(3, 0, 2) == (0, 1, 2)
+    assert len(tree_searches) == 1
+
+
+def test_sp_route_unknown_nodes_raise():
+    strategy = make_strategy("sp", Topology.from_links([(0, 1)]))
+    with pytest.raises(RoutingError):
+        strategy.route(1, 99, 0)
+    with pytest.raises(RoutingError):
+        strategy.route(2, 0, 99)
+    with pytest.raises(RoutingError):
+        strategy.route(3, 99, 99)
+
+
+def test_sp_route_unreachable_destination_raises_every_time():
+    topo = Topology.from_links([(0, 1), (1, 2), (3, 4)])
+    strategy = make_strategy("sp", topo)
+    for fid in range(3):
+        with pytest.raises(NoPathError):
+            strategy.route(fid, 0, 4)
+    assert strategy.route(9, 0, 2) == (0, 1, 2)
 
 
 def test_inrp_depth_zero_equals_sp():

@@ -1,6 +1,7 @@
 """Deterministic Dijkstra tests, cross-checked against networkx."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,32 @@ def _path_or_none(topo, source, destination, weight=None):
         return None
 
 
+def _assert_bounded_trees_agree(topo):
+    """``hop_tree(topo, s, target=t)`` reaches exactly the nodes within
+    *t*'s hop distance (all of *s*'s component if *t* is unreachable)
+    and gives each the full tree's predecessor."""
+    nodes = topo.nodes()
+    for source in nodes:
+        full = np.asarray(hop_tree(topo, source))
+        distances, _ = dijkstra(topo, source)
+        hops = np.array([distances.get(node, np.inf) for node in nodes])
+        hops[topo.node_index(source)] = np.inf  # the origin reads -1
+        for target in nodes:
+            bounded = np.asarray(hop_tree(topo, source, target=target))
+            reached = bounded >= 0
+            assert np.array_equal(bounded[reached], full[reached])
+            if target == source:
+                assert not reached.any()
+            elif target in distances:
+                assert np.array_equal(reached, hops <= distances[target])
+            else:
+                assert np.array_equal(bounded, full)
+
+
+def test_bounded_hop_trees_agree_with_full_trees_on_isp_map():
+    _assert_bounded_trees_agree(build_isp_topology("ebone", seed=0))
+
+
 def _assert_bfs_matches_heap(topo):
     nodes = topo.nodes()
     for source in nodes:
@@ -143,6 +170,7 @@ def test_bfs_trees_match_heap_dijkstra_on_mixed_type_meshes(labels, data):
     for label in labels:
         topo.add_node(label)
     _assert_bfs_matches_heap(topo)
+    _assert_bounded_trees_agree(topo)
     # Per-pair searches stop early and must still agree.
     for source in labels[:4]:
         for destination in labels:
