@@ -10,13 +10,16 @@ existing record at once.
 Records land under ``<root>/<scenario>/<run_key>.json`` and are written
 deterministically (sorted keys, fixed indentation, trailing newline),
 so the same run produces byte-identical files — a property the test
-suite asserts.
+suite asserts.  A record is written to a temporary file beside it and
+renamed into place, so a crash mid-write leaves the previous record
+(or none), never a truncated one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
@@ -108,7 +111,15 @@ class ResultStore:
             ) from exc
         path = self.path_for(scenario, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(encoded)
+        # Hidden and not ``*.json``, so readers never glob it up.
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "w") as handle:
+                handle.write(encoded)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return path
 
     def iter_records(

@@ -20,9 +20,12 @@ representation of the flow-link incidence:
   debit link headroom — is ``np.minimum``/``np.bincount``-style vector
   arithmetic;
 - :func:`inrp_fill` runs the INRP fluid filling (the semantics of
-  :func:`repro.flowsim.multipath.inrp_allocation`): the filling rounds
-  are vectorized, while the rare detour-replacement decisions reuse
-  the scalar splice/option logic against the shared residual vector.
+  :func:`repro.flowsim.multipath.inrp_allocation`): each round's
+  fair-share step and link debit are a few vector operations, every
+  unfrozen flow's total is one scalar level, and the flows a round
+  freezes or reroutes come from a demand-sorted cursor and a
+  column -> rows index; the detour decisions reuse the scalar
+  splice/option logic against the shared residual vector.
 
 The two fills pick different column layouts.  :func:`maxmin_fill`
 *compresses columns*: its working vectors cover only the links the
@@ -40,12 +43,17 @@ arithmetic in the same order per link and per flow* as their scalar
 counterparts (level and residual accumulate identical step sequences),
 so the results agree bit-for-bit except in degenerate tie-tolerance
 corner cases, and the randomized churn tests plus ``verify=True``
-cross-checks hold them to <= 1e-9 of the scratch solvers.
+cross-checks hold them to <= 1e-9 of the scratch solvers.  The
+scalar level both round loops keep loses no bits: every unfrozen
+row's total is the same left fold of the same round steps, and the
+cursor and column index pick exactly the rows a full comparison over
+every row would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import (
     AbstractSet,
@@ -132,6 +140,10 @@ class LinkSpace:
         local = self._local
         local[unique] = np.arange(len(unique))
         return unique, local[cols]
+
+
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _grow(array: np.ndarray, needed: int) -> np.ndarray:
@@ -602,7 +614,7 @@ def inrp_fill(
     option_cache: Optional[Dict] = None,
     path_cols_cache: Optional[Dict] = None,
 ) -> MultipathAllocation:
-    """INRP fluid allocation with vectorized filling rounds.
+    """INRP fluid allocation, one scalar level per filling round.
 
     Semantics of :func:`repro.flowsim.multipath.inrp_allocation` over
     the flows given *in arrival order*: every unfrozen flow grows its
@@ -610,6 +622,17 @@ def inrp_fill(
     the affected flows (oldest first) through the scalar detour-splice
     logic reading the shared residual vector; only flows with no
     usable detour freeze.
+
+    As in :func:`maxmin_fill`, per-flow state lives in Python lists
+    and a round does full-width vector work only for its head (step
+    and debit) and its saturation test.  All unfrozen flows share one
+    scalar ``level``, which is each one's total bit for bit; demand
+    freezes come from a demand-sorted cursor; the flows crossing a
+    saturated column come from a column -> rows index (a bisected
+    argsort of the primary entries, a dict for detour rows).  A row's
+    carried rate is settled when it retires: ``level`` for a primary
+    row, the left fold of the steps it lived through for a detour row
+    -- bit for bit the sum a per-round ``carried += step`` builds.
 
     The working vectors span the full column space (one slot per
     topology link): a per-round numpy pass over a few thousand floats
@@ -658,104 +681,94 @@ def inrp_fill(
                     f"pinned usage on unknown link column {col}"
                 )
             residual[col] = max(residual[col] - used, 0.0)
-    steps = np.empty(num_links, dtype=np.float64)
 
-    # --- Bulk row/entry setup (arrival order == row order). ---
-    no_path = row_lengths == 0
-    pre_frozen = no_path | (demands <= _EPS)
-    unfrozen = ~pre_frozen
-    totals = np.zeros(num_flows, dtype=np.float64)
-    totals[no_path] = demands[no_path]
-    reasons = [""] * num_flows
-    for flow in np.flatnonzero(pre_frozen):
-        reasons[flow] = "demand"
-    e_cols = np.asarray(cols, dtype=np.int64).copy()
-    e_flow = np.repeat(np.arange(num_flows, dtype=np.int64), row_lengths)
-    e_active = unfrozen[e_flow]
-    e_nnz = len(e_cols)
-    counts = np.bincount(e_cols[e_active], minlength=num_links)
-    offsets = np.zeros(num_flows, dtype=np.int64)
-    if num_flows:
-        np.cumsum(row_lengths[:-1], out=offsets[1:])
-    sub_start: List[int] = offsets.tolist()
-    sub_len: List[int] = row_lengths.tolist()
+    # --- Per-flow state in Python lists (arrival order == row order).
+    # Row ``flow`` is the flow's primary path; detour rows appended
+    # during the fill get ids from ``num_flows`` up.
+    demands_list: List[float] = demands.tolist()
+    lengths_list: List[int] = row_lengths.tolist()
+    unfrozen = [
+        length > 0 and demand > _EPS
+        for length, demand in zip(lengths_list, demands_list)
+    ]
+    # Pre-frozen flows: no path -> rate = demand, else rate 0.0.
+    rates = [
+        0.0 if length else demand
+        for length, demand in zip(lengths_list, demands_list)
+    ]
+    reasons = ["" if active else "demand" for active in unfrozen]
+    active_row = [
+        flow if active else -1 for flow, active in enumerate(unfrozen)
+    ]
+    switches = [0] * num_flows
+    p_cols = np.asarray(cols, dtype=np.int64)
+    p_starts = [0, *accumulate(lengths_list)]
+    counts = np.bincount(
+        p_cols,
+        weights=np.repeat(np.array(unfrozen, dtype=np.float64), row_lengths),
+        minlength=num_links,
+    )
     sub_path: List[Path] = list(paths)
     sub_repl: List[int] = [0] * num_flows
-    carried = np.zeros(max(num_flows, 16), dtype=np.float64)
-    num_rows = num_flows
-    active_row = np.where(
-        unfrozen, np.arange(num_flows, dtype=np.int64), -1
-    )
-    rows_of_flow: List[List[int]] = [[flow] for flow in range(num_flows)]
-    switches = np.zeros(num_flows, dtype=np.int64)
+    carried: List[float] = [0.0] * num_flows
+    # Per detour row (index ``row - num_flows``): ``(flow, column
+    # array, round it was born in)``.
+    detours: List[Tuple[int, np.ndarray, int]] = []
+    detour_rows: Dict[int, List[int]] = {}
+    # Column -> detour rows crossing it, for the saturation scan.
+    col_detours: Dict[int, List[int]] = {}
+
+    # Every unfrozen flow's total; a frozen flow's rate is ``level`` at
+    # its freeze.
+    level = 0.0
+    # Step of every round so far; a detour row's carried rate is the
+    # left fold of the steps it lived through (see ``_retire``).
+    round_steps: List[float] = []
+    # Carrier counts change in one batch per round: the columns of
+    # rows retired (freezes, reroute switches) and born (detour rows)
+    # queue up here and two ``ufunc.at`` calls apply them at the end
+    # of the round.  Nothing reads ``counts`` in between (steps come
+    # from the round start, spare checks read ``residual``), so the
+    # deferral is invisible to the filling semantics.
+    dead: List[np.ndarray] = []
+    born: List[np.ndarray] = []
+
+    def _retire(row: int) -> None:
+        """Settle *row*'s carried rate and queue its columns."""
+        if row < num_flows:
+            # A primary row grew from round 1: its carried sum is the
+            # level's own sum.
+            carried[row] = level
+            dead.append(p_cols[p_starts[row] : p_starts[row + 1]])
+            return
+        # A detour row grew from the round after its birth.  Fold its
+        # steps left to right, as a per-round ``+= step`` would have:
+        # ``sum()`` (compensated on Python >= 3.12) or a difference of
+        # levels would round differently.
+        _, lcols, birth = detours[row - num_flows]
+        total = 0.0
+        for step in round_steps[birth:]:
+            total += step
+        carried[row] = total
+        dead.append(lcols)
 
     def _append_row(
-        flow: int, path: Path, lcols: np.ndarray, replacements: int
+        flow: int,
+        path: Path,
+        path_cols: Tuple[np.ndarray, List[int]],
+        replacements: int,
     ) -> int:
-        nonlocal e_cols, e_flow, e_active, e_nnz, num_rows, carried
-        row = num_rows
-        length = len(lcols)
-        e_cols = _grow(e_cols, e_nnz + length)
-        e_flow = _grow(e_flow, e_nnz + length)
-        e_active = _grow(e_active, e_nnz + length)
-        e_cols[e_nnz : e_nnz + length] = lcols
-        e_flow[e_nnz : e_nnz + length] = flow
-        e_active[e_nnz : e_nnz + length] = True
-        sub_start.append(e_nnz)
-        sub_len.append(length)
+        row = len(sub_path)
+        lcols, cols_list = path_cols
         sub_path.append(path)
         sub_repl.append(replacements)
-        carried = _grow(carried, row + 1)
-        carried[row] = 0.0
-        e_nnz += length
-        num_rows += 1
-        rows_of_flow[flow].append(row)
-        counts[lcols] += 1
+        carried.append(0.0)
+        detours.append((flow, lcols, guard))
+        born.append(lcols)
+        detour_rows.setdefault(flow, []).append(row)
+        for col in cols_list:
+            col_detours.setdefault(col, []).append(row)
         return row
-
-    # Row retirement (freezes and reroute switches) is batched: rows
-    # queue up here and one gather + bincount at the end of the round
-    # clears their entries and carrier counts.  Nothing reads
-    # ``e_active``/``counts`` between the queueing and the flush
-    # (steps come from the round start, spare checks read ``residual``),
-    # so the deferral is invisible to the filling semantics.
-    dead_rows: List[int] = []
-
-    def _flush_dead() -> None:
-        count = len(dead_rows)
-        if not count:
-            return
-        if count <= 8:
-            # Typical rounds retire a handful of rows; per-row slice
-            # updates beat assembling the gather index arrays.
-            for row in dead_rows:
-                start, length = sub_start[row], sub_len[row]
-                if not length:
-                    continue
-                e_active[start : start + length] = False
-                np.subtract.at(counts, e_cols[start : start + length], 1)
-            dead_rows.clear()
-            return
-        starts = np.fromiter(
-            (sub_start[row] for row in dead_rows), dtype=np.int64, count=count
-        )
-        lengths = np.fromiter(
-            (sub_len[row] for row in dead_rows), dtype=np.int64, count=count
-        )
-        total = int(lengths.sum())
-        dead_rows.clear()
-        if not total:
-            return
-        offsets = np.zeros(count, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        entry = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets, lengths
-        )
-        dead_cols = e_cols[entry]
-        e_active[entry] = False
-        np.subtract(
-            counts, np.bincount(dead_cols, minlength=num_links), out=counts
-        )
 
     def _option_state(u, v) -> List:
         """Persistent per-(u, v) option arrays, built once per topology:
@@ -916,148 +929,184 @@ def inrp_fill(
             path_cols_cache[path] = pc
         return pc
 
-    # The reroute walk below is a pure function of the round's frozen
-    # residual: given (path, replacements) it always splices the same
-    # detours in the same order.  Affected flows sharing a route share
-    # the walk, so the whole outcome is memoized per round alongside
-    # the saturated-column set (both rebuilt in the saturation block).
+    # The walk reads the saturated-column set of the current round
+    # (rebuilt in the saturation block).
     sat_cols: AbstractSet[int] = frozenset()
-    reroute_memo: Dict[Tuple[Path, int], Optional[Tuple[Path, int]]] = {}
 
-    def _walk(
-        candidate: Path, replacements: int
-    ) -> Optional[Tuple[Path, int]]:
-        """Splice detours until nothing on ``candidate`` is saturated;
-        ``None`` means the flow must freeze."""
-        cols_list = _path_cols(candidate)[1]
+    def _reroute(flow: int) -> bool:
+        """Move the flow's growth off saturated links by splicing
+        detours until nothing on its path is saturated; False = the
+        flow must freeze."""
+        row = active_row[flow]
+        path = candidate = sub_path[row]
+        replacements = sub_repl[row]
+        candidate_cols = _path_cols(candidate)
         while True:
             position = -1
-            for position_candidate, col in enumerate(cols_list):
+            for position_candidate, col in enumerate(candidate_cols[1]):
                 if col in sat_cols:
                     position = position_candidate
                     break
             if position < 0:
-                return candidate, replacements
+                break
             if replacements >= max_replacements:
-                return None
+                return False
             option = _best_option(
                 candidate[position], candidate[position + 1], candidate
             )
             if option is None:
-                return None
+                return False
             spliced = splice_detour(candidate, position, option)
             if spliced is None:
-                return None
+                return False
             candidate = spliced
             replacements += 1
-            cols_list = _path_cols(candidate)[1]
-
-    _MISS = object()
-
-    def _reroute(flow: int) -> bool:
-        """Move the flow's growth off saturated links; False = freeze."""
-        row = int(active_row[flow])
-        path = sub_path[row]
-        replacements = sub_repl[row]
-        key = (path, replacements)
-        outcome = reroute_memo.get(key, _MISS)
-        if outcome is _MISS:
-            outcome = _walk(path, replacements)
-            reroute_memo[key] = outcome
-        if outcome is None:
-            return False
-        candidate, replacements = outcome
-        if candidate == path:
-            return True  # nothing saturated after all
-        dead_rows.append(row)
-        new_row = _append_row(
-            flow, candidate, _path_cols(candidate)[0], replacements
+            candidate_cols = _path_cols(candidate)
+        if candidate is path:
+            # Not taken: an affected flow crosses a column zeroed this
+            # round, and 0 <= floor puts that column in ``sat_cols``.
+            # A cheap guard against appending a copy of the active row.
+            return True
+        _retire(row)
+        active_row[flow] = _append_row(
+            flow, candidate, candidate_cols, replacements
         )
-        active_row[flow] = new_row
         switches[flow] += 1
         return True
 
     def _freeze(flow: int, reason: str) -> None:
-        dead_rows.append(int(active_row[flow]))
+        nonlocal active_left
+        active_left -= 1
+        _retire(active_row[flow])
         active_row[flow] = -1
         unfrozen[flow] = False
         reasons[flow] = reason
+        rates[flow] = level
 
+    # Demand events in sorted order: the smallest unfrozen demand is a
+    # cursor walk, ``min(d_i - level) == min(d_i) - level`` (float
+    # subtraction is monotone), and for the same reason the satisfied
+    # flows of a round are a prefix of the order.
+    order = sorted(
+        [flow for flow, active in enumerate(unfrozen) if active],
+        key=demands_list.__getitem__,
+    )
+    num_ordered = len(order)
+    active_left = num_ordered
+    cursor = 0
+    # Column -> primary rows index, built at the first saturation:
+    # the rows of every primary entry sorted by column, bisected.
+    col_sorted: Optional[List[int]] = None
+    col_rows: List[int] = []
+    steps = np.empty(num_links, dtype=np.float64)
+    sat_mask = np.empty(num_links, dtype=bool)
+    scratch = np.empty(num_links, dtype=np.float64)
     guard = 0
     links_in_play = (
         capacity_count if capacity_count is not None else space.num_links
     )
     max_iterations = 16 * (num_flows + links_in_play) + 64
-    while unfrozen.any():
-        guard += 1
-        if guard > max_iterations:
-            raise SimulationError("INRP allocation did not converge")
-        demand_step = float(np.min((demands - totals)[unfrozen]))
-        carrying = counts > 0
-        steps.fill(np.inf)
-        np.divide(residual, counts, out=steps, where=carrying)
-        saturation_step = float(steps.min()) if num_links else math.inf
-        step = max(0.0, min(demand_step, saturation_step))
+    # The round head divides full width without ``where=``: a column
+    # no row carries yields inf (headroom left) or nan (0/0), both
+    # invisible to fmin's reduction and to the <= saturation test, so
+    # carrying columns see bit-identical values.  ``-inf`` cannot
+    # occur: an unflagged carrying column keeps ``residual > 0`` (its
+    # step exceeds the round's by the relative tolerance), flagged ones
+    # are zeroed and pinned residuals are clamped at 0.
+    err_state = np.errstate(divide="ignore", invalid="ignore")
+    err_state.__enter__()
+    try:
+        while active_left:
+            guard += 1
+            if guard > max_iterations:
+                raise SimulationError("INRP allocation did not converge")
+            while not unfrozen[order[cursor]]:
+                cursor += 1
+            demand_step = demands_list[order[cursor]] - level
+            np.divide(residual, counts, out=steps)
+            saturation_step = float(np.fmin.reduce(steps))
+            step = max(0.0, min(demand_step, saturation_step))
+            np.multiply(counts, step, out=scratch)
+            np.subtract(residual, scratch, out=residual)
+            level += step
+            round_steps.append(step)
 
-        residual -= step * counts
-        totals[unfrozen] += step
-        carried[active_row[unfrozen]] += step
+            # Demand events.
+            progressed = False
+            tol = _EPS * (1.0 + abs(level))
+            while cursor < num_ordered:
+                flow = order[cursor]
+                if unfrozen[flow]:
+                    if demands_list[flow] - level > tol:
+                        break
+                    _freeze(flow, "demand")
+                    progressed = True
+                cursor += 1
 
-        # Demand events.
-        satisfied = unfrozen & (
-            demands - totals <= _EPS * (1.0 + np.abs(totals))
-        )
-        satisfied_flows = np.flatnonzero(satisfied)
-        for flow in satisfied_flows:
-            _freeze(int(flow), "demand")
+            # Saturation events: reroute or freeze affected flows.
+            if not math.isinf(saturation_step) and saturation_step <= (
+                demand_step + _EPS * (1.0 + abs(demand_step))
+            ):
+                np.less_equal(
+                    steps,
+                    saturation_step + _EPS * (1.0 + abs(saturation_step)),
+                    out=sat_mask,
+                )
+                sat_now = sat_mask.nonzero()[0]
+                if len(sat_now):
+                    progressed = True
+                    residual[sat_now] = 0.0
+                    sat_cols = set((residual <= floors).nonzero()[0].tolist())
+                    if col_sorted is None:
+                        by_col = np.argsort(p_cols, kind="stable")
+                        col_sorted = p_cols[by_col].tolist()
+                        col_rows = np.repeat(
+                            np.arange(num_flows, dtype=np.int64), row_lengths
+                        )[by_col].tolist()
+                    # A row counts while it is its unfrozen flow's
+                    # active row (freezing resets ``active_row``).
+                    affected = set()
+                    for col in sat_now.tolist():
+                        for row in col_rows[
+                            bisect_left(col_sorted, col) : bisect_right(
+                                col_sorted, col
+                            )
+                        ]:
+                            if active_row[row] == row:
+                                affected.add(row)
+                        for row in col_detours.get(col, ()):
+                            flow = detours[row - num_flows][0]
+                            if active_row[flow] == row:
+                                affected.add(flow)
+                    # Ascending flow ids are arrival order: older flows
+                    # reroute first (the id-type invariant).
+                    for flow in sorted(affected):
+                        if switches[
+                            flow
+                        ] >= max_switches_per_flow or not _reroute(flow):
+                            _freeze(flow, "no-detour")
+            if dead:
+                np.subtract.at(counts, _joined(dead), 1.0)
+                dead.clear()
+            if born:
+                np.add.at(counts, _joined(born), 1.0)
+                born.clear()
+            if not progressed:
+                raise SimulationError("INRP allocation made no progress")
+    finally:
+        err_state.__exit__(None, None, None)
 
-        # Saturation events: reroute or freeze affected flows.
-        any_saturated = False
-        if not math.isinf(saturation_step) and saturation_step <= (
-            demand_step + _EPS * (1.0 + abs(demand_step))
-        ):
-            saturated = carrying & (
-                steps
-                <= saturation_step + _EPS * (1.0 + abs(saturation_step))
-            )
-            if saturated.any():
-                any_saturated = True
-                residual[saturated] = 0.0
-                sat_cols = set(np.flatnonzero(residual <= floors).tolist())
-                reroute_memo.clear()
-                hit = e_active[:e_nnz] & saturated[e_cols[:e_nnz]]
-                affected = np.unique(e_flow[:e_nnz][hit])
-                # ``affected`` is ascending == arrival order: older
-                # flows reroute first (the id-type invariant).  Flows
-                # demand-frozen above still carry live entries until
-                # the end-of-round flush, so re-check here.
-                for flow in affected:
-                    flow = int(flow)
-                    if not unfrozen[flow]:
-                        continue
-                    if switches[
-                        flow
-                    ] >= max_switches_per_flow or not _reroute(flow):
-                        _freeze(flow, "no-detour")
-        _flush_dead()
-        if not any_saturated and not len(satisfied_flows):
-            raise SimulationError("INRP allocation made no progress")
-
-    rates = {flow_ids[flow]: float(totals[flow]) for flow in range(num_flows)}
     splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
     for flow in range(num_flows):
-        rows = rows_of_flow[flow]
-        splits[flow_ids[flow]] = [
-            (sub_path[row], float(carried[row]))
-            for row in rows
-            if carried[row] > _EPS or row == rows[0]
-        ]
+        parts = [(sub_path[flow], carried[flow])]
+        for row in detour_rows.get(flow, ()):
+            if carried[row] > _EPS:
+                parts.append((sub_path[row], carried[row]))
+        splits[flow_ids[flow]] = parts
     return MultipathAllocation(
-        rates=rates,
+        rates=dict(zip(flow_ids, rates)),
         splits=splits,
-        switches=int(switches.sum()),
-        freeze_reasons={
-            flow_ids[flow]: reasons[flow] for flow in range(num_flows)
-        },
-        flow_switches=dict(zip(flow_ids, switches.tolist())),
+        switches=sum(switches),
+        freeze_reasons=dict(zip(flow_ids, reasons)),
+        flow_switches=dict(zip(flow_ids, switches)),
     )

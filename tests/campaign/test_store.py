@@ -75,6 +75,40 @@ def test_records_written_deterministically(tmp_path):
     assert path_one.read_bytes() == path_two.read_bytes()
 
 
+def test_failed_write_keeps_previous_record(tmp_path, monkeypatch):
+    """A save that dies mid-write leaves the previous record
+    byte-identical and no temporary file behind."""
+    store = ResultStore(tmp_path)
+    params = {"seed": 0}
+    path = store.save("demo", params, {"value": 1})
+    before = path.read_bytes()
+
+    class _DiskFull:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(
+        "repro.campaign.store.open",
+        lambda *args, **kwargs: _DiskFull(open(*args, **kwargs)),
+        raising=False,
+    )
+    with pytest.raises(OSError, match="no space"):
+        store.save("demo", params, {"value": 2, "padding": "x" * 4096})
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    assert store.load("demo", params)["result"] == {"value": 1}
+
+
 def test_iter_records_warns_and_skips_corrupt_files(tmp_path):
     # A partially-written (truncated) record must not crash `campaign
     # report`: the damaged file is skipped with a warning naming it,

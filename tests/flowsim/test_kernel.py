@@ -7,6 +7,7 @@ must stay within 1e-9 of `max_min_allocation` / `inrp_allocation`
 after every event.
 """
 
+import hashlib
 import math
 import random
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.flowsim import FlowLevelSimulator, make_strategy
+from repro.flowsim import kernel as _kernel
 from repro.flowsim.allocation import (
     IncrementalInrp,
     IncrementalMaxMin,
@@ -25,6 +27,7 @@ from repro.flowsim.multipath import inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.paths import cached_path_links
 from repro.topology import mesh_topology
+from repro.topology.isp import build_isp_topology
 from repro.units import mbps
 from repro.workloads import FlowWorkload, uniform_pairs
 
@@ -219,6 +222,174 @@ def test_link_space_compress_matches_unique(first, second):
         assert np.array_equal(unique, want_unique)
         assert np.array_equal(inverse, want_inverse)
         assert len(inverse) == len(cols)
+
+
+class _CountingBudget(int):
+    """``max_replacements`` that counts exhausted budgets.
+
+    The fill's budget test ``replacements >= max_replacements`` has a
+    plain int on the left, so Python dispatches it to this subclass's
+    reflected ``__le__``: every true result is one walk that ran out
+    of replacements, i.e. one ``max_replacements`` freeze.
+    """
+
+    def __new__(cls, value):
+        budget = super().__new__(cls, value)
+        budget.exhausted = 0
+        return budget
+
+    def __le__(self, other):
+        exhausted = int.__le__(self, other)
+        self.exhausted += exhausted
+        return exhausted
+
+
+def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
+    """Every ``inrp_fill`` result of a seeded add/remove churn through
+    ``IncrementalInrp(kernel="vectorized")``, recomputing after each
+    event; ~80 flows stay live, deep in overload.  Returns the results
+    and the number of exhausted replacement budgets.
+
+    With *verify*, each fill is repeated with half the capacity of the
+    first primary link pinned: the allocator's own pinned usage is
+    zero by construction, so this is what exercises the debit."""
+    fills, budgets = [], []
+    fill = _kernel.inrp_fill
+
+    def capture(*args, **kwargs):
+        budget = _CountingBudget(kwargs["max_replacements"])
+        budgets.append(budget)
+        kwargs["max_replacements"] = budget
+        result = fill(*args, **kwargs)
+        fills.append(result)
+        space, cols = args[0], args[3]
+        if verify and len(cols):
+            col = int(cols[0])
+            kwargs["pinned"] = [(col, space.capacity[col] / 2)]
+            fills.append(fill(*args, **kwargs))
+        return result
+
+    monkeypatch.setattr(_kernel, "inrp_fill", capture)
+    strategy = make_strategy("inrp", topo)
+    alloc = IncrementalInrp(
+        topo.directed_capacities(),
+        DetourTable(topo),
+        kernel="vectorized",
+        verify=verify,
+    )
+    rng = random.Random(seed)
+    nodes = list(topo.nodes())
+    live, next_id = [], 0
+    for _ in range(events):
+        if live and rng.random() < 0.3:
+            alloc.remove_flow(live.pop(rng.randrange(len(live))))
+        else:
+            source, destination = rng.sample(nodes, 2)
+            path = tuple(strategy.route(next_id, source, destination))
+            demand = rng.choice([math.inf, mbps(10), mbps(2), 0.0])
+            alloc.add_flow(next_id, path, demand)
+            live.append(next_id)
+            next_id += 1
+        alloc.recompute()
+    monkeypatch.undo()
+    return fills, sum(budget.exhausted for budget in budgets)
+
+
+def _fill_profile(fills, max_switches=16):
+    """What the fills did, read off their results.
+
+    ``long_rows`` counts detour rows provably alive for >= 2 rounds:
+    a one-switch flow's detour row is born at the level its primary
+    row retired at (``splits[0]``, exactly the level) and retires at
+    the flow's rate; another round's level strictly between the two
+    proves a round in between.
+    """
+    counts = {
+        "fills": len(fills),
+        "switches": 0,
+        "demand": 0,
+        "no_detour": 0,
+        "switch_cap": 0,
+        "long_rows": 0,
+    }
+    for result in fills:
+        counts["switches"] += result.switches
+        levels = set()
+        for flow, reason in result.freeze_reasons.items():
+            rate = result.rates[flow]
+            if reason == "no-detour" or (reason == "demand" and rate > 0):
+                levels.add(rate)
+            if result.flow_switches[flow]:
+                levels.add(result.splits[flow][0][1])
+            if reason == "demand" and rate > 0:
+                counts["demand"] += 1
+            elif reason == "no-detour":
+                counts["no_detour"] += 1
+                if result.flow_switches[flow] >= max_switches:
+                    counts["switch_cap"] += 1
+        for flow, switches in result.flow_switches.items():
+            if switches == 1:
+                born, retired = result.splits[flow][0][1], result.rates[flow]
+                if any(born < level < retired for level in levels):
+                    counts["long_rows"] += 1
+    return counts
+
+
+def _fills_digest(fills):
+    digest = hashlib.sha256()
+    for result in fills:
+        for flow, rate in result.rates.items():
+            digest.update(repr((
+                flow,
+                rate.hex(),
+                [(tuple(path), part.hex()) for path, part in result.splits[flow]],
+                result.flow_switches[flow],
+                result.freeze_reasons[flow],
+            )).encode())
+    return digest.hexdigest()
+
+
+#: sha256 of every fill below.  Any change to a rate, split, switch or
+#: freeze reason, down to the last bit, changes it: re-record it only
+#: for a deliberate change of results.
+_INRP_FILL_GOLDEN = (
+    "4b6e8b81c53d714236a8cc67283744cd2c5402fe75492e803a52b7ca4de43246"
+)
+
+
+def test_inrp_fill_bit_for_bit_golden(monkeypatch):
+    """``inrp_fill`` outputs stay bit-identical: overload churn on
+    exodus and a small mesh, plus a ``verify=True`` run (in-reach
+    columns and a pinned debit), hashed to one digest.  The instance
+    must hit every freeze kind, detour switches and multi-round detour
+    rows, so a change in how any of them settles shows in the digest."""
+    mesh = mesh_topology(16, extra_links=14, seed=1, capacity=mbps(10))
+    fills, budget = [], 0
+    for topo, seed, events, verify in (
+        (build_isp_topology("exodus", seed=0), 0, 200, False),
+        (mesh, 1, 200, False),
+        (mesh, 2, 100, True),
+    ):
+        run_fills, run_budget = _inrp_churn_fills(
+            monkeypatch, topo, seed, events, verify
+        )
+        fills += run_fills
+        budget += run_budget
+    counts = _fill_profile(fills)
+    assert counts == {
+        "fills": 595,
+        "switches": 6160,
+        "demand": 4230,
+        "no_detour": 9895,
+        "switch_cap": 0,
+        "long_rows": 2804,
+    }
+    # Walks that ran out of budget; the rest of the no-detour freezes
+    # found no live option.  (A walk shared by flows on one route may
+    # be counted once, so only the signs are pinned.)
+    assert budget > 0
+    assert counts["no_detour"] - counts["switch_cap"] - budget > 0
+    assert _fills_digest(fills) == _INRP_FILL_GOLDEN
 
 
 def test_inrp_cross_core_overload_equivalence():
