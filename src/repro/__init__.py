@@ -56,11 +56,10 @@ from repro.routing import (
     DetourTable,
     classify_link_detour,
     detour_breakdown,
-    k_shortest_paths,
     shortest_path,
 )
 from repro.metrics import Cdf, jain_index, summarize
-from repro.cache import CustodyStore, LruCache, custody_duration
+from repro.cache import CustodyStore, custody_duration
 from repro.workloads import (
     FlowSpec,
     FlowWorkload,
@@ -114,7 +113,6 @@ __all__ = [
     "ISP_NAMES",
     # routing
     "shortest_path",
-    "k_shortest_paths",
     "DetourClass",
     "DetourTable",
     "classify_link_detour",
@@ -123,7 +121,6 @@ __all__ = [
     "jain_index",
     "Cdf",
     "summarize",
-    "LruCache",
     "CustodyStore",
     "custody_duration",
     # workloads

@@ -1,6 +1,5 @@
-"""Caching substrate: LRU content store and INRPP custody store."""
+"""Caching substrate: the INRPP custody store."""
 
-from repro.cache.lru import LruCache
 from repro.cache.custody import CustodyStore, custody_duration
 
-__all__ = ["LruCache", "CustodyStore", "custody_duration"]
+__all__ = ["CustodyStore", "custody_duration"]

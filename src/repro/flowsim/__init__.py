@@ -6,14 +6,16 @@ against single shortest-path routing (SP) and ECMP.  This package
 provides:
 
 - :mod:`~repro.flowsim.allocation` — exact max-min (progressive
-  filling) bandwidth allocation for single-path flows;
-- :mod:`~repro.flowsim.multipath` — the INRP allocator: progressive
-  filling where a flow blocked at a saturated link *detours* its
-  further growth through alternative sub-paths (1-hop detours, with
-  one extra hop allowed on the detour path, as in the paper);
-- :mod:`~repro.flowsim.kernel` — the vectorized CSR filling kernel
-  shared by both incremental allocators (``kernel="vectorized"`` /
-  the simulator's ``core="vectorized"``);
+  filling) bandwidth allocation for single-path flows, and the two
+  incremental allocators the simulator runs (max-min and INRP);
+- :mod:`~repro.flowsim.multipath` — the from-scratch INRP allocator:
+  progressive filling where a flow blocked at a saturated link
+  *detours* its further growth through alternative sub-paths (1-hop
+  detours, with one extra hop allowed on the detour path, as in the
+  paper);
+- :mod:`~repro.flowsim.kernel` — the CSR filling kernel both
+  incremental allocators fill with (INRP with partial pooling
+  excepted, which only the from-scratch allocator implements);
 - :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects;
 - :mod:`~repro.flowsim.simulator` — an event-driven simulator with
   per-event rate recomputation (arrivals, departures, completion),

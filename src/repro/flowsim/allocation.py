@@ -40,15 +40,9 @@ LinkId = Hashable
 
 _EPS = 1e-9
 
-_KERNELS = ("scalar", "vectorized")
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in _KERNELS:
-        raise SimulationError(
-            f"unknown kernel {kernel!r}; expected one of {', '.join(_KERNELS)}"
-        )
-    return kernel
+#: Relative bar on incremental-vs-scratch rate deviation for
+#: ``verify=True``; both incremental allocators raise above it.
+_VERIFY_TOL = 1e-9
 
 
 def _rel_tol(scale: float) -> float:
@@ -56,6 +50,30 @@ def _rel_tol(scale: float) -> float:
     if math.isinf(scale):
         return _EPS
     return _EPS * (1.0 + abs(scale))
+
+
+def _verify_rates(
+    rates: Mapping[FlowId, float], scratch: Mapping[FlowId, float], what: str
+) -> float:
+    """Worst relative deviation of incremental *rates* from *scratch*;
+    raises :class:`SimulationError` above :data:`_VERIFY_TOL`."""
+    worst = 0.0
+    diverged: Optional[FlowId] = None
+    for flow, rate in scratch.items():
+        current = rates.get(flow)
+        if current is None:
+            raise SimulationError(f"flow {flow!r} missing from incremental state")
+        deviation = abs(current - rate) / (1.0 + abs(rate))
+        if deviation > worst:
+            worst = deviation
+            diverged = flow
+    if worst > _VERIFY_TOL:
+        raise SimulationError(
+            f"incremental {what} rate for flow {diverged!r} diverged: "
+            f"{rates[diverged]} != {scratch[diverged]} "
+            f"(relative deviation {worst:.3e})"
+        )
+    return worst
 
 
 def max_min_allocation(
@@ -157,10 +175,10 @@ def max_min_allocation(
 class _ComponentTracker:
     """Amortized connectivity over the link-sharing relation.
 
-    The scalar incremental cores re-discover the dirty component with a
-    per-event BFS over the link-membership dicts — exact, but O(component
-    incidence) of Python dict traffic on *every* event.  The vectorized
-    kernel instead keeps a union-find over live flows: an arriving flow
+    A per-event BFS over the link-membership dicts finds the exact dirty
+    component, but costs O(component incidence) of Python dict traffic
+    on *every* event.  The incremental allocators instead select the
+    component from a union-find over live flows: an arriving flow
     unions with one representative per link it touches (all flows that
     ever shared a link are provably in one class), a departing flow is
     merely unlinked from its class's member set, and the whole structure
@@ -275,14 +293,15 @@ class IncrementalMaxMin:
     transitively) cannot influence each other's rate.  This class
     exploits that: :meth:`add_flow` / :meth:`remove_flow` only mark the
     touched links dirty, and :meth:`recompute` re-runs progressive
-    filling on the *dirty component closure alone*, leaving every other
-    flow's rate untouched.  On an event-driven simulation this turns
-    the per-event cost from O(all flows) into O(affected component).
+    filling (:func:`repro.flowsim.kernel.maxmin_fill`) on the *dirty
+    component closure alone*, leaving every other flow's rate
+    untouched.  On an event-driven simulation this turns the per-event
+    cost from O(all flows) into O(affected component).
 
-    The returned rates are exactly those of
-    :func:`max_min_allocation` from scratch (the test suite asserts
-    equality on randomized churn sequences; ``verify=True`` re-checks
-    after every recompute, for benchmarks and debugging).
+    The returned rates are those of :func:`max_min_allocation` from
+    scratch (the test suite asserts equality on randomized churn
+    sequences; ``verify=True`` re-checks after every recompute, for
+    benchmarks and debugging).
     """
 
     #: The simulator's adapter passes link tuples (not node paths).
@@ -292,7 +311,6 @@ class IncrementalMaxMin:
         self,
         capacities: Mapping[LinkId, float],
         verify: bool = False,
-        kernel: str = "scalar",
         compact_slack: float = 0.5,
         min_compact_nnz: int = 4096,
     ):
@@ -301,28 +319,20 @@ class IncrementalMaxMin:
         }
         self._flow_links: Dict[FlowId, Tuple[LinkId, ...]] = {}
         self._demands: Dict[FlowId, float] = {}
+        #: Link -> flows crossing it; only the adaptive core's
+        #: :meth:`dirty_component_size` probe reads it.
         self._members: Dict[LinkId, Set[FlowId]] = {}
         self._rates: Dict[FlowId, float] = {}
         self._dirty_links: Set[LinkId] = set()
         self._dirty_flows: Set[FlowId] = set()
         self._verify = verify
-        self._kernel = _check_kernel(kernel)
-        if self._kernel == "vectorized":
-            self._space: Optional[_kernel.LinkSpace] = _kernel.LinkSpace(
-                self._capacities
-            )
-            self._store: Optional[_kernel.IncidenceStore] = (
-                _kernel.IncidenceStore(
-                    self._space,
-                    compact_slack=compact_slack,
-                    min_compact_nnz=min_compact_nnz,
-                )
-            )
-            self._tracker: Optional[_ComponentTracker] = _ComponentTracker()
-        else:
-            self._space = None
-            self._store = None
-            self._tracker = None
+        self._space = _kernel.LinkSpace(self._capacities)
+        self._store = _kernel.IncidenceStore(
+            self._space,
+            compact_slack=compact_slack,
+            min_compact_nnz=min_compact_nnz,
+        )
+        self._tracker = _ComponentTracker()
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
         self.max_verify_deviation = 0.0
@@ -358,14 +368,13 @@ class IncrementalMaxMin:
         if not links:
             # Source == destination: unconstrained, never shares a link.
             self._dirty_flows.add(flow)
-        if self._store is not None:
-            # The scalar solver collapses duplicate links via member
-            # sets; the kernel counts entries, so dedupe defensively.
-            if len(links) != len(set(links)):
-                links = tuple(dict.fromkeys(links))
-            self._store.add(flow, self._space.columns(links), float(demand))
-            if links:
-                self._tracker.add(flow, links)
+        # The kernel counts entries, so a repeated link is dropped (the
+        # scratch solver collapses it through its member sets).
+        if len(links) != len(set(links)):
+            links = tuple(dict.fromkeys(links))
+        self._store.add(flow, self._space.columns(links), float(demand))
+        if links:
+            self._tracker.add(flow, links)
 
     def remove_flow(self, flow: FlowId) -> None:
         """Deregister a departing flow; its component becomes dirty."""
@@ -382,67 +391,27 @@ class IncrementalMaxMin:
                 if not members:
                     del self._members[link]
             self._dirty_links.add(link)
-        if self._store is not None:
-            self._store.remove(flow)
-            if links:
-                self._tracker.remove(flow)
+        self._store.remove(flow)
+        if links:
+            self._tracker.remove(flow)
 
     def recompute(self, full: bool = False) -> Dict[FlowId, float]:
         """Re-fill the dirty components; return their new rate vectors.
 
-        The returned mapping covers exactly the flows whose rate *may*
-        have changed since the previous call (the closure of all links
-        touched by add/remove).  Flows outside it keep their previous
-        rates.  Returns ``{}`` when nothing is dirty.
+        The returned mapping covers the flows whose rate changed since
+        the previous call; flows outside it keep their previous rates.
+        Returns ``{}`` when nothing is dirty.  The component comes from
+        the union-find tracker and may be a superset of the true dirty
+        component, which re-fills to the same rates (components
+        allocate independently).
 
         With ``full=True`` the whole population is re-filled in one
-        pass, skipping the dirty-component search entirely.  The
-        adaptive ``core="auto"`` of the simulator uses this when the
-        dirty component keeps spanning the active set (deep overload),
-        where the component BFS and subset copies are pure overhead.
+        pass, skipping the dirty-component search entirely, and every
+        flow's rate is returned.  The adaptive ``core="auto"`` of the
+        simulator uses this when the dirty component keeps spanning the
+        active set (deep overload), where the component search and
+        subset copies are pure overhead.
         """
-        if self._kernel == "vectorized":
-            return self._recompute_vectorized(full)
-        if full:
-            changed = max_min_allocation(
-                self._capacities, self._flow_links, self._demands
-            )
-            self._rates = dict(changed)
-            self._dirty_links.clear()
-            self._dirty_flows.clear()
-            if self._verify:
-                self._check_against_scratch()
-            return changed
-        if not self._dirty_links and not self._dirty_flows:
-            return {}
-        component = self._dirty_component()
-        changed: Dict[FlowId, float] = {}
-        for flow in self._dirty_flows:
-            changed[flow] = self._demands[flow]
-        if component:
-            changed.update(
-                max_min_allocation(
-                    self._capacities,
-                    {flow: self._flow_links[flow] for flow in component},
-                    {flow: self._demands[flow] for flow in component},
-                )
-            )
-        self._rates.update(changed)
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
-        if self._verify:
-            self._check_against_scratch()
-        return changed
-
-    def _recompute_vectorized(
-        self, full: bool = False
-    ) -> Dict[FlowId, float]:
-        """The ``kernel="vectorized"`` re-fill: component selection via
-        the amortized union-find tracker, filling via
-        :func:`repro.flowsim.kernel.maxmin_fill`.  Same contract and
-        (to <= 1e-9) same results as the scalar path; the tracker may
-        return a superset of the true dirty component, which re-fills
-        to identical rates (components allocate independently)."""
         store = self._store
         if full:
             flows: List[FlowId] = store.live_flows()
@@ -507,20 +476,8 @@ class IncrementalMaxMin:
         scratch = max_min_allocation(
             self._capacities, self._flow_links, self._demands
         )
-        for flow, rate in scratch.items():
-            current = self._rates.get(flow)
-            if current is None:
-                raise SimulationError(
-                    f"flow {flow!r} missing from incremental state"
-                )
-            deviation = abs(current - rate) / (1.0 + abs(rate))
-            if deviation > self.max_verify_deviation:
-                self.max_verify_deviation = deviation
-            if deviation > 1e-6:
-                raise SimulationError(
-                    f"incremental rate for flow {flow!r} diverged: "
-                    f"{current} != {rate}"
-                )
+        worst = _verify_rates(self._rates, scratch, "max-min")
+        self.max_verify_deviation = max(self.max_verify_deviation, worst)
 
 
 def detour_closure(
@@ -567,10 +524,15 @@ class IncrementalInrp:
     graph exactly like max-min decomposes over path components.  This
     class tracks those components: :meth:`add_flow` /
     :meth:`remove_flow` mark the flow's closure links dirty, and
-    :meth:`recompute` re-runs the fluid filling
-    (:func:`~repro.flowsim.multipath.inrp_allocation`) over the dirty
+    :meth:`recompute` re-runs the fluid filling over the dirty
     component alone — every other flow keeps its rate *and* its
     per-path splits.
+
+    Under full pooling (``pooling_fraction == 1.0``) the fill is the
+    CSR kernel's :func:`~repro.flowsim.kernel.inrp_fill`.  Partial
+    pooling reserves part of every link for primary-path traffic, which
+    only :func:`~repro.flowsim.multipath.inrp_allocation` implements, so
+    with ``pooling_fraction < 1`` that solver fills the component.
 
     The rates returned are exactly those of a from-scratch
     ``inrp_allocation`` over the whole population (``verify=True``
@@ -591,8 +553,6 @@ class IncrementalInrp:
         max_replacements: int = 2,
         max_switches_per_flow: int = 16,
         verify: bool = False,
-        verify_tol: float = 1e-9,
-        kernel: str = "scalar",
         compact_slack: float = 0.5,
         min_compact_nnz: int = 4096,
         pooling_fraction: float = 1.0,
@@ -604,45 +564,27 @@ class IncrementalInrp:
         self._max_replacements = max_replacements
         self._max_switches = max_switches_per_flow
         self._verify = verify
-        self._verify_tol = verify_tol
         if not 0.0 <= pooling_fraction <= 1.0:
             raise SimulationError(
                 f"pooling_fraction must be in [0, 1], got {pooling_fraction}"
             )
         self._pooling_fraction = pooling_fraction
-        if pooling_fraction < 1.0 and kernel == "vectorized":
-            # The CSR kernel implements full pooling only; partial
-            # pooling falls back to the scalar component refill.
-            kernel = "scalar"
-        self._kernel = _check_kernel(kernel)
-        if self._kernel == "vectorized":
-            self._space: Optional[_kernel.LinkSpace] = _kernel.LinkSpace(
-                self._capacities
-            )
-            # The incidence store holds each flow's *primary* columns
-            # and demand for the fill's bulk gather; component
-            # selection goes through the amortized union-find tracker
-            # over closures (the scalar path keeps the PR 3/5
-            # closure-membership BFS, which ``verify=True`` also uses
-            # to build the pinned-usage guard).
-            self._primary_store: Optional[_kernel.IncidenceStore] = (
-                _kernel.IncidenceStore(
-                    self._space,
-                    compact_slack=compact_slack,
-                    min_compact_nnz=min_compact_nnz,
-                )
-            )
-            self._tracker: Optional[_ComponentTracker] = _ComponentTracker()
-            #: Per-(u, v) detour option columns, shared across fills.
-            self._option_cache: Dict = {}
-            #: Per-path global column arrays, shared across fills.
-            self._path_cols_cache: Dict = {}
-        else:
-            self._space = None
-            self._primary_store = None
-            self._tracker = None
-            self._option_cache = {}
-            self._path_cols_cache = {}
+        self._space = _kernel.LinkSpace(self._capacities)
+        # The incidence store holds each flow's *primary* columns and
+        # demand for the kernel fill's bulk gather; component selection
+        # goes through the amortized union-find tracker over closures
+        # (the closure-membership BFS serves the adaptive core's probe,
+        # the reserve fill and ``verify=True``).
+        self._primary_store = _kernel.IncidenceStore(
+            self._space,
+            compact_slack=compact_slack,
+            min_compact_nnz=min_compact_nnz,
+        )
+        self._tracker = _ComponentTracker()
+        #: Per-(u, v) detour option columns, shared across fills.
+        self._option_cache: Dict = {}
+        #: Per-path global column arrays, shared across fills.
+        self._path_cols_cache: Dict = {}
         self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
         self._order: Dict[FlowId, int] = {}
@@ -714,12 +656,11 @@ class IncrementalInrp:
         if not closure:
             # Source == destination: never shares a link with anyone.
             self._dirty_flows.add(flow)
-        if self._primary_store is not None:
-            self._primary_store.add(
-                flow, self._space.columns(cached_path_links(path)), float(demand)
-            )
-            if closure:
-                self._tracker.add(flow, closure)
+        self._primary_store.add(
+            flow, self._space.columns(cached_path_links(path)), float(demand)
+        )
+        if closure:
+            self._tracker.add(flow, closure)
 
     def remove_flow(self, flow: FlowId) -> None:
         """Deregister a departing flow; its closure component becomes dirty."""
@@ -742,10 +683,9 @@ class IncrementalInrp:
                 if not members:
                     del self._members[link]
             self._dirty_links.add(link)
-        if self._primary_store is not None:
-            self._primary_store.remove(flow)
-            if closure:
-                self._tracker.remove(flow)
+        self._primary_store.remove(flow)
+        if closure:
+            self._tracker.remove(flow)
 
     def _account_usage(
         self, splits: Sequence[Tuple[Path, float]], sign: float
@@ -814,10 +754,10 @@ class IncrementalInrp:
         for flow in self._dirty_flows:
             changed_rates[flow] = self._demands[flow]
             changed_splits[flow] = [(self._paths[flow], 0.0)]
-        if self._kernel == "vectorized":
-            result = self._fill_vectorized()
+        if self._pooling_fraction == 1.0:
+            result = self._fill_kernel()
         else:
-            result = self._fill_scalar()
+            result = self._fill_with_reserves()
         switches = 0
         if result is not None:
             switches = result.switches
@@ -840,10 +780,11 @@ class IncrementalInrp:
             switches = sum(self._switches.values())
         return changed_rates, changed_splits, switches
 
-    def _fill_scalar(self) -> Optional[MultipathAllocation]:
-        """Fill the exact dirty component with the scalar solver
-        (:func:`~repro.flowsim.multipath.inrp_allocation`); None when
-        the component is empty."""
+    def _fill_with_reserves(self) -> Optional[MultipathAllocation]:
+        """Fill the exact dirty component with
+        :func:`~repro.flowsim.multipath.inrp_allocation`, the one fill
+        that implements partial pooling's reserves; None when the
+        component is empty."""
         component, reach = self._dirty_component()
         if not component:
             return None
@@ -869,7 +810,7 @@ class IncrementalInrp:
             pooling_fraction=self._pooling_fraction,
         )
 
-    def _fill_vectorized(self) -> Optional[MultipathAllocation]:
+    def _fill_kernel(self) -> Optional[MultipathAllocation]:
         """Fill the dirty component with the CSR kernel
         (:func:`repro.flowsim.kernel.inrp_fill`); None when the
         component is empty.  Outside ``verify=True`` the component
@@ -918,7 +859,7 @@ class IncrementalInrp:
         self, component: Set[FlowId], reach: Set[LinkId]
     ) -> Optional[List[Tuple[int, float]]]:
         """:meth:`_pinned_usage` translated to kernel ``(column, used)``
-        pairs (verify-only, like the scalar guard it wraps)."""
+        pairs (verify-only, like the guard it wraps)."""
         pinned = self._pinned_usage(component, reach)
         if not pinned:
             return None
@@ -972,20 +913,5 @@ class IncrementalInrp:
             max_switches_per_flow=self._max_switches,
             pooling_fraction=self._pooling_fraction,
         )
-        worst = 0.0
-        diverged: Optional[FlowId] = None
-        for flow, rate in scratch.rates.items():
-            current = self._rates.get(flow)
-            if current is None:
-                raise SimulationError(f"flow {flow!r} missing from incremental state")
-            deviation = abs(current - rate) / (1.0 + abs(rate))
-            if deviation > worst:
-                worst = deviation
-                diverged = flow
+        worst = _verify_rates(self._rates, scratch.rates, "INRP")
         self.max_verify_deviation = max(self.max_verify_deviation, worst)
-        if worst > self._verify_tol:
-            raise SimulationError(
-                f"incremental INRP rate for flow {diverged!r} diverged: "
-                f"{self._rates.get(diverged)} != {scratch.rates[diverged]} "
-                f"(relative deviation {worst:.3e})"
-            )

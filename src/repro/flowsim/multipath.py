@@ -108,7 +108,7 @@ def splice_detour(path: Path, index: int, option: Path) -> Optional[Path]:
 
     *option* runs from ``path[index]`` to ``path[index + 1]``.  Returns
     None when the spliced path would revisit a node.  Shared by the
-    scalar filling below and the vectorized kernel
+    from-scratch filling below and the CSR kernel
     (:mod:`repro.flowsim.kernel`), whose reroute decisions must splice
     identically.
     """
@@ -143,8 +143,9 @@ def inrp_allocation(
         Canonical link -> capacity (bits/s).
     flow_paths:
         Primary (shortest) path per flow.  This may be any subset of
-        the active population: the incremental allocator re-runs the
-        filling over one detour-closure component at a time.
+        the active population: under partial pooling the incremental
+        allocator runs the filling over one detour-closure component
+        at a time.
     detour_table:
         Pre-computed detour options; its ``max_intermediate`` controls
         detour depth (1 = the paper's one-hop detours).

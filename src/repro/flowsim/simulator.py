@@ -5,26 +5,27 @@ vector is recomputed at every flow arrival and departure; between
 events rates are constant, so deliveries and completion times are
 exact integrals.
 
-Two cores implement the loop:
+Two loops implement it:
 
-- the default **incremental** core keeps the next departure of every
-  flow in a lazy-invalidation heap (the tombstone pattern of
+- the **event** loop (``core="auto"``, the default, and
+  ``"vectorized"``) keeps the next departure of every flow in a
+  lazy-invalidation heap (the tombstone pattern of
   :mod:`repro.chunksim.engine`: a stale entry is skipped when popped,
   never searched for), syncs each flow's delivered bits only when its
-  rate actually changes, and — for strategies whose sharing model is
-  e2e max-min — recomputes rates only for the connected component
-  dirtied by the event, via
-  :class:`repro.flowsim.allocation.IncrementalMaxMin`.  Same-instant
-  arrivals and departures are batched into a single recompute.  The
-  per-event cost is O(affected component · log flows) instead of
-  O(all active flows), which is what makes 100k-flow load sweeps
-  tractable.
-- the **reference** core is the original O(active)-per-event loop,
-  kept as the semantic baseline: equivalence tests assert both cores
-  produce the same :class:`SimulationResult` (within float tolerance)
-  and ``benchmarks/bench_flowsim.py`` measures the speedup against it.
+  rate actually changes, and recomputes rates only for the component
+  dirtied by the event, via the strategy's incremental allocator
+  (:class:`repro.flowsim.allocation.IncrementalMaxMin` for SP/ECMP,
+  :class:`repro.flowsim.allocation.IncrementalInrp` for INRP).
+  Same-instant arrivals and departures are batched into a single
+  recompute.  The per-event cost is O(affected component · log flows)
+  instead of O(all active flows), which is what makes 100k-flow load
+  sweeps tractable.
+- the **reference** loop (``core="reference"``) is the original
+  O(active)-per-event loop over ``strategy.allocate``, kept as the
+  test oracle: equivalence tests assert both loops produce the same
+  :class:`SimulationResult` (within float tolerance).
 
-Both cores follow the **streaming contract**: flow specs are pulled
+Both loops follow the **streaming contract**: flow specs are pulled
 one at a time from any arrival-ordered iterator (a materialized list
 works too and is sorted defensively), and every finalized flow goes to
 a pluggable :class:`~repro.flowsim.sinks.ResultSink` instead of an
@@ -71,7 +72,7 @@ __all__ = [
 
 _EPS = 1e-9
 
-_CORES = ("auto", "incremental", "vectorized", "reference")
+_CORES = ("auto", "vectorized", "reference")
 
 
 class _SpecSource:
@@ -176,28 +177,6 @@ class SimulatorCheckpoint:
         return checkpoint
 
 
-class _FullRecompute:
-    """Allocation adapter calling ``strategy.allocate`` on the whole
-    population every recompute (works for any strategy, e.g. INRP whose
-    detour decisions are global)."""
-
-    incremental = False
-
-    def __init__(self, strategy: RoutingStrategy):
-        self._strategy = strategy
-        self._flows: Dict[int, Tuple[tuple, float]] = {}
-
-    def add(self, flow_id: int, path: tuple, demand: float) -> None:
-        self._flows[flow_id] = (path, demand)
-
-    def remove(self, flow_id: int) -> None:
-        del self._flows[flow_id]
-
-    def recompute(self, full: bool = False):
-        outcome = self._strategy.allocate(self._flows)
-        return outcome.rates, outcome.splits, outcome.switches
-
-
 class _IncrementalRecompute:
     """Allocation adapter over an incremental allocator
     (:class:`IncrementalMaxMin` or :class:`IncrementalInrp`): only the
@@ -206,11 +185,9 @@ class _IncrementalRecompute:
     (``needs_paths``) additionally return per-path splits for the
     changed flows, which the event loop carries into ``_set_rate``."""
 
-    incremental = True
-
     def __init__(self, allocator):
         self._allocator = allocator
-        self._multipath = getattr(allocator, "needs_paths", False)
+        self._multipath = allocator.needs_paths
 
     def add(self, flow_id: int, path: tuple, demand: float) -> None:
         if self._multipath:
@@ -236,16 +213,13 @@ class _IncrementalRecompute:
 class _AdaptiveCorePolicy:
     """Decides when ``core="auto"`` falls back to full refills.
 
-    ``core="auto"`` always runs the vectorized CSR kernel (the
-    committed bench trajectory has it at 1.24x (full) and 0.97x
-    (smoke) of the scalar incremental core at the SP point, and
-    2.33x/2.19x at the INRP calibrated/overload points); what remains
-    adaptive is *how much* each recompute refills.  Dirty-component
-    search pays off only while
-    components are small relative to the active set.  In deep overload
-    the population snowballs into one spanning component: every
-    recompute touches everything and the component search plus subset
-    copies are pure overhead.  The policy watches the fraction of
+    ``core="auto"`` runs the same allocators as ``"vectorized"``;
+    what is adaptive is *how much* each recompute refills.
+    Dirty-component search pays off only while components are small
+    relative to the active set.  In deep overload the population
+    snowballs into one spanning component: every recompute touches
+    everything and the component search plus subset copies are pure
+    overhead.  The policy watches the fraction of
     active flows each incremental recompute returned; after
     ``patience`` consecutive recomputes above ``threshold`` (with at
     least ``min_active`` flows active, so tiny populations never flap)
@@ -327,15 +301,14 @@ class FlowLevelSimulator:
         instant count as completed; flows still active are reported as
         unfinished with their partial delivery.
     core:
-        ``"incremental"`` (departure heap + dirty-component
-        allocation, scalar solvers), ``"vectorized"`` (the same
-        machinery with the progressive-filling rounds run by the CSR
-        kernel of :mod:`repro.flowsim.kernel`), ``"reference"`` (the
-        original full-rescan loop) or ``"auto"`` (the default: the
-        vectorized kernel plus an adaptive fallback to full refills
-        while the dirty component keeps spanning the active set; see
-        :class:`_AdaptiveCorePolicy`).  All cores produce the same
-        :class:`SimulationResult` up to float tolerance.
+        ``"vectorized"`` (departure heap + dirty-component allocation
+        through the strategy's incremental allocator),
+        ``"auto"`` (the default: the same, plus an adaptive fallback
+        to full refills while the dirty component keeps spanning the
+        active set; see :class:`_AdaptiveCorePolicy`) or
+        ``"reference"`` (the original full-rescan loop, the test
+        oracle).  All cores produce the same :class:`SimulationResult`
+        up to float tolerance.
     sink:
         Where finalized flows go: ``"materialize"`` (default; the
         historical per-flow record list), ``"streaming"``
@@ -343,10 +316,11 @@ class FlowLevelSimulator:
         aggregates, ``result.records is None``) or a
         :class:`~repro.flowsim.sinks.ResultSink` instance (single-use).
     verify_allocator:
-        When the strategy supports incremental allocation, re-check
-        every incremental recompute against from-scratch
-        :func:`~repro.flowsim.allocation.max_min_allocation` (slow;
-        used by benchmarks and tests).
+        Re-check every incremental recompute of the event cores
+        against the from-scratch solver
+        (:func:`~repro.flowsim.allocation.max_min_allocation` or
+        :func:`~repro.flowsim.multipath.inrp_allocation`; slow, used
+        by benchmarks and tests).
     adaptive_threshold, adaptive_patience, adaptive_probe_every,
     adaptive_min_active:
         Knobs of the ``core="auto"`` fallback policy
@@ -355,8 +329,6 @@ class FlowLevelSimulator:
         ``adaptive_threshold`` of the active set (ignored below
         ``adaptive_min_active`` flows), and probe the component size
         every ``adaptive_probe_every``-th event while in full mode.
-        Defaults match the previously hard-coded values; the bench
-        harness sweeps them.
 
     Checkpointing
     -------------
@@ -418,9 +390,6 @@ class FlowLevelSimulator:
         self.adaptive_patience = adaptive_patience
         self.adaptive_probe_every = adaptive_probe_every
         self.adaptive_min_active = adaptive_min_active
-        #: Allocation kernel selected by the last ``run``/adapter build
-        #: ("scalar"/"vectorized"; None for full-recompute strategies).
-        self.kernel_used: Optional[str] = None
 
     def run(
         self,
@@ -439,7 +408,7 @@ class FlowLevelSimulator:
             if self.core == "reference":
                 raise ConfigurationError(
                     "checkpointing requires an event core "
-                    "('auto', 'incremental' or 'vectorized')"
+                    "('auto' or 'vectorized')"
                 )
         if pause_at is not None and pause_at <= 0:
             raise SimulationError(
@@ -458,21 +427,6 @@ class FlowLevelSimulator:
             pause_at=pause_at,
             resume_from=resume_from,
         )
-
-    def _make_adapter(self):
-        # ``auto`` rides the vectorized kernel (committed trajectory:
-        # 1.24x full / 0.97x smoke at sp-calibrated, 2.33x and 2.19x at
-        # the INRP points), so adaptivity is only about full vs
-        # component refills, not about which kernel fills.
-        kernel = "vectorized" if self.core in ("auto", "vectorized") else "scalar"
-        allocator = self.strategy.incremental_allocator(
-            verify=self.verify_allocator, kernel=kernel
-        )
-        if allocator is not None:
-            self.kernel_used = kernel
-            return _IncrementalRecompute(allocator)
-        self.kernel_used = None
-        return _FullRecompute(self.strategy)
 
     def _spec_source(self, skip: int = 0) -> _SpecSource:
         if self.specs is not None:
@@ -527,7 +481,9 @@ class FlowLevelSimulator:
             delivered_meter = TimeWeightedMean()
             offered_meter = TimeWeightedMean()
             source = self._spec_source()
-        adapter = self._make_adapter()
+        adapter = _IncrementalRecompute(
+            self.strategy.incremental_allocator(verify=self.verify_allocator)
+        )
         policy = (
             _AdaptiveCorePolicy(
                 threshold=self.adaptive_threshold,
@@ -535,7 +491,7 @@ class FlowLevelSimulator:
                 probe_every=self.adaptive_probe_every,
                 min_active=self.adaptive_min_active,
             )
-            if adaptive and adapter.incremental
+            if adaptive
             else None
         )
         if policy is not None:
@@ -722,30 +678,19 @@ class FlowLevelSimulator:
                     policy.observe(len(rates), len(active), use_full)
                 allocations += 1
                 total_switches += switches
-                if adapter.incremental:
-                    # Only the dirty component came back.  Multipath
-                    # allocators return the new per-path splits for it;
-                    # single-path strategies always carry everything on
-                    # the primary.
-                    for fid, rate in rates.items():
-                        flow = active[fid]
-                        if splits_map is None:
-                            if rate != flow.rate_bps:
-                                splits = (
-                                    [(flow.primary_path, rate)] if rate > 0 else []
-                                )
-                                _set_rate(fid, flow, rate, splits)
-                        else:
-                            splits = [
-                                (path, split_rate)
-                                for path, split_rate in splits_map.get(fid, [])
-                                if split_rate > 0
-                            ]
-                            if rate != flow.rate_bps or splits != flow.splits:
-                                _set_rate(fid, flow, rate, splits)
-                else:
-                    for fid, flow in active.items():
-                        rate = rates.get(fid, 0.0)
+                # Only the dirty component came back.  Multipath
+                # allocators return the new per-path splits for it;
+                # single-path strategies always carry everything on the
+                # primary.
+                for fid, rate in rates.items():
+                    flow = active[fid]
+                    if splits_map is None:
+                        if rate != flow.rate_bps:
+                            splits = (
+                                [(flow.primary_path, rate)] if rate > 0 else []
+                            )
+                            _set_rate(fid, flow, rate, splits)
+                    else:
                         splits = [
                             (path, split_rate)
                             for path, split_rate in splits_map.get(fid, [])
@@ -763,10 +708,8 @@ class FlowLevelSimulator:
         for fid, flow in active.items():
             _sync(fid, flow)
         max_deviation = None
-        if self.verify_allocator and adapter.incremental:
-            max_deviation = getattr(
-                adapter._allocator, "max_verify_deviation", None
-            )
+        if self.verify_allocator:
+            max_deviation = adapter._allocator.max_verify_deviation
         return self._finish_run(
             sink,
             active,
@@ -777,7 +720,6 @@ class FlowLevelSimulator:
             total_switches,
             full_refills=policy.full_refills if policy else restored_refills,
             max_verify_deviation=max_deviation,
-            kernel=self.kernel_used,
         )
 
     def _run_reference(self) -> SimulationResult:
@@ -880,7 +822,6 @@ class FlowLevelSimulator:
         total_switches: int,
         full_refills: int = 0,
         max_verify_deviation: Optional[float] = None,
-        kernel: Optional[str] = None,
     ) -> SimulationResult:
         """Shared tail of both run loops: flows still active are
         reported unfinished (the caller has synced their deliveries),
@@ -903,7 +844,6 @@ class FlowLevelSimulator:
             total_switches=total_switches,
             full_refills=full_refills,
             max_verify_deviation=max_verify_deviation,
-            kernel=kernel,
         )
 
     @staticmethod

@@ -175,10 +175,6 @@ class SimulationResult:
     #: Online aggregates (always set under a streaming sink; None under
     #: the materializing sink, whose accessors answer from records).
     aggregates: Optional[FlowAggregates] = None
-    #: Allocation kernel the run used ("scalar"/"vectorized"; None when
-    #: the strategy has no incremental allocator or under the
-    #: reference core).
-    kernel: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Records-mode access
@@ -334,7 +330,6 @@ class ResultSink(abc.ABC):
         total_switches: int,
         full_refills: int = 0,
         max_verify_deviation: Optional[float] = None,
-        kernel: Optional[str] = None,
     ) -> SimulationResult:
         """Assemble the final :class:`SimulationResult`."""
 

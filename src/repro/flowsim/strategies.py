@@ -19,7 +19,7 @@ import abc
 from dataclasses import dataclass, field
 from array import array
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError, NoPathError, RoutingError
 from repro.flowsim.allocation import (
@@ -148,10 +148,9 @@ class RoutingStrategy(abc.ABC):
     ) -> AllocationOutcome:
         """Allocate bandwidth to flows given ``{id: (path, demand)}``."""
 
-    def incremental_allocator(
-        self, verify: bool = False, kernel: str = "scalar"
-    ):
-        """Fresh incremental allocator, when the sharing model admits one.
+    @abc.abstractmethod
+    def incremental_allocator(self, verify: bool = False):
+        """Fresh incremental allocator for the event-driven simulator.
 
         Strategies whose allocation is plain e2e max-min over a single
         path per flow (SP, ECMP) return an
@@ -159,12 +158,9 @@ class RoutingStrategy(abc.ABC):
         returns an :class:`~repro.flowsim.allocation.IncrementalInrp`
         over its detour-closure components.  The simulator then
         recomputes only the component dirtied by each
-        arrival/departure.  ``kernel="vectorized"`` selects the CSR
-        filling kernel (:mod:`repro.flowsim.kernel`) inside those
-        allocators.  Strategies whose coupling really is global return
-        ``None`` and are recomputed in full.
+        arrival/departure.  ``verify=True`` re-checks every recompute
+        against the from-scratch solver.
         """
-        return None
 
 
 class ShortestPathStrategy(RoutingStrategy):
@@ -186,10 +182,8 @@ class ShortestPathStrategy(RoutingStrategy):
         }
         return AllocationOutcome(rates=rates, splits=splits)
 
-    def incremental_allocator(
-        self, verify: bool = False, kernel: str = "scalar"
-    ) -> Optional[IncrementalMaxMin]:
-        return IncrementalMaxMin(self.capacities, verify=verify, kernel=kernel)
+    def incremental_allocator(self, verify: bool = False) -> IncrementalMaxMin:
+        return IncrementalMaxMin(self.capacities, verify=verify)
 
 
 class EcmpStrategy(ShortestPathStrategy):
@@ -284,19 +278,12 @@ class InrpStrategy(RoutingStrategy):
             backpressured=backpressured,
         )
 
-    def incremental_allocator(
-        self, verify: bool = False, kernel: str = "scalar"
-    ) -> IncrementalInrp:
-        if self.pooling_fraction < 1.0 and kernel != "scalar":
-            # The CSR kernel implements full pooling only; partial
-            # pooling runs on the scalar recompute path.
-            kernel = "scalar"
+    def incremental_allocator(self, verify: bool = False) -> IncrementalInrp:
         return IncrementalInrp(
             self.capacities,
             self.detour_table,
             max_replacements=self.max_replacements,
             verify=verify,
-            kernel=kernel,
             pooling_fraction=self.pooling_fraction,
         )
 

@@ -1,4 +1,4 @@
-"""Routing substrate: shortest paths, ECMP, k-shortest paths, detours.
+"""Routing substrate: shortest paths, ECMP, detours.
 
 All functions are deterministic: ties between equal-cost paths are
 broken lexicographically on the node sequence, so experiments are
@@ -21,7 +21,6 @@ from repro.routing.shortest import (
     shortest_path_length,
 )
 from repro.routing.ecmp import all_shortest_paths, ecmp_hash, ecmp_path_for_flow
-from repro.routing.ksp import k_shortest_paths
 from repro.routing.detour import (
     DetourBreakdown,
     DetourClass,
@@ -46,7 +45,6 @@ __all__ = [
     "all_shortest_paths",
     "ecmp_hash",
     "ecmp_path_for_flow",
-    "k_shortest_paths",
     "DetourClass",
     "DetourBreakdown",
     "DetourTable",

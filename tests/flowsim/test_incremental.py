@@ -129,3 +129,15 @@ def test_verify_mode_accepts_correct_state():
     for flow_id in range(0, 12, 2):
         allocator.remove_flow(flow_id)
         allocator.recompute()
+
+
+def test_verify_mode_rejects_a_rate_off_by_1e_8():
+    """``verify=True`` holds max-min to the same 1e-9 relative bar as
+    INRP: a rate perturbed by 1e-8 relative raises."""
+    allocator = IncrementalMaxMin({"l": mbps(9)}, verify=True)
+    for flow in (1, 2, 3):
+        allocator.add_flow(flow, ["l"], mbps(100))
+    allocator.recompute()
+    allocator._rates[1] *= 1.0 + 1e-8
+    with pytest.raises(SimulationError, match="diverged"):
+        allocator._check_against_scratch()

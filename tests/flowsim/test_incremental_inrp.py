@@ -16,8 +16,12 @@ from repro.workloads import uniform_pairs
 from repro.workloads.traffic import local_pairs
 
 
-def _assert_matches_scratch(allocator, capacities, table, paths, demands):
-    scratch = inrp_allocation(capacities, paths, demands, table)
+def _assert_matches_scratch(
+    allocator, capacities, table, paths, demands, pooling_fraction=1.0
+):
+    scratch = inrp_allocation(
+        capacities, paths, demands, table, pooling_fraction=pooling_fraction
+    )
     rates = allocator.rates
     assert set(rates) == set(scratch.rates)
     for flow, rate in scratch.rates.items():
@@ -75,15 +79,14 @@ def _triangle_and_bar_topology():
     return topo
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
-def test_full_refill_fills_only_the_dirty_component(kernel):
+def test_full_refill_fills_only_the_dirty_component():
     """``full=True`` re-fills the dirty island alone, yet reports the
     switch count of a whole-population fill: the clean island's detour
     switch is carried over from its last fill."""
     topo = _triangle_and_bar_topology()
     capacities = topo.directed_capacities()
     table = DetourTable(topo, max_intermediate=1)
-    allocator = IncrementalInrp(capacities, table, kernel=kernel)
+    allocator = IncrementalInrp(capacities, table)
     paths = {"tri": ("x1", "x2"), "bar": ("b1", "b2")}
     demands = {"tri": mbps(20), "bar": mbps(10)}
     for flow in paths:
@@ -104,13 +107,15 @@ def test_full_refill_fills_only_the_dirty_component(kernel):
     assert allocator.recompute() == ({}, {}, 0)
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+@pytest.mark.parametrize("pooling_fraction", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("topology", ["fig3", "ebone"])
-def test_mixed_full_refills_match_scratch_under_churn(topology, kernel):
+def test_mixed_full_refills_match_scratch_under_churn(topology, pooling_fraction):
     """Seeded churn with ``full=True`` and ``full=False`` recomputes
     mixed at random: rates stay within 1e-9 of scratch, and every full
     recompute reports exactly the switches of a from-scratch fill over
-    the active population."""
+    the active population.  Partial pooling (``pooling_fraction < 1``)
+    fills through ``inrp_allocation``, full pooling through the CSR
+    kernel."""
     if topology == "fig3":
         topo = fig3_topology()
         sampler = uniform_pairs(topo, seed=7)
@@ -121,7 +126,9 @@ def test_mixed_full_refills_match_scratch_under_churn(topology, kernel):
         sampler = local_pairs(topo, seed=7, max_hops=2)
     capacities = topo.directed_capacities()
     table = DetourTable(topo)
-    allocator = IncrementalInrp(capacities, table, verify=True, kernel=kernel)
+    allocator = IncrementalInrp(
+        capacities, table, verify=True, pooling_fraction=pooling_fraction
+    )
     rng = random.Random(11)
     paths, demands = {}, {}
     full_refills = switched = 0
@@ -137,13 +144,20 @@ def test_mixed_full_refills_match_scratch_under_churn(topology, kernel):
             allocator.add_flow(next_id, paths[next_id], demands[next_id])
         full = rng.random() < 0.5
         _, _, switches = allocator.recompute(full=full)
-        _assert_matches_scratch(allocator, capacities, table, paths, demands)
+        _assert_matches_scratch(
+            allocator, capacities, table, paths, demands, pooling_fraction
+        )
         if full:
-            scratch = inrp_allocation(capacities, paths, demands, table)
+            scratch = inrp_allocation(
+                capacities, paths, demands, table,
+                pooling_fraction=pooling_fraction,
+            )
             assert switches == scratch.switches
             full_refills += 1
             switched += scratch.switches > 0
-    assert full_refills > 0 and switched > 0
+    assert full_refills > 0
+    # With no pooling, detours may borrow nothing: single-path max-min.
+    assert (switched > 0) == (pooling_fraction > 0)
     assert allocator.max_verify_deviation <= 1e-9
 
 

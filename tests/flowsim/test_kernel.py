@@ -63,7 +63,6 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
     strategy = make_strategy("sp", topo)
     alloc = IncrementalMaxMin(
         topo.directed_capacities(),
-        kernel="vectorized",
         min_compact_nnz=8,
         compact_slack=0.2,
     )
@@ -100,7 +99,6 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
     alloc = IncrementalInrp(
         topo.directed_capacities(),
         table,
-        kernel="vectorized",
         min_compact_nnz=8,
         compact_slack=0.2,
     )
@@ -135,11 +133,9 @@ def test_empty_and_single_flow_components(kernel_cls):
     flow, and removal back down to empty."""
     topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
     if kernel_cls == "sp":
-        alloc = IncrementalMaxMin(topo.directed_capacities(), kernel="vectorized")
+        alloc = IncrementalMaxMin(topo.directed_capacities())
     else:
-        alloc = IncrementalInrp(
-            topo.directed_capacities(), DetourTable(topo), kernel="vectorized"
-        )
+        alloc = IncrementalInrp(topo.directed_capacities(), DetourTable(topo))
     alloc.recompute()
     assert alloc.rates == {}
 
@@ -246,7 +242,7 @@ class _CountingBudget(int):
 
 def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
     """Every ``inrp_fill`` result of a seeded add/remove churn through
-    ``IncrementalInrp(kernel="vectorized")``, recomputing after each
+    ``IncrementalInrp``, recomputing after each
     event; ~80 flows stay live, deep in overload.  Returns the results
     and the number of exhausted replacement budgets.
 
@@ -272,10 +268,7 @@ def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
     monkeypatch.setattr(_kernel, "inrp_fill", capture)
     strategy = make_strategy("inrp", topo)
     alloc = IncrementalInrp(
-        topo.directed_capacities(),
-        DetourTable(topo),
-        kernel="vectorized",
-        verify=verify,
+        topo.directed_capacities(), DetourTable(topo), verify=verify
     )
     rng = random.Random(seed)
     nodes = list(topo.nodes())
@@ -395,7 +388,7 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
 def test_inrp_cross_core_overload_equivalence():
     """Reference vs vectorized INRP records at deep overload (spanning
     components, heavy detour churn).  ``total_switches`` is excluded:
-    both incremental cores re-fill only dirty components and so do not
+    the event cores re-fill only dirty components and so do not
     re-count the switches of untouched components."""
     topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
     workload = FlowWorkload(

@@ -8,7 +8,7 @@ from repro.topology import Topology, fig3_topology, line_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import FlowSpec, FlowWorkload, local_pairs
 
-CORES = ("incremental", "reference")
+CORES = ("auto", "reference")
 
 
 def _spec(flow_id, src, dst, t, size_bits, demand=mbps(10)):
@@ -145,8 +145,9 @@ def test_mean_fct_and_stretch_helpers():
 
 def test_unknown_core_rejected():
     topo = line_topology(2)
-    with pytest.raises(ConfigurationError):
-        FlowLevelSimulator(topo, make_strategy("sp", topo), [], core="turbo")
+    for core in ("turbo", "incremental"):
+        with pytest.raises(ConfigurationError):
+            FlowLevelSimulator(topo, make_strategy("sp", topo), [], core=core)
 
 
 def _workload_specs(topo, seed, num_flows, arrival_rate=120.0):
@@ -190,7 +191,7 @@ def _assert_equivalent(ref, inc):
 @pytest.mark.parametrize("strategy_name", ["sp", "ecmp", "inrp"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_cores_equivalent_on_random_workloads(strategy_name, seed):
-    """The incremental core is a drop-in for the reference loop: same
+    """The event core is a drop-in for the reference loop: same
     records, same aggregates, for every strategy."""
     topo = mesh_topology(24, extra_links=20, seed=seed, capacity=mbps(10))
     num_flows = 60 if strategy_name == "inrp" else 150
@@ -199,7 +200,7 @@ def test_cores_equivalent_on_random_workloads(strategy_name, seed):
     for core in CORES:
         strategy = make_strategy(strategy_name, topo)
         runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    _assert_equivalent(runs["reference"], runs["incremental"])
+    _assert_equivalent(runs["reference"], runs["auto"])
 
 
 @pytest.mark.parametrize("core", CORES)
@@ -225,7 +226,7 @@ def test_cores_equivalent_with_horizon():
         runs[core] = FlowLevelSimulator(
             topo, strategy, specs, horizon=0.6, core=core
         ).run()
-    _assert_equivalent(runs["reference"], runs["incremental"])
+    _assert_equivalent(runs["reference"], runs["auto"])
 
 
 def test_stretch_samples_exclude_unfinished_by_default():
@@ -256,22 +257,22 @@ def _spanning_component_specs(num_flows):
 def test_adaptive_core_falls_back_on_spanning_component():
     """core="auto" must notice that every dirty component spans the
     active set (population above the policy's min_active) and switch
-    to full refills; the plain incremental core never does."""
+    to full refills; the non-adaptive vectorized core never does."""
     topo = line_topology(2)
     specs = _spanning_component_specs(120)
     auto = FlowLevelSimulator(
         topo, make_strategy("sp", topo), specs, core="auto"
     ).run()
     assert auto.full_refills > 0
-    incremental = FlowLevelSimulator(
-        topo, make_strategy("sp", topo), specs, core="incremental"
+    vectorized = FlowLevelSimulator(
+        topo, make_strategy("sp", topo), specs, core="vectorized"
     ).run()
-    assert incremental.full_refills == 0
+    assert vectorized.full_refills == 0
     reference = FlowLevelSimulator(
         topo, make_strategy("sp", topo), specs, core="reference"
     ).run()
     _assert_equivalent(reference, auto)
-    _assert_equivalent(reference, incremental)
+    _assert_equivalent(reference, vectorized)
 
 
 def _overload_specs(topo, seed, num_flows):
@@ -294,16 +295,16 @@ def _overload_specs(topo, seed, num_flows):
 def test_inrp_cores_equivalent_at_overload(seed):
     """All three cores produce the same records for INRP in the
     deep-overload regime (spanning components, adaptive fallback
-    engaged).  ``total_switches`` is excluded: the incremental core
-    re-fills only dirty components, so it does not re-count the
-    switches of untouched components the way a full re-fill does."""
+    engaged).  ``total_switches`` is excluded: the event cores re-fill
+    only dirty components, so they do not re-count the switches of
+    untouched components the way a full re-fill does."""
     topo = mesh_topology(14, extra_links=12, seed=seed, capacity=mbps(10))
     specs = _overload_specs(topo, seed=seed, num_flows=70)
     runs = {}
-    for core in ("reference", "incremental", "auto"):
+    for core in ("reference", "vectorized", "auto"):
         strategy = make_strategy("inrp", topo)
         runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    for core in ("incremental", "auto"):
+    for core in ("vectorized", "auto"):
         ref, other = runs["reference"], runs[core]
         assert len(ref.records) == len(other.records)
         for a, b in zip(ref.records, other.records):
@@ -330,40 +331,20 @@ def test_inrp_incremental_verified_inside_simulator():
         topo,
         make_strategy("inrp", topo),
         specs,
-        core="incremental",
         verify_allocator=True,
     ).run()
     assert result.max_verify_deviation is not None
     assert result.max_verify_deviation <= 1e-9
 
 
-def test_auto_core_selects_vectorized_kernel():
-    """core="auto" rides the vectorized CSR kernel — per the committed
-    bench trajectory it is at least as fast as the scalar solvers at
-    every calibrated point — while "incremental" stays scalar and the
-    reference core reports no kernel at all."""
-    topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
-    specs = _workload_specs(topo, seed=2, num_flows=40)
-    expected = {
-        "auto": "vectorized",
-        "vectorized": "vectorized",
-        "incremental": "scalar",
-        "reference": None,
-    }
-    for core, kernel in expected.items():
-        sim = FlowLevelSimulator(topo, make_strategy("sp", topo), specs, core=core)
-        result = sim.run()
-        assert sim.kernel_used == kernel, core
-        assert result.kernel == kernel, core
-
-
-def test_auto_core_still_adapts_with_vectorized_kernel():
-    """The vectorized kernel does not disable the adaptive fallback:
-    on a spanning component the auto core both runs vectorized and
-    switches to full refills."""
-    topo = line_topology(2)
-    specs = _spanning_component_specs(120)
-    sim = FlowLevelSimulator(topo, make_strategy("sp", topo), specs, core="auto")
-    result = sim.run()
-    assert sim.kernel_used == "vectorized"
-    assert result.full_refills > 0
+def test_partial_pooling_cores_equivalent():
+    """INRP with partial pooling (``pooling_fraction=0.5``), whose
+    incremental allocator fills with the reserve-aware scratch solver:
+    the event core reproduces the reference loop's records."""
+    topo = mesh_topology(14, extra_links=12, seed=4, capacity=mbps(10))
+    specs = _overload_specs(topo, seed=4, num_flows=60)
+    runs = {}
+    for core in ("reference", "auto"):
+        strategy = make_strategy("inrp", topo, pooling_fraction=0.5)
+        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
+    _assert_equivalent(runs["reference"], runs["auto"])

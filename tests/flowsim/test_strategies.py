@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, NoPathError, RoutingError
-from repro.flowsim import make_strategy
+from repro.flowsim import RoutingStrategy, make_strategy
 from repro.flowsim import strategies
 from repro.routing import shortest_path
 from repro.topology import Topology, build_isp_topology, fig3_topology
@@ -175,10 +175,13 @@ def test_inrp_rejects_bad_pooling_fraction():
             make_strategy("inrp", fig3_topology(), pooling_fraction=bad)
 
 
-def test_partial_pooling_downgrades_vectorized_kernel():
-    topo = fig3_topology()
-    partial = make_strategy("inrp", topo, pooling_fraction=0.5)
-    allocator = partial.incremental_allocator(kernel="vectorized")
-    assert allocator._kernel == "scalar"
-    full = make_strategy("inrp", topo)
-    assert full.incremental_allocator(kernel="vectorized")._kernel == "vectorized"
+def test_every_strategy_needs_an_incremental_allocator():
+    """The event core has no full-recompute fallback, so a strategy
+    without an incremental allocator cannot be built."""
+
+    class AllocateOnly(RoutingStrategy):
+        def allocate(self, flows):
+            raise NotImplementedError
+
+    with pytest.raises(TypeError):
+        AllocateOnly(fig3_topology())

@@ -20,22 +20,24 @@ from hypothesis import strategies as st
 from repro.chunksim.config import ChunkSimConfig
 from repro.chunksim.network import ChunkNetwork
 from repro.flowsim.allocation import IncrementalInrp
+from repro.flowsim.flow import FlowRecord
 from repro.flowsim.simulator import FlowLevelSimulator
 from repro.flowsim.strategies import make_strategy
 from repro.routing.detour import DetourTable
 from repro.routing.shortest import shortest_path
 from repro.topology import apply_capacity_asymmetry
+from repro.topology.isp import build_isp_topology
 from repro.topology.builders import fig3_topology
 from repro.topology.generators import mesh_topology
 from repro.units import mbps
-from repro.workloads import uniform_pairs
+from repro.workloads import FlowWorkload, local_pairs, uniform_pairs
 from repro.workloads.traffic import FlowSpec
 
 TOL = 1e-12
 
 #: Pre-refactor flow-level results on Fig. 3 (see the module
-#: docstring).  Keyed by strategy; identical across all three cores up
-#: to float association order (covered by the 1e-12 tolerance).
+#: docstring).  Keyed by strategy; identical across the cores up to
+#: float association order (covered by the 1e-12 tolerance).
 FLOW_GOLDENS = {
     "sp": {
         "throughput": 0.0675303197353914,
@@ -74,7 +76,7 @@ def _flow_specs():
     ]
 
 
-@pytest.mark.parametrize("core", ["reference", "incremental", "vectorized"])
+@pytest.mark.parametrize("core", ["reference", "vectorized", "auto"])
 @pytest.mark.parametrize("mode", ["sp", "inrp"])
 def test_flow_cores_reproduce_pre_refactor_goldens(mode, core):
     topo = fig3_topology()
@@ -158,3 +160,50 @@ def test_asymmetric_churn_verified_against_scratch(seed, churn, ratio):
             next_id += 1
         allocator.recompute()  # raises SimulationError on divergence
     assert allocator.max_verify_deviation <= 1e-9
+
+
+def _record_deviation(a: FlowRecord, b: FlowRecord) -> float:
+    assert (a.flow_id, a.completed) == (b.flow_id, b.completed)
+    worst = abs(a.delivered_bits - b.delivered_bits) / max(a.size_bits, 1.0)
+    if a.completed:
+        worst = max(worst, abs(a.fct - b.fct) / max(abs(a.fct), 1e-12))
+    return worst
+
+
+def test_directed_inrp_on_an_isp_map_matches_reference():
+    """INRP on sprint with every reverse direction at half capacity,
+    so local traffic exercises per-direction link state through the
+    detour closures and the CSR kernel: the production core's records
+    match the reference loop's to 1e-6, and every recompute of its
+    allocator matches the from-scratch fill to 1e-9."""
+    topo = build_isp_topology("sprint", seed=0)
+    apply_capacity_asymmetry(topo, 0.5)
+    assert not topo.is_symmetric()
+    specs = FlowWorkload(
+        topo,
+        arrival_rate=500.0,
+        mean_size_bits=2.5e6,
+        demand_bps=mbps(10),
+        seed=1,
+        pair_sampler=local_pairs(topo, seed=2, max_hops=3),
+    ).generate(max_flows=200)
+    runs = {
+        core: FlowLevelSimulator(
+            topo, make_strategy("inrp", topo), specs, core=core
+        ).run()
+        for core in ("reference", "auto")
+    }
+    reference, auto = runs["reference"], runs["auto"]
+    assert len(reference.records) == len(auto.records) == len(specs)
+    assert auto.unfinished == reference.unfinished
+    worst = max(
+        _record_deviation(a, b) for a, b in zip(reference.records, auto.records)
+    )
+    assert worst <= 1e-6
+    assert auto.network_throughput == pytest.approx(
+        reference.network_throughput, rel=1e-6
+    )
+    verified = FlowLevelSimulator(
+        topo, make_strategy("inrp", topo), specs, verify_allocator=True
+    ).run()
+    assert verified.max_verify_deviation <= 1e-9
