@@ -79,14 +79,26 @@ def _triangle_and_bar_topology():
     return topo
 
 
-def test_full_refill_fills_only_the_dirty_component():
+# Parameter ids name the fill path: "vectorized" is the CSR kernel's
+# inrp_fill (full pooling), "scalar" the component fill through
+# inrp_allocation, the only fill with reserves (partial pooling).
+FILL_PATHS = [
+    pytest.param(0.5, id="scalar"),
+    pytest.param(1.0, id="vectorized"),
+]
+
+
+@pytest.mark.parametrize("pooling_fraction", FILL_PATHS)
+def test_full_refill_fills_only_the_dirty_component(pooling_fraction):
     """``full=True`` re-fills the dirty island alone, yet reports the
     switch count of a whole-population fill: the clean island's detour
     switch is carried over from its last fill."""
     topo = _triangle_and_bar_topology()
     capacities = topo.directed_capacities()
     table = DetourTable(topo, max_intermediate=1)
-    allocator = IncrementalInrp(capacities, table)
+    allocator = IncrementalInrp(
+        capacities, table, pooling_fraction=pooling_fraction
+    )
     paths = {"tri": ("x1", "x2"), "bar": ("b1", "b2")}
     demands = {"tri": mbps(20), "bar": mbps(10)}
     for flow in paths:
@@ -97,9 +109,13 @@ def test_full_refill_fills_only_the_dirty_component():
     rates, splits, switches = allocator.recompute(full=True)
     assert set(rates) == set(splits) == {"bar", "bar2"}
     assert set(allocator.rates) == {"tri", "bar", "bar2"}
-    assert allocator.rates["tri"] == pytest.approx(mbps(20))
+    # The detour lends tri the pooled share of its 10 Mbps.
+    tri_rate = mbps(10) + pooling_fraction * mbps(10)
+    assert allocator.rates["tri"] == pytest.approx(tri_rate)
     assert rates["bar"] == pytest.approx(mbps(5))
-    scratch = inrp_allocation(capacities, paths, demands, table)
+    scratch = inrp_allocation(
+        capacities, paths, demands, table, pooling_fraction=pooling_fraction
+    )
     assert scratch.flow_switches["tri"] == 1
     assert switches == scratch.switches
     # Nothing dirty: no fill, but the same whole-population count.
@@ -107,7 +123,9 @@ def test_full_refill_fills_only_the_dirty_component():
     assert allocator.recompute() == ({}, {}, 0)
 
 
-@pytest.mark.parametrize("pooling_fraction", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize(
+    "pooling_fraction", FILL_PATHS + [pytest.param(0.0, id="scalar-unpooled")]
+)
 @pytest.mark.parametrize("topology", ["fig3", "ebone"])
 def test_mixed_full_refills_match_scratch_under_churn(topology, pooling_fraction):
     """Seeded churn with ``full=True`` and ``full=False`` recomputes

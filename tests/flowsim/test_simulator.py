@@ -275,6 +275,24 @@ def test_adaptive_core_falls_back_on_spanning_component():
     _assert_equivalent(reference, vectorized)
 
 
+def test_auto_core_still_adapts_with_vectorized_kernel():
+    """The CSR kernels do not disable the adaptive fallback: on a
+    spanning component the auto core switches to full refills both
+    for max-min (``maxmin_fill``) and for INRP (``inrp_fill``), and
+    still reproduces the reference records."""
+    topo = line_topology(2)
+    specs = _spanning_component_specs(120)
+    for name in ("sp", "inrp"):
+        auto = FlowLevelSimulator(
+            topo, make_strategy(name, topo), specs, core="auto"
+        ).run()
+        assert auto.full_refills > 0, name
+        reference = FlowLevelSimulator(
+            topo, make_strategy(name, topo), specs, core="reference"
+        ).run()
+        _assert_equivalent(reference, auto)
+
+
 def _overload_specs(topo, seed, num_flows):
     """Deep overload: uniform endpoints, arrivals far above the drain
     rate, so the population snowballs into one spanning component."""
