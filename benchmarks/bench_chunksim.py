@@ -55,7 +55,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.fig3 import fig3_topology
 from repro.chunksim import ChunkNetwork
-from repro.chunksim.engine import make_engine
+from repro.chunksim import network as chunk_network
+from repro.chunksim.engine import ReferenceSimulator, Simulator
+
+#: Engine name (the key in the JSON record) -> event-loop class.
+EVENT_LOOPS = {"reference": ReferenceSimulator, "modern": Simulator}
 
 #: Flow endpoints cycled to populate the Fig. 3 topology at scale.
 PAIRS = ((1, 4), (1, 5), (4, 1), (5, 1), (3, 5), (2, 4))
@@ -66,7 +70,7 @@ PAIRS = ((1, 4), (1, 5), (4, 1), (5, 1), (3, 5), (2, 4))
 # ----------------------------------------------------------------------
 def run_churn(engine: str, outstanding: int, rounds: int = 10, rto: float = 0.5):
     """One churn run; returns (seconds, fired, events_processed)."""
-    sim = make_engine(engine)
+    sim = EVENT_LOOPS[engine]()
     fired = [0]
 
     def fire(i):
@@ -111,7 +115,15 @@ def bench_churn(outstanding: int, repeat: int):
 # Fig. 3-scale end-to-end (identical traced results)
 # ----------------------------------------------------------------------
 def run_fig3_scale(engine: str, mode: str, num_flows: int, duration: float):
-    network = ChunkNetwork(fig3_topology(), mode=mode, engine=engine)
+    # ChunkNetwork always builds ``repro.chunksim.network.Simulator``;
+    # the reference run substitutes the yardstick for the build.
+    chunk_network.Simulator = EVENT_LOOPS[engine]
+    try:
+        network = ChunkNetwork(fig3_topology(), mode=mode)
+    finally:
+        chunk_network.Simulator = Simulator
+    if type(network.sim) is not EVENT_LOOPS[engine]:
+        raise RuntimeError(f"{engine} run built a {type(network.sim).__name__}")
     for index in range(num_flows):
         source, destination = PAIRS[index % len(PAIRS)]
         network.add_flow(

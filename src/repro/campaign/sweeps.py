@@ -115,7 +115,7 @@ def scenario_load_sweep(
 
 @register_scenario(
     "load-sweep-large",
-    summary="event-driven 10k-100k flow Poisson sweep through the incremental core",
+    summary="event-driven 10k-100k flow Poisson sweep through the flow-level event loop",
     tags=("sweep", "flowsim", "scale"),
 )
 def scenario_load_sweep_large(
@@ -129,17 +129,16 @@ def scenario_load_sweep_large(
     max_hops: int = 4,
     detour_depth: int = 2,
     pooling_fraction: float = 1.0,
-    core: str = "auto",
     sink: str = "materialize",
 ) -> Dict[str, Any]:
     """One cell of the large event-driven load sweep (Fig. 3/4 regime).
 
     Unlike the snapshot scenarios, this runs the full arrival/departure
     dynamics: ``num_flows`` Poisson arrivals with locality-bounded
-    endpoints pushed through :class:`FlowLevelSimulator`'s incremental
-    core.  Grid ``num_flows=10000,...,100000`` against ``strategy`` and
+    endpoints pushed through :class:`FlowLevelSimulator`'s event loop.
+    Grid ``num_flows=10000,...,100000`` against ``strategy`` and
     ``arrival_rate`` traces throughput and FCT across operating points
-    at population sizes the pre-incremental core could not reach.
+    at population sizes a from-scratch re-fill per event could not reach.
 
     ``sink="streaming"`` streams the specs straight from the workload
     and folds completions into online aggregates — the reported cell is
@@ -166,7 +165,7 @@ def scenario_load_sweep_large(
     else:
         specs = workload.generate(max_flows=num_flows)
     result = FlowLevelSimulator(
-        topo, make_strategy(strategy, topo, **kwargs), specs, core=core, sink=sink
+        topo, make_strategy(strategy, topo, **kwargs), specs, sink=sink
     ).run()
     return {
         "isp": isp,
@@ -175,7 +174,6 @@ def scenario_load_sweep_large(
         "pooling_fraction": pooling_fraction if uses_detour else None,
         "num_flows": num_flows,
         "arrival_rate": arrival_rate,
-        "core": core,
         "sink": sink,
         "completed": result.completed_count,
         "unfinished": result.unfinished,
@@ -192,7 +190,7 @@ def scenario_load_sweep_large(
 
 @register_scenario(
     "inrp-load-sweep-large",
-    summary="event-driven 10k+ flow INRP sweep through the incremental detour-closure core",
+    summary="event-driven 10k+ flow INRP sweep through the incremental detour-closure allocator",
     tags=("sweep", "flowsim", "scale", "inrp"),
 )
 def scenario_inrp_load_sweep_large(
@@ -205,7 +203,6 @@ def scenario_inrp_load_sweep_large(
     max_hops: int = 3,
     detour_depth: int = 2,
     pooling_fraction: float = 1.0,
-    core: str = "auto",
 ) -> Dict[str, Any]:
     """The ``load-sweep-large`` dynamics for the paper's own strategy.
 
@@ -214,8 +211,8 @@ def scenario_inrp_load_sweep_large(
     runs event-driven at the same population sizes as SP/ECMP.  The
     defaults are the calibrated INRP operating point (sprint, local
     pairs within 3 hops, ρ < 1: ~0.75 network throughput, components a
-    fraction of the active set); grid ``num_flows`` / ``arrival_rate``
-    / ``core`` to trace scaling or to compare the cores themselves.
+    fraction of the active set); grid ``num_flows`` or ``arrival_rate`` to
+    trace scaling.
     """
     return scenario_load_sweep_large(
         seed=seed,
@@ -228,7 +225,6 @@ def scenario_inrp_load_sweep_large(
         max_hops=max_hops,
         detour_depth=detour_depth,
         pooling_fraction=pooling_fraction,
-        core=core,
     )
 
 
@@ -247,7 +243,6 @@ def scenario_load_sweep_xl(
     demand_mbps: float = 10.0,
     max_hops: int = 4,
     detour_depth: int = 2,
-    core: str = "auto",
 ) -> Dict[str, Any]:
     """The ``load-sweep-large`` dynamics at million-flow scale.
 
@@ -274,6 +269,5 @@ def scenario_load_sweep_xl(
         demand_mbps=demand_mbps,
         max_hops=max_hops,
         detour_depth=detour_depth,
-        core=core,
         sink="streaming",
     )

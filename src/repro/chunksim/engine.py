@@ -20,6 +20,9 @@ identical order — ``(time, schedule-sequence)`` with FIFO tie-breaking
   compaction), kept as the semantic yardstick: the equivalence tests
   and ``benchmarks/bench_chunksim.py`` drive both engines through the
   same scenario and assert identical traces while timing the gap.
+  :class:`~repro.chunksim.network.ChunkNetwork` always builds a
+  :class:`Simulator`; to run a whole network on the yardstick,
+  substitute ``repro.chunksim.network.Simulator`` with this class.
 """
 
 from __future__ import annotations
@@ -355,17 +358,3 @@ class ReferenceSimulator:
     @property
     def live_pending(self) -> int:
         return len(self._heap) - self.dead
-
-
-#: Engine name -> class, used by :class:`repro.chunksim.ChunkNetwork`.
-ENGINES = {"modern": Simulator, "reference": ReferenceSimulator}
-
-
-def make_engine(name: str):
-    """Instantiate an engine by name (``"modern"`` or ``"reference"``)."""
-    cls = ENGINES.get(name)
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; expected one of {', '.join(sorted(ENGINES))}"
-        )
-    return cls()

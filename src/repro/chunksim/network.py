@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.chunksim.aimd import AimdReceiverApp, AimdSenderApp
 from repro.chunksim.apps import ReceiverApp, SenderApp
 from repro.chunksim.config import ChunkSimConfig
-from repro.chunksim.engine import make_engine
+from repro.chunksim.engine import Simulator
 from repro.chunksim.link import SimLink
 from repro.chunksim.router import Router
 from repro.chunksim.tracing import Trace
@@ -102,7 +102,6 @@ class ChunkNetwork:
         mode: str = "inrpp",
         config: Optional[ChunkSimConfig] = None,
         trace: Optional[Trace] = None,
-        engine: str = "modern",
     ):
         if mode not in ("inrpp", "aimd"):
             raise ConfigurationError(f"unknown mode {mode!r}")
@@ -112,8 +111,7 @@ class ChunkNetwork:
         self.mode = mode
         self.config = config or ChunkSimConfig()
         self.trace = trace or Trace()
-        self.engine = engine
-        self.sim = make_engine(engine)
+        self.sim = Simulator()
         self.routers: Dict[Node, Router] = {}
         self.links: List[SimLink] = []
         self._flow_meta: Dict[int, Dict] = {}

@@ -6,7 +6,7 @@ Usage::
     python -m repro fig3 [--duration S]  # fluid + chunk-level Fig. 3
     python -m repro fig4 [--snapshots N] # Fig. 4a bars + Fig. 4b CDF
     python -m repro export-isp telstra out.json
-    python -m repro validate [--scenarios NAMES] [--engine ENGINE]
+    python -m repro validate [--scenarios NAMES]
     python -m repro campaign list
     python -m repro campaign run --scenarios table1,fig4 --grid seed=0,1,2
     python -m repro campaign report
@@ -88,7 +88,7 @@ def _cmd_export_isp(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     names = _split_names(args.scenarios) or None
-    reports = run_all_validations(names=names, engine=args.engine)
+    reports = run_all_validations(names=names)
     for report in reports:
         print(report.render())
         print()
@@ -210,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios",
         default=None,
         help="comma-separated calibrated scenario names (default: all)",
-    )
-    validate.add_argument(
-        "--engine",
-        default="modern",
-        choices=("modern", "reference"),
-        help="chunk-level event engine to validate (default: modern)",
     )
 
     campaign = commands.add_parser(

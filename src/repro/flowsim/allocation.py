@@ -319,7 +319,7 @@ class IncrementalMaxMin:
         }
         self._flow_links: Dict[FlowId, Tuple[LinkId, ...]] = {}
         self._demands: Dict[FlowId, float] = {}
-        #: Link -> flows crossing it; only the adaptive core's
+        #: Link -> flows crossing it; only the simulator's full-refill
         #: :meth:`dirty_component_size` probe reads it.
         self._members: Dict[LinkId, Set[FlowId]] = {}
         self._rates: Dict[FlowId, float] = {}
@@ -407,10 +407,10 @@ class IncrementalMaxMin:
 
         With ``full=True`` the whole population is re-filled in one
         pass, skipping the dirty-component search entirely, and every
-        flow's rate is returned.  The adaptive ``core="auto"`` of the
-        simulator uses this when the dirty component keeps spanning the
-        active set (deep overload), where the component search and
-        subset copies are pure overhead.
+        flow's rate is returned.  The simulator's adaptive fallback uses
+        this when the dirty component keeps spanning the active set
+        (deep overload), where the component search and subset copies
+        are pure overhead.
         """
         store = self._store
         if full:
@@ -468,7 +468,7 @@ class IncrementalMaxMin:
 
     def dirty_component_size(self) -> int:
         """Flows the next :meth:`recompute` would re-fill, without
-        filling — the adaptive core's probe while in full-refill mode
+        filling — the simulator's probe while in full-refill mode
         (a BFS is far cheaper than a wasted spanning re-fill)."""
         return len(self._dirty_component()) + len(self._dirty_flows)
 
@@ -573,7 +573,7 @@ class IncrementalInrp:
         # The incidence store holds each flow's *primary* columns and
         # demand for the kernel fill's bulk gather; component selection
         # goes through the amortized union-find tracker over closures
-        # (the closure-membership BFS serves the adaptive core's probe,
+        # (the closure-membership BFS serves the simulator's probe,
         # the reserve fill and ``verify=True``).
         self._primary_store = _kernel.IncidenceStore(
             self._space,
@@ -723,7 +723,7 @@ class IncrementalInrp:
 
     def dirty_component_size(self) -> int:
         """Flows the next :meth:`recompute` would re-fill, without
-        filling — the adaptive core's probe while in full-refill mode
+        filling — the simulator's probe while in full-refill mode
         (a BFS is far cheaper than a wasted spanning re-fill)."""
         component, _ = self._dirty_component()
         return len(component) + len(self._dirty_flows)
@@ -740,10 +740,10 @@ class IncrementalInrp:
         their previous rates and splits.  ``switches`` counts the
         detour switches performed by this re-fill.
 
-        ``full=True`` (the adaptive core's mode for spanning
-        components) fills the same dirty component and returns the
-        same mappings; only ``switches`` differs: it is the sum of
-        every active flow's switch count from that flow's latest fill.
+        ``full=True`` (the simulator's mode for spanning components)
+        fills the same dirty component and returns the same mappings;
+        only ``switches`` differs: it is the sum of every active flow's
+        switch count from that flow's latest fill.
         INRP fills decompose over closure components, so that sum is
         exactly what a re-fill of the whole population would count.
         """

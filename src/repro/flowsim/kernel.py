@@ -163,7 +163,7 @@ class IncidenceStore:
     Rows are appended on :meth:`add` (entries land at the tail of one
     growing column buffer) and *tombstoned* on :meth:`remove` — the
     row's entries stay in place but are flagged dead, exactly the
-    lazy-invalidation pattern the event core uses for its departure
+    lazy-invalidation pattern the event loop uses for its departure
     heap.  Once dead entries exceed ``compact_slack`` of the buffer
     (and the buffer is big enough for compaction to matter), the
     arrays are compacted in one vectorized gather and rows are

@@ -165,7 +165,7 @@ def inrp_allocation(
     saturation_floors:
         Pre-computed ``_rel_tol(capacity)`` per link.  Callers invoking
         the filling repeatedly over the same topology (the incremental
-        allocator, the event cores) pass a shared map so it is not
+        allocator, the event loop) pass a shared map so it is not
         rebuilt per call; any link missing from the map falls back to
         the absolute epsilon.
     pooling_fraction:

@@ -5,27 +5,21 @@ vector is recomputed at every flow arrival and departure; between
 events rates are constant, so deliveries and completion times are
 exact integrals.
 
-Two loops implement it:
+One event loop implements it.  It keeps the next departure of every
+flow in a lazy-invalidation heap (the tombstone pattern of
+:mod:`repro.chunksim.engine`: a stale entry is skipped when popped,
+never searched for), syncs each flow's delivered bits only when its
+rate actually changes, and recomputes rates only for the component
+dirtied by the event, via the strategy's incremental allocator
+(:class:`repro.flowsim.allocation.IncrementalMaxMin` for SP/ECMP,
+:class:`repro.flowsim.allocation.IncrementalInrp` for INRP).
+Same-instant arrivals and departures are batched into a single
+recompute.  The per-event cost is O(affected component · log flows)
+instead of O(all active flows), which is what makes 100k-flow load
+sweeps tractable.  The tests check it against a from-scratch
+O(active)-per-event loop over ``strategy.allocate``.
 
-- the **event** loop (``core="auto"``, the default, and
-  ``"vectorized"``) keeps the next departure of every flow in a
-  lazy-invalidation heap (the tombstone pattern of
-  :mod:`repro.chunksim.engine`: a stale entry is skipped when popped,
-  never searched for), syncs each flow's delivered bits only when its
-  rate actually changes, and recomputes rates only for the component
-  dirtied by the event, via the strategy's incremental allocator
-  (:class:`repro.flowsim.allocation.IncrementalMaxMin` for SP/ECMP,
-  :class:`repro.flowsim.allocation.IncrementalInrp` for INRP).
-  Same-instant arrivals and departures are batched into a single
-  recompute.  The per-event cost is O(affected component · log flows)
-  instead of O(all active flows), which is what makes 100k-flow load
-  sweeps tractable.
-- the **reference** loop (``core="reference"``) is the original
-  O(active)-per-event loop over ``strategy.allocate``, kept as the
-  test oracle: equivalence tests assert both loops produce the same
-  :class:`SimulationResult` (within float tolerance).
-
-Both loops follow the **streaming contract**: flow specs are pulled
+The loop follows the **streaming contract**: flow specs are pulled
 one at a time from any arrival-ordered iterator (a materialized list
 works too and is sorted defensively), and every finalized flow goes to
 a pluggable :class:`~repro.flowsim.sinks.ResultSink` instead of an
@@ -33,9 +27,9 @@ append-only record list.  With
 :class:`~repro.flowsim.sinks.StreamingSink` plus
 :meth:`repro.workloads.traffic.FlowWorkload.iter_specs` the resident
 state is just the active flows and O(1) aggregates — million-flow runs
-complete in bounded memory.  The event core additionally supports
-pausing into a picklable :class:`SimulatorCheckpoint` and resuming
-later (``run(pause_at=...)`` / ``run(resume_from=...)``).
+complete in bounded memory.  A run can also pause into a picklable
+:class:`SimulatorCheckpoint` and resume later
+(``run(pause_at=...)`` / ``run(resume_from=...)``).
 """
 
 from __future__ import annotations
@@ -71,8 +65,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-
-_CORES = ("auto", "vectorized", "reference")
 
 
 class _SpecSource:
@@ -128,7 +120,7 @@ class _SpecSource:
 
 @dataclass
 class SimulatorCheckpoint:
-    """Paused state of an event-core run, resumable later.
+    """Paused state of a run, resumable later.
 
     Captures everything the loop needs to continue except the spec
     stream itself: arrivals are deterministic given the workload seed,
@@ -157,7 +149,6 @@ class SimulatorCheckpoint:
     allocations: int
     total_switches: int
     full_refills: int
-    core: str
     strategy_name: str
 
     def save(self, path) -> None:
@@ -211,21 +202,19 @@ class _IncrementalRecompute:
 
 
 class _AdaptiveCorePolicy:
-    """Decides when ``core="auto"`` falls back to full refills.
+    """Decides when the event loop falls back to full refills.
 
-    ``core="auto"`` runs the same allocators as ``"vectorized"``;
-    what is adaptive is *how much* each recompute refills.
     Dirty-component search pays off only while components are small
     relative to the active set.  In deep overload the population
     snowballs into one spanning component: every recompute touches
     everything and the component search plus subset copies are pure
     overhead.  The policy watches the fraction of
     active flows each incremental recompute returned; after
-    ``patience`` consecutive recomputes above ``threshold`` (with at
-    least ``min_active`` flows active, so tiny populations never flap)
+    ``PATIENCE`` consecutive recomputes above ``THRESHOLD`` (with at
+    least ``MIN_ACTIVE`` flows active, so tiny populations never flap)
     it switches to full refills, then probes the dirty-component size
     (no fill, so probing costs a component search, not a wasted
-    spanning re-fill) every ``probe_every``-th event to notice when
+    spanning re-fill) every ``PROBE_EVERY``-th event to notice when
     components have shrunk again.
 
     Only max-min allocators (SP/ECMP) re-fill the whole population in
@@ -236,18 +225,13 @@ class _AdaptiveCorePolicy:
     INRP the policy moves ``total_switches`` and nothing else.
     """
 
-    def __init__(
-        self,
-        threshold: float = 0.5,
-        patience: int = 3,
-        probe_every: int = 16,
-        min_active: int = 64,
-    ):
-        self.threshold = threshold
-        self.patience = patience
-        self.probe_every = probe_every
-        self.min_active = min_active
-        self.full_refills = 0
+    THRESHOLD = 0.5
+    PATIENCE = 3
+    PROBE_EVERY = 16
+    MIN_ACTIVE = 64
+
+    def __init__(self, full_refills: int = 0):
+        self.full_refills = full_refills
         self._streak = 0
         self._full_mode = False
         self._since_probe = 0
@@ -257,15 +241,15 @@ class _AdaptiveCorePolicy:
 
         ``measure`` is a zero-argument callable returning the current
         dirty-component size (BFS only); it is consulted on full-mode
-        probe events, so its cost is amortised over ``probe_every``
+        probe events, so its cost is amortised over ``PROBE_EVERY``
         refills.
         """
         if not self._full_mode:
             return False
         self._since_probe += 1
-        if self._since_probe >= self.probe_every:
+        if self._since_probe >= self.PROBE_EVERY:
             self._since_probe = 0
-            if active < self.min_active or measure() <= self.threshold * active:
+            if active < self.MIN_ACTIVE or measure() <= self.THRESHOLD * active:
                 self._full_mode = False
                 self._streak = 0
                 return False
@@ -276,9 +260,9 @@ class _AdaptiveCorePolicy:
         if was_full:
             self.full_refills += 1
             return
-        if active >= self.min_active and changed > self.threshold * active:
+        if active >= self.MIN_ACTIVE and changed > self.THRESHOLD * active:
             self._streak += 1
-            if self._streak >= self.patience:
+            if self._streak >= self.PATIENCE:
                 self._full_mode = True
                 self._since_probe = 0
         else:
@@ -300,15 +284,6 @@ class FlowLevelSimulator:
         Hard stop (seconds).  Flows completing exactly at the horizon
         instant count as completed; flows still active are reported as
         unfinished with their partial delivery.
-    core:
-        ``"vectorized"`` (departure heap + dirty-component allocation
-        through the strategy's incremental allocator),
-        ``"auto"`` (the default: the same, plus an adaptive fallback
-        to full refills while the dirty component keeps spanning the
-        active set; see :class:`_AdaptiveCorePolicy`) or
-        ``"reference"`` (the original full-rescan loop, the test
-        oracle).  All cores produce the same :class:`SimulationResult`
-        up to float tolerance.
     sink:
         Where finalized flows go: ``"materialize"`` (default; the
         historical per-flow record list), ``"streaming"``
@@ -316,29 +291,20 @@ class FlowLevelSimulator:
         aggregates, ``result.records is None``) or a
         :class:`~repro.flowsim.sinks.ResultSink` instance (single-use).
     verify_allocator:
-        Re-check every incremental recompute of the event cores
-        against the from-scratch solver
+        Re-check every incremental recompute against the from-scratch solver
         (:func:`~repro.flowsim.allocation.max_min_allocation` or
         :func:`~repro.flowsim.multipath.inrp_allocation`; slow, used
         by benchmarks and tests).
-    adaptive_threshold, adaptive_patience, adaptive_probe_every,
-    adaptive_min_active:
-        Knobs of the ``core="auto"`` fallback policy
-        (:class:`_AdaptiveCorePolicy`): switch to full refills after
-        ``adaptive_patience`` consecutive recomputes touching more than
-        ``adaptive_threshold`` of the active set (ignored below
-        ``adaptive_min_active`` flows), and probe the component size
-        every ``adaptive_probe_every``-th event while in full mode.
-
     Checkpointing
     -------------
-    ``run(pause_at=t)`` stops the event cores at instant ``t`` (events
+    ``run(pause_at=t)`` stops the run at instant ``t`` (events
     at exactly ``t`` are left for the resumed run) and returns a
     picklable :class:`SimulatorCheckpoint` instead of a result;
     ``run(resume_from=checkpoint)`` continues — on the same simulator
     (which still holds the partially-consumed stream) or on a freshly
     constructed one, whose spec iterator is fast-forwarded by the
-    checkpoint cursor.  The reference core does not checkpoint.
+    checkpoint cursor.  A checkpoint resumes only under a strategy of
+    the name it was paused under.
     """
 
     def __init__(
@@ -347,28 +313,11 @@ class FlowLevelSimulator:
         strategy: RoutingStrategy,
         specs: Union[Iterable[FlowSpec], "Sequence[FlowSpec]"],
         horizon: Optional[float] = None,
-        core: str = "auto",
         sink: Union[str, ResultSink, None] = None,
         verify_allocator: bool = False,
-        adaptive_threshold: float = 0.5,
-        adaptive_patience: int = 3,
-        adaptive_probe_every: int = 16,
-        adaptive_min_active: int = 64,
     ):
         if horizon is not None and horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
-        if core not in _CORES:
-            raise ConfigurationError(
-                f"unknown core {core!r}; expected one of {', '.join(_CORES)}"
-            )
-        if not 0.0 < adaptive_threshold <= 1.0:
-            raise ConfigurationError(
-                f"adaptive_threshold must be in (0, 1], got {adaptive_threshold}"
-            )
-        if adaptive_patience < 1 or adaptive_probe_every < 1:
-            raise ConfigurationError(
-                "adaptive_patience and adaptive_probe_every must be >= 1"
-            )
         self.topology = topology
         self.strategy = strategy
         if isinstance(specs, _SequenceABC):
@@ -383,13 +332,8 @@ class FlowLevelSimulator:
         self._stream_started = False
         self._paused_source: Optional[_SpecSource] = None
         self.horizon = horizon
-        self.core = core
         self.sink = sink
         self.verify_allocator = verify_allocator
-        self.adaptive_threshold = adaptive_threshold
-        self.adaptive_patience = adaptive_patience
-        self.adaptive_probe_every = adaptive_probe_every
-        self.adaptive_min_active = adaptive_min_active
 
     def run(
         self,
@@ -398,35 +342,31 @@ class FlowLevelSimulator:
     ) -> Union[SimulationResult, SimulatorCheckpoint]:
         """Run to completion (a :class:`SimulationResult`) or pause.
 
-        With ``pause_at`` the event cores stop at that instant and
-        return a :class:`SimulatorCheckpoint` — unless the run ends
-        naturally first, in which case the result is returned.  With
+        With ``pause_at`` the run stops at that instant and returns a
+        :class:`SimulatorCheckpoint` — unless the run ends naturally
+        first, in which case the result is returned.  With
         ``resume_from`` the run continues from a checkpoint (the
-        checkpoint's sink wins over the constructor's ``sink``).
+        checkpoint's sink wins over the constructor's ``sink``); the
+        checkpoint must come from a run under a strategy of the same
+        name.
         """
-        if pause_at is not None or resume_from is not None:
-            if self.core == "reference":
-                raise ConfigurationError(
-                    "checkpointing requires an event core "
-                    "('auto' or 'vectorized')"
-                )
         if pause_at is not None and pause_at <= 0:
             raise SimulationError(
                 f"pause_at must be positive, got {pause_at}"
             )
         if resume_from is not None:
+            if resume_from.strategy_name != self.strategy.name:
+                raise ConfigurationError(
+                    f"checkpoint was paused under strategy "
+                    f"{resume_from.strategy_name!r}; cannot resume it under "
+                    f"{self.strategy.name!r}"
+                )
             if pause_at is not None and pause_at <= resume_from.time:
                 raise SimulationError(
                     f"pause_at {pause_at} is not after the checkpoint "
                     f"time {resume_from.time}"
                 )
-        if self.core == "reference":
-            return self._run_reference()
-        return self._run_incremental(
-            adaptive=self.core == "auto",
-            pause_at=pause_at,
-            resume_from=resume_from,
-        )
+        return self._run_incremental(pause_at=pause_at, resume_from=resume_from)
 
     def _spec_source(self, skip: int = 0) -> _SpecSource:
         if self.specs is not None:
@@ -448,7 +388,6 @@ class FlowLevelSimulator:
 
     def _run_incremental(
         self,
-        adaptive: bool = False,
         pause_at: Optional[float] = None,
         resume_from: Optional[SimulatorCheckpoint] = None,
     ) -> Union[SimulationResult, SimulatorCheckpoint]:
@@ -460,7 +399,7 @@ class FlowLevelSimulator:
         seq = 0
         allocations = 0
         total_switches = 0
-        restored_refills = 0
+        full_refills = 0
         sum_rate = 0.0
         sum_demand = 0.0
         if resume_from is not None:
@@ -473,7 +412,7 @@ class FlowLevelSimulator:
             offered_meter = checkpoint.offered_meter
             allocations = checkpoint.allocations
             total_switches = checkpoint.total_switches
-            restored_refills = checkpoint.full_refills
+            full_refills = checkpoint.full_refills
             source = self._spec_source(skip=checkpoint.specs_consumed)
         else:
             checkpoint = None
@@ -484,18 +423,7 @@ class FlowLevelSimulator:
         adapter = _IncrementalRecompute(
             self.strategy.incremental_allocator(verify=self.verify_allocator)
         )
-        policy = (
-            _AdaptiveCorePolicy(
-                threshold=self.adaptive_threshold,
-                patience=self.adaptive_patience,
-                probe_every=self.adaptive_probe_every,
-                min_active=self.adaptive_min_active,
-            )
-            if adaptive
-            else None
-        )
-        if policy is not None:
-            policy.full_refills = restored_refills
+        policy = _AdaptiveCorePolicy(full_refills)
         if checkpoint is not None:
             # Re-register the surviving flows in arrival order (INRP's
             # fill visits flows in arrival order, so registration order
@@ -595,9 +523,8 @@ class FlowLevelSimulator:
                 sink=sink,
                 allocations=allocations,
                 total_switches=total_switches,
-                full_refills=policy.full_refills if policy else restored_refills,
-                core=self.core,
-                strategy_name=getattr(self.strategy, "name", "unknown"),
+                full_refills=policy.full_refills,
+                strategy_name=self.strategy.name,
             )
 
         while not source.exhausted or active:
@@ -668,14 +595,9 @@ class FlowLevelSimulator:
                 arrived = True
 
             if (finished or arrived) and active:
-                use_full = (
-                    policy.decide(adapter.component_size, len(active))
-                    if policy
-                    else False
-                )
+                use_full = policy.decide(adapter.component_size, len(active))
                 rates, splits_map, switches = adapter.recompute(full=use_full)
-                if policy:
-                    policy.observe(len(rates), len(active), use_full)
+                policy.observe(len(rates), len(active), use_full)
                 allocations += 1
                 total_switches += switches
                 # Only the dirty component came back.  Multipath
@@ -718,97 +640,8 @@ class FlowLevelSimulator:
             now,
             allocations,
             total_switches,
-            full_refills=policy.full_refills if policy else restored_refills,
+            full_refills=policy.full_refills,
             max_verify_deviation=max_deviation,
-        )
-
-    def _run_reference(self) -> SimulationResult:
-        active: Dict[int, ActiveFlow] = {}
-        sink = make_sink(self.sink)
-        delivered_meter = TimeWeightedMean()
-        offered_meter = TimeWeightedMean()
-        source = self._spec_source()
-        now = 0.0
-        allocations = 0
-        total_switches = 0
-
-        def _recompute() -> None:
-            nonlocal allocations, total_switches
-            if not active:
-                return
-            flows = {
-                fid: (flow.primary_path, flow.spec.demand_bps)
-                for fid, flow in active.items()
-            }
-            outcome = self.strategy.allocate(flows)
-            allocations += 1
-            total_switches += outcome.switches
-            for fid, flow in active.items():
-                flow.rate_bps = outcome.rates.get(fid, 0.0)
-                flow.splits = [
-                    (path, rate) for path, rate in outcome.splits.get(fid, []) if rate > 0
-                ]
-
-        while not source.exhausted or active:
-            next_arrival = source.next_arrival
-            next_departure = math.inf
-            for flow in active.values():
-                if flow.rate_bps > _EPS:
-                    next_departure = min(
-                        next_departure, now + flow.remaining_bits / flow.rate_bps
-                    )
-            next_time = min(next_arrival, next_departure)
-            if self.horizon is not None:
-                next_time = min(next_time, self.horizon)
-            if math.isinf(next_time):
-                # Active flows exist but none can make progress and no
-                # arrivals remain: report them unfinished.
-                break
-
-            dt = next_time - now
-            if dt < -_EPS:
-                raise SimulationError("event time went backwards")
-            if dt > 0:
-                # The rate vector was constant over [now, next_time).
-                delivered = sum(flow.rate_bps for flow in active.values())
-                offered = sum(flow.spec.demand_bps for flow in active.values())
-                delivered_meter.observe(next_time, delivered)
-                offered_meter.observe(next_time, offered)
-                for flow in active.values():
-                    flow.record_delivery(dt)
-            now = next_time
-
-            # Completions strictly before new arrivals at the same
-            # instant — including at the horizon instant itself, so a
-            # flow finishing exactly at t == horizon counts completed.
-            finished = [fid for fid, flow in active.items() if flow.done]
-            for fid in finished:
-                flow = active.pop(fid)
-                sink.consume(self._finalize(flow, completion_time=now))
-
-            if self.horizon is not None and now >= self.horizon:
-                break
-
-            arrived = False
-            while not source.exhausted and source.next_arrival <= now + _EPS:
-                spec = source.pop()
-                path = self.strategy.route(spec.flow_id, spec.source, spec.destination)
-                active[spec.flow_id] = ActiveFlow(
-                    spec=spec, primary_path=path, remaining_bits=spec.size_bits
-                )
-                arrived = True
-
-            if finished or arrived:
-                _recompute()
-
-        return self._finish_run(
-            sink,
-            active,
-            delivered_meter,
-            offered_meter,
-            now,
-            allocations,
-            total_switches,
         )
 
     @staticmethod
@@ -823,7 +656,7 @@ class FlowLevelSimulator:
         full_refills: int = 0,
         max_verify_deviation: Optional[float] = None,
     ) -> SimulationResult:
-        """Shared tail of both run loops: flows still active are
+        """Tail of a run (shared with the test oracle): flows still active are
         reported unfinished (the caller has synced their deliveries),
         then the sink assembles the result."""
         for flow in active.values():

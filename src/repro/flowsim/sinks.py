@@ -157,17 +157,17 @@ class SimulationResult:
     unfinished: int = 0
     #: Detour switches, summed over what each recompute's re-fill
     #: reported.  An incremental re-fill reports the switches of the
-    #: flows it re-filled; a full refill of ``core="auto"`` reports
-    #: every active flow's.  The count therefore depends on which
-    #: recomputes were full, while rates, FCTs and allocations do not.
-    #: Seed-0 ``inrp-local`` of perfbench gives 59661 under
-    #: ``core="auto"`` (1136 full refills) and 31971 under
-    #: ``"vectorized"``.  Pausing the ``auto`` run at t=0.5 s and
-    #: resuming gives 59100: the resumed policy starts afresh and
+    #: flows it re-filled; a full refill (the simulator's fallback for
+    #: spanning components) reports every active flow's.  The count
+    #: therefore depends on which recomputes were full, while rates,
+    #: FCTs and allocations do not.  Seed-0 ``inrp-local`` of perfbench
+    #: gives 59661 (1136 full refills); the same run with every
+    #: recompute incremental counts 31971.  Pausing the run at t=0.5 s
+    #: and resuming gives 59100: the resumed fallback starts afresh and
     #: makes 1105 full refills.  FCTs agree to 1e-15 relative and the
     #: allocation count (1999) is the same.
     total_switches: int = 0
-    #: Recomputes the adaptive ``core="auto"`` ran as full refills.
+    #: Recomputes the simulator ran as full refills.
     full_refills: int = 0
     #: Worst incremental-vs-scratch rate deviation observed when
     #: ``verify_allocator=True`` (None when verification did not run).

@@ -89,7 +89,6 @@ class ValidationReport:
     scenario: str
     mode: str
     kind: str
-    engine: str
     checks: List[MetricCheck] = field(default_factory=list)
 
     @property
@@ -106,7 +105,6 @@ class ValidationReport:
             "scenario": self.scenario,
             "mode": self.mode,
             "kind": self.kind,
-            "engine": self.engine,
             "passed": self.passed,
             "checks": [check.as_dict() for check in self.checks],
         }
@@ -115,8 +113,7 @@ class ValidationReport:
         """Human-readable report, one line per check."""
         verdict = "PASS" if self.passed else "FAIL"
         lines = [
-            f"{self.scenario} (mode={self.mode}, kind={self.kind}, "
-            f"engine={self.engine}) — {verdict}"
+            f"{self.scenario} (mode={self.mode}, kind={self.kind}) — {verdict}"
         ]
         for check in self.checks:
             mark = "ok " if check.passed else "FAIL"
@@ -315,13 +312,12 @@ def _completion_checks(
 
 def run_validation(
     scenario: ValidationScenario,
-    engine: str = "modern",
     config: Optional[ChunkSimConfig] = None,
 ) -> ValidationReport:
     """Run *scenario* through both simulators and compare."""
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(scenario.tolerances)
-    chunk = run_chunk_fidelity(scenario, engine=engine, config=config)
+    chunk = run_chunk_fidelity(scenario, config=config)
     fluid = run_flow_fidelity(scenario, config=config)
     checker = _Checker(tolerances)
     if scenario.kind == "steady":
@@ -332,14 +328,12 @@ def run_validation(
         scenario=scenario.name,
         mode=scenario.mode,
         kind=scenario.kind,
-        engine=engine,
         checks=checker.checks,
     )
 
 
 def run_all_validations(
     names: Optional[Sequence[str]] = None,
-    engine: str = "modern",
     config: Optional[ChunkSimConfig] = None,
 ) -> List[ValidationReport]:
     """Run the calibrated scenario set (or the named subset)."""
@@ -347,10 +341,7 @@ def run_all_validations(
         scenarios = [scenario_by_name(name) for name in names]
     else:
         scenarios = list(CALIBRATED_SCENARIOS)
-    return [
-        run_validation(scenario, engine=engine, config=config)
-        for scenario in scenarios
-    ]
+    return [run_validation(scenario, config=config) for scenario in scenarios]
 
 
 @register_scenario(
@@ -358,9 +349,7 @@ def run_all_validations(
     summary="Chunk-level vs flow-level agreement on the Fig. 3 set",
     tags=("validation", "chunksim", "flowsim"),
 )
-def scenario_cross_fidelity(
-    engine: str = "modern", scenarios: str = ""
-) -> Dict[str, object]:
+def scenario_cross_fidelity(scenarios: str = "") -> Dict[str, object]:
     """Campaign adapter: the full calibrated cross-fidelity sweep.
 
     ``scenarios`` is an optional comma-separated subset (for smoke
@@ -368,5 +357,5 @@ def scenario_cross_fidelity(
     no seed axis.
     """
     names = [n.strip() for n in scenarios.split(",") if n.strip()] or None
-    reports = run_all_validations(names=names, engine=engine)
+    reports = run_all_validations(names=names)
     return {report.scenario: report.as_dict() for report in reports}

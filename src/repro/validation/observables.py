@@ -178,16 +178,13 @@ def _max_rtt(topo: Topology, splits: Splits, primaries: Dict[int, Path]) -> floa
 # ----------------------------------------------------------------------
 def run_chunk_fidelity(
     scenario: ValidationScenario,
-    engine: str = "modern",
     config: Optional[ChunkSimConfig] = None,
 ) -> ChunkObservables:
     """Run *scenario* through the chunk-level protocol simulator."""
     topo = scenario.topology()
     if scenario.detour_depth is not None:
         config = replace(config or ChunkSimConfig(), detour_depth=scenario.detour_depth)
-    network = ChunkNetwork(
-        topo, mode=scenario.chunk_mode, config=config, engine=engine
-    )
+    network = ChunkNetwork(topo, mode=scenario.chunk_mode, config=config)
     flow_ids = [
         network.add_flow(
             flow.source,

@@ -131,6 +131,8 @@ def test_validation():
     topo = line_topology(2)
     with pytest.raises(ConfigurationError):
         ChunkNetwork(topo, mode="tcp")
+    with pytest.raises(TypeError):  # one event loop, no engine selector
+        ChunkNetwork(topo, engine="reference")
     net = ChunkNetwork(topo)
     with pytest.raises(ConfigurationError):
         net.add_flow(0, 0, num_chunks=10)

@@ -144,10 +144,6 @@ def test_consumed_stream_cannot_rerun():
 def test_pause_validation():
     topo, workload = _setup()
     specs = workload.generate(horizon=1.0)
-    with pytest.raises(ConfigurationError, match="event core"):
-        FlowLevelSimulator(
-            topo, make_strategy("sp", topo), specs, core="reference"
-        ).run(pause_at=0.5)
     with pytest.raises(SimulationError):
         FlowLevelSimulator(topo, make_strategy("sp", topo), specs).run(
             pause_at=-1.0
@@ -159,6 +155,27 @@ def test_pause_validation():
         FlowLevelSimulator(topo, make_strategy("sp", topo), specs).run(
             pause_at=0.25, resume_from=checkpoint
         )
+
+
+def test_resume_under_another_strategy_rejected():
+    """A checkpoint holds one sharing model's rates and switch count;
+    resuming it under another strategy would mix two models."""
+    topo, workload = _setup()
+    specs = workload.generate(horizon=1.0)
+    checkpoint = FlowLevelSimulator(
+        topo, make_strategy("sp", topo), specs
+    ).run(pause_at=0.2)
+    assert checkpoint.strategy_name == "SP"
+    assert checkpoint.active_flows
+    with pytest.raises(ConfigurationError, match="'SP'"):
+        FlowLevelSimulator(topo, make_strategy("inrp", topo), specs).run(
+            resume_from=checkpoint
+        )
+    resumed = FlowLevelSimulator(topo, make_strategy("sp", topo), specs).run(
+        resume_from=checkpoint
+    )
+    full = FlowLevelSimulator(topo, make_strategy("sp", topo), specs).run()
+    _assert_same_records(full, resumed)
 
 
 def test_pause_past_end_returns_result():

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import reference_run
 
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.flowsim import kernel as _kernel
@@ -386,9 +387,9 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
 
 
 def test_inrp_cross_core_overload_equivalence():
-    """Reference vs vectorized INRP records at deep overload (spanning
+    """Oracle vs event-loop INRP records at deep overload (spanning
     components, heavy detour churn).  ``total_switches`` is excluded:
-    the event cores re-fill only dirty components and so do not
+    the event loop re-fills only dirty components and so does not
     re-count the switches of untouched components."""
     topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
     workload = FlowWorkload(
@@ -400,11 +401,8 @@ def test_inrp_cross_core_overload_equivalence():
         pair_sampler=uniform_pairs(topo, seed=3),
     )
     specs = workload.generate(max_flows=70)
-    runs = {}
-    for core in ("reference", "vectorized"):
-        strategy = make_strategy("inrp", topo)
-        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    ref, vec = runs["reference"], runs["vectorized"]
+    ref = reference_run(topo, make_strategy("inrp", topo), specs)
+    vec = FlowLevelSimulator(topo, make_strategy("inrp", topo), specs).run()
     assert len(ref.records) == len(vec.records)
     for a, b in zip(ref.records, vec.records):
         assert a.flow_id == b.flow_id
@@ -421,7 +419,7 @@ def test_inrp_cross_core_overload_equivalence():
 
 
 def test_inrp_cross_core_calibrated_point_equivalence():
-    """Reference vs vectorized INRP records at the Fig. 4 calibrated
+    """Oracle vs event-loop INRP records at the Fig. 4 calibrated
     operating point (seed 42, 10 Mbps demands, locality-weighted pairs
     with ``max_hops=5``, ``detour_depth=2`` — the knobs of
     ``run_snapshot_cell``).  The overload test above exercises the
@@ -440,11 +438,10 @@ def test_inrp_cross_core_calibrated_point_equivalence():
         pair_sampler=local_pairs(topo, derive_seed(42, "local"), max_hops=5),
     )
     specs = workload.generate(max_flows=60)
-    runs = {}
-    for core in ("reference", "vectorized"):
-        strategy = make_strategy("inrp", topo, detour_depth=2)
-        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    ref, vec = runs["reference"], runs["vectorized"]
+    ref = reference_run(topo, make_strategy("inrp", topo, detour_depth=2), specs)
+    vec = FlowLevelSimulator(
+        topo, make_strategy("inrp", topo, detour_depth=2), specs
+    ).run()
     # Regime guard: this must stay the moderate-load complement of the
     # overload test — everything finishes, nothing is starved.
     assert all(record.completed for record in ref.records)
@@ -463,8 +460,9 @@ def test_inrp_cross_core_calibrated_point_equivalence():
 
 @pytest.mark.parametrize("strategy_name", ["sp", "ecmp", "inrp"])
 def test_vectorized_core_verified_inside_simulator(strategy_name):
-    """``verify_allocator=True`` cross-checks every vectorized
-    recompute against the scratch solver inside the simulator loop."""
+    """``verify_allocator=True`` cross-checks every recompute (each a
+    CSR-kernel fill) against the scratch solver inside the simulator
+    loop."""
     topo = mesh_topology(14, extra_links=10, seed=1, capacity=mbps(10))
     workload = FlowWorkload(
         topo,
@@ -479,36 +477,7 @@ def test_vectorized_core_verified_inside_simulator(strategy_name):
         topo,
         make_strategy(strategy_name, topo),
         specs,
-        core="vectorized",
         verify_allocator=True,
     ).run()
     assert result.max_verify_deviation is not None
     assert result.max_verify_deviation <= TOL
-
-
-def test_adaptive_policy_kwargs_reach_the_policy():
-    """The simulator's adaptive-core knobs are configurable (satellite
-    of the kernel PR): custom values must land on the policy object and
-    invalid ones must be rejected."""
-    from repro.errors import ConfigurationError
-
-    topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
-    strategy = make_strategy("sp", topo)
-    sim = FlowLevelSimulator(
-        topo,
-        strategy,
-        [],
-        adaptive_threshold=0.75,
-        adaptive_patience=5,
-        adaptive_probe_every=8,
-        adaptive_min_active=32,
-    )
-    assert sim.adaptive_threshold == 0.75
-    assert sim.adaptive_patience == 5
-    assert sim.adaptive_probe_every == 8
-    assert sim.adaptive_min_active == 32
-    sim.run()  # empty spec list still exercises policy construction
-    with pytest.raises(ConfigurationError):
-        FlowLevelSimulator(topo, strategy, [], adaptive_threshold=0.0)
-    with pytest.raises(ConfigurationError):
-        FlowLevelSimulator(topo, strategy, [], adaptive_patience=0)

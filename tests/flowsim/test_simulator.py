@@ -1,14 +1,22 @@
 """Event-driven flow-level simulator tests."""
 
 import pytest
+from oracles import reference_run
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.topology import Topology, fig3_topology, line_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import FlowSpec, FlowWorkload, local_pairs
 
-CORES = ("auto", "reference")
+
+def _simulate(topo, strategy, specs, **kwargs):
+    return FlowLevelSimulator(topo, strategy, specs, **kwargs).run()
+
+
+#: The simulator's event loop ("auto": its adaptive full-refill
+#: fallback always runs) and the from-scratch oracle.
+RUNNERS = {"auto": _simulate, "reference": reference_run}
 
 
 def _spec(flow_id, src, dst, t, size_bits, demand=mbps(10)):
@@ -58,26 +66,26 @@ def test_staggered_arrival():
     assert fct[2] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_horizon_reports_unfinished(core):
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_horizon_reports_unfinished(runner):
     topo = line_topology(2, capacity=mbps(1))
     specs = [_spec(1, 0, 1, 0.0, 100e6)]  # would need 100 s
     strategy = make_strategy("sp", topo)
-    result = FlowLevelSimulator(topo, strategy, specs, horizon=1.0, core=core).run()
+    result = RUNNERS[runner](topo, strategy, specs, horizon=1.0)
     assert result.unfinished == 1
     record = result.records[0]
     assert not record.completed
     assert record.delivered_bits == pytest.approx(1e6, rel=0.01)
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_completion_exactly_at_horizon_counts_completed(core):
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_completion_exactly_at_horizon_counts_completed(runner):
     # 10 Mbit at 10 Mbps completes at t == 1.0 == horizon: the flow
     # must be finalized as completed, not reported unfinished.
     topo = line_topology(2, capacity=mbps(10))
     specs = [_spec(1, 0, 1, 0.0, 10e6)]
     strategy = make_strategy("sp", topo)
-    result = FlowLevelSimulator(topo, strategy, specs, horizon=1.0, core=core).run()
+    result = RUNNERS[runner](topo, strategy, specs, horizon=1.0)
     assert result.unfinished == 0
     record = result.records[0]
     assert record.completed
@@ -85,14 +93,14 @@ def test_completion_exactly_at_horizon_counts_completed(core):
     assert record.delivered_bits == pytest.approx(10e6)
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_horizon_splits_completed_from_unfinished(core):
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_horizon_splits_completed_from_unfinished(runner):
     # Two flows share 10 Mbps: both run at 5 Mbps.  Flow 1 (5 Mbit)
     # completes exactly at the 1.0 s horizon; flow 2 does not.
     topo = line_topology(2, capacity=mbps(10))
     specs = [_spec(1, 0, 1, 0.0, 5e6), _spec(2, 0, 1, 0.0, 50e6)]
     strategy = make_strategy("sp", topo)
-    result = FlowLevelSimulator(topo, strategy, specs, horizon=1.0, core=core).run()
+    result = RUNNERS[runner](topo, strategy, specs, horizon=1.0)
     by_id = {record.flow_id: record for record in result.records}
     assert by_id[1].completed and by_id[1].fct == pytest.approx(1.0)
     assert not by_id[2].completed
@@ -144,10 +152,19 @@ def test_mean_fct_and_stretch_helpers():
 
 
 def test_unknown_core_rejected():
+    """The simulator has one event loop: no argument selects a core or
+    tunes its full-refill fallback."""
     topo = line_topology(2)
-    for core in ("turbo", "incremental"):
-        with pytest.raises(ConfigurationError):
-            FlowLevelSimulator(topo, make_strategy("sp", topo), [], core=core)
+    for option in (
+        {"core": "reference"},
+        {"core": "auto"},
+        {"adaptive_threshold": 0.5},
+        {"adaptive_patience": 3},
+        {"adaptive_probe_every": 16},
+        {"adaptive_min_active": 64},
+    ):
+        with pytest.raises(TypeError):
+            FlowLevelSimulator(topo, make_strategy("sp", topo), [], **option)
 
 
 def _workload_specs(topo, seed, num_flows, arrival_rate=120.0):
@@ -177,11 +194,11 @@ def _assert_equivalent(ref, inc):
     )
     assert inc.duration == pytest.approx(ref.duration, rel=1e-6)
     # Switch counts are a per-recompute diagnostic, not a flow metric:
-    # the reference core re-performs every component's switches at each
-    # full fill, while the incremental core only counts the dirty
-    # component's.  With directed links the closure decomposition is
-    # finer than the reference full fill, so the totals may differ even
-    # though records, rates and aggregates agree exactly.
+    # the oracle re-performs every component's switches at each full
+    # fill, while the event loop only counts the dirty component's.
+    # With directed links the closure decomposition is finer than the
+    # oracle's full fill, so the totals may differ even though records,
+    # rates and aggregates agree exactly.
     if ref.total_switches == 0:
         assert inc.total_switches == 0
     else:
@@ -191,41 +208,38 @@ def _assert_equivalent(ref, inc):
 @pytest.mark.parametrize("strategy_name", ["sp", "ecmp", "inrp"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_cores_equivalent_on_random_workloads(strategy_name, seed):
-    """The event core is a drop-in for the reference loop: same
+    """The event loop is a drop-in for the from-scratch oracle: same
     records, same aggregates, for every strategy."""
     topo = mesh_topology(24, extra_links=20, seed=seed, capacity=mbps(10))
     num_flows = 60 if strategy_name == "inrp" else 150
     specs = _workload_specs(topo, seed=seed, num_flows=num_flows)
-    runs = {}
-    for core in CORES:
-        strategy = make_strategy(strategy_name, topo)
-        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
+    runs = {
+        name: runner(topo, make_strategy(strategy_name, topo), specs)
+        for name, runner in RUNNERS.items()
+    }
     _assert_equivalent(runs["reference"], runs["auto"])
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_incremental_allocator_verified_inside_simulator(core):
+def test_incremental_allocator_verified_inside_simulator():
     """verify_allocator re-checks every dirty-component recompute
     against from-scratch max-min; any divergence raises."""
     topo = mesh_topology(18, extra_links=14, seed=3, capacity=mbps(10))
     specs = _workload_specs(topo, seed=3, num_flows=80)
     strategy = make_strategy("sp", topo)
-    sim = FlowLevelSimulator(
-        topo, strategy, specs, core=core, verify_allocator=True
-    )
+    sim = FlowLevelSimulator(topo, strategy, specs, verify_allocator=True)
     result = sim.run()
     assert result.unfinished == 0
+    assert result.max_verify_deviation is not None
+    assert result.max_verify_deviation <= 1e-9
 
 
 def test_cores_equivalent_with_horizon():
     topo = mesh_topology(20, extra_links=16, seed=11, capacity=mbps(10))
     specs = _workload_specs(topo, seed=11, num_flows=120)
-    runs = {}
-    for core in CORES:
-        strategy = make_strategy("sp", topo)
-        runs[core] = FlowLevelSimulator(
-            topo, strategy, specs, horizon=0.6, core=core
-        ).run()
+    runs = {
+        name: runner(topo, make_strategy("sp", topo), specs, horizon=0.6)
+        for name, runner in RUNNERS.items()
+    }
     _assert_equivalent(runs["reference"], runs["auto"])
 
 
@@ -248,48 +262,40 @@ def test_stretch_samples_exclude_unfinished_by_default():
 
 def _spanning_component_specs(num_flows):
     # Every flow crosses the same single link: one component that spans
-    # the whole active set, the adaptive core's worst case.
+    # the whole active set, the adaptive fallback's worst case.
     return [
         _spec(fid, 0, 1, 0.001 * fid, 4e6) for fid in range(num_flows)
     ]
 
 
 def test_adaptive_core_falls_back_on_spanning_component():
-    """core="auto" must notice that every dirty component spans the
-    active set (population above the policy's min_active) and switch
-    to full refills; the non-adaptive vectorized core never does."""
+    """The event loop must notice that every dirty component spans the
+    active set (population above the policy's MIN_ACTIVE) and switch
+    to full refills, while small populations never do."""
     topo = line_topology(2)
     specs = _spanning_component_specs(120)
-    auto = FlowLevelSimulator(
-        topo, make_strategy("sp", topo), specs, core="auto"
-    ).run()
+    auto = _simulate(topo, make_strategy("sp", topo), specs)
     assert auto.full_refills > 0
-    vectorized = FlowLevelSimulator(
-        topo, make_strategy("sp", topo), specs, core="vectorized"
-    ).run()
-    assert vectorized.full_refills == 0
-    reference = FlowLevelSimulator(
-        topo, make_strategy("sp", topo), specs, core="reference"
-    ).run()
+    small = _simulate(topo, make_strategy("sp", topo), specs[:60])
+    assert small.full_refills == 0
+    reference = reference_run(topo, make_strategy("sp", topo), specs)
     _assert_equivalent(reference, auto)
-    _assert_equivalent(reference, vectorized)
+    _assert_equivalent(
+        reference_run(topo, make_strategy("sp", topo), specs[:60]), small
+    )
 
 
 def test_auto_core_still_adapts_with_vectorized_kernel():
     """The CSR kernels do not disable the adaptive fallback: on a
-    spanning component the auto core switches to full refills both
+    spanning component the event loop switches to full refills both
     for max-min (``maxmin_fill``) and for INRP (``inrp_fill``), and
-    still reproduces the reference records."""
+    still reproduces the oracle's records."""
     topo = line_topology(2)
     specs = _spanning_component_specs(120)
     for name in ("sp", "inrp"):
-        auto = FlowLevelSimulator(
-            topo, make_strategy(name, topo), specs, core="auto"
-        ).run()
+        auto = _simulate(topo, make_strategy(name, topo), specs)
         assert auto.full_refills > 0, name
-        reference = FlowLevelSimulator(
-            topo, make_strategy(name, topo), specs, core="reference"
-        ).run()
+        reference = reference_run(topo, make_strategy(name, topo), specs)
         _assert_equivalent(reference, auto)
 
 
@@ -311,32 +317,30 @@ def _overload_specs(topo, seed, num_flows):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_inrp_cores_equivalent_at_overload(seed):
-    """All three cores produce the same records for INRP in the
-    deep-overload regime (spanning components, adaptive fallback
-    engaged).  ``total_switches`` is excluded: the event cores re-fill
-    only dirty components, so they do not re-count the switches of
-    untouched components the way a full re-fill does."""
+    """The event loop and the oracle produce the same records for INRP
+    in the deep-overload regime (spanning components).
+    ``total_switches`` is excluded: the event loop re-fills only dirty
+    components, so it does not re-count the switches of untouched
+    components the way a full re-fill does."""
     topo = mesh_topology(14, extra_links=12, seed=seed, capacity=mbps(10))
     specs = _overload_specs(topo, seed=seed, num_flows=70)
-    runs = {}
-    for core in ("reference", "vectorized", "auto"):
-        strategy = make_strategy("inrp", topo)
-        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    for core in ("vectorized", "auto"):
-        ref, other = runs["reference"], runs[core]
-        assert len(ref.records) == len(other.records)
-        for a, b in zip(ref.records, other.records):
-            assert a.flow_id == b.flow_id
-            assert a.completed == b.completed
-            if a.completed:
-                assert b.fct == pytest.approx(a.fct, rel=1e-6, abs=1e-9)
-            assert b.delivered_bits == pytest.approx(
-                a.delivered_bits, rel=1e-6, abs=1e-3
-            )
-        assert other.unfinished == ref.unfinished
-        assert other.network_throughput == pytest.approx(
-            ref.network_throughput, rel=1e-6
+    ref, other = (
+        runner(topo, make_strategy("inrp", topo), specs)
+        for runner in (reference_run, _simulate)
+    )
+    assert len(ref.records) == len(other.records)
+    for a, b in zip(ref.records, other.records):
+        assert a.flow_id == b.flow_id
+        assert a.completed == b.completed
+        if a.completed:
+            assert b.fct == pytest.approx(a.fct, rel=1e-6, abs=1e-9)
+        assert b.delivered_bits == pytest.approx(
+            a.delivered_bits, rel=1e-6, abs=1e-3
         )
+    assert other.unfinished == ref.unfinished
+    assert other.network_throughput == pytest.approx(
+        ref.network_throughput, rel=1e-6
+    )
 
 
 def test_inrp_incremental_verified_inside_simulator():
@@ -358,11 +362,13 @@ def test_inrp_incremental_verified_inside_simulator():
 def test_partial_pooling_cores_equivalent():
     """INRP with partial pooling (``pooling_fraction=0.5``), whose
     incremental allocator fills with the reserve-aware scratch solver:
-    the event core reproduces the reference loop's records."""
+    the event loop reproduces the oracle's records."""
     topo = mesh_topology(14, extra_links=12, seed=4, capacity=mbps(10))
     specs = _overload_specs(topo, seed=4, num_flows=60)
-    runs = {}
-    for core in ("reference", "auto"):
-        strategy = make_strategy("inrp", topo, pooling_fraction=0.5)
-        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
+    runs = {
+        name: runner(
+            topo, make_strategy("inrp", topo, pooling_fraction=0.5), specs
+        )
+        for name, runner in RUNNERS.items()
+    }
     _assert_equivalent(runs["reference"], runs["auto"])

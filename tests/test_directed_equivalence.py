@@ -1,8 +1,8 @@
 """Directed-substrate equivalence suite.
 
 The directed-capacity refactor must be invisible on symmetric
-topologies: every flow-level core and both chunk-level engines have to
-reproduce the pre-refactor (undirected-substrate) results exactly.
+topologies: the flow-level event loop and its from-scratch oracle, and
+the chunk-level engine and its reference yardstick, have to reproduce the pre-refactor (undirected-substrate) results exactly.
 The goldens below were captured on the commit *before* the refactor
 with the exact workloads in this file; the assertions hold them to
 1e-12.
@@ -13,11 +13,15 @@ churn, cross-checked against from-scratch recomputation with the
 allocator's own ``verify=True`` guard.
 """
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_chunk_engine, reference_run
 
 from repro.chunksim.config import ChunkSimConfig
+from repro.chunksim.engine import ReferenceSimulator, Simulator
 from repro.chunksim.network import ChunkNetwork
 from repro.flowsim.allocation import IncrementalInrp
 from repro.flowsim.flow import FlowRecord
@@ -36,8 +40,9 @@ from repro.workloads.traffic import FlowSpec
 TOL = 1e-12
 
 #: Pre-refactor flow-level results on Fig. 3 (see the module
-#: docstring).  Keyed by strategy; identical across the cores up to
-#: float association order (covered by the 1e-12 tolerance).
+#: docstring).  Keyed by strategy; identical for the simulator and the
+#: oracle up to float association order (covered by the 1e-12
+#: tolerance).
 FLOW_GOLDENS = {
     "sp": {
         "throughput": 0.0675303197353914,
@@ -76,14 +81,20 @@ def _flow_specs():
     ]
 
 
-@pytest.mark.parametrize("core", ["reference", "vectorized", "auto"])
+def _simulate(topo, strategy, specs):
+    return FlowLevelSimulator(topo, strategy, specs).run()
+
+
+#: ``auto`` is the simulator's event loop, ``reference`` the oracle.
+FLOW_RUNNERS = {"reference": reference_run, "auto": _simulate}
+
+
+@pytest.mark.parametrize("core", FLOW_RUNNERS)
 @pytest.mark.parametrize("mode", ["sp", "inrp"])
 def test_flow_cores_reproduce_pre_refactor_goldens(mode, core):
     topo = fig3_topology()
     assert topo.is_symmetric()
-    result = FlowLevelSimulator(
-        topo, make_strategy(mode, topo), _flow_specs(), core=core
-    ).run()
+    result = FLOW_RUNNERS[core](topo, make_strategy(mode, topo), _flow_specs())
     golden = FLOW_GOLDENS[mode]
     assert result.network_throughput == pytest.approx(
         golden["throughput"], abs=TOL
@@ -95,12 +106,20 @@ def test_flow_cores_reproduce_pre_refactor_goldens(mode, core):
     )
 
 
-@pytest.mark.parametrize("engine", ["modern", "reference"])
+CHUNK_ENGINES = {"modern": Simulator, "reference": ReferenceSimulator}
+
+
+@pytest.mark.parametrize("engine", CHUNK_ENGINES)
 @pytest.mark.parametrize("mode", ["aimd", "inrpp"])
 def test_chunk_engines_reproduce_pre_refactor_goldens(mode, engine):
-    net = ChunkNetwork(
-        fig3_topology(), mode=mode, config=ChunkSimConfig(), engine=engine
+    substitution = (
+        reference_chunk_engine()
+        if engine == "reference"
+        else contextlib.nullcontext()
     )
+    with substitution:
+        net = ChunkNetwork(fig3_topology(), mode=mode, config=ChunkSimConfig())
+    assert type(net.sim) is CHUNK_ENGINES[engine]
     net.add_flow(1, 4, 400, start_time=0.0)
     net.add_flow(5, 4, 400, start_time=0.0)
     net.add_flow(1, 3, 400, start_time=0.0)
@@ -173,8 +192,8 @@ def _record_deviation(a: FlowRecord, b: FlowRecord) -> float:
 def test_directed_inrp_on_an_isp_map_matches_reference():
     """INRP on sprint with every reverse direction at half capacity,
     so local traffic exercises per-direction link state through the
-    detour closures and the CSR kernel: the production core's records
-    match the reference loop's to 1e-6, and every recompute of its
+    detour closures and the CSR kernel: the event loop's records
+    match the oracle's to 1e-6, and every recompute of its
     allocator matches the from-scratch fill to 1e-9."""
     topo = build_isp_topology("sprint", seed=0)
     apply_capacity_asymmetry(topo, 0.5)
@@ -187,13 +206,8 @@ def test_directed_inrp_on_an_isp_map_matches_reference():
         seed=1,
         pair_sampler=local_pairs(topo, seed=2, max_hops=3),
     ).generate(max_flows=200)
-    runs = {
-        core: FlowLevelSimulator(
-            topo, make_strategy("inrp", topo), specs, core=core
-        ).run()
-        for core in ("reference", "auto")
-    }
-    reference, auto = runs["reference"], runs["auto"]
+    reference = reference_run(topo, make_strategy("inrp", topo), specs)
+    auto = FlowLevelSimulator(topo, make_strategy("inrp", topo), specs).run()
     assert len(reference.records) == len(auto.records) == len(specs)
     assert auto.unfinished == reference.unfinished
     worst = max(

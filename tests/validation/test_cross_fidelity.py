@@ -11,9 +11,11 @@ drifted, not that the tolerances are wrong.
 import dataclasses
 
 import pytest
+from oracles import reference_chunk_engine
 
 from repro.campaign.scenario import get_scenario
 from repro.chunksim import ChunkSimConfig
+from repro.chunksim.engine import ReferenceSimulator
 from repro.cli import main
 from repro.validation import (
     CALIBRATED_SCENARIOS,
@@ -33,17 +35,24 @@ def test_calibrated_scenario_within_tolerance(name):
     assert report.passed, report.render()
 
 
-def test_both_engines_agree_on_observables():
-    # The validation harness is engine-agnostic: modern and reference
-    # chunk engines produce the same observables, so the divergence
-    # report is about fidelity, never about the event core.
-    scenario = scenario_by_name("fig3-custody-inrp")
-    modern = run_chunk_fidelity(scenario, engine="modern")
-    reference = run_chunk_fidelity(scenario, engine="reference")
+@pytest.mark.parametrize(
+    "name", ["fig3-completion-sp", "fig3-custody-inrp", "isp-bidir-inrp"]
+)
+def test_both_engines_agree_on_observables(name):
+    # The validation harness is engine-agnostic: the chunk engine and
+    # its reference yardstick produce the same observables, so the
+    # divergence report is about fidelity, never about the event loop.
+    scenario = scenario_by_name(name)
+    modern = run_chunk_fidelity(scenario)
+    with reference_chunk_engine() as built:
+        reference = run_chunk_fidelity(scenario)
+    assert len(built) == 1 and isinstance(built[0], ReferenceSimulator)
+    assert built[0].events_processed == reference.events_processed > 0
     assert modern.rates_bps == reference.rates_bps
+    assert modern.drops == reference.drops
     assert modern.custody_peak_bytes == reference.custody_peak_bytes
     assert modern.custody_onset == reference.custody_onset
-    assert modern.drops == reference.drops
+    assert modern.fct == reference.fct
 
 
 def test_custody_scenario_exercises_custody():
@@ -107,6 +116,9 @@ def test_validate_cli_exit_codes(capsys):
     assert main(["validate", "--scenarios", "fig3-completion-sp"]) == 0
     out = capsys.readouterr().out
     assert "1/1 scenario(s) within tolerance" in out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--engine", "reference"])
+    assert excinfo.value.code == 2
 
 
 def test_validation_respects_config_override():
@@ -118,3 +130,5 @@ def test_validation_respects_config_override():
         scenario_by_name("fig3-steady-inrp"), config=config
     )
     assert report.passed, report.render()
+    with pytest.raises(TypeError):  # the chunk engine is not an override
+        run_validation(scenario_by_name("fig3-steady-inrp"), engine="reference")

@@ -143,7 +143,6 @@ def _toy_report(passed: bool) -> ValidationReport:
         scenario="toy",
         mode="inrp",
         kind="steady",
-        engine="modern",
         checks=[
             MetricCheck("rate[0]", "rel", 4.9e6, 5e6, 0.25, True, "ok"),
             MetricCheck("jain", "abs", 0.99, 1.0, 0.05, passed, "edge"),
