@@ -28,126 +28,28 @@ Quickstart::
     print(jain_index(list(rates.values())))     # 1.0
 """
 
-from repro.errors import (
-    AnalysisError,
-    CacheError,
-    ConfigurationError,
-    NoPathError,
-    ReproError,
-    RoutingError,
-    SimulationError,
-    TopologyError,
-    WorkloadError,
-)
-from repro.topology import (
-    ISP_NAMES,
-    Topology,
-    build_isp_topology,
-    dumbbell_topology,
-    fig3_topology,
-    isp_profile,
-    line_topology,
-    mesh_topology,
-    solve_link_counts,
-    star_topology,
-)
-from repro.routing import (
-    DetourClass,
-    DetourTable,
-    classify_link_detour,
-    detour_breakdown,
-    shortest_path,
-)
-from repro.metrics import Cdf, jain_index, summarize
-from repro.cache import CustodyStore, custody_duration
-from repro.workloads import (
-    FlowSpec,
-    FlowWorkload,
-    PoissonArrivals,
-    gravity_pairs,
-    local_pairs,
-    uniform_pairs,
-)
-from repro.flowsim import (
-    FlowLevelSimulator,
-    IncrementalMaxMin,
-    inrp_allocation,
-    make_strategy,
-    max_min_allocation,
-    snapshot_experiment,
-)
+from repro.topology import Topology, build_isp_topology, fig3_topology
+from repro.metrics import jain_index
+from repro.cache import custody_duration
+from repro.workloads import FlowWorkload
+from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.chunksim import ChunkNetwork, ChunkSimConfig
-from repro.analysis import run_fig3_simulation, run_fig4, run_table1
-from repro.campaign import (
-    CampaignRunner,
-    ResultStore,
-    iter_scenarios,
-    plan_runs,
-    register_scenario,
-)
 
 __version__ = "1.0.0"
 
+#: The names README, docs/ARCHITECTURE.md, ``examples/``,
+#: ``benchmarks/`` and ``perfbench/`` import from the top level; every
+#: other name is imported from its sub-package.
 __all__ = [
     "__version__",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "TopologyError",
-    "RoutingError",
-    "NoPathError",
-    "SimulationError",
-    "WorkloadError",
-    "CacheError",
-    "AnalysisError",
-    # topology
-    "Topology",
-    "fig3_topology",
-    "line_topology",
-    "star_topology",
-    "dumbbell_topology",
-    "mesh_topology",
-    "build_isp_topology",
-    "isp_profile",
-    "solve_link_counts",
-    "ISP_NAMES",
-    # routing
-    "shortest_path",
-    "DetourClass",
-    "DetourTable",
-    "classify_link_detour",
-    "detour_breakdown",
-    # metrics / cache
-    "jain_index",
-    "Cdf",
-    "summarize",
-    "CustodyStore",
-    "custody_duration",
-    # workloads
-    "FlowSpec",
-    "FlowWorkload",
-    "PoissonArrivals",
-    "uniform_pairs",
-    "gravity_pairs",
-    "local_pairs",
-    # flowsim
-    "max_min_allocation",
-    "IncrementalMaxMin",
-    "inrp_allocation",
-    "make_strategy",
-    "FlowLevelSimulator",
-    "snapshot_experiment",
-    # chunksim
     "ChunkNetwork",
     "ChunkSimConfig",
-    # analysis
-    "run_table1",
-    "run_fig3_simulation",
-    "run_fig4",
-    # campaign
-    "CampaignRunner",
-    "ResultStore",
-    "iter_scenarios",
-    "plan_runs",
-    "register_scenario",
+    "FlowLevelSimulator",
+    "FlowWorkload",
+    "Topology",
+    "build_isp_topology",
+    "custody_duration",
+    "fig3_topology",
+    "jain_index",
+    "make_strategy",
 ]

@@ -90,12 +90,6 @@ class CustodyStore(Generic[ItemT]):
         self.stats.peak_bytes = max(self.stats.peak_bytes, self._used)
         return True
 
-    def peek(self) -> Optional[ItemT]:
-        """The oldest item, without releasing it."""
-        if not self._queue:
-            return None
-        return self._queue[0][0]
-
     def release(self) -> Optional[Tuple[ItemT, int]]:
         """Pop the oldest (item, size) pair, or None when empty."""
         if not self._queue:
@@ -105,8 +99,3 @@ class CustodyStore(Generic[ItemT]):
         self.stats.released += 1
         return item, size
 
-    def occupancy_fraction(self) -> float:
-        """Fill level in [0, 1]; 0.0 for unbounded stores."""
-        if self.capacity_bytes in (None, 0):
-            return 0.0
-        return self._used / self.capacity_bytes

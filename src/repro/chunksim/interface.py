@@ -26,7 +26,6 @@ from repro.chunksim.engine import Simulator
 from repro.chunksim.link import SimLink
 from repro.chunksim.messages import DataChunk
 from repro.metrics.timeseries import RateEstimator
-from repro.units import BITS_PER_BYTE
 
 
 class Phase(enum.Enum):
@@ -161,6 +160,3 @@ class RouterInterface:
     def fair_share_bps(self) -> float:
         """Per-flow share this interface can sustain (for BP signals)."""
         return self.link.rate_bps / self.active_flow_count()
-
-    def expected_chunk_bits(self) -> float:
-        return self.config.chunk_bytes * BITS_PER_BYTE

@@ -49,12 +49,6 @@ class FlowReport:
     start_time: float = 0.0
 
     @property
-    def received_fraction(self) -> float:
-        if self.total_chunks == 0:
-            return 1.0
-        return self.received_chunks / self.total_chunks
-
-    @property
     def fct(self) -> Optional[float]:
         """Flow completion time in seconds (None when unfinished)."""
         if self.completion_time is None:

@@ -91,14 +91,6 @@ class Router:
         link.on_tx_complete = partial(self._on_iface_drain, iface)
         return iface
 
-    def iface_toward(self, destination: Node) -> RouterInterface:
-        next_hop = self.fib.get(destination)
-        if next_hop is None:
-            raise SimulationError(
-                f"{self.node_id!r} has no route toward {destination!r}"
-            )
-        return self.ifaces[next_hop]
-
     # ------------------------------------------------------------------
     # Receive dispatch (links deliver here)
     # ------------------------------------------------------------------

@@ -41,6 +41,3 @@ class Trace:
 
     def count(self, event: str) -> int:
         return self.counters.get(event, 0)
-
-    def events_at(self, node: Any) -> List[TraceRecord]:
-        return [record for record in self.records if record.node == node]

@@ -18,8 +18,8 @@ provides:
   excepted, which only the from-scratch allocator implements);
 - :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects;
 - :mod:`~repro.flowsim.simulator` — an event-driven simulator with
-  per-event rate recomputation (arrivals, departures, completion),
-  streaming spec intake and pause/resume checkpointing;
+  per-event rate recomputation (arrivals, departures, completion)
+  and streaming spec intake;
 - :mod:`~repro.flowsim.sinks` — the pluggable result layer: the
   materializing sink (full per-flow records) and the streaming sink
   (O(1) online aggregates + quantile sketches) both assemble the same
@@ -56,7 +56,7 @@ from repro.flowsim.sinks import (
     SimulationResult,
     StreamingSink,
 )
-from repro.flowsim.simulator import FlowLevelSimulator, SimulatorCheckpoint
+from repro.flowsim.simulator import FlowLevelSimulator
 from repro.flowsim.snapshots import SnapshotResult, snapshot_experiment
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "make_strategy",
     "FlowLevelSimulator",
     "SimulationResult",
-    "SimulatorCheckpoint",
     "ResultSink",
     "MaterializingSink",
     "StreamingSink",

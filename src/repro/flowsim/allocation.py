@@ -183,7 +183,7 @@ class _ComponentTracker:
     ever shared a link are provably in one class), a departing flow is
     merely unlinked from its class's member set, and the whole structure
     is rebuilt from the live population once departures since the last
-    rebuild exceed ``slack`` of it.
+    rebuild exceed ``slack`` (a quarter) of it.
 
     Between rebuilds a class may *over*-approximate the true component
     (a departed bridge flow leaves its neighbours merged).  That is
@@ -205,8 +205,8 @@ class _ComponentTracker:
         "rebuilds",
     )
 
-    def __init__(self, slack: float = 0.25):
-        self.slack = slack
+    def __init__(self):
+        self.slack = 0.25
         #: Number of full rebuilds performed (observable for tests).
         self.rebuilds = 0
         self._reset()
@@ -311,8 +311,6 @@ class IncrementalMaxMin:
         self,
         capacities: Mapping[LinkId, float],
         verify: bool = False,
-        compact_slack: float = 0.5,
-        min_compact_nnz: int = 4096,
     ):
         self._capacities: Dict[LinkId, float] = {
             link: float(capacity) for link, capacity in capacities.items()
@@ -327,11 +325,7 @@ class IncrementalMaxMin:
         self._dirty_flows: Set[FlowId] = set()
         self._verify = verify
         self._space = _kernel.LinkSpace(self._capacities)
-        self._store = _kernel.IncidenceStore(
-            self._space,
-            compact_slack=compact_slack,
-            min_compact_nnz=min_compact_nnz,
-        )
+        self._store = _kernel.IncidenceStore(self._space)
         self._tracker = _ComponentTracker()
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
@@ -551,10 +545,7 @@ class IncrementalInrp:
         capacities: Mapping[LinkId, float],
         detour_table: DetourTable,
         max_replacements: int = 2,
-        max_switches_per_flow: int = 16,
         verify: bool = False,
-        compact_slack: float = 0.5,
-        min_compact_nnz: int = 4096,
         pooling_fraction: float = 1.0,
     ):
         self._capacities: Dict[LinkId, float] = {
@@ -562,7 +553,6 @@ class IncrementalInrp:
         }
         self._table = detour_table
         self._max_replacements = max_replacements
-        self._max_switches = max_switches_per_flow
         self._verify = verify
         if not 0.0 <= pooling_fraction <= 1.0:
             raise SimulationError(
@@ -575,11 +565,7 @@ class IncrementalInrp:
         # goes through the amortized union-find tracker over closures
         # (the closure-membership BFS serves the simulator's probe,
         # the reserve fill and ``verify=True``).
-        self._primary_store = _kernel.IncidenceStore(
-            self._space,
-            compact_slack=compact_slack,
-            min_compact_nnz=min_compact_nnz,
-        )
+        self._primary_store = _kernel.IncidenceStore(self._space)
         self._tracker = _ComponentTracker()
         #: Per-(u, v) detour option columns, shared across fills.
         self._option_cache: Dict = {}
@@ -804,7 +790,6 @@ class IncrementalInrp:
             {flow: self._demands[flow] for flow in ordered},
             self._table,
             max_replacements=self._max_replacements,
-            max_switches_per_flow=self._max_switches,
             pinned_usage=pinned,
             saturation_floors=self._floors,
             pooling_fraction=self._pooling_fraction,
@@ -847,7 +832,6 @@ class IncrementalInrp:
             demands,
             self._table,
             max_replacements=self._max_replacements,
-            max_switches_per_flow=self._max_switches,
             in_reach=in_reach,
             pinned=pinned,
             capacity_count=capacity_count,
@@ -910,7 +894,6 @@ class IncrementalInrp:
             self._demands,
             self._table,
             max_replacements=self._max_replacements,
-            max_switches_per_flow=self._max_switches,
             pooling_fraction=self._pooling_fraction,
         )
         worst = _verify_rates(self._rates, scratch.rates, "INRP")

@@ -69,7 +69,11 @@ from typing import (
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.flowsim.multipath import MultipathAllocation, splice_detour
+from repro.flowsim.multipath import (
+    MAX_SWITCHES_PER_FLOW,
+    MultipathAllocation,
+    splice_detour,
+)
 from repro.routing.detour import DetourTable
 from repro.routing.paths import Path, cached_path_links
 
@@ -164,29 +168,20 @@ class IncidenceStore:
     growing column buffer) and *tombstoned* on :meth:`remove` — the
     row's entries stay in place but are flagged dead, exactly the
     lazy-invalidation pattern the event loop uses for its departure
-    heap.  Once dead entries exceed ``compact_slack`` of the buffer
-    (and the buffer is big enough for compaction to matter), the
-    arrays are compacted in one vectorized gather and rows are
-    renumbered; callers address rows only through flow ids, so the
-    renumbering is invisible.
+    heap.  Once dead entries exceed ``compact_slack`` (half) of the
+    buffer and the buffer holds at least ``min_compact_nnz`` (4096)
+    entries, so that compaction matters, the arrays are compacted in
+    one vectorized gather and rows are renumbered; callers address
+    rows only through flow ids, so the renumbering is invisible.
 
     ``demand`` rides along as a per-row vector so a component fill can
     gather demands without touching Python dicts.
     """
 
-    def __init__(
-        self,
-        space: LinkSpace,
-        compact_slack: float = 0.5,
-        min_compact_nnz: int = 4096,
-    ):
-        if not 0.0 < compact_slack < 1.0:
-            raise SimulationError(
-                f"compact_slack must be in (0, 1), got {compact_slack}"
-            )
+    def __init__(self, space: LinkSpace):
         self.space = space
-        self.compact_slack = compact_slack
-        self.min_compact_nnz = min_compact_nnz
+        self.compact_slack = 0.5
+        self.min_compact_nnz = 4096
         self._cols = np.empty(256, dtype=np.int64)
         self._entry_alive = np.zeros(256, dtype=bool)
         self._nnz = 0
@@ -255,9 +250,6 @@ class IncidenceStore:
             and self._dead_nnz > self.compact_slack * self._nnz
         ):
             self._compact()
-
-    def set_demand(self, flow: FlowId, demand: float) -> None:
-        self._demands[self._row_of[flow]] = demand
 
     def _compact(self) -> None:
         """Drop tombstoned rows/entries with one vectorized gather."""
@@ -607,7 +599,6 @@ def inrp_fill(
     demands: np.ndarray,
     detour_table: DetourTable,
     max_replacements: int = 2,
-    max_switches_per_flow: int = 16,
     in_reach: Optional[AbstractSet[int]] = None,
     pinned: Optional[Sequence[Tuple[int, float]]] = None,
     capacity_count: Optional[int] = None,
@@ -701,6 +692,7 @@ def inrp_fill(
         flow if active else -1 for flow, active in enumerate(unfrozen)
     ]
     switches = [0] * num_flows
+    max_switches = MAX_SWITCHES_PER_FLOW
     p_cols = np.asarray(cols, dtype=np.int64)
     p_starts = [0, *accumulate(lengths_list)]
     counts = np.bincount(
@@ -1081,9 +1073,7 @@ def inrp_fill(
                     # Ascending flow ids are arrival order: older flows
                     # reroute first (the id-type invariant).
                     for flow in sorted(affected):
-                        if switches[
-                            flow
-                        ] >= max_switches_per_flow or not _reroute(flow):
+                        if switches[flow] >= max_switches or not _reroute(flow):
                             _freeze(flow, "no-detour")
             if dead:
                 np.subtract.at(counts, _joined(dead), 1.0)

@@ -30,6 +30,10 @@ LinkId = Hashable
 
 _EPS = 1e-9
 
+#: Detour switches a flow may make within one fill before it freezes;
+#: bounds the fill's rounds against detour ping-pong.
+MAX_SWITCHES_PER_FLOW = 16
+
 
 def _rel_tol(scale: float) -> float:
     """Tolerance proportional to the magnitudes in play."""
@@ -120,17 +124,12 @@ def splice_detour(path: Path, index: int, option: Path) -> Optional[Path]:
     return candidate
 
 
-#: Backwards-compatible private alias (pre-kernel name).
-_splice = splice_detour
-
-
 def inrp_allocation(
     capacities: Mapping[LinkId, float],
     flow_paths: Mapping[FlowId, Path],
     demands: Mapping[FlowId, float],
     detour_table: DetourTable,
     max_replacements: int = 2,
-    max_switches_per_flow: int = 16,
     pinned_usage: Optional[Mapping[LinkId, float]] = None,
     saturation_floors: Optional[Mapping[LinkId, float]] = None,
     pooling_fraction: float = 1.0,
@@ -318,7 +317,7 @@ def inrp_allocation(
                 option = _best_option((u, v), set(candidate))
                 if option is None:
                     return False
-                spliced = _splice(candidate, index, option)
+                spliced = splice_detour(candidate, index, option)
                 if spliced is None:
                     return False
                 candidate = spliced
@@ -440,7 +439,7 @@ def inrp_allocation(
             )
             for flow_id in affected:
                 state = flows[flow_id]
-                if state.switches >= max_switches_per_flow or not _reroute(
+                if state.switches >= MAX_SWITCHES_PER_FLOW or not _reroute(
                     flow_id, state
                 ):
                     _leave(flow_id, state.subpaths[state.active].path)

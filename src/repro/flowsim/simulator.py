@@ -27,31 +27,19 @@ append-only record list.  With
 :class:`~repro.flowsim.sinks.StreamingSink` plus
 :meth:`repro.workloads.traffic.FlowWorkload.iter_specs` the resident
 state is just the active flows and O(1) aggregates — million-flow runs
-complete in bounded memory.  A run can also pause into a picklable
-:class:`SimulatorCheckpoint` and resume later
-(``run(pause_at=...)`` / ``run(resume_from=...)``).
+complete in bounded memory.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
-import pickle
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.flowsim.flow import ActiveFlow, FlowRecord, stretch_of
-from repro.flowsim.sinks import (
-    FlowAggregates,
-    MaterializingSink,
-    ResultSink,
-    SimulationResult,
-    StreamingSink,
-    make_sink,
-)
+from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
 from repro.flowsim.strategies import RoutingStrategy
 from repro.metrics.timeseries import TimeWeightedMean
 from repro.routing.paths import cached_path_links
@@ -61,7 +49,6 @@ from repro.workloads.traffic import FlowSpec
 __all__ = [
     "FlowLevelSimulator",
     "SimulationResult",
-    "SimulatorCheckpoint",
 ]
 
 _EPS = 1e-9
@@ -74,22 +61,13 @@ class _SpecSource:
     peeks :attr:`next_arrival` and :meth:`pop`\\ s specs as the clock
     reaches them, so only one unarrived spec is resident at a time.
     Ordering is validated as specs stream through (an out-of-order
-    spec raises instead of silently corrupting the event clock), and
-    :attr:`consumed` counts the pops — the checkpoint cursor a resumed
-    run fast-forwards a fresh iterator by.
+    spec raises instead of silently corrupting the event clock).
     """
 
-    __slots__ = ("_iterator", "_head", "consumed")
+    __slots__ = ("_iterator", "_head")
 
-    def __init__(self, specs: Iterable[FlowSpec], skip: int = 0):
+    def __init__(self, specs: Iterable[FlowSpec]):
         self._iterator = iter(specs)
-        for _ in range(skip):
-            if next(self._iterator, None) is None:
-                raise SimulationError(
-                    f"spec stream ended while fast-forwarding {skip} "
-                    "checkpointed arrivals; resume needs the same workload"
-                )
-        self.consumed = skip
         self._head: Optional[FlowSpec] = next(self._iterator, None)
 
     @property
@@ -106,7 +84,6 @@ class _SpecSource:
         spec = self._head
         if spec is None:
             raise SimulationError("popped an exhausted spec stream")
-        self.consumed += 1
         head = next(self._iterator, None)
         if head is not None and head.arrival_time < spec.arrival_time - _EPS:
             raise SimulationError(
@@ -116,56 +93,6 @@ class _SpecSource:
             )
         self._head = head
         return spec
-
-
-@dataclass
-class SimulatorCheckpoint:
-    """Paused state of a run, resumable later.
-
-    Captures everything the loop needs to continue except the spec
-    stream itself: arrivals are deterministic given the workload seed,
-    so the checkpoint stores only the cursor (``specs_consumed``) and
-    a resumed run fast-forwards a fresh iterator by that many specs.
-    Active flows carry their delivery state (remaining bits, per-hop
-    bit accounting, current rate and splits); allocator state is *not*
-    stored — fluid allocations are memoryless functions of the active
-    set, so the resumed run re-registers the actives (in arrival
-    order, preserving INRP's order-dependent detour semantics) and the
-    first recompute reproduces the paused rates.
-
-    The whole object is picklable (:meth:`save` / :meth:`load`), so a
-    long horizon can pause, leave the process, and resume elsewhere.
-    """
-
-    time: float
-    specs_consumed: int
-    #: Still-active flows in arrival order, synced to :attr:`time`.
-    active_flows: List[ActiveFlow]
-    delivered_meter: TimeWeightedMean
-    offered_meter: TimeWeightedMean
-    #: The run's result sink, carried so a resumed run keeps folding
-    #: into the same record list / aggregates.
-    sink: ResultSink
-    allocations: int
-    total_switches: int
-    full_refills: int
-    strategy_name: str
-
-    def save(self, path) -> None:
-        """Pickle the checkpoint to *path*."""
-        with open(path, "wb") as handle:
-            pickle.dump(self, handle)
-
-    @staticmethod
-    def load(path) -> "SimulatorCheckpoint":
-        """Unpickle a checkpoint written by :meth:`save`."""
-        with open(path, "rb") as handle:
-            checkpoint = pickle.load(handle)
-        if not isinstance(checkpoint, SimulatorCheckpoint):
-            raise SimulationError(
-                f"{path} does not contain a SimulatorCheckpoint"
-            )
-        return checkpoint
 
 
 class _IncrementalRecompute:
@@ -230,8 +157,8 @@ class _AdaptiveCorePolicy:
     PROBE_EVERY = 16
     MIN_ACTIVE = 64
 
-    def __init__(self, full_refills: int = 0):
-        self.full_refills = full_refills
+    def __init__(self):
+        self.full_refills = 0
         self._streak = 0
         self._full_mode = False
         self._since_probe = 0
@@ -279,7 +206,7 @@ class FlowLevelSimulator:
         time) or any iterator yielding specs in arrival order — e.g.
         :meth:`repro.workloads.traffic.FlowWorkload.iter_specs` — which
         is consumed lazily, one lookahead spec at a time.  An iterator
-        is single-use: rerunning or resuming requires a fresh one.
+        is single-use: rerunning requires a fresh one.
     horizon:
         Hard stop (seconds).  Flows completing exactly at the horizon
         instant count as completed; flows still active are reported as
@@ -289,22 +216,14 @@ class FlowLevelSimulator:
         historical per-flow record list), ``"streaming"``
         (:class:`~repro.flowsim.sinks.StreamingSink` — O(1) online
         aggregates, ``result.records is None``) or a
-        :class:`~repro.flowsim.sinks.ResultSink` instance (single-use).
+        :class:`~repro.flowsim.sinks.ResultSink` instance, which is
+        single-use: rerunning with one raises, as a consumed stream
+        does, instead of folding a second run into the first result.
     verify_allocator:
         Re-check every incremental recompute against the from-scratch solver
         (:func:`~repro.flowsim.allocation.max_min_allocation` or
         :func:`~repro.flowsim.multipath.inrp_allocation`; slow, used
         by benchmarks and tests).
-    Checkpointing
-    -------------
-    ``run(pause_at=t)`` stops the run at instant ``t`` (events
-    at exactly ``t`` are left for the resumed run) and returns a
-    picklable :class:`SimulatorCheckpoint` instead of a result;
-    ``run(resume_from=checkpoint)`` continues — on the same simulator
-    (which still holds the partially-consumed stream) or on a freshly
-    constructed one, whose spec iterator is fast-forwarded by the
-    checkpoint cursor.  A checkpoint resumes only under a strategy of
-    the name it was paused under.
     """
 
     def __init__(
@@ -329,68 +248,31 @@ class FlowLevelSimulator:
         else:
             self.specs = None
             self._spec_input = specs
-        self._stream_started = False
-        self._paused_source: Optional[_SpecSource] = None
+        self._ran = False
         self.horizon = horizon
         self.sink = sink
         self.verify_allocator = verify_allocator
 
-    def run(
-        self,
-        pause_at: Optional[float] = None,
-        resume_from: Optional[SimulatorCheckpoint] = None,
-    ) -> Union[SimulationResult, SimulatorCheckpoint]:
-        """Run to completion (a :class:`SimulationResult`) or pause.
-
-        With ``pause_at`` the run stops at that instant and returns a
-        :class:`SimulatorCheckpoint` — unless the run ends naturally
-        first, in which case the result is returned.  With
-        ``resume_from`` the run continues from a checkpoint (the
-        checkpoint's sink wins over the constructor's ``sink``); the
-        checkpoint must come from a run under a strategy of the same
-        name.
-        """
-        if pause_at is not None and pause_at <= 0:
-            raise SimulationError(
-                f"pause_at must be positive, got {pause_at}"
-            )
-        if resume_from is not None:
-            if resume_from.strategy_name != self.strategy.name:
-                raise ConfigurationError(
-                    f"checkpoint was paused under strategy "
-                    f"{resume_from.strategy_name!r}; cannot resume it under "
-                    f"{self.strategy.name!r}"
-                )
-            if pause_at is not None and pause_at <= resume_from.time:
+    def run(self) -> SimulationResult:
+        """Run the schedule to completion (or to the horizon)."""
+        if self._ran:
+            if self.specs is None:
                 raise SimulationError(
-                    f"pause_at {pause_at} is not after the checkpoint "
-                    f"time {resume_from.time}"
+                    "streaming flow specs were already consumed; construct "
+                    "a new simulator (or pass a materialized list) to rerun"
                 )
-        return self._run_incremental(pause_at=pause_at, resume_from=resume_from)
-
-    def _spec_source(self, skip: int = 0) -> _SpecSource:
-        if self.specs is not None:
-            return _SpecSource(self.specs, skip=skip)
-        if (
-            self._paused_source is not None
-            and self._paused_source.consumed == skip
-        ):
-            source, self._paused_source = self._paused_source, None
-            return source
-        if self._stream_started:
-            raise SimulationError(
-                "streaming flow specs were already consumed; construct a "
-                "new simulator (or pass a materialized list) to rerun or "
-                "resume"
-            )
-        self._stream_started = True
-        return _SpecSource(self._spec_input, skip=skip)
-
-    def _run_incremental(
-        self,
-        pause_at: Optional[float] = None,
-        resume_from: Optional[SimulatorCheckpoint] = None,
-    ) -> Union[SimulationResult, SimulatorCheckpoint]:
+            if isinstance(self.sink, ResultSink):
+                raise SimulationError(
+                    "the result sink instance already holds a run; construct "
+                    "a new sink (or pass a sink name) to rerun"
+                )
+        self._ran = True
+        source = _SpecSource(
+            self._spec_input if self.specs is None else self.specs
+        )
+        sink = make_sink(self.sink)
+        delivered_meter = TimeWeightedMean()
+        offered_meter = TimeWeightedMean()
         active: Dict[int, ActiveFlow] = {}
         last_sync: Dict[int, float] = {}
         version: Dict[int, int] = {}
@@ -399,50 +281,12 @@ class FlowLevelSimulator:
         seq = 0
         allocations = 0
         total_switches = 0
-        full_refills = 0
         sum_rate = 0.0
         sum_demand = 0.0
-        if resume_from is not None:
-            # Deep-copied so one checkpoint can seed several resumes
-            # (and outlive this run) without aliasing mutable state.
-            checkpoint = copy.deepcopy(resume_from)
-            now = checkpoint.time
-            sink = checkpoint.sink
-            delivered_meter = checkpoint.delivered_meter
-            offered_meter = checkpoint.offered_meter
-            allocations = checkpoint.allocations
-            total_switches = checkpoint.total_switches
-            full_refills = checkpoint.full_refills
-            source = self._spec_source(skip=checkpoint.specs_consumed)
-        else:
-            checkpoint = None
-            sink = make_sink(self.sink)
-            delivered_meter = TimeWeightedMean()
-            offered_meter = TimeWeightedMean()
-            source = self._spec_source()
         adapter = _IncrementalRecompute(
             self.strategy.incremental_allocator(verify=self.verify_allocator)
         )
-        policy = _AdaptiveCorePolicy(full_refills)
-        if checkpoint is not None:
-            # Re-register the surviving flows in arrival order (INRP's
-            # fill visits flows in arrival order, so registration order
-            # is semantic).  Rates and splits are restored as
-            # checkpointed; the allocator starts all-dirty, so the
-            # first recompute re-derives the same fixed point and
-            # leaves matching rates untouched.
-            for flow in checkpoint.active_flows:
-                fid = flow.spec.flow_id
-                active[fid] = flow
-                version[fid] = 0
-                last_sync[fid] = now
-                sum_rate += flow.rate_bps
-                sum_demand += flow.spec.demand_bps
-                adapter.add(fid, flow.primary_path, flow.spec.demand_bps)
-                if flow.rate_bps > _EPS:
-                    departure = now + flow.remaining_bits / flow.rate_bps
-                    heapq.heappush(heap, (departure, seq, fid, 0))
-                    seq += 1
+        policy = _AdaptiveCorePolicy()
 
         def _peek_departure() -> float:
             while heap:
@@ -496,45 +340,12 @@ class FlowLevelSimulator:
             adapter.remove(fid)
             sink.consume(self._finalize(flow, completion_time=completion))
 
-        def _pause() -> SimulatorCheckpoint:
-            nonlocal now
-            # Integrate the tail interval and sync every flow to the
-            # pause instant; events due exactly at ``pause_at`` stay
-            # queued for the resumed run, which re-arms departures from
-            # the restored rates.
-            if pause_at > now:
-                delivered_meter.observe(pause_at, sum_rate)
-                offered_meter.observe(pause_at, sum_demand)
-            now = pause_at
-            for fid, flow in active.items():
-                _sync(fid, flow)
-            ordered = sorted(
-                active.values(),
-                key=lambda flow: (flow.spec.arrival_time, flow.spec.flow_id),
-            )
-            if self.specs is None:
-                self._paused_source = source
-            return SimulatorCheckpoint(
-                time=now,
-                specs_consumed=source.consumed,
-                active_flows=ordered,
-                delivered_meter=delivered_meter,
-                offered_meter=offered_meter,
-                sink=sink,
-                allocations=allocations,
-                total_switches=total_switches,
-                full_refills=policy.full_refills,
-                strategy_name=self.strategy.name,
-            )
-
         while not source.exhausted or active:
             next_arrival = source.next_arrival
             next_departure = _peek_departure()
             next_time = min(next_arrival, next_departure)
             if self.horizon is not None:
                 next_time = min(next_time, self.horizon)
-            if pause_at is not None and next_time >= pause_at:
-                return _pause()
             if math.isinf(next_time):
                 # Active flows exist but none can make progress and no
                 # arrivals remain: report them unfinished.

@@ -10,7 +10,7 @@ to a pluggable :class:`ResultSink` and ask it for the final
   memory, per-flow analysis available.
 - :class:`StreamingSink` folds each record into online
   :class:`FlowAggregates` — counts, delivered bits, Jain inputs and
-  FCT/stretch quantiles through a mergeable
+  FCT/stretch quantiles through a
   :class:`~repro.metrics.stats.QuantileSketch` — in O(1) memory per
   flow, which is what lets million-flow runs finish memory-bound
   workloads without materialising anything.
@@ -41,7 +41,7 @@ DEFAULT_SKETCH_EPSILON = 0.005
 
 @dataclass
 class FlowAggregates:
-    """Online aggregates over finalized flows (mergeable across shards).
+    """Online aggregates over finalized flows.
 
     Counts and bit totals are exact; FCT and stretch distributions are
     kept as :class:`~repro.metrics.stats.QuantileSketch` summaries
@@ -99,8 +99,7 @@ class FlowAggregates:
         """Jain index of per-flow goodput over completed flows.
 
         Degenerately 1.0 when no flow completed (an empty population is
-        perfectly fair), so zero-flow streaming shards aggregate
-        without special-casing.
+        perfectly fair), as the records-mode accessor reports.
         """
         if self.goodput_flows == 0 or self.goodput_sq_sum == 0.0:
             return 1.0
@@ -109,25 +108,6 @@ class FlowAggregates:
             / (self.goodput_flows * self.goodput_sq_sum),
             1.0,
         )
-
-    def merge(self, other: "FlowAggregates") -> "FlowAggregates":
-        """Fold *other* into this one (in place; returns self).
-
-        Counts and sums add exactly; the sketches merge with additive
-        rank error (see :meth:`QuantileSketch.merge`).
-        """
-        self.flows += other.flows
-        self.completed += other.completed
-        self.unfinished += other.unfinished
-        self.delivered_bits += other.delivered_bits
-        self.completed_bits += other.completed_bits
-        self.sum_fct += other.sum_fct
-        self.goodput_sum += other.goodput_sum
-        self.goodput_sq_sum += other.goodput_sq_sum
-        self.goodput_flows += other.goodput_flows
-        self.fct_sketch.merge(other.fct_sketch)
-        self.stretch_sketch.merge(other.stretch_sketch)
-        return self
 
 
 @dataclass
@@ -162,10 +142,8 @@ class SimulationResult:
     #: therefore depends on which recomputes were full, while rates,
     #: FCTs and allocations do not.  Seed-0 ``inrp-local`` of perfbench
     #: gives 59661 (1136 full refills); the same run with every
-    #: recompute incremental counts 31971.  Pausing the run at t=0.5 s
-    #: and resuming gives 59100: the resumed fallback starts afresh and
-    #: makes 1105 full refills.  FCTs agree to 1e-15 relative and the
-    #: allocation count (1999) is the same.
+    #: recompute incremental counts 31971.  FCTs agree to 1e-15
+    #: relative and the allocation count (1999) is the same.
     total_switches: int = 0
     #: Recomputes the simulator ran as full refills.
     full_refills: int = 0
@@ -179,10 +157,6 @@ class SimulationResult:
     # ------------------------------------------------------------------
     # Records-mode access
     # ------------------------------------------------------------------
-    @property
-    def has_records(self) -> bool:
-        return self.records is not None
-
     def require_records(self) -> List[FlowRecord]:
         """The materialized record list, or a clear error explaining
         that the run streamed its results away."""
@@ -192,10 +166,6 @@ class SimulationResult:
                 "rerun with sink='materialize' for per-flow analysis"
             )
         return self.records
-
-    @property
-    def completed_records(self) -> List[FlowRecord]:
-        return [record for record in self.require_records() if record.completed]
 
     def stretch_samples(self, include_unfinished: bool = False) -> List[float]:
         """Per-flow bit-weighted stretch values (completed flows).
@@ -308,9 +278,8 @@ class ResultSink(abc.ABC):
 
     A sink instance is single-use: the simulator feeds it every
     finalized :class:`FlowRecord` via :meth:`consume` and calls
-    :meth:`build` exactly once at the end of the run.  Checkpointed
-    runs carry the sink inside the checkpoint, so a resumed run
-    continues folding into the same sink state.
+    :meth:`build` exactly once at the end of the run, and refuses to
+    run a second time with the same instance.
     """
 
     @abc.abstractmethod
@@ -351,16 +320,13 @@ class MaterializingSink(ResultSink):
 class StreamingSink(ResultSink):
     """Folds records into :class:`FlowAggregates`; keeps none of them.
 
-    ``epsilon`` is the rank-error budget of the FCT/stretch sketches
-    (see :class:`~repro.metrics.stats.QuantileSketch` for the error
-    model).
+    The FCT/stretch sketches answer within
+    :data:`DEFAULT_SKETCH_EPSILON` rank error (see
+    :class:`~repro.metrics.stats.QuantileSketch` for the error model).
     """
 
-    def __init__(self, epsilon: float = DEFAULT_SKETCH_EPSILON) -> None:
-        self.aggregates = FlowAggregates(
-            fct_sketch=QuantileSketch(epsilon),
-            stretch_sketch=QuantileSketch(epsilon),
-        )
+    def __init__(self) -> None:
+        self.aggregates = FlowAggregates()
 
     def consume(self, record: FlowRecord) -> None:
         self.aggregates.observe(record)

@@ -5,13 +5,7 @@ from repro.metrics.fairness import (
     jain_index,
     max_min_violations,
 )
-from repro.metrics.stats import (
-    Cdf,
-    QuantileSketch,
-    SummaryStats,
-    summarize,
-    weighted_cdf,
-)
+from repro.metrics.stats import Cdf, QuantileSketch
 from repro.metrics.timeseries import RateEstimator, TimeWeightedMean
 
 __all__ = [
@@ -20,9 +14,6 @@ __all__ = [
     "bottleneck_fairness_certificate",
     "Cdf",
     "QuantileSketch",
-    "weighted_cdf",
-    "SummaryStats",
-    "summarize",
     "TimeWeightedMean",
     "RateEstimator",
 ]

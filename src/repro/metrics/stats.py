@@ -1,17 +1,16 @@
-"""Distribution statistics: CDFs, percentiles, summaries, sketches.
+"""Distribution statistics: CDFs and quantile sketches.
 
 :class:`Cdf` backs the Fig. 4b path-stretch plot: an empirical,
 optionally weighted, cumulative distribution with exact evaluation at
 arbitrary points.  :class:`QuantileSketch` is its streaming
-counterpart: a mergeable Greenwald–Khanna summary with bounded rank
-error, used by the flow simulator's streaming result sink where
-materialising every sample would defeat the point of streaming.
+counterpart: a Greenwald–Khanna summary with bounded rank error, used
+by the flow simulator's streaming result sink where materialising
+every sample would defeat the point of streaming.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,13 +73,8 @@ class Cdf:
         return float(self._xs[-1])
 
 
-def weighted_cdf(values: Sequence[float], weights: Sequence[float]) -> Cdf:
-    """Convenience constructor mirroring :class:`Cdf`."""
-    return Cdf(values, weights)
-
-
 class QuantileSketch:
-    """Mergeable Greenwald–Khanna epsilon-approximate quantile sketch.
+    """Greenwald–Khanna epsilon-approximate quantile sketch.
 
     Maintains a bounded summary of a (weighted) sample supporting
     rank-error-bounded quantile queries: for ``quantile(q)`` the
@@ -97,11 +91,6 @@ class QuantileSketch:
     ``g + delta <= 2 * epsilon * W`` is restored by compression after
     every buffered batch of inserts.  Size is O(1/epsilon * log(eps*W))
     regardless of how many samples stream through.
-
-    ``merge`` concatenates two summaries and re-compresses: rank
-    errors add, so a merged sketch answers within
-    ``(eps1 + eps2) * W`` — shard-parallel runs can each keep a sketch
-    and fold them at the end, paying one epsilon per merge generation.
     """
 
     def __init__(self, epsilon: float = 0.01):
@@ -224,76 +213,3 @@ class QuantileSketch:
                 return previous
             previous = value
         return self._entries[-1][0]
-
-    def quantiles(self, qs: Sequence[float]) -> List[float]:
-        return [self.quantile(q) for q in qs]
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold *other* into this sketch (in place; returns self)."""
-        if not isinstance(other, QuantileSketch):
-            raise ConfigurationError(
-                f"can only merge QuantileSketch, got {type(other).__name__}"
-            )
-        self._flush()
-        other._flush()
-        if other._count == 0:
-            return self
-        self.epsilon = max(self.epsilon, other.epsilon)
-        combined = sorted(
-            self._entries + [list(entry) for entry in other._entries],
-            key=lambda entry: entry[0],
-        )
-        self._entries = combined
-        self._total_weight += other._total_weight
-        self._count += other._count
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        self._compress()
-        return self
-
-    def summary(self) -> "SummaryStats":
-        """Sketch-derived :class:`SummaryStats` (mean/std unavailable
-        from rank summaries are reported as ``nan``)."""
-        if self._count == 0:
-            raise ConfigurationError("cannot summarise an empty sketch")
-        return SummaryStats(
-            count=self._count,
-            mean=math.nan,
-            std=math.nan,
-            minimum=self.min,
-            p50=self.quantile(0.50),
-            p90=self.quantile(0.90),
-            p99=self.quantile(0.99),
-            maximum=self.max,
-        )
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Five-number-ish summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    p50: float
-    p90: float
-    p99: float
-    maximum: float
-
-
-def summarize(values: Sequence[float]) -> SummaryStats:
-    """Summary statistics of *values*."""
-    if len(values) == 0:
-        raise ConfigurationError("cannot summarise an empty sample")
-    array = np.asarray(values, dtype=float)
-    return SummaryStats(
-        count=int(array.size),
-        mean=float(array.mean()),
-        std=float(array.std()),
-        minimum=float(array.min()),
-        p50=float(np.percentile(array, 50)),
-        p90=float(np.percentile(array, 90)),
-        p99=float(np.percentile(array, 99)),
-        maximum=float(array.max()),
-    )

@@ -19,8 +19,8 @@ from repro.errors import ConfigurationError, SimulationError
 class TimeWeightedMean:
     """Integrates ``value * dt`` over observation intervals."""
 
-    def __init__(self, start_time: float = 0.0):
-        self._last_time = float(start_time)
+    def __init__(self):
+        self._last_time = 0.0
         self._area = 0.0
         self._duration = 0.0
 

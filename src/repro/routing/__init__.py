@@ -11,15 +11,8 @@ from repro.routing.paths import (
     path_hops,
     path_links,
     path_stretch,
-    validate_path,
 )
-from repro.routing.shortest import (
-    all_pairs_hop_counts,
-    dijkstra,
-    hop_tree,
-    shortest_path,
-    shortest_path_length,
-)
+from repro.routing.shortest import dijkstra, hop_tree, shortest_path
 from repro.routing.ecmp import all_shortest_paths, ecmp_hash, ecmp_path_for_flow
 from repro.routing.detour import (
     DetourBreakdown,
@@ -36,12 +29,9 @@ __all__ = [
     "path_hops",
     "path_links",
     "path_stretch",
-    "validate_path",
     "dijkstra",
     "hop_tree",
     "shortest_path",
-    "shortest_path_length",
-    "all_pairs_hop_counts",
     "all_shortest_paths",
     "ecmp_hash",
     "ecmp_path_for_flow",

@@ -10,7 +10,7 @@ the stable per-flow hash.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List
+from typing import List
 
 from repro.errors import NoPathError
 from repro.routing.paths import Path
@@ -67,9 +67,3 @@ def ecmp_path_for_flow(
     paths = all_shortest_paths(topo, source, destination)
     return paths[ecmp_hash(flow_id, len(paths))]
 
-
-def ecmp_path_table(
-    topo: Topology, source: Node, destination: Node
-) -> Dict[int, Path]:
-    """Enumerated ECMP choice table (index -> path), for inspection."""
-    return dict(enumerate(all_shortest_paths(topo, source, destination)))

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.errors import RoutingError
-from repro.topology.graph import Link, Node, Topology
+from repro.topology.graph import Link, Node
 
 Path = Tuple[Node, ...]
 
@@ -46,25 +46,6 @@ def cached_path_links(path: Path) -> Tuple[Link, ...]:
     caching amortises link derivation to once per distinct path.
     """
     return tuple(zip(path, path[1:]))
-
-
-def validate_path(topo: Topology, path: Sequence[Node]) -> Path:
-    """Check that *path* is a simple path over existing links.
-
-    Returns the path as a tuple; raises :class:`RoutingError` on any
-    violation (unknown node, missing link, repeated node).
-    """
-    if len(path) < 1:
-        raise RoutingError("a path needs at least one node")
-    for node in path:
-        if not topo.has_node(node):
-            raise RoutingError(f"unknown node on path: {node!r}")
-    if len(set(path)) != len(path):
-        raise RoutingError(f"path revisits a node: {tuple(path)!r}")
-    for u, v in zip(path, path[1:]):
-        if not topo.has_link(u, v):
-            raise RoutingError(f"path uses missing link: {u!r} -- {v!r}")
-    return tuple(path)
 
 
 def path_stretch(path: Sequence[Node], shortest_hops: int) -> float:

@@ -195,29 +195,6 @@ def shortest_path(
     return tuple(path)
 
 
-def shortest_path_length(
-    topo: Topology,
-    source: Node,
-    destination: Node,
-    weight: Optional[WeightFn] = None,
-) -> float:
-    """Cost of the shortest path (hops by default)."""
-    target = destination if topo.has_node(destination) else None
-    distances, _ = dijkstra(topo, source, weight, target=target)
-    if destination not in distances:
-        raise NoPathError(source, destination)
-    return distances[destination]
-
-
-def all_pairs_hop_counts(topo: Topology) -> Dict[Node, Dict[Node, int]]:
-    """Hop distance between every pair of nodes (BFS per node)."""
-    result: Dict[Node, Dict[Node, int]] = {}
-    for source in topo.nodes():
-        distances, _ = dijkstra(topo, source)
-        result[source] = {node: int(dist) for node, dist in distances.items()}
-    return result
-
-
 def iter_sp_next_hops(
     topo: Topology, destination: Node
 ) -> Iterator[Tuple[Node, Node]]:

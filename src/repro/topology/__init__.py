@@ -16,7 +16,7 @@ small worked-example topology (Fig. 3).  This package provides:
   percentages;
 - :mod:`~repro.topology.builders` — small hand-built topologies
   (Fig. 3, dumbbell, line, star) used by tests and examples;
-- :mod:`~repro.topology.capacity` — capacity assignment models.
+- :mod:`~repro.topology.capacity` — reverse-direction capacity asymmetry.
 """
 
 from repro.topology.graph import CapacitySpec, Link, Topology, link_key, split_capacity_spec
@@ -34,12 +34,7 @@ from repro.topology.isp import (
     isp_profile,
     solve_link_counts,
 )
-from repro.topology.capacity import (
-    apply_capacity_asymmetry,
-    assign_core_edge_capacity,
-    assign_degree_capacity,
-    assign_uniform_capacity,
-)
+from repro.topology.capacity import apply_capacity_asymmetry
 
 __all__ = [
     "Topology",
@@ -59,8 +54,5 @@ __all__ = [
     "isp_profile",
     "build_isp_topology",
     "solve_link_counts",
-    "assign_uniform_capacity",
-    "assign_degree_capacity",
-    "assign_core_edge_capacity",
     "apply_capacity_asymmetry",
 ]

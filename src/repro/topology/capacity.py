@@ -1,15 +1,9 @@
-"""Capacity assignment models.
+"""Capacity asymmetry.
 
-The paper's flow-level evaluation uses homogeneous core capacities
-("we do not consider bottlenecks at the edges of the network"); the
-discussion in Section 2.2 also motivates core/edge splits.  These
-helpers mutate a topology in place and return it for chaining.
-
-Every assigner accepts a :data:`~repro.topology.graph.CapacitySpec` —
-a bare number (symmetric link) or a ``(forward, reverse)`` pair
-relative to the canonical link orientation;
-:func:`apply_capacity_asymmetry` turns a symmetric topology into an
-asymmetric one by scaling the reverse direction of every link.
+The paper's flow-level evaluation uses homogeneous, symmetric core
+capacities; :func:`apply_capacity_asymmetry` turns such a topology
+into an asymmetric one by scaling the reverse direction of every link
+(in place, returning the topology for chaining).
 """
 
 from __future__ import annotations
@@ -17,56 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import ConfigurationError
-from repro.topology.graph import CapacitySpec, Topology, split_capacity_spec
-
-
-def _check_spec(capacity: CapacitySpec) -> None:
-    forward, reverse = split_capacity_spec(capacity)
-    if forward <= 0 or reverse <= 0:
-        raise ConfigurationError(f"capacity must be positive, got {capacity!r}")
-
-
-def assign_uniform_capacity(topo: Topology, capacity: CapacitySpec) -> Topology:
-    """Set every link to *capacity* (bits/s, or a (fwd, rev) pair)."""
-    _check_spec(capacity)
-    for u, v in topo.links():
-        topo.set_capacity(u, v, capacity)
-    return topo
-
-
-def assign_degree_capacity(
-    topo: Topology, base_capacity: float, exponent: float = 0.5
-) -> Topology:
-    """Scale link capacity with endpoint degrees.
-
-    Capacity of link ``(u, v)`` is
-    ``base * (deg(u) * deg(v)) ** exponent`` — a common heuristic for
-    ISP maps where high-degree core routers connect over fatter pipes.
-    """
-    if base_capacity <= 0:
-        raise ConfigurationError(f"capacity must be positive, got {base_capacity!r}")
-    for u, v in topo.links():
-        scale = (topo.degree(u) * topo.degree(v)) ** exponent
-        topo.set_capacity(u, v, base_capacity * max(scale, 1.0))
-    return topo
-
-
-def assign_core_edge_capacity(
-    topo: Topology, core_capacity: float, edge_capacity: float
-) -> Topology:
-    """Give links that touch a leaf node *edge_capacity*, others core.
-
-    Models the "ISPs move the bottleneck to the edge" practice the
-    paper discusses in Section 2.2.
-    """
-    if core_capacity <= 0 or edge_capacity <= 0:
-        raise ConfigurationError("capacities must be positive")
-    for u, v in topo.links():
-        if topo.degree(u) == 1 or topo.degree(v) == 1:
-            topo.set_capacity(u, v, edge_capacity)
-        else:
-            topo.set_capacity(u, v, core_capacity)
-    return topo
+from repro.topology.graph import Topology
 
 
 def apply_capacity_asymmetry(topo: Topology, ratio: float) -> Topology:

@@ -232,12 +232,6 @@ class Topology:
         """All links as canonical ``(u, v)`` tuples."""
         return [Link.key(u, v) for u, v, _ in self._edges()]
 
-    def directed_links(self) -> Iterator[Link]:
-        """Both orientations of every link (for per-direction state)."""
-        for u, v, _ in self._edges():
-            yield (u, v)
-            yield (v, u)
-
     def has_node(self, node: Node) -> bool:
         try:
             return node in self._index
@@ -305,10 +299,6 @@ class Topology:
             data["capacity"] == data["capacity_rev"] for _, _, data in self._edges()
         )
 
-    def total_capacity(self) -> float:
-        """Sum of canonical-direction link capacities, bits/s."""
-        return sum(data["capacity"] for _, _, data in self._edges())
-
     def is_connected(self) -> bool:
         if not self._nodes:
             return True
@@ -375,12 +365,6 @@ class Topology:
                 copied[v] = dict(data) if shared is None else shared
         return clone
 
-    def without_link(self, u: Node, v: Node) -> "Topology":
-        """A copy of the topology with link ``(u, v)`` removed."""
-        clone = self.copy(f"{self.name}-without-{u}-{v}")
-        clone.remove_link(u, v)
-        return clone
-
     @classmethod
     def from_links(
         cls,
@@ -436,14 +420,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return f"Topology({self.name!r}, nodes={self.num_nodes}, links={self.num_links})"
-
-    def link_capacities(self) -> Dict[Link, float]:
-        """Mapping of canonical link -> canonical-direction capacity.
-
-        Only meaningful on symmetric topologies (one scalar per link);
-        allocators index per direction via :meth:`directed_capacities`.
-        """
-        return {Link.key(u, v): float(data["capacity"]) for u, v, data in self._edges()}
 
     def directed_capacities(self) -> Dict[Link, float]:
         """Mapping of directed ``(u, v)`` link -> capacity (bits/s).

@@ -1,4 +1,4 @@
-"""Topology serialisation: JSON documents and edge-list text.
+"""Topology serialisation as JSON documents.
 
 Lets users persist calibrated ISP maps (so experiment suites do not
 regenerate them) and import their own topologies into the simulators.
@@ -13,11 +13,6 @@ JSON schema::
 ``capacity`` is the ``u -> v`` direction and ``capacity_reverse`` the
 ``v -> u`` direction.  Legacy documents without ``capacity_reverse``
 load as symmetric links (a one-time warning notes the assumption).
-
-The edge-list format is one ``u v capacity_bps delay_s
-[capacity_reverse_bps]`` per line with ``#`` comments, a superset of
-the common research-dataset layout; the optional fifth field carries
-the reverse-direction capacity of asymmetric links.
 """
 
 from __future__ import annotations
@@ -119,55 +114,3 @@ def load_topology(path: PathLike) -> Topology:
     except json.JSONDecodeError as error:
         raise TopologyError(f"invalid topology JSON in {path}: {error}") from None
     return topology_from_dict(document)
-
-
-def topology_to_edge_list(topo: Topology) -> str:
-    """Render *topo* as ``u v capacity delay [capacity_reverse]`` lines.
-
-    The fifth column is only written for asymmetric links, keeping
-    symmetric exports in the common four-column layout.
-    """
-    lines = [f"# topology: {topo.name}", "# u v capacity_bps delay_s [capacity_reverse_bps]"]
-    for u, v in topo.links():
-        forward = topo.capacity(u, v)
-        reverse = topo.capacity(v, u)
-        line = f"{u} {v} {forward:.6g} {topo.delay(u, v):.6g}"
-        if reverse != forward:
-            line += f" {reverse:.6g}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def topology_from_edge_list(text: str, name: str = "edge-list") -> Topology:
-    """Parse an edge-list document (see module docstring).
-
-    Node tokens that look like integers become ints; everything else
-    stays a string.  A fifth field, when present, is the reverse
-    (``v -> u``) capacity of an asymmetric link.
-    """
-    topo = Topology(name)
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) < 2:
-            raise TopologyError(f"line {line_number}: need at least 'u v'")
-        u, v = (_node_token(tok) for tok in fields[:2])
-        capacity = float(fields[2]) if len(fields) > 2 else DEFAULT_CAPACITY_BPS
-        delay = float(fields[3]) if len(fields) > 3 else DEFAULT_DELAY_S
-        reverse = float(fields[4]) if len(fields) > 4 else None
-        try:
-            topo.add_link(
-                u, v, capacity=capacity, delay=delay, capacity_reverse=reverse
-            )
-        except TopologyError as error:
-            raise TopologyError(f"line {line_number}: {error}") from None
-    return topo
-
-
-def _node_token(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token

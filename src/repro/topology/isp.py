@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike
@@ -53,16 +53,6 @@ class IspProfile:
     region: str
     #: ``(one_hop, two_hop, three_plus, none)`` percentages from Table 1.
     detour_percentages: Tuple[float, float, float, float]
-
-    def as_row(self) -> List[str]:
-        one, two, three, none = self.detour_percentages
-        return [
-            self.display_name,
-            f"{one:.2f}%",
-            f"{two:.2f}%",
-            f"{three:.2f}%",
-            f"{none:.2f}%",
-        ]
 
 
 _PROFILES: Dict[str, IspProfile] = {

@@ -60,16 +60,6 @@ def gbps(value: float) -> float:
     return float(value) * _DECIMAL**3
 
 
-def kilobytes(value: float) -> int:
-    """Return *value* kB (decimal) expressed in bytes."""
-    return int(round(float(value) * 10**3))
-
-
-def megabytes(value: float) -> int:
-    """Return *value* MB (decimal) expressed in bytes."""
-    return int(round(float(value) * 10**6))
-
-
 def gigabytes(value: float) -> int:
     """Return *value* GB (decimal) expressed in bytes."""
     return int(round(float(value) * 10**9))

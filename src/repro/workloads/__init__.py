@@ -1,30 +1,19 @@
 """Workload generation: arrival processes, flow sizes, traffic matrices."""
 
-from repro.workloads.arrivals import DeterministicArrivals, PoissonArrivals
-from repro.workloads.sizes import (
-    ExponentialSize,
-    FixedSize,
-    ParetoSize,
-    SizeDistribution,
-)
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.sizes import ExponentialSize
 from repro.workloads.traffic import (
     FlowSpec,
     FlowWorkload,
-    gravity_pairs,
     local_pairs,
     uniform_pairs,
 )
 
 __all__ = [
     "PoissonArrivals",
-    "DeterministicArrivals",
-    "SizeDistribution",
-    "FixedSize",
     "ExponentialSize",
-    "ParetoSize",
     "FlowSpec",
     "FlowWorkload",
     "uniform_pairs",
-    "gravity_pairs",
     "local_pairs",
 ]

@@ -1,8 +1,8 @@
-"""Arrival processes.
+"""Arrival process.
 
 The paper's flow-level evaluation uses Poisson flow arrivals
-("flows arrive Poisson distributed").  Both processes here yield
-absolute arrival times and can be capped by time horizon or count.
+("flows arrive Poisson distributed").  The process yields absolute
+arrival times and can be capped by time horizon or count.
 """
 
 from __future__ import annotations
@@ -48,31 +48,3 @@ class PoissonArrivals:
                 return
             count += 1
             yield now
-
-
-class DeterministicArrivals:
-    """Fixed-gap arrivals; useful for tests and worked examples."""
-
-    def __init__(self, interval: float, start: float = 0.0):
-        if interval <= 0:
-            raise WorkloadError(f"interval must be positive, got {interval}")
-        self.interval = float(interval)
-        self.start = float(start)
-
-    def times(
-        self,
-        horizon: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> Iterator[float]:
-        if horizon is None and max_events is None:
-            raise WorkloadError("need a horizon or a max_events bound")
-        now = self.start
-        count = 0
-        while True:
-            if horizon is not None and now > horizon:
-                return
-            if max_events is not None and count >= max_events:
-                return
-            count += 1
-            yield now
-            now += self.interval

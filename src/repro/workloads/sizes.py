@@ -1,47 +1,16 @@
-"""Flow-size distributions (bits).
+"""Flow-size distribution (bits).
 
 Bulk content transfers (the paper's "ftp" case) are modelled with
-exponential sizes by default; Pareto sizes exercise heavy-tailed mixes.
+exponential sizes.
 """
 
 from __future__ import annotations
-
-import abc
 
 from repro.errors import WorkloadError
 from repro.rng import SeedLike, make_rng
 
 
-class SizeDistribution(abc.ABC):
-    """Draw flow sizes in bits."""
-
-    @abc.abstractmethod
-    def sample(self) -> float:
-        """One flow size (bits, strictly positive)."""
-
-    @property
-    @abc.abstractmethod
-    def mean(self) -> float:
-        """Expected size in bits."""
-
-
-class FixedSize(SizeDistribution):
-    """Every flow has the same size."""
-
-    def __init__(self, size_bits: float):
-        if size_bits <= 0:
-            raise WorkloadError(f"size must be positive, got {size_bits}")
-        self._size = float(size_bits)
-
-    def sample(self) -> float:
-        return self._size
-
-    @property
-    def mean(self) -> float:
-        return self._size
-
-
-class ExponentialSize(SizeDistribution):
+class ExponentialSize:
     """Exponentially distributed sizes with the given mean."""
 
     def __init__(self, mean_bits: float, seed: SeedLike = None):
@@ -53,32 +22,6 @@ class ExponentialSize(SizeDistribution):
     def sample(self) -> float:
         # Clamp away from zero so transfers always carry data.
         return max(float(self._rng.exponential(self._mean)), 1.0)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-
-class ParetoSize(SizeDistribution):
-    """Pareto (heavy-tailed) sizes with the given mean and shape.
-
-    The shape must exceed 1 so the mean exists; the scale is derived
-    as ``mean * (shape - 1) / shape``.
-    """
-
-    def __init__(self, mean_bits: float, shape: float = 1.5, seed: SeedLike = None):
-        if mean_bits <= 0:
-            raise WorkloadError(f"mean must be positive, got {mean_bits}")
-        if shape <= 1.0:
-            raise WorkloadError(f"shape must exceed 1, got {shape}")
-        self._mean = float(mean_bits)
-        self._shape = float(shape)
-        self._scale = mean_bits * (shape - 1.0) / shape
-        self._rng = make_rng(seed, "pareto-sizes")
-
-    def sample(self) -> float:
-        # numpy's pareto() is the Lomax form; shift by 1 for classic Pareto.
-        return float(self._scale * (1.0 + self._rng.pareto(self._shape)))
 
     @property
     def mean(self) -> float:

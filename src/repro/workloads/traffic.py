@@ -18,7 +18,7 @@ from repro.errors import WorkloadError
 from repro.rng import SeedLike, make_rng
 from repro.topology.graph import Node, Topology
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.sizes import ExponentialSize, SizeDistribution
+from repro.workloads.sizes import ExponentialSize
 
 PairSampler = Callable[[], Tuple[Node, Node]]
 
@@ -103,30 +103,6 @@ def local_pairs(
     return _sample
 
 
-def gravity_pairs(topo: Topology, seed: SeedLike = None) -> PairSampler:
-    """Sampler weighting endpoints by node degree (gravity model).
-
-    High-degree (core) nodes originate and sink proportionally more
-    flows, as in ISP traffic matrices.
-    """
-    nodes = topo.nodes()
-    if len(nodes) < 2:
-        raise WorkloadError("need at least two nodes to build flows")
-    rng = make_rng(seed, "gravity-pairs")
-    degrees = [max(topo.degree(node), 1) for node in nodes]
-    total = float(sum(degrees))
-    weights = [degree / total for degree in degrees]
-
-    def _sample() -> Tuple[Node, Node]:
-        while True:
-            i = int(rng.choice(len(nodes), p=weights))
-            j = int(rng.choice(len(nodes), p=weights))
-            if i != j:
-                return nodes[i], nodes[j]
-
-    return _sample
-
-
 class FlowWorkload:
     """Generates a reproducible schedule of flows for a topology.
 
@@ -136,7 +112,7 @@ class FlowWorkload:
         Poisson flow-arrival rate (flows/second) over the whole
         network.
     mean_size_bits:
-        Mean flow size; sizes are exponential unless *sizes* overrides.
+        Mean of the exponential flow sizes.
     demand_bps:
         Per-flow access-rate cap ("senders insert more data if they
         see extra available bandwidth" — the cap is what their access
@@ -150,7 +126,6 @@ class FlowWorkload:
         mean_size_bits: float,
         demand_bps: float,
         seed: SeedLike = 0,
-        sizes: Optional[SizeDistribution] = None,
         pair_sampler: Optional[PairSampler] = None,
     ):
         if demand_bps <= 0:
@@ -158,7 +133,7 @@ class FlowWorkload:
         self.topology = topo
         base = make_rng(seed, "flow-workload")
         self._arrivals = PoissonArrivals(arrival_rate, base)
-        self._sizes = sizes or ExponentialSize(mean_size_bits, base)
+        self._sizes = ExponentialSize(mean_size_bits, base)
         self._pairs = pair_sampler or uniform_pairs(topo, base)
         self.demand_bps = float(demand_bps)
 
@@ -174,8 +149,7 @@ class FlowWorkload:
         matter how many flows the horizon or *max_flows* admits.  The
         sequence is fully determined by the workload's seed — two
         iterators from identically-constructed workloads yield
-        identical specs, which is what lets simulator checkpoints
-        resume by fast-forwarding a fresh iterator.
+        identical specs.
         """
         for flow_id, arrival in enumerate(
             self._arrivals.times(horizon=horizon, max_events=max_flows)

@@ -62,11 +62,9 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
     mid-sequence."""
     topo = mesh_topology(24, extra_links=24, seed=seed, capacity=mbps(10))
     strategy = make_strategy("sp", topo)
-    alloc = IncrementalMaxMin(
-        topo.directed_capacities(),
-        min_compact_nnz=8,
-        compact_slack=0.2,
-    )
+    alloc = IncrementalMaxMin(topo.directed_capacities())
+    alloc._store.min_compact_nnz = 8
+    alloc._store.compact_slack = 0.2
     rng = random.Random(seed)
     flow_links, demands, live = {}, {}, set()
     next_id = 0
@@ -97,12 +95,9 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
     topo = mesh_topology(16, extra_links=14, seed=seed, capacity=mbps(10))
     table = DetourTable(topo)
     strategy = make_strategy("inrp", topo)
-    alloc = IncrementalInrp(
-        topo.directed_capacities(),
-        table,
-        min_compact_nnz=8,
-        compact_slack=0.2,
-    )
+    alloc = IncrementalInrp(topo.directed_capacities(), table)
+    alloc._primary_store.min_compact_nnz = 8
+    alloc._primary_store.compact_slack = 0.2
     alloc._tracker.slack = 0.05  # rebuild eagerly so churn crosses one
     rng = random.Random(seed)
     flow_paths, demands, live = {}, {}, set()
@@ -183,7 +178,9 @@ def test_incidence_store_compaction_preserves_rows():
         space.index[("b", "c")],
         space.index[("c", "d")],
     )
-    store = IncidenceStore(space, compact_slack=0.2, min_compact_nnz=2)
+    store = IncidenceStore(space)
+    store.compact_slack = 0.2
+    store.min_compact_nnz = 2
     store.add(0, [ab, bc], 5.0)
     store.add(1, [bc, cd], 7.0)
     store.add(2, [ab], 9.0)

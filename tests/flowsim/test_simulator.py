@@ -4,7 +4,12 @@ import pytest
 from oracles import reference_run
 
 from repro.errors import SimulationError
-from repro.flowsim import FlowLevelSimulator, make_strategy
+from repro.flowsim import (
+    FlowLevelSimulator,
+    MaterializingSink,
+    StreamingSink,
+    make_strategy,
+)
 from repro.topology import Topology, fig3_topology, line_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import FlowSpec, FlowWorkload, local_pairs
@@ -139,6 +144,35 @@ def test_invalid_horizon():
     topo = line_topology(2)
     with pytest.raises(SimulationError):
         FlowLevelSimulator(topo, make_strategy("sp", topo), [], horizon=0.0)
+
+
+def test_consumed_stream_cannot_rerun():
+    topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
+    workload = FlowWorkload(
+        topo, arrival_rate=120.0, mean_size_bits=4e6, demand_bps=mbps(10), seed=7
+    )
+    sim = FlowLevelSimulator(
+        topo, make_strategy("sp", topo), workload.iter_specs(horizon=1.0),
+        sink="streaming",
+    )
+    sim.run()
+    with pytest.raises(SimulationError, match="already consumed"):
+        sim.run()
+
+
+@pytest.mark.parametrize("sink_cls", [MaterializingSink, StreamingSink])
+def test_reused_sink_instance_cannot_rerun(sink_cls):
+    """A sink instance holds one run: a second ``run()`` raises instead
+    of folding its flows into the first result."""
+    topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
+    specs = _workload_specs(topo, seed=3, num_flows=50)
+    sim = FlowLevelSimulator(topo, make_strategy("sp", topo), specs, sink=sink_cls())
+    first = sim.run()
+    assert first.num_flows == 50
+    with pytest.raises(SimulationError, match="sink instance"):
+        sim.run()
+    assert first.num_flows == 50
+    assert first.completed_count == 50
 
 
 def test_mean_fct_and_stretch_helpers():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.flowsim import (
-    FlowAggregates,
     FlowLevelSimulator,
     MaterializingSink,
     StreamingSink,
@@ -145,7 +144,7 @@ def test_require_records_guides_to_materialize():
         workload.generate(horizon=2.0),
         sink="streaming",
     ).run()
-    assert not result.has_records
+    assert result.records is None
     with pytest.raises(AnalysisError, match="materialize"):
         result.require_records()
     with pytest.raises(AnalysisError, match="materialize"):
@@ -156,7 +155,7 @@ def test_make_sink_resolution():
     assert isinstance(make_sink(None), MaterializingSink)
     assert isinstance(make_sink("materialize"), MaterializingSink)
     assert isinstance(make_sink("streaming"), StreamingSink)
-    custom = StreamingSink(epsilon=0.1)
+    custom = StreamingSink()
     assert make_sink(custom) is custom
     with pytest.raises(ConfigurationError):
         make_sink("csv")
@@ -167,32 +166,6 @@ def test_make_sink_resolution():
             [],
             sink="bogus",
         ).run()
-
-
-def test_aggregates_merge_matches_single_pass():
-    topo, workload = _mesh_workload()
-    records = FlowLevelSimulator(
-        topo, make_strategy("sp", topo), workload.generate(horizon=3.0)
-    ).run().records
-    whole = FlowAggregates()
-    for record in records:
-        whole.observe(record)
-    half = len(records) // 2
-    left, right = FlowAggregates(), FlowAggregates()
-    for record in records[:half]:
-        left.observe(record)
-    for record in records[half:]:
-        right.observe(record)
-    left.merge(right)
-    assert left.flows == whole.flows
-    assert left.completed == whole.completed
-    assert left.delivered_bits == pytest.approx(whole.delivered_bits)
-    assert left.jain_goodput() == pytest.approx(whole.jain_goodput())
-    assert left.mean_fct() == pytest.approx(whole.mean_fct())
-    # Merged sketch still answers within the (doubled) rank error.
-    assert left.fct_sketch.quantile(0.5) == pytest.approx(
-        whole.fct_sketch.quantile(0.5), rel=0.1
-    )
 
 
 def test_empty_run_degrades_gracefully():

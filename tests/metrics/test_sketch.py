@@ -1,5 +1,5 @@
 """Greenwald-Khanna quantile sketch tests: rank-error bounds, weights,
-merging, degenerate inputs."""
+degenerate inputs."""
 
 import math
 import random
@@ -51,23 +51,6 @@ def test_rank_error_within_epsilon_weighted():
     assert error <= 0.02 + 1e-12
 
 
-def test_merge_rank_error_additive():
-    # Two shards, merged: the documented bound is (eps1 + eps2) * W.
-    rng = random.Random(3)
-    shard_a = [rng.gauss(0.0, 1.0) for _ in range(8_000)]
-    shard_b = [rng.gauss(2.0, 0.5) for _ in range(8_000)]
-    a, b = QuantileSketch(epsilon=0.01), QuantileSketch(epsilon=0.01)
-    for value in shard_a:
-        a.insert(value)
-    for value in shard_b:
-        b.insert(value)
-    a.merge(b)
-    values = shard_a + shard_b
-    error = _rank_error(values, [1.0] * len(values), a, QS)
-    assert error <= 0.02 + 1e-12
-    assert a.count == 16_000
-
-
 def test_extremes_are_exact():
     sketch = QuantileSketch(epsilon=0.05)
     values = list(range(1000))
@@ -111,25 +94,3 @@ def test_single_value():
     for q in (0.0, 0.5, 1.0):
         assert sketch.quantile(q) == 42.0
     assert sketch.total_weight == 3.0
-
-
-def test_merge_empty_is_noop():
-    sketch = QuantileSketch()
-    sketch.insert(1.0)
-    sketch.merge(QuantileSketch())
-    assert sketch.count == 1
-    assert sketch.quantile(0.5) == 1.0
-    with pytest.raises(ConfigurationError):
-        sketch.merge(object())  # type: ignore[arg-type]
-
-
-def test_summary_reports_quantiles_not_moments():
-    sketch = QuantileSketch(epsilon=0.01)
-    for value in range(1, 101):
-        sketch.insert(float(value))
-    summary = sketch.summary()
-    assert summary.count == 100
-    assert math.isnan(summary.mean) and math.isnan(summary.std)
-    assert summary.minimum == 1.0
-    assert summary.maximum == 100.0
-    assert abs(summary.p50 - 50.0) <= 2.0

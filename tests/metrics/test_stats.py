@@ -1,10 +1,10 @@
-"""CDF and summary statistics tests."""
+"""CDF tests."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.metrics import Cdf, summarize, weighted_cdf
+from repro.metrics import Cdf
 
 
 def test_simple_cdf():
@@ -18,7 +18,7 @@ def test_simple_cdf():
 
 def test_weighted_cdf_mass():
     # 90% of the weight at stretch 1.0, as in a Fig. 4b-like sample.
-    cdf = weighted_cdf([1.0, 1.4], [9.0, 1.0])
+    cdf = Cdf([1.0, 1.4], [9.0, 1.0])
     assert cdf(1.0) == pytest.approx(0.9)
     assert cdf(1.4) == pytest.approx(1.0)
 
@@ -57,17 +57,3 @@ def test_cdf_monotone_and_bounded(values):
     assert all(0.0 <= p <= 1.0 + 1e-9 for p in ps)
     assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
     assert cdf(max(values)) == pytest.approx(1.0)
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
-def test_summarize_consistency(values):
-    stats = summarize(values)
-    eps = 1e-9 * (1.0 + abs(stats.maximum))
-    assert stats.count == len(values)
-    assert stats.minimum - eps <= stats.p50 <= stats.maximum + eps
-    assert stats.minimum - eps <= stats.mean <= stats.maximum + eps
-
-
-def test_summarize_empty_rejected():
-    with pytest.raises(ConfigurationError):
-        summarize([])

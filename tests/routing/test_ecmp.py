@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import NoPathError
 from repro.routing import all_shortest_paths, ecmp_hash, ecmp_path_for_flow
-from repro.routing.ecmp import ecmp_path_table
 from repro.topology import Topology
 
 
@@ -38,12 +37,6 @@ def test_hash_stable_and_in_range():
 def test_hash_uses_all_buckets(square):
     chosen = {ecmp_path_for_flow(square, 0, 2, fid) for fid in range(50)}
     assert len(chosen) == 2  # both equal-cost paths get traffic
-
-
-def test_path_table(square):
-    table = ecmp_path_table(square, 0, 2)
-    assert set(table.keys()) == {0, 1}
-    assert all(path[0] == 0 and path[-1] == 2 for path in table.values())
 
 
 def test_zero_paths_rejected():

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import RoutingError
-from repro.routing import path_hops, path_links, path_stretch, validate_path
-from repro.topology import Topology
+from repro.routing import path_hops, path_links, path_stretch
 
 
 def test_path_hops_and_links():
@@ -17,17 +16,6 @@ def test_path_hops_and_links():
 def test_empty_path_rejected():
     with pytest.raises(RoutingError):
         path_hops(())
-
-
-def test_validate_path():
-    topo = Topology.from_links([(1, 2), (2, 3)])
-    assert validate_path(topo, [1, 2, 3]) == (1, 2, 3)
-    with pytest.raises(RoutingError):
-        validate_path(topo, [1, 3])  # missing link
-    with pytest.raises(RoutingError):
-        validate_path(topo, [1, 2, 1])  # revisits a node
-    with pytest.raises(RoutingError):
-        validate_path(topo, [1, 99])  # unknown node
 
 
 def test_path_stretch():

@@ -1,23 +1,58 @@
 """Cross-module integration tests: the paper's story end to end."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
-from repro import (
-    ChunkNetwork,
-    build_isp_topology,
-    jain_index,
-    make_strategy,
-    snapshot_experiment,
-)
+from repro import ChunkNetwork, build_isp_topology, jain_index, make_strategy
+from repro.flowsim import snapshot_experiment
 from repro.topology import fig3_topology
 from repro.units import mbps
 from repro.workloads import local_pairs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: ``from repro import a, b`` or ``from repro import (a, b, ...)`` in
+#: a Markdown code block.
+_MARKDOWN_IMPORT = re.compile(
+    r"^\s*from repro import (\(([^)]*)\)|[^\n]*)", re.MULTILINE
+)
+
+
+def _top_level_imports():
+    """Names that the docs, examples, benchmarks and perfbench import
+    with ``from repro import ...``."""
+    names = set()
+    for doc in (ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md"):
+        for match in _MARKDOWN_IMPORT.finditer(doc.read_text()):
+            listed = match.group(2) or match.group(1).split("#")[0]
+            names.update(
+                name.split(" as ")[0].strip()
+                for name in listed.replace("\n", ",").split(",")
+                if name.strip()
+            )
+    scripts = [
+        path
+        for directory in ("examples", "benchmarks", "perfbench")
+        for path in (ROOT / directory).rglob("*.py")
+    ]
+    for script in scripts:
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro":
+                names.update(alias.name for alias in node.names)
+    return names
 
 
 def test_public_api_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+    imported = _top_level_imports()
+    assert imported <= set(repro.__all__), imported - set(repro.__all__)
+    unused = set(repro.__all__) - imported - {"__version__"}
+    assert not unused, f"re-exported but imported by no doc or script: {unused}"
 
 
 def test_version():

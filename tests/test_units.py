@@ -11,9 +11,7 @@ from repro.units import (
     gbps,
     gigabytes,
     kbps,
-    kilobytes,
     mbps,
-    megabytes,
     parse_rate,
     parse_size,
     transmission_time,
@@ -27,8 +25,6 @@ def test_rate_constructors():
 
 
 def test_size_constructors():
-    assert kilobytes(1) == 1_000
-    assert megabytes(2.5) == 2_500_000
     assert gigabytes(10) == 10_000_000_000
 
 

@@ -1,62 +1,14 @@
-"""Capacity assignment model tests."""
+"""Capacity asymmetry tests."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.topology import (
-    Topology,
-    apply_capacity_asymmetry,
-    assign_core_edge_capacity,
-    assign_degree_capacity,
-    assign_uniform_capacity,
-    star_topology,
-)
+from repro.topology import apply_capacity_asymmetry, star_topology
 from repro.units import mbps
 
 
-def test_uniform():
-    topo = star_topology(4)
-    assign_uniform_capacity(topo, mbps(3))
-    assert all(topo.capacity(u, v) == mbps(3) for u, v in topo.links())
-    with pytest.raises(ConfigurationError):
-        assign_uniform_capacity(topo, 0)
-
-
-def test_degree_weighted_scales_with_degree():
-    topo = Topology()
-    topo.add_link("hub", "a")
-    topo.add_link("hub", "b")
-    topo.add_link("a", "b")
-    topo.add_link("hub", "leaf")
-    assign_degree_capacity(topo, base_capacity=1e6, exponent=1.0)
-    # hub has degree 3; hub-a (3*2) beats hub-leaf (3*1).
-    assert topo.capacity("hub", "a") > topo.capacity("hub", "leaf")
-
-
-def test_core_edge_split():
-    topo = star_topology(3)
-    topo.add_link(1, 2)  # make 1 and 2 non-leaves
-    assign_core_edge_capacity(topo, core_capacity=mbps(10), edge_capacity=mbps(1))
-    assert topo.capacity(0, 3) == mbps(1)   # 3 is still a leaf
-    assert topo.capacity(1, 2) == mbps(10)
-    assert topo.capacity(0, 1) == mbps(10)
-    with pytest.raises(ConfigurationError):
-        assign_core_edge_capacity(topo, -1, 1)
-
-
-def test_uniform_pair_spec():
-    topo = star_topology(3)
-    assign_uniform_capacity(topo, (mbps(8), mbps(2)))
-    for u, v in topo.links():
-        assert topo.capacity(u, v) == mbps(8)
-        assert topo.capacity(v, u) == mbps(2)
-    with pytest.raises(ConfigurationError):
-        assign_uniform_capacity(topo, (mbps(8), 0))
-
-
 def test_apply_capacity_asymmetry():
-    topo = star_topology(4)
-    assign_uniform_capacity(topo, mbps(10))
+    topo = star_topology(4, capacity=mbps(10))
     apply_capacity_asymmetry(topo, 0.25)
     assert not topo.is_symmetric()
     for u, v in topo.links():

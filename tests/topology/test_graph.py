@@ -83,23 +83,15 @@ def test_is_bridge(triangle):
     assert topo.links() == links
 
 
-def test_without_link_copies(triangle):
-    reduced = triangle.without_link("a", "b")
-    assert not reduced.has_link("a", "b")
-    assert triangle.has_link("a", "b")
-
-
-def test_directed_links_double_count(triangle):
-    directed = list(triangle.directed_links())
-    assert len(directed) == 2 * triangle.num_links
-    assert ("a", "b") in directed and ("b", "a") in directed
-
-
-def test_from_links_and_total_capacity():
+def test_from_links_sets_capacity():
     topo = Topology.from_links([(1, 2), (2, 3)], capacity=mbps(5))
     assert topo.num_links == 2
-    assert topo.total_capacity() == mbps(10)
-    assert topo.link_capacities() == {(1, 2): mbps(5), (2, 3): mbps(5)}
+    assert topo.directed_capacities() == {
+        (1, 2): mbps(5),
+        (2, 1): mbps(5),
+        (2, 3): mbps(5),
+        (3, 2): mbps(5),
+    }
 
 
 def test_is_connected():
@@ -222,13 +214,11 @@ def test_directed_capacities_both_orientations(triangle):
     assert caps[("b", "a")] == mbps(1)
 
 
-def test_asymmetry_survives_copy_and_without_link(triangle):
+def test_asymmetry_survives_copy(triangle):
     triangle.set_directed_capacity("b", "a", mbps(1))
     clone = triangle.copy()
     assert clone.capacity("b", "a") == mbps(1)
     assert clone.capacity("a", "b") == mbps(10)
-    reduced = triangle.without_link("b", "c")
-    assert reduced.capacity("b", "a") == mbps(1)
 
 
 def test_is_bridge_preserves_directed_capacities(triangle):

@@ -11,9 +11,7 @@ from repro.topology.io import (
     load_topology,
     save_topology,
     topology_from_dict,
-    topology_from_edge_list,
     topology_to_dict,
-    topology_to_edge_list,
 )
 
 
@@ -64,37 +62,6 @@ def test_dict_validation():
         topology_from_dict({"links": [{"u": 1}]})
 
 
-def test_edge_list_round_trip():
-    topo = fig3_topology()
-    text = topology_to_edge_list(topo)
-    clone = topology_from_edge_list(text)
-    _assert_same(topo, clone)
-
-
-def test_edge_list_parsing_features():
-    text = """
-    # a comment
-    a b 5e6 0.002
-    b c            # defaults apply
-    """
-    topo = topology_from_edge_list(text)
-    assert topo.capacity("a", "b") == 5e6
-    assert topo.delay("a", "b") == pytest.approx(0.002)
-    assert topo.has_link("b", "c")
-
-
-def test_edge_list_integer_nodes():
-    topo = topology_from_edge_list("1 2\n2 3\n")
-    assert set(topo.nodes()) == {1, 2, 3}
-
-
-def test_edge_list_errors_carry_line_numbers():
-    with pytest.raises(TopologyError, match="line 2"):
-        topology_from_edge_list("a b\nonlyone\n")
-    with pytest.raises(TopologyError, match="line 2"):
-        topology_from_edge_list("a b\na b\n")  # duplicate link
-
-
 def test_dict_round_trip_asymmetric():
     topo = _asymmetric_topology()
     clone = topology_from_dict(topology_to_dict(topo))
@@ -109,21 +76,6 @@ def test_json_file_round_trip_asymmetric(tmp_path):
     path = tmp_path / "asym.json"
     save_topology(topo, path)
     _assert_same(topo, load_topology(path))
-
-
-def test_edge_list_round_trip_asymmetric():
-    topo = _asymmetric_topology()
-    text = topology_to_edge_list(topo)
-    # Asymmetric links carry the fifth column; symmetric ones do not.
-    data_lines = [l for l in text.splitlines() if not l.startswith("#")]
-    assert any(len(line.split()) == 5 for line in data_lines)
-    _assert_same(topo, topology_from_edge_list(text))
-
-
-def test_edge_list_fifth_column_is_reverse_capacity():
-    topo = topology_from_edge_list("a b 8e6 0.001 2e6\n")
-    assert topo.capacity("a", "b") == 8e6
-    assert topo.capacity("b", "a") == 2e6
 
 
 def test_legacy_document_warns_once_and_loads_symmetric(monkeypatch):

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.topology import fig3_topology, mesh_topology, star_topology
+from repro.topology import fig3_topology, mesh_topology
 from repro.workloads import (
-    DeterministicArrivals,
     ExponentialSize,
-    FixedSize,
     FlowWorkload,
-    ParetoSize,
     PoissonArrivals,
-    gravity_pairs,
     local_pairs,
     uniform_pairs,
 )
@@ -50,39 +46,14 @@ def test_poisson_deterministic_per_seed():
     assert a == b
 
 
-def test_deterministic_arrivals():
-    times = list(DeterministicArrivals(0.5, start=1.0).times(max_events=4))
-    assert times == [1.0, 1.5, 2.0, 2.5]
-    with pytest.raises(WorkloadError):
-        DeterministicArrivals(0.0)
-
-
 # ----------------------------------------------------------------------
 # Sizes
 # ----------------------------------------------------------------------
-def test_fixed_size():
-    dist = FixedSize(1000.0)
-    assert dist.sample() == 1000.0
-    assert dist.mean == 1000.0
-    with pytest.raises(WorkloadError):
-        FixedSize(0)
-
-
 def test_exponential_size_mean():
     dist = ExponentialSize(1e6, seed=3)
     samples = [dist.sample() for _ in range(5000)]
     assert np.mean(samples) == pytest.approx(1e6, rel=0.1)
     assert min(samples) > 0
-
-
-def test_pareto_size_mean_and_validation():
-    dist = ParetoSize(1e6, shape=2.5, seed=4)
-    samples = [dist.sample() for _ in range(20000)]
-    assert np.mean(samples) == pytest.approx(1e6, rel=0.15)
-    with pytest.raises(WorkloadError):
-        ParetoSize(1e6, shape=1.0)
-    with pytest.raises(WorkloadError):
-        ParetoSize(-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -95,14 +66,6 @@ def test_uniform_pairs_no_self_loops():
         src, dst = sample()
         assert src != dst
         assert topo.has_node(src) and topo.has_node(dst)
-
-
-def test_gravity_pairs_prefer_hubs():
-    topo = star_topology(8)  # node 0 is the only hub
-    sample = gravity_pairs(topo, seed=1)
-    draws = [sample() for _ in range(300)]
-    hub_rate = sum(1 for s, d in draws if 0 in (s, d)) / len(draws)
-    assert hub_rate > 0.5
 
 
 def test_local_pairs_radius_and_degree():
@@ -150,8 +113,7 @@ def test_workload_demand_validation():
 def test_iter_specs_streams_lazily_and_matches_generate():
     """iter_specs is the streaming contract: lazy (a generator, no
     list behind it), in arrival order, and identical to generate()
-    from an identically-seeded workload — the determinism checkpoint
-    fast-forwarding relies on."""
+    from an identically-seeded workload."""
     topo = mesh_topology(6, extra_links=3, seed=1)
 
     def make():
