@@ -30,8 +30,7 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.multipath import MultipathAllocation, inrp_allocation
-from repro.flowsim.multipath import _rel_tol as _fill_rel_tol
+from repro.flowsim.multipath import MultipathAllocation, _rel_tol, inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.paths import Path, cached_path_links
 
@@ -43,13 +42,6 @@ _EPS = 1e-9
 #: Relative bar on incremental-vs-scratch rate deviation for
 #: ``verify=True``; both incremental allocators raise above it.
 _VERIFY_TOL = 1e-9
-
-
-def _rel_tol(scale: float) -> float:
-    """Tolerance proportional to the magnitudes in play."""
-    if math.isinf(scale):
-        return _EPS
-    return _EPS * (1.0 + abs(scale))
 
 
 def _verify_rates(
@@ -529,9 +521,11 @@ class IncrementalInrp:
     with ``pooling_fraction < 1`` that solver fills the component.
 
     The rates returned are exactly those of a from-scratch
-    ``inrp_allocation`` over the whole population (``verify=True``
-    cross-checks after every recompute and records the worst observed
-    deviation in :attr:`max_verify_deviation`).
+    ``inrp_allocation`` over the whole population.  ``verify=True``
+    runs the same fill as production and only adds that from-scratch
+    comparison after every recompute, recording the worst observed
+    deviation in :attr:`max_verify_deviation`; a verified run's
+    rates, splits and switch counts are those of an unverified one.
 
     Parameters mirror :func:`~repro.flowsim.multipath.inrp_allocation`;
     ``max_replacements`` additionally bounds the closure depth.
@@ -553,6 +547,7 @@ class IncrementalInrp:
         }
         self._table = detour_table
         self._max_replacements = max_replacements
+        #: Gates only the from-scratch comparison after each recompute.
         self._verify = verify
         if not 0.0 <= pooling_fraction <= 1.0:
             raise SimulationError(
@@ -563,8 +558,8 @@ class IncrementalInrp:
         # The incidence store holds each flow's *primary* columns and
         # demand for the kernel fill's bulk gather; component selection
         # goes through the amortized union-find tracker over closures
-        # (the closure-membership BFS serves the simulator's probe,
-        # the reserve fill and ``verify=True``).
+        # (the closure-membership BFS serves the simulator's probe
+        # and the reserve fill).
         self._primary_store = _kernel.IncidenceStore(self._space)
         self._tracker = _ComponentTracker()
         #: Per-(u, v) detour option columns, shared across fills.
@@ -582,13 +577,10 @@ class IncrementalInrp:
         self._splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
         #: Per-flow detour switches of the flow's latest fill.
         self._switches: Dict[FlowId, int] = {}
-        #: Per-link running usage, maintained only under ``verify=True``
-        #: to feed the :meth:`_pinned_usage` guard; see that docstring.
-        self._usage: Dict[LinkId, float] = {}
         #: Saturation tolerances, hoisted out of the per-recompute fill
         #: (they depend only on each link's capacity).
         self._floors: Dict[LinkId, float] = {
-            link: _fill_rel_tol(capacity)
+            link: _rel_tol(capacity)
             for link, capacity in self._capacities.items()
         }
         self._dirty_links: Set[LinkId] = set()
@@ -657,9 +649,7 @@ class IncrementalInrp:
         del self._order[flow]
         self._rates.pop(flow, None)
         self._switches.pop(flow, None)
-        departed_splits = self._splits.pop(flow, [])
-        if self._verify:
-            self._account_usage(departed_splits, -1.0)
+        self._splits.pop(flow, None)
         self._dirty_flows.discard(flow)
         closure = self._closures.pop(flow)
         for link in closure:
@@ -672,15 +662,6 @@ class IncrementalInrp:
         self._primary_store.remove(flow)
         if closure:
             self._tracker.remove(flow)
-
-    def _account_usage(
-        self, splits: Sequence[Tuple[Path, float]], sign: float
-    ) -> None:
-        for path, rate in splits:
-            if rate <= 0:
-                continue
-            for link in cached_path_links(tuple(path)):
-                self._usage[link] = self._usage.get(link, 0.0) + sign * rate
 
     def _dirty_component(self) -> Tuple[Set[FlowId], Set[LinkId]]:
         """Flows transitively reachable from the dirty links via
@@ -747,11 +728,7 @@ class IncrementalInrp:
         switches = 0
         if result is not None:
             switches = result.switches
-            for flow, splits in result.splits.items():
-                if self._verify:
-                    self._account_usage(self._splits.get(flow, []), -1.0)
-                    self._account_usage(splits, +1.0)
-                self._splits[flow] = splits
+            self._splits.update(result.splits)
             self._switches.update(result.flow_switches)
             changed_rates.update(result.rates)
             changed_splits.update(result.splits)
@@ -770,7 +747,8 @@ class IncrementalInrp:
         """Fill the exact dirty component with
         :func:`~repro.flowsim.multipath.inrp_allocation`, the one fill
         that implements partial pooling's reserves; None when the
-        component is empty."""
+        component is empty.  No flow outside the component can reach
+        its closure links, so each starts at full capacity."""
         component, reach = self._dirty_component()
         if not component:
             return None
@@ -778,11 +756,6 @@ class IncrementalInrp:
         # links; restricting the capacity map keeps its setup cost
         # proportional to the component, not the topology.
         capacities = {link: self._capacities[link] for link in reach}
-        # Pinned usage exists only as a verify-mode guard: the
-        # dirty-component BFS collects *every* flow with a closure
-        # link in ``reach``, so no outside flow can carry traffic
-        # there and the pinned map is zero by construction.
-        pinned = self._pinned_usage(component, reach) if self._verify else None
         ordered = sorted(component, key=self._order.__getitem__)
         return inrp_allocation(
             capacities,
@@ -790,7 +763,6 @@ class IncrementalInrp:
             {flow: self._demands[flow] for flow in ordered},
             self._table,
             max_replacements=self._max_replacements,
-            pinned_usage=pinned,
             saturation_floors=self._floors,
             pooling_fraction=self._pooling_fraction,
         )
@@ -798,27 +770,11 @@ class IncrementalInrp:
     def _fill_kernel(self) -> Optional[MultipathAllocation]:
         """Fill the dirty component with the CSR kernel
         (:func:`repro.flowsim.kernel.inrp_fill`); None when the
-        component is empty.  Outside ``verify=True`` the component
-        comes from the union-find tracker, whose classes are unions
-        of whole closure components and so fill to the same
-        allocation (to <= 1e-9) as the exact component."""
-        if self._verify:
-            # The reach restriction is unobservable (every link a
-            # component fill can touch lies inside some member's
-            # closure, hence inside ``reach``), so the exact BFS, the
-            # restricted column set and the pinned-usage guard are
-            # built only when the fill is being cross-checked against
-            # scratch.
-            component, reach = self._dirty_component()
-            capacity_count = len(reach)
-            index = self._space.index
-            in_reach = frozenset(index[link] for link in reach)
-            pinned = self._pinned_cols(component, reach)
-        else:
-            component = self._tracker.component(self._dirty_links)
-            capacity_count = len(self._capacities)
-            in_reach = None
-            pinned = None
+        component is empty.  The component comes from the union-find
+        tracker, whose classes are unions of whole closure components
+        and so fill to the same allocation (to <= 1e-9) as the exact
+        component."""
+        component = self._tracker.component(self._dirty_links)
         if not component:
             return None
         flows = sorted(component, key=self._order.__getitem__)
@@ -832,60 +788,9 @@ class IncrementalInrp:
             demands,
             self._table,
             max_replacements=self._max_replacements,
-            in_reach=in_reach,
-            pinned=pinned,
-            capacity_count=capacity_count,
             option_cache=self._option_cache,
             path_cols_cache=self._path_cols_cache,
         )
-
-    def _pinned_cols(
-        self, component: Set[FlowId], reach: Set[LinkId]
-    ) -> Optional[List[Tuple[int, float]]]:
-        """:meth:`_pinned_usage` translated to kernel ``(column, used)``
-        pairs (verify-only, like the guard it wraps)."""
-        pinned = self._pinned_usage(component, reach)
-        if not pinned:
-            return None
-        index = self._space.index
-        return [(index[link], used) for link, used in pinned.items()]
-
-    def _pinned_usage(
-        self, component: Set[FlowId], reach: Set[LinkId]
-    ) -> Optional[Dict[LinkId, float]]:
-        """Capacity already consumed on reachable links by flows held
-        fixed outside *component*.
-
-        Closure components are disjoint by construction, so this is
-        zero everywhere up to float drift in the running usage sums —
-        values below tolerance are dropped so the re-fill sees pristine
-        capacities.  A genuinely positive value would mean the closure
-        under-approximated reachability; pinning it keeps the subset
-        run from over-committing a link while the scratch cross-check
-        flags the divergence.  Because of that invariant the usage
-        bookkeeping feeding this guard runs only under ``verify=True``;
-        production recomputes skip it and pass ``pinned_usage=None``.
-        """
-        pinned: Dict[LinkId, float] = {}
-        for link in reach:
-            used = self._usage.get(link)
-            if used:
-                pinned[link] = used
-        if not pinned:
-            return None
-        # Subtract the component's own usage on those links.
-        for flow in component:
-            for path, rate in self._splits.get(flow, []):
-                if rate <= 0:
-                    continue
-                for link in cached_path_links(tuple(path)):
-                    if link in pinned:
-                        pinned[link] -= rate
-        return {
-            link: used
-            for link, used in pinned.items()
-            if used > _rel_tol(self._capacities.get(link, 0.0))
-        } or None
 
     def _check_against_scratch(self) -> None:
         scratch = inrp_allocation(

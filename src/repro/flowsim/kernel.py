@@ -599,9 +599,6 @@ def inrp_fill(
     demands: np.ndarray,
     detour_table: DetourTable,
     max_replacements: int = 2,
-    in_reach: Optional[AbstractSet[int]] = None,
-    pinned: Optional[Sequence[Tuple[int, float]]] = None,
-    capacity_count: Optional[int] = None,
     option_cache: Optional[Dict] = None,
     path_cols_cache: Optional[Dict] = None,
 ) -> MultipathAllocation:
@@ -632,19 +629,9 @@ def inrp_fill(
     *persistent across fills* — the caches are built once per
     topology, not once per recompute.
 
-    ``in_reach`` names the columns of the component-restricted
-    capacity map of the scalar path; the fill only uses it to validate
-    ``pinned``, because by the closure invariant (every link a
-    component fill can read lies inside some member's closure, hence
-    inside the reach) the restriction itself is unobservable.
-    ``pinned`` debits
-    ``(column, used)`` pairs from starting residuals (the
-    ``pinned_usage`` guard of the incremental allocator);
-    ``capacity_count`` sizes the non-convergence guard like the scalar
-    ``len(capacities)``.  ``option_cache`` and ``path_cols_cache``
-    memoize per-(u, v) detour option columns and per-path column
-    arrays across fills — pass persistent dicts when calling
-    repeatedly over one topology.
+    ``option_cache`` and ``path_cols_cache`` memoize per-(u, v) detour
+    option columns and per-path column arrays across fills — pass
+    persistent dicts when calling repeatedly over one topology.
     """
     num_flows = len(flow_ids)
     demands = np.asarray(demands, dtype=np.float64)
@@ -661,17 +648,6 @@ def inrp_fill(
     floors = space.floor  # read-only view, never mutated
 
     residual = space.capacity.copy()
-    if pinned:
-        for col, used in pinned:
-            if used < 0:
-                raise SimulationError(
-                    f"negative pinned usage on link column {col}"
-                )
-            if in_reach is not None and col not in in_reach:
-                raise SimulationError(
-                    f"pinned usage on unknown link column {col}"
-                )
-            residual[col] = max(residual[col] - used, 0.0)
 
     # --- Per-flow state in Python lists (arrival order == row order).
     # Row ``flow`` is the flow's primary path; detour rows appended
@@ -994,17 +970,14 @@ def inrp_fill(
     sat_mask = np.empty(num_links, dtype=bool)
     scratch = np.empty(num_links, dtype=np.float64)
     guard = 0
-    links_in_play = (
-        capacity_count if capacity_count is not None else space.num_links
-    )
-    max_iterations = 16 * (num_flows + links_in_play) + 64
+    max_iterations = 16 * (num_flows + num_links) + 64
     # The round head divides full width without ``where=``: a column
     # no row carries yields inf (headroom left) or nan (0/0), both
     # invisible to fmin's reduction and to the <= saturation test, so
     # carrying columns see bit-identical values.  ``-inf`` cannot
     # occur: an unflagged carrying column keeps ``residual > 0`` (its
-    # step exceeds the round's by the relative tolerance), flagged ones
-    # are zeroed and pinned residuals are clamped at 0.
+    # step exceeds the round's by the relative tolerance) and flagged
+    # ones are zeroed.
     err_state = np.errstate(divide="ignore", invalid="ignore")
     err_state.__enter__()
     try:

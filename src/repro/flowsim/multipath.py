@@ -130,7 +130,6 @@ def inrp_allocation(
     demands: Mapping[FlowId, float],
     detour_table: DetourTable,
     max_replacements: int = 2,
-    pinned_usage: Optional[Mapping[LinkId, float]] = None,
     saturation_floors: Optional[Mapping[LinkId, float]] = None,
     pooling_fraction: float = 1.0,
 ) -> MultipathAllocation:
@@ -144,7 +143,9 @@ def inrp_allocation(
         Primary (shortest) path per flow.  This may be any subset of
         the active population: under partial pooling the incremental
         allocator runs the filling over one detour-closure component
-        at a time.
+        at a time.  Every link starts at its full capacity, so a subset
+        must be closed: no flow outside it may use a link its members
+        can reach (detour-closure components are, by construction).
     detour_table:
         Pre-computed detour options; its ``max_intermediate`` controls
         detour depth (1 = the paper's one-hop detours).
@@ -152,15 +153,6 @@ def inrp_allocation(
         How many links of a single sub-path may be replaced by detours
         (2 models "nodes on the detour path can further detour, but
         for one extra hop only").
-    pinned_usage:
-        Bandwidth (bits/s) per link already consumed by flows *outside*
-        ``flow_paths`` whose allocation is held fixed.  Each link's
-        starting residual is its capacity minus its pinned usage.  Used
-        by :class:`repro.flowsim.allocation.IncrementalInrp` when
-        re-filling a single component while the others keep their
-        rates (for truly disjoint components every pinned value is
-        zero; the parameter makes the contract explicit and guards the
-        subset run against capacity over-commitment).
     saturation_floors:
         Pre-computed ``_rel_tol(capacity)`` per link.  Callers invoking
         the filling repeatedly over the same topology (the incremental
@@ -191,13 +183,6 @@ def inrp_allocation(
         }
     flows: Dict[FlowId, _FlowState] = {}
     residual: Dict[LinkId, float] = dict(capacities)
-    if pinned_usage:
-        for link, used in pinned_usage.items():
-            if link not in residual:
-                raise SimulationError(f"pinned usage on unknown link {link!r}")
-            if used < 0:
-                raise SimulationError(f"negative pinned usage on link {link!r}")
-            residual[link] = max(residual[link] - used, 0.0)
     # Saturation floor per link, hoisted out of the filling rounds (the
     # tolerance depends only on the link's capacity).
     floors: Mapping[LinkId, float] = (

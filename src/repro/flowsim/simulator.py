@@ -223,7 +223,9 @@ class FlowLevelSimulator:
         Re-check every incremental recompute against the from-scratch solver
         (:func:`~repro.flowsim.allocation.max_min_allocation` or
         :func:`~repro.flowsim.multipath.inrp_allocation`; slow, used
-        by benchmarks and tests).
+        by benchmarks and tests).  The run itself is unchanged: a
+        verified run's result equals the unverified run's, plus
+        ``max_verify_deviation``.
     """
 
     def __init__(

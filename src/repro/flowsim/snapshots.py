@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ConfigurationError, NoPathError
 from repro.flowsim.strategies import RoutingStrategy
 from repro.metrics.stats import Cdf
-from repro.rng import SeedLike, derive_seed
+from repro.rng import derive_seed
 from repro.topology.graph import Topology
 from repro.workloads.traffic import PairSampler, uniform_pairs
 
@@ -57,7 +57,7 @@ def snapshot_experiment(
     num_flows: int,
     demand_bps: float,
     num_snapshots: int = 10,
-    seed: SeedLike = 0,
+    seed: int = 0,
     pair_sampler: Optional[PairSampler] = None,
 ) -> SnapshotResult:
     """Run *num_snapshots* independent allocation snapshots.
@@ -75,10 +75,9 @@ def snapshot_experiment(
     if num_snapshots < 1:
         raise ConfigurationError(f"need >= 1 snapshot, got {num_snapshots}")
     result = SnapshotResult(strategy=strategy.name, topology=topology.name)
-    base_seed = seed if isinstance(seed, int) else 0
     for snapshot in range(num_snapshots):
         sampler = pair_sampler or uniform_pairs(
-            topology, derive_seed(base_seed, f"snapshot-{snapshot}")
+            topology, derive_seed(seed, f"snapshot-{snapshot}")
         )
         flows = {}
         flow_id = snapshot * num_flows

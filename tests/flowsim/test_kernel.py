@@ -30,7 +30,7 @@ from repro.routing.paths import cached_path_links
 from repro.topology import mesh_topology
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
-from repro.workloads import FlowWorkload, uniform_pairs
+from repro.workloads import FlowWorkload, local_pairs, uniform_pairs
 
 TOL = 1e-9
 
@@ -242,11 +242,8 @@ def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
     """Every ``inrp_fill`` result of a seeded add/remove churn through
     ``IncrementalInrp``, recomputing after each
     event; ~80 flows stay live, deep in overload.  Returns the results
-    and the number of exhausted replacement budgets.
-
-    With *verify*, each fill is repeated with half the capacity of the
-    first primary link pinned: the allocator's own pinned usage is
-    zero by construction, so this is what exercises the debit."""
+    and the number of exhausted replacement budgets.  *verify* only
+    adds the allocator's scratch comparison: the fills are the same."""
     fills, budgets = [], []
     fill = _kernel.inrp_fill
 
@@ -256,11 +253,6 @@ def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
         kwargs["max_replacements"] = budget
         result = fill(*args, **kwargs)
         fills.append(result)
-        space, cols = args[0], args[3]
-        if verify and len(cols):
-            col = int(cols[0])
-            kwargs["pinned"] = [(col, space.capacity[col] / 2)]
-            fills.append(fill(*args, **kwargs))
         return result
 
     monkeypatch.setattr(_kernel, "inrp_fill", capture)
@@ -342,16 +334,17 @@ def _fills_digest(fills):
 
 #: sha256 of every fill below.  Any change to a rate, split, switch or
 #: freeze reason, down to the last bit, changes it: re-record it only
-#: for a deliberate change of results.
+#: for a deliberate change of results.  Recorded with the third run
+#: unverified, so it also pins that verifying leaves the fills alone.
 _INRP_FILL_GOLDEN = (
-    "4b6e8b81c53d714236a8cc67283744cd2c5402fe75492e803a52b7ca4de43246"
+    "beb159be73bacecbf2cb535388e27bbb79bc9c3d91f53f84170b0aee8650cd4e"
 )
 
 
 def test_inrp_fill_bit_for_bit_golden(monkeypatch):
     """``inrp_fill`` outputs stay bit-identical: overload churn on
-    exodus and a small mesh, plus a ``verify=True`` run (in-reach
-    columns and a pinned debit), hashed to one digest.  The instance
+    exodus and a small mesh, plus a ``verify=True`` run that must fill
+    exactly as an unverified one, hashed to one digest.  The instance
     must hit every freeze kind, detour switches and multi-round detour
     rows, so a change in how any of them settles shows in the digest."""
     mesh = mesh_topology(16, extra_links=14, seed=1, capacity=mbps(10))
@@ -368,12 +361,12 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
         budget += run_budget
     counts = _fill_profile(fills)
     assert counts == {
-        "fills": 595,
-        "switches": 6160,
-        "demand": 4230,
-        "no_detour": 9895,
+        "fills": 496,
+        "switches": 5669,
+        "demand": 3773,
+        "no_detour": 9347,
         "switch_cap": 0,
-        "long_rows": 2804,
+        "long_rows": 2645,
     }
     # Walks that ran out of budget; the rest of the no-detour freezes
     # found no live option.  (A walk shared by flows on one route may
@@ -455,11 +448,7 @@ def test_inrp_cross_core_calibrated_point_equivalence():
     assert vec.unfinished == ref.unfinished
 
 
-@pytest.mark.parametrize("strategy_name", ["sp", "ecmp", "inrp"])
-def test_vectorized_core_verified_inside_simulator(strategy_name):
-    """``verify_allocator=True`` cross-checks every recompute (each a
-    CSR-kernel fill) against the scratch solver inside the simulator
-    loop."""
+def _mesh_uniform_case():
     topo = mesh_topology(14, extra_links=10, seed=1, capacity=mbps(10))
     workload = FlowWorkload(
         topo,
@@ -469,12 +458,51 @@ def test_vectorized_core_verified_inside_simulator(strategy_name):
         seed=1,
         pair_sampler=uniform_pairs(topo, seed=2),
     )
-    specs = workload.generate(max_flows=40)
-    result = FlowLevelSimulator(
+    return topo, workload.generate(max_flows=40)
+
+
+def _ebone_local_case():
+    topo = build_isp_topology("ebone", seed=0)
+    workload = FlowWorkload(
         topo,
-        make_strategy(strategy_name, topo),
-        specs,
-        verify_allocator=True,
-    ).run()
-    assert result.max_verify_deviation is not None
-    assert result.max_verify_deviation <= TOL
+        arrival_rate=800.0,
+        mean_size_bits=2.5e6,
+        demand_bps=mbps(10),
+        seed=0,
+        pair_sampler=local_pairs(topo, seed=1, max_hops=2),
+    )
+    return topo, workload.generate(max_flows=150)
+
+
+@pytest.mark.parametrize(
+    "build, strategy_name",
+    [
+        pytest.param(_mesh_uniform_case, "sp", id="sp"),
+        pytest.param(_mesh_uniform_case, "ecmp", id="ecmp"),
+        pytest.param(_mesh_uniform_case, "inrp", id="inrp"),
+        pytest.param(_ebone_local_case, "inrp", id="inrp-ebone-local"),
+    ],
+)
+def test_vectorized_core_verified_inside_simulator(build, strategy_name):
+    """``verify_allocator=True`` cross-checks every recompute (each a
+    CSR-kernel fill) against the scratch solver inside the simulator
+    loop, and changes nothing else: the verified run's result is the
+    unverified run's, bit for bit."""
+    topo, specs = build()
+    verified, plain = (
+        FlowLevelSimulator(
+            topo,
+            make_strategy(strategy_name, topo),
+            specs,
+            verify_allocator=verify,
+        ).run()
+        for verify in (True, False)
+    )
+    assert verified.max_verify_deviation is not None
+    assert verified.max_verify_deviation <= TOL
+    assert plain.max_verify_deviation is None
+    assert verified.records == plain.records
+    assert verified.total_switches == plain.total_switches
+    assert verified.allocations == plain.allocations
+    assert verified.full_refills == plain.full_refills
+    assert verified.network_throughput == plain.network_throughput
