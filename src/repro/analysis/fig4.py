@@ -115,7 +115,6 @@ def run_snapshot_cell(
     flows_per_node: float = 1.0 / 12.0,
     max_hops: int = 5,
     detour_depth: int = 2,
-    pooling_fraction: float = 1.0,
 ) -> SnapshotResult:
     """One (topology, strategy) cell of the calibrated snapshot sweep.
 
@@ -123,15 +122,11 @@ def run_snapshot_cell(
     population floor, the detour-depth gating and the
     locality-weighted demand model — shared by :func:`run_fig4` and
     the ``snapshot-sweep`` campaign scenario so the two cannot drift
-    apart.  ``pooling_fraction`` (INRP/URP only) caps the share of
-    each link detour traffic may claim; 1.0 is the paper's full
-    pooling.
+    apart.
     """
     num_flows = max(10, int(topo.num_nodes * flows_per_node))
     kwargs = (
-        {"detour_depth": detour_depth, "pooling_fraction": pooling_fraction}
-        if strategy_name in ("inrp", "urp")
-        else {}
+        {"detour_depth": detour_depth} if strategy_name in ("inrp", "urp") else {}
     )
     strategy = make_strategy(strategy_name, topo, **kwargs)
     sampler_seed = derive_seed(seed, sampler_label)

@@ -2,8 +2,8 @@
 
 The paper evaluates INRP at a handful of points; resource pooling's
 benefit is an *aggregate* claim, so these scenarios expose every knob —
-seed × ISP topology × routing strategy × detour depth × pooling
-fraction × load — as a campaign grid axis.  A typical sweep::
+seed × ISP topology × routing strategy × detour depth × load — as a
+campaign grid axis.  A typical sweep::
 
     python -m repro campaign run --scenarios snapshot-sweep \
         --grid seed=0,1,2 --grid isp=telstra,exodus,tiscali \
@@ -38,16 +38,12 @@ def scenario_snapshot_sweep(
     demand_mbps: float = 10.0,
     flows_per_node: float = 1.0 / 12.0,
     max_hops: int = 5,
-    pooling_fraction: float = 1.0,
 ) -> Dict[str, Any]:
     """One cell of the Fig. 4-style sweep grid.
 
     Grid axes are the parameters; the campaign runner takes the
     cartesian product, so a full seed × isp × strategy × depth sweep is
     one ``campaign run`` invocation instead of a hand-rolled loop.
-    ``pooling_fraction`` (INRP/URP only) dials pooling from off (0.0)
-    to the paper's full pooling (1.0) — grid it to trace how much of
-    the pooling gain survives partial deployment.
     """
     topo = build_isp_topology(isp, seed=0)
     snapshot = run_snapshot_cell(
@@ -60,14 +56,12 @@ def scenario_snapshot_sweep(
         flows_per_node=flows_per_node,
         max_hops=max_hops,
         detour_depth=detour_depth,
-        pooling_fraction=pooling_fraction,
     )
     uses_detour = strategy in ("inrp", "urp")
     result: Dict[str, Any] = {
         "isp": isp,
         "strategy": snapshot.strategy,
         "detour_depth": detour_depth if uses_detour else None,
-        "pooling_fraction": pooling_fraction if uses_detour else None,
         "num_flows": max(10, int(topo.num_nodes * flows_per_node)),
         "num_snapshots": num_snapshots,
         "mean_throughput": snapshot.mean_throughput,
@@ -128,7 +122,6 @@ def scenario_load_sweep_large(
     demand_mbps: float = 10.0,
     max_hops: int = 4,
     detour_depth: int = 2,
-    pooling_fraction: float = 1.0,
     sink: str = "materialize",
 ) -> Dict[str, Any]:
     """One cell of the large event-driven load sweep (Fig. 3/4 regime).
@@ -147,11 +140,7 @@ def scenario_load_sweep_large(
     """
     topo = build_isp_topology(isp, seed=0)
     uses_detour = strategy in ("inrp", "urp")
-    kwargs = (
-        {"detour_depth": detour_depth, "pooling_fraction": pooling_fraction}
-        if uses_detour
-        else {}
-    )
+    kwargs = {"detour_depth": detour_depth} if uses_detour else {}
     workload = FlowWorkload(
         topo,
         arrival_rate=arrival_rate,
@@ -171,7 +160,6 @@ def scenario_load_sweep_large(
         "isp": isp,
         "strategy": strategy,
         "detour_depth": detour_depth if uses_detour else None,
-        "pooling_fraction": pooling_fraction if uses_detour else None,
         "num_flows": num_flows,
         "arrival_rate": arrival_rate,
         "sink": sink,
@@ -202,7 +190,6 @@ def scenario_inrp_load_sweep_large(
     demand_mbps: float = 10.0,
     max_hops: int = 3,
     detour_depth: int = 2,
-    pooling_fraction: float = 1.0,
 ) -> Dict[str, Any]:
     """The ``load-sweep-large`` dynamics for the paper's own strategy.
 
@@ -224,7 +211,6 @@ def scenario_inrp_load_sweep_large(
         demand_mbps=demand_mbps,
         max_hops=max_hops,
         detour_depth=detour_depth,
-        pooling_fraction=pooling_fraction,
     )
 
 

@@ -14,8 +14,7 @@ provides:
   detours, with one extra hop allowed on the detour path, as in the
   paper);
 - :mod:`~repro.flowsim.kernel` — the CSR filling kernel both
-  incremental allocators fill with (INRP with partial pooling
-  excepted, which only the from-scratch allocator implements);
+  incremental allocators fill with;
 - :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects;
 - :mod:`~repro.flowsim.simulator` — an event-driven simulator with
   per-event rate recomputation (arrivals, departures, completion)

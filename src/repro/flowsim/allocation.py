@@ -512,13 +512,8 @@ class IncrementalInrp:
     :meth:`remove_flow` mark the flow's closure links dirty, and
     :meth:`recompute` re-runs the fluid filling over the dirty
     component alone — every other flow keeps its rate *and* its
-    per-path splits.
-
-    Under full pooling (``pooling_fraction == 1.0``) the fill is the
-    CSR kernel's :func:`~repro.flowsim.kernel.inrp_fill`.  Partial
-    pooling reserves part of every link for primary-path traffic, which
-    only :func:`~repro.flowsim.multipath.inrp_allocation` implements, so
-    with ``pooling_fraction < 1`` that solver fills the component.
+    per-path splits.  The fill is the CSR kernel's
+    :func:`~repro.flowsim.kernel.inrp_fill`.
 
     The rates returned are exactly those of a from-scratch
     ``inrp_allocation`` over the whole population.  ``verify=True``
@@ -540,7 +535,6 @@ class IncrementalInrp:
         detour_table: DetourTable,
         max_replacements: int = 2,
         verify: bool = False,
-        pooling_fraction: float = 1.0,
     ):
         self._capacities: Dict[LinkId, float] = {
             link: float(capacity) for link, capacity in capacities.items()
@@ -549,17 +543,11 @@ class IncrementalInrp:
         self._max_replacements = max_replacements
         #: Gates only the from-scratch comparison after each recompute.
         self._verify = verify
-        if not 0.0 <= pooling_fraction <= 1.0:
-            raise SimulationError(
-                f"pooling_fraction must be in [0, 1], got {pooling_fraction}"
-            )
-        self._pooling_fraction = pooling_fraction
         self._space = _kernel.LinkSpace(self._capacities)
         # The incidence store holds each flow's *primary* columns and
         # demand for the kernel fill's bulk gather; component selection
         # goes through the amortized union-find tracker over closures
-        # (the closure-membership BFS serves the simulator's probe
-        # and the reserve fill).
+        # (the closure-membership BFS serves the simulator's probe).
         self._primary_store = _kernel.IncidenceStore(self._space)
         self._tracker = _ComponentTracker()
         #: Per-(u, v) detour option columns, shared across fills.
@@ -577,12 +565,6 @@ class IncrementalInrp:
         self._splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
         #: Per-flow detour switches of the flow's latest fill.
         self._switches: Dict[FlowId, int] = {}
-        #: Saturation tolerances, hoisted out of the per-recompute fill
-        #: (they depend only on each link's capacity).
-        self._floors: Dict[LinkId, float] = {
-            link: _rel_tol(capacity)
-            for link, capacity in self._capacities.items()
-        }
         self._dirty_links: Set[LinkId] = set()
         self._dirty_flows: Set[FlowId] = set()
         #: Worst relative incremental-vs-scratch rate deviation seen by
@@ -663,9 +645,9 @@ class IncrementalInrp:
         if closure:
             self._tracker.remove(flow)
 
-    def _dirty_component(self) -> Tuple[Set[FlowId], Set[LinkId]]:
+    def _dirty_component(self) -> Set[FlowId]:
         """Flows transitively reachable from the dirty links via
-        closure membership, plus every closure link they can touch."""
+        closure membership."""
         members = self._members
         closures = self._closures
         component: Set[FlowId] = set()
@@ -686,14 +668,13 @@ class IncrementalInrp:
                     if other not in seen_links:
                         seen(other)
                         push(other)
-        return component, seen_links
+        return component
 
     def dirty_component_size(self) -> int:
         """Flows the next :meth:`recompute` would re-fill, without
         filling — the simulator's probe while in full-refill mode
         (a BFS is far cheaper than a wasted spanning re-fill)."""
-        component, _ = self._dirty_component()
-        return len(component) + len(self._dirty_flows)
+        return len(self._dirty_component()) + len(self._dirty_flows)
 
     def recompute(
         self, full: bool = False
@@ -721,10 +702,7 @@ class IncrementalInrp:
         for flow in self._dirty_flows:
             changed_rates[flow] = self._demands[flow]
             changed_splits[flow] = [(self._paths[flow], 0.0)]
-        if self._pooling_fraction == 1.0:
-            result = self._fill_kernel()
-        else:
-            result = self._fill_with_reserves()
+        result = self._fill_kernel()
         switches = 0
         if result is not None:
             switches = result.switches
@@ -742,30 +720,6 @@ class IncrementalInrp:
         if full:
             switches = sum(self._switches.values())
         return changed_rates, changed_splits, switches
-
-    def _fill_with_reserves(self) -> Optional[MultipathAllocation]:
-        """Fill the exact dirty component with
-        :func:`~repro.flowsim.multipath.inrp_allocation`, the one fill
-        that implements partial pooling's reserves; None when the
-        component is empty.  No flow outside the component can reach
-        its closure links, so each starts at full capacity."""
-        component, reach = self._dirty_component()
-        if not component:
-            return None
-        # The re-fill can only ever touch the component's closure
-        # links; restricting the capacity map keeps its setup cost
-        # proportional to the component, not the topology.
-        capacities = {link: self._capacities[link] for link in reach}
-        ordered = sorted(component, key=self._order.__getitem__)
-        return inrp_allocation(
-            capacities,
-            {flow: self._paths[flow] for flow in ordered},
-            {flow: self._demands[flow] for flow in ordered},
-            self._table,
-            max_replacements=self._max_replacements,
-            saturation_floors=self._floors,
-            pooling_fraction=self._pooling_fraction,
-        )
 
     def _fill_kernel(self) -> Optional[MultipathAllocation]:
         """Fill the dirty component with the CSR kernel
@@ -799,7 +753,6 @@ class IncrementalInrp:
             self._demands,
             self._table,
             max_replacements=self._max_replacements,
-            pooling_fraction=self._pooling_fraction,
         )
         worst = _verify_rates(self._rates, scratch.rates, "INRP")
         self.max_verify_deviation = max(self.max_verify_deviation, worst)

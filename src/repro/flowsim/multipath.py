@@ -130,8 +130,6 @@ def inrp_allocation(
     demands: Mapping[FlowId, float],
     detour_table: DetourTable,
     max_replacements: int = 2,
-    saturation_floors: Optional[Mapping[LinkId, float]] = None,
-    pooling_fraction: float = 1.0,
 ) -> MultipathAllocation:
     """INRP fluid allocation (see module docstring).
 
@@ -140,12 +138,10 @@ def inrp_allocation(
     capacities:
         Canonical link -> capacity (bits/s).
     flow_paths:
-        Primary (shortest) path per flow.  This may be any subset of
-        the active population: under partial pooling the incremental
-        allocator runs the filling over one detour-closure component
-        at a time.  Every link starts at its full capacity, so a subset
-        must be closed: no flow outside it may use a link its members
-        can reach (detour-closure components are, by construction).
+        Primary (shortest) path per flow.  Every link starts at its
+        full capacity, so a subset of the active population must be
+        closed: no flow outside it may use a link its members can
+        reach (detour-closure components are, by construction).
     detour_table:
         Pre-computed detour options; its ``max_intermediate`` controls
         detour depth (1 = the paper's one-hop detours).
@@ -153,67 +149,27 @@ def inrp_allocation(
         How many links of a single sub-path may be replaced by detours
         (2 models "nodes on the detour path can further detour, but
         for one extra hop only").
-    saturation_floors:
-        Pre-computed ``_rel_tol(capacity)`` per link.  Callers invoking
-        the filling repeatedly over the same topology (the incremental
-        allocator, the event loop) pass a shared map so it is not
-        rebuilt per call; any link missing from the map falls back to
-        the absolute epsilon.
-    pooling_fraction:
-        Partial resource pooling (paper knob): the fraction of each
-        link's directional capacity that detour traffic may borrow.
-        ``1.0`` (default) is full pooling and takes the historical code
-        path bit-for-bit.  Below 1.0, every link keeps a reserve of
-        ``(1 - pooling_fraction) * capacity`` that only primary-path
-        traffic may consume: detour options are only admitted while
-        their spare exceeds the reserve, and detour-borne growth on a
-        link stops (reroute or freeze) once its residual reaches the
-        reserve, while primary flows keep filling down to zero.
     """
-    if not 0.0 <= pooling_fraction <= 1.0:
-        raise SimulationError(
-            f"pooling_fraction must be in [0, 1], got {pooling_fraction}"
-        )
-    reserves: Optional[Dict[LinkId, float]] = None
-    if pooling_fraction < 1.0:
-        reserves = {
-            link: (1.0 - pooling_fraction) * capacity
-            for link, capacity in capacities.items()
-            if not math.isinf(capacity)
-        }
     flows: Dict[FlowId, _FlowState] = {}
     residual: Dict[LinkId, float] = dict(capacities)
     # Saturation floor per link, hoisted out of the filling rounds (the
     # tolerance depends only on the link's capacity).
-    floors: Mapping[LinkId, float] = (
-        saturation_floors
-        if saturation_floors is not None
-        else {link: _rel_tol(capacity) for link, capacity in capacities.items()}
-    )
+    floors: Dict[LinkId, float] = {
+        link: _rel_tol(capacity) for link, capacity in capacities.items()
+    }
     # Sparse: only links currently carrying growing flows, and which
     # flows grow there.  The saturation scan below runs every filling
     # round, so iterating the handful of in-use links instead of the
     # whole topology is a large win on big maps with localised load;
     # the member sets give the saturation-affected flows directly.
     carriers: Dict[LinkId, Set[FlowId]] = {}
-    # Partial pooling only: which growing flows use each link as a
-    # *detour* (a link not on their primary path), and each flow's
-    # primary link set.  Empty/unused under full pooling.
-    detour_members: Dict[LinkId, Set[FlowId]] = {}
-    primary_links: Dict[FlowId, frozenset] = {}
 
     def _links(path: Path) -> Tuple[LinkId, ...]:
         return cached_path_links(tuple(path))
 
     def _enter(flow_id: FlowId, path: Path) -> None:
-        links = _links(path)
-        for link in links:
+        for link in _links(path):
             carriers.setdefault(link, set()).add(flow_id)
-        if reserves is not None:
-            primary = primary_links[flow_id]
-            for link in links:
-                if link not in primary:
-                    detour_members.setdefault(link, set()).add(flow_id)
 
     def _leave(flow_id: FlowId, path: Path) -> None:
         for link in _links(path):
@@ -222,18 +178,11 @@ def inrp_allocation(
                 members.discard(flow_id)
                 if not members:
                     del carriers[link]
-            detourers = detour_members.get(link)
-            if detourers is not None:
-                detourers.discard(flow_id)
-                if not detourers:
-                    del detour_members[link]
 
     for flow_id, path in flow_paths.items():
         demand = demands[flow_id]
         if demand < 0:
             raise SimulationError(f"flow {flow_id!r} has negative demand")
-        if reserves is not None:
-            primary_links[flow_id] = frozenset(_links(tuple(path)))
         state = _FlowState(demand=demand, subpaths=[_SubPath(tuple(path))])
         if len(path) < 2 or demand <= _EPS:
             state.frozen = True
@@ -257,15 +206,7 @@ def inrp_allocation(
             if any(node in exclude_nodes for node in option[1:-1]):
                 continue
             option_links = _links(option)
-            if reserves is None:
-                spare = min(residual.get(l, 0.0) for l in option_links)
-            else:
-                # Detours may only borrow spare beyond the reserved
-                # (1 - pooling_fraction) share of each link.
-                spare = min(
-                    residual.get(l, 0.0) - reserves.get(l, 0.0)
-                    for l in option_links
-                )
+            spare = min(residual.get(l, 0.0) for l in option_links)
             floor = max(floors.get(l, _EPS) for l in option_links)
             if spare <= floor:
                 continue
@@ -290,11 +231,7 @@ def inrp_allocation(
         while changed:
             changed = False
             for index, link in enumerate(_links(candidate)):
-                limit = floors.get(link, _EPS)
-                if reserves is not None and link not in primary_links[flow_id]:
-                    # Detour use of the link saturates at the reserve.
-                    limit += reserves.get(link, 0.0)
-                if residual.get(link, 0.0) > limit:
+                if residual.get(link, 0.0) > floors.get(link, _EPS):
                     continue
                 if replacements >= max_replacements:
                     return False
@@ -336,38 +273,14 @@ def inrp_allocation(
         saturation_step = math.inf
         saturation_tol = _EPS
         saturating: List[LinkId] = []
-        reserve_saturating: List[LinkId] = []
-        if reserves is None:
-            for link, members in carriers.items():
-                candidate_step = residual[link] / len(members)
-                if candidate_step < saturation_step - saturation_tol:
-                    saturation_step = candidate_step
-                    saturation_tol = _EPS * (1.0 + candidate_step)
-                    saturating = [link]
-                elif candidate_step <= saturation_step + saturation_tol:
-                    saturating.append(link)
-        else:
-            for link, members in carriers.items():
-                candidate_step = residual[link] / len(members)
-                if candidate_step < saturation_step - saturation_tol:
-                    saturation_step = candidate_step
-                    saturation_tol = _EPS * (1.0 + candidate_step)
-                    saturating = [link]
-                    reserve_saturating = []
-                elif candidate_step <= saturation_step + saturation_tol:
-                    saturating.append(link)
-                reserve = reserves.get(link, 0.0)
-                if reserve > 0.0 and detour_members.get(link):
-                    # Detour-borne growth hits the reserve before the
-                    # link itself saturates.
-                    candidate_step = (residual[link] - reserve) / len(members)
-                    if candidate_step < saturation_step - saturation_tol:
-                        saturation_step = candidate_step
-                        saturation_tol = _EPS * (1.0 + candidate_step)
-                        saturating = []
-                        reserve_saturating = [link]
-                    elif candidate_step <= saturation_step + saturation_tol:
-                        reserve_saturating.append(link)
+        for link, members in carriers.items():
+            candidate_step = residual[link] / len(members)
+            if candidate_step < saturation_step - saturation_tol:
+                saturation_step = candidate_step
+                saturation_tol = _EPS * (1.0 + candidate_step)
+                saturating = [link]
+            elif candidate_step <= saturation_step + saturation_tol:
+                saturating.append(link)
         step = max(0.0, min(demand_step, saturation_step))
 
         for link, members in carriers.items():
@@ -392,33 +305,23 @@ def inrp_allocation(
             state.active = None
             unfrozen.discard(flow_id)
 
-        # Saturation events: reroute or freeze affected flows.  A full
-        # saturation affects every carrier of the link; a reserve
-        # saturation (partial pooling) only its detour carriers.
+        # Saturation events: reroute or freeze every carrier of a
+        # saturated link.
         saturated = set()
-        reserve_saturated = set()
-        if (saturating or reserve_saturating) and saturation_step <= (
+        if saturating and saturation_step <= (
             demand_step + _rel_tol(demand_step)
         ):
             saturated = set(saturating)
-            reserve_saturated = set(reserve_saturating) - saturated
             for link in saturated:
                 residual[link] = 0.0
-            for link in reserve_saturated:
-                residual[link] = min(residual[link], reserves[link])
-        if not saturated and not reserve_saturated and not satisfied:
+        if not saturated and not satisfied:
             raise SimulationError("INRP allocation made no progress")
-        if saturated or reserve_saturated:
+        if saturated:
             affected = sorted(
                 {
                     flow_id
                     for link in saturated
                     for flow_id in carriers.get(link, ())
-                }
-                | {
-                    flow_id
-                    for link in reserve_saturated
-                    for flow_id in detour_members.get(link, ())
                 },
                 key=arrival_order.__getitem__,
             )

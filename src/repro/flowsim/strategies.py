@@ -220,36 +220,22 @@ class InrpStrategy(RoutingStrategy):
         matches the paper's simulator: "routers exploit up to 1-hop
         detours and nodes on the detour path can further detour, but
         for one extra hop only" — i.e. composite detours through up to
-        two intermediate nodes.
-    max_replacements:
-        How many links of a sub-path may independently be replaced by
-        detours before the flow gives up (enters back-pressure).
-    pooling_fraction:
-        Fraction of a link's directional capacity that detour traffic
-        may borrow (partial resource pooling).  1.0 (default) is full
-        pooling — today's behaviour; lower values reserve
-        ``(1 - pooling_fraction) * capacity`` for primary-path traffic.
+        two intermediate nodes.  At depth 0 no link may be replaced,
+        so INRP degenerates to SP.
     """
 
     name = "INRP"
 
-    def __init__(
-        self,
-        topology: Topology,
-        detour_depth: int = 2,
-        max_replacements: int = 2,
-        pooling_fraction: float = 1.0,
-    ):
+    #: How many links of a sub-path may independently be replaced by
+    #: detours before the flow gives up (enters back-pressure).
+    _MAX_REPLACEMENTS = 2
+
+    def __init__(self, topology: Topology, detour_depth: int = 2):
         super().__init__(topology)
         if detour_depth < 0:
             raise ConfigurationError(f"detour_depth must be >= 0, got {detour_depth}")
-        if not 0.0 <= pooling_fraction <= 1.0:
-            raise ConfigurationError(
-                f"pooling_fraction must be in [0, 1], got {pooling_fraction}"
-            )
         self.detour_depth = detour_depth
-        self.max_replacements = max_replacements if detour_depth > 0 else 0
-        self.pooling_fraction = pooling_fraction
+        self.max_replacements = self._MAX_REPLACEMENTS if detour_depth > 0 else 0
         # depth 0 still needs a table object; it simply never offers paths.
         self.detour_table = DetourTable(topology, max(detour_depth, 1))
 
@@ -264,7 +250,6 @@ class InrpStrategy(RoutingStrategy):
             demands,
             self.detour_table,
             max_replacements=self.max_replacements,
-            pooling_fraction=self.pooling_fraction,
         )
         backpressured = [
             fid
@@ -284,7 +269,6 @@ class InrpStrategy(RoutingStrategy):
             self.detour_table,
             max_replacements=self.max_replacements,
             verify=verify,
-            pooling_fraction=self.pooling_fraction,
         )
 
 

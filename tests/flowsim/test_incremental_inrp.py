@@ -16,12 +16,8 @@ from repro.workloads import uniform_pairs
 from repro.workloads.traffic import local_pairs
 
 
-def _assert_matches_scratch(
-    allocator, capacities, table, paths, demands, pooling_fraction=1.0
-):
-    scratch = inrp_allocation(
-        capacities, paths, demands, table, pooling_fraction=pooling_fraction
-    )
+def _assert_matches_scratch(allocator, capacities, table, paths, demands):
+    scratch = inrp_allocation(capacities, paths, demands, table)
     rates = allocator.rates
     assert set(rates) == set(scratch.rates)
     for flow, rate in scratch.rates.items():
@@ -79,26 +75,17 @@ def _triangle_and_bar_topology():
     return topo
 
 
-# Parameter ids name the fill path: "vectorized" is the CSR kernel's
-# inrp_fill (full pooling), "scalar" the component fill through
-# inrp_allocation, the only fill with reserves (partial pooling).
-FILL_PATHS = [
-    pytest.param(0.5, id="scalar"),
-    pytest.param(1.0, id="vectorized"),
-]
-
-
-@pytest.mark.parametrize("pooling_fraction", FILL_PATHS)
-def test_full_refill_fills_only_the_dirty_component(pooling_fraction):
+# The "vectorized" id names the fill these tests cover: the CSR
+# kernel's inrp_fill, IncrementalInrp's only fill.
+@pytest.mark.parametrize("fill", ["vectorized"])
+def test_full_refill_fills_only_the_dirty_component(fill):
     """``full=True`` re-fills the dirty island alone, yet reports the
     switch count of a whole-population fill: the clean island's detour
     switch is carried over from its last fill."""
     topo = _triangle_and_bar_topology()
     capacities = topo.directed_capacities()
     table = DetourTable(topo, max_intermediate=1)
-    allocator = IncrementalInrp(
-        capacities, table, pooling_fraction=pooling_fraction
-    )
+    allocator = IncrementalInrp(capacities, table)
     paths = {"tri": ("x1", "x2"), "bar": ("b1", "b2")}
     demands = {"tri": mbps(20), "bar": mbps(10)}
     for flow in paths:
@@ -109,13 +96,10 @@ def test_full_refill_fills_only_the_dirty_component(pooling_fraction):
     rates, splits, switches = allocator.recompute(full=True)
     assert set(rates) == set(splits) == {"bar", "bar2"}
     assert set(allocator.rates) == {"tri", "bar", "bar2"}
-    # The detour lends tri the pooled share of its 10 Mbps.
-    tri_rate = mbps(10) + pooling_fraction * mbps(10)
-    assert allocator.rates["tri"] == pytest.approx(tri_rate)
+    # The detour via x3 lends tri its whole 10 Mbps.
+    assert allocator.rates["tri"] == pytest.approx(mbps(20))
     assert rates["bar"] == pytest.approx(mbps(5))
-    scratch = inrp_allocation(
-        capacities, paths, demands, table, pooling_fraction=pooling_fraction
-    )
+    scratch = inrp_allocation(capacities, paths, demands, table)
     assert scratch.flow_switches["tri"] == 1
     assert switches == scratch.switches
     # Nothing dirty: no fill, but the same whole-population count.
@@ -123,17 +107,13 @@ def test_full_refill_fills_only_the_dirty_component(pooling_fraction):
     assert allocator.recompute() == ({}, {}, 0)
 
 
-@pytest.mark.parametrize(
-    "pooling_fraction", FILL_PATHS + [pytest.param(0.0, id="scalar-unpooled")]
-)
+@pytest.mark.parametrize("fill", ["vectorized"])
 @pytest.mark.parametrize("topology", ["fig3", "ebone"])
-def test_mixed_full_refills_match_scratch_under_churn(topology, pooling_fraction):
+def test_mixed_full_refills_match_scratch_under_churn(topology, fill):
     """Seeded churn with ``full=True`` and ``full=False`` recomputes
     mixed at random: rates stay within 1e-9 of scratch, and every full
     recompute reports exactly the switches of a from-scratch fill over
-    the active population.  Partial pooling (``pooling_fraction < 1``)
-    fills through ``inrp_allocation``, full pooling through the CSR
-    kernel."""
+    the active population."""
     if topology == "fig3":
         topo = fig3_topology()
         sampler = uniform_pairs(topo, seed=7)
@@ -144,9 +124,7 @@ def test_mixed_full_refills_match_scratch_under_churn(topology, pooling_fraction
         sampler = local_pairs(topo, seed=7, max_hops=2)
     capacities = topo.directed_capacities()
     table = DetourTable(topo)
-    allocator = IncrementalInrp(
-        capacities, table, verify=True, pooling_fraction=pooling_fraction
-    )
+    allocator = IncrementalInrp(capacities, table, verify=True)
     rng = random.Random(11)
     paths, demands = {}, {}
     full_refills = switched = 0
@@ -162,20 +140,14 @@ def test_mixed_full_refills_match_scratch_under_churn(topology, pooling_fraction
             allocator.add_flow(next_id, paths[next_id], demands[next_id])
         full = rng.random() < 0.5
         _, _, switches = allocator.recompute(full=full)
-        _assert_matches_scratch(
-            allocator, capacities, table, paths, demands, pooling_fraction
-        )
+        _assert_matches_scratch(allocator, capacities, table, paths, demands)
         if full:
-            scratch = inrp_allocation(
-                capacities, paths, demands, table,
-                pooling_fraction=pooling_fraction,
-            )
+            scratch = inrp_allocation(capacities, paths, demands, table)
             assert switches == scratch.switches
             full_refills += 1
             switched += scratch.switches > 0
     assert full_refills > 0
-    # With no pooling, detours may borrow nothing: single-path max-min.
-    assert (switched > 0) == (pooling_fraction > 0)
+    assert switched > 0
     assert allocator.max_verify_deviation <= 1e-9
 
 

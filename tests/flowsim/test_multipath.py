@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
-from repro.flowsim import inrp_allocation
+from repro.flowsim import inrp_allocation, make_strategy
 from repro.routing import DetourTable, shortest_path
 from repro.routing.paths import path_links
 from repro.topology import Topology, fig3_topology, mesh_topology
@@ -175,70 +174,20 @@ def test_saturation_order_follows_insertion_not_numeric_value():
     assert forward.rates[10] == pytest.approx(backward.rates[2], abs=1e-12)
 
 
-# ----------------------------------------------------------------------
-# Partial pooling (pooling_fraction)
-# ----------------------------------------------------------------------
-def _single_detouring_flow(fraction):
+def test_fig3_single_flow_pools_the_detour():
+    """Fig. 3, one flow on 1-2-4: the 2 Mbps primary plus the whole
+    3 Mbps of the node-3 detour, from the solver and the strategy."""
     topo = fig3_topology()
     table = DetourTable(topo, max_intermediate=1)
-    return inrp_allocation(
-        topo.directed_capacities(),
-        {0: (1, 2, 4)},
-        {0: mbps(10)},
-        table,
-        pooling_fraction=fraction,
-    )
-
-
-@pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 1.0])
-def test_pooling_fraction_caps_detour_share(fraction):
-    """Fig. 3, one flow: the 2 Mbps primary is always granted, and the
-    3 Mbps node-3 detour contributes exactly its pooled share."""
-    result = _single_detouring_flow(fraction)
-    assert result.rates[0] == pytest.approx(mbps(2 + 3 * fraction))
-    detour_rate = sum(
-        rate for path, rate in result.splits[0] if len(path) > 3
-    )
-    assert detour_rate == pytest.approx(mbps(3 * fraction))
-
-
-def test_pooling_fraction_default_is_full_pooling():
-    full = _single_detouring_flow(1.0)
-    topo = fig3_topology()
-    table = DetourTable(topo, max_intermediate=1)
-    default = inrp_allocation(
+    scratch = inrp_allocation(
         topo.directed_capacities(), {0: (1, 2, 4)}, {0: mbps(10)}, table
     )
-    assert default.rates == full.rates
-    assert default.splits == full.splits
-
-
-def test_pooling_fraction_reserve_protects_primary_traffic():
-    """A primary flow on a link keeps the reserved share even when a
-    detouring flow got there first."""
-    topo = fig3_topology()
-    table = DetourTable(topo, max_intermediate=1)
-    caps = topo.directed_capacities()
-    # Flow 0 detours over (2,3),(3,4); flow 1 arrives later with (2,3)
-    # as primary.  With half pooling, flow 1 is guaranteed at least the
-    # reserved half of the 3 Mbps link.
-    result = inrp_allocation(
-        caps,
-        {0: (1, 2, 4), 1: (2, 3)},
-        {0: mbps(10), 1: mbps(10)},
-        table,
-        pooling_fraction=0.5,
-    )
-    assert result.rates[1] >= mbps(1.5) - 1e-9
-
-
-def test_pooling_fraction_validation():
-    topo = fig3_topology()
-    table = DetourTable(topo, max_intermediate=1)
-    caps = topo.directed_capacities()
-    for bad in (-0.1, 1.5):
-        with pytest.raises(SimulationError):
-            inrp_allocation(
-                caps, {0: (1, 2, 4)}, {0: mbps(10)}, table,
-                pooling_fraction=bad,
-            )
+    outcome = make_strategy("inrp", topo).allocate({0: ((1, 2, 4), mbps(10))})
+    for rates, splits in (
+        (scratch.rates, scratch.splits),
+        (outcome.rates, outcome.splits),
+    ):
+        assert rates[0] == pytest.approx(mbps(5))
+        split = {tuple(path): rate for path, rate in splits[0]}
+        assert split[(1, 2, 4)] == pytest.approx(mbps(2))
+        assert split[(1, 2, 3, 4)] == pytest.approx(mbps(3))

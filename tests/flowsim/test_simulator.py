@@ -391,18 +391,3 @@ def test_inrp_incremental_verified_inside_simulator():
     ).run()
     assert result.max_verify_deviation is not None
     assert result.max_verify_deviation <= 1e-9
-
-
-def test_partial_pooling_cores_equivalent():
-    """INRP with partial pooling (``pooling_fraction=0.5``), whose
-    incremental allocator fills with the reserve-aware scratch solver:
-    the event loop reproduces the oracle's records."""
-    topo = mesh_topology(14, extra_links=12, seed=4, capacity=mbps(10))
-    specs = _overload_specs(topo, seed=4, num_flows=60)
-    runs = {
-        name: runner(
-            topo, make_strategy("inrp", topo, pooling_fraction=0.5), specs
-        )
-        for name, runner in RUNNERS.items()
-    }
-    _assert_equivalent(runs["reference"], runs["auto"])

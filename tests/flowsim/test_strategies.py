@@ -160,21 +160,6 @@ def test_inrp_rejects_negative_depth():
         make_strategy("inrp", fig3_topology(), detour_depth=-1)
 
 
-def test_inrp_pooling_fraction_scales_allocation():
-    topo = fig3_topology()
-    flows = {1: ((1, 2, 4), mbps(10))}
-    half = make_strategy("inrp", topo, pooling_fraction=0.5)
-    full = make_strategy("inrp", topo)
-    assert half.allocate(flows).rates[1] == pytest.approx(mbps(3.5))
-    assert full.allocate(flows).rates[1] == pytest.approx(mbps(5.0))
-
-
-def test_inrp_rejects_bad_pooling_fraction():
-    for bad in (-0.1, 1.01):
-        with pytest.raises(ConfigurationError):
-            make_strategy("inrp", fig3_topology(), pooling_fraction=bad)
-
-
 def test_every_strategy_needs_an_incremental_allocator():
     """The event core has no full-recompute fallback, so a strategy
     without an incremental allocator cannot be built."""
