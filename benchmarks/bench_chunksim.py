@@ -2,7 +2,8 @@
 """Chunk-level engine benchmark: modern vs reference event core.
 
 Two measurements, both driving the seed-era :class:`ReferenceSimulator`
-and the modern :class:`Simulator` through identical workloads:
+(``tests/oracles.py``) and the modern :class:`Simulator` through
+identical workloads:
 
 ``engine-churn``
     The event core alone under the AIMD retransmission-timer shape:
@@ -51,12 +52,16 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# The seed-era event loop is a test oracle; it lives in tests/oracles.py.
+sys.path.insert(0, str(ROOT / "tests"))
 
 from repro.analysis.fig3 import fig3_topology
 from repro.chunksim import ChunkNetwork
 from repro.chunksim import network as chunk_network
-from repro.chunksim.engine import ReferenceSimulator, Simulator
+from repro.chunksim.engine import Simulator
+from oracles import ReferenceSimulator
 
 #: Engine name (the key in the JSON record) -> event-loop class.
 EVENT_LOOPS = {"reference": ReferenceSimulator, "modern": Simulator}

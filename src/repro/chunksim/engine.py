@@ -1,28 +1,17 @@
 """Discrete-event engine.
 
-Two engines share one API (``schedule`` / ``call_after`` /
-``schedule_at`` / ``call_at`` / ``run``) and process events in an
-identical order — ``(time, schedule-sequence)`` with FIFO tie-breaking
-— so every component of the chunk simulator runs unchanged on either:
-
-- :class:`Simulator` — the modern core.  Heap entries are plain
-  ``[time, seq, fn, args]`` lists, so heap sifts compare floats and
-  ints at C speed instead of dispatching into a Python ``__lt__``;
-  callbacks carry their arguments in the entry instead of a per-event
-  closure; cancellation tombstones a live entry in place and is
-  *accounted*: once dead entries exceed a slack fraction of the heap
-  it is compacted in O(live), which bounds the heap under
-  cancel-heavy load (AIMD retransmission timers).  All events due at
-  one instant are processed as a batch without re-testing the run
-  bound between them.
-- :class:`ReferenceSimulator` — the seed implementation (object
-  entries with a Python ``__lt__``, one bound-check per event, no
-  compaction), kept as the semantic yardstick: the equivalence tests
-  and ``benchmarks/bench_chunksim.py`` drive both engines through the
-  same scenario and assert identical traces while timing the gap.
-  :class:`~repro.chunksim.network.ChunkNetwork` always builds a
-  :class:`Simulator`; to run a whole network on the yardstick,
-  substitute ``repro.chunksim.network.Simulator`` with this class.
+:class:`Simulator` runs every chunk-level component through one API
+(``schedule`` / ``call_after`` / ``schedule_at`` / ``call_at`` /
+``run``) and processes events in ``(time, schedule-sequence)`` order
+with FIFO tie-breaking.  Heap entries are plain
+``[time, seq, fn, args]`` lists, so heap sifts compare floats and ints
+at C speed instead of dispatching into a Python ``__lt__``; callbacks
+carry their arguments in the entry instead of a per-event closure;
+cancellation tombstones a live entry in place and is *accounted*: once
+dead entries exceed a slack fraction of the heap it is compacted in
+O(live), which bounds the heap under cancel-heavy load (AIMD
+retransmission timers).  All events due at one instant are processed
+as a batch without re-testing the run bound between them.
 """
 
 from __future__ import annotations
@@ -266,95 +255,3 @@ class Simulator:
     def live_pending(self) -> int:
         """Events still queued, excluding tombstones."""
         return len(self._heap) - self._dead
-
-
-class _ReferenceEvent:
-    """Seed-era heap entry: an object whose ``__lt__`` is Python code."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "_ReferenceEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class ReferenceSimulator:
-    """The seed event loop, kept as the semantic/performance baseline.
-
-    Same API and identical event ordering as :class:`Simulator`, but
-    with the seed's cost profile: per-entry objects compared via a
-    Python ``__lt__``, one run-bound test per event, and tombstones
-    that stay in the heap until their scheduled time is popped.
-    """
-
-    def __init__(self):
-        self.now = 0.0
-        self._heap: List[_ReferenceEvent] = []
-        self._seq = 0
-        self.events_processed = 0
-        self.compactions = 0
-
-    def schedule(self, delay: float, fn: Callable, *args) -> _ReferenceEvent:
-        """Run ``fn(*args)`` after *delay* seconds of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        event = _ReferenceEvent(self.now + delay, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    call_after = schedule
-    schedule_entry = schedule
-
-    @staticmethod
-    def cancel_entry(entry: _ReferenceEvent) -> None:
-        entry.cancelled = True
-
-    def schedule_at(self, time: float, fn: Callable, *args) -> _ReferenceEvent:
-        """Run ``fn(*args)`` at absolute simulated *time* (>= now)."""
-        delay = time - self.now
-        if -_SCHEDULE_CLAMP * (1.0 + abs(self.now)) <= delay < 0.0:
-            delay = 0.0
-        return self.schedule(delay, fn, *args)
-
-    call_at = schedule_at
-
-    def run(self, until: float, max_events: Optional[int] = None) -> None:
-        """Process events until the clock passes *until*."""
-        if until < self.now:
-            raise SimulationError(f"cannot run backwards to {until}")
-        processed = 0
-        while self._heap and self._heap[0].time <= until:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(f"exceeded {max_events} events")
-            self.now = event.time
-            event.fn(*event.args)
-            processed += 1
-            self.events_processed += 1
-        self.now = until
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including tombstones)."""
-        return len(self._heap)
-
-    @property
-    def dead(self) -> int:
-        """Tombstoned entries currently in the heap (O(pending) scan)."""
-        return sum(1 for event in self._heap if event.cancelled)
-
-    @property
-    def live_pending(self) -> int:
-        return len(self._heap) - self.dead

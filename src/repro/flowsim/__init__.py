@@ -5,17 +5,19 @@ simple flow-level simulator, where flows arrive Poisson distributed",
 against single shortest-path routing (SP) and ECMP.  This package
 provides:
 
-- :mod:`~repro.flowsim.allocation` — exact max-min (progressive
-  filling) bandwidth allocation for single-path flows, and the two
-  incremental allocators the simulator runs (max-min and INRP);
-- :mod:`~repro.flowsim.multipath` — the from-scratch INRP allocator:
-  progressive filling where a flow blocked at a saturated link
-  *detours* its further growth through alternative sub-paths (1-hop
-  detours, with one extra hop allowed on the detour path, as in the
-  paper);
+- :mod:`~repro.flowsim.allocation` — the two incremental allocators
+  every allocation runs through (max-min and INRP), and the
+  from-scratch max-min solver (progressive filling for single-path
+  flows), the oracle ``verify=True`` and the tests check them against;
+- :mod:`~repro.flowsim.multipath` — the from-scratch INRP solver, the
+  oracle for the INRP fill: progressive filling where a flow blocked
+  at a saturated link *detours* its further growth through alternative
+  sub-paths (1-hop detours, with one extra hop allowed on the detour
+  path, as in the paper);
 - :mod:`~repro.flowsim.kernel` — the CSR filling kernel both
-  incremental allocators fill with;
-- :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects;
+  incremental allocators fill with: the production fills;
+- :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects,
+  whose ``allocate`` is one fill of a fresh incremental allocator;
 - :mod:`~repro.flowsim.simulator` — an event-driven simulator with
   per-event rate recomputation (arrivals, departures, completion)
   and streaming spec intake;

@@ -75,6 +75,9 @@ def max_min_allocation(
 ) -> Dict[FlowId, float]:
     """Max-min fair rates for single-path flows with demand caps.
 
+    The from-scratch oracle: ``verify=True`` and the tests; production
+    fills run :mod:`repro.flowsim.kernel`.
+
     Parameters
     ----------
     capacities:

@@ -93,3 +93,14 @@ def stretch_of(flow: ActiveFlow) -> float:
         return 1.0
     weighted = sum(hops * bits for hops, bits in flow.bits_by_hops.items())
     return weighted / (total * primary_hops)
+
+
+def split_stretch(splits: List[Tuple[Path, float]], primary_hops: int) -> float:
+    """Rate-weighted stretch of a flow's ``(path, rate)`` splits against
+    a *primary_hops*-hop primary path (the Fig. 4b metric); 1.0 when
+    the splits carry no rate or the primary has no hops."""
+    total = sum(rate for _, rate in splits)
+    if total <= 0 or primary_hops <= 0:
+        return 1.0
+    weighted = sum(rate * (len(path) - 1) for path, rate in splits)
+    return weighted / (total * primary_hops)

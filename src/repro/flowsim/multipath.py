@@ -94,18 +94,6 @@ class MultipathAllocation:
     freeze_reasons: Dict[FlowId, str]
     flow_switches: Dict[FlowId, int]
 
-    def stretch(self, flow: FlowId) -> float:
-        """Bit-weighted path stretch of *flow* (the Fig. 4b metric)."""
-        parts = self.splits[flow]
-        if not parts:
-            return 1.0
-        primary_hops = len(parts[0][0]) - 1
-        total = sum(rate for _, rate in parts)
-        if total <= 0 or primary_hops <= 0:
-            return 1.0
-        weighted = sum(rate * (len(path) - 1) for path, rate in parts)
-        return weighted / (total * primary_hops)
-
 
 def splice_detour(path: Path, index: int, option: Path) -> Optional[Path]:
     """Replace the link at *index* of *path* with detour *option*.
@@ -132,6 +120,9 @@ def inrp_allocation(
     max_replacements: int = 2,
 ) -> MultipathAllocation:
     """INRP fluid allocation (see module docstring).
+
+    The from-scratch oracle: ``verify=True`` and the tests; production
+    fills run :mod:`repro.flowsim.kernel`.
 
     Parameters
     ----------

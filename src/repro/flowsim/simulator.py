@@ -17,7 +17,7 @@ Same-instant arrivals and departures are batched into a single
 recompute.  The per-event cost is O(affected component · log flows)
 instead of O(all active flows), which is what makes 100k-flow load
 sweeps tractable.  The tests check it against a from-scratch
-O(active)-per-event loop over ``strategy.allocate``.
+O(active)-per-event loop over the scratch solvers.
 
 The loop follows the **streaming contract**: flow specs are pulled
 one at a time from any arrival-ordered iterator (a materialized list
@@ -40,9 +40,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.errors import SimulationError
 from repro.flowsim.flow import ActiveFlow, FlowRecord, stretch_of
 from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
-from repro.flowsim.strategies import RoutingStrategy
+from repro.flowsim.strategies import RoutingStrategy, _IncrementalRecompute
 from repro.metrics.timeseries import TimeWeightedMean
-from repro.routing.paths import cached_path_links
 from repro.topology.graph import Topology
 from repro.workloads.traffic import FlowSpec
 
@@ -93,39 +92,6 @@ class _SpecSource:
             )
         self._head = head
         return spec
-
-
-class _IncrementalRecompute:
-    """Allocation adapter over an incremental allocator
-    (:class:`IncrementalMaxMin` or :class:`IncrementalInrp`): only the
-    dirty component is re-filled; untouched flows keep their rates (and
-    their departure-heap entries stay valid).  Multipath allocators
-    (``needs_paths``) additionally return per-path splits for the
-    changed flows, which the event loop carries into ``_set_rate``."""
-
-    def __init__(self, allocator):
-        self._allocator = allocator
-        self._multipath = allocator.needs_paths
-
-    def add(self, flow_id: int, path: tuple, demand: float) -> None:
-        if self._multipath:
-            self._allocator.add_flow(flow_id, tuple(path), demand)
-        else:
-            self._allocator.add_flow(
-                flow_id, cached_path_links(tuple(path)), demand
-            )
-
-    def remove(self, flow_id: int) -> None:
-        self._allocator.remove_flow(flow_id)
-
-    def recompute(self, full: bool = False):
-        if self._multipath:
-            return self._allocator.recompute(full=full)
-        return self._allocator.recompute(full=full), None, 0
-
-    def component_size(self) -> int:
-        """Dirty-component size by BFS alone — no re-fill."""
-        return self._allocator.dirty_component_size()
 
 
 class _AdaptiveCorePolicy:

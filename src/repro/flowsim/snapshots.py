@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, NoPathError
+from repro.flowsim.flow import split_stretch
 from repro.flowsim.strategies import RoutingStrategy
 from repro.metrics.stats import Cdf
 from repro.rng import derive_seed
@@ -100,11 +101,11 @@ def snapshot_experiment(
         result.switches += outcome.switches
         result.backpressured += len(outcome.backpressured)
         for fid, splits in outcome.splits.items():
-            primary_hops = max(len(flows[fid][0]) - 1, 1)
             total = sum(rate for _, rate in splits)
             if total <= 0:
                 continue
-            weighted = sum(rate * (len(path) - 1) for path, rate in splits)
-            result.stretch_values.append(weighted / (total * primary_hops))
+            result.stretch_values.append(
+                split_stretch(splits, len(flows[fid][0]) - 1)
+            )
             result.stretch_weights.append(total)
     return result

@@ -9,8 +9,12 @@ active flows:
 - **ECMP** — per-flow hash over the equal-cost shortest paths, e2e
   max-min sharing;
 - **INRP** — shortest primary path, INRP fluid allocation
-  (:func:`repro.flowsim.multipath.inrp_allocation`): growth blocked at
-  a saturated link detours around it instead of freezing.
+  (:func:`repro.flowsim.kernel.inrp_fill`): growth blocked at a
+  saturated link detours around it instead of freezing.
+
+Every strategy allocates through its incremental allocator, the one
+the simulator runs: :meth:`RoutingStrategy.allocate` is a single fill
+of a fresh one.
 """
 
 from __future__ import annotations
@@ -22,12 +26,8 @@ from collections import OrderedDict
 from typing import Dict, Hashable, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError, NoPathError, RoutingError
-from repro.flowsim.allocation import (
-    IncrementalInrp,
-    IncrementalMaxMin,
-    max_min_allocation,
-)
-from repro.flowsim.multipath import inrp_allocation
+from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
+from repro.flowsim.multipath import _rel_tol
 from repro.routing.detour import DetourTable
 from repro.routing.ecmp import all_shortest_paths, ecmp_hash
 from repro.routing.paths import Path, cached_path_links
@@ -46,8 +46,47 @@ class AllocationOutcome:
     splits: Dict[FlowId, List[Tuple[Path, float]]]
     #: Number of detour switches (0 for single-path strategies).
     switches: int = 0
-    #: Flows that stopped growing without a detour (INRP only).
+    #: Flows that stopped growing without a detour (INRP only): those
+    #: left short of their demand by more than ``_rel_tol(rate)``.
+    #: That is exactly the fill's ``"no-detour"`` set: each round of
+    #: :func:`~repro.flowsim.kernel.inrp_fill` first freezes every flow
+    #: whose demand is within that tolerance of the level, so only
+    #: flows still above it can freeze for want of a detour.
     backpressured: List[FlowId] = field(default_factory=list)
+
+
+class _IncrementalRecompute:
+    """Allocation adapter over an incremental allocator
+    (:class:`IncrementalMaxMin` or :class:`IncrementalInrp`): only the
+    dirty component is re-filled; untouched flows keep their rates (and
+    the simulator's departure-heap entries stay valid).  Multipath
+    allocators (``needs_paths``) additionally return per-path splits
+    for the changed flows; single-path ones report ``None`` splits and
+    0 switches."""
+
+    def __init__(self, allocator):
+        self._allocator = allocator
+        self._multipath = allocator.needs_paths
+
+    def add(self, flow_id: FlowId, path: tuple, demand: float) -> None:
+        if self._multipath:
+            self._allocator.add_flow(flow_id, tuple(path), demand)
+        else:
+            self._allocator.add_flow(
+                flow_id, cached_path_links(tuple(path)), demand
+            )
+
+    def remove(self, flow_id: FlowId) -> None:
+        self._allocator.remove_flow(flow_id)
+
+    def recompute(self, full: bool = False):
+        if self._multipath:
+            return self._allocator.recompute(full=full)
+        return self._allocator.recompute(full=full), None, 0
+
+    def component_size(self) -> int:
+        """Dirty-component size by BFS alone — no re-fill."""
+        return self._allocator.dirty_component_size()
 
 
 class RoutingStrategy(abc.ABC):
@@ -142,11 +181,38 @@ class RoutingStrategy(abc.ABC):
             self._path_cache.move_to_end(key)
         return path
 
-    @abc.abstractmethod
     def allocate(
         self, flows: Mapping[FlowId, Tuple[Path, float]]
     ) -> AllocationOutcome:
-        """Allocate bandwidth to flows given ``{id: (path, demand)}``."""
+        """Allocate bandwidth to flows given ``{id: (path, demand)}``.
+
+        One fill of a fresh :meth:`incremental_allocator`, the fill the
+        simulator runs.  Flows are added in the mapping's order (INRP
+        fills depend on it), and the outcome is keyed in that order.
+        A first recompute reports every flow: the incidence store
+        starts each row's last rate at NaN, and a fresh INRP component
+        covers the whole population.
+        """
+        adapter = _IncrementalRecompute(self.incremental_allocator())
+        for fid, (path, demand) in flows.items():
+            adapter.add(fid, path, demand)
+        rates, splits, switches = adapter.recompute()
+        rates = {fid: rates[fid] for fid in flows}
+        if splits is None:  # single path: SP and ECMP
+            return AllocationOutcome(
+                rates=rates,
+                splits={fid: [(flows[fid][0], rates[fid])] for fid in flows},
+            )
+        return AllocationOutcome(
+            rates=rates,
+            splits={fid: splits[fid] for fid in flows},
+            switches=switches,
+            backpressured=[
+                fid
+                for fid, (_, demand) in flows.items()
+                if demand - rates[fid] > _rel_tol(rates[fid])
+            ],
+        )
 
     @abc.abstractmethod
     def incremental_allocator(self, verify: bool = False):
@@ -167,20 +233,6 @@ class ShortestPathStrategy(RoutingStrategy):
     """Single shortest path with e2e max-min fair sharing."""
 
     name = "SP"
-
-    def allocate(
-        self, flows: Mapping[FlowId, Tuple[Path, float]]
-    ) -> AllocationOutcome:
-        flow_links = {
-            fid: cached_path_links(tuple(path)) for fid, (path, _) in flows.items()
-        }
-        demands = {fid: demand for fid, (_, demand) in flows.items()}
-        rates = max_min_allocation(self.capacities, flow_links, demands)
-        splits = {
-            fid: [(flows[fid][0], rates[fid])] if rates[fid] > 0 else [(flows[fid][0], 0.0)]
-            for fid in flows
-        }
-        return AllocationOutcome(rates=rates, splits=splits)
 
     def incremental_allocator(self, verify: bool = False) -> IncrementalMaxMin:
         return IncrementalMaxMin(self.capacities, verify=verify)
@@ -238,30 +290,6 @@ class InrpStrategy(RoutingStrategy):
         self.max_replacements = self._MAX_REPLACEMENTS if detour_depth > 0 else 0
         # depth 0 still needs a table object; it simply never offers paths.
         self.detour_table = DetourTable(topology, max(detour_depth, 1))
-
-    def allocate(
-        self, flows: Mapping[FlowId, Tuple[Path, float]]
-    ) -> AllocationOutcome:
-        flow_paths = {fid: path for fid, (path, _) in flows.items()}
-        demands = {fid: demand for fid, (_, demand) in flows.items()}
-        result = inrp_allocation(
-            self.capacities,
-            flow_paths,
-            demands,
-            self.detour_table,
-            max_replacements=self.max_replacements,
-        )
-        backpressured = [
-            fid
-            for fid, reason in result.freeze_reasons.items()
-            if reason == "no-detour"
-        ]
-        return AllocationOutcome(
-            rates=result.rates,
-            splits=result.splits,
-            switches=result.switches,
-            backpressured=backpressured,
-        )
 
     def incremental_allocator(self, verify: bool = False) -> IncrementalInrp:
         return IncrementalInrp(

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chunksim import ChunkNetwork, ChunkSimConfig
 from repro.flowsim import FlowLevelSimulator, make_strategy
+from repro.flowsim.flow import split_stretch
 from repro.metrics.fairness import jain_index
 from repro.routing.paths import Path, cached_path_links
 from repro.routing.shortest import shortest_path
@@ -104,15 +105,6 @@ def _first_hop_demand(topo: Topology, route: Path) -> float:
 
 def _sp_hops(topo: Topology, source, destination) -> int:
     return len(shortest_path(topo, source, destination)) - 1
-
-
-def _fluid_stretch(splits: List[Tuple[Path, float]], sp_hops: int) -> float:
-    """Rate-weighted mean path length over shortest-path length."""
-    total = sum(rate for _, rate in splits)
-    if total <= 0.0 or sp_hops <= 0:
-        return 1.0
-    weighted = sum((len(path) - 1) * rate for path, rate in splits)
-    return weighted / (total * sp_hops)
 
 
 def _detour_only_links(splits: List[Tuple[Path, float]], primary: Path) -> Set:
@@ -251,15 +243,12 @@ def run_flow_fidelity(
     outcome = strategy.allocate(
         {fid: (primaries[fid], demands[fid]) for fid in flow_ids}
     )
-    rates = {fid: outcome.rates.get(fid, 0.0) for fid in flow_ids}
+    rates = outcome.rates
     deficits = {
         fid: max(demands[fid] - rates[fid], 0.0) for fid in flow_ids
     }
     stretch = {
-        fid: _fluid_stretch(
-            outcome.splits.get(fid, [(primaries[fid], rates[fid])]),
-            len(primaries[fid]) - 1,
-        )
+        fid: split_stretch(outcome.splits[fid], len(primaries[fid]) - 1)
         for fid in flow_ids
     }
     custody_expected = scenario.mode == "inrp" and predict_custody(

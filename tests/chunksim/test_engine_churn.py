@@ -15,8 +15,9 @@ These tests pin two properties:
 """
 
 from hypothesis import given, settings, strategies as st
+from oracles import ReferenceSimulator
 
-from repro.chunksim.engine import ReferenceSimulator, Simulator
+from repro.chunksim.engine import Simulator
 
 
 class NaiveSimulator:

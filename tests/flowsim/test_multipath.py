@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flowsim import inrp_allocation, make_strategy
+from repro.flowsim.flow import split_stretch
 from repro.routing import DetourTable, shortest_path
 from repro.routing.paths import path_links
 from repro.topology import Topology, fig3_topology, mesh_topology
@@ -52,8 +53,8 @@ def test_stretch_metric():
     result = inrp_allocation(topo.directed_capacities(), flow_paths, demands, table)
     # Flow 1: 2 Mbps over 2 hops + 3 Mbps over 3 hops vs primary 2 hops.
     expected = (2 * 2 + 3 * 3) / (5 * 2)
-    assert result.stretch(1) == pytest.approx(expected)
-    assert result.stretch(2) == pytest.approx(1.0)
+    assert split_stretch(result.splits[1], 2) == pytest.approx(expected)
+    assert split_stretch(result.splits[2], 2) == pytest.approx(1.0)
 
 
 def test_satisfied_flows_report_demand_reason():

@@ -1,9 +1,11 @@
 """Snapshot experiment tests."""
 
 import pytest
+from oracles import _scratch_allocate
 
-from repro.errors import ConfigurationError
-from repro.flowsim import make_strategy, snapshot_experiment
+from repro.errors import ConfigurationError, NoPathError
+from repro.flowsim import inrp_allocation, make_strategy, snapshot_experiment
+from repro.flowsim.strategies import _IncrementalRecompute
 from repro.topology import build_isp_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import local_pairs
@@ -72,3 +74,70 @@ def test_inrp_beats_sp_on_isp_map():
             pair_sampler=sampler,
         ).mean_throughput
     assert outcomes["inrp"] > outcomes["sp"]
+
+
+@pytest.fixture(scope="module")
+def telstra_population():
+    """One ``run_snapshot_cell``-sized population on telstra: local
+    pairs, seed 0, one flow per 12 nodes at 10 Mbps.  Flow ids count
+    down, so a fill that reports in its own (ascending) order differs
+    from the mapping's order."""
+    topo = build_isp_topology("telstra", seed=0)
+    sampler = local_pairs(topo, seed=0, max_hops=5)
+    num_flows = max(10, topo.num_nodes // 12)
+    router = make_strategy("sp", topo)
+    flows = {}
+    while len(flows) < num_flows:
+        source, destination = sampler()
+        fid = num_flows - len(flows)
+        try:
+            path = router.route(fid, source, destination)
+        except NoPathError:
+            continue
+        flows[fid] = (path, mbps(10))
+    return topo, flows
+
+
+@pytest.mark.parametrize("name", ["sp", "ecmp", "inrp"])
+def test_allocate_matches_scratch_on_isp_snapshot(telstra_population, name):
+    topo, sp_flows = telstra_population
+    strategy = make_strategy(name, topo)
+    # Each strategy routes its own primaries (ECMP hashes the flow id).
+    flows = {
+        fid: (strategy.route(fid, path[0], path[-1]), demand)
+        for fid, (path, demand) in sp_flows.items()
+    }
+    outcome = strategy.allocate(flows)
+    rates, splits, switches = _scratch_allocate(strategy, flows)
+    assert list(outcome.rates) == list(flows)
+    for fid in flows:
+        assert outcome.rates[fid] == pytest.approx(rates[fid], rel=1e-9)
+        assert [path for path, _ in outcome.splits[fid]] == [
+            path for path, _ in splits[fid]
+        ]
+    assert outcome.switches == switches
+    if name == "inrp":
+        reasons = inrp_allocation(
+            strategy.capacities,
+            {fid: path for fid, (path, _) in flows.items()},
+            {fid: demand for fid, (_, demand) in flows.items()},
+            strategy.detour_table,
+            max_replacements=strategy.max_replacements,
+        ).freeze_reasons
+        assert outcome.backpressured == [
+            fid for fid, reason in reasons.items() if reason == "no-detour"
+        ]
+        assert outcome.switches > 0 and outcome.backpressured
+    else:
+        assert outcome.switches == 0 and outcome.backpressured == []
+
+    # The same population through a verified allocator: one recompute,
+    # checked against the from-scratch solver, filling as allocate does.
+    allocator = strategy.incremental_allocator(verify=True)
+    adapter = _IncrementalRecompute(allocator)
+    for fid, (path, demand) in flows.items():
+        adapter.add(fid, path, demand)
+    verified, _, verified_switches = adapter.recompute()
+    assert allocator.max_verify_deviation <= 1e-9
+    assert verified == outcome.rates
+    assert verified_switches == outcome.switches

@@ -1,14 +1,17 @@
 """From-scratch oracles the production event loops are checked against.
 
 - :func:`reference_run` is the original O(active)-per-event flow-level
-  loop: every arrival or departure re-runs ``strategy.allocate`` over
-  the whole active set and advances every flow.  It shares only the
-  spec intake (``_SpecSource``) and the record/result assembly with
+  loop: every arrival or departure re-runs the scratch solvers
+  (:func:`_scratch_allocate`) over the whole active set and advances
+  every flow.  It shares only the spec intake (``_SpecSource``) and
+  the record/result assembly with
   :class:`repro.flowsim.simulator.FlowLevelSimulator`, so agreement
-  checks the departure heap, delivery sync and incremental allocators.
-- :func:`reference_chunk_engine` runs every
-  :class:`~repro.chunksim.network.ChunkNetwork` built inside it on the
-  seed-era :class:`~repro.chunksim.engine.ReferenceSimulator`.
+  checks the departure heap, delivery sync, incremental allocators
+  and CSR kernel fills.
+- :class:`ReferenceSimulator` is the seed-era chunk event loop, and
+  :func:`reference_chunk_engine` runs every
+  :class:`~repro.chunksim.network.ChunkNetwork` built inside it on
+  that loop.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``, so any test
 module imports these with ``from oracles import ...``.
@@ -17,20 +20,49 @@ module imports these with ``from oracles import ...``.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import math
 from collections.abc import Sequence
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.chunksim import network as _network
-from repro.chunksim.engine import ReferenceSimulator
+from repro.chunksim.engine import _SCHEDULE_CLAMP
 from repro.errors import SimulationError
+from repro.flowsim.allocation import max_min_allocation
 from repro.flowsim.flow import ActiveFlow
+from repro.flowsim.multipath import inrp_allocation
 from repro.flowsim.simulator import _EPS, FlowLevelSimulator, _SpecSource
 from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
-from repro.flowsim.strategies import RoutingStrategy
+from repro.flowsim.strategies import InrpStrategy, RoutingStrategy
 from repro.metrics.timeseries import TimeWeightedMean
+from repro.routing.paths import Path, cached_path_links
 from repro.topology.graph import Topology
 from repro.workloads.traffic import FlowSpec
+
+
+def _scratch_allocate(
+    strategy: RoutingStrategy, flows: Mapping[int, Tuple[Path, float]]
+) -> Tuple[Dict[int, float], Dict[int, List[Tuple[Path, float]]], int]:
+    """``(rates, splits, switches)`` of *strategy*'s sharing model over
+    ``{id: (path, demand)}``, from the from-scratch solvers rather
+    than the kernel fill ``strategy.allocate`` runs."""
+    demands = {fid: demand for fid, (_, demand) in flows.items()}
+    if isinstance(strategy, InrpStrategy):
+        result = inrp_allocation(
+            strategy.capacities,
+            {fid: path for fid, (path, _) in flows.items()},
+            demands,
+            strategy.detour_table,
+            max_replacements=strategy.max_replacements,
+        )
+        return result.rates, result.splits, result.switches
+    rates = max_min_allocation(
+        strategy.capacities,
+        {fid: cached_path_links(tuple(path)) for fid, (path, _) in flows.items()},
+        demands,
+    )
+    splits = {fid: [(path, rates[fid])] for fid, (path, _) in flows.items()}
+    return rates, splits, 0
 
 
 def reference_run(
@@ -63,13 +95,13 @@ def reference_run(
             fid: (flow.primary_path, flow.spec.demand_bps)
             for fid, flow in active.items()
         }
-        outcome = strategy.allocate(flows)
+        rates, splits, switches = _scratch_allocate(strategy, flows)
         allocations += 1
-        total_switches += outcome.switches
+        total_switches += switches
         for fid, flow in active.items():
-            flow.rate_bps = outcome.rates.get(fid, 0.0)
+            flow.rate_bps = rates.get(fid, 0.0)
             flow.splits = [
-                (path, rate) for path, rate in outcome.splits.get(fid, []) if rate > 0
+                (path, rate) for path, rate in splits.get(fid, []) if rate > 0
             ]
 
     while not source.exhausted or active:
@@ -133,6 +165,101 @@ def reference_run(
         allocations,
         total_switches,
     )
+
+
+class _ReferenceEvent:
+    """Seed-era heap entry: an object whose ``__lt__`` is Python code."""
+
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+
+    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+    def __lt__(self, other: "_ReferenceEvent") -> bool:
+        return (self.time, self.seq) < (other.time, other.seq)
+
+
+class ReferenceSimulator:
+    """The seed event loop, kept as the semantic/performance baseline.
+
+    Same API and identical event ordering as
+    :class:`~repro.chunksim.engine.Simulator`, but with the seed's cost
+    profile: per-entry objects compared via a Python ``__lt__``, one
+    run-bound test per event, and tombstones that stay in the heap
+    until their scheduled time is popped.  The equivalence tests and
+    ``benchmarks/bench_chunksim.py`` drive both engines through the
+    same scenario and assert identical traces.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap: List[_ReferenceEvent] = []
+        self._seq = 0
+        self.events_processed = 0
+        self.compactions = 0
+
+    def schedule(self, delay: float, fn: Callable, *args) -> _ReferenceEvent:
+        """Run ``fn(*args)`` after *delay* seconds of simulated time."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        event = _ReferenceEvent(self.now + delay, self._seq, fn, args)
+        self._seq += 1
+        heapq.heappush(self._heap, event)
+        return event
+
+    call_after = schedule
+    schedule_entry = schedule
+
+    @staticmethod
+    def cancel_entry(entry: _ReferenceEvent) -> None:
+        entry.cancelled = True
+
+    def schedule_at(self, time: float, fn: Callable, *args) -> _ReferenceEvent:
+        """Run ``fn(*args)`` at absolute simulated *time* (>= now)."""
+        delay = time - self.now
+        if -_SCHEDULE_CLAMP * (1.0 + abs(self.now)) <= delay < 0.0:
+            delay = 0.0
+        return self.schedule(delay, fn, *args)
+
+    call_at = schedule_at
+
+    def run(self, until: float, max_events: Optional[int] = None) -> None:
+        """Process events until the clock passes *until*."""
+        if until < self.now:
+            raise SimulationError(f"cannot run backwards to {until}")
+        processed = 0
+        while self._heap and self._heap[0].time <= until:
+            event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(f"exceeded {max_events} events")
+            self.now = event.time
+            event.fn(*event.args)
+            processed += 1
+            self.events_processed += 1
+        self.now = until
+
+    @property
+    def pending(self) -> int:
+        """Number of events still queued (including tombstones)."""
+        return len(self._heap)
+
+    @property
+    def dead(self) -> int:
+        """Tombstoned entries currently in the heap (O(pending) scan)."""
+        return sum(1 for event in self._heap if event.cancelled)
+
+    @property
+    def live_pending(self) -> int:
+        return len(self._heap) - self.dead
 
 
 @contextlib.contextmanager

@@ -18,10 +18,10 @@ import contextlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_chunk_engine, reference_run
+from oracles import ReferenceSimulator, reference_chunk_engine, reference_run
 
 from repro.chunksim.config import ChunkSimConfig
-from repro.chunksim.engine import ReferenceSimulator, Simulator
+from repro.chunksim.engine import Simulator
 from repro.chunksim.network import ChunkNetwork
 from repro.flowsim.allocation import IncrementalInrp
 from repro.flowsim.flow import FlowRecord

@@ -11,11 +11,10 @@ drifted, not that the tolerances are wrong.
 import dataclasses
 
 import pytest
-from oracles import reference_chunk_engine
+from oracles import ReferenceSimulator, reference_chunk_engine
 
 from repro.campaign.scenario import get_scenario
 from repro.chunksim import ChunkSimConfig
-from repro.chunksim.engine import ReferenceSimulator
 from repro.cli import main
 from repro.validation import (
     CALIBRATED_SCENARIOS,
