@@ -22,9 +22,9 @@ identical workloads:
     Full protocol simulations on the Fig. 3 topology (both INRPP and
     the AIMD baseline) at many times the seed flow count.  End-to-end
     runs also pay for protocol work both engines now share (the
-    request-relay fast path, handle-free timers and the batched
-    interface phases live in the protocol modules, so the reference
-    engine benefits from them too), which dilutes the engine-swap
+    request-relay fast path and the per-class link dispatch live in the
+    protocol modules, so the reference engine benefits from them too),
+    which dilutes the engine-swap
     gap: expect ~1.6-2x for the timer-heavy AIMD mode and only
     ~1.1-1.4x for steady INRPP, whose event rate is throttled by
     back-pressure.  Every run is checked for *identical traced
@@ -81,13 +81,13 @@ def run_churn(engine: str, outstanding: int, rounds: int = 10, rto: float = 0.5)
     def fire(i):
         fired[0] += 1
 
-    timers = [sim.schedule_entry(rto, fire, i) for i in range(outstanding)]
+    timers = [sim.call_after(rto, fire, i) for i in range(outstanding)]
     start = time.process_time()
     for _ in range(rounds):
         for i, timer in enumerate(timers):
             if i % 10 < 9:  # delivery wins the race: cancel + re-arm
                 sim.cancel_entry(timer)
-                timers[i] = sim.schedule_entry(rto, fire, i)
+                timers[i] = sim.call_after(rto, fire, i)
         sim.run(until=sim.now + rto / rounds)
     sim.run(until=sim.now + 2 * rto)
     return time.process_time() - start, fired[0], sim.events_processed

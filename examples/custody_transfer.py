@@ -30,9 +30,9 @@ def main() -> None:
 
     def _sample():
         samples.append((net.sim.now, mid.custody_used_bytes()))
-        net.sim.schedule(0.25, _sample)
+        net.sim.call_after(0.25, _sample)
 
-    net.sim.schedule(0.25, _sample)
+    net.sim.call_after(0.25, _sample)
     report = net.run(duration=12.0, warmup=2.0)
 
     print("custody occupancy at the bottleneck router:")

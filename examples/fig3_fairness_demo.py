@@ -3,8 +3,8 @@
 
 Runs the full discrete-event protocol simulation on the Fig. 3
 topology: receiver-driven requests, sender push with anticipation,
-per-interface anticipated-rate estimation, detouring through node 3
-and (if needed) custody + back-pressure.  Prints goodputs, Jain's
+watermark-driven detouring through node 3 and (if needed) custody +
+back-pressure.  Prints goodputs, Jain's
 index and the protocol event counters for both modes.
 
 Run:  python examples/fig3_fairness_demo.py

@@ -8,12 +8,12 @@ paper at chunk granularity:
 - senders *push* data open loop up to the anticipation horizon,
   processor-sharing their access link among flows, and fall back to a
   closed 1:1 request/data loop when back-pressured;
-- routers estimate the anticipated rate of every outgoing interface
-  from the requests they forward upstream (Eq. 1), and move each
-  interface between the push-data, detour and back-pressure phases;
-- congested interfaces first *detour* chunks through alternative
-  sub-paths (tunnelled via spoofed next hops), then take chunks into
-  *custody* and signal the one-hop upstream neighbour to slow down;
+- a router pushes a chunk onto an interface while the line queue is
+  under the high watermark and the interface holds no custody chunk
+  (the paper's Eq. 1 anticipated-rate switching is not modelled);
+- otherwise it *detours* the chunk through an alternative sub-path
+  (tunnelled via spoofed next hops) or takes it into *custody* and
+  sends a rate-less back-pressure signal toward the sender;
 - an AIMD baseline (drop-tail queues, e2e window halving on loss)
   reproduces the e2e flow-control side of Fig. 3.
 """

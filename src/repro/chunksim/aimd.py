@@ -31,7 +31,7 @@ class AimdFlow:
     window: float = 2.0
     next_new: int = 0
     received: Set[int] = field(default_factory=set)
-    #: chunk id -> engine timer entry (see ``Simulator.schedule_entry``).
+    #: chunk id -> engine timer entry (see ``Simulator.call_after``).
     outstanding: Dict[int, object] = field(default_factory=dict)
     retransmit: Deque[int] = field(default_factory=deque)
     completion_time: Optional[float] = None
@@ -57,7 +57,7 @@ class AimdReceiverApp:
         self.flows: Dict[int, AimdFlow] = {}
         # Per-request constants and bound methods (hot path: one
         # request per chunk plus every retransmission).
-        self._schedule_entry = router.sim.schedule_entry
+        self._call_after = router.sim.call_after
         self._cancel_entry = router.sim.cancel_entry
         self._rto = config.aimd_rto
         self._request_bytes = config.request_bytes
@@ -138,7 +138,7 @@ class AimdReceiverApp:
             flow.sender,
             self._request_bytes,
         )
-        flow.outstanding[chunk_id] = self._schedule_entry(
+        flow.outstanding[chunk_id] = self._call_after(
             self._rto, self._on_timeout, flow, chunk_id
         )
         self.router._on_request(request)
@@ -179,7 +179,7 @@ class AimdSenderApp:
         chunk.prev_hop = router.node_id
         if not iface.link.send(chunk):
             router.drops += 1
-            router.trace.record(router.sim.now, router.node_id, "drop-tail")
+            router.trace.record("drop-tail", router.sim.now)
 
     def on_backpressure(self, signal: Backpressure) -> None:
         """The baseline ignores in-network signals (there are none)."""

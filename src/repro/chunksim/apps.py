@@ -43,7 +43,6 @@ class SenderFlow:
     anticipate_limit: int = -1
     credits: int = 0
     mode: str = PUSH
-    allowed_bps: float = float("inf")
     last_bp_time: float = -1.0
     chunks_sent: int = 0
     anticipated_sent: int = 0
@@ -104,7 +103,6 @@ class SenderApp:
             return
         self.bp_signals += 1
         flow.mode = BACKPRESSURE
-        flow.allowed_bps = signal.allowed_bps
         flow.last_bp_time = self.sim.now
         self.sim.call_after(self.config.resume_timeout, self._maybe_resume, flow)
 

@@ -21,14 +21,12 @@ class ChunkSimConfig:
     chunk_bytes: int = 10_000
     #: Bytes per request packet.
     request_bytes: int = 100
-    #: The measurement interval Ti of Eq. 1 (~ average RTT).
+    #: The paper's interval Ti (~ average RTT); here the gossip period.
     ti: float = 0.1
     #: Anticipation horizon Ac: chunks the receiver announces ahead.
     anticipation: int = 16
     #: Requests a receiver issues at flow start (initial window).
     initial_window: int = 4
-    #: Utilisation threshold that flips an interface out of push-data.
-    rho: float = 0.95
     #: Queue depth (in chunks) above which an interface is congested.
     high_watermark_chunks: int = 4
     #: Queue depth at which custody starts draining back into the line.
@@ -44,9 +42,6 @@ class ChunkSimConfig:
     gossip: bool = True
     #: Seconds without back-pressure before a sender resumes pushing.
     resume_timeout: float = 0.4
-    #: Custody occupancy fraction above which back-pressure is relayed
-    #: further upstream (toward the sender).
-    relay_threshold: float = 0.05
     # --- AIMD baseline parameters -------------------------------------
     #: Drop-tail buffer per interface (chunks) in AIMD mode.
     aimd_buffer_chunks: int = 16
@@ -66,8 +61,6 @@ class ChunkSimConfig:
             raise ConfigurationError("anticipation must be >= 0")
         if self.initial_window < 1:
             raise ConfigurationError("initial_window must be >= 1")
-        if not 0 < self.rho <= 1:
-            raise ConfigurationError("rho must be in (0, 1]")
         if self.low_watermark_chunks > self.high_watermark_chunks:
             raise ConfigurationError("low watermark above high watermark")
         if self.detour_depth < 0:

@@ -1,8 +1,8 @@
 """Discrete-event engine.
 
 :class:`Simulator` runs every chunk-level component through one API
-(``schedule`` / ``call_after`` / ``schedule_at`` / ``call_at`` /
-``run``) and processes events in ``(time, schedule-sequence)`` order
+(``call_after`` / ``call_at`` / ``cancel_entry`` / ``run``) and
+processes events in ``(time, schedule-sequence)`` order
 with FIFO tie-breaking.  Heap entries are plain
 ``[time, seq, fn, args]`` lists, so heap sifts compare floats and ints
 at C speed instead of dispatching into a Python ``__lt__``; callbacks
@@ -17,9 +17,9 @@ as a batch without re-testing the run bound between them.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 
 #: Negative delays within this tolerance of zero (relative to the
 #: clock's magnitude) are float-rounding artefacts of computing an
@@ -34,35 +34,6 @@ _SCHEDULE_CLAMP = 1e-12
 _TIME, _SEQ, _FN, _ARGS = 0, 1, 2, 3
 
 
-class Event:
-    """Cancellation handle for a scheduled callback.
-
-    Returned by :meth:`Simulator.schedule`; hot paths that never
-    cancel use :meth:`Simulator.call_after`, which skips the handle.
-    """
-
-    __slots__ = ("_sim", "_entry")
-
-    def __init__(self, sim: "Simulator", entry: list):
-        self._sim = sim
-        self._entry = entry
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_FN] is None
-
-    def cancel(self) -> None:
-        entry = self._entry
-        if entry[_FN] is not None:
-            entry[_FN] = None
-            entry[_ARGS] = ()
-            self._sim._note_dead()
-
-
 class Simulator:
     """Event loop with a monotonically advancing clock.
 
@@ -75,50 +46,24 @@ class Simulator:
     workload.
     """
 
-    def __init__(self, compact_slack: float = 0.5, min_compact_size: int = 512):
-        if not 0.0 < compact_slack:
-            raise ConfigurationError(
-                f"compact_slack must be positive, got {compact_slack}"
-            )
-        if min_compact_size < 1:
-            raise ConfigurationError(
-                f"min_compact_size must be >= 1, got {min_compact_size}"
-            )
+    def __init__(self):
         self.now = 0.0
         self._heap: List[list] = []
         self._seq = 0
         self._dead = 0
-        self.compact_slack = compact_slack
-        self.min_compact_size = min_compact_size
+        self.compact_slack = 0.5
+        self.min_compact_size = 512
         self.events_processed = 0
         self.compactions = 0
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable, *args) -> Event:
-        """Run ``fn(*args)`` after *delay* seconds; returns a handle."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        entry = [self.now + delay, self._seq, fn, args]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-        return Event(self, entry)
+    def call_after(self, delay: float, fn: Callable, *args) -> list:
+        """Run ``fn(*args)`` after *delay* seconds.
 
-    def call_after(self, delay: float, fn: Callable, *args) -> None:
-        """:meth:`schedule` without the cancellation handle (hot path)."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        entry = [self.now + delay, self._seq, fn, args]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-
-    def schedule_entry(self, delay: float, fn: Callable, *args) -> list:
-        """:meth:`schedule` returning the raw heap entry (hot path).
-
-        The entry is opaque; pass it to :meth:`cancel_entry`.  Skips
-        the :class:`Event` handle allocation for timer-dense callers
-        (AIMD retransmission timers).
+        Returns the heap entry, which is opaque: pass it to
+        :meth:`cancel_entry` to cancel the callback.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
@@ -127,8 +72,20 @@ class Simulator:
         heapq.heappush(self._heap, entry)
         return entry
 
+    def call_at(self, time: float, fn: Callable, *args) -> list:
+        """Run ``fn(*args)`` at absolute simulated *time* (>= now).
+
+        A *time* a sub-epsilon hair before ``now`` — the typical result
+        of re-deriving an absolute instant through float arithmetic —
+        schedules immediately instead of raising.
+        """
+        delay = time - self.now
+        if -_SCHEDULE_CLAMP * (1.0 + abs(self.now)) <= delay < 0.0:
+            delay = 0.0
+        return self.call_after(delay, fn, *args)
+
     def cancel_entry(self, entry: list) -> None:
-        """Cancel an entry from :meth:`schedule_entry`.
+        """Cancel an entry returned by :meth:`call_after` / :meth:`call_at`.
 
         Idempotent, and a no-op once the callback has fired (fired
         entries are marked consumed by the event loop).
@@ -143,54 +100,23 @@ class Simulator:
             ):
                 self._compact()
 
-    def _clamped_delay(self, time: float) -> float:
-        """Delay to absolute *time*, clamping float-rounding residue.
-
-        A *time* a sub-epsilon hair before ``now`` — the typical result
-        of re-deriving an absolute instant through float arithmetic —
-        schedules immediately instead of raising.
-        """
-        delay = time - self.now
-        if -_SCHEDULE_CLAMP * (1.0 + abs(self.now)) <= delay < 0.0:
-            delay = 0.0
-        return delay
-
-    def schedule_at(self, time: float, fn: Callable, *args) -> Event:
-        """Run ``fn(*args)`` at absolute simulated *time* (>= now)."""
-        return self.schedule(self._clamped_delay(time), fn, *args)
-
-    def call_at(self, time: float, fn: Callable, *args) -> None:
-        """:meth:`schedule_at` without the cancellation handle."""
-        self.call_after(self._clamped_delay(time), fn, *args)
-
-    # ------------------------------------------------------------------
-    # Tombstone accounting
-    # ------------------------------------------------------------------
-    def _note_dead(self) -> None:
-        self._dead += 1
-        if (
-            self._dead >= self.min_compact_size
-            and self._dead > self.compact_slack * len(self._heap)
-        ):
-            self._compact()
-
     def _compact(self) -> None:
-        """Drop tombstones and restore the heap invariant in O(live)."""
-        self._heap = [entry for entry in self._heap if entry[_FN] is not None]
-        heapq.heapify(self._heap)
+        """Drop tombstones and restore the heap invariant in O(live).
+
+        In place: a cancel inside a callback can compact mid-run, and
+        the run loop keeps popping the same list object.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[_FN] is not None]
+        heapq.heapify(heap)
         self._dead = 0
         self.compactions += 1
 
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def run(self, until: float, max_events: Optional[int] = None) -> None:
-        """Process events until the clock passes *until*.
-
-        ``max_events`` is a safety valve for tests: it bounds the
-        number of events processed; attempting one more raises
-        :class:`SimulationError` (runaway event loops fail loudly).
-        """
+    def run(self, until: float) -> None:
+        """Process events until the clock passes *until*."""
         if until < self.now:
             raise SimulationError(f"cannot run backwards to {until}")
         heap = self._heap
@@ -201,41 +127,23 @@ class Simulator:
             # including same-instant events scheduled by the batch
             # itself (their sequence numbers are higher, so FIFO order
             # is preserved exactly as in a one-at-a-time loop).
-            if max_events is None:
-                while heap and heap[0][0] <= until:
-                    batch_time = heap[0][0]
-                    # The clock is batch-constant: advance it once,
-                    # not per event.
-                    self.now = batch_time
-                    while heap and heap[0][0] == batch_time:
-                        entry = pop(heap)
-                        fn = entry[2]
-                        if fn is None:
-                            self._dead -= 1
-                            continue
-                        # Mark the entry consumed *before* the call: a
-                        # late cancel (after the callback fired) must
-                        # be a no-op, not a tombstone-accounting skew.
-                        entry[2] = None
-                        fn(*entry[3])
-                        processed += 1
-            else:
-                while heap and heap[0][0] <= until:
-                    batch_time = heap[0][0]
-                    while heap and heap[0][0] == batch_time:
-                        entry = pop(heap)
-                        fn = entry[2]
-                        if fn is None:
-                            self._dead -= 1
-                            continue
-                        if processed >= max_events:
-                            raise SimulationError(
-                                f"exceeded {max_events} events"
-                            )
-                        self.now = batch_time
-                        entry[2] = None
-                        fn(*entry[3])
-                        processed += 1
+            while heap and heap[0][0] <= until:
+                batch_time = heap[0][0]
+                # The clock is batch-constant: advance it once, not per
+                # event.
+                self.now = batch_time
+                while heap and heap[0][0] == batch_time:
+                    entry = pop(heap)
+                    fn = entry[2]
+                    if fn is None:
+                        self._dead -= 1
+                        continue
+                    # Mark the entry consumed *before* the call: a late
+                    # cancel (after the callback fired) must be a no-op,
+                    # not a tombstone-accounting skew.
+                    entry[2] = None
+                    fn(*entry[3])
+                    processed += 1
         finally:
             self.events_processed += processed
         self.now = until

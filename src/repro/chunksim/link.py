@@ -2,11 +2,11 @@
 
 A :class:`SimLink` is one *direction* of a topology link: it
 serialises packets at the line rate, applies propagation delay, and
-delivers to the receiving node.  Data packets occupy the queue;
-control packets (requests, back-pressure, gossip) ride a fast path —
-they are delayed but not queued, a standard simplification that keeps
-the reverse control channel from interfering with the data-plane
-experiment.
+delivers to the receiving node's handler for the packet's class.
+Data packets occupy the queue; control packets (requests,
+back-pressure, gossip) ride a fast path — they are delayed but not
+queued, a standard simplification that keeps the reverse control
+channel from interfering with the data-plane experiment.
 
 Drop behaviour is owned by the caller: the INRPP router never lets a
 queue exceed its watermarks (custody instead), while the AIMD baseline
@@ -19,7 +19,8 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from repro.chunksim.engine import Simulator
-from repro.errors import ConfigurationError
+from repro.chunksim.messages import DataChunk
+from repro.errors import ConfigurationError, SimulationError
 from repro.units import BITS_PER_BYTE
 
 
@@ -52,9 +53,8 @@ class SimLink:
         dst,
         rate_bps: float,
         delay_s: float,
+        handlers: dict,
         buffer_bytes: Optional[int] = None,
-        deliver: Optional[Callable] = None,
-        deliver_data: Optional[Callable] = None,
     ):
         if rate_bps <= 0:
             raise ConfigurationError(f"rate must be positive, got {rate_bps}")
@@ -69,19 +69,16 @@ class SimLink:
         self._tx_per_byte = BITS_PER_BYTE / self.rate_bps
         self.delay_s = float(delay_s)
         self.buffer_bytes = buffer_bytes
-        self._deliver = deliver
+        #: Packet class -> ``handler(packet, link)`` of the receiving
+        #: node.  Packets are dispatched at send time (the class is
+        #: known here), not on arrival.
+        self.handlers = handlers
         # Packets from the data queue are always data chunks, so their
-        # delivery can bind the receiver's data handler directly and
-        # skip the per-packet type dispatch (control packets vary in
-        # type and keep going through *deliver*).
-        self._deliver_data = deliver_data if deliver_data is not None else deliver
-        #: Optional class -> handler map of the receiving node.  When
-        #: set, control packets are dispatched at send time (the class
-        #: is known here) instead of through *deliver* on arrival.
-        self.control_handlers: Optional[dict] = None
+        # delivery binds the receiver's data handler once.
+        self._deliver_data = handlers.get(DataChunk)
         self._queue: Deque = deque()
         #: Bytes waiting (not counting the packet on the wire).  A
-        #: plain attribute: read on every enqueue/phase decision.
+        #: plain attribute: read on every enqueue/forward decision.
         self.queue_bytes = 0
         self._busy = False
         self.stats = LinkStats()
@@ -122,14 +119,11 @@ class SimLink:
 
     def send_control(self, packet) -> None:
         """Deliver a control packet after the propagation delay only."""
+        fn = self.handlers.get(packet.__class__)
+        if fn is None:
+            raise SimulationError(f"{self!r}: no handler for {packet!r}")
         self.stats.control_packets += 1
-        handlers = self.control_handlers
-        if handlers is not None:
-            fn = handlers.get(packet.__class__)
-            if fn is not None:
-                self._call_after(self.delay_s, fn, packet, self)
-                return
-        self._call_after(self.delay_s, self._deliver, packet, self)
+        self._call_after(self.delay_s, fn, packet, self)
 
     # ------------------------------------------------------------------
     def _start_next(self) -> None:

@@ -60,16 +60,14 @@ class Backpressure:
     """Hop-by-hop back-pressure notification.
 
     Sent by a congested node to its one-hop upstream neighbour when a
-    chunk had to be taken into custody; carries the rate the congested
-    interface can sustain for the flow so the upstream (ultimately the
-    sender) can enter the closed-loop mode.
+    chunk had to be taken into custody, and relayed toward the sender,
+    which enters the closed-loop mode (1:1 request credits).  The
+    signal carries no rate.
     """
 
     flow_id: int
     #: The congested link, oriented (congested node, its next hop).
     congested_link: Tuple[Node, Node]
-    #: Rate the sender should fall back to (bits/s).
-    allowed_bps: float
     #: Originating (congested) node.
     origin: Node = None
     #: The flow's sender, for hop-by-hop relaying toward it.

@@ -130,11 +130,9 @@ class ChunkNetwork:
                     b,
                     rate_bps=self.topology.capacity(a, b),
                     delay_s=delay,
+                    handlers=self.routers[b].handlers,
                     buffer_bytes=buffer_bytes,
-                    deliver=self.routers[b].receive,
-                    deliver_data=self.routers[b]._on_data,
                 )
-                link.control_handlers = self.routers[b]._handlers
                 self.routers[a].attach_link(link)
                 self.links.append(link)
         for destination in self.topology.nodes():
@@ -200,12 +198,7 @@ class ChunkNetwork:
         return flow_id
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        duration: float,
-        warmup: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> NetworkReport:
+    def run(self, duration: float, warmup: Optional[float] = None) -> NetworkReport:
         """Run the simulation and build the report.
 
         *warmup* (default: 25 % of *duration*) is excluded from the
@@ -218,7 +211,7 @@ class ChunkNetwork:
             warmup = 0.25 * duration
         if not 0 <= warmup < duration:
             raise SimulationError("warmup must lie within the run")
-        self.sim.run(until=duration, max_events=max_events)
+        self.sim.run(until=duration)
         return self._report(duration, warmup)
 
     def _report(self, duration: float, warmup: float) -> NetworkReport:

@@ -11,8 +11,8 @@ Forwarding pipeline for a data chunk (Section 3.3 of the paper):
    and whose onward links look clear in the gossiped neighbour state;
 4. **back-pressure**: with no detour available, take the chunk into
    the interface's custody store and notify the one-hop upstream
-   neighbour (which relays toward the sender) with the fair-share rate
-   the congested interface can sustain.
+   neighbour, which relays the signal toward the sender.  The signal
+   carries no rate: the sender falls back to 1:1 request credits.
 
 In ``aimd`` mode the router is a plain FIFO drop-tail forwarder, which
 is what the e2e baseline of Fig. 3 runs over.
@@ -25,14 +25,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chunksim.config import ChunkSimConfig
 from repro.chunksim.engine import Simulator
-from repro.chunksim.interface import Phase, RouterInterface
+from repro.chunksim.interface import RouterInterface
 from repro.chunksim.link import SimLink
 from repro.chunksim.messages import Backpressure, DataChunk, Gossip, Request
 from repro.chunksim.tracing import Trace
 from repro.errors import SimulationError
 from repro.routing.paths import Path
 from repro.topology.graph import Node
-from repro.units import BITS_PER_BYTE
 
 
 class Router:
@@ -67,15 +66,14 @@ class Router:
         self.drops = 0
         # Hot-path constants (config properties recompute per call).
         self._high_wm_bytes = config.high_watermark_bytes
-        self._chunk_bits = config.chunk_bytes * BITS_PER_BYTE
         self._inrpp = mode == "inrpp"
         self._call_after = sim.call_after
-        #: flow id -> (relay link, next-hop request handler, Eq. 1
-        #: interface or None).  The FIB is static after build, so a
-        #: flow's relay route never changes.
+        #: flow id -> (relay link, next-hop request handler).  The FIB
+        #: is static after build, so a flow's relay route never changes.
         self._request_route: Dict[int, Tuple] = {}
-        # Exact-class receive dispatch (no isinstance chain per packet).
-        self._handlers = {
+        #: Exact-class receive dispatch (no isinstance chain per
+        #: packet); the links into this node deliver through it.
+        self.handlers = {
             DataChunk: self._on_data,
             Request: self._on_request,
             Backpressure: self._on_backpressure,
@@ -86,19 +84,10 @@ class Router:
     # Wiring (done by ChunkNetwork)
     # ------------------------------------------------------------------
     def attach_link(self, link: SimLink) -> RouterInterface:
-        iface = RouterInterface(self.sim, link, self.config)
+        iface = RouterInterface(link, self.config)
         self.ifaces[link.dst] = iface
         link.on_tx_complete = partial(self._on_iface_drain, iface)
         return iface
-
-    # ------------------------------------------------------------------
-    # Receive dispatch (links deliver here)
-    # ------------------------------------------------------------------
-    def receive(self, packet, via_link: SimLink) -> None:
-        handler = self._handlers.get(packet.__class__)
-        if handler is None:
-            raise SimulationError(f"unknown packet type: {packet!r}")
-        handler(packet, via_link)
 
     # ------------------------------------------------------------------
     # Requests (travel receiver -> sender on the control fast path)
@@ -119,35 +108,18 @@ class Router:
         route = self._request_route.get(request.flow_id)
         if route is None:
             route = self._resolve_request_route(request)
-        relay_link, relay_handler, data_iface = route
+        relay_link, relay_handler = route
         if relay_link is None:
-            self.trace.record(self.sim.now, self.node_id, "request-unroutable")
+            self.trace.record("request-unroutable", self.sim.now)
             return
-        if data_iface is not None:
-            # Eq. 1: the data answering this request will leave through
-            # the interface toward the receiver — record the load.
-            data_iface.anticipate(self._chunk_bits)
-            data_iface.note_flow(request.flow_id)
         relay_link.stats.control_packets += 1
         self._call_after(relay_link.delay_s, relay_handler, request, relay_link)
 
     def _resolve_request_route(self, request: Request):
         next_hop = self.fib.get(request.sender)
         relay_link = self.ifaces[next_hop].link if next_hop is not None else None
-        relay_handler = None
-        data_iface = None
-        if relay_link is not None:
-            handlers = relay_link.control_handlers
-            relay_handler = handlers.get(Request) if handlers is not None else None
-            if relay_handler is None:
-                # Standalone links (unit tests) fall back to the
-                # receiver's generic dispatch.
-                relay_handler = relay_link._deliver
-            if self._inrpp:
-                # The AIMD forwarder never reads anticipated rates or
-                # flow fair shares, so Eq. 1 bookkeeping is INRPP-only.
-                data_iface = self.ifaces.get(self.fib.get(request.receiver))
-        route = (relay_link, relay_handler, data_iface)
+        relay_handler = relay_link.handlers[Request] if relay_link is not None else None
+        route = (relay_link, relay_handler)
         self._request_route[request.flow_id] = route
         return route
 
@@ -167,7 +139,7 @@ class Router:
             next_hop = self.fib.get(chunk.receiver)
         if next_hop is None or next_hop not in self.ifaces:
             self.drops += 1
-            self.trace.record(self.sim.now, self.node_id, "data-unroutable")
+            self.trace.record("data-unroutable", self.sim.now)
             return
         self.forward(chunk, next_hop, upstream)
 
@@ -176,16 +148,14 @@ class Router:
         iface = self.ifaces[next_hop]
         chunk.prev_hop = self.node_id
         if not self._inrpp:
-            # Drop-tail forwarding; flow accounting (note_flow) feeds
-            # fair-share back-pressure rates, which the baseline never
-            # emits, so the link is driven directly.
+            # Drop-tail forwarding.
             if not iface.link.send(chunk):
                 self.drops += 1
-                self.trace.record(self.sim.now, self.node_id, "drop-tail")
+                self.trace.record("drop-tail", self.sim.now)
             return
 
         if iface.can_accept(chunk.size_bytes):
-            iface.enqueue(chunk)
+            iface.link.send(chunk)
             return
 
         option = self._pick_detour(chunk, next_hop)
@@ -194,9 +164,7 @@ class Router:
             # rest as forced hops, prepended to any remaining tunnel.
             chunk.detours += 1
             chunk.tunnel = tuple(option[2:]) + tuple(chunk.tunnel)
-            self.trace.record(
-                self.sim.now, self.node_id, "detour", around=(self.node_id, next_hop)
-            )
+            self.trace.record("detour", self.sim.now)
             self.forward(chunk, option[1], upstream)
             return
 
@@ -234,13 +202,12 @@ class Router:
     ) -> None:
         if not iface.take_custody(chunk):
             self.drops += 1
-            self.trace.record(self.sim.now, self.node_id, "drop-custody-full")
+            self.trace.record("drop-custody-full", self.sim.now)
             return
-        self.trace.record(self.sim.now, self.node_id, "custody")
+        self.trace.record("custody", self.sim.now)
         signal = Backpressure(
             flow_id=chunk.flow_id,
             congested_link=(self.node_id, iface.neighbor),
-            allowed_bps=iface.fair_share_bps(),
             origin=self.node_id,
             sender=chunk.sender,
         )
@@ -254,9 +221,9 @@ class Router:
             return
         iface = self.ifaces.get(upstream)
         if iface is None:
-            self.trace.record(self.sim.now, self.node_id, "bp-unroutable")
+            self.trace.record("bp-unroutable", self.sim.now)
             return
-        self.trace.record(self.sim.now, self.node_id, "bp-sent")
+        self.trace.record("bp-sent", self.sim.now)
         iface.link.send_control(signal)
 
     def _on_backpressure(
@@ -267,12 +234,12 @@ class Router:
             app.on_backpressure(signal)
             return
         # Relay hop-by-hop toward the sender (reverse data path).
-        sender = getattr(signal, "sender", None)
+        sender = signal.sender
         next_hop = self.fib.get(sender) if sender is not None else None
         if next_hop is None:
-            self.trace.record(self.sim.now, self.node_id, "bp-unroutable")
+            self.trace.record("bp-unroutable", self.sim.now)
             return
-        self.trace.record(self.sim.now, self.node_id, "bp-relayed")
+        self.trace.record("bp-relayed", self.sim.now)
         self.ifaces[next_hop].link.send_control(signal)
 
     # ------------------------------------------------------------------
@@ -303,9 +270,9 @@ class Router:
     # Drain hook: custody -> line, then wake the local sender.
     # ------------------------------------------------------------------
     def _on_iface_drain(self, iface: RouterInterface) -> None:
-        if iface._custody_queue:
+        if len(iface.custody):
             while iface.drain_custody() is not None:
-                self.trace.record(self.sim.now, self.node_id, "custody-drain")
+                self.trace.record("custody-drain", self.sim.now)
         if self.sender_app is not None:
             self.sender_app.pump(iface)
 

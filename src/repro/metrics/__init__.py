@@ -6,7 +6,7 @@ from repro.metrics.fairness import (
     max_min_violations,
 )
 from repro.metrics.stats import Cdf, QuantileSketch
-from repro.metrics.timeseries import RateEstimator, TimeWeightedMean
+from repro.metrics.timeseries import TimeWeightedMean
 
 __all__ = [
     "jain_index",
@@ -15,5 +15,4 @@ __all__ = [
     "Cdf",
     "QuantileSketch",
     "TimeWeightedMean",
-    "RateEstimator",
 ]

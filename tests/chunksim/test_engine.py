@@ -9,9 +9,9 @@ from repro.errors import SimulationError
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
-    sim.schedule(3.0, lambda: fired.append("c"))
-    sim.schedule(1.0, lambda: fired.append("a"))
-    sim.schedule(2.0, lambda: fired.append("b"))
+    sim.call_after(3.0, lambda: fired.append("c"))
+    sim.call_after(1.0, lambda: fired.append("a"))
+    sim.call_after(2.0, lambda: fired.append("b"))
     sim.run(until=10.0)
     assert fired == ["a", "b", "c"]
     assert sim.now == 10.0
@@ -21,7 +21,7 @@ def test_simultaneous_events_fifo():
     sim = Simulator()
     fired = []
     for label in ("first", "second", "third"):
-        sim.schedule(1.0, lambda l=label: fired.append(l))
+        sim.call_after(1.0, lambda l=label: fired.append(l))
     sim.run(until=2.0)
     assert fired == ["first", "second", "third"]
 
@@ -29,8 +29,8 @@ def test_simultaneous_events_fifo():
 def test_cancellation():
     sim = Simulator()
     fired = []
-    event = sim.schedule(1.0, lambda: fired.append("x"))
-    event.cancel()
+    entry = sim.call_after(1.0, lambda: fired.append("x"))
+    sim.cancel_entry(entry)
     sim.run(until=2.0)
     assert fired == []
 
@@ -41,9 +41,9 @@ def test_nested_scheduling_from_callback():
 
     def outer():
         fired.append(("outer", sim.now))
-        sim.schedule(0.5, lambda: fired.append(("inner", sim.now)))
+        sim.call_after(0.5, lambda: fired.append(("inner", sim.now)))
 
-    sim.schedule(1.0, outer)
+    sim.call_after(1.0, outer)
     sim.run(until=2.0)
     assert fired == [("outer", 1.0), ("inner", 1.5)]
 
@@ -51,7 +51,7 @@ def test_nested_scheduling_from_callback():
 def test_run_until_boundary_inclusive():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, lambda: fired.append("at-boundary"))
+    sim.call_after(1.0, lambda: fired.append("at-boundary"))
     sim.run(until=1.0)
     assert fired == ["at-boundary"]
 
@@ -59,8 +59,8 @@ def test_run_until_boundary_inclusive():
 def test_partial_run_then_resume():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, lambda: fired.append("early"))
-    sim.schedule(5.0, lambda: fired.append("late"))
+    sim.call_after(1.0, lambda: fired.append("early"))
+    sim.call_after(5.0, lambda: fired.append("late"))
     sim.run(until=2.0)
     assert fired == ["early"]
     sim.run(until=6.0)
@@ -70,50 +70,10 @@ def test_partial_run_then_resume():
 def test_errors():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-1.0, lambda: None)
+        sim.call_after(-1.0, lambda: None)
     sim.run(until=5.0)
     with pytest.raises(SimulationError):
         sim.run(until=1.0)
-
-
-def test_max_events_guard():
-    sim = Simulator()
-
-    def rearm():
-        sim.schedule(0.001, rearm)
-
-    sim.schedule(0.0, rearm)
-    with pytest.raises(SimulationError):
-        sim.run(until=100.0, max_events=50)
-
-
-def test_max_events_allows_exactly_the_budget():
-    # max_events=N must process N events, not N+1, before raising.
-    sim = Simulator()
-    fired = []
-    for i in range(5):
-        sim.schedule(0.1 * (i + 1), lambda i=i: fired.append(i))
-    sim.run(until=10.0, max_events=5)
-    assert fired == [0, 1, 2, 3, 4]
-
-    sim = Simulator()
-    fired = []
-    for i in range(5):
-        sim.schedule(0.1 * (i + 1), lambda i=i: fired.append(i))
-    with pytest.raises(SimulationError):
-        sim.run(until=10.0, max_events=4)
-    assert fired == [0, 1, 2, 3]  # the budget-exceeding event never ran
-
-
-def test_max_events_ignores_tombstones():
-    sim = Simulator()
-    fired = []
-    cancelled = [sim.schedule(0.1, lambda: fired.append("no")) for _ in range(10)]
-    for event in cancelled:
-        event.cancel()
-    sim.schedule(0.2, lambda: fired.append("yes"))
-    sim.run(until=1.0, max_events=1)
-    assert fired == ["yes"]
 
 
 def test_schedule_at_clamps_float_rounding():
@@ -121,18 +81,18 @@ def test_schedule_at_clamps_float_rounding():
     # sub-epsilon hair before now; that must schedule, not raise.
     sim = Simulator()
     fired = []
-    sim.schedule(0.3, lambda: None)
+    sim.call_after(0.3, lambda: None)
     sim.run(until=0.3)
     behind = sim.now - 1e-13
     assert behind < sim.now
-    sim.schedule_at(behind, lambda: fired.append(sim.now))
+    sim.call_at(behind, lambda: fired.append(sim.now))
     sim.run(until=1.0)
     assert fired == [pytest.approx(0.3)]
 
 
 def test_schedule_at_still_rejects_real_past_times():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.call_after(1.0, lambda: None)
     sim.run(until=1.0)
     with pytest.raises(SimulationError):
-        sim.schedule_at(0.5, lambda: None)
+        sim.call_at(0.5, lambda: None)

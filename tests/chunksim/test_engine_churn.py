@@ -33,7 +33,7 @@ class NaiveSimulator:
         self._entries = []
         self._seq = 0
 
-    def schedule_entry(self, delay, fn, *args):
+    def call_after(self, delay, fn, *args):
         entry = [self.now + delay, self._seq, fn, args]
         self._seq += 1
         self._entries.append(entry)
@@ -78,7 +78,7 @@ def _drive(sim, actions):
     for op, arg in actions:
         if op <= 4:  # schedule (weighted: churn is mostly scheduling)
             delay = _DELAYS[arg % len(_DELAYS)]
-            handles[next_tag] = sim.schedule_entry(delay, fire, next_tag)
+            handles[next_tag] = sim.call_after(delay, fire, next_tag)
             next_tag += 1
         elif op <= 7 and handles:  # cancel an arbitrary live handle
             tags = sorted(handles)
@@ -105,7 +105,9 @@ def test_engines_match_naive_model_under_churn(actions):
     """Property: modern == reference == sorted-list model, exactly."""
     naive_log = _drive(NaiveSimulator(), actions)
     # A tiny compaction floor so the churn script actually crosses it.
-    modern_log = _drive(Simulator(min_compact_size=4), actions)
+    modern = Simulator()
+    modern.min_compact_size = 4
+    modern_log = _drive(modern, actions)
     reference_log = _drive(ReferenceSimulator(), actions)
     assert modern_log == naive_log
     assert reference_log == naive_log
@@ -124,12 +126,13 @@ def test_engines_match_naive_model_under_churn(actions):
 )
 def test_dead_accounting_is_consistent_under_churn(actions):
     """``dead`` + ``live_pending`` always partition ``pending``."""
-    sim = Simulator(min_compact_size=8)
+    sim = Simulator()
+    sim.min_compact_size = 8
     handles = {}
     next_tag = 0
     for op, arg in actions:
         if op <= 4:
-            handles[next_tag] = sim.schedule_entry(
+            handles[next_tag] = sim.call_after(
                 _DELAYS[arg % len(_DELAYS)], lambda: None
             )
             next_tag += 1
@@ -158,7 +161,7 @@ def _timer_churn(sim, rounds=40, per_round=500, cancel_fraction=0.95):
     peak = 0
     for _ in range(rounds):
         entries = [
-            sim.schedule_entry(0.5, lambda: None) for _ in range(per_round)
+            sim.call_after(0.5, lambda: None) for _ in range(per_round)
         ]
         cutoff = int(len(entries) * cancel_fraction)
         for entry in entries[:cutoff]:
@@ -169,7 +172,8 @@ def _timer_churn(sim, rounds=40, per_round=500, cancel_fraction=0.95):
 
 
 def test_heap_stays_bounded_under_cancel_heavy_load():
-    sim = Simulator(min_compact_size=64)
+    sim = Simulator()
+    sim.min_compact_size = 64
     peak = _timer_churn(sim)
     total_scheduled = 40 * 500
     # Compaction must actually have run, and the heap must stay within
@@ -187,20 +191,36 @@ def test_reference_engine_accumulates_tombstones():
     # The contrast that motivated the fix: the seed engine keeps every
     # cancelled timer in its heap until the scheduled time is popped.
     reference = ReferenceSimulator()
-    modern = Simulator(min_compact_size=64)
+    modern = Simulator()
+    modern.min_compact_size = 64
     reference_peak = _timer_churn(reference)
     modern_peak = _timer_churn(modern)
     assert reference_peak > 5 * modern_peak
 
 
-def test_event_handle_cancel_also_compacts():
-    # Cancellation through the Event handle (schedule) shares the dead
-    # accounting with cancel_entry.
-    sim = Simulator(min_compact_size=16)
-    events = [sim.schedule(1.0, lambda: None) for _ in range(400)]
-    for event in events[:399]:
-        event.cancel()
+def _cancel_storm(sim):
+    """A callback cancels most timers, crossing the compaction floor
+    mid-run, then schedules one more event; returns the firing log."""
+    log = []
+    timers = [sim.call_after(5.0, log.append, ("timer", i)) for i in range(2000)]
+
+    def storm():
+        for entry in timers[:1900]:
+            sim.cancel_entry(entry)
+        sim.call_after(1.0, log.append, ("after-storm", sim.now))
+
+    sim.call_after(1.0, storm)
+    sim.run(10.0)
+    return log
+
+
+def test_compaction_inside_a_callback_loses_no_event():
+    # The run loop holds the heap list across callbacks, so compaction
+    # must rebuild that same list rather than bind a new one.
+    sim = Simulator()
+    log = _cancel_storm(sim)
     assert sim.compactions > 0
-    assert sim.pending < 100
-    sim.run(2.0)
-    assert sim.live_pending == 0
+    assert sim.dead >= 0
+    assert ("after-storm", 1.0) in log
+    assert log == _cancel_storm(ReferenceSimulator())
+    assert log == _cancel_storm(NaiveSimulator())

@@ -1,9 +1,7 @@
-"""Router-interface tests: Eq. 1 estimation, phases, custody."""
-
-import pytest
+"""Router-interface tests: watermarks and custody."""
 
 from repro.chunksim import ChunkSimConfig, Simulator
-from repro.chunksim.interface import Phase, RouterInterface
+from repro.chunksim.interface import RouterInterface
 from repro.chunksim.link import SimLink
 from repro.chunksim.messages import DataChunk
 
@@ -13,9 +11,9 @@ def _iface(config=None, rate=10e6):
     received = []
     link = SimLink(
         sim, "r", "n", rate_bps=rate, delay_s=0.001,
-        deliver=lambda p, l: received.append(p),
+        handlers={DataChunk: lambda p, l: received.append(p)},
     )
-    iface = RouterInterface(sim, link, config or ChunkSimConfig())
+    iface = RouterInterface(link, config or ChunkSimConfig())
     return sim, iface, received
 
 
@@ -23,41 +21,13 @@ def _chunk(chunk_id=0, size=10_000):
     return DataChunk(flow_id=1, chunk_id=chunk_id, size_bytes=size)
 
 
-def test_anticipated_rate_from_requests():
-    # 10 forwarded requests, each announcing one 10 kB chunk, within
-    # one Ti window of 0.1 s -> r_a = 10 * 80kbit / 0.1s = 8 Mbps.
-    sim, iface, _ = _iface()
-    for _ in range(10):
-        iface.anticipate(10_000 * 8)
-    assert iface.anticipated_bps() == pytest.approx(8e6)
-    # After the window passes, the estimate decays to zero.
-    sim.run(until=0.2)
-    assert iface.anticipated_bps() == 0.0
-
-
-def test_phase_transitions():
-    config = ChunkSimConfig()
-    sim, iface, _ = _iface(config)
-    assert iface.phase() is Phase.PUSH
-    # Anticipated demand beyond rho * rate flips the phase to DETOUR.
-    for _ in range(200):
-        iface.anticipate(10_000 * 8)
-    assert iface.anticipated_bps() > config.rho * iface.link.rate_bps
-    assert iface.phase() is Phase.DETOUR
-    # Custody occupation flips it to BACKPRESSURE.
-    while iface.can_accept(10_000):
-        iface.enqueue(_chunk())
-    iface.take_custody(_chunk(99))
-    assert iface.phase() is Phase.BACKPRESSURE
-
-
 def test_can_accept_watermark():
     config = ChunkSimConfig(high_watermark_chunks=2, low_watermark_chunks=1)
     sim, iface, _ = _iface(config)
     assert iface.can_accept(10_000)
-    iface.enqueue(_chunk(0))  # goes straight to the wire
-    iface.enqueue(_chunk(1))
-    iface.enqueue(_chunk(2))
+    iface.link.send(_chunk(0))  # goes straight to the wire
+    iface.link.send(_chunk(1))
+    iface.link.send(_chunk(2))
     # Queue is now at the 2-chunk watermark.
     assert not iface.can_accept(10_000)
 
@@ -70,26 +40,15 @@ def test_custody_blocks_line_until_drained():
     assert not iface.can_accept(10_000)
     drained = iface.drain_custody()
     assert drained is not None and drained.chunk_id == 7
-    assert iface.custody_backlog == 0
+    assert len(iface.custody) == 0
 
 
 def test_drain_respects_low_watermark():
     config = ChunkSimConfig(high_watermark_chunks=4, low_watermark_chunks=0)
     sim, iface, _ = _iface(config)
-    iface.enqueue(_chunk(0))
-    iface.enqueue(_chunk(1))  # one queued behind the in-flight chunk
+    iface.link.send(_chunk(0))
+    iface.link.send(_chunk(1))  # one queued behind the in-flight chunk
     iface.take_custody(_chunk(2))
     assert iface.drain_custody() is None  # queue above the watermark
     sim.run(until=0.1)  # line drains
     assert iface.drain_custody() is not None
-
-
-def test_active_flow_count_expires():
-    config = ChunkSimConfig(ti=0.05)
-    sim, iface, _ = _iface(config)
-    iface.note_flow(1)
-    iface.note_flow(2)
-    assert iface.active_flow_count() == 2
-    assert iface.fair_share_bps() == pytest.approx(iface.link.rate_bps / 2)
-    sim.run(until=1.0)
-    assert iface.active_flow_count() == 1  # never drops below 1

@@ -4,8 +4,8 @@ import pytest
 
 from repro.chunksim import Simulator
 from repro.chunksim.link import SimLink
-from repro.chunksim.messages import DataChunk
-from repro.errors import ConfigurationError
+from repro.chunksim.messages import DataChunk, Gossip
+from repro.errors import ConfigurationError, SimulationError
 
 
 def _chunk(size=10_000, chunk_id=0):
@@ -18,14 +18,14 @@ def _collector():
     def deliver(packet, link):
         received.append((packet, link))
 
-    return received, deliver
+    return received, {DataChunk: deliver}
 
 
 def test_serialization_plus_propagation_timing():
     sim = Simulator()
-    received, deliver = _collector()
+    received, handlers = _collector()
     # 10 kB at 10 Mbps = 8 ms tx; +1 ms propagation = 9 ms.
-    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.001, deliver=deliver)
+    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.001, handlers=handlers)
     link.send(_chunk())
     sim.run(until=0.0089)
     assert received == []
@@ -35,8 +35,8 @@ def test_serialization_plus_propagation_timing():
 
 def test_back_to_back_serialization():
     sim = Simulator()
-    received, deliver = _collector()
-    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, deliver=deliver)
+    received, handlers = _collector()
+    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, handlers=handlers)
     for i in range(3):
         link.send(_chunk(chunk_id=i))
     sim.run(until=1.0)
@@ -48,10 +48,10 @@ def test_back_to_back_serialization():
 
 def test_drop_tail_buffer():
     sim = Simulator()
-    received, deliver = _collector()
+    received, handlers = _collector()
     link = SimLink(
         sim, "a", "b", rate_bps=10e6, delay_s=0.0,
-        buffer_bytes=25_000, deliver=deliver,
+        buffer_bytes=25_000, handlers=handlers,
     )
     outcomes = [link.send(_chunk(chunk_id=i)) for i in range(5)]
     # First chunk goes straight to the wire; two fit in the buffer.
@@ -63,8 +63,8 @@ def test_drop_tail_buffer():
 
 def test_control_fast_path_skips_queue():
     sim = Simulator()
-    received, deliver = _collector()
-    link = SimLink(sim, "a", "b", rate_bps=1e3, delay_s=0.001, deliver=deliver)
+    received, handlers = _collector()
+    link = SimLink(sim, "a", "b", rate_bps=1e3, delay_s=0.001, handlers=handlers)
     link.send(_chunk(size=100_000))  # hogs the slow wire for 800 s
     link.send_control(_chunk(size=64, chunk_id=99))
     sim.run(until=0.01)
@@ -75,8 +75,8 @@ def test_control_fast_path_skips_queue():
 
 def test_utilization():
     sim = Simulator()
-    received, deliver = _collector()
-    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, deliver=deliver)
+    received, handlers = _collector()
+    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, handlers=handlers)
     link.send(_chunk())  # 8 ms of wire time
     sim.run(until=0.016)
     assert link.utilization() == pytest.approx(0.5, rel=0.01)
@@ -84,8 +84,8 @@ def test_utilization():
 
 def test_tx_complete_callback():
     sim = Simulator()
-    received, deliver = _collector()
-    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, deliver=deliver)
+    received, handlers = _collector()
+    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, handlers=handlers)
     ticks = []
     link.on_tx_complete = lambda: ticks.append(sim.now)
     link.send(_chunk())
@@ -97,6 +97,14 @@ def test_tx_complete_callback():
 def test_validation():
     sim = Simulator()
     with pytest.raises(ConfigurationError):
-        SimLink(sim, "a", "b", rate_bps=0.0, delay_s=0.0)
+        SimLink(sim, "a", "b", rate_bps=0.0, delay_s=0.0, handlers={})
     with pytest.raises(ConfigurationError):
-        SimLink(sim, "a", "b", rate_bps=1.0, delay_s=-0.1)
+        SimLink(sim, "a", "b", rate_bps=1.0, delay_s=-0.1, handlers={})
+
+
+def test_control_packet_without_handler_raises():
+    sim = Simulator()
+    received, handlers = _collector()
+    link = SimLink(sim, "a", "b", rate_bps=10e6, delay_s=0.0, handlers=handlers)
+    with pytest.raises(SimulationError):
+        link.send_control(Gossip(origin="a"))

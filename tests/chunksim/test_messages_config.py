@@ -22,7 +22,7 @@ def test_request_carries_paper_fields():
 def test_serials_are_unique_and_increasing():
     first = DataChunk(flow_id=1, chunk_id=0, size_bytes=1)
     second = Request(flow_id=1, next_chunk=0, ack=-1, anticipate_to=0)
-    third = Backpressure(flow_id=1, congested_link=("a", "b"), allowed_bps=1.0)
+    third = Backpressure(flow_id=1, congested_link=("a", "b"))
     assert first.serial < second.serial < third.serial
 
 
@@ -54,8 +54,8 @@ def test_config_defaults_are_consistent():
         {"ti": 0.0},
         {"anticipation": -1},
         {"initial_window": 0},
-        {"rho": 0.0},
-        {"rho": 1.5},
+        {"request_bytes": 0},
+        {"ti": -1.0},
         {"high_watermark_chunks": 1, "low_watermark_chunks": 2},
         {"detour_depth": -1},
     ],

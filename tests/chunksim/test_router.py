@@ -51,7 +51,7 @@ def test_unroutable_data_counts_as_drop():
     trace = net.trace
     chunk = DataChunk(flow_id=5, chunk_id=0, size_bytes=100, receiver="ghost")
     via = net.routers[1].ifaces[0].link  # the 1 -> 0 direction
-    net.routers[0].receive(chunk, via)
+    net.routers[0].handlers[DataChunk](chunk, via)
     assert net.routers[0].drops == 1
     assert trace.count("data-unroutable") == 1
 
@@ -63,7 +63,7 @@ def test_backpressure_relay_toward_sender():
     net = ChunkNetwork(topo, mode="inrpp")
     net.add_flow(0, 3, num_chunks=1)
     signal = Backpressure(
-        flow_id=0, congested_link=(2, 3), allowed_bps=1e6, origin=2
+        flow_id=0, congested_link=(2, 3), origin=2
     )
     signal.sender = 0
     net.routers[2]._on_backpressure(signal)

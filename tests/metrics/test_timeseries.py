@@ -1,9 +1,9 @@
-"""Time-weighted mean and rate-estimator tests."""
+"""Time-weighted mean tests."""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.metrics import RateEstimator, TimeWeightedMean
+from repro.errors import SimulationError
+from repro.metrics import TimeWeightedMean
 
 
 def test_time_weighted_mean_piecewise():
@@ -25,49 +25,3 @@ def test_time_cannot_go_backwards():
     meter.observe(2.0, 1.0)
     with pytest.raises(SimulationError):
         meter.observe(1.0, 1.0)
-
-
-def test_rate_estimator_window():
-    est = RateEstimator(window=1.0)
-    est.record(0.0, 100.0)
-    est.record(0.5, 100.0)
-    assert est.rate(0.9) == pytest.approx(200.0)
-    # The first event leaves the window after t=1.0.
-    assert est.rate(1.1) == pytest.approx(100.0)
-    assert est.rate(2.0) == pytest.approx(0.0)
-
-
-def test_rate_estimator_total():
-    est = RateEstimator(window=2.0)
-    est.record(0.0, 5.0)
-    est.record(1.0, 7.0)
-    assert est.total(1.5) == pytest.approx(12.0)
-    assert est.total(2.5) == pytest.approx(7.0)
-
-
-def test_rate_estimator_drained_window_is_exactly_zero():
-    # 0.1 + 0.3 accumulates to 0.4, but subtracting the amounts back
-    # out leaves ~4.4e-17 of positive float residue; a drained window
-    # must report exactly 0.0, not the drift.
-    est = RateEstimator(window=1.0)
-    est.record(0.0, 0.1)
-    est.record(0.1, 0.3)
-    assert est.rate(5.0) == 0.0
-    assert est.total(5.0) == 0.0
-
-
-def test_rate_estimator_reusable_after_drain():
-    est = RateEstimator(window=1.0)
-    est.record(0.0, 0.1)
-    est.record(0.1, 0.3)
-    est.rate(10.0)  # drains
-    est.record(10.5, 2.0)
-    assert est.rate(10.6) == pytest.approx(2.0)
-
-
-def test_rate_estimator_validation():
-    with pytest.raises(ConfigurationError):
-        RateEstimator(window=0.0)
-    est = RateEstimator(window=1.0)
-    with pytest.raises(ConfigurationError):
-        est.record(0.0, -1.0)

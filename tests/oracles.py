@@ -179,9 +179,6 @@ class _ReferenceEvent:
         self.args = args
         self.cancelled = False
 
-    def cancel(self) -> None:
-        self.cancelled = True
-
     def __lt__(self, other: "_ReferenceEvent") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
 
@@ -189,11 +186,12 @@ class _ReferenceEvent:
 class ReferenceSimulator:
     """The seed event loop, kept as the semantic/performance baseline.
 
-    Same API and identical event ordering as
-    :class:`~repro.chunksim.engine.Simulator`, but with the seed's cost
-    profile: per-entry objects compared via a Python ``__lt__``, one
-    run-bound test per event, and tombstones that stay in the heap
-    until their scheduled time is popped.  The equivalence tests and
+    The scheduling API of :class:`~repro.chunksim.engine.Simulator`
+    (``call_after`` / ``call_at`` / ``cancel_entry`` / ``run``) with
+    identical event ordering, but with the seed's cost profile:
+    per-entry objects compared via a Python ``__lt__``, one run-bound
+    test per event, and tombstones that stay in the heap until their
+    scheduled time is popped.  The equivalence tests and
     ``benchmarks/bench_chunksim.py`` drive both engines through the
     same scenario and assert identical traces.
     """
@@ -203,9 +201,8 @@ class ReferenceSimulator:
         self._heap: List[_ReferenceEvent] = []
         self._seq = 0
         self.events_processed = 0
-        self.compactions = 0
 
-    def schedule(self, delay: float, fn: Callable, *args) -> _ReferenceEvent:
+    def call_after(self, delay: float, fn: Callable, *args) -> _ReferenceEvent:
         """Run ``fn(*args)`` after *delay* seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
@@ -214,36 +211,27 @@ class ReferenceSimulator:
         heapq.heappush(self._heap, event)
         return event
 
-    call_after = schedule
-    schedule_entry = schedule
+    def call_at(self, time: float, fn: Callable, *args) -> _ReferenceEvent:
+        """Run ``fn(*args)`` at absolute simulated *time* (>= now)."""
+        delay = time - self.now
+        if -_SCHEDULE_CLAMP * (1.0 + abs(self.now)) <= delay < 0.0:
+            delay = 0.0
+        return self.call_after(delay, fn, *args)
 
     @staticmethod
     def cancel_entry(entry: _ReferenceEvent) -> None:
         entry.cancelled = True
 
-    def schedule_at(self, time: float, fn: Callable, *args) -> _ReferenceEvent:
-        """Run ``fn(*args)`` at absolute simulated *time* (>= now)."""
-        delay = time - self.now
-        if -_SCHEDULE_CLAMP * (1.0 + abs(self.now)) <= delay < 0.0:
-            delay = 0.0
-        return self.schedule(delay, fn, *args)
-
-    call_at = schedule_at
-
-    def run(self, until: float, max_events: Optional[int] = None) -> None:
+    def run(self, until: float) -> None:
         """Process events until the clock passes *until*."""
         if until < self.now:
             raise SimulationError(f"cannot run backwards to {until}")
-        processed = 0
         while self._heap and self._heap[0].time <= until:
             event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(f"exceeded {max_events} events")
             self.now = event.time
             event.fn(*event.args)
-            processed += 1
             self.events_processed += 1
         self.now = until
 
@@ -251,15 +239,6 @@ class ReferenceSimulator:
     def pending(self) -> int:
         """Number of events still queued (including tombstones)."""
         return len(self._heap)
-
-    @property
-    def dead(self) -> int:
-        """Tombstoned entries currently in the heap (O(pending) scan)."""
-        return sum(1 for event in self._heap if event.cancelled)
-
-    @property
-    def live_pending(self) -> int:
-        return len(self._heap) - self.dead
 
 
 @contextlib.contextmanager
