@@ -13,8 +13,7 @@ import pytest
 from repro.analysis.fig3 import (
     PAPER_E2E_JAIN,
     PAPER_INRPP_JAIN,
-    fig3_analytic_e2e,
-    fig3_analytic_inrpp,
+    fig3_fluid,
     run_fig3_simulation,
 )
 
@@ -23,7 +22,7 @@ from conftest import register_report
 
 def test_bench_fig3_fluid(benchmark):
     def _run():
-        return fig3_analytic_e2e(), fig3_analytic_inrpp()
+        return fig3_fluid("e2e"), fig3_fluid("inrpp")
 
     e2e, inrpp = benchmark.pedantic(_run, rounds=1, iterations=1)
     register_report("Fig. 3 (fluid allocators)", e2e.comparisons().render())

@@ -12,7 +12,6 @@ Run:  python examples/flow_level_campaign.py
 
 from repro import FlowLevelSimulator, make_strategy
 from repro.analysis.reporting import ascii_table
-from repro.flowsim.metrics import completion_ratio, mean_fct, stretch_cdf
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
 from repro.workloads import FlowWorkload, local_pairs
@@ -36,15 +35,15 @@ def main() -> None:
         strategy = make_strategy(name, topo)
         sim = FlowLevelSimulator(topo, strategy, specs, horizon=120.0)
         result = sim.run()
-        fct = mean_fct(result.records)
-        stretch = stretch_cdf(result.records)
+        fct = result.mean_fct()
+        stretch = result.stretch_quantile(0.95)
         rows.append(
             [
                 strategy.name,
                 f"{result.network_throughput:.3f}",
                 f"{fct:.2f}s" if fct else "-",
-                f"{completion_ratio(result.records):.2%}",
-                f"{stretch.quantile(0.95):.2f}",
+                f"{result.completion_ratio():.2%}",
+                f"{stretch:.2f}" if stretch else "-",
                 str(result.total_switches),
             ]
         )

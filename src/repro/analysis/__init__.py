@@ -17,8 +17,7 @@ from repro.analysis.reporting import ascii_bar_chart, ascii_cdf, ascii_table
 from repro.analysis.table1 import Table1Result, run_table1
 from repro.analysis.fig3 import (
     Fig3Result,
-    fig3_analytic_e2e,
-    fig3_analytic_inrpp,
+    fig3_fluid,
     run_fig3_simulation,
 )
 from repro.analysis.fig4 import Fig4Result, run_fig4
@@ -32,8 +31,7 @@ __all__ = [
     "Table1Result",
     "run_table1",
     "Fig3Result",
-    "fig3_analytic_e2e",
-    "fig3_analytic_inrpp",
+    "fig3_fluid",
     "run_fig3_simulation",
     "Fig4Result",
     "run_fig4",

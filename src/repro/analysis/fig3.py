@@ -69,34 +69,18 @@ class Fig3Result:
         return table
 
 
-def fig3_analytic_e2e() -> Fig3Result:
-    """Closed-form e2e (max-min) allocation on the Fig. 3 topology."""
+def fig3_fluid(mode: str) -> Fig3Result:
+    """Fluid allocation on the Fig. 3 topology: ``"e2e"`` (SP max-min)
+    or ``"inrpp"`` (INRP push + detour)."""
     topo = fig3_topology()
-    strategy = make_strategy("sp", topo)
+    strategy = make_strategy("sp" if mode == "e2e" else "inrp", topo)
     flows = {
         1: (strategy.route(1, 1, 4), mbps(10)),
         2: (strategy.route(2, 1, 5), mbps(10)),
     }
     outcome = strategy.allocate(flows)
     return Fig3Result(
-        mode="e2e",
-        method="fluid",
-        rate_bottlenecked_mbps=outcome.rates[1] / 1e6,
-        rate_clear_mbps=outcome.rates[2] / 1e6,
-    )
-
-
-def fig3_analytic_inrpp() -> Fig3Result:
-    """Fluid INRP allocation (push + detour) on the Fig. 3 topology."""
-    topo = fig3_topology()
-    strategy = make_strategy("inrp", topo)
-    flows = {
-        1: (strategy.route(1, 1, 4), mbps(10)),
-        2: (strategy.route(2, 1, 5), mbps(10)),
-    }
-    outcome = strategy.allocate(flows)
-    return Fig3Result(
-        mode="inrpp",
+        mode=mode,
         method="fluid",
         rate_bottlenecked_mbps=outcome.rates[1] / 1e6,
         rate_clear_mbps=outcome.rates[2] / 1e6,
@@ -135,8 +119,8 @@ def run_fig3_simulation(
 def run_fig3_all(duration: float = 20.0) -> Dict[str, Fig3Result]:
     """All four reproductions keyed by ``{mode}-{method}``."""
     results = {
-        "e2e-fluid": fig3_analytic_e2e(),
-        "inrpp-fluid": fig3_analytic_inrpp(),
+        "e2e-fluid": fig3_fluid("e2e"),
+        "inrpp-fluid": fig3_fluid("inrpp"),
     }
     results["e2e-sim"], _ = run_fig3_simulation("e2e", duration=duration)
     results["inrpp-sim"], _ = run_fig3_simulation("inrpp", duration=duration)

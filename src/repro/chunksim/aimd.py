@@ -62,9 +62,6 @@ class AimdReceiverApp:
         self._rto = config.aimd_rto
         self._request_bytes = config.request_bytes
 
-    def owns(self, flow_id: int) -> bool:
-        return flow_id in self.flows
-
     def add_flow(self, flow_id: int, sender, total_chunks: int) -> AimdFlow:
         if flow_id in self.flows:
             raise SimulationError(f"duplicate AIMD flow {flow_id}")
@@ -155,9 +152,6 @@ class AimdSenderApp:
         self.chunks_sent = 0
         self._chunk_bytes = config.chunk_bytes
 
-    def owns(self, flow_id: int) -> bool:
-        return flow_id in self.flows
-
     def add_flow(self, flow_id: int, receiver, total_chunks: int) -> None:
         next_hop = self.router.fib.get(receiver)
         if next_hop is None:
@@ -176,7 +170,6 @@ class AimdSenderApp:
         self.chunks_sent += 1
         # Inlined drop-tail forward (the baseline's only data path):
         # drive the link directly, mirroring Router.forward's AIMD arm.
-        chunk.prev_hop = router.node_id
         if not iface.link.send(chunk):
             router.drops += 1
             router.trace.record("drop-tail", router.sim.now)

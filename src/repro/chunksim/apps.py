@@ -72,9 +72,6 @@ class SenderApp:
         self.bp_signals = 0
         self._low_wm_bytes = config.low_watermark_bytes
 
-    def owns(self, flow_id: int) -> bool:
-        return flow_id in self.flows
-
     def add_flow(self, flow_id: int, receiver, total_chunks: int) -> SenderFlow:
         if flow_id in self.flows:
             raise SimulationError(f"duplicate sender flow {flow_id}")
@@ -189,9 +186,6 @@ class ReceiverApp:
         self.sim = router.sim
         self.flows: Dict[int, ReceiverFlow] = {}
 
-    def owns(self, flow_id: int) -> bool:
-        return flow_id in self.flows
-
     def add_flow(self, flow_id: int, sender, total_chunks: int) -> ReceiverFlow:
         if flow_id in self.flows:
             raise SimulationError(f"duplicate receiver flow {flow_id}")
@@ -239,4 +233,4 @@ class ReceiverApp:
             size_bytes=self.config.request_bytes,
         )
         flow.max_requested = max(flow.max_requested, chunk_id)
-        self.router.receive_local_request(request)
+        self.router._on_request(request)

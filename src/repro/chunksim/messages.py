@@ -7,13 +7,10 @@ horizon (the last chunk the application announces it will want soon).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.topology.graph import Node
-
-_serial = itertools.count()
 
 
 @dataclass(slots=True)
@@ -31,7 +28,6 @@ class Request:
     receiver: Node = None
     sender: Node = None
     size_bytes: int = 100
-    serial: int = field(default_factory=lambda: next(_serial))
 
 
 @dataclass(slots=True)
@@ -47,12 +43,9 @@ class DataChunk:
     anticipated: bool = False
     #: Remaining forced hops of a detour tunnel (spoofed next hops).
     tunnel: Tuple[Node, ...] = ()
-    #: The node that last forwarded this chunk (for back-pressure).
-    prev_hop: Node = None
     #: Number of detour re-routes this chunk experienced.
     detours: int = 0
     hops: int = 0
-    serial: int = field(default_factory=lambda: next(_serial))
 
 
 @dataclass(slots=True)
@@ -66,14 +59,9 @@ class Backpressure:
     """
 
     flow_id: int
-    #: The congested link, oriented (congested node, its next hop).
-    congested_link: Tuple[Node, Node]
-    #: Originating (congested) node.
-    origin: Node = None
     #: The flow's sender, for hop-by-hop relaying toward it.
     sender: Node = None
     size_bytes: int = 64
-    serial: int = field(default_factory=lambda: next(_serial))
 
 
 @dataclass(slots=True)
@@ -88,4 +76,3 @@ class Gossip:
     #: next-hop -> queued bytes on the interface toward it.
     backlog_bytes: dict = field(default_factory=dict)
     size_bytes: int = 64
-    serial: int = field(default_factory=lambda: next(_serial))

@@ -92,10 +92,6 @@ class Router:
     # ------------------------------------------------------------------
     # Requests (travel receiver -> sender on the control fast path)
     # ------------------------------------------------------------------
-    def receive_local_request(self, request: Request) -> None:
-        """Entry point for requests issued by a local receiver app."""
-        self._on_request(request)
-
     def _on_request(self, request: Request, via_link: Optional[SimLink] = None) -> None:
         app = self.sender_app
         if app is not None and request.flow_id in app.flows:
@@ -146,7 +142,6 @@ class Router:
     def forward(self, chunk: DataChunk, next_hop: Node, upstream: Node) -> None:
         """Apply the push / detour / back-pressure pipeline."""
         iface = self.ifaces[next_hop]
-        chunk.prev_hop = self.node_id
         if not self._inrpp:
             # Drop-tail forwarding.
             if not iface.link.send(chunk):
@@ -205,12 +200,7 @@ class Router:
             self.trace.record("drop-custody-full", self.sim.now)
             return
         self.trace.record("custody", self.sim.now)
-        signal = Backpressure(
-            flow_id=chunk.flow_id,
-            congested_link=(self.node_id, iface.neighbor),
-            origin=self.node_id,
-            sender=chunk.sender,
-        )
+        signal = Backpressure(flow_id=chunk.flow_id, sender=chunk.sender)
         self._send_backpressure(signal, upstream)
 
     def _send_backpressure(self, signal: Backpressure, upstream: Node) -> None:

@@ -6,9 +6,12 @@ against single shortest-path routing (SP) and ECMP.  This package
 provides:
 
 - :mod:`~repro.flowsim.allocation` — the two incremental allocators
-  every allocation runs through (max-min and INRP), and the
-  from-scratch max-min solver (progressive filling for single-path
-  flows), the oracle ``verify=True`` and the tests check them against;
+  every allocation runs through (max-min and INRP).  They share one
+  interface: ``add_flow(flow, path, demand)`` on a node path,
+  ``remove_flow(flow)`` and ``recompute(full=False)`` returning
+  ``(rates, splits | None, switches)``.  Also the from-scratch max-min
+  solver (progressive filling for single-path flows), the oracle
+  ``verify=True`` and the tests check them against;
 - :mod:`~repro.flowsim.multipath` — the from-scratch INRP solver, the
   oracle for the INRP fill: progressive filling where a flow blocked
   at a saturated link *detours* its further growth through alternative

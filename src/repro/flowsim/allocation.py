@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Hashable,
@@ -42,30 +43,6 @@ _EPS = 1e-9
 #: Relative bar on incremental-vs-scratch rate deviation for
 #: ``verify=True``; both incremental allocators raise above it.
 _VERIFY_TOL = 1e-9
-
-
-def _verify_rates(
-    rates: Mapping[FlowId, float], scratch: Mapping[FlowId, float], what: str
-) -> float:
-    """Worst relative deviation of incremental *rates* from *scratch*;
-    raises :class:`SimulationError` above :data:`_VERIFY_TOL`."""
-    worst = 0.0
-    diverged: Optional[FlowId] = None
-    for flow, rate in scratch.items():
-        current = rates.get(flow)
-        if current is None:
-            raise SimulationError(f"flow {flow!r} missing from incremental state")
-        deviation = abs(current - rate) / (1.0 + abs(rate))
-        if deviation > worst:
-            worst = deviation
-            diverged = flow
-    if worst > _VERIFY_TOL:
-        raise SimulationError(
-            f"incremental {what} rate for flow {diverged!r} diverged: "
-            f"{rates[diverged]} != {scratch[diverged]} "
-            f"(relative deviation {worst:.3e})"
-        )
-    return worst
 
 
 def max_min_allocation(
@@ -280,100 +257,105 @@ class _ComponentTracker:
         return out
 
 
-class IncrementalMaxMin:
-    """Max-min fair rates maintained incrementally under flow churn.
+class _IncrementalAllocator:
+    """Rates maintained incrementally under flow churn, over the
+    connected components of the flow-link *reach* graph.
 
-    Max-min allocation decomposes over the connected components of the
-    bipartite flow-link graph: flows that share no link (even
-    transitively) cannot influence each other's rate.  This class
-    exploits that: :meth:`add_flow` / :meth:`remove_flow` only mark the
-    touched links dirty, and :meth:`recompute` re-runs progressive
-    filling (:func:`repro.flowsim.kernel.maxmin_fill`) on the *dirty
-    component closure alone*, leaving every other flow's rate
-    untouched.  On an event-driven simulation this turns the per-event
-    cost from O(all flows) into O(affected component).
+    Both sharing models decompose over those components: flows whose
+    reaches share no link (even transitively) cannot influence each
+    other's rate.  :meth:`add_flow` / :meth:`remove_flow` therefore only
+    mark the flow's reach dirty, and a subclass's ``recompute(full=)``
+    re-fills the dirty component alone, returning ``(rates, splits,
+    switches)`` for the flows whose allocation may have changed
+    (``splits`` is None for single-path sharing).
 
-    The returned rates are those of :func:`max_min_allocation` from
-    scratch (the test suite asserts equality on randomized churn
-    sequences; ``verify=True`` re-checks after every recompute, for
-    benchmarks and debugging).
+    A flow enters on its node path.  What it *reaches* is the one
+    difference between the models (:meth:`_reach_of`): its path links
+    under max-min, its detour closure under INRP.
     """
 
-    #: The simulator's adapter passes link tuples (not node paths).
-    needs_paths = False
-
-    def __init__(
-        self,
-        capacities: Mapping[LinkId, float],
-        verify: bool = False,
-    ):
+    def __init__(self, capacities: Mapping[LinkId, float], verify: bool = False):
         self._capacities: Dict[LinkId, float] = {
             link: float(capacity) for link, capacity in capacities.items()
         }
-        self._flow_links: Dict[FlowId, Tuple[LinkId, ...]] = {}
+        #: Gates only the from-scratch comparison after each recompute.
+        self._verify = verify
+        self._space = _kernel.LinkSpace(self._capacities)
+        # Each flow's (deduplicated) path columns and demand, for the
+        # kernel fill's bulk gather; component selection goes through
+        # the amortized union-find tracker over reaches.
+        self._store = _kernel.IncidenceStore(self._space)
+        self._tracker = _ComponentTracker()
+        self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
-        #: Link -> flows crossing it; only the simulator's full-refill
+        self._reach: Dict[FlowId, Collection[LinkId]] = {}
+        #: Link -> flows reaching it; only the simulator's full-refill
         #: :meth:`dirty_component_size` probe reads it.
         self._members: Dict[LinkId, Set[FlowId]] = {}
         self._rates: Dict[FlowId, float] = {}
         self._dirty_links: Set[LinkId] = set()
         self._dirty_flows: Set[FlowId] = set()
-        self._verify = verify
-        self._space = _kernel.LinkSpace(self._capacities)
-        self._store = _kernel.IncidenceStore(self._space)
-        self._tracker = _ComponentTracker()
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
         self.max_verify_deviation = 0.0
 
     def __len__(self) -> int:
-        return len(self._flow_links)
+        return len(self._paths)
 
     def __contains__(self, flow: FlowId) -> bool:
-        return flow in self._flow_links
+        return flow in self._paths
 
     @property
     def rates(self) -> Dict[FlowId, float]:
-        """Current rate vector (a copy; call after :meth:`recompute`)."""
+        """Current rate vector (a copy; call after ``recompute``)."""
         return dict(self._rates)
 
-    def add_flow(
-        self, flow: FlowId, links: Sequence[LinkId], demand: float
-    ) -> None:
-        """Register an arriving flow; its component becomes dirty."""
-        if flow in self._flow_links:
+    def _reach_of(
+        self, path: Path, links: Tuple[LinkId, ...]
+    ) -> Collection[LinkId]:
+        """Links whose load can move the rate of a flow on *path*
+        (*links* are its distinct directed links)."""
+        raise NotImplementedError
+
+    def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
+        """Register an arriving flow on node *path*; its component
+        becomes dirty."""
+        if flow in self._paths:
             raise SimulationError(f"flow {flow!r} already present")
         if demand < 0:
             raise SimulationError(f"flow {flow!r} has negative demand")
-        links = tuple(links)
+        path = tuple(path)
+        links = cached_path_links(path)
         for link in links:
             if link not in self._capacities:
                 raise SimulationError(f"flow {flow!r} uses unknown link {link!r}")
-        self._flow_links[flow] = links
-        self._demands[flow] = float(demand)
-        for link in links:
-            self._members.setdefault(link, set()).add(flow)
-            self._dirty_links.add(link)
-        if not links:
-            # Source == destination: unconstrained, never shares a link.
-            self._dirty_flows.add(flow)
-        # The kernel counts entries, so a repeated link is dropped (the
-        # scratch solver collapses it through its member sets).
+        # The kernels count row entries, so a repeated link is dropped
+        # (the scratch solvers collapse it through their sets).
         if len(links) != len(set(links)):
             links = tuple(dict.fromkeys(links))
+        reach = self._reach_of(path, links)
+        self._paths[flow] = path
+        self._demands[flow] = float(demand)
+        self._reach[flow] = reach
+        for link in reach:
+            self._members.setdefault(link, set()).add(flow)
+            self._dirty_links.add(link)
+        if not reach:
+            # Source == destination: unconstrained, never shares a link.
+            self._dirty_flows.add(flow)
         self._store.add(flow, self._space.columns(links), float(demand))
-        if links:
-            self._tracker.add(flow, links)
+        if reach:
+            self._tracker.add(flow, reach)
 
     def remove_flow(self, flow: FlowId) -> None:
         """Deregister a departing flow; its component becomes dirty."""
-        links = self._flow_links.pop(flow, None)
-        if links is None:
+        if self._paths.pop(flow, None) is None:
             raise SimulationError(f"flow {flow!r} is not present")
         del self._demands[flow]
         self._rates.pop(flow, None)
         self._dirty_flows.discard(flow)
-        for link in links:
+        reach = self._reach.pop(flow)
+        for link in reach:
             members = self._members.get(link)
             if members is not None:
                 members.discard(flow)
@@ -381,18 +363,96 @@ class IncrementalMaxMin:
                     del self._members[link]
             self._dirty_links.add(link)
         self._store.remove(flow)
-        if links:
+        if reach:
             self._tracker.remove(flow)
 
-    def recompute(self, full: bool = False) -> Dict[FlowId, float]:
-        """Re-fill the dirty components; return their new rate vectors.
+    def _dirty_component(self) -> Set[FlowId]:
+        """Flows transitively reachable from the dirty links via
+        shared-reach membership."""
+        members = self._members
+        reaches = self._reach
+        component: Set[FlowId] = set()
+        add_flow = component.add
+        stack: List[LinkId] = [
+            link for link in self._dirty_links if link in members
+        ]
+        seen_links: Set[LinkId] = set(stack)
+        seen = seen_links.add
+        push = stack.append
+        while stack:
+            link = stack.pop()
+            for flow in members[link]:
+                if flow in component:
+                    continue
+                add_flow(flow)
+                for other in reaches[flow]:
+                    if other not in seen_links:
+                        seen(other)
+                        push(other)
+        return component
 
-        The returned mapping covers the flows whose rate changed since
-        the previous call; flows outside it keep their previous rates.
-        Returns ``{}`` when nothing is dirty.  The component comes from
-        the union-find tracker and may be a superset of the true dirty
-        component, which re-fills to the same rates (components
-        allocate independently).
+    def dirty_component_size(self) -> int:
+        """Flows the next ``recompute`` would re-fill, without filling —
+        the simulator's probe while in full-refill mode (a BFS is far
+        cheaper than a wasted spanning re-fill)."""
+        return len(self._dirty_component()) + len(self._dirty_flows)
+
+    def _verify_rates(self, scratch: Mapping[FlowId, float], what: str) -> None:
+        """Fold the worst relative deviation of the current rates from
+        *scratch* into :attr:`max_verify_deviation`; raises
+        :class:`SimulationError` above :data:`_VERIFY_TOL`."""
+        rates = self._rates
+        worst = 0.0
+        diverged: Optional[FlowId] = None
+        for flow, rate in scratch.items():
+            current = rates.get(flow)
+            if current is None:
+                raise SimulationError(f"flow {flow!r} missing from incremental state")
+            deviation = abs(current - rate) / (1.0 + abs(rate))
+            if deviation > worst:
+                worst = deviation
+                diverged = flow
+        if worst > _VERIFY_TOL:
+            raise SimulationError(
+                f"incremental {what} rate for flow {diverged!r} diverged: "
+                f"{rates[diverged]} != {scratch[diverged]} "
+                f"(relative deviation {worst:.3e})"
+            )
+        self.max_verify_deviation = max(self.max_verify_deviation, worst)
+
+
+class IncrementalMaxMin(_IncrementalAllocator):
+    """Max-min fair rates maintained incrementally under flow churn.
+
+    A flow reaches its path links.  :meth:`recompute` re-runs
+    progressive filling (:func:`repro.flowsim.kernel.maxmin_fill`) on
+    the *dirty component closure alone*, leaving every other flow's
+    rate untouched.  On an event-driven simulation this turns the
+    per-event cost from O(all flows) into O(affected component).
+
+    The returned rates are those of :func:`max_min_allocation` from
+    scratch (the test suite asserts equality on randomized churn
+    sequences; ``verify=True`` re-checks after every recompute, for
+    benchmarks and debugging).
+    """
+
+    def _reach_of(
+        self, path: Path, links: Tuple[LinkId, ...]
+    ) -> Tuple[LinkId, ...]:
+        return links
+
+    def recompute(
+        self, full: bool = False
+    ) -> Tuple[Dict[FlowId, float], None, int]:
+        """Re-fill the dirty components; return ``(rates, None, 0)``.
+
+        ``rates`` covers the flows whose rate changed since the previous
+        call; flows outside it keep their previous rates.  It is empty
+        when nothing is dirty.  The component comes from the union-find
+        tracker and may be a superset of the true dirty component,
+        which re-fills to the same rates (components allocate
+        independently).  Single-path sharing has no splits and no
+        detour switches.
 
         With ``full=True`` the whole population is re-filled in one
         pass, skipping the dirty-component search entirely, and every
@@ -407,7 +467,7 @@ class IncrementalMaxMin:
             changed: Dict[FlowId, float] = {}
         else:
             if not self._dirty_links and not self._dirty_flows:
-                return {}
+                return {}, None, 0
             flows = list(self._tracker.component(self._dirty_links))
             changed = {
                 flow: self._demands[flow] for flow in self._dirty_flows
@@ -433,40 +493,11 @@ class IncrementalMaxMin:
         self._dirty_flows.clear()
         if self._verify:
             self._check_against_scratch()
-        return changed
-
-    def _dirty_component(self) -> Set[FlowId]:
-        """Flows transitively reachable from the dirty links via
-        shared-link membership."""
-        component: Set[FlowId] = set()
-        stack: List[LinkId] = [
-            link for link in self._dirty_links if link in self._members
-        ]
-        seen_links: Set[LinkId] = set(stack)
-        while stack:
-            link = stack.pop()
-            for flow in self._members[link]:
-                if flow in component:
-                    continue
-                component.add(flow)
-                for other in self._flow_links[flow]:
-                    if other not in seen_links:
-                        seen_links.add(other)
-                        stack.append(other)
-        return component
-
-    def dirty_component_size(self) -> int:
-        """Flows the next :meth:`recompute` would re-fill, without
-        filling — the simulator's probe while in full-refill mode
-        (a BFS is far cheaper than a wasted spanning re-fill)."""
-        return len(self._dirty_component()) + len(self._dirty_flows)
+        return changed, None, 0
 
     def _check_against_scratch(self) -> None:
-        scratch = max_min_allocation(
-            self._capacities, self._flow_links, self._demands
-        )
-        worst = _verify_rates(self._rates, scratch, "max-min")
-        self.max_verify_deviation = max(self.max_verify_deviation, worst)
+        scratch = max_min_allocation(self._capacities, self._reach, self._demands)
+        self._verify_rates(scratch, "max-min")
 
 
 def detour_closure(
@@ -503,19 +534,17 @@ def detour_closure(
     return frozenset(links)
 
 
-class IncrementalInrp:
+class IncrementalInrp(_IncrementalAllocator):
     """INRP fluid allocation maintained incrementally under flow churn.
 
     Detour coupling is local, not global: a flow can only ever touch
-    its primary links plus the detour options around them (its *detour
-    closure*, see :func:`detour_closure`).  INRP allocation therefore
-    decomposes over connected components of the closure flow-link
-    graph exactly like max-min decomposes over path components.  This
-    class tracks those components: :meth:`add_flow` /
-    :meth:`remove_flow` mark the flow's closure links dirty, and
-    :meth:`recompute` re-runs the fluid filling over the dirty
-    component alone — every other flow keeps its rate *and* its
-    per-path splits.  The fill is the CSR kernel's
+    its primary links plus the detour options around them, so its reach
+    is its *detour closure* (see :func:`detour_closure`).  INRP
+    allocation therefore decomposes over connected components of the
+    closure flow-link graph exactly like max-min decomposes over path
+    components, and :meth:`recompute` re-runs the fluid filling over
+    the dirty component alone — every other flow keeps its rate *and*
+    its per-path splits.  The fill is the CSR kernel's
     :func:`~repro.flowsim.kernel.inrp_fill`.
 
     The rates returned are exactly those of a from-scratch
@@ -529,9 +558,6 @@ class IncrementalInrp:
     ``max_replacements`` additionally bounds the closure depth.
     """
 
-    #: The simulator's adapter passes node paths (not link tuples).
-    needs_paths = True
-
     def __init__(
         self,
         capacities: Mapping[LinkId, float],
@@ -539,58 +565,22 @@ class IncrementalInrp:
         max_replacements: int = 2,
         verify: bool = False,
     ):
-        self._capacities: Dict[LinkId, float] = {
-            link: float(capacity) for link, capacity in capacities.items()
-        }
+        super().__init__(capacities, verify)
         self._table = detour_table
         self._max_replacements = max_replacements
-        #: Gates only the from-scratch comparison after each recompute.
-        self._verify = verify
-        self._space = _kernel.LinkSpace(self._capacities)
-        # The incidence store holds each flow's *primary* columns and
-        # demand for the kernel fill's bulk gather; component selection
-        # goes through the amortized union-find tracker over closures
-        # (the closure-membership BFS serves the simulator's probe).
-        self._primary_store = _kernel.IncidenceStore(self._space)
-        self._tracker = _ComponentTracker()
         #: Per-(u, v) detour option columns, shared across fills.
         self._option_cache: Dict = {}
         #: Per-path global column arrays, shared across fills.
         self._path_cols_cache: Dict = {}
-        self._paths: Dict[FlowId, Path] = {}
-        self._demands: Dict[FlowId, float] = {}
+        self._closure_cache: Dict[Path, FrozenSet[LinkId]] = {}
         self._order: Dict[FlowId, int] = {}
         self._next_order = 0
-        self._closures: Dict[FlowId, FrozenSet[LinkId]] = {}
-        self._closure_cache: Dict[Path, FrozenSet[LinkId]] = {}
-        self._members: Dict[LinkId, Set[FlowId]] = {}
-        self._rates: Dict[FlowId, float] = {}
-        self._splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
         #: Per-flow detour switches of the flow's latest fill.
         self._switches: Dict[FlowId, int] = {}
-        self._dirty_links: Set[LinkId] = set()
-        self._dirty_flows: Set[FlowId] = set()
-        #: Worst relative incremental-vs-scratch rate deviation seen by
-        #: ``verify=True`` (0.0 until the first verified recompute).
-        self.max_verify_deviation = 0.0
 
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def __contains__(self, flow: FlowId) -> bool:
-        return flow in self._paths
-
-    @property
-    def rates(self) -> Dict[FlowId, float]:
-        """Current rate vector (a copy; call after :meth:`recompute`)."""
-        return dict(self._rates)
-
-    @property
-    def splits(self) -> Dict[FlowId, List[Tuple[Path, float]]]:
-        """Current per-path splits (a copy)."""
-        return {flow: list(parts) for flow, parts in self._splits.items()}
-
-    def _closure_of(self, path: Path) -> FrozenSet[LinkId]:
+    def _reach_of(
+        self, path: Path, links: Tuple[LinkId, ...]
+    ) -> FrozenSet[LinkId]:
         closure = self._closure_cache.get(path)
         if closure is None:
             closure = detour_closure(path, self._table, self._max_replacements)
@@ -598,86 +588,14 @@ class IncrementalInrp:
         return closure
 
     def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
-        """Register an arriving flow; its closure component becomes dirty."""
-        if flow in self._paths:
-            raise SimulationError(f"flow {flow!r} already present")
-        if demand < 0:
-            raise SimulationError(f"flow {flow!r} has negative demand")
-        path = tuple(path)
-        for link in cached_path_links(path):
-            if link not in self._capacities:
-                raise SimulationError(f"flow {flow!r} uses unknown link {link!r}")
-        self._paths[flow] = path
-        self._demands[flow] = float(demand)
+        super().add_flow(flow, path, demand)
         self._order[flow] = self._next_order
         self._next_order += 1
-        closure = self._closure_of(path)
-        self._closures[flow] = closure
-        for link in closure:
-            self._members.setdefault(link, set()).add(flow)
-            self._dirty_links.add(link)
-        if not closure:
-            # Source == destination: never shares a link with anyone.
-            self._dirty_flows.add(flow)
-        self._primary_store.add(
-            flow, self._space.columns(cached_path_links(path)), float(demand)
-        )
-        if closure:
-            self._tracker.add(flow, closure)
 
     def remove_flow(self, flow: FlowId) -> None:
-        """Deregister a departing flow; its closure component becomes dirty."""
-        path = self._paths.pop(flow, None)
-        if path is None:
-            raise SimulationError(f"flow {flow!r} is not present")
-        del self._demands[flow]
+        super().remove_flow(flow)
         del self._order[flow]
-        self._rates.pop(flow, None)
         self._switches.pop(flow, None)
-        self._splits.pop(flow, None)
-        self._dirty_flows.discard(flow)
-        closure = self._closures.pop(flow)
-        for link in closure:
-            members = self._members.get(link)
-            if members is not None:
-                members.discard(flow)
-                if not members:
-                    del self._members[link]
-            self._dirty_links.add(link)
-        self._primary_store.remove(flow)
-        if closure:
-            self._tracker.remove(flow)
-
-    def _dirty_component(self) -> Set[FlowId]:
-        """Flows transitively reachable from the dirty links via
-        closure membership."""
-        members = self._members
-        closures = self._closures
-        component: Set[FlowId] = set()
-        add_flow = component.add
-        stack: List[LinkId] = [
-            link for link in self._dirty_links if link in members
-        ]
-        seen_links: Set[LinkId] = set(stack)
-        seen = seen_links.add
-        push = stack.append
-        while stack:
-            link = stack.pop()
-            for flow in members[link]:
-                if flow in component:
-                    continue
-                add_flow(flow)
-                for other in closures[flow]:
-                    if other not in seen_links:
-                        seen(other)
-                        push(other)
-        return component
-
-    def dirty_component_size(self) -> int:
-        """Flows the next :meth:`recompute` would re-fill, without
-        filling — the simulator's probe while in full-refill mode
-        (a BFS is far cheaper than a wasted spanning re-fill)."""
-        return len(self._dirty_component()) + len(self._dirty_flows)
 
     def recompute(
         self, full: bool = False
@@ -709,13 +627,10 @@ class IncrementalInrp:
         switches = 0
         if result is not None:
             switches = result.switches
-            self._splits.update(result.splits)
             self._switches.update(result.flow_switches)
             changed_rates.update(result.rates)
             changed_splits.update(result.splits)
         self._rates.update(changed_rates)
-        for flow in self._dirty_flows:
-            self._splits[flow] = changed_splits[flow]
         self._dirty_links.clear()
         self._dirty_flows.clear()
         if self._verify:
@@ -735,7 +650,7 @@ class IncrementalInrp:
         if not component:
             return None
         flows = sorted(component, key=self._order.__getitem__)
-        cols, lengths, demands = self._primary_store.gather(flows)
+        cols, lengths, demands = self._store.gather(flows)
         return _kernel.inrp_fill(
             self._space,
             flows,
@@ -757,5 +672,4 @@ class IncrementalInrp:
             self._table,
             max_replacements=self._max_replacements,
         )
-        worst = _verify_rates(self._rates, scratch.rates, "INRP")
-        self.max_verify_deviation = max(self.max_verify_deviation, worst)
+        self._verify_rates(scratch.rates, "INRP")

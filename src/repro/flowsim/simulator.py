@@ -12,7 +12,10 @@ never searched for), syncs each flow's delivered bits only when its
 rate actually changes, and recomputes rates only for the component
 dirtied by the event, via the strategy's incremental allocator
 (:class:`repro.flowsim.allocation.IncrementalMaxMin` for SP/ECMP,
-:class:`repro.flowsim.allocation.IncrementalInrp` for INRP).
+:class:`repro.flowsim.allocation.IncrementalInrp` for INRP), called
+directly through their one interface: ``add_flow(flow, path,
+demand)``, ``remove_flow``, ``recompute(full=)`` returning ``(rates,
+splits | None, switches)``, and the ``dirty_component_size`` probe.
 Same-instant arrivals and departures are batched into a single
 recompute.  The per-event cost is O(affected component · log flows)
 instead of O(all active flows), which is what makes 100k-flow load
@@ -40,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.errors import SimulationError
 from repro.flowsim.flow import ActiveFlow, FlowRecord, stretch_of
 from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
-from repro.flowsim.strategies import RoutingStrategy, _IncrementalRecompute
+from repro.flowsim.strategies import RoutingStrategy
 from repro.metrics.timeseries import TimeWeightedMean
 from repro.topology.graph import Topology
 from repro.workloads.traffic import FlowSpec
@@ -251,8 +254,8 @@ class FlowLevelSimulator:
         total_switches = 0
         sum_rate = 0.0
         sum_demand = 0.0
-        adapter = _IncrementalRecompute(
-            self.strategy.incremental_allocator(verify=self.verify_allocator)
+        allocator = self.strategy.incremental_allocator(
+            verify=self.verify_allocator
         )
         policy = _AdaptiveCorePolicy()
 
@@ -305,7 +308,7 @@ class FlowLevelSimulator:
             last_sync.pop(fid)
             sum_rate -= flow.rate_bps
             sum_demand -= flow.spec.demand_bps
-            adapter.remove(fid)
+            allocator.remove_flow(fid)
             sink.consume(self._finalize(flow, completion_time=completion))
 
         while not source.exhausted or active:
@@ -370,19 +373,21 @@ class FlowLevelSimulator:
                 version[spec.flow_id] = 0
                 last_sync[spec.flow_id] = now
                 sum_demand += spec.demand_bps
-                adapter.add(spec.flow_id, path, spec.demand_bps)
+                allocator.add_flow(spec.flow_id, path, spec.demand_bps)
                 arrived = True
 
             if (finished or arrived) and active:
-                use_full = policy.decide(adapter.component_size, len(active))
-                rates, splits_map, switches = adapter.recompute(full=use_full)
+                use_full = policy.decide(
+                    allocator.dirty_component_size, len(active)
+                )
+                rates, splits_map, switches = allocator.recompute(full=use_full)
                 policy.observe(len(rates), len(active), use_full)
                 allocations += 1
                 total_switches += switches
-                # Only the dirty component came back.  Multipath
-                # allocators return the new per-path splits for it;
-                # single-path strategies always carry everything on the
-                # primary.
+                # Only the dirty component came back.  INRP returns
+                # the new per-path splits for it; max-min returns None
+                # splits, since a single-path flow carries everything
+                # on its primary.
                 for fid, rate in rates.items():
                     flow = active[fid]
                     if splits_map is None:
@@ -410,7 +415,7 @@ class FlowLevelSimulator:
             _sync(fid, flow)
         max_deviation = None
         if self.verify_allocator:
-            max_deviation = adapter._allocator.max_verify_deviation
+            max_deviation = allocator.max_verify_deviation
         return self._finish_run(
             sink,
             active,

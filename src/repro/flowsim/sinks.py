@@ -135,10 +135,11 @@ class SimulationResult:
     duration: float
     allocations: int
     unfinished: int = 0
-    #: Detour switches, summed over what each recompute's re-fill
-    #: reported.  An incremental re-fill reports the switches of the
-    #: flows it re-filled; a full refill (the simulator's fallback for
-    #: spanning components) reports every active flow's.  The count
+    #: Detour switches, summed over the ``switches`` each allocator
+    #: ``recompute`` returned (always 0 under SP/ECMP max-min).  An
+    #: incremental INRP re-fill reports the switches of the flows it
+    #: re-filled; a full refill (the simulator's fallback for spanning
+    #: components) reports every active flow's.  The count
     #: therefore depends on which recomputes were full, while rates,
     #: FCTs and allocations do not.  Seed-0 ``inrp-local`` of perfbench
     #: gives 59661 (1136 full refills); the same run with every

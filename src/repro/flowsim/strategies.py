@@ -13,8 +13,9 @@ active flows:
   saturated link detours around it instead of freezing.
 
 Every strategy allocates through its incremental allocator, the one
-the simulator runs: :meth:`RoutingStrategy.allocate` is a single fill
-of a fresh one.
+the simulator runs: :meth:`RoutingStrategy.allocate` adds the flows to
+a fresh one and unpacks the ``(rates, splits | None, switches)`` of a
+single recompute.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
 from repro.flowsim.multipath import _rel_tol
 from repro.routing.detour import DetourTable
 from repro.routing.ecmp import all_shortest_paths, ecmp_hash
-from repro.routing.paths import Path, cached_path_links
+from repro.routing.paths import Path
 # Named dijkstra because perfbench's tracer times tree builds via this global.
 from repro.routing.shortest import hop_tree as dijkstra
 from repro.topology.graph import Node, Topology
@@ -53,40 +54,6 @@ class AllocationOutcome:
     #: whose demand is within that tolerance of the level, so only
     #: flows still above it can freeze for want of a detour.
     backpressured: List[FlowId] = field(default_factory=list)
-
-
-class _IncrementalRecompute:
-    """Allocation adapter over an incremental allocator
-    (:class:`IncrementalMaxMin` or :class:`IncrementalInrp`): only the
-    dirty component is re-filled; untouched flows keep their rates (and
-    the simulator's departure-heap entries stay valid).  Multipath
-    allocators (``needs_paths``) additionally return per-path splits
-    for the changed flows; single-path ones report ``None`` splits and
-    0 switches."""
-
-    def __init__(self, allocator):
-        self._allocator = allocator
-        self._multipath = allocator.needs_paths
-
-    def add(self, flow_id: FlowId, path: tuple, demand: float) -> None:
-        if self._multipath:
-            self._allocator.add_flow(flow_id, tuple(path), demand)
-        else:
-            self._allocator.add_flow(
-                flow_id, cached_path_links(tuple(path)), demand
-            )
-
-    def remove(self, flow_id: FlowId) -> None:
-        self._allocator.remove_flow(flow_id)
-
-    def recompute(self, full: bool = False):
-        if self._multipath:
-            return self._allocator.recompute(full=full)
-        return self._allocator.recompute(full=full), None, 0
-
-    def component_size(self) -> int:
-        """Dirty-component size by BFS alone — no re-fill."""
-        return self._allocator.dirty_component_size()
 
 
 class RoutingStrategy(abc.ABC):
@@ -193,10 +160,10 @@ class RoutingStrategy(abc.ABC):
         starts each row's last rate at NaN, and a fresh INRP component
         covers the whole population.
         """
-        adapter = _IncrementalRecompute(self.incremental_allocator())
+        allocator = self.incremental_allocator()
         for fid, (path, demand) in flows.items():
-            adapter.add(fid, path, demand)
-        rates, splits, switches = adapter.recompute()
+            allocator.add_flow(fid, path, demand)
+        rates, splits, switches = allocator.recompute()
         rates = {fid: rates[fid] for fid in flows}
         if splits is None:  # single path: SP and ECMP
             return AllocationOutcome(

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.analysis import run_fig4, run_table1
-from repro.analysis.fig3 import (
-    fig3_analytic_e2e,
-    fig3_analytic_inrpp,
-    run_fig3_simulation,
-)
+from repro.analysis.fig3 import fig3_fluid, run_fig3_simulation
 from repro.analysis.table1 import Table1Result
 
 
@@ -29,18 +25,18 @@ def test_table1_row_fields():
 
 
 def test_fig3_fluid_reproduces_paper_numbers():
-    e2e = fig3_analytic_e2e()
+    e2e = fig3_fluid("e2e")
     assert e2e.rate_bottlenecked_mbps == pytest.approx(2.0)
     assert e2e.rate_clear_mbps == pytest.approx(8.0)
     assert e2e.jain == pytest.approx(0.735, abs=0.001)
-    inrpp = fig3_analytic_inrpp()
+    inrpp = fig3_fluid("inrpp")
     assert inrpp.rate_bottlenecked_mbps == pytest.approx(5.0)
     assert inrpp.rate_clear_mbps == pytest.approx(5.0)
     assert inrpp.jain == pytest.approx(1.0)
 
 
 def test_fig3_comparison_tables():
-    table = fig3_analytic_e2e().comparisons()
+    table = fig3_fluid("e2e").comparisons()
     rendered = table.render()
     assert "Jain index" in rendered
     assert table.max_relative_error() < 0.05

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chunksim import ChunkSimConfig
-from repro.chunksim.messages import Backpressure, DataChunk, Gossip, Request
+from repro.chunksim.messages import DataChunk, Gossip, Request
 from repro.errors import ConfigurationError
 
 
@@ -17,13 +17,6 @@ def test_request_carries_paper_fields():
     assert request.ack == 9
     assert request.anticipate_to == 26
     assert request.size_bytes == 100
-
-
-def test_serials_are_unique_and_increasing():
-    first = DataChunk(flow_id=1, chunk_id=0, size_bytes=1)
-    second = Request(flow_id=1, next_chunk=0, ack=-1, anticipate_to=0)
-    third = Backpressure(flow_id=1, congested_link=("a", "b"))
-    assert first.serial < second.serial < third.serial
 
 
 def test_data_chunk_defaults():

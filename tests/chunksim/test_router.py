@@ -62,10 +62,7 @@ def test_backpressure_relay_toward_sender():
     topo = line_topology(4, capacity=mbps(10))
     net = ChunkNetwork(topo, mode="inrpp")
     net.add_flow(0, 3, num_chunks=1)
-    signal = Backpressure(
-        flow_id=0, congested_link=(2, 3), origin=2
-    )
-    signal.sender = 0
+    signal = Backpressure(flow_id=0, sender=0)
     net.routers[2]._on_backpressure(signal)
     net.sim.run(until=0.1)
     assert net.trace.count("bp-relayed") >= 1

@@ -21,25 +21,26 @@ def _assert_matches_scratch(allocator, capacities, flow_links, demands):
 
 
 def test_single_link_share_and_release():
-    allocator = IncrementalMaxMin({"l": 9.0})
+    allocator = IncrementalMaxMin({("a", "b"): 9.0})
     for flow in (1, 2, 3):
-        allocator.add_flow(flow, ["l"], 100.0)
-    changed = allocator.recompute()
+        allocator.add_flow(flow, ("a", "b"), 100.0)
+    changed, splits, switches = allocator.recompute()
     assert changed[1] == pytest.approx(3.0)
+    assert splits is None and switches == 0
     allocator.remove_flow(2)
-    changed = allocator.recompute()
+    changed, _, _ = allocator.recompute()
     assert changed[1] == pytest.approx(4.5)
     assert changed[3] == pytest.approx(4.5)
 
 
 def test_untouched_component_is_not_recomputed():
     # Two disjoint links: churn on "b" must not report "a"'s flow.
-    allocator = IncrementalMaxMin({"a": 10.0, "b": 10.0})
-    allocator.add_flow("left", ["a"], 100.0)
-    allocator.add_flow("right", ["b"], 100.0)
+    allocator = IncrementalMaxMin({("a", "b"): 10.0, ("c", "d"): 10.0})
+    allocator.add_flow("left", ("a", "b"), 100.0)
+    allocator.add_flow("right", ("c", "d"), 100.0)
     allocator.recompute()
-    allocator.add_flow("right2", ["b"], 100.0)
-    changed = allocator.recompute()
+    allocator.add_flow("right2", ("c", "d"), 100.0)
+    changed, _, _ = allocator.recompute()
     assert "left" not in changed
     assert changed["right"] == pytest.approx(5.0)
     assert changed["right2"] == pytest.approx(5.0)
@@ -47,35 +48,35 @@ def test_untouched_component_is_not_recomputed():
 
 
 def test_recompute_without_churn_is_empty():
-    allocator = IncrementalMaxMin({"l": 1.0})
-    allocator.add_flow(1, ["l"], 5.0)
+    allocator = IncrementalMaxMin({("a", "b"): 1.0})
+    allocator.add_flow(1, ("a", "b"), 5.0)
     allocator.recompute()
-    assert allocator.recompute() == {}
+    assert allocator.recompute() == ({}, None, 0)
 
 
 def test_linkless_flow_gets_full_demand():
-    allocator = IncrementalMaxMin({"l": 1.0})
-    allocator.add_flow(1, [], 42.0)
-    assert allocator.recompute()[1] == 42.0
+    allocator = IncrementalMaxMin({("a", "b"): 1.0})
+    allocator.add_flow(1, ("a",), 42.0)
+    assert allocator.recompute()[0][1] == 42.0
 
 
 def test_validation_errors():
-    allocator = IncrementalMaxMin({"l": 1.0})
+    allocator = IncrementalMaxMin({("a", "b"): 1.0})
     with pytest.raises(SimulationError):
-        allocator.add_flow(1, ["nope"], 1.0)
+        allocator.add_flow(1, ("a", "nope"), 1.0)
     with pytest.raises(SimulationError):
-        allocator.add_flow(1, ["l"], -1.0)
-    allocator.add_flow(1, ["l"], 1.0)
+        allocator.add_flow(1, ("a", "b"), -1.0)
+    allocator.add_flow(1, ("a", "b"), 1.0)
     with pytest.raises(SimulationError):
-        allocator.add_flow(1, ["l"], 1.0)
+        allocator.add_flow(1, ("a", "b"), 1.0)
     with pytest.raises(SimulationError):
         allocator.remove_flow(2)
 
 
 def test_membership_and_len():
-    allocator = IncrementalMaxMin({"l": 1.0})
+    allocator = IncrementalMaxMin({("a", "b"): 1.0})
     assert 1 not in allocator and len(allocator) == 0
-    allocator.add_flow(1, ["l"], 1.0)
+    allocator.add_flow(1, ("a", "b"), 1.0)
     assert 1 in allocator and len(allocator) == 1
 
 
@@ -106,9 +107,9 @@ def test_incremental_matches_scratch_under_churn(seed, churn, demand):
             del demands[victim]
         else:
             src, dst = sampler()
-            links = cached_path_links(shortest_path(topo, src, dst))
-            allocator.add_flow(next_id, links, demand)
-            flow_links[next_id] = links
+            path = shortest_path(topo, src, dst)
+            allocator.add_flow(next_id, path, demand)
+            flow_links[next_id] = cached_path_links(path)
             demands[next_id] = demand
             next_id += 1
         allocator.recompute()
@@ -122,9 +123,7 @@ def test_verify_mode_accepts_correct_state():
     allocator = IncrementalMaxMin(capacities, verify=True)
     for flow_id in range(12):
         src, dst = sampler()
-        allocator.add_flow(
-            flow_id, cached_path_links(shortest_path(topo, src, dst)), mbps(5)
-        )
+        allocator.add_flow(flow_id, shortest_path(topo, src, dst), mbps(5))
         allocator.recompute()  # raises SimulationError on divergence
     for flow_id in range(0, 12, 2):
         allocator.remove_flow(flow_id)
@@ -134,9 +133,9 @@ def test_verify_mode_accepts_correct_state():
 def test_verify_mode_rejects_a_rate_off_by_1e_8():
     """``verify=True`` holds max-min to the same 1e-9 relative bar as
     INRP: a rate perturbed by 1e-8 relative raises."""
-    allocator = IncrementalMaxMin({"l": mbps(9)}, verify=True)
+    allocator = IncrementalMaxMin({("a", "b"): mbps(9)}, verify=True)
     for flow in (1, 2, 3):
-        allocator.add_flow(flow, ["l"], mbps(100))
+        allocator.add_flow(flow, ("a", "b"), mbps(100))
     allocator.recompute()
     allocator._rates[1] *= 1.0 + 1e-8
     with pytest.raises(SimulationError, match="diverged"):

@@ -75,9 +75,8 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
             del flow_links[flow], demands[flow]
             alloc.remove_flow(flow)
         else:
-            links = cached_path_links(path)
-            flow_links[flow], demands[flow] = links, demand
-            alloc.add_flow(flow, links, demand)
+            flow_links[flow], demands[flow] = cached_path_links(path), demand
+            alloc.add_flow(flow, path, demand)
             live.add(flow)
             next_id += 1
         alloc.recompute()
@@ -96,8 +95,8 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
     table = DetourTable(topo)
     strategy = make_strategy("inrp", topo)
     alloc = IncrementalInrp(topo.directed_capacities(), table)
-    alloc._primary_store.min_compact_nnz = 8
-    alloc._primary_store.compact_slack = 0.2
+    alloc._store.min_compact_nnz = 8
+    alloc._store.compact_slack = 0.2
     alloc._tracker.slack = 0.05  # rebuild eagerly so churn crosses one
     rng = random.Random(seed)
     flow_paths, demands, live = {}, {}, set()
@@ -118,8 +117,8 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
             topo.directed_capacities(), flow_paths, demands, table
         )
         assert _relative_deviation(alloc.rates, scratch.rates) <= TOL
-    alloc._primary_store.check_consistency()
-    assert alloc._primary_store.compactions > 0
+    alloc._store.check_consistency()
+    assert alloc._store.compactions > 0
     assert alloc._tracker.rebuilds > 0
 
 
@@ -138,13 +137,12 @@ def test_empty_and_single_flow_components(kernel_cls):
     strategy = make_strategy(kernel_cls, topo)
     nodes = list(topo.nodes())
     path = tuple(strategy.route(0, nodes[0], nodes[-1]))
+    alloc.add_flow(0, path, math.inf)
     if kernel_cls == "sp":
-        alloc.add_flow(0, cached_path_links(path), math.inf)
         expected = max_min_allocation(
             topo.directed_capacities(), {0: cached_path_links(path)}, {0: math.inf}
         )[0]
     else:
-        alloc.add_flow(0, path, math.inf)
         # A lone INRP flow detours past its saturated primary path and
         # pools extra capacity, so compare against the scratch solver.
         expected = inrp_allocation(
@@ -156,10 +154,7 @@ def test_empty_and_single_flow_components(kernel_cls):
 
     # A second, zero-demand flow rides along at rate 0.
     other = tuple(strategy.route(1, nodes[1], nodes[-2]))
-    if kernel_cls == "sp":
-        alloc.add_flow(1, cached_path_links(other), 0.0)
-    else:
-        alloc.add_flow(1, other, 0.0)
+    alloc.add_flow(1, other, 0.0)
     alloc.recompute()
     assert alloc.rates[1] == 0.0
 

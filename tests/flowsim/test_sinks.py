@@ -10,7 +10,6 @@ from repro.flowsim import (
     StreamingSink,
     make_strategy,
 )
-from repro.flowsim.metrics import completion_ratio, goodput_bps
 from repro.flowsim.sinks import make_sink
 from repro.topology import line_topology, mesh_topology
 from repro.units import mbps
@@ -181,14 +180,6 @@ def test_empty_run_degrades_gracefully():
         assert result.fct_quantile(0.5) is None
         assert result.stretch_quantile(0.5) is None
         assert result.jain_goodput() == 1.0
-
-
-def test_module_metrics_empty_run_consistency():
-    # The free-function metrics degrade the same way as the accessors.
-    assert completion_ratio([]) == 0.0
-    assert goodput_bps([], 0.0) == 0.0
-    with pytest.raises(AnalysisError):
-        goodput_bps([], -1.0)
 
 
 def test_materializing_result_unchanged_by_refactor():

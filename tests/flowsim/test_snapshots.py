@@ -5,7 +5,6 @@ from oracles import _scratch_allocate
 
 from repro.errors import ConfigurationError, NoPathError
 from repro.flowsim import inrp_allocation, make_strategy, snapshot_experiment
-from repro.flowsim.strategies import _IncrementalRecompute
 from repro.topology import build_isp_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import local_pairs
@@ -134,10 +133,9 @@ def test_allocate_matches_scratch_on_isp_snapshot(telstra_population, name):
     # The same population through a verified allocator: one recompute,
     # checked against the from-scratch solver, filling as allocate does.
     allocator = strategy.incremental_allocator(verify=True)
-    adapter = _IncrementalRecompute(allocator)
     for fid, (path, demand) in flows.items():
-        adapter.add(fid, path, demand)
-    verified, _, verified_switches = adapter.recompute()
+        allocator.add_flow(fid, path, demand)
+    verified, _, verified_switches = allocator.recompute()
     assert allocator.max_verify_deviation <= 1e-9
     assert verified == outcome.rates
     assert verified_switches == outcome.switches

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import _scratch_allocate
 
 from repro.errors import ConfigurationError, NoPathError, RoutingError
 from repro.flowsim import RoutingStrategy, make_strategy
@@ -33,6 +34,23 @@ def test_sp_allocation_matches_paper():
     assert outcome.rates[1] == pytest.approx(mbps(2))
     assert outcome.rates[2] == pytest.approx(mbps(8))
     assert outcome.switches == 0
+
+
+@pytest.mark.parametrize("name", ["sp", "inrp"])
+def test_repeated_link_counts_once(name):
+    """A primary path that crosses directed link (2, 4) twice loads it
+    once, as the scratch solvers do: ``allocate`` matches them, and a
+    verified allocator fed the same flows does not diverge."""
+    strategy = make_strategy(name, fig3_topology())
+    flows = {0: ((2, 4, 2, 4), mbps(100)), 1: ((2, 4), mbps(100))}
+    rates, _, _ = _scratch_allocate(strategy, flows)
+    outcome = strategy.allocate(flows)
+    assert outcome.rates == pytest.approx(rates, rel=1e-12)
+    allocator = strategy.incremental_allocator(verify=True)
+    for fid, (path, demand) in flows.items():
+        allocator.add_flow(fid, path, demand)
+    allocator.recompute()  # raises SimulationError on divergence
+    assert allocator.max_verify_deviation <= 1e-9
 
 
 def test_inrp_allocation_matches_paper():
