@@ -1,16 +1,18 @@
-"""Ablation drivers for the design decisions listed in DESIGN.md.
+"""Ablation drivers for the reproduction's modelling decisions.
 
 Each driver is a plain function returning a small result mapping, so
 benches, notebooks and the CLI can share them:
 
-- :func:`ablate_detour_depth` — detour depth 0/1/2 on an ISP map
-  (DESIGN.md decision 1);
+- :func:`ablate_detour_depth` — detour depth 0/1/2 on an ISP map: the
+  default of 2 intermediate nodes follows the paper's simulator, and
+  depth 0 allows no detour, so INRP degenerates to SP;
 - :func:`ablate_custody_size` — custody store sweep on a detour-free
-  bottleneck (decision 2);
+  bottleneck: each router's custody store is bounded (50 MB by
+  default), where the paper sizes a cache at 10 GB per 40 Gbps link;
 - :func:`ablate_anticipation` — anticipation horizon Ac on the Fig. 3
-  scenario (decision 3);
-- :func:`ablate_gossip` — informed vs optimistic detouring
-  (decision 4).
+  scenario: how many chunks a receiver requests ahead;
+- :func:`ablate_gossip` — informed vs optimistic detouring: routers
+  exchange one-hop interface state every Ti before they pick a detour.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.records import ComparisonTable
 from repro.campaign.scenario import register_scenario
 from repro.chunksim import ChunkNetwork, ChunkSimConfig
+from repro.errors import ConfigurationError
 from repro.flowsim import make_strategy
 from repro.metrics.fairness import jain_index
 from repro.topology.builders import fig3_topology
@@ -32,6 +33,16 @@ PAPER_E2E_RATES_MBPS = (2.0, 8.0)
 PAPER_INRPP_RATES_MBPS = (5.0, 5.0)
 PAPER_E2E_JAIN = 0.73
 PAPER_INRPP_JAIN = 1.0
+
+#: The two systems Fig. 3 compares, as the drivers below name them.
+_MODES = ("e2e", "inrpp")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ConfigurationError(
+            f"unknown Fig. 3 mode {mode!r}; expected one of {_MODES}"
+        )
 
 
 @dataclass
@@ -71,7 +82,9 @@ class Fig3Result:
 
 def fig3_fluid(mode: str) -> Fig3Result:
     """Fluid allocation on the Fig. 3 topology: ``"e2e"`` (SP max-min)
-    or ``"inrpp"`` (INRP push + detour)."""
+    or ``"inrpp"`` (INRP push + detour); any other mode raises
+    :class:`~repro.errors.ConfigurationError`."""
+    _check_mode(mode)
     topo = fig3_topology()
     strategy = make_strategy("sp" if mode == "e2e" else "inrp", topo)
     flows = {
@@ -95,9 +108,12 @@ def run_fig3_simulation(
 ) -> Tuple[Fig3Result, "ChunkNetwork"]:
     """Chunk-level protocol simulation of the Fig. 3 scenario.
 
-    *mode* is ``"aimd"`` (the e2e baseline) or ``"inrpp"``.  Returns
-    the result plus the network object for deeper inspection.
+    *mode* is ``"e2e"`` (run as the chunk simulator's AIMD baseline)
+    or ``"inrpp"``; any other mode raises
+    :class:`~repro.errors.ConfigurationError`.  Returns the result plus
+    the network object for deeper inspection.
     """
+    _check_mode(mode)
     sim_mode = "aimd" if mode == "e2e" else "inrpp"
     topo = fig3_topology()
     network = ChunkNetwork(topo, mode=sim_mode, config=config)
@@ -107,7 +123,7 @@ def run_fig3_simulation(
     report = network.run(duration=duration, warmup=warmup)
     return (
         Fig3Result(
-            mode="e2e" if sim_mode == "aimd" else "inrpp",
+            mode=mode,
             method="chunk-sim",
             rate_bottlenecked_mbps=report.flow(flow_bottlenecked).goodput_bps / 1e6,
             rate_clear_mbps=report.flow(flow_clear).goodput_bps / 1e6,

@@ -568,9 +568,9 @@ class IncrementalInrp(_IncrementalAllocator):
         super().__init__(capacities, verify)
         self._table = detour_table
         self._max_replacements = max_replacements
-        #: Per-(u, v) detour option columns, shared across fills.
+        #: Per-(u, v) detour options, shared across fills.
         self._option_cache: Dict = {}
-        #: Per-path global column arrays, shared across fills.
+        #: Per-path global columns and splice memo, shared across fills.
         self._path_cols_cache: Dict = {}
         self._closure_cache: Dict[Path, FrozenSet[LinkId]] = {}
         self._order: Dict[FlowId, int] = {}

@@ -23,9 +23,12 @@ representation of the flow-link incidence:
   :func:`repro.flowsim.multipath.inrp_allocation`): each round's
   fair-share step and link debit are a few vector operations, every
   unfrozen flow's total is one scalar level, and the flows a round
-  freezes or reroutes come from a demand-sorted cursor and a
-  column -> rows index; the detour decisions reuse the scalar
-  splice/option logic against the shared residual vector.
+  freezes or reroutes come from a demand-sorted cursor, a
+  column -> primary rows index and a scan of the flows on detours;
+  the reroute walk that follows costs work per affected flow, not
+  per column: option spares are Python ``min`` reads of the shared
+  residual vector, and splices come from a memo that outlives the
+  fill.
 
 The two fills pick different column layouts.  :func:`maxmin_fill`
 *compresses columns*: its working vectors cover only the links the
@@ -33,10 +36,11 @@ component actually touches, so a component of 30 flows on a 2000-link
 map pays for ~100 columns per round.  :func:`inrp_fill` works
 *full-width* over the global column space instead: per-round vector
 ops over a few thousand columns cost about the same as over a few
-hundred, and global column ids make the per-``(u, v)`` detour-option
-arrays and per-path column arrays *persistent across fills* (built
-once per topology and cached by the allocator), which removes the
-per-fill rebuild work that dominated the reroute-heavy INRP profile.
+hundred, and global column ids make the per-``(u, v)`` detour options
+and the per-path column entries, splice memo included, *persistent
+across fills* (built once per topology and cached by the allocator),
+which removes the per-fill rebuild work that dominated the
+reroute-heavy INRP profile.
 
 Exactness is the contract: both fills perform the *same float
 arithmetic in the same order per link and per flow* as their scalar
@@ -615,23 +619,26 @@ def inrp_fill(
     and a round does full-width vector work only for its head (step
     and debit) and its saturation test.  All unfrozen flows share one
     scalar ``level``, which is each one's total bit for bit; demand
-    freezes come from a demand-sorted cursor; the flows crossing a
-    saturated column come from a column -> rows index (a bisected
-    argsort of the primary entries, a dict for detour rows).  A row's
-    carried rate is settled when it retires: ``level`` for a primary
-    row, the left fold of the steps it lived through for a detour row
-    -- bit for bit the sum a per-round ``carried += step`` builds.
+    freezes come from a demand-sorted cursor.  The flows crossing a
+    saturated column come from a bisected argsort of the primary
+    entries and, for flows on a detour, from one set-disjointness test
+    of the active detour row's columns.  A row's carried rate is
+    settled when it retires: ``level`` for a primary row, the left
+    fold of the steps it lived through for a detour row -- bit for bit
+    the sum a per-round ``carried += step`` builds.
 
     The working vectors span the full column space (one slot per
     topology link): a per-round numpy pass over a few thousand floats
     costs about as much as one over a hundred, and global columns make
-    the per-(u, v) detour-option arrays and the per-path column arrays
+    the per-(u, v) detour options and the per-path column entries
     *persistent across fills* — the caches are built once per
     topology, not once per recompute.
 
-    ``option_cache`` and ``path_cols_cache`` memoize per-(u, v) detour
-    option columns and per-path column arrays across fills — pass
-    persistent dicts when calling repeatedly over one topology.
+    ``option_cache`` memoizes the per-(u, v) detour options and
+    ``path_cols_cache`` the per-path column entries with their splice
+    memo, across fills — pass persistent dicts when calling repeatedly
+    over one topology.  Neither holds per-fill state, so a fill gives
+    the same result with shared or fresh dicts.
     """
     num_flows = len(flow_ids)
     demands = np.asarray(demands, dtype=np.float64)
@@ -679,12 +686,13 @@ def inrp_fill(
     sub_path: List[Path] = list(paths)
     sub_repl: List[int] = [0] * num_flows
     carried: List[float] = [0.0] * num_flows
-    # Per detour row (index ``row - num_flows``): ``(flow, column
-    # array, round it was born in)``.
-    detours: List[Tuple[int, np.ndarray, int]] = []
+    # Per detour row (index ``row - num_flows``): ``(column array,
+    # round it was born in)``.
+    detours: List[Tuple[np.ndarray, int]] = []
     detour_rows: Dict[int, List[int]] = {}
-    # Column -> detour rows crossing it, for the saturation scan.
-    col_detours: Dict[int, List[int]] = {}
+    # Flow -> column list of its active detour row, for the saturation
+    # scan; a flow still on its primary row is not in it.
+    on_detour: Dict[int, List[int]] = {}
 
     # Every unfrozen flow's total; a frozen flow's rate is ``level`` at
     # its freeze.
@@ -713,7 +721,7 @@ def inrp_fill(
         # steps left to right, as a per-round ``+= step`` would have:
         # ``sum()`` (compensated on Python >= 3.12) or a difference of
         # levels would round differently.
-        _, lcols, birth = detours[row - num_flows]
+        lcols, birth = detours[row - num_flows]
         total = 0.0
         for step in round_steps[birth:]:
             total += step
@@ -723,168 +731,107 @@ def inrp_fill(
     def _append_row(
         flow: int,
         path: Path,
-        path_cols: Tuple[np.ndarray, List[int]],
+        path_cols: Tuple[np.ndarray, List[int], Dict],
         replacements: int,
     ) -> int:
         row = len(sub_path)
-        lcols, cols_list = path_cols
+        lcols = path_cols[0]
         sub_path.append(path)
         sub_repl.append(replacements)
         carried.append(0.0)
-        detours.append((flow, lcols, guard))
+        detours.append((lcols, guard))
         born.append(lcols)
         detour_rows.setdefault(flow, []).append(row)
-        for col in cols_list:
-            col_detours.setdefault(col, []).append(row)
+        on_detour[flow] = path_cols[1]
         return row
 
-    def _option_state(u, v) -> List:
-        """Persistent per-(u, v) option arrays, built once per topology:
-        ``[entries, flat_cols, starts, floors_arr]`` where *entries* is
-        the ``(option, cols, floor)`` list and the arrays let one
-        ``minimum.reduceat`` read every option's spare at once.
-
-        No per-fill pruning state is needed: residual capacity only
-        ever *decreases* within a fill (growth debits, saturation pins
-        to zero, switches never credit back), so an option at or below
-        its floor excludes itself from every later spare check too.
-        """
+    def _option_state(u, v) -> List[Tuple]:
+        """Persistent per-(u, v) detour options, built once per
+        topology: one ``(option, cols, floor, interior)`` entry per
+        option, where *floor* is the largest saturation floor on its
+        columns and *interior* the frozenset of its inner nodes."""
         key = (u, v)
-        state = option_cache.get(key)
-        if state is None:
+        entries = option_cache.get(key)
+        if entries is None:
             entries = []
             for option in detour_table.options(u, v):
                 olinks = cached_path_links(tuple(option))
                 ocols = tuple(index[link] for link in olinks)
-                ofloor = max(floors[col] for col in ocols)
+                ofloor = max(floors.item(col) for col in ocols)
                 entries.append((option, ocols, ofloor, frozenset(option[1:-1])))
-            flat = np.fromiter(
-                (col for entry in entries for col in entry[1]),
-                dtype=np.int64,
-            )
-            lengths = np.fromiter(
-                (len(entry[1]) for entry in entries),
-                dtype=np.int64,
-                count=len(entries),
-            )
-            starts = np.zeros(len(entries), dtype=np.int64)
-            if len(entries):
-                np.cumsum(lengths[:-1], out=starts[1:])
-            floors_arr = np.fromiter(
-                (entry[2] for entry in entries),
-                dtype=np.float64,
-                count=len(entries),
-            )
-            state = [entries, flat, starts, floors_arr]
-            option_cache[key] = state
-        return state
+            option_cache[key] = entries
+        return entries
 
-    # Residual capacity never changes *within* a saturation round
-    # (splices and freezes defer their bookkeeping to the end-of-round
-    # flush), so per-(u, v) spare vectors are round-constant: every
+    # Per (u, v): ``(round, live entries, their spares, winner, winner
+    # interior)``, refreshed at the first query of each saturation
+    # round.  Residual capacity never changes *within* a saturation
+    # round (splices and freezes defer their bookkeeping to the
+    # end-of-round flush), so the spares are round-constant: every
     # affected flow hitting the same saturated link reads the same
-    # spares.  Cache them per round (keyed by the round counter),
-    # together with the *unconstrained* winner of the scalar running-
-    # max loop.  If that winner's interior nodes are disjoint from a
+    # ones.  Across rounds residual only *decreases* (growth debits,
+    # saturation pins to zero, switches never credit back), so an
+    # option at or below its floor is dead for the rest of the fill
+    # and each refresh reads only the options the last one kept.
+    # A (u, v) has a few options of a few links each, so a spare is a
+    # Python ``min`` over ``residual.item`` reads: the same float64
+    # values a numpy reduction would compare, at no dispatch cost.
+    # The cached winner is the *unconstrained* winner of the scalar
+    # running-max loop.  If its interior nodes are disjoint from a
     # caller's exclusion set it is also the constrained winner —
     # excluding non-winning options can only lower the running max,
     # and ``x + _EPS*(1+|x|)`` is monotone, so every acceptance that
     # happened without exclusions still happens with them — which
     # makes the common case O(1).
-    round_spares: Dict[Tuple[Hashable, Hashable], Tuple] = {}
-    # Per-fill surviving options per (u, v): residual only decreases
-    # within a fill, so an option at or below its floor is dead for
-    # the rest of the fill and its columns drop out of every later
-    # spare refresh (freeze-heavy late rounds then cost O(1) here).
-    fill_options: Dict[Tuple[Hashable, Hashable], List] = {}
+    fill_options: Dict[Tuple[Hashable, Hashable], Tuple] = {}
+    residual_item = residual.item
 
     def _best_option(u, v, exclude) -> Optional[Path]:
         key = (u, v)
-        cached = round_spares.get(key)
+        cached = fill_options.get(key)
         if cached is None or cached[0] != guard:
-            state = fill_options.get(key)
-            if state is None:
-                entries, flat, starts, floors_arr = _option_state(u, v)
-                state = [
-                    entries,
-                    list(range(len(entries))),
-                    flat,
-                    starts,
-                    floors_arr,
-                ]
-                fill_options[key] = state
-            entries, positions, flat, starts, floors_arr = state
-            live_spares = None
-            if positions:
-                spares = np.minimum.reduceat(residual[flat], starts)
-                live = spares > floors_arr
-                if live.all():
-                    live_spares = spares.tolist()
-                else:
-                    keep = np.flatnonzero(live)
-                    positions = [positions[i] for i in keep]
-                    live_spares = spares[keep].tolist()
-                    cols_per_option = [entries[p][1] for p in positions]
-                    flat = np.fromiter(
-                        (c for cols in cols_per_option for c in cols),
-                        dtype=np.int64,
-                    )
-                    lengths = np.fromiter(
-                        (len(cols) for cols in cols_per_option),
-                        dtype=np.int64,
-                        count=len(cols_per_option),
-                    )
-                    starts = np.zeros(len(cols_per_option), dtype=np.int64)
-                    if len(cols_per_option):
-                        np.cumsum(lengths[:-1], out=starts[1:])
-                    floors_arr = np.fromiter(
-                        (entries[p][2] for p in positions),
-                        dtype=np.float64,
-                        count=len(positions),
-                    )
-                    state[1:] = [positions, flat, starts, floors_arr]
+            entries = _option_state(u, v) if cached is None else cached[1]
+            live = []
+            spares = []
             winner = None
             winner_interior = None
             best_spare = -1.0
-            if positions:
-                for spot, position in enumerate(positions):
-                    spare = live_spares[spot]
-                    if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
-                        entry = entries[position]
-                        winner, winner_interior = entry[0], entry[3]
-                        best_spare = spare
-            cached = (
-                guard,
-                entries,
-                positions,
-                live_spares,
-                winner,
-                winner_interior,
-            )
-            round_spares[key] = cached
-        _, entries, positions, live_spares, winner, winner_interior = cached
+            for entry in entries:
+                spare = min(map(residual_item, entry[1]))
+                if spare <= entry[2]:
+                    continue
+                live.append(entry)
+                spares.append(spare)
+                if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
+                    winner, winner_interior = entry[0], entry[3]
+                    best_spare = spare
+            cached = (guard, live, spares, winner, winner_interior)
+            fill_options[key] = cached
+        _, live, spares, winner, winner_interior = cached
         if winner is None:
             return None
         if winner_interior.isdisjoint(exclude):
             return winner
         best: Optional[Path] = None
         best_spare = -1.0
-        for spot, position in enumerate(positions):
-            entry = entries[position]
+        for entry, spare in zip(live, spares):
             if not entry[3].isdisjoint(exclude):
                 continue
-            spare = live_spares[spot]
             # Relative tie tolerance, as in the scalar `_best_option`.
             if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
                 best, best_spare = entry[0], spare
         return best
 
-    def _path_cols(path: Path) -> Tuple[np.ndarray, List[int]]:
-        """Column ids per (sub-)path — ``(array, list)`` — persistent
-        across fills and shared across flows with the same route.  The
-        array feeds the incidence append; the plain list feeds the
-        reroute walk's saturation scan (paths are ~a handful of links,
-        where a Python set-membership scan beats numpy dispatch)."""
+    def _path_cols(path: Path) -> Tuple[np.ndarray, List[int], Dict]:
+        """Persistent per-(sub-)path entry ``(array, list, splices)``,
+        built once per topology and shared across flows with the same
+        route.  The column array feeds the incidence append; the plain
+        column list feeds the walk's saturation scan and the on-detour
+        scan (paths are ~a handful of links, where a Python
+        set-membership scan beats numpy dispatch).  *splices* memoizes
+        the walk's splices off this path: ``(position, option) ->
+        (spliced path, its entry)``, or ``(None, None)`` when the
+        splice would revisit a node.  ``splice_detour`` is pure, so a
+        memoized splice is the one the walk would compute."""
         pc = path_cols_cache.get(path)
         if pc is None:
             links = cached_path_links(path)
@@ -893,7 +840,7 @@ def inrp_fill(
                 dtype=np.int64,
                 count=len(links),
             )
-            pc = (arr, arr.tolist())
+            pc = (arr, arr.tolist(), {})
             path_cols_cache[path] = pc
         return pc
 
@@ -906,8 +853,13 @@ def inrp_fill(
         detours until nothing on its path is saturated; False = the
         flow must freeze."""
         row = active_row[flow]
-        path = candidate = sub_path[row]
         replacements = sub_repl[row]
+        if replacements >= max_replacements:
+            # Every affected flow crosses a column zeroed this round,
+            # which lies in ``sat_cols``: the walk below would stop at
+            # its first budget test.
+            return False
+        path = candidate = sub_path[row]
         candidate_cols = _path_cols(candidate)
         while True:
             position = -1
@@ -924,12 +876,20 @@ def inrp_fill(
             )
             if option is None:
                 return False
-            spliced = splice_detour(candidate, position, option)
+            splices = candidate_cols[2]
+            spliced = splices.get((position, option))
             if spliced is None:
+                spliced_path = splice_detour(candidate, position, option)
+                spliced = (
+                    (None, None)
+                    if spliced_path is None
+                    else (spliced_path, _path_cols(spliced_path))
+                )
+                splices[position, option] = spliced
+            candidate, candidate_cols = spliced
+            if candidate is None:
                 return False
-            candidate = spliced
             replacements += 1
-            candidate_cols = _path_cols(candidate)
         if candidate is path:
             # Not taken: an affected flow crosses a column zeroed this
             # round, and 0 <= floor puts that column in ``sat_cols``.
@@ -947,6 +907,7 @@ def inrp_fill(
         active_left -= 1
         _retire(active_row[flow])
         active_row[flow] = -1
+        on_detour.pop(flow, None)
         unfrozen[flow] = False
         reasons[flow] = reason
         rates[flow] = level
@@ -1028,10 +989,13 @@ def inrp_fill(
                         col_rows = np.repeat(
                             np.arange(num_flows, dtype=np.int64), row_lengths
                         )[by_col].tolist()
-                    # A row counts while it is its unfrozen flow's
-                    # active row (freezing resets ``active_row``).
+                    # A primary row counts while it is its unfrozen
+                    # flow's active row (freezing resets
+                    # ``active_row``, a switch moves the flow into
+                    # ``on_detour``).
+                    sat_list = sat_now.tolist()
                     affected = set()
-                    for col in sat_now.tolist():
+                    for col in sat_list:
                         for row in col_rows[
                             bisect_left(col_sorted, col) : bisect_right(
                                 col_sorted, col
@@ -1039,9 +1003,10 @@ def inrp_fill(
                         ]:
                             if active_row[row] == row:
                                 affected.add(row)
-                        for row in col_detours.get(col, ()):
-                            flow = detours[row - num_flows][0]
-                            if active_row[flow] == row:
+                    if on_detour:
+                        sat_set = set(sat_list)
+                        for flow, detour_cols in on_detour.items():
+                            if not sat_set.isdisjoint(detour_cols):
                                 affected.add(flow)
                     # Ascending flow ids are arrival order: older flows
                     # reroute first (the id-type invariant).

@@ -7,7 +7,8 @@ Two generators are provided:
   chains, long cycles and pendant edges at randomly chosen articulation
   vertices.  Because blocks share only single vertices with the rest of
   the graph, the resulting topology realises the requested detour-class
-  mix *exactly* (substitution S1 in DESIGN.md).
+  mix *exactly*.  These synthetic maps stand in for the paper's
+  Rocketfuel maps, which are not available offline.
 - :func:`mesh_topology` — a random connected mesh (spanning tree plus
   random chords with optional triangle closure), used for sensitivity
   experiments where an organic, non-cactus structure is preferable.

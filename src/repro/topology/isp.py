@@ -3,8 +3,9 @@
 The paper measures, for nine Rocketfuel-derived ISP maps, the fraction
 of links with a 1-hop, 2-hop and 3+-hop detour, and the fraction with
 no detour at all.  The raw Rocketfuel maps are not available offline,
-so this module reproduces the *measured property itself* (substitution
-S1 in DESIGN.md):
+so this module builds synthetic maps that have the *measured property
+itself*: Table 1 is the calibration target of these maps, not a result
+measured on them.  Two steps build them:
 
 1. :func:`solve_link_counts` recovers, for each ISP row, the smallest
    integer link count whose per-class split rounds to the published

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import run_fig4, run_table1
 from repro.analysis.fig3 import fig3_fluid, run_fig3_simulation
 from repro.analysis.table1 import Table1Result
+from repro.errors import ConfigurationError
 
 
 def test_table1_subset_matches_paper():
@@ -47,6 +48,16 @@ def test_fig3_simulation_short_run():
     assert result.method == "chunk-sim"
     assert result.rate_bottlenecked_mbps == pytest.approx(5.0, rel=0.15)
     assert network.sim.now == 6.0
+
+
+@pytest.mark.parametrize("mode", ["aimd", "INRPP", ""])
+def test_fig3_drivers_reject_unknown_modes(mode):
+    """The Fig. 3 drivers take exactly ``"e2e"`` and ``"inrpp"``: the
+    chunk-level name ``"aimd"`` must not silently run INRPP."""
+    with pytest.raises(ConfigurationError):
+        fig3_fluid(mode)
+    with pytest.raises(ConfigurationError):
+        run_fig3_simulation(mode, duration=0.1)
 
 
 def test_fig4_small_run_structure():

@@ -371,6 +371,98 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
     assert _fills_digest(fills) == _INRP_FILL_GOLDEN
 
 
+def test_inrp_fill_caches_carry_no_results_across_fills(monkeypatch):
+    """The caches an allocator shares across fills (per-(u, v) options,
+    per-path columns and their splice memo) change no fill: one seeded
+    overload churn replayed through ``inrp_fill`` with one pair of
+    cache dicts for every fill, then with fresh dicts for each fill,
+    hashes to the same digest."""
+    calls = []
+    fill = _kernel.inrp_fill
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fill(*args, **kwargs)
+
+    monkeypatch.setattr(_kernel, "inrp_fill", record)
+    topo = build_isp_topology("exodus", seed=0)
+    strategy = make_strategy("inrp", topo)
+    alloc = IncrementalInrp(topo.directed_capacities(), DetourTable(topo))
+    rng = random.Random(5)
+    nodes = list(topo.nodes())
+    live, next_id = [], 0
+    for _ in range(120):
+        if live and rng.random() < 0.3:
+            alloc.remove_flow(live.pop(rng.randrange(len(live))))
+        else:
+            source, destination = rng.sample(nodes, 2)
+            path = tuple(strategy.route(next_id, source, destination))
+            demand = rng.choice([math.inf, mbps(10), mbps(2), 0.0])
+            alloc.add_flow(next_id, path, demand)
+            live.append(next_id)
+            next_id += 1
+        alloc.recompute()
+    monkeypatch.undo()
+
+    shared_options, shared_paths = {}, {}
+    shared = [
+        fill(
+            *args,
+            **dict(
+                kwargs,
+                option_cache=shared_options,
+                path_cols_cache=shared_paths,
+            ),
+        )
+        for args, kwargs in calls
+    ]
+    fresh = [
+        fill(*args, **dict(kwargs, option_cache={}, path_cols_cache={}))
+        for args, kwargs in calls
+    ]
+    # Detours were taken in many fills, so the shared caches were read
+    # back across fills, not only filled.
+    assert sum(1 for result in shared if result.switches) > 20
+    assert _fills_digest(shared) == _fills_digest(fresh)
+
+
+@pytest.mark.parametrize("num_flows", [1, 20, 200])
+def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
+    """With no replacement allowed, the INRP fill is progressive
+    filling: ``inrp_fill(max_replacements=0)`` gives ``maxmin_fill``'s
+    rates bit for bit on random sprint populations."""
+    topo = build_isp_topology("sprint", seed=0)
+    strategy = make_strategy("sp", topo)
+    space = LinkSpace(topo.directed_capacities())
+    rng = random.Random(num_flows)
+    nodes = list(topo.nodes())
+    paths, demands = [], []
+    for flow in range(num_flows):
+        source, destination = rng.sample(nodes, 2)
+        paths.append(tuple(strategy.route(flow, source, destination)))
+        demands.append(rng.choice([math.inf, mbps(50), mbps(5), 0.0]))
+    cols = np.concatenate(
+        [space.columns(cached_path_links(path)) for path in paths]
+    )
+    lengths = np.array([len(path) - 1 for path in paths], dtype=np.int64)
+    demands = np.array(demands, dtype=np.float64)
+    want = _kernel.maxmin_fill(space, cols, lengths, demands).tolist()
+    got = _kernel.inrp_fill(
+        space,
+        list(range(num_flows)),
+        paths,
+        cols,
+        lengths,
+        demands,
+        DetourTable(topo),
+        max_replacements=0,
+    )
+    assert got.switches == 0
+    assert [got.rates[flow].hex() for flow in range(num_flows)] == [
+        rate.hex() for rate in want
+    ]
+
+
 def test_inrp_cross_core_overload_equivalence():
     """Oracle vs event-loop INRP records at deep overload (spanning
     components, heavy detour churn).  ``total_switches`` is excluded:
