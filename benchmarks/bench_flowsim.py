@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Flow-level simulator memory benchmark: the streaming pipeline's ceiling.
 
-Runs the ``load-sweep-xl`` operating point (sprint, SP, rho < 1 so the
-active set stays small and a million arrivals drain in minutes) once
-per result sink, each in a fresh subprocess, and reports its RSS
+Runs the million-flow streaming point of the ``load-sweep-large``
+scenario (sprint, SP, 0.25 Mbit mean flows so rho < 1, the active set
+stays small and a million arrivals drain in minutes) once per result
+sink, each in a fresh subprocess, and reports its RSS
 growth (VmHWM peak minus the post-import baseline).  Sinks are thus
 compared on identical terms and without tracemalloc's
 order-of-magnitude slowdown.  The full mode pits a 1M-flow streaming

@@ -1,11 +1,8 @@
 """Ablation drivers for the reproduction's modelling decisions.
 
 Each driver is a plain function returning a small result mapping, so
-benches, notebooks and the CLI can share them:
+tests, notebooks and the CLI can share them:
 
-- :func:`ablate_detour_depth` — detour depth 0/1/2 on an ISP map: the
-  default of 2 intermediate nodes follows the paper's simulator, and
-  depth 0 allows no detour, so INRP degenerates to SP;
 - :func:`ablate_custody_size` — custody store sweep on a detour-free
   bottleneck: each router's custody store is bounded (50 MB by
   default), where the paper sizes a cache at 10 GB per 40 Gbps link;
@@ -13,6 +10,11 @@ benches, notebooks and the CLI can share them:
   scenario: how many chunks a receiver requests ahead;
 - :func:`ablate_gossip` — informed vs optimistic detouring: routers
   exchange one-hop interface state every Ti before they pick a detour.
+
+The detour-depth ablation has no driver of its own: it is the
+``snapshot-sweep`` scenario gridded over ``detour_depth=0,1,2`` (the
+default of 2 intermediate nodes follows the paper's simulator, and
+depth 0 allows no detour, so INRP degenerates to SP).
 """
 
 from __future__ import annotations
@@ -23,39 +25,10 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.analysis.fig3 import run_fig3_simulation
 from repro.campaign.scenario import register_scenario
 from repro.chunksim import ChunkNetwork, ChunkSimConfig
-from repro.flowsim.snapshots import snapshot_experiment
-from repro.flowsim.strategies import make_strategy
-from repro.rng import derive_seed
 from repro.topology.graph import Topology
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
 from repro.workloads.traffic import local_pairs
-
-
-def ablate_detour_depth(
-    isp: str = "telstra",
-    depths: Sequence[int] = (0, 1, 2),
-    seed: int = 42,
-    num_snapshots: int = 6,
-) -> Dict[int, float]:
-    """Mean network throughput of INRP per detour depth."""
-    topo = build_isp_topology(isp, seed=0)
-    num_flows = max(10, topo.num_nodes // 12)
-    sampler_seed = derive_seed(seed, f"ablation-depth-{isp}")
-    throughput: Dict[int, float] = {}
-    for depth in depths:
-        strategy = make_strategy("inrp", topo, detour_depth=depth)
-        snapshot = snapshot_experiment(
-            topo,
-            strategy,
-            num_flows=num_flows,
-            demand_bps=mbps(10),
-            num_snapshots=num_snapshots,
-            seed=seed,
-            pair_sampler=local_pairs(topo, sampler_seed),
-        )
-        throughput[depth] = snapshot.mean_throughput
-    return throughput
 
 
 @dataclass(frozen=True)
@@ -147,25 +120,6 @@ def ablate_gossip(
 # JSON object keys must be strings, so the int/bool-keyed ablation maps
 # are re-keyed here; otherwise the adapters are thin shims over the
 # drivers above.
-
-
-@register_scenario(
-    "ablation-detour-depth",
-    summary="ablation: INRP throughput vs detour depth on an ISP map",
-    tags=("ablation", "flowsim"),
-)
-def scenario_detour_depth(
-    isp: str = "telstra", seed: int = 42, num_snapshots: int = 6
-) -> Dict[str, object]:
-    throughput = ablate_detour_depth(
-        isp=isp, seed=seed, num_snapshots=num_snapshots
-    )
-    return {
-        "isp": isp,
-        "throughput_by_depth": {
-            str(depth): value for depth, value in throughput.items()
-        },
-    }
 
 
 @register_scenario(

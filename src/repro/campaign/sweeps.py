@@ -44,6 +44,9 @@ def scenario_snapshot_sweep(
     Grid axes are the parameters; the campaign runner takes the
     cartesian product, so a full seed × isp × strategy × depth sweep is
     one ``campaign run`` invocation instead of a hand-rolled loop.
+    Grid ``flows_per_node`` to trace throughput against offered load
+    (pooling pays most near saturation), or ``detour_depth=0,1,2`` for
+    the detour-depth ablation (depth 0 is SP with push).
     """
     topo = build_isp_topology(isp, seed=0)
     snapshot = run_snapshot_cell(
@@ -80,34 +83,6 @@ def scenario_snapshot_sweep(
 
 
 @register_scenario(
-    "load-sweep",
-    summary="throughput vs offered load for one strategy on one ISP map",
-    tags=("sweep", "flowsim"),
-)
-def scenario_load_sweep(
-    seed: int = 0,
-    isp: str = "exodus",
-    strategy: str = "inrp",
-    flows_per_node: float = 1.0 / 12.0,
-    num_snapshots: int = 6,
-    demand_mbps: float = 10.0,
-) -> Dict[str, Any]:
-    """Load-scaling point: sweep ``flows_per_node`` to trace saturation.
-
-    Pooling pays off most near saturation; sweeping the stationary
-    population size locates the knee for each strategy.
-    """
-    return scenario_snapshot_sweep(
-        seed=seed,
-        isp=isp,
-        strategy=strategy,
-        num_snapshots=num_snapshots,
-        demand_mbps=demand_mbps,
-        flows_per_node=flows_per_node,
-    )
-
-
-@register_scenario(
     "load-sweep-large",
     summary="event-driven 10k-100k flow Poisson sweep through the flow-level event loop",
     tags=("sweep", "flowsim", "scale"),
@@ -137,6 +112,15 @@ def scenario_load_sweep_large(
     and folds completions into online aggregates — the reported cell is
     identical in shape (quantiles within sketch rank error) but the
     run's memory stays flat in ``num_flows``.
+
+    Two operating points are grid lines of this scenario:
+
+    - INRP below saturation (local pairs within 3 hops, ρ < 1; 0.90
+      network throughput at seed 0): ``--grid strategy=inrp --grid
+      arrival_rate=800.0 --grid max_hops=3``;
+    - a million streamed flows at ρ < 1 (small flows keep the active
+      set small): ``--grid num_flows=1000000 --grid
+      mean_size_mbit=0.25 --grid sink=streaming``.
     """
     topo = build_isp_topology(isp, seed=0)
     uses_detour = strategy in ("inrp", "urp")
@@ -174,86 +158,3 @@ def scenario_load_sweep_large(
         "p99_fct": result.fct_quantile(0.99),
         "total_switches": result.total_switches,
     }
-
-
-@register_scenario(
-    "inrp-load-sweep-large",
-    summary="event-driven 10k+ flow INRP sweep through the incremental detour-closure allocator",
-    tags=("sweep", "flowsim", "scale", "inrp"),
-)
-def scenario_inrp_load_sweep_large(
-    seed: int = 0,
-    isp: str = "sprint",
-    num_flows: int = 10_000,
-    arrival_rate: float = 800.0,
-    mean_size_mbit: float = 2.5,
-    demand_mbps: float = 10.0,
-    max_hops: int = 3,
-    detour_depth: int = 2,
-) -> Dict[str, Any]:
-    """The ``load-sweep-large`` dynamics for the paper's own strategy.
-
-    INRP is the headline of Fig. 4, and since the detour-closure
-    allocator (:class:`repro.flowsim.allocation.IncrementalInrp`) it
-    runs event-driven at the same population sizes as SP/ECMP.  The
-    defaults are the calibrated INRP operating point (sprint, local
-    pairs within 3 hops, ρ < 1: ~0.75 network throughput, components a
-    fraction of the active set); grid ``num_flows`` or ``arrival_rate`` to
-    trace scaling.
-    """
-    return scenario_load_sweep_large(
-        seed=seed,
-        isp=isp,
-        strategy="inrp",
-        num_flows=num_flows,
-        arrival_rate=arrival_rate,
-        mean_size_mbit=mean_size_mbit,
-        demand_mbps=demand_mbps,
-        max_hops=max_hops,
-        detour_depth=detour_depth,
-    )
-
-
-@register_scenario(
-    "load-sweep-xl",
-    summary="million-flow streaming sweep: lazy specs, streaming sink, bounded memory",
-    tags=("sweep", "flowsim", "scale", "streaming"),
-)
-def scenario_load_sweep_xl(
-    seed: int = 0,
-    isp: str = "sprint",
-    strategy: str = "sp",
-    num_flows: int = 1_000_000,
-    arrival_rate: float = 1500.0,
-    mean_size_mbit: float = 0.25,
-    demand_mbps: float = 10.0,
-    max_hops: int = 4,
-    detour_depth: int = 2,
-) -> Dict[str, Any]:
-    """The ``load-sweep-large`` dynamics at million-flow scale.
-
-    This is the streaming pipeline end to end: specs are pulled lazily
-    from :meth:`FlowWorkload.iter_specs` (one unarrived spec resident
-    at a time) and completions fold into a
-    :class:`~repro.flowsim.sinks.StreamingSink`, so resident memory is
-    the active population plus O(1) aggregates no matter how large
-    ``num_flows`` grows — the operating regime the materializing
-    default cannot reach.  The default operating point keeps ρ < 1
-    (small flows at the large-sweep arrival rate) so the active set —
-    and hence per-event cost — stays small and a million arrivals
-    complete in minutes of wall clock.  Reported quantiles carry the
-    sketch's documented rank error; counts, throughput and goodput are
-    exact.
-    """
-    return scenario_load_sweep_large(
-        seed=seed,
-        isp=isp,
-        strategy=strategy,
-        num_flows=num_flows,
-        arrival_rate=arrival_rate,
-        mean_size_mbit=mean_size_mbit,
-        demand_mbps=demand_mbps,
-        max_hops=max_hops,
-        detour_depth=detour_depth,
-        sink="streaming",
-    )

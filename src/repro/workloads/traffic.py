@@ -11,7 +11,9 @@ million-flow runs out of memory), or materialised as a list
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
@@ -65,6 +67,9 @@ def local_pairs(
     and a destination uniformly among core nodes within 2..*max_hops*
     hops — the intra-domain traffic-engineering picture of the paper
     (leaf/pendant nodes are access tails, not transit endpoints).
+    Each source's candidate set is searched once and kept for the
+    sampler's lifetime: it depends on the source alone, and the draws
+    from *seed* are the same with or without the cache.
     """
     if max_hops < 2:
         raise WorkloadError(f"max_hops must be >= 2, got {max_hops}")
@@ -73,9 +78,8 @@ def local_pairs(
         raise WorkloadError("not enough core nodes for local pair sampling")
     rng = make_rng(seed, "local-pairs")
 
+    @lru_cache(maxsize=None)
     def _candidates(source: Node) -> List[Node]:
-        from collections import deque
-
         seen = {source: 0}
         queue = deque([source])
         found: List[Node] = []

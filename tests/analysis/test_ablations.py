@@ -5,17 +5,8 @@ import pytest
 from repro.analysis.ablations import (
     ablate_anticipation,
     ablate_custody_size,
-    ablate_detour_depth,
     ablate_gossip,
 )
-
-
-def test_detour_depth_monotone_on_small_run():
-    throughput = ablate_detour_depth(
-        isp="vsnl", depths=(0, 2), seed=3, num_snapshots=2
-    )
-    assert set(throughput) == {0, 2}
-    assert throughput[2] >= throughput[0] - 0.02
 
 
 def test_custody_sweep_structure():

@@ -14,13 +14,16 @@ from repro.errors import ConfigurationError
 def test_builtin_scenarios_registered():
     load_builtin_scenarios()
     names = {scenario.name for scenario in iter_scenarios()}
-    assert {"table1", "fig3", "fig4", "snapshot-sweep"} <= names
-    assert {
+    assert {"table1", "fig3", "fig4", "snapshot-sweep", "load-sweep-large"} <= names
+    assert {"ablation-custody", "ablation-anticipation", "ablation-gossip"} <= names
+    # One scenario per experiment: operating points that differ only in
+    # their defaults are grid lines of the two sweeps.
+    assert not {
+        "load-sweep",
+        "inrp-load-sweep-large",
+        "load-sweep-xl",
         "ablation-detour-depth",
-        "ablation-custody",
-        "ablation-anticipation",
-        "ablation-gossip",
-    } <= names
+    } & names
 
 
 def test_tag_filter():

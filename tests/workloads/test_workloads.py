@@ -80,6 +80,41 @@ def test_local_pairs_radius_and_degree():
         assert len(shortest_path(topo, src, dst)) - 1 <= 3
 
 
+def test_local_pairs_first_draws_are_pinned():
+    """A seeded sampler's draws are part of every workload's identity
+    (campaign records, perfbench fingerprints).  These values come from
+    a sampler that searched afresh on every draw, so they pin that the
+    per-source candidate cache changes no draw."""
+    topo = mesh_topology(40, extra_links=30, seed=2)
+    sample = local_pairs(topo, seed=3, max_hops=3)
+    assert [sample() for _ in range(8)] == [
+        (33, 9), (37, 9), (16, 10), (2, 37),
+        (33, 3), (37, 12), (9, 7), (33, 10),
+    ]
+
+
+def test_local_pairs_searches_once_per_source(monkeypatch):
+    """Once every core source has been drawn, further draws run no
+    neighbourhood search: each source's candidates are found once."""
+    topo = mesh_topology(40, extra_links=30, seed=2)
+    neighbors = topo.neighbors
+    calls = []
+
+    def counting_neighbors(node):
+        calls.append(node)
+        return neighbors(node)
+
+    monkeypatch.setattr(topo, "neighbors", counting_neighbors)
+    sample = local_pairs(topo, seed=3, max_hops=3)
+    sources = {sample()[0] for _ in range(500)}
+    assert sources == {node for node in topo.nodes() if topo.degree(node) >= 2}
+    searched = len(calls)
+    assert searched > 0
+    for _ in range(500):
+        sample()
+    assert len(calls) == searched
+
+
 def test_local_pairs_validation():
     topo = fig3_topology()
     with pytest.raises(WorkloadError):
