@@ -211,8 +211,8 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         help="fail below this Fig. 3-scale end-to-end speedup, applied "
-        "to the timer-heavy aimd point (default: 1.2 full, 1.0 smoke; "
-        "inrpp is gated at 1.0 — back-pressure caps its event rate)",
+        "to the timer-heavy sp (AIMD) point (default: 1.2 full, 1.0 smoke; "
+        "inrp is gated at 1.0 — back-pressure caps its event rate)",
     )
     parser.add_argument("--out", default=None, help="write the JSON record here")
     args = parser.parse_args(argv)
@@ -220,11 +220,11 @@ def main(argv=None) -> int:
     if args.smoke:
         outstanding, num_flows, duration = 20_000, 96, 20.0
         min_core = args.min_core_speedup or 2.0
-        min_e2e = {"inrpp": 1.0, "aimd": args.min_e2e_speedup or 1.0}
+        min_e2e = {"inrp": 1.0, "sp": args.min_e2e_speedup or 1.0}
     else:
         outstanding, num_flows, duration = 200_000, 960, 30.0
         min_core = args.min_core_speedup or 2.5
-        min_e2e = {"inrpp": 1.0, "aimd": args.min_e2e_speedup or 1.2}
+        min_e2e = {"inrp": 1.0, "sp": args.min_e2e_speedup or 1.2}
 
     record = {"mode": "smoke" if args.smoke else "full", "points": {}}
     failures = []
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
             f"{min_core}x floor"
         )
 
-    for mode in ("inrpp", "aimd"):
+    for mode in ("inrp", "sp"):
         print(
             f"[fig3-e2e] mode={mode}, {num_flows} flows, {duration}s",
             flush=True,

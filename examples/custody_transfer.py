@@ -21,7 +21,7 @@ def main() -> None:
     topo.add_link("mid", "dst", capacity=mbps(2))
 
     config = ChunkSimConfig(custody_bytes=500_000, resume_timeout=0.5)
-    net = ChunkNetwork(topo, mode="inrpp", config=config)
+    net = ChunkNetwork(topo, mode="inrp", config=config)
     flow = net.add_flow("src", "dst", num_chunks=10_000_000)
 
     # Sample custody occupancy at the bottleneck router every 250 ms.

@@ -13,14 +13,13 @@ Run:  python examples/fig3_fairness_demo.py
 from repro import ChunkNetwork, fig3_topology
 
 
-def run_mode(mode: str) -> None:
+def run_mode(mode: str, label: str) -> None:
     topo = fig3_topology()
     net = ChunkNetwork(topo, mode=mode)
     flow_bottlenecked = net.add_flow(1, 4, num_chunks=10_000_000)
     flow_clear = net.add_flow(1, 5, num_chunks=10_000_000)
     report = net.run(duration=20.0, warmup=5.0)
 
-    label = "e2e flow control (AIMD)" if mode == "aimd" else "INRPP"
     print(f"--- {label} ---")
     for flow_id, name in ((flow_bottlenecked, "1 -> 4"), (flow_clear, "1 -> 5")):
         flow = report.flow(flow_id)
@@ -41,8 +40,8 @@ def run_mode(mode: str) -> None:
 def main() -> None:
     print("Paper expectation: AIMD -> (2, 8) Mbps, Jain 0.73;")
     print("                   INRPP -> (5, 5) Mbps, Jain 1.00\n")
-    run_mode("aimd")
-    run_mode("inrpp")
+    run_mode("sp", "e2e flow control (AIMD)")
+    run_mode("inrp", "INRPP")
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ def ablate_custody_size(
     results: Dict[str, CustodyAblationPoint] = {}
     for label, custody_bytes in sizes:
         config = ChunkSimConfig(custody_bytes=custody_bytes)
-        net = ChunkNetwork(_bottleneck_line(), mode="inrpp", config=config)
+        net = ChunkNetwork(_bottleneck_line(), mode="inrp", config=config)
         flow = net.add_flow(0, 2, num_chunks=10_000_000)
         report = net.run(duration=duration, warmup=duration / 3)
         results[label] = CustodyAblationPoint(
@@ -79,7 +79,7 @@ def ablate_anticipation(
     results: Dict[int, Tuple[float, float, float]] = {}
     for anticipation in horizons:
         config = ChunkSimConfig(anticipation=anticipation)
-        outcome, _ = run_fig3_simulation("inrpp", duration=duration, config=config)
+        outcome, _ = run_fig3_simulation("inrp", duration=duration, config=config)
         results[anticipation] = (
             outcome.rate_bottlenecked_mbps,
             outcome.rate_clear_mbps,
@@ -106,7 +106,7 @@ def ablate_gossip(
     results: Dict[bool, float] = {}
     for gossip in (True, False):
         config = ChunkSimConfig(gossip=gossip)
-        net = ChunkNetwork(topo, mode="inrpp", config=config)
+        net = ChunkNetwork(topo, mode="inrp", config=config)
         flows = [
             net.add_flow(src, dst, num_chunks=10_000_000) for src, dst in pairs
         ]

@@ -22,7 +22,6 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.records import ComparisonTable
 from repro.campaign.scenario import register_scenario
 from repro.chunksim import ChunkNetwork, ChunkSimConfig
-from repro.errors import ConfigurationError
 from repro.flowsim import make_strategy
 from repro.metrics.fairness import jain_index
 from repro.topology.builders import fig3_topology
@@ -34,21 +33,18 @@ PAPER_INRPP_RATES_MBPS = (5.0, 5.0)
 PAPER_E2E_JAIN = 0.73
 PAPER_INRPP_JAIN = 1.0
 
-#: The two systems Fig. 3 compares, as the drivers below name them.
-_MODES = ("e2e", "inrpp")
 
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ConfigurationError(
-            f"unknown Fig. 3 mode {mode!r}; expected one of {_MODES}"
-        )
+def _label(detour_depth: Optional[int]) -> str:
+    """Fig. 3's display name of a system, kept in its records: the
+    paper's "e2e" for a system that never detours, else "inrpp"."""
+    return "e2e" if detour_depth is None else "inrpp"
 
 
 @dataclass
 class Fig3Result:
-    """Rates (Mbps) and fairness for one mode of the Fig. 3 example."""
+    """Rates (Mbps) and fairness for one system of the Fig. 3 example."""
 
+    #: Display label, ``"e2e"`` or ``"inrpp"`` (see :func:`_label`).
     mode: str
     method: str
     rate_bottlenecked_mbps: float
@@ -81,19 +77,18 @@ class Fig3Result:
 
 
 def fig3_fluid(mode: str) -> Fig3Result:
-    """Fluid allocation on the Fig. 3 topology: ``"e2e"`` (SP max-min)
-    or ``"inrpp"`` (INRP push + detour); any other mode raises
+    """Fluid allocation on the Fig. 3 topology: ``"sp"`` (max-min) or
+    ``"inrp"`` (push + detour); an unknown name raises
     :class:`~repro.errors.ConfigurationError`."""
-    _check_mode(mode)
     topo = fig3_topology()
-    strategy = make_strategy("sp" if mode == "e2e" else "inrp", topo)
+    strategy = make_strategy(mode, topo)
     flows = {
         1: (strategy.route(1, 1, 4), mbps(10)),
         2: (strategy.route(2, 1, 5), mbps(10)),
     }
     outcome = strategy.allocate(flows)
     return Fig3Result(
-        mode=mode,
+        mode=_label(strategy.detour_depth),
         method="fluid",
         rate_bottlenecked_mbps=outcome.rates[1] / 1e6,
         rate_clear_mbps=outcome.rates[2] / 1e6,
@@ -108,22 +103,19 @@ def run_fig3_simulation(
 ) -> Tuple[Fig3Result, "ChunkNetwork"]:
     """Chunk-level protocol simulation of the Fig. 3 scenario.
 
-    *mode* is ``"e2e"`` (run as the chunk simulator's AIMD baseline)
-    or ``"inrpp"``; any other mode raises
-    :class:`~repro.errors.ConfigurationError`.  Returns the result plus
-    the network object for deeper inspection.
+    *mode* is ``"sp"`` (the AIMD e2e baseline) or ``"inrp"`` (INRPP);
+    an unknown name raises :class:`~repro.errors.ConfigurationError`.
+    Returns the result plus the network object for deeper inspection.
     """
-    _check_mode(mode)
-    sim_mode = "aimd" if mode == "e2e" else "inrpp"
     topo = fig3_topology()
-    network = ChunkNetwork(topo, mode=sim_mode, config=config)
+    network = ChunkNetwork(topo, mode=mode, config=config)
     # Plenty of chunks so both transfers outlast the run (steady state).
     flow_bottlenecked = network.add_flow(1, 4, num_chunks=10_000_000)
     flow_clear = network.add_flow(1, 5, num_chunks=10_000_000)
     report = network.run(duration=duration, warmup=warmup)
     return (
         Fig3Result(
-            mode=mode,
+            mode=_label(network.detour_depth),
             method="chunk-sim",
             rate_bottlenecked_mbps=report.flow(flow_bottlenecked).goodput_bps / 1e6,
             rate_clear_mbps=report.flow(flow_clear).goodput_bps / 1e6,
@@ -135,11 +127,11 @@ def run_fig3_simulation(
 def run_fig3_all(duration: float = 20.0) -> Dict[str, Fig3Result]:
     """All four reproductions keyed by ``{mode}-{method}``."""
     results = {
-        "e2e-fluid": fig3_fluid("e2e"),
-        "inrpp-fluid": fig3_fluid("inrpp"),
+        "e2e-fluid": fig3_fluid("sp"),
+        "inrpp-fluid": fig3_fluid("inrp"),
     }
-    results["e2e-sim"], _ = run_fig3_simulation("e2e", duration=duration)
-    results["inrpp-sim"], _ = run_fig3_simulation("inrpp", duration=duration)
+    results["e2e-sim"], _ = run_fig3_simulation("sp", duration=duration)
+    results["inrpp-sim"], _ = run_fig3_simulation("inrp", duration=duration)
     return results
 
 

@@ -1,6 +1,7 @@
 """Fig. 4 — flow-level evaluation on the ISP topologies.
 
-Fig. 4a compares network throughput of SP, ECMP and INRP ("URP" in the
+Fig. 4a compares network throughput of SP, ECMP and INRP (named
+``sp``, ``ecmp`` and ``inrp`` here; "URP" is INRP's label in the
 paper's legend) on Telstra, Exodus and Tiscali with Poisson-arriving
 flows; the paper reports INRP gaining 9–15 % over SP with ECMP in
 between.  Fig. 4b shows the CDF of INRP's path stretch: most traffic
@@ -21,7 +22,7 @@ from repro.analysis.records import ComparisonTable
 from repro.analysis.reporting import ascii_bar_chart, ascii_cdf
 from repro.campaign.scenario import register_scenario
 from repro.flowsim.snapshots import SnapshotResult, snapshot_experiment
-from repro.flowsim.strategies import make_strategy
+from repro.flowsim.strategies import RoutingStrategy, make_strategy
 from repro.rng import derive_seed
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
@@ -107,28 +108,22 @@ class Fig4Result:
 
 def run_snapshot_cell(
     topo,
-    strategy_name: str,
+    strategy: RoutingStrategy,
     seed: int,
     sampler_label: str,
     num_snapshots: int = 8,
     demand_bps: float = mbps(10),
     flows_per_node: float = 1.0 / 12.0,
     max_hops: int = 5,
-    detour_depth: int = 2,
 ) -> SnapshotResult:
     """One (topology, strategy) cell of the calibrated snapshot sweep.
 
     The single place the Fig. 4 operating point is encoded — the flow
-    population floor, the detour-depth gating and the
-    locality-weighted demand model — shared by :func:`run_fig4` and
-    the ``snapshot-sweep`` campaign scenario so the two cannot drift
-    apart.
+    population floor and the locality-weighted demand model — shared
+    by :func:`run_fig4` and the ``snapshot-sweep`` campaign scenario so
+    the two cannot drift apart.
     """
     num_flows = max(10, int(topo.num_nodes * flows_per_node))
-    kwargs = (
-        {"detour_depth": detour_depth} if strategy_name in ("inrp", "urp") else {}
-    )
-    strategy = make_strategy(strategy_name, topo, **kwargs)
     sampler_seed = derive_seed(seed, sampler_label)
     return snapshot_experiment(
         topo,
@@ -168,19 +163,19 @@ def run_fig4(
         topo = build_isp_topology(isp, seed=0)
         result.throughput[isp] = {}
         for name in strategies:
+            strategy = make_strategy(name, topo, detour_depth=detour_depth)
             snapshot = run_snapshot_cell(
                 topo,
-                name,
+                strategy,
                 seed=seed,
                 sampler_label=f"fig4-{isp}",
                 num_snapshots=num_snapshots,
                 demand_bps=demand_bps,
                 flows_per_node=flows_per_node,
                 max_hops=max_hops,
-                detour_depth=detour_depth,
             )
             result.throughput[isp][name] = snapshot.mean_throughput
-            if name == "inrp":
+            if strategy.detour_depth is not None:
                 result.inrp_results[isp] = snapshot
     return result
 

@@ -52,7 +52,8 @@ class Scenario:
         return param in self.defaults
 
     def bind(self, **overrides: Any) -> Dict[str, Any]:
-        """Full parameter assignment: defaults overlaid with *overrides*."""
+        """Full parameter assignment: defaults overlaid with *overrides*,
+        an ``int`` override of a ``float`` default widened to ``float``."""
         unknown = sorted(set(overrides) - set(self.defaults))
         if unknown:
             raise ConfigurationError(
@@ -60,7 +61,9 @@ class Scenario:
                 f"{', '.join(unknown)}; accepted: {', '.join(self.params)}"
             )
         bound = dict(self.defaults)
-        bound.update(overrides)
+        for name, value in overrides.items():
+            widen = type(value) is int and isinstance(bound[name], float)
+            bound[name] = float(value) if widen else value
         return bound
 
     def run(self, **overrides: Any) -> Mapping[str, Any]:

@@ -49,22 +49,21 @@ def scenario_snapshot_sweep(
     the detour-depth ablation (depth 0 is SP with push).
     """
     topo = build_isp_topology(isp, seed=0)
+    routing = make_strategy(strategy, topo, detour_depth=detour_depth)
     snapshot = run_snapshot_cell(
         topo,
-        strategy,
+        routing,
         seed=seed,
         sampler_label=f"snapshot-sweep-{isp}",
         num_snapshots=num_snapshots,
         demand_bps=mbps(demand_mbps),
         flows_per_node=flows_per_node,
         max_hops=max_hops,
-        detour_depth=detour_depth,
     )
-    uses_detour = strategy in ("inrp", "urp")
     result: Dict[str, Any] = {
         "isp": isp,
         "strategy": snapshot.strategy,
-        "detour_depth": detour_depth if uses_detour else None,
+        "detour_depth": routing.detour_depth,
         "num_flows": max(10, int(topo.num_nodes * flows_per_node)),
         "num_snapshots": num_snapshots,
         "mean_throughput": snapshot.mean_throughput,
@@ -123,8 +122,7 @@ def scenario_load_sweep_large(
       mean_size_mbit=0.25 --grid sink=streaming``.
     """
     topo = build_isp_topology(isp, seed=0)
-    uses_detour = strategy in ("inrp", "urp")
-    kwargs = {"detour_depth": detour_depth} if uses_detour else {}
+    routing = make_strategy(strategy, topo, detour_depth=detour_depth)
     workload = FlowWorkload(
         topo,
         arrival_rate=arrival_rate,
@@ -137,13 +135,11 @@ def scenario_load_sweep_large(
         specs = workload.iter_specs(max_flows=num_flows)
     else:
         specs = workload.generate(max_flows=num_flows)
-    result = FlowLevelSimulator(
-        topo, make_strategy(strategy, topo, **kwargs), specs, sink=sink
-    ).run()
+    result = FlowLevelSimulator(topo, routing, specs, sink=sink).run()
     return {
         "isp": isp,
         "strategy": strategy,
-        "detour_depth": detour_depth if uses_detour else None,
+        "detour_depth": routing.detour_depth,
         "num_flows": num_flows,
         "arrival_rate": arrival_rate,
         "sink": sink,

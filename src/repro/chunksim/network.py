@@ -3,12 +3,10 @@
 :class:`ChunkNetwork` turns a :class:`~repro.topology.graph.Topology`
 into a running simulation: routers on every node, one
 :class:`~repro.chunksim.link.SimLink` per link direction, shortest-path
-FIBs, detour tables, and sender/receiver applications per flow.  Two
-modes are supported:
-
-- ``"inrpp"`` — the paper's protocol (push / detour / back-pressure
-  with custody stores);
-- ``"aimd"`` — the e2e baseline (drop-tail queues, window halving).
+FIBs, detour tables, and sender/receiver applications per flow.  Its
+*mode* is ``"inrp"`` (the paper's INRPP: push / detour / back-pressure
+with custody stores) or ``"sp"`` (the AIMD e2e baseline: drop-tail
+queues, window halving); the routers reject any other name.
 """
 
 from __future__ import annotations
@@ -93,17 +91,17 @@ class ChunkNetwork:
     def __init__(
         self,
         topology: Topology,
-        mode: str = "inrpp",
+        mode: str = "inrp",
         config: Optional[ChunkSimConfig] = None,
         trace: Optional[Trace] = None,
     ):
-        if mode not in ("inrpp", "aimd"):
-            raise ConfigurationError(f"unknown mode {mode!r}")
         if not topology.is_connected():
             raise ConfigurationError("chunk simulation needs a connected topology")
         self.topology = topology
         self.mode = mode
         self.config = config or ChunkSimConfig()
+        #: ``None`` on the SP baseline, which never detours (as on a strategy).
+        self.detour_depth = self.config.detour_depth if mode == "inrp" else None
         self.trace = trace or Trace()
         self.sim = Simulator()
         self.routers: Dict[Node, Router] = {}
@@ -119,7 +117,7 @@ class ChunkNetwork:
                 self.sim, node, self.config, self.trace, mode=self.mode
             )
         buffer_bytes = (
-            self.config.aimd_buffer_bytes if self.mode == "aimd" else None
+            self.config.aimd_buffer_bytes if self.mode == "sp" else None
         )
         for u, v in self.topology.links():
             delay = self.topology.delay(u, v)
@@ -138,8 +136,8 @@ class ChunkNetwork:
         for destination in self.topology.nodes():
             for node, next_hop in iter_sp_next_hops(self.topology, destination):
                 self.routers[node].fib[destination] = next_hop
-        if self.mode == "inrpp" and self.config.detour_depth > 0:
-            table = DetourTable(self.topology, self.config.detour_depth)
+        if self.detour_depth:
+            table = DetourTable(self.topology, self.detour_depth)
             for node, router in self.routers.items():
                 for neighbor in self.topology.neighbors(node):
                     router.detour_options[neighbor] = table.options(node, neighbor)
@@ -171,7 +169,7 @@ class ChunkNetwork:
 
         sender_router = self.routers[source]
         receiver_router = self.routers[destination]
-        if self.mode == "inrpp":
+        if self.mode == "inrp":
             if sender_router.sender_app is None:
                 sender_router.sender_app = SenderApp(sender_router, self.config)
             if receiver_router.receiver_app is None:

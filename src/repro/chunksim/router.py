@@ -14,8 +14,8 @@ Forwarding pipeline for a data chunk (Section 3.3 of the paper):
    neighbour, which relays the signal toward the sender.  The signal
    carries no rate: the sender falls back to 1:1 request credits.
 
-In ``aimd`` mode the router is a plain FIFO drop-tail forwarder, which
-is what the e2e baseline of Fig. 3 runs over.
+In ``"sp"`` mode the router is a plain FIFO drop-tail forwarder, which
+is what the AIMD e2e baseline of Fig. 3 runs over.
 """
 
 from __future__ import annotations
@@ -29,9 +29,12 @@ from repro.chunksim.interface import RouterInterface
 from repro.chunksim.link import SimLink
 from repro.chunksim.messages import Backpressure, DataChunk, Gossip, Request
 from repro.chunksim.tracing import Trace
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.routing.paths import Path
 from repro.topology.graph import Node
+
+#: The systems a router runs: INRPP and the e2e baseline.
+SYSTEMS = ("sp", "inrp")
 
 
 class Router:
@@ -43,10 +46,10 @@ class Router:
         node_id: Node,
         config: ChunkSimConfig,
         trace: Trace,
-        mode: str = "inrpp",
+        mode: str = "inrp",
     ):
-        if mode not in ("inrpp", "aimd"):
-            raise SimulationError(f"unknown router mode {mode!r}")
+        if mode not in SYSTEMS:
+            raise ConfigurationError(f"unknown mode {mode!r}; expected {SYSTEMS}")
         self.sim = sim
         self.node_id = node_id
         self.config = config
@@ -66,7 +69,7 @@ class Router:
         self.drops = 0
         # Hot-path constants (config properties recompute per call).
         self._high_wm_bytes = config.high_watermark_bytes
-        self._inrpp = mode == "inrpp"
+        self._inrpp = mode == "inrp"
         self._call_after = sim.call_after
         #: flow id -> (relay link, next-hop request handler).  The FIB
         #: is static after build, so a flow's relay route never changes.
@@ -236,7 +239,7 @@ class Router:
     # Gossip (Section 3.3, option (i))
     # ------------------------------------------------------------------
     def start_gossip(self) -> None:
-        if not self.config.gossip or self.mode != "inrpp":
+        if not self.config.gossip or not self._inrpp:
             return
         self.sim.call_after(self.config.ti, self._gossip_tick)
 

@@ -1,9 +1,9 @@
 """Routing/allocation strategies: SP, ECMP and INRP.
 
-These are the three systems compared in the paper's Fig. 4a ("SP",
-"ECMP", "URP" — the INRP abstraction).  A strategy decides (a) the
-primary path of each flow and (b) how bandwidth is shared among the
-active flows:
+These are the three systems compared in the paper's Fig. 4a, named
+``sp``, ``ecmp`` and ``inrp`` at every entry point (the paper's legend
+calls INRP "URP").  A strategy decides (a) the primary path of each
+flow and (b) how bandwidth is shared among the active flows:
 
 - **SP** — single deterministic shortest path, e2e max-min sharing;
 - **ECMP** — per-flow hash over the equal-cost shortest paths, e2e
@@ -24,7 +24,7 @@ import abc
 from dataclasses import dataclass, field
 from array import array
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, NoPathError, RoutingError
 from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
@@ -60,6 +60,8 @@ class RoutingStrategy(abc.ABC):
     """Base class caching topology-derived routing state."""
 
     name: str = "abstract"
+    #: ``None`` on strategies that never detour (SP, ECMP).
+    detour_depth: Optional[int] = None
 
     #: Byte budget for cached shortest-path trees, one int32
     #: predecessor-index array per source (~4 bytes/node instead of the
@@ -240,16 +242,17 @@ class InrpStrategy(RoutingStrategy):
         detours and nodes on the detour path can further detour, but
         for one extra hop only" — i.e. composite detours through up to
         two intermediate nodes.  At depth 0 no link may be replaced,
-        so INRP degenerates to SP.
+        so INRP degenerates to SP, the zero-pooling end of one model.
     """
 
     name = "INRP"
+    detour_depth: int = 2
 
     #: How many links of a sub-path may independently be replaced by
     #: detours before the flow gives up (enters back-pressure).
     _MAX_REPLACEMENTS = 2
 
-    def __init__(self, topology: Topology, detour_depth: int = 2):
+    def __init__(self, topology: Topology, detour_depth: int = detour_depth):
         super().__init__(topology)
         if detour_depth < 0:
             raise ConfigurationError(f"detour_depth must be >= 0, got {detour_depth}")
@@ -271,14 +274,18 @@ _STRATEGIES = {
     "sp": ShortestPathStrategy,
     "ecmp": EcmpStrategy,
     "inrp": InrpStrategy,
-    "urp": InrpStrategy,  # the label used in the paper's Fig. 4a legend
 }
 
 
-def make_strategy(name: str, topology: Topology, **kwargs) -> RoutingStrategy:
-    """Build a strategy by name (``sp``, ``ecmp``, ``inrp``/``urp``)."""
-    cls = _STRATEGIES.get(name.lower())
+def make_strategy(
+    name: str, topology: Topology, detour_depth: Optional[int] = None
+) -> RoutingStrategy:
+    """Build ``sp``, ``ecmp`` or ``inrp`` (no other spelling).  Only a
+    strategy that detours takes *detour_depth* (``None``: its default)."""
+    cls = _STRATEGIES.get(name)
     if cls is None:
         known = ", ".join(sorted(_STRATEGIES))
         raise ConfigurationError(f"unknown strategy {name!r}; known: {known}")
-    return cls(topology, **kwargs)
+    if cls.detour_depth is None or detour_depth is None:
+        return cls(topology)
+    return cls(topology, detour_depth)

@@ -249,7 +249,7 @@ def _steady_checks(
             fluid.stretch[fid],
             "stretch_abs",
         )
-    if scenario.mode == "inrp":
+    if fluid.custody_expected is not None:
         checker.boolean(
             "custody occurs",
             chunk.custody_events > 0,

@@ -85,7 +85,8 @@ class FluidObservables:
     fct: Dict[int, Optional[float]]
     completed: Dict[int, bool]
     deficits_bps: Dict[int, float]
-    custody_expected: bool
+    #: ``None`` when the strategy never detours: no custody model.
+    custody_expected: Optional[bool]
     custody_bound_bytes: float
     #: Back-pressure, when predicted, must engage within this many
     #: seconds after the last flow starts (the control transient).
@@ -176,7 +177,7 @@ def run_chunk_fidelity(
     topo = scenario.topology()
     if scenario.detour_depth is not None:
         config = replace(config or ChunkSimConfig(), detour_depth=scenario.detour_depth)
-    network = ChunkNetwork(topo, mode=scenario.chunk_mode, config=config)
+    network = ChunkNetwork(topo, mode=scenario.mode, config=config)
     flow_ids = [
         network.add_flow(
             flow.source,
@@ -228,10 +229,7 @@ def run_flow_fidelity(
     """
     config = config or ChunkSimConfig()
     topo = scenario.topology()
-    strategy_kwargs = {}
-    if scenario.mode == "inrp" and scenario.detour_depth is not None:
-        strategy_kwargs["detour_depth"] = scenario.detour_depth
-    strategy = make_strategy(scenario.mode, topo, **strategy_kwargs)
+    strategy = make_strategy(scenario.mode, topo, detour_depth=scenario.detour_depth)
     flow_ids = list(range(len(scenario.flows)))
     primaries: Dict[int, Path] = {}
     demands: Dict[int, float] = {}
@@ -251,8 +249,10 @@ def run_flow_fidelity(
         fid: split_stretch(outcome.splits[fid], len(primaries[fid]) - 1)
         for fid in flow_ids
     }
-    custody_expected = scenario.mode == "inrp" and predict_custody(
-        outcome.splits, primaries
+    custody_expected = (
+        None
+        if strategy.detour_depth is None
+        else predict_custody(outcome.splits, primaries)
     )
     control_window = 2.0 * config.ti + _max_rtt(topo, outcome.splits, primaries)
     custody_bound = (

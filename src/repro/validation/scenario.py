@@ -2,9 +2,10 @@
 
 A :class:`ValidationScenario` is a fidelity-neutral description of an
 experiment: a topology, a set of flows and a sharing mode, expressed
-in terms both simulators understand.  The mode uses the *flow-level*
-strategy names (``"inrp"``, ``"sp"``); the chunk-level simulator runs
-the corresponding protocol (``"inrpp"``, ``"aimd"``).
+in terms both simulators understand.  Its mode is the system's one
+name, ``"inrp"`` or ``"sp"``, which goes unchanged to both
+simulators: the fluid model builds that strategy, and the chunk-level
+simulator runs INRPP or its AIMD e2e baseline.
 
 The calibrated set below lives on the Fig. 3 topology because it is
 the one scenario where the paper itself publishes the expected
@@ -48,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
+from repro.chunksim.router import SYSTEMS
 from repro.errors import ConfigurationError
 from repro.topology.builders import fig3_topology
 from repro.topology.graph import Node, Topology
@@ -56,9 +58,6 @@ from repro.topology.isp import build_isp_topology
 #: Chunk count used for "steady state" flows: large enough that no
 #: flow completes within any calibrated duration.
 STEADY_CHUNKS = 10_000_000
-
-#: Flow-level strategy name -> chunk-level protocol mode.
-MODE_MAP = {"inrp": "inrpp", "sp": "aimd"}
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,9 @@ class ValidationScenario:
     detour_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODE_MAP:
+        if self.mode not in SYSTEMS:
             raise ConfigurationError(
-                f"unknown validation mode {self.mode!r}; "
-                f"expected one of {', '.join(sorted(MODE_MAP))}"
+                f"unknown validation mode {self.mode!r}; expected one of {SYSTEMS}"
             )
         if not self.flows:
             raise ConfigurationError(f"scenario {self.name!r} has no flows")
@@ -107,11 +105,6 @@ class ValidationScenario:
             raise ConfigurationError(
                 f"detour_depth must be >= 1, got {self.detour_depth}"
             )
-
-    @property
-    def chunk_mode(self) -> str:
-        """The chunk-level protocol mode for this scenario."""
-        return MODE_MAP[self.mode]
 
     @property
     def kind(self) -> str:

@@ -5,7 +5,13 @@ import pytest
 from repro.analysis import run_fig4, run_table1
 from repro.analysis.fig3 import fig3_fluid, run_fig3_simulation
 from repro.analysis.table1 import Table1Result
+from repro.chunksim import ChunkNetwork, ChunkSimConfig, Simulator
+from repro.chunksim.router import Router
+from repro.chunksim.tracing import Trace
 from repro.errors import ConfigurationError
+from repro.flowsim import make_strategy
+from repro.topology import fig3_topology
+from repro.validation.scenario import ValidationFlow, ValidationScenario
 
 
 def test_table1_subset_matches_paper():
@@ -26,38 +32,59 @@ def test_table1_row_fields():
 
 
 def test_fig3_fluid_reproduces_paper_numbers():
-    e2e = fig3_fluid("e2e")
+    e2e = fig3_fluid("sp")
     assert e2e.rate_bottlenecked_mbps == pytest.approx(2.0)
     assert e2e.rate_clear_mbps == pytest.approx(8.0)
     assert e2e.jain == pytest.approx(0.735, abs=0.001)
-    inrpp = fig3_fluid("inrpp")
+    inrpp = fig3_fluid("inrp")
     assert inrpp.rate_bottlenecked_mbps == pytest.approx(5.0)
     assert inrpp.rate_clear_mbps == pytest.approx(5.0)
     assert inrpp.jain == pytest.approx(1.0)
 
 
 def test_fig3_comparison_tables():
-    table = fig3_fluid("e2e").comparisons()
+    table = fig3_fluid("sp").comparisons()
     rendered = table.render()
     assert "Jain index" in rendered
     assert table.max_relative_error() < 0.05
 
 
 def test_fig3_simulation_short_run():
-    result, network = run_fig3_simulation("inrpp", duration=6.0)
+    result, network = run_fig3_simulation("inrp", duration=6.0)
     assert result.method == "chunk-sim"
     assert result.rate_bottlenecked_mbps == pytest.approx(5.0, rel=0.15)
     assert network.sim.now == 6.0
 
 
-@pytest.mark.parametrize("mode", ["aimd", "INRPP", ""])
-def test_fig3_drivers_reject_unknown_modes(mode):
-    """The Fig. 3 drivers take exactly ``"e2e"`` and ``"inrpp"``: the
-    chunk-level name ``"aimd"`` must not silently run INRPP."""
-    with pytest.raises(ConfigurationError):
-        fig3_fluid(mode)
-    with pytest.raises(ConfigurationError):
-        run_fig3_simulation(mode, duration=0.1)
+#: Every entry point that takes a system name, called with *name*.
+_ENTRY_POINTS = {
+    "make_strategy": lambda name: make_strategy(name, fig3_topology()),
+    "ChunkNetwork": lambda name: ChunkNetwork(fig3_topology(), mode=name),
+    "Router": lambda name: Router(
+        Simulator(), 1, ChunkSimConfig(), Trace(), mode=name
+    ),
+    "fig3_fluid": fig3_fluid,
+    "run_fig3_simulation": lambda name: run_fig3_simulation(name, duration=0.1),
+    "ValidationScenario": lambda name: ValidationScenario(
+        name="foreign", mode=name, flows=(ValidationFlow(1, 4),)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["urp", "INRP", "ECMP", "INRPP", "aimd", "inrpp", "e2e", ""]
+)
+def test_entry_points_reject_foreign_names(name):
+    """``sp``, ``ecmp`` and ``inrp`` are the only system names: the
+    paper's legend label, other cases and the old per-fidelity names
+    (``aimd``/``inrpp``/``e2e``) are errors everywhere, never a silent
+    run of some system."""
+    for entry, build in _ENTRY_POINTS.items():
+        try:
+            build(name)
+        except ConfigurationError:
+            continue
+        pytest.fail(f"{entry} accepted the foreign name {name!r}")
 
 
 def test_fig4_small_run_structure():

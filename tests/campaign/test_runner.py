@@ -30,6 +30,32 @@ def test_plan_expands_grid_per_scenario():
     assert {spec.params["seed"] for spec in by_scenario["table1"]} == {0, 1}
 
 
+def test_plan_run_keys_are_pinned():
+    """Run keys of the strategy sweeps, recorded before the system
+    names were unified: naming a system one way moved no cached
+    record."""
+    specs = plan_runs(["snapshot-sweep"], {"strategy": ["sp", "ecmp", "inrp"]})
+    assert [spec.key for spec in specs] == [
+        "4aee720cdad5019e",
+        "528736e23dcd8c6b",
+        "6dd3059daf8ac2ac",
+    ]
+    (default,) = plan_runs(["load-sweep-large"])
+    assert default.key == "aa54990b51d1fdbb"
+
+
+def test_int_grid_value_binds_as_its_float_default():
+    """``arrival_rate=800`` and ``=800.0`` are one run: an int value of
+    a float parameter binds as a float, in the key and the echo."""
+    (as_int,) = plan_runs(["load-sweep-large"], {"arrival_rate": [800]})
+    (as_float,) = plan_runs(["load-sweep-large"], {"arrival_rate": [800.0]})
+    assert as_int.key == as_float.key == "7f3876208b38ff1b"
+    assert repr(as_int.params["arrival_rate"]) == "800.0"
+    # An int default keeps int values.
+    (seeded,) = plan_runs(["load-sweep-large"], {"seed": [3]})
+    assert type(seeded.params["seed"]) is int
+
+
 def test_plan_rejects_axis_no_scenario_accepts():
     with pytest.raises(ConfigurationError, match="grid axis"):
         plan_runs(["table1"], {"bogus": [1, 2]})

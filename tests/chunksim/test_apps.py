@@ -8,7 +8,7 @@ from repro.topology import Topology, line_topology
 from repro.units import mbps
 
 
-def _two_node_net(mode="inrpp", config=None):
+def _two_node_net(mode="inrp", config=None):
     topo = line_topology(2, capacity=mbps(10))
     return ChunkNetwork(topo, mode=mode, config=config)
 
@@ -56,7 +56,7 @@ def test_backpressure_mode_is_request_clocked():
     topo = Topology("bp")
     topo.add_link(0, 1, capacity=mbps(10))
     topo.add_link(1, 2, capacity=mbps(1))
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     flow = net.add_flow(0, 2, num_chunks=10_000_000)
     report = net.run(duration=8.0, warmup=3.0)
     sender = net.routers[0].sender_app.flows[flow]
@@ -68,7 +68,7 @@ def test_aimd_window_dynamics():
     topo = Topology("aimd")
     topo.add_link(0, 1, capacity=mbps(10))
     topo.add_link(1, 2, capacity=mbps(2))
-    net = ChunkNetwork(topo, mode="aimd")
+    net = ChunkNetwork(topo, mode="sp")
     flow = net.add_flow(0, 2, num_chunks=10_000_000)
     net.run(duration=8.0, warmup=0.0)
     receiver = net.routers[2].receiver_app.flows[flow]
@@ -82,7 +82,7 @@ def test_aimd_completes_despite_losses():
     topo.add_link(0, 1, capacity=mbps(10))
     topo.add_link(1, 2, capacity=mbps(2))
     config = ChunkSimConfig(aimd_rto=0.3)
-    net = ChunkNetwork(topo, mode="aimd", config=config)
+    net = ChunkNetwork(topo, mode="sp", config=config)
     flow = net.add_flow(0, 2, num_chunks=300)
     report = net.run(duration=30.0, warmup=0.0)
     result = report.flow(flow)

@@ -10,7 +10,7 @@ from repro.units import mbps
 
 def test_simple_transfer_completes():
     topo = line_topology(3, capacity=mbps(10))
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     flow = net.add_flow(0, 2, num_chunks=100)
     report = net.run(duration=5.0, warmup=0.0)
     result = report.flow(flow)
@@ -26,7 +26,7 @@ def test_chunk_conservation_no_loss_in_inrpp():
     # INRPP must never drop: every sent chunk is delivered or in
     # custody/queue when the clock stops.
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     f1 = net.add_flow(1, 4, num_chunks=10_000)
     f2 = net.add_flow(1, 5, num_chunks=10_000)
     report = net.run(duration=10.0, warmup=0.0)
@@ -40,7 +40,7 @@ def test_chunk_conservation_no_loss_in_inrpp():
 
 def test_fig3_inrpp_pools_resources():
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     f1 = net.add_flow(1, 4, num_chunks=10_000_000)
     f2 = net.add_flow(1, 5, num_chunks=10_000_000)
     report = net.run(duration=12.0, warmup=4.0)
@@ -55,7 +55,7 @@ def test_fig3_inrpp_pools_resources():
 
 def test_fig3_aimd_is_unfair():
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="aimd")
+    net = ChunkNetwork(topo, mode="sp")
     f1 = net.add_flow(1, 4, num_chunks=10_000_000)
     f2 = net.add_flow(1, 5, num_chunks=10_000_000)
     report = net.run(duration=12.0, warmup=4.0)
@@ -71,7 +71,7 @@ def test_backpressure_without_detour():
     topo = Topology("bp")
     topo.add_link(0, 1, capacity=mbps(10))
     topo.add_link(1, 2, capacity=mbps(2))
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     flow = net.add_flow(0, 2, num_chunks=10_000_000)
     report = net.run(duration=10.0, warmup=3.0)
     assert report.flow(flow).goodput_bps == pytest.approx(mbps(2), rel=0.05)
@@ -94,7 +94,7 @@ def test_sender_mode_switches_to_backpressure():
     topo = Topology("bp2")
     topo.add_link(0, 1, capacity=mbps(10))
     topo.add_link(1, 2, capacity=mbps(2))
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     flow = net.add_flow(0, 2, num_chunks=10_000_000)
     net.run(duration=5.0, warmup=1.0)
     sender = net.routers[0].sender_app
@@ -109,7 +109,7 @@ def test_gossip_can_be_disabled():
     # reaches the full 5 Mbps — the flag must simply not break things.
     config = ChunkSimConfig(gossip=False)
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="inrpp", config=config)
+    net = ChunkNetwork(topo, mode="inrp", config=config)
     f1 = net.add_flow(1, 4, num_chunks=10_000_000)
     report = net.run(duration=6.0, warmup=2.0)
     goodput = report.flow(f1).goodput_bps
@@ -120,7 +120,7 @@ def test_gossip_can_be_disabled():
 
 def test_anticipated_chunks_are_pushed():
     topo = line_topology(2, capacity=mbps(10))
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     flow = net.add_flow(0, 1, num_chunks=5_000)
     net.run(duration=3.0, warmup=0.0)
     sender = net.routers[0].sender_app
@@ -154,5 +154,5 @@ def test_report_accessors():
     with pytest.raises(KeyError):
         report.flow(999)
     assert 0.0 < report.total_goodput_bps()
-    assert report.mode == "inrpp"
+    assert report.mode == "inrp"
     assert ((0, 1) in report.link_utilization)

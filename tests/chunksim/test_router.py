@@ -11,7 +11,7 @@ from repro.units import mbps
 
 def test_fibs_point_along_shortest_paths():
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     assert net.routers[1].fib[4] == 2
     assert net.routers[2].fib[4] == 4
     assert net.routers[3].fib[4] == 4
@@ -20,7 +20,7 @@ def test_fibs_point_along_shortest_paths():
 
 def test_detour_options_oriented_per_router():
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     assert net.routers[2].detour_options[4] == [(2, 3, 4)]
     assert net.routers[4].detour_options[2] == [(4, 3, 2)]
     # The access link 1-2 has no detour.
@@ -30,7 +30,7 @@ def test_detour_options_oriented_per_router():
 def test_tunnel_chunks_follow_forced_hops():
     # Inject a tunnelled chunk at router 2 and verify it goes via 3.
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     net.add_flow(1, 4, num_chunks=1)  # registers receiver app at 4
     chunk = DataChunk(
         flow_id=0, chunk_id=0, size_bytes=10_000,
@@ -47,7 +47,7 @@ def test_tunnel_chunks_follow_forced_hops():
 
 def test_unroutable_data_counts_as_drop():
     topo = line_topology(2)
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     trace = net.trace
     chunk = DataChunk(flow_id=5, chunk_id=0, size_bytes=100, receiver="ghost")
     via = net.routers[1].ifaces[0].link  # the 1 -> 0 direction
@@ -60,7 +60,7 @@ def test_backpressure_relay_toward_sender():
     # BP arriving at a transit router must be relayed along the FIB
     # toward the flow's sender.
     topo = line_topology(4, capacity=mbps(10))
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     net.add_flow(0, 3, num_chunks=1)
     signal = Backpressure(flow_id=0, sender=0)
     net.routers[2]._on_backpressure(signal)
@@ -74,7 +74,7 @@ def test_backpressure_relay_toward_sender():
 def test_gossip_state_propagates():
     topo = fig3_topology()
     config = ChunkSimConfig(ti=0.05)
-    net = ChunkNetwork(topo, mode="inrpp", config=config)
+    net = ChunkNetwork(topo, mode="inrp", config=config)
     net.sim.run(until=0.3)
     # Router 2 must know about node 3's interfaces by now.
     assert any(
@@ -84,7 +84,7 @@ def test_gossip_state_propagates():
 
 def test_aimd_mode_has_no_detour_or_custody():
     topo = fig3_topology()
-    net = ChunkNetwork(topo, mode="aimd")
+    net = ChunkNetwork(topo, mode="sp")
     f1 = net.add_flow(1, 4, num_chunks=2_000)
     report = net.run(duration=4.0, warmup=0.0)
     assert report.detour_events == 0

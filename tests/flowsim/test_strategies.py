@@ -16,9 +16,8 @@ from repro.units import mbps
 def test_factory_names():
     topo = fig3_topology()
     assert make_strategy("sp", topo).name == "SP"
-    assert make_strategy("ECMP", topo).name == "ECMP"
+    assert make_strategy("ecmp", topo).name == "ECMP"
     assert make_strategy("inrp", topo).name == "INRP"
-    assert make_strategy("urp", topo).name == "INRP"  # paper's legend label
     with pytest.raises(ConfigurationError):
         make_strategy("ospf", topo)
 

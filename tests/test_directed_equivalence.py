@@ -56,14 +56,17 @@ FLOW_GOLDENS = {
     },
 }
 
-#: Pre-refactor chunk-level results on Fig. 3, identical across the
-#: modern and reference engines.
+#: Pre-refactor chunk-level results on Fig. 3 per protocol, identical
+#: across the modern and reference engines; ``system`` is the mode
+#: that runs the protocol.
 CHUNK_GOLDENS = {
     "aimd": {
+        "system": "sp",
         "goodputs": [933333.3333333334, 960000.0, 2995555.5555555555],
         "jain": 0.7400177114982852,
     },
     "inrpp": {
+        "system": "inrp",
         "goodputs": [915555.5555555555, 1084444.4444444445, 2995555.5555555555],
         "jain": 0.757081973028817,
     },
@@ -110,21 +113,23 @@ CHUNK_ENGINES = {"modern": Simulator, "reference": ReferenceSimulator}
 
 
 @pytest.mark.parametrize("engine", CHUNK_ENGINES)
-@pytest.mark.parametrize("mode", ["aimd", "inrpp"])
-def test_chunk_engines_reproduce_pre_refactor_goldens(mode, engine):
+@pytest.mark.parametrize("protocol", CHUNK_GOLDENS)
+def test_chunk_engines_reproduce_pre_refactor_goldens(protocol, engine):
+    golden = CHUNK_GOLDENS[protocol]
     substitution = (
         reference_chunk_engine()
         if engine == "reference"
         else contextlib.nullcontext()
     )
     with substitution:
-        net = ChunkNetwork(fig3_topology(), mode=mode, config=ChunkSimConfig())
+        net = ChunkNetwork(
+            fig3_topology(), mode=golden["system"], config=ChunkSimConfig()
+        )
     assert type(net.sim) is CHUNK_ENGINES[engine]
     net.add_flow(1, 4, 400, start_time=0.0)
     net.add_flow(5, 4, 400, start_time=0.0)
     net.add_flow(1, 3, 400, start_time=0.0)
     report = net.run(duration=10.0, warmup=1.0)
-    golden = CHUNK_GOLDENS[mode]
     assert [f.goodput_bps for f in report.flows] == pytest.approx(
         golden["goodputs"], abs=TOL
     )

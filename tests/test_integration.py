@@ -70,7 +70,7 @@ def test_fluid_and_chunk_level_agree_on_fig3():
     }
     fluid = strategy.allocate(flows).rates
 
-    net = ChunkNetwork(fig3_topology(), mode="inrpp")
+    net = ChunkNetwork(fig3_topology(), mode="inrp")
     f1 = net.add_flow(1, 4, num_chunks=10_000_000)
     f2 = net.add_flow(1, 5, num_chunks=10_000_000)
     report = net.run(duration=10.0, warmup=4.0)
@@ -83,7 +83,7 @@ def test_inrpp_on_synthetic_isp_map_chunk_level():
     pick VSNL (smallest) and push two competing transfers."""
     topo = build_isp_topology("vsnl", seed=0)
     nodes = [n for n in topo.nodes() if topo.degree(n) >= 2]
-    net = ChunkNetwork(topo, mode="inrpp")
+    net = ChunkNetwork(topo, mode="inrp")
     f1 = net.add_flow(nodes[0], nodes[-1], num_chunks=100_000)
     f2 = net.add_flow(nodes[1], nodes[-2], num_chunks=100_000)
     report = net.run(duration=5.0, warmup=1.0)

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from repro.chunksim import ChunkNetwork
 from repro.errors import ConfigurationError
+from repro.flowsim import make_strategy
 from repro.validation import (
     CALIBRATED_SCENARIOS,
     MetricCheck,
@@ -30,7 +32,7 @@ def test_calibrated_scenarios_are_well_formed():
     names = [scenario.name for scenario in CALIBRATED_SCENARIOS]
     assert len(names) == len(set(names))
     for scenario in CALIBRATED_SCENARIOS:
-        assert scenario.chunk_mode in ("inrpp", "aimd")
+        assert scenario.mode in ("sp", "inrp")
         assert scenario.kind in ("steady", "completion")
         assert 0 <= scenario.effective_warmup < scenario.duration
 
@@ -53,10 +55,16 @@ def test_scenario_rejects_unknown_mode_and_empty_flows():
 
 
 def test_mode_maps_to_chunk_protocol():
-    inrp = scenario_by_name("fig3-steady-inrp")
-    sp = scenario_by_name("fig3-steady-sp")
-    assert inrp.chunk_mode == "inrpp"
-    assert sp.chunk_mode == "aimd"
+    """The mode goes unchanged to both simulators, which agree on
+    whether the system detours: ``inrp`` runs INRPP, ``sp`` the AIMD
+    baseline."""
+    for name, detours in (("fig3-steady-inrp", True), ("fig3-steady-sp", False)):
+        scenario = scenario_by_name(name)
+        topo = scenario.topology()
+        network = ChunkNetwork(topo, mode=scenario.mode)
+        strategy = make_strategy(scenario.mode, topo)
+        assert (network.detour_depth is not None) is detours
+        assert (strategy.detour_depth is not None) is detours
 
 
 # ----------------------------------------------------------------------
