@@ -233,28 +233,10 @@ class _CountingBudget(int):
         return exhausted
 
 
-def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
-    """Every ``inrp_fill`` result of a seeded add/remove churn through
-    ``IncrementalInrp``, recomputing after each
-    event; ~80 flows stay live, deep in overload.  Returns the results
-    and the number of exhausted replacement budgets.  *verify* only
-    adds the allocator's scratch comparison: the fills are the same."""
-    fills, budgets = [], []
-    fill = _kernel.inrp_fill
-
-    def capture(*args, **kwargs):
-        budget = _CountingBudget(kwargs["max_replacements"])
-        budgets.append(budget)
-        kwargs["max_replacements"] = budget
-        result = fill(*args, **kwargs)
-        fills.append(result)
-        return result
-
-    monkeypatch.setattr(_kernel, "inrp_fill", capture)
-    strategy = make_strategy("inrp", topo)
-    alloc = IncrementalInrp(
-        topo.directed_capacities(), DetourTable(topo), verify=verify
-    )
+def _overload_churn(alloc, topo, strategy_name, seed, events):
+    """A seeded add/remove churn through *alloc*, recomputing after
+    each event; ~80 flows stay live, deep in overload."""
+    strategy = make_strategy(strategy_name, topo)
     rng = random.Random(seed)
     nodes = list(topo.nodes())
     live, next_id = [], 0
@@ -269,6 +251,29 @@ def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
             live.append(next_id)
             next_id += 1
         alloc.recompute()
+
+
+def _inrp_churn_fills(monkeypatch, topo, seed, events, verify):
+    """Every ``inrp_fill`` result of :func:`_overload_churn` through
+    ``IncrementalInrp``.  Returns the results and the number of
+    exhausted replacement budgets.  *verify* only adds the allocator's
+    scratch comparison: the fills are the same."""
+    fills, budgets = [], []
+    fill = _kernel.inrp_fill
+
+    def capture(*args, **kwargs):
+        budget = _CountingBudget(kwargs["max_replacements"])
+        budgets.append(budget)
+        kwargs["max_replacements"] = budget
+        result = fill(*args, **kwargs)
+        fills.append(result)
+        return result
+
+    monkeypatch.setattr(_kernel, "inrp_fill", capture)
+    alloc = IncrementalInrp(
+        topo.directed_capacities(), DetourTable(topo), verify=verify
+    )
+    _overload_churn(alloc, topo, "inrp", seed, events)
     monkeypatch.undo()
     return fills, sum(budget.exhausted for budget in budgets)
 
@@ -369,6 +374,55 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
     assert budget > 0
     assert counts["no_detour"] - counts["switch_cap"] - budget > 0
     assert _fills_digest(fills) == _INRP_FILL_GOLDEN
+
+
+def _maxmin_churn_fills(monkeypatch, topo, seed, events):
+    """Every ``(demands, rates)`` of ``maxmin_fill`` over
+    :func:`_overload_churn` through ``IncrementalMaxMin``."""
+    fills = []
+    fill = _kernel.maxmin_fill
+
+    def capture(space, cols, row_lengths, demands):
+        rates = fill(space, cols, row_lengths, demands)
+        fills.append((np.array(demands), rates))
+        return rates
+
+    monkeypatch.setattr(_kernel, "maxmin_fill", capture)
+    alloc = IncrementalMaxMin(topo.directed_capacities())
+    _overload_churn(alloc, topo, "sp", seed, events)
+    monkeypatch.undo()
+    return fills
+
+
+#: sha256 of every SP fill below, each rate as ``float.hex``: pins the
+#: max-min fill bit for bit, as :data:`_INRP_FILL_GOLDEN` pins the
+#: INRP fill.  Re-record it only for a deliberate change of results.
+_SP_FILL_GOLDEN = (
+    "25f02f4b4e7119ca3910a5c7f0333a61716be2f8214b6b63e6336222195c81b8"
+)
+
+
+def test_maxmin_fill_bit_for_bit_golden(monkeypatch):
+    """``maxmin_fill`` outputs stay bit-identical over seeded SP
+    overload churn on exodus and a 16-node mesh.  The fills must freeze
+    rows on both events: at a finite demand, and below it at a
+    saturated link."""
+    mesh = mesh_topology(16, extra_links=14, seed=1, capacity=mbps(10))
+    fills = []
+    for topo, seed, events in (
+        (build_isp_topology("exodus", seed=0), 0, 200),
+        (mesh, 1, 200),
+    ):
+        fills += _maxmin_churn_fills(monkeypatch, topo, seed, events)
+    at_demand = saturated = 0
+    digest = hashlib.sha256()
+    for demands, rates in fills:
+        finite = (demands > 0) & np.isfinite(demands)
+        at_demand += int((finite & (rates == demands)).sum())
+        saturated += int((rates < demands).sum())
+        digest.update(repr([rate.hex() for rate in rates.tolist()]).encode())
+    assert (len(fills), at_demand, saturated) == (380, 1791, 6220)
+    assert digest.hexdigest() == _SP_FILL_GOLDEN
 
 
 def test_inrp_fill_caches_carry_no_results_across_fills(monkeypatch):
