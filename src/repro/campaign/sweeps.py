@@ -62,7 +62,7 @@ def scenario_snapshot_sweep(
     )
     result: Dict[str, Any] = {
         "isp": isp,
-        "strategy": snapshot.strategy,
+        "strategy": strategy,
         "detour_depth": routing.detour_depth,
         "num_flows": max(10, int(topo.num_nodes * flows_per_node)),
         "num_snapshots": num_snapshots,

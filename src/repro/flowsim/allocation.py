@@ -425,10 +425,13 @@ class IncrementalMaxMin(_IncrementalAllocator):
     """Max-min fair rates maintained incrementally under flow churn.
 
     A flow reaches its path links.  :meth:`recompute` re-runs
-    progressive filling (:func:`repro.flowsim.kernel.maxmin_fill`) on
-    the *dirty component closure alone*, leaving every other flow's
-    rate untouched.  On an event-driven simulation this turns the
-    per-event cost from O(all flows) into O(affected component).
+    progressive filling (:func:`repro.flowsim.kernel.maxmin_fill`, the
+    kernel's one round loop with no detour) on the *dirty component
+    closure alone*, leaving every other flow's rate untouched.  On an
+    event-driven simulation this turns the per-event cost from
+    O(all flows) into O(affected component).  It stays a class of its
+    own while the simulator's ``full=`` refill needs it and the
+    benchmark's tracer times ``kernel.maxmin_fill`` by name.
 
     The returned rates are those of :func:`max_min_allocation` from
     scratch (the test suite asserts equality on randomized churn

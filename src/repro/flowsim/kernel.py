@@ -1,63 +1,39 @@
-"""Vectorized CSR allocation kernel for progressive filling.
+"""Vectorized CSR allocation kernel: one progressive-filling loop.
 
-The incremental allocators of :mod:`repro.flowsim.allocation` made
-recomputes *incremental* (only the dirty component is re-filled), but
-each progressive-filling round inside that re-fill was still pure
-Python iteration over dicts and sets.  This module turns one filling
-round into a handful of numpy vector operations over a CSR-style
+The incremental allocators of :mod:`repro.flowsim.allocation` re-fill
+only the dirty component; this module makes each filling round inside
+that re-fill a handful of numpy vector operations over a CSR-style
 representation of the flow-link incidence:
 
 - :class:`LinkSpace` interns link ids into a stable column space with
   capacity and saturation-floor vectors;
 - :class:`IncidenceStore` maintains the flow -> link incidence as
   index arrays across add/remove churn: rows grow in place, removed
-  rows are tombstoned (never compacted eagerly), and the arrays are
-  compacted periodically once dead entries dominate — so the arrays
-  are *maintained*, not rebuilt per event;
-- :func:`maxmin_fill` runs exact progressive filling (the semantics of
-  :func:`repro.flowsim.allocation.max_min_allocation`) where each
-  round — find the bottleneck fair share, freeze saturated flows,
-  debit link headroom — is ``np.minimum``/``np.bincount``-style vector
-  arithmetic;
-- :func:`inrp_fill` runs the INRP fluid filling (the semantics of
-  :func:`repro.flowsim.multipath.inrp_allocation`): each round's
-  fair-share step and link debit are a few vector operations, every
-  unfrozen flow's total is one scalar level, and the flows a round
-  freezes or reroutes come from a demand-sorted cursor, a
-  column -> primary rows index and a scan of the flows on detours;
-  the reroute walk that follows costs work per affected flow, not
-  per column: option spares are Python ``min`` reads of the shared
-  residual vector, and splices come from a memo that outlives the
-  fill.
+  rows are tombstoned, and the arrays are compacted periodically once
+  dead entries dominate — *maintained*, not rebuilt per event;
+- one round loop fills both sharing models.  All unfrozen flows grow
+  at one scalar level; a round takes the next demand or saturation
+  event, debits every carrying column, freezes satisfied flows and
+  reroutes or freezes the flows crossing a saturated column.
+  :func:`inrp_fill` (the semantics of
+  :func:`repro.flowsim.multipath.inrp_allocation`) runs it over the
+  global column space with detours; :func:`maxmin_fill` (the
+  semantics of :func:`repro.flowsim.allocation.max_min_allocation`)
+  is the same loop with no detour table and a replacement budget of
+  0, over the component's compressed columns.  Max-min is INRP's
+  zero-pooling end, not a second algorithm.
 
-The two fills pick different column layouts.  :func:`maxmin_fill`
-*compresses columns*: its working vectors cover only the links the
-component actually touches, so a component of 30 flows on a 2000-link
-map pays for ~100 columns per round.  :func:`inrp_fill` works
-*full-width* over the global column space instead: per-round vector
-ops over a few thousand columns cost about the same as over a few
-hundred, and global column ids make the per-``(u, v)`` detour options
-and the per-path column entries, splice memo included, *persistent
-across fills* (built once per topology and cached by the allocator),
-which removes the per-fill rebuild work that dominated the
-reroute-heavy INRP profile.
-
-Exactness is the contract: both fills perform the *same float
-arithmetic in the same order per link and per flow* as their scalar
-counterparts (level and residual accumulate identical step sequences),
-so the results agree bit-for-bit except in degenerate tie-tolerance
-corner cases, and the randomized churn tests plus ``verify=True``
-cross-checks hold them to <= 1e-9 of the scratch solvers.  The
-scalar level both round loops keep loses no bits: every unfrozen
-row's total is the same left fold of the same round steps, and the
-cursor and column index pick exactly the rows a full comparison over
-every row would.
+Exactness is the contract: the loop performs the *same float
+arithmetic in the same order per link and per flow* as the scalar
+solvers, so results agree bit-for-bit except in degenerate
+tie-tolerance corner cases; the randomized churn tests and
+``verify=True`` hold them to <= 1e-9 of the scratch solvers, and two
+sha256 goldens pin both fills bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import (
     AbstractSet,
@@ -370,329 +346,85 @@ class IncidenceStore:
             )
 
 
-
-def _maxmin_rounds(
-    active_left,
-    active_flag,
-    order,
-    num_ordered,
-    demands_list,
-    rates,
-    starts_list,
-    lengths_list,
-    counts,
-    residual,
-    steps,
-    sat_mask,
-    scratch,
-    lcols,
-    entry_row,
-    width,
-):
-    """The round loop of :func:`maxmin_fill` (split out so the
-    caller can scope the errstate suppression around it)."""
-    cursor = 0
-    # Column-to-crossing-rows index, built lazily on first saturation:
-    # rows of each column's entries, contiguous per column.  A row's
-    # liveness is read off ``active_flag`` directly, so no per-entry
-    # state needs maintaining when rows freeze.
-    col_rows = None
-    col_bounds = None
-    level = 0.0
-    # Conservative lower bound on the current saturation step.  After a
-    # round of size ``step`` every carrying column's headroom shrinks by
-    # at most ``step`` (freezes only raise it), so the bound decays by
-    # ``step`` plus a slack dwarfing float rounding yet far below the
-    # freeze tolerance.  While the bound exceeds the demand step the
-    # exact divide+min is provably a no-op and is skipped; whenever the
-    # bound cannot rule saturation out, the exact computation runs, so
-    # every freeze decision is bit-identical to the always-exact form.
-    sat_bound = -math.inf
-    # Bound ufunc machinery once; the loop body is dispatch-bound.
-    # Dividing the full width keeps the loop free of where= masking:
-    # dead columns come out as inf (headroom left) or nan (0/0), both
-    # invisible to fmin's reduction and to the <= saturation test, so
-    # carrying columns see bit-identical values either way.
-    np_divide = np.divide
-    np_less_equal = np.less_equal
-    np_multiply = np.multiply
-    np_subtract = np.subtract
-    fmin_reduce = np.fmin.reduce
-    while active_left:
-        while not active_flag[order[cursor]]:
-            cursor += 1
-        demand_step = demands_list[order[cursor]] - level
-        if sat_bound > demand_step + _EPS * (1.0 + abs(demand_step)):
-            saturation_step = math.inf
-        else:
-            np_divide(residual, counts, out=steps)
-            saturation_step = float(fmin_reduce(steps))
-            sat_bound = saturation_step
-        step = min(demand_step, saturation_step)
-        if step < -_EPS * (1.0 + abs(level)):
-            raise SimulationError("negative fill step; inconsistent state")
-        step = max(step, 0.0)
-        level += step
-        np_multiply(counts, step, out=scratch)
-        np_subtract(residual, scratch, out=residual)
-        if sat_bound != math.inf:  # +inf means no carrying column, ever
-            sat_bound = (sat_bound - step) - _EPS * (
-                abs(sat_bound) + step + 1.0
-            )
-        tol = _EPS * (1.0 + abs(level))
-        newly: List[int] = []
-        while cursor < num_ordered:
-            row = order[cursor]
-            if not active_flag[row]:
-                cursor += 1
-                continue
-            if demands_list[row] - level <= tol:
-                newly.append(row)
-                active_flag[row] = False
-                cursor += 1
-            else:
-                break
-        if (
-            not math.isinf(saturation_step)
-            and saturation_step
-            <= demand_step + _EPS * (1.0 + abs(demand_step))
-        ):
-            # The division runs full-width, so dead columns hold inf
-            # (headroom left, or zero carriers) or nan (0/0) — both
-            # fail this <= test, and carrying columns see the same
-            # values a masked divide would give them.
-            np_less_equal(
-                steps,
-                saturation_step + _EPS * (1.0 + abs(saturation_step)),
-                out=sat_mask,
-            )
-            sat_local = sat_mask.nonzero()[0]
-            residual[sat_local] = 0.0
-            if col_rows is None:
-                col_rows = entry_row[np.argsort(lcols, kind="stable")]
-                col_bounds = [
-                    0,
-                    *accumulate(np.bincount(lcols, minlength=width).tolist()),
-                ]
-            for col in sat_local.tolist():
-                for row in col_rows[
-                    col_bounds[col] : col_bounds[col + 1]
-                ].tolist():
-                    if active_flag[row]:
-                        newly.append(row)
-                        active_flag[row] = False
-        if not newly:
-            raise SimulationError("progressive filling made no progress")
-        if len(newly) == 1:
-            row = newly[0]
-            demand = demands_list[row]
-            rates[row] = level if level < demand else demand
-            lo = starts_list[row]
-            dead = lcols[lo : lo + lengths_list[row]]
-        else:
-            segments = []
-            for row in newly:
-                demand = demands_list[row]
-                rates[row] = level if level < demand else demand
-                lo = starts_list[row]
-                segments.append(lcols[lo : lo + lengths_list[row]])
-            dead = np.concatenate(segments)
-        np.subtract(
-            counts,
-            np.bincount(dead, minlength=width),
-            out=counts,
-        )
-        active_left -= len(newly)
-    return np.asarray(rates, dtype=np.float64)
-
-
-
-def maxmin_fill(
-    space: LinkSpace,
+def _fill(
+    residual: np.ndarray,
+    floors: np.ndarray,
     cols: np.ndarray,
     row_lengths: np.ndarray,
     demands: np.ndarray,
-) -> np.ndarray:
-    """Exact progressive filling, one vector round per freeze event.
-
-    Semantics of :func:`repro.flowsim.allocation.max_min_allocation`
-    over the rows described by ``(cols, row_lengths, demands)``: all
-    unfrozen rows grow at one common level; each round takes the next
-    demand or saturation event, debits every carrying link by
-    ``step * carriers``, freezes satisfied rows and every row crossing
-    a saturating link.  Returns the per-row rate vector.
-
-    Columns are compressed to the links actually present in ``cols``,
-    so per-round cost scales with the component, not the topology.
-    Demand events come from a sorted cursor and freezes are applied
-    row-by-row, so a round costs O(width) plus work proportional to
-    what actually froze — not O(rows + nnz) like a full-mask sweep.
-    Every floating-point expression matches the mask-sweep form
-    operation for operation, so the returned rates are bit-identical.
-    """
-    # Per-row state lives in Python lists: the round loop reads it one
-    # row at a time, and building it costs no per-call numpy dispatch.
-    demands_list = np.asarray(demands, dtype=np.float64).tolist()
-    lengths_list = np.asarray(row_lengths, dtype=np.int64).tolist()
-    active_flag = [
-        length > 0 and demand > _EPS
-        for length, demand in zip(lengths_list, demands_list)
-    ]
-    rates = [
-        0.0 if active else demand
-        for active, demand in zip(active_flag, demands_list)
-    ]
-    # Demand events in sorted order: min over active demands is a
-    # cursor walk, and (subtraction being monotone) the frozen prefix
-    # is exactly the rows the full-mask comparison would freeze.
-    order = sorted(
-        [row for row, active in enumerate(active_flag) if active],
-        key=demands_list.__getitem__,
-    )
-    num_ordered = len(order)
-    if not num_ordered:
-        return np.asarray(rates, dtype=np.float64)
-    # Local column space: only the component's links.
-    unique_cols, lcols = space.compress(np.asarray(cols))
-    width = len(unique_cols)
-    entry_row = np.repeat(
-        np.arange(len(lengths_list), dtype=np.int64), row_lengths
-    )
-    counts = np.bincount(
-        lcols[np.array(active_flag)[entry_row]], minlength=width
-    ).astype(np.float64)
-    residual = space.capacity[unique_cols]
-    steps = np.empty(width, dtype=np.float64)
-    sat_mask = np.empty(width, dtype=bool)
-    scratch = np.empty(width, dtype=np.float64)
-    starts_list = [0, *accumulate(lengths_list)]
-    # Full-width division inside the round loop leaves inf (headroom,
-    # zero carriers) or nan (0/0 on a drained column) in dead slots;
-    # suppress just those warnings around the loop.
-    err_state = np.errstate(divide="ignore", invalid="ignore")
-    err_state.__enter__()
-    try:
-        return _maxmin_rounds(
-            num_ordered,
-            active_flag,
-            order,
-            num_ordered,
-            demands_list,
-            rates,
-            starts_list,
-            lengths_list,
-            counts,
-            residual,
-            steps,
-            sat_mask,
-            scratch,
-            lcols,
-            entry_row,
-            width,
-        )
-    finally:
-        err_state.__exit__(None, None, None)
-
-
-def inrp_fill(
-    space: LinkSpace,
-    flow_ids: Sequence[FlowId],
-    paths: Sequence[Path],
-    cols: np.ndarray,
-    row_lengths: np.ndarray,
-    demands: np.ndarray,
-    detour_table: DetourTable,
-    max_replacements: int = 2,
+    paths: Sequence[Path] = (),
+    index: Optional[Mapping[LinkId, int]] = None,
+    detour_table: Optional[DetourTable] = None,
+    max_replacements: int = 0,
     option_cache: Optional[Dict] = None,
     path_cols_cache: Optional[Dict] = None,
-) -> MultipathAllocation:
-    """INRP fluid allocation, one scalar level per filling round.
+):
+    """The progressive-filling round loop both entries run.
 
-    Semantics of :func:`repro.flowsim.multipath.inrp_allocation` over
-    the flows given *in arrival order*: every unfrozen flow grows its
-    active sub-path at the common level; a saturation event reroutes
-    the affected flows (oldest first) through the scalar detour-splice
-    logic reading the shared residual vector; only flows with no
-    usable detour freeze.
+    The column space is the caller's: *residual* (consumed) and
+    *floors* are per-column capacity and saturation floor, *cols* the
+    rows' concatenated column ids in it, and *index* maps a link to its
+    column for the detour walk.  Row ``flow`` is flow ``flow``'s
+    primary path; detour rows appended during the fill get ids from
+    ``len(row_lengths)`` up.  *paths*, *index*, *detour_table* and the
+    two caches are read only by a walk, and none runs while
+    *max_replacements* is 0.
 
-    As in :func:`maxmin_fill`, per-flow state lives in Python lists
-    and a round does full-width vector work only for its head (step
-    and debit) and its saturation test.  All unfrozen flows share one
-    scalar ``level``, which is each one's total bit for bit; demand
-    freezes come from a demand-sorted cursor.  The flows crossing a
-    saturated column come from a bisected argsort of the primary
-    entries and, for flows on a detour, from one set-disjointness test
-    of the active detour row's columns.  A row's carried rate is
-    settled when it retires: ``level`` for a primary row, the left
-    fold of the steps it lived through for a detour row -- bit for bit
-    the sum a per-round ``carried += step`` builds.
-
-    The working vectors span the full column space (one slot per
-    topology link): a per-round numpy pass over a few thousand floats
-    costs about as much as one over a hundred, and global columns make
-    the per-(u, v) detour options and the per-path column entries
-    *persistent across fills* — the caches are built once per
-    topology, not once per recompute.
-
-    ``option_cache`` memoizes the per-(u, v) detour options and
-    ``path_cols_cache`` the per-path column entries with their splice
-    memo, across fills — pass persistent dicts when calling repeatedly
-    over one topology.  Neither holds per-fill state, so a fill gives
-    the same result with shared or fresh dicts.
+    Returns ``(rates, reasons, switches, carried, detour_rows,
+    detour_paths)``: per flow its rate (``level`` at its freeze, or its
+    demand when it never grew), freeze reason and detour switches; per
+    row its carried rate; per flow its detour rows; per detour row
+    (index ``row - len(row_lengths)``) its path.
     """
-    num_flows = len(flow_ids)
-    demands = np.asarray(demands, dtype=np.float64)
-    row_lengths = np.asarray(row_lengths, dtype=np.int64)
-    if num_flows and bool((demands < 0).any()):
-        bad = int(np.argmax(demands < 0))
-        raise SimulationError(f"flow {flow_ids[bad]!r} has negative demand")
-    if option_cache is None:
-        option_cache = {}
-    if path_cols_cache is None:
-        path_cols_cache = {}
-    index = space.index
-    num_links = space.num_links
-    floors = space.floor  # read-only view, never mutated
-
-    residual = space.capacity.copy()
-
-    # --- Per-flow state in Python lists (arrival order == row order).
-    # Row ``flow`` is the flow's primary path; detour rows appended
-    # during the fill get ids from ``num_flows`` up.
+    num_flows = len(row_lengths)
+    width = len(residual)
+    # --- Per-row state in Python lists: the round loop reads it one row
+    # at a time, and building it costs no per-call numpy dispatch.
     demands_list: List[float] = demands.tolist()
     lengths_list: List[int] = row_lengths.tolist()
     unfrozen = [
         length > 0 and demand > _EPS
         for length, demand in zip(lengths_list, demands_list)
     ]
-    # Pre-frozen flows: no path -> rate = demand, else rate 0.0.
+    # A flow with no path or a demand within _EPS of 0 never grows: it
+    # gets its demand.
     rates = [
-        0.0 if length else demand
-        for length, demand in zip(lengths_list, demands_list)
+        0.0 if active else demand
+        for active, demand in zip(unfrozen, demands_list)
     ]
     reasons = ["" if active else "demand" for active in unfrozen]
     active_row = [
         flow if active else -1 for flow, active in enumerate(unfrozen)
     ]
+    # Demand events in sorted order: the smallest unfrozen demand is a
+    # cursor walk, ``min(d_i - level) == min(d_i) - level`` (float
+    # subtraction is monotone), and for the same reason the satisfied
+    # flows of a round are a prefix of the order.
+    order = sorted(
+        [flow for flow, active in enumerate(unfrozen) if active],
+        key=demands_list.__getitem__,
+    )
+    num_ordered = len(order)
     switches = [0] * num_flows
-    max_switches = MAX_SWITCHES_PER_FLOW
-    p_cols = np.asarray(cols, dtype=np.int64)
+    carried: List[float] = [0.0] * num_flows
+    detour_rows: Dict[int, List[int]] = {}
+    detour_paths: List[Path] = []
+    if not num_ordered:
+        return rates, reasons, switches, carried, detour_rows, detour_paths
     p_starts = [0, *accumulate(lengths_list)]
     counts = np.bincount(
-        p_cols,
+        cols,
         weights=np.repeat(np.array(unfrozen, dtype=np.float64), row_lengths),
-        minlength=num_links,
+        minlength=width,
     )
-    sub_path: List[Path] = list(paths)
     sub_repl: List[int] = [0] * num_flows
-    carried: List[float] = [0.0] * num_flows
     # Per detour row (index ``row - num_flows``): ``(column array,
     # round it was born in)``.
     detours: List[Tuple[np.ndarray, int]] = []
-    detour_rows: Dict[int, List[int]] = {}
     # Flow -> column list of its active detour row, for the saturation
     # scan; a flow still on its primary row is not in it.
     on_detour: Dict[int, List[int]] = {}
+    active_left = num_ordered
 
     # Every unfrozen flow's total; a frozen flow's rate is ``level`` at
     # its freeze.
@@ -715,35 +447,35 @@ def inrp_fill(
             # A primary row grew from round 1: its carried sum is the
             # level's own sum.
             carried[row] = level
-            dead.append(p_cols[p_starts[row] : p_starts[row + 1]])
+            dead.append(cols[p_starts[row] : p_starts[row + 1]])
             return
         # A detour row grew from the round after its birth.  Fold its
         # steps left to right, as a per-round ``+= step`` would have:
         # ``sum()`` (compensated on Python >= 3.12) or a difference of
         # levels would round differently.
-        lcols, birth = detours[row - num_flows]
+        row_cols, birth = detours[row - num_flows]
         total = 0.0
         for step in round_steps[birth:]:
             total += step
         carried[row] = total
-        dead.append(lcols)
+        dead.append(row_cols)
 
-    def _append_row(
-        flow: int,
-        path: Path,
-        path_cols: Tuple[np.ndarray, List[int], Dict],
-        replacements: int,
-    ) -> int:
-        row = len(sub_path)
-        lcols = path_cols[0]
-        sub_path.append(path)
-        sub_repl.append(replacements)
-        carried.append(0.0)
-        detours.append((lcols, guard))
-        born.append(lcols)
-        detour_rows.setdefault(flow, []).append(row)
-        on_detour[flow] = path_cols[1]
-        return row
+    def _freeze(flows: List[int], reason: str) -> None:
+        """Freeze *flows* at the current level."""
+        nonlocal active_left
+        active_left -= len(flows)
+        for flow in flows:
+            row = active_row[flow]
+            if row == flow:  # ``_retire`` of a primary row, inline
+                carried[row] = level
+                dead.append(cols[p_starts[row] : p_starts[row + 1]])
+            else:
+                _retire(row)
+                del on_detour[flow]
+            active_row[flow] = -1
+            unfrozen[flow] = False
+            reasons[flow] = reason
+            rates[flow] = level
 
     def _option_state(u, v) -> List[Tuple]:
         """Persistent per-(u, v) detour options, built once per
@@ -764,24 +496,16 @@ def inrp_fill(
 
     # Per (u, v): ``(round, live entries, their spares, winner, winner
     # interior)``, refreshed at the first query of each saturation
-    # round.  Residual capacity never changes *within* a saturation
-    # round (splices and freezes defer their bookkeeping to the
-    # end-of-round flush), so the spares are round-constant: every
-    # affected flow hitting the same saturated link reads the same
-    # ones.  Across rounds residual only *decreases* (growth debits,
-    # saturation pins to zero, switches never credit back), so an
-    # option at or below its floor is dead for the rest of the fill
-    # and each refresh reads only the options the last one kept.
-    # A (u, v) has a few options of a few links each, so a spare is a
-    # Python ``min`` over ``residual.item`` reads: the same float64
-    # values a numpy reduction would compare, at no dispatch cost.
-    # The cached winner is the *unconstrained* winner of the scalar
-    # running-max loop.  If its interior nodes are disjoint from a
-    # caller's exclusion set it is also the constrained winner —
-    # excluding non-winning options can only lower the running max,
-    # and ``x + _EPS*(1+|x|)`` is monotone, so every acceptance that
-    # happened without exclusions still happens with them — which
-    # makes the common case O(1).
+    # round.  Residual never changes within a round (freezes and
+    # splices defer their bookkeeping), so the spares are
+    # round-constant; across rounds it only falls, so an option at or
+    # below its floor is dead for the rest of the fill.  A spare is a
+    # Python ``min`` over ``residual.item`` reads: the float64 values a
+    # numpy reduction would compare, at no dispatch cost.  The cached
+    # winner is the *unconstrained* winner of the scalar running-max
+    # loop; when its interior misses the caller's exclusion set it is
+    # also the constrained one (excluding losers can only lower the
+    # running max, and the tie tolerance is monotone).
     fill_options: Dict[Tuple[Hashable, Hashable], Tuple] = {}
     residual_item = residual.item
 
@@ -822,16 +546,12 @@ def inrp_fill(
         return best
 
     def _path_cols(path: Path) -> Tuple[np.ndarray, List[int], Dict]:
-        """Persistent per-(sub-)path entry ``(array, list, splices)``,
-        built once per topology and shared across flows with the same
-        route.  The column array feeds the incidence append; the plain
-        column list feeds the walk's saturation scan and the on-detour
-        scan (paths are ~a handful of links, where a Python
-        set-membership scan beats numpy dispatch).  *splices* memoizes
-        the walk's splices off this path: ``(position, option) ->
-        (spliced path, its entry)``, or ``(None, None)`` when the
-        splice would revisit a node.  ``splice_detour`` is pure, so a
-        memoized splice is the one the walk would compute."""
+        """Persistent per-(sub-)path entry ``(array, list, splices)``:
+        columns as an array for the carrier counts and as a list for
+        the walk's and the on-detour scans, and a memo of the pure
+        ``splice_detour`` off this path, ``(position, option) ->
+        (spliced path, its entry)`` or ``(None, None)`` when the
+        splice would revisit a node."""
         pc = path_cols_cache.get(path)
         if pc is None:
             links = cached_path_links(path)
@@ -844,22 +564,25 @@ def inrp_fill(
             path_cols_cache[path] = pc
         return pc
 
-    # The walk reads the saturated-column set of the current round
-    # (rebuilt in the saturation block).
-    sat_cols: AbstractSet[int] = frozenset()
+    # The walk reads the saturated-column set of the current round,
+    # built by the round's first walk (residual does not change within
+    # a round).
+    sat_cols: Optional[AbstractSet[int]] = None
 
-    def _reroute(flow: int) -> bool:
+    def _reroute(flow: int, row: int) -> bool:
         """Move the flow's growth off saturated links by splicing
         detours until nothing on its path is saturated; False = the
-        flow must freeze."""
-        row = active_row[flow]
+        flow must freeze.  The caller has checked that *replacements*
+        is within budget: every affected flow crosses a column zeroed
+        this round, which lies in ``sat_cols``, so an exhausted walk
+        would stop at its first budget test."""
+        nonlocal sat_cols
         replacements = sub_repl[row]
-        if replacements >= max_replacements:
-            # Every affected flow crosses a column zeroed this round,
-            # which lies in ``sat_cols``: the walk below would stop at
-            # its first budget test.
-            return False
-        path = candidate = sub_path[row]
+        if sat_cols is None:
+            sat_cols = set((residual <= floors).nonzero()[0].tolist())
+        path = candidate = (
+            paths[row] if row < num_flows else detour_paths[row - num_flows]
+        )
         candidate_cols = _path_cols(candidate)
         while True:
             position = -1
@@ -896,42 +619,42 @@ def inrp_fill(
             # A cheap guard against appending a copy of the active row.
             return True
         _retire(row)
-        active_row[flow] = _append_row(
-            flow, candidate, candidate_cols, replacements
-        )
+        new_row = num_flows + len(detours)
+        detours.append((candidate_cols[0], guard))
+        detour_paths.append(candidate)
+        sub_repl.append(replacements)
+        carried.append(0.0)
+        born.append(candidate_cols[0])
+        detour_rows.setdefault(flow, []).append(new_row)
+        on_detour[flow] = candidate_cols[1]
+        active_row[flow] = new_row
         switches[flow] += 1
         return True
 
-    def _freeze(flow: int, reason: str) -> None:
-        nonlocal active_left
-        active_left -= 1
-        _retire(active_row[flow])
-        active_row[flow] = -1
-        on_detour.pop(flow, None)
-        unfrozen[flow] = False
-        reasons[flow] = reason
-        rates[flow] = level
-
-    # Demand events in sorted order: the smallest unfrozen demand is a
-    # cursor walk, ``min(d_i - level) == min(d_i) - level`` (float
-    # subtraction is monotone), and for the same reason the satisfied
-    # flows of a round are a prefix of the order.
-    order = sorted(
-        [flow for flow, active in enumerate(unfrozen) if active],
-        key=demands_list.__getitem__,
-    )
-    num_ordered = len(order)
-    active_left = num_ordered
     cursor = 0
-    # Column -> primary rows index, built at the first saturation:
-    # the rows of every primary entry sorted by column, bisected.
-    col_sorted: Optional[List[int]] = None
-    col_rows: List[int] = []
-    steps = np.empty(num_links, dtype=np.float64)
-    sat_mask = np.empty(num_links, dtype=bool)
-    scratch = np.empty(num_links, dtype=np.float64)
+    # Column -> primary rows index, built at the first saturation from
+    # one sort of the primary entries: the rows crossing column ``col``
+    # are ``col_rows[col_bounds[p]:col_bounds[p + 1]]`` with ``p =
+    # col_position[col]``.  The dict holds only the columns present,
+    # so the index costs work per entry, not per column of the space.
+    col_rows: Optional[np.ndarray] = None
+    col_bounds: List[int] = []
+    col_position: Dict[int, int] = {}
+    steps = np.empty(width, dtype=np.float64)
+    sat_mask = np.empty(width, dtype=bool)
+    scratch = np.empty(width, dtype=np.float64)
     guard = 0
-    max_iterations = 16 * (num_flows + num_links) + 64
+    max_iterations = 16 * (num_flows + width) + 64
+    # Conservative lower bound on the current saturation step.  A round
+    # of size ``step`` shrinks every carrying column's headroom by at
+    # most ``step`` (freezes and switches only raise it), so the bound
+    # decays by ``step`` plus a slack dwarfing float rounding yet far
+    # below the freeze tolerance; a detour row born on a column lowers
+    # its headroom at once, so a round that births one drops the
+    # bound.  While the bound exceeds the demand step, the exact
+    # divide+min is provably a no-op and is skipped, so every freeze
+    # decision is bit-identical to the always-exact form.
+    sat_bound = -math.inf
     # The round head divides full width without ``where=``: a column
     # no row carries yields inf (headroom left) or nan (0/0), both
     # invisible to fmin's reduction and to the <= saturation test, so
@@ -939,39 +662,54 @@ def inrp_fill(
     # occur: an unflagged carrying column keeps ``residual > 0`` (its
     # step exceeds the round's by the relative tolerance) and flagged
     # ones are zeroed.
-    err_state = np.errstate(divide="ignore", invalid="ignore")
-    err_state.__enter__()
-    try:
+    with np.errstate(divide="ignore", invalid="ignore"):
         while active_left:
             guard += 1
             if guard > max_iterations:
-                raise SimulationError("INRP allocation did not converge")
+                raise SimulationError("progressive filling did not converge")
             while not unfrozen[order[cursor]]:
                 cursor += 1
             demand_step = demands_list[order[cursor]] - level
-            np.divide(residual, counts, out=steps)
-            saturation_step = float(np.fmin.reduce(steps))
-            step = max(0.0, min(demand_step, saturation_step))
+            if sat_bound > demand_step + _EPS * (1.0 + abs(demand_step)):
+                saturation_step = math.inf
+            else:
+                np.divide(residual, counts, out=steps)
+                saturation_step = float(np.fmin.reduce(steps))
+                sat_bound = saturation_step
+            step = min(demand_step, saturation_step)
+            if step < -_EPS * (1.0 + abs(level)):
+                raise SimulationError("negative fill step; inconsistent state")
+            step = max(step, 0.0)
             np.multiply(counts, step, out=scratch)
             np.subtract(residual, scratch, out=residual)
             level += step
             round_steps.append(step)
+            if sat_bound != math.inf:  # +inf: no carrying column yet
+                sat_bound = (sat_bound - step) - _EPS * (
+                    abs(sat_bound) + step + 1.0
+                )
 
             # Demand events.
-            progressed = False
             tol = _EPS * (1.0 + abs(level))
+            frozen = []
             while cursor < num_ordered:
                 flow = order[cursor]
                 if unfrozen[flow]:
                     if demands_list[flow] - level > tol:
                         break
-                    _freeze(flow, "demand")
-                    progressed = True
+                    frozen.append(flow)
                 cursor += 1
+            progressed = bool(frozen)
+            if frozen:
+                _freeze(frozen, "demand")
 
-            # Saturation events: reroute or freeze affected flows.
-            if not math.isinf(saturation_step) and saturation_step <= (
-                demand_step + _EPS * (1.0 + abs(demand_step))
+            # Saturation events: reroute or freeze affected flows.  Once
+            # every flow froze on demand, none is left to affect.
+            if (
+                active_left
+                and not math.isinf(saturation_step)
+                and saturation_step
+                <= demand_step + _EPS * (1.0 + abs(demand_step))
             ):
                 np.less_equal(
                     steps,
@@ -979,57 +717,160 @@ def inrp_fill(
                     out=sat_mask,
                 )
                 sat_now = sat_mask.nonzero()[0]
-                if len(sat_now):
-                    progressed = True
-                    residual[sat_now] = 0.0
-                    sat_cols = set((residual <= floors).nonzero()[0].tolist())
-                    if col_sorted is None:
-                        by_col = np.argsort(p_cols, kind="stable")
-                        col_sorted = p_cols[by_col].tolist()
-                        col_rows = np.repeat(
-                            np.arange(num_flows, dtype=np.int64), row_lengths
-                        )[by_col].tolist()
-                    # A primary row counts while it is its unfrozen
-                    # flow's active row (freezing resets
-                    # ``active_row``, a switch moves the flow into
-                    # ``on_detour``).
-                    sat_list = sat_now.tolist()
-                    affected = set()
-                    for col in sat_list:
-                        for row in col_rows[
-                            bisect_left(col_sorted, col) : bisect_right(
-                                col_sorted, col
-                            )
-                        ]:
-                            if active_row[row] == row:
-                                affected.add(row)
-                    if on_detour:
-                        sat_set = set(sat_list)
-                        for flow, detour_cols in on_detour.items():
-                            if not sat_set.isdisjoint(detour_cols):
-                                affected.add(flow)
-                    # Ascending flow ids are arrival order: older flows
-                    # reroute first (the id-type invariant).
-                    for flow in sorted(affected):
-                        if switches[flow] >= max_switches or not _reroute(flow):
-                            _freeze(flow, "no-detour")
-            if dead:
+                residual[sat_now] = 0.0
+                progressed = True
+                sat_cols = None
+                if col_rows is None:
+                    # Row order within a column is free: a flow's turn
+                    # comes from ``sorted(affected)``.
+                    by_col = np.argsort(cols)
+                    col_sorted = cols[by_col]
+                    cuts = np.flatnonzero(col_sorted[1:] != col_sorted[:-1])
+                    cuts += 1
+                    col_bounds = [0, *cuts.tolist(), len(cols)]
+                    col_position = dict(
+                        zip(
+                            col_sorted[col_bounds[:-1]].tolist(),
+                            range(len(col_bounds)),
+                        )
+                    )
+                    col_rows = np.repeat(
+                        np.arange(num_flows, dtype=np.int64), row_lengths
+                    )[by_col]
+                # A primary row counts while it is its unfrozen flow's
+                # active row (freezing resets ``active_row``, a switch
+                # moves the flow into ``on_detour``).
+                sat_list = sat_now.tolist()
+                affected = set()
+                for col in sat_list:
+                    position = col_position.get(col)
+                    if position is None:
+                        continue
+                    for row in col_rows[
+                        col_bounds[position] : col_bounds[position + 1]
+                    ].tolist():
+                        if active_row[row] == row:
+                            affected.add(row)
+                if on_detour:
+                    sat_set = set(sat_list)
+                    for flow, detour_cols in on_detour.items():
+                        if not sat_set.isdisjoint(detour_cols):
+                            affected.add(flow)
+                # Ascending flow ids are arrival order: older flows
+                # reroute first (the id-type invariant).  A flow with
+                # no replacement or switch left freezes unwalked.
+                frozen = []
+                for flow in sorted(affected):
+                    row = active_row[flow]
+                    if (
+                        sub_repl[row] >= max_replacements
+                        or switches[flow] >= MAX_SWITCHES_PER_FLOW
+                        or not _reroute(flow, row)
+                    ):
+                        frozen.append(flow)
+                if frozen:
+                    _freeze(frozen, "no-detour")
+                if born:
+                    sat_bound = -math.inf
+                    np.add.at(counts, _joined(born), 1.0)
+                    born.clear()
+            if not progressed:
+                raise SimulationError("progressive filling made no progress")
+            if dead and active_left:
                 np.subtract.at(counts, _joined(dead), 1.0)
                 dead.clear()
-            if born:
-                np.add.at(counts, _joined(born), 1.0)
-                born.clear()
-            if not progressed:
-                raise SimulationError("INRP allocation made no progress")
-    finally:
-        err_state.__exit__(None, None, None)
+    return rates, reasons, switches, carried, detour_rows, detour_paths
 
+
+def maxmin_fill(
+    space: LinkSpace,
+    cols: np.ndarray,
+    row_lengths: np.ndarray,
+    demands: np.ndarray,
+) -> np.ndarray:
+    """Exact progressive filling: the INRP fill with no detour.
+
+    Semantics of :func:`repro.flowsim.allocation.max_min_allocation`
+    over the rows described by ``(cols, row_lengths, demands)``: all
+    unfrozen rows grow at one common level; each round takes the next
+    demand or saturation event, debits every carrying link by
+    ``step * carriers``, freezes satisfied rows and every row crossing
+    a saturating link.  Returns the per-row rate vector, each rate
+    capped at its demand.
+
+    Columns are compressed to the links actually present in ``cols``,
+    so per-round cost scales with the component, not the topology.
+    """
+    demands = np.asarray(demands, dtype=np.float64)
+    unique, local = space.compress(np.asarray(cols, dtype=np.int64))
+    rates = _fill(
+        space.capacity[unique],
+        space.floor[unique],
+        local,
+        np.asarray(row_lengths, dtype=np.int64),
+        demands,
+    )[0]
+    return np.minimum(rates, demands)
+
+
+def inrp_fill(
+    space: LinkSpace,
+    flow_ids: Sequence[FlowId],
+    paths: Sequence[Path],
+    cols: np.ndarray,
+    row_lengths: np.ndarray,
+    demands: np.ndarray,
+    detour_table: DetourTable,
+    max_replacements: int = 2,
+    option_cache: Optional[Dict] = None,
+    path_cols_cache: Optional[Dict] = None,
+) -> MultipathAllocation:
+    """INRP fluid allocation, one scalar level per filling round.
+
+    Semantics of :func:`repro.flowsim.multipath.inrp_allocation` over
+    the flows given *in arrival order*: every unfrozen flow grows its
+    active sub-path at the common level; a saturation event reroutes
+    the affected flows (oldest first) through the scalar detour-splice
+    logic reading the shared residual vector; only flows with no
+    usable detour freeze.
+
+    The working vectors span the full column space (one slot per
+    topology link): a per-round numpy pass over a few thousand floats
+    costs about as much as one over a hundred, and global columns make
+    the per-(u, v) detour options and the per-path column entries
+    *persistent across fills* — the caches are built once per
+    topology, not once per recompute.
+
+    ``option_cache`` memoizes the per-(u, v) detour options and
+    ``path_cols_cache`` the per-path column entries with their splice
+    memo, across fills — pass persistent dicts when calling repeatedly
+    over one topology.  Neither holds per-fill state, so a fill gives
+    the same result with shared or fresh dicts.
+    """
+    demands = np.asarray(demands, dtype=np.float64)
+    if len(flow_ids) and bool((demands < 0).any()):
+        bad = int(np.argmax(demands < 0))
+        raise SimulationError(f"flow {flow_ids[bad]!r} has negative demand")
+    num_flows = len(flow_ids)
+    rates, reasons, switches, carried, detour_rows, detour_paths = _fill(
+        space.capacity.copy(),
+        space.floor,
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(row_lengths, dtype=np.int64),
+        demands,
+        paths,
+        space.index,
+        detour_table,
+        max_replacements,
+        {} if option_cache is None else option_cache,
+        {} if path_cols_cache is None else path_cols_cache,
+    )
     splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
     for flow in range(num_flows):
-        parts = [(sub_path[flow], carried[flow])]
+        parts = [(paths[flow], carried[flow])]
         for row in detour_rows.get(flow, ()):
             if carried[row] > _EPS:
-                parts.append((sub_path[row], carried[row]))
+                parts.append((detour_paths[row - num_flows], carried[row]))
         splits[flow_ids[flow]] = parts
     return MultipathAllocation(
         rates=dict(zip(flow_ids, rates)),

@@ -176,9 +176,11 @@ def inrp_allocation(
             raise SimulationError(f"flow {flow_id!r} has negative demand")
         state = _FlowState(demand=demand, subpaths=[_SubPath(tuple(path))])
         if len(path) < 2 or demand <= _EPS:
+            # No path, or a demand within _EPS of 0: it never grows and
+            # gets its demand, as under max-min.
             state.frozen = True
             state.active = None
-            state.total = demand if len(path) < 2 else 0.0
+            state.total = demand
             state.freeze_reason = "demand"
         flows[flow_id] = state
         if not state.frozen:

@@ -71,3 +71,18 @@ def test_table1_scenario_runs_single_isp():
     assert len(result["rows"]) == 1
     assert result["rows"][0]["isp"] == "vsnl"
     assert result["max_error"] < 0.5
+
+
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("snapshot-sweep", {"isp": "vsnl", "num_snapshots": 1}),
+        ("load-sweep-large", {"isp": "vsnl", "num_flows": 20, "max_hops": 2}),
+    ],
+)
+@pytest.mark.parametrize("strategy", ["sp", "ecmp", "inrp"])
+def test_sweeps_record_the_grid_strategy(scenario, params, strategy):
+    """Both sweeps record ``strategy`` as the grid value they ran, so a
+    report grouping records by strategy sees one name per system."""
+    result = get_scenario(scenario).run(strategy=strategy, **params)
+    assert result["strategy"] == strategy

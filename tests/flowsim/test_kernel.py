@@ -517,6 +517,57 @@ def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
     ]
 
 
+@pytest.mark.parametrize("demand", [1e-10, 1e-9, 0.0])
+def test_tiny_demand_gets_its_demand_in_every_solver(demand):
+    """A flow with a path and a demand within ``_EPS`` of 0 never grows
+    and gets its demand, under both sharing models and in both the
+    scratch solvers and the kernel; INRP at depth 0 is then SP bit for
+    bit on such a population."""
+    topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
+    strategy = make_strategy("sp", topo)
+    nodes = list(topo.nodes())
+    paths = [
+        tuple(strategy.route(0, nodes[0], nodes[-1])),
+        tuple(strategy.route(1, nodes[1], nodes[-2])),
+    ]
+    demands = [demand, math.inf]
+    capacities = topo.directed_capacities()
+    space = LinkSpace(capacities)
+    table = DetourTable(topo)
+    cols = np.concatenate(
+        [space.columns(cached_path_links(path)) for path in paths]
+    )
+    lengths = np.array([len(path) - 1 for path in paths], dtype=np.int64)
+    vector = np.array(demands, dtype=np.float64)
+    scratch_inrp = inrp_allocation(
+        capacities, dict(enumerate(paths)), dict(enumerate(demands)), table
+    )
+    kernel_inrp = _kernel.inrp_fill(
+        space, [0, 1], paths, cols, lengths, vector, table
+    )
+    rates = {
+        "max_min_allocation": max_min_allocation(
+            capacities,
+            {flow: cached_path_links(path) for flow, path in enumerate(paths)},
+            dict(enumerate(demands)),
+        )[0],
+        "maxmin_fill": float(_kernel.maxmin_fill(space, cols, lengths, vector)[0]),
+        "inrp_allocation": scratch_inrp.rates[0],
+        "inrp_fill": kernel_inrp.rates[0],
+    }
+    assert rates == dict.fromkeys(rates, demand)
+    assert scratch_inrp.freeze_reasons[0] == "demand"
+    assert kernel_inrp.freeze_reasons[0] == "demand"
+
+    flows = {flow: (path, demands[flow]) for flow, path in enumerate(paths)}
+    sp = make_strategy("sp", topo).allocate(flows).rates
+    depth0 = make_strategy("inrp", topo, detour_depth=0).allocate(flows).rates
+    assert sp[0] == demand
+    assert {flow: rate.hex() for flow, rate in depth0.items()} == {
+        flow: rate.hex() for flow, rate in sp.items()
+    }
+
+
 def test_inrp_cross_core_overload_equivalence():
     """Oracle vs event-loop INRP records at deep overload (spanning
     components, heavy detour churn).  ``total_switches`` is excluded:
