@@ -366,9 +366,9 @@ def _fill(
     rows' concatenated column ids in it, and *index* maps a link to its
     column for the detour walk.  Row ``flow`` is flow ``flow``'s
     primary path; detour rows appended during the fill get ids from
-    ``len(row_lengths)`` up.  *paths*, *index*, *detour_table* and the
-    two caches are read only by a walk, and none runs while
-    *max_replacements* is 0.
+    ``len(row_lengths)`` up.  *floors*, *paths*, *index*,
+    *detour_table* and the two caches are read only by a walk, and
+    none runs while *max_replacements* is 0.
 
     Returns ``(rates, reasons, switches, carried, detour_rows,
     detour_paths)``: per flow its rate (``level`` at its freeze, or its
