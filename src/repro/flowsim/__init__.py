@@ -39,12 +39,7 @@ from repro.flowsim.allocation import (
     max_min_allocation,
 )
 from repro.flowsim.multipath import MultipathAllocation, inrp_allocation
-from repro.flowsim.kernel import (
-    IncidenceStore,
-    LinkSpace,
-    inrp_fill,
-    maxmin_fill,
-)
+from repro.flowsim.kernel import LinkSpace, inrp_fill, maxmin_fill
 from repro.flowsim.flow import ActiveFlow, FlowRecord
 from repro.flowsim.strategies import (
     EcmpStrategy,
@@ -71,7 +66,6 @@ __all__ = [
     "inrp_allocation",
     "MultipathAllocation",
     "LinkSpace",
-    "IncidenceStore",
     "maxmin_fill",
     "inrp_fill",
     "ActiveFlow",

@@ -29,6 +29,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.flowsim import kernel as _kernel
 from repro.flowsim.multipath import MultipathAllocation, _rel_tol, inrp_allocation
@@ -281,10 +283,10 @@ class _IncrementalAllocator:
         #: Gates only the from-scratch comparison after each recompute.
         self._verify = verify
         self._space = _kernel.LinkSpace(self._capacities)
-        # Each flow's (deduplicated) path columns and demand, for the
-        # kernel fill's bulk gather; component selection goes through
-        # the amortized union-find tracker over reaches.
-        self._store = _kernel.IncidenceStore(self._space)
+        # Each flow's (deduplicated) path columns, computed once on
+        # arrival for the kernel fills; component selection goes
+        # through the amortized union-find tracker over reaches.
+        self._cols: Dict[FlowId, np.ndarray] = {}
         self._tracker = _ComponentTracker()
         self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
@@ -343,7 +345,7 @@ class _IncrementalAllocator:
         if not reach:
             # Source == destination: unconstrained, never shares a link.
             self._dirty_flows.add(flow)
-        self._store.add(flow, self._space.columns(links), float(demand))
+        self._cols[flow] = self._space.columns(links)
         if reach:
             self._tracker.add(flow, reach)
 
@@ -362,9 +364,22 @@ class _IncrementalAllocator:
                 if not members:
                     del self._members[link]
             self._dirty_links.add(link)
-        self._store.remove(flow)
+        del self._cols[flow]
         if reach:
             self._tracker.remove(flow)
+
+    def _gather(
+        self, flows: Sequence[FlowId]
+    ) -> Tuple[np.ndarray, List[int], List[float]]:
+        """The kernel fills' ``(cols, row_lengths, demands)`` for
+        *flows*, in order."""
+        arrays = [self._cols[flow] for flow in flows]
+        demands = self._demands
+        return (
+            _kernel._joined(arrays),
+            [len(array) for array in arrays],
+            [demands[flow] for flow in flows],
+        )
 
     def _dirty_component(self) -> Set[FlowId]:
         """Flows transitively reachable from the dirty links via
@@ -464,9 +479,9 @@ class IncrementalMaxMin(_IncrementalAllocator):
         (deep overload), where the component search and subset copies
         are pure overhead.
         """
-        store = self._store
         if full:
-            flows: List[FlowId] = store.live_flows()
+            # Arrival order, as the paths were added.
+            flows: List[FlowId] = list(self._paths)
             changed: Dict[FlowId, float] = {}
         else:
             if not self._dirty_links and not self._dirty_flows:
@@ -476,18 +491,19 @@ class IncrementalMaxMin(_IncrementalAllocator):
                 flow: self._demands[flow] for flow in self._dirty_flows
             }
         if flows:
-            cols, lengths, demands, rows = store.gather(flows, with_rows=True)
-            rates = _kernel.maxmin_fill(self._space, cols, lengths, demands)
-            diff = store.diff_and_store_rates(rows, rates)
+            rates = _kernel.maxmin_fill(self._space, *self._gather(flows))
             if full:
                 changed.update(zip(flows, rates.tolist()))
             else:
-                # Only the rows the fill actually moved: the simulator
+                # Only the flows the fill actually moved: the simulator
                 # loops over this mapping per event, and a dirty
-                # component is mostly rows whose rate came out the
-                # same as last time.
-                for spot in diff.tolist():
-                    changed[flows[spot]] = float(rates[spot])
+                # component is mostly flows whose rate came out the
+                # same as last time.  ``_rates`` holds every filled
+                # flow's last rate; a new or re-added flow has none.
+                last = self._rates
+                for flow, rate in zip(flows, rates.tolist()):
+                    if last.get(flow) != rate:
+                        changed[flow] = rate
         if full:
             self._rates = dict(changed)
         else:
@@ -625,7 +641,8 @@ class IncrementalInrp(_IncrementalAllocator):
         changed_splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
         for flow in self._dirty_flows:
             changed_rates[flow] = self._demands[flow]
-            changed_splits[flow] = [(self._paths[flow], 0.0)]
+            # Unconstrained: it gets its demand, on its one path.
+            changed_splits[flow] = [(self._paths[flow], self._demands[flow])]
         result = self._fill_kernel()
         switches = 0
         if result is not None:
@@ -653,14 +670,11 @@ class IncrementalInrp(_IncrementalAllocator):
         if not component:
             return None
         flows = sorted(component, key=self._order.__getitem__)
-        cols, lengths, demands = self._store.gather(flows)
         return _kernel.inrp_fill(
             self._space,
             flows,
             [self._paths[flow] for flow in flows],
-            cols,
-            lengths,
-            demands,
+            *self._gather(flows),
             self._table,
             max_replacements=self._max_replacements,
             option_cache=self._option_cache,

@@ -7,10 +7,9 @@ representation of the flow-link incidence:
 
 - :class:`LinkSpace` interns link ids into a stable column space with
   capacity and saturation-floor vectors;
-- :class:`IncidenceStore` maintains the flow -> link incidence as
-  index arrays across add/remove churn: rows grow in place, removed
-  rows are tombstoned, and the arrays are compacted periodically once
-  dead entries dominate — *maintained*, not rebuilt per event;
+- the caller hands a component in as the concatenation of its flows'
+  column arrays (each flow's, computed once when it arrives), with
+  per-flow row lengths and demands as Python lists;
 - one round loop fills both sharing models.  All unfrozen flows grow
   at one scalar level; a round takes the next demand or saturation
   event, debits every carrying column, freezes satisfied flows and
@@ -67,8 +66,7 @@ class LinkSpace:
     """Stable link-id <-> column interning over a fixed topology.
 
     Built once per allocator from the capacity map; columns never move,
-    so incidence rows stored by :class:`IncidenceStore` stay valid for
-    the allocator's lifetime.
+    so a flow's column array stays valid for the allocator's lifetime.
     """
 
     __slots__ = (
@@ -130,228 +128,12 @@ def _joined(arrays: List[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _grow(array: np.ndarray, needed: int) -> np.ndarray:
-    """Capacity-doubling growth preserving the prefix."""
-    capacity = len(array)
-    if needed <= capacity:
-        return array
-    new_capacity = max(needed, capacity * 2, 16)
-    grown = np.empty(new_capacity, dtype=array.dtype)
-    grown[:capacity] = array
-    return grown
-
-
-class IncidenceStore:
-    """Flow -> link incidence maintained as tombstoned CSR arrays.
-
-    Rows are appended on :meth:`add` (entries land at the tail of one
-    growing column buffer) and *tombstoned* on :meth:`remove` — the
-    row's entries stay in place but are flagged dead, exactly the
-    lazy-invalidation pattern the event loop uses for its departure
-    heap.  Once dead entries exceed ``compact_slack`` (half) of the
-    buffer and the buffer holds at least ``min_compact_nnz`` (4096)
-    entries, so that compaction matters, the arrays are compacted in
-    one vectorized gather and rows are renumbered; callers address
-    rows only through flow ids, so the renumbering is invisible.
-
-    ``demand`` rides along as a per-row vector so a component fill can
-    gather demands without touching Python dicts.
-    """
-
-    def __init__(self, space: LinkSpace):
-        self.space = space
-        self.compact_slack = 0.5
-        self.min_compact_nnz = 4096
-        self._cols = np.empty(256, dtype=np.int64)
-        self._entry_alive = np.zeros(256, dtype=bool)
-        self._nnz = 0
-        self._dead_nnz = 0
-        self._starts = np.empty(64, dtype=np.int64)
-        self._lengths = np.empty(64, dtype=np.int64)
-        self._demands = np.empty(64, dtype=np.float64)
-        # Last rate stored per row (NaN = never filled); lets callers
-        # diff a fresh fill against the previous one in vector form.
-        self._last_rates = np.full(64, np.nan, dtype=np.float64)
-        self._num_rows = 0
-        self._dead_rows = 0
-        self._row_of: Dict[FlowId, int] = {}
-        self._flow_of: List[Optional[FlowId]] = []
-        #: Number of compactions performed (observable for tests).
-        self.compactions = 0
-
-    def __len__(self) -> int:
-        return self._num_rows - self._dead_rows
-
-    def __contains__(self, flow: FlowId) -> bool:
-        return flow in self._row_of
-
-    @property
-    def nnz(self) -> int:
-        """Live entries currently in the column buffer."""
-        return self._nnz - self._dead_nnz
-
-    def add(self, flow: FlowId, cols: np.ndarray, demand: float) -> int:
-        """Append a row for *flow*; returns its (current) row id."""
-        if flow in self._row_of:
-            raise SimulationError(f"flow {flow!r} already has a row")
-        row = self._num_rows
-        length = len(cols)
-        self._starts = _grow(self._starts, row + 1)
-        self._lengths = _grow(self._lengths, row + 1)
-        self._demands = _grow(self._demands, row + 1)
-        self._last_rates = _grow(self._last_rates, row + 1)
-        self._cols = _grow(self._cols, self._nnz + length)
-        self._entry_alive = _grow(self._entry_alive, self._nnz + length)
-        self._starts[row] = self._nnz
-        self._lengths[row] = length
-        self._demands[row] = demand
-        self._last_rates[row] = np.nan
-        self._cols[self._nnz : self._nnz + length] = cols
-        self._entry_alive[self._nnz : self._nnz + length] = True
-        self._nnz += length
-        self._num_rows += 1
-        self._row_of[flow] = row
-        self._flow_of.append(flow)
-        return row
-
-    def remove(self, flow: FlowId) -> None:
-        """Tombstone the row of *flow*; compact when slack dominates."""
-        row = self._row_of.pop(flow, None)
-        if row is None:
-            raise SimulationError(f"flow {flow!r} has no row")
-        self._flow_of[row] = None
-        start = self._starts[row]
-        length = self._lengths[row]
-        self._entry_alive[start : start + length] = False
-        self._dead_nnz += int(length)
-        self._dead_rows += 1
-        if (
-            self._nnz >= self.min_compact_nnz
-            and self._dead_nnz > self.compact_slack * self._nnz
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop tombstoned rows/entries with one vectorized gather."""
-        alive_rows = np.fromiter(
-            (
-                row
-                for row in range(self._num_rows)
-                if self._flow_of[row] is not None
-            ),
-            dtype=np.int64,
-        )
-        cols, lengths = self._gather_rows(alive_rows)
-        count = len(alive_rows)
-        self._cols = cols if len(cols) else np.empty(256, dtype=np.int64)
-        self._nnz = int(lengths.sum()) if count else 0
-        if len(self._cols) < 256:
-            self._cols = _grow(self._cols, 256)
-        self._entry_alive = np.ones(max(len(self._cols), 256), dtype=bool)
-        self._dead_nnz = 0
-        starts = np.zeros(max(count, 64), dtype=np.int64)
-        if count:
-            starts[1:count] = np.cumsum(lengths)[:-1]
-        new_lengths = np.zeros(max(count, 64), dtype=np.int64)
-        new_lengths[:count] = lengths
-        new_demands = np.empty(max(count, 64), dtype=np.float64)
-        new_demands[:count] = self._demands[alive_rows]
-        new_last = np.full(max(count, 64), np.nan, dtype=np.float64)
-        new_last[:count] = self._last_rates[alive_rows]
-        flow_of = [self._flow_of[row] for row in alive_rows]
-        self._starts = starts
-        self._lengths = new_lengths
-        self._demands = new_demands
-        self._last_rates = new_last
-        self._flow_of = flow_of
-        self._num_rows = count
-        self._dead_rows = 0
-        self._row_of = {flow: row for row, flow in enumerate(flow_of)}
-        self.compactions += 1
-
-    def _gather_rows(
-        self, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenated column ids + per-row lengths for *rows*.
-
-        Fully vectorized (the repeat/offset trick): no Python loop over
-        rows, so gathering a component is O(component nnz) numpy work.
-        """
-        lengths = self._lengths[rows]
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), lengths
-        starts = self._starts[rows]
-        offsets = np.zeros(len(rows), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        index = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets, lengths
-        )
-        return self._cols[index], lengths
-
-    def gather(
-        self, flows: Sequence[FlowId], with_rows: bool = False
-    ):
-        """``(cols, row_lengths, demands)`` for *flows*, in order.
-
-        With ``with_rows=True`` the (current) row ids come back as a
-        fourth array, for callers that want to
-        :meth:`diff_and_store_rates` after filling.
-        """
-        row_of = self._row_of
-        rows = np.fromiter(
-            (row_of[flow] for flow in flows), dtype=np.int64, count=len(flows)
-        )
-        cols, lengths = self._gather_rows(rows)
-        demands = self._demands[rows].copy()
-        if with_rows:
-            return cols, lengths, demands, rows
-        return cols, lengths, demands
-
-    def diff_and_store_rates(
-        self, rows: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
-        """Positions in *rows* whose rate differs from the last fill.
-
-        Stores *rates* as the new per-row baseline.  Rows never filled
-        before hold NaN and therefore always report as changed, so a
-        caller returning only the diff still reports every fresh flow.
-        """
-        prev = self._last_rates[rows]
-        self._last_rates[rows] = rates
-        return np.nonzero(rates != prev)[0]
-
-    def live_flows(self) -> List[FlowId]:
-        """Live flow ids in row order.
-
-        Rows are appended in arrival order and compaction preserves
-        relative order, so this is the population in arrival order —
-        the invariant the INRP fill's reroute sequencing relies on.
-        """
-        return [flow for flow in self._flow_of if flow is not None]
-
-    def check_consistency(self) -> None:
-        """Invariant checks for tests: spans and tombstones line up."""
-        live = 0
-        for flow, row in self._row_of.items():
-            if self._flow_of[row] is not flow and self._flow_of[row] != flow:
-                raise SimulationError(f"row map corrupt for flow {flow!r}")
-            start, length = self._starts[row], self._lengths[row]
-            if not self._entry_alive[start : start + length].all():
-                raise SimulationError(f"dead entries inside live row {row}")
-            live += int(length)
-        if live != self.nnz:
-            raise SimulationError(
-                f"live entry count drifted: {live} != {self.nnz}"
-            )
-
-
 def _fill(
     residual: np.ndarray,
     floors: np.ndarray,
     cols: np.ndarray,
-    row_lengths: np.ndarray,
-    demands: np.ndarray,
+    row_lengths: List[int],
+    demands: List[float],
     paths: Sequence[Path] = (),
     index: Optional[Mapping[LinkId, int]] = None,
     detour_table: Optional[DetourTable] = None,
@@ -363,7 +145,8 @@ def _fill(
 
     The column space is the caller's: *residual* (consumed) and
     *floors* are per-column capacity and saturation floor, *cols* the
-    rows' concatenated column ids in it, and *index* maps a link to its
+    rows' concatenated column ids in it, *row_lengths* and *demands*
+    per-row lists, and *index* maps a link to its
     column for the detour walk.  Row ``flow`` is flow ``flow``'s
     primary path; detour rows appended during the fill get ids from
     ``len(row_lengths)`` up.  *floors*, *paths*, *index*,
@@ -373,24 +156,23 @@ def _fill(
     Returns ``(rates, reasons, switches, carried, detour_rows,
     detour_paths)``: per flow its rate (``level`` at its freeze, or its
     demand when it never grew), freeze reason and detour switches; per
-    row its carried rate; per flow its detour rows; per detour row
+    row its carried rate (a flow that never grew carries its demand on
+    its primary row); per flow its detour rows; per detour row
     (index ``row - len(row_lengths)``) its path.
     """
     num_flows = len(row_lengths)
     width = len(residual)
     # --- Per-row state in Python lists: the round loop reads it one row
     # at a time, and building it costs no per-call numpy dispatch.
-    demands_list: List[float] = demands.tolist()
-    lengths_list: List[int] = row_lengths.tolist()
     unfrozen = [
         length > 0 and demand > _EPS
-        for length, demand in zip(lengths_list, demands_list)
+        for length, demand in zip(row_lengths, demands)
     ]
     # A flow with no path or a demand within _EPS of 0 never grows: it
-    # gets its demand.
+    # gets its demand, and its primary row carries it.
     rates = [
         0.0 if active else demand
-        for active, demand in zip(unfrozen, demands_list)
+        for active, demand in zip(unfrozen, demands)
     ]
     reasons = ["" if active else "demand" for active in unfrozen]
     active_row = [
@@ -402,16 +184,17 @@ def _fill(
     # flows of a round are a prefix of the order.
     order = sorted(
         [flow for flow, active in enumerate(unfrozen) if active],
-        key=demands_list.__getitem__,
+        key=demands.__getitem__,
     )
     num_ordered = len(order)
     switches = [0] * num_flows
-    carried: List[float] = [0.0] * num_flows
+    # An unfrozen flow's primary row settles when it retires.
+    carried = rates.copy()
     detour_rows: Dict[int, List[int]] = {}
     detour_paths: List[Path] = []
     if not num_ordered:
         return rates, reasons, switches, carried, detour_rows, detour_paths
-    p_starts = [0, *accumulate(lengths_list)]
+    p_starts = [0, *accumulate(row_lengths)]
     counts = np.bincount(
         cols,
         weights=np.repeat(np.array(unfrozen, dtype=np.float64), row_lengths),
@@ -669,7 +452,7 @@ def _fill(
                 raise SimulationError("progressive filling did not converge")
             while not unfrozen[order[cursor]]:
                 cursor += 1
-            demand_step = demands_list[order[cursor]] - level
+            demand_step = demands[order[cursor]] - level
             if sat_bound > demand_step + _EPS * (1.0 + abs(demand_step)):
                 saturation_step = math.inf
             else:
@@ -695,7 +478,7 @@ def _fill(
             while cursor < num_ordered:
                 flow = order[cursor]
                 if unfrozen[flow]:
-                    if demands_list[flow] - level > tol:
+                    if demands[flow] - level > tol:
                         break
                     frozen.append(flow)
                 cursor += 1
@@ -785,13 +568,15 @@ def _fill(
 def maxmin_fill(
     space: LinkSpace,
     cols: np.ndarray,
-    row_lengths: np.ndarray,
-    demands: np.ndarray,
+    row_lengths: List[int],
+    demands: List[float],
 ) -> np.ndarray:
     """Exact progressive filling: the INRP fill with no detour.
 
     Semantics of :func:`repro.flowsim.allocation.max_min_allocation`
-    over the rows described by ``(cols, row_lengths, demands)``: all
+    over the rows described by ``(cols, row_lengths, demands)`` (the
+    rows' concatenated column ids, and per row its length and demand
+    as lists): all
     unfrozen rows grow at one common level; each round takes the next
     demand or saturation event, debits every carrying link by
     ``step * carriers``, freezes satisfied rows and every row crossing
@@ -801,14 +586,9 @@ def maxmin_fill(
     Columns are compressed to the links actually present in ``cols``,
     so per-round cost scales with the component, not the topology.
     """
-    demands = np.asarray(demands, dtype=np.float64)
     unique, local = space.compress(np.asarray(cols, dtype=np.int64))
     rates = _fill(
-        space.capacity[unique],
-        space.floor[unique],
-        local,
-        np.asarray(row_lengths, dtype=np.int64),
-        demands,
+        space.capacity[unique], space.floor[unique], local, row_lengths, demands
     )[0]
     return np.minimum(rates, demands)
 
@@ -818,8 +598,8 @@ def inrp_fill(
     flow_ids: Sequence[FlowId],
     paths: Sequence[Path],
     cols: np.ndarray,
-    row_lengths: np.ndarray,
-    demands: np.ndarray,
+    row_lengths: List[int],
+    demands: List[float],
     detour_table: DetourTable,
     max_replacements: int = 2,
     option_cache: Optional[Dict] = None,
@@ -828,7 +608,8 @@ def inrp_fill(
     """INRP fluid allocation, one scalar level per filling round.
 
     Semantics of :func:`repro.flowsim.multipath.inrp_allocation` over
-    the flows given *in arrival order*: every unfrozen flow grows its
+    the flows given *in arrival order* (*cols*, *row_lengths* and
+    *demands* as for :func:`maxmin_fill`): every unfrozen flow grows its
     active sub-path at the common level; a saturation event reroutes
     the affected flows (oldest first) through the scalar detour-splice
     logic reading the shared residual vector; only flows with no
@@ -847,16 +628,15 @@ def inrp_fill(
     over one topology.  Neither holds per-fill state, so a fill gives
     the same result with shared or fresh dicts.
     """
-    demands = np.asarray(demands, dtype=np.float64)
-    if len(flow_ids) and bool((demands < 0).any()):
-        bad = int(np.argmax(demands < 0))
-        raise SimulationError(f"flow {flow_ids[bad]!r} has negative demand")
+    for flow, demand in zip(flow_ids, demands):
+        if demand < 0:
+            raise SimulationError(f"flow {flow!r} has negative demand")
     num_flows = len(flow_ids)
     rates, reasons, switches, carried, detour_rows, detour_paths = _fill(
         space.capacity.copy(),
         space.floor,
         np.asarray(cols, dtype=np.int64),
-        np.asarray(row_lengths, dtype=np.int64),
+        row_lengths,
         demands,
         paths,
         space.index,

@@ -177,10 +177,11 @@ def inrp_allocation(
         state = _FlowState(demand=demand, subpaths=[_SubPath(tuple(path))])
         if len(path) < 2 or demand <= _EPS:
             # No path, or a demand within _EPS of 0: it never grows and
-            # gets its demand, as under max-min.
+            # gets its demand, as under max-min, on its primary path.
             state.frozen = True
             state.active = None
             state.total = demand
+            state.subpaths[0].carried = demand
             state.freeze_reason = "demand"
         flows[flow_id] = state
         if not state.frozen:

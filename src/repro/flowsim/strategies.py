@@ -158,8 +158,9 @@ class RoutingStrategy(abc.ABC):
         One fill of a fresh :meth:`incremental_allocator`, the fill the
         simulator runs.  Flows are added in the mapping's order (INRP
         fills depend on it), and the outcome is keyed in that order.
-        A first recompute reports every flow: the incidence store
-        starts each row's last rate at NaN, and a fresh INRP component
+        A first recompute reports every flow: a max-min recompute
+        reports each flow whose rate differs from its last one, and a
+        flow new to the allocator has none; a fresh INRP component
         covers the whole population.
         """
         allocator = self.incremental_allocator()

@@ -1,10 +1,9 @@
 """Property tests for the vectorized CSR allocation kernel.
 
 The kernel (`repro.flowsim.kernel`) must be a drop-in for the scratch
-solvers: randomized add/remove churn — including tombstone-compaction
-boundaries, tracker rebuilds, and empty / single-flow components —
-must stay within 1e-9 of `max_min_allocation` / `inrp_allocation`
-after every event.
+solvers: randomized add/remove churn — including tracker rebuilds and
+empty / single-flow components — must stay within 1e-9 of
+`max_min_allocation` / `inrp_allocation` after every event.
 """
 
 import hashlib
@@ -23,7 +22,7 @@ from repro.flowsim.allocation import (
     IncrementalMaxMin,
     max_min_allocation,
 )
-from repro.flowsim.kernel import IncidenceStore, LinkSpace
+from repro.flowsim.kernel import LinkSpace
 from repro.flowsim.multipath import inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.paths import cached_path_links
@@ -57,14 +56,10 @@ def _churn_step(rng, live, next_id, topo, strategy, remove_probability=0.4):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_maxmin_kernel_matches_scratch_under_churn(seed):
     """Vectorized max-min stays within 1e-9 of the scratch solver
-    across add/remove churn, with compaction forced often (tiny
-    ``min_compact_nnz``) so the tombstone boundaries are crossed
-    mid-sequence."""
+    across add/remove churn."""
     topo = mesh_topology(24, extra_links=24, seed=seed, capacity=mbps(10))
     strategy = make_strategy("sp", topo)
     alloc = IncrementalMaxMin(topo.directed_capacities())
-    alloc._store.min_compact_nnz = 8
-    alloc._store.compact_slack = 0.2
     rng = random.Random(seed)
     flow_links, demands, live = {}, {}, set()
     next_id = 0
@@ -82,21 +77,17 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
         alloc.recompute()
         scratch = max_min_allocation(topo.directed_capacities(), flow_links, demands)
         assert _relative_deviation(alloc.rates, scratch) <= TOL
-    alloc._store.check_consistency()
-    assert alloc._store.compactions > 0, "churn never crossed a compaction"
 
 
 @pytest.mark.parametrize("seed", [1, 4])
 def test_inrp_kernel_matches_scratch_under_churn(seed):
     """Vectorized INRP (detour splicing included) stays within 1e-9 of
     scratch ``inrp_allocation`` across churn; the run must also cross
-    tombstone compactions and at least one tracker rebuild."""
+    at least one tracker rebuild."""
     topo = mesh_topology(16, extra_links=14, seed=seed, capacity=mbps(10))
     table = DetourTable(topo)
     strategy = make_strategy("inrp", topo)
     alloc = IncrementalInrp(topo.directed_capacities(), table)
-    alloc._store.min_compact_nnz = 8
-    alloc._store.compact_slack = 0.2
     alloc._tracker.slack = 0.05  # rebuild eagerly so churn crosses one
     rng = random.Random(seed)
     flow_paths, demands, live = {}, {}, set()
@@ -117,8 +108,6 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
             topo.directed_capacities(), flow_paths, demands, table
         )
         assert _relative_deviation(alloc.rates, scratch.rates) <= TOL
-    alloc._store.check_consistency()
-    assert alloc._store.compactions > 0
     assert alloc._tracker.rebuilds > 0
 
 
@@ -162,33 +151,6 @@ def test_empty_and_single_flow_components(kernel_cls):
     alloc.remove_flow(1)
     alloc.recompute()
     assert alloc.rates == {}
-
-
-def test_incidence_store_compaction_preserves_rows():
-    """Direct store-level check: tombstoned rows vanish, live rows keep
-    their columns and demands across a forced compaction."""
-    space = LinkSpace({("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "d"): 3.0})
-    ab, bc, cd = (
-        space.index[("a", "b")],
-        space.index[("b", "c")],
-        space.index[("c", "d")],
-    )
-    store = IncidenceStore(space)
-    store.compact_slack = 0.2
-    store.min_compact_nnz = 2
-    store.add(0, [ab, bc], 5.0)
-    store.add(1, [bc, cd], 7.0)
-    store.add(2, [ab], 9.0)
-    store.remove(0)
-    store.remove(1)
-    store.add(3, [cd], 11.0)  # triggers compaction over tombstones
-    store.check_consistency()
-    assert store.compactions >= 1
-    assert sorted(store.live_flows()) == [2, 3]
-    cols, lengths, demands = store.gather([2, 3])
-    assert list(lengths) == [1, 1]
-    assert list(demands) == [9.0, 11.0]
-    assert list(cols) == [space.index[("a", "b")], space.index[("c", "d")]]
 
 
 _COMPRESS_LINKS = 40
@@ -498,8 +460,7 @@ def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
     cols = np.concatenate(
         [space.columns(cached_path_links(path)) for path in paths]
     )
-    lengths = np.array([len(path) - 1 for path in paths], dtype=np.int64)
-    demands = np.array(demands, dtype=np.float64)
+    lengths = [len(path) - 1 for path in paths]
     want = _kernel.maxmin_fill(space, cols, lengths, demands).tolist()
     got = _kernel.inrp_fill(
         space,
@@ -537,13 +498,12 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     cols = np.concatenate(
         [space.columns(cached_path_links(path)) for path in paths]
     )
-    lengths = np.array([len(path) - 1 for path in paths], dtype=np.int64)
-    vector = np.array(demands, dtype=np.float64)
+    lengths = [len(path) - 1 for path in paths]
     scratch_inrp = inrp_allocation(
         capacities, dict(enumerate(paths)), dict(enumerate(demands)), table
     )
     kernel_inrp = _kernel.inrp_fill(
-        space, [0, 1], paths, cols, lengths, vector, table
+        space, [0, 1], paths, cols, lengths, demands, table
     )
     rates = {
         "max_min_allocation": max_min_allocation(
@@ -551,7 +511,7 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
             {flow: cached_path_links(path) for flow, path in enumerate(paths)},
             dict(enumerate(demands)),
         )[0],
-        "maxmin_fill": float(_kernel.maxmin_fill(space, cols, lengths, vector)[0]),
+        "maxmin_fill": float(_kernel.maxmin_fill(space, cols, lengths, demands)[0]),
         "inrp_allocation": scratch_inrp.rates[0],
         "inrp_fill": kernel_inrp.rates[0],
     }
@@ -566,6 +526,58 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     assert {flow: rate.hex() for flow, rate in depth0.items()} == {
         flow: rate.hex() for flow, rate in sp.items()
     }
+
+
+def test_inrp_splits_sum_to_each_rate():
+    """A flow that never grows carries its rate on its primary split,
+    as SP reports it: a tiny demand on a path, a flow whose source is
+    its destination, and a zero demand (split 0.0), in ``allocate``
+    and in the scratch solver."""
+    mesh = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
+    path = tuple(make_strategy("sp", mesh).route(0, 0, 7))
+    flows = {0: (path, 1e-10), 1: ((2,), 5.0), 2: (path, 0.0)}
+    scratch = inrp_allocation(
+        mesh.directed_capacities(),
+        {flow: path for flow, (path, _) in flows.items()},
+        {flow: demand for flow, (_, demand) in flows.items()},
+        DetourTable(mesh),
+    )
+    for outcome in (
+        make_strategy("sp", mesh).allocate(flows),
+        make_strategy("inrp", mesh).allocate(flows),
+        scratch,
+    ):
+        assert outcome.rates == {0: 1e-10, 1: 5.0, 2: 0.0}
+        assert outcome.splits == {
+            flow: [(path, demand)] for flow, (path, demand) in flows.items()
+        }
+
+
+@pytest.mark.parametrize("strategy_name", ["sp", "inrp"])
+@pytest.mark.parametrize("recompute_between", [False, True])
+def test_readded_flow_is_reported_at_an_unchanged_rate(
+    strategy_name, recompute_between
+):
+    """A flow id removed and added again is reported by the next
+    ``recompute`` even though its rate comes out as before: the
+    simulator and ``allocate`` set a flow's rate only from a report."""
+    topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
+    strategy = make_strategy(strategy_name, topo)
+    path = tuple(strategy.route(0, 0, 7))
+    alloc = strategy.incremental_allocator()
+    alloc.add_flow(0, path, mbps(2))
+    alloc.add_flow(1, path, mbps(2))
+    first = alloc.recompute()[0]
+    assert first == {0: mbps(2), 1: mbps(2)}
+    alloc.remove_flow(0)
+    if recompute_between:
+        alloc.recompute()
+    alloc.add_flow(0, path, mbps(2))
+    again = alloc.recompute()[0]
+    assert again[0] == mbps(2)
+    if strategy_name == "sp":
+        # Max-min reports only what moved: flow 1 kept its rate.
+        assert again == {0: mbps(2)}
 
 
 def test_inrp_cross_core_overload_equivalence():
