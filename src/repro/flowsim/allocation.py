@@ -153,19 +153,23 @@ class _ComponentTracker:
     component, but costs O(component incidence) of Python dict traffic
     on *every* event.  The incremental allocators instead select the
     component from a union-find over live flows: an arriving flow
-    unions with one representative per link it touches (all flows that
-    ever shared a link are provably in one class), a departing flow is
-    merely unlinked from its class's member set, and the whole structure
-    is rebuilt from the live population once departures since the last
-    rebuild exceed ``slack`` (a quarter) of it.
+    unions with one representative per column it touches (all flows
+    that ever shared a link are provably in one class), a departing
+    flow is merely unlinked from its class's member set, and the whole
+    structure is rebuilt from the live population once departures
+    since the last rebuild exceed ``slack`` (a quarter) of it.  Links
+    are the allocator's column ids.
 
     Between rebuilds a class may *over*-approximate the true component
-    (a departed bridge flow leaves its neighbours merged).  That is
-    exact by construction: a class is always a union of whole true
-    components, and progressive filling decomposes over components —
-    flows that share no link allocate independently, so re-filling a
-    disconnected superset reproduces every member's rate bit-for-bit,
-    at the cost of some redundant (never wrong) work.
+    (a departed bridge flow leaves its neighbours merged).  A class is
+    always a union of whole true components, and flows that share no
+    link allocate independently, so re-filling a disconnected superset
+    gives every member its rate to within the verify bar (relative
+    1e-9), at the cost of some redundant work.  Not bit for bit: the
+    fill's level and step arithmetic runs over every class filled
+    together, so the last bits of a rate depend on which classes are
+    filled with it.  This schedule of unions and rebuilds is therefore
+    part of the output.
     """
 
     __slots__ = (
@@ -189,8 +193,8 @@ class _ComponentTracker:
         self._parent: Dict[FlowId, FlowId] = {}
         self._size: Dict[FlowId, int] = {}
         self._members: Dict[FlowId, Set[FlowId]] = {}
-        self._link_rep: Dict[LinkId, FlowId] = {}
-        self._flow_links: Dict[FlowId, Iterable[LinkId]] = {}
+        self._link_rep: Dict[int, FlowId] = {}
+        self._flow_links: Dict[FlowId, Iterable[int]] = {}
         self._removed = 0
 
     def _find(self, flow: FlowId) -> FlowId:
@@ -212,9 +216,9 @@ class _ComponentTracker:
         self._size[root_a] += self._size[root_b]
         self._members[root_a].update(self._members.pop(root_b))
 
-    def add(self, flow: FlowId, links: Iterable[LinkId]) -> None:
-        """Register an arriving flow touching *links* (kept by
-        reference; the caller must not mutate them afterwards)."""
+    def add(self, flow: FlowId, links: Iterable[int]) -> None:
+        """Register an arriving flow touching column ids *links* (kept
+        by reference; the caller must not mutate them afterwards)."""
         self._flow_links[flow] = links
         self._parent[flow] = flow
         self._size[flow] = 1
@@ -242,7 +246,7 @@ class _ComponentTracker:
             self.add(flow, links)
         self.rebuilds += 1
 
-    def component(self, links: Iterable[LinkId]) -> Set[FlowId]:
+    def component(self, links: Iterable[int]) -> Set[FlowId]:
         """Union of the classes reachable from *links* (a superset of
         the true dirty component, closed under live connectivity)."""
         out: Set[FlowId] = set()
@@ -273,7 +277,10 @@ class _IncrementalAllocator:
 
     A flow enters on its node path.  What it *reaches* is the one
     difference between the models (:meth:`_reach_of`): its path links
-    under max-min, its detour closure under INRP.
+    under max-min, its detour closure under INRP.  Past
+    :meth:`add_flow`, every link is its column id in the allocator's
+    :class:`~repro.flowsim.kernel.LinkSpace`: reaches, the membership
+    index, the dirty set and the component tracker all hold ints.
     """
 
     def __init__(self, capacities: Mapping[LinkId, float], verify: bool = False):
@@ -290,12 +297,13 @@ class _IncrementalAllocator:
         self._tracker = _ComponentTracker()
         self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
-        self._reach: Dict[FlowId, Collection[LinkId]] = {}
-        #: Link -> flows reaching it; only the simulator's full-refill
-        #: :meth:`dirty_component_size` probe reads it.
-        self._members: Dict[LinkId, Set[FlowId]] = {}
+        #: Flow -> column ids of the links it reaches.
+        self._reach: Dict[FlowId, Collection[int]] = {}
+        #: Column id -> flows reaching it; only the simulator's
+        #: full-refill :meth:`dirty_component_size` probe reads it.
+        self._members: Dict[int, Set[FlowId]] = {}
         self._rates: Dict[FlowId, float] = {}
-        self._dirty_links: Set[LinkId] = set()
+        self._dirty_links: Set[int] = set()
         self._dirty_flows: Set[FlowId] = set()
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
@@ -312,11 +320,9 @@ class _IncrementalAllocator:
         """Current rate vector (a copy; call after ``recompute``)."""
         return dict(self._rates)
 
-    def _reach_of(
-        self, path: Path, links: Tuple[LinkId, ...]
-    ) -> Collection[LinkId]:
-        """Links whose load can move the rate of a flow on *path*
-        (*links* are its distinct directed links)."""
+    def _reach_of(self, path: Path, cols: List[int]) -> Collection[int]:
+        """Column ids of the links whose load can move the rate of a
+        flow on *path* (*cols* are its distinct links' columns)."""
         raise NotImplementedError
 
     def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
@@ -327,15 +333,18 @@ class _IncrementalAllocator:
         if demand < 0:
             raise SimulationError(f"flow {flow!r} has negative demand")
         path = tuple(path)
-        links = cached_path_links(path)
-        for link in links:
-            if link not in self._capacities:
+        index = self._space.index
+        cols: List[int] = []
+        for link in cached_path_links(path):
+            col = index.get(link)
+            if col is None:
                 raise SimulationError(f"flow {flow!r} uses unknown link {link!r}")
+            cols.append(col)
         # The kernels count row entries, so a repeated link is dropped
         # (the scratch solvers collapse it through their sets).
-        if len(links) != len(set(links)):
-            links = tuple(dict.fromkeys(links))
-        reach = self._reach_of(path, links)
+        if len(cols) != len(set(cols)):
+            cols = list(dict.fromkeys(cols))
+        reach = self._reach_of(path, cols)
         self._paths[flow] = path
         self._demands[flow] = float(demand)
         self._reach[flow] = reach
@@ -345,7 +354,7 @@ class _IncrementalAllocator:
         if not reach:
             # Source == destination: unconstrained, never shares a link.
             self._dirty_flows.add(flow)
-        self._cols[flow] = self._space.columns(links)
+        self._cols[flow] = np.array(cols, dtype=np.int64)
         if reach:
             self._tracker.add(flow, reach)
 
@@ -388,10 +397,10 @@ class _IncrementalAllocator:
         reaches = self._reach
         component: Set[FlowId] = set()
         add_flow = component.add
-        stack: List[LinkId] = [
+        stack: List[int] = [
             link for link in self._dirty_links if link in members
         ]
-        seen_links: Set[LinkId] = set(stack)
+        seen_links: Set[int] = set(stack)
         seen = seen_links.add
         push = stack.append
         while stack:
@@ -454,10 +463,8 @@ class IncrementalMaxMin(_IncrementalAllocator):
     benchmarks and debugging).
     """
 
-    def _reach_of(
-        self, path: Path, links: Tuple[LinkId, ...]
-    ) -> Tuple[LinkId, ...]:
-        return links
+    def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
+        return tuple(cols)
 
     def recompute(
         self, full: bool = False
@@ -515,7 +522,10 @@ class IncrementalMaxMin(_IncrementalAllocator):
         return changed, None, 0
 
     def _check_against_scratch(self) -> None:
-        scratch = max_min_allocation(self._capacities, self._reach, self._demands)
+        flow_links = {
+            flow: cached_path_links(path) for flow, path in self._paths.items()
+        }
+        scratch = max_min_allocation(self._capacities, flow_links, self._demands)
         self._verify_rates(scratch, "max-min")
 
 
@@ -535,7 +545,9 @@ def detour_closure(
 
     Two flows whose closures share no link can therefore never
     influence each other's INRP allocation — the decomposition
-    :class:`IncrementalInrp` is built on.
+    :class:`IncrementalInrp` is built on.  Only the primary path goes
+    through the :func:`~repro.routing.paths.cached_path_links` LRU;
+    each detour option's links are read off the option directly.
     """
     links: Set[LinkId] = set(cached_path_links(tuple(path)))
     frontier = links
@@ -543,7 +555,7 @@ def detour_closure(
         grown: Set[LinkId] = set()
         for u, v in frontier:
             for option in detour_table.options(u, v):
-                for link in cached_path_links(tuple(option)):
+                for link in zip(option, option[1:]):
                     if link not in links:
                         grown.add(link)
         if not grown:
@@ -561,7 +573,9 @@ class IncrementalInrp(_IncrementalAllocator):
     is its *detour closure* (see :func:`detour_closure`).  INRP
     allocation therefore decomposes over connected components of the
     closure flow-link graph exactly like max-min decomposes over path
-    components, and :meth:`recompute` re-runs the fluid filling over
+    components.  Each flow's closure is built once, on arrival, and
+    kept as a frozenset of column ids for as long as the flow is live.
+    :meth:`recompute` re-runs the fluid filling over
     the dirty component alone — every other flow keeps its rate *and*
     its per-path splits.  The fill is the CSR kernel's
     :func:`~repro.flowsim.kernel.inrp_fill`.
@@ -591,20 +605,15 @@ class IncrementalInrp(_IncrementalAllocator):
         self._option_cache: Dict = {}
         #: Per-path global columns and splice memo, shared across fills.
         self._path_cols_cache: Dict = {}
-        self._closure_cache: Dict[Path, FrozenSet[LinkId]] = {}
         self._order: Dict[FlowId, int] = {}
         self._next_order = 0
         #: Per-flow detour switches of the flow's latest fill.
         self._switches: Dict[FlowId, int] = {}
 
-    def _reach_of(
-        self, path: Path, links: Tuple[LinkId, ...]
-    ) -> FrozenSet[LinkId]:
-        closure = self._closure_cache.get(path)
-        if closure is None:
-            closure = detour_closure(path, self._table, self._max_replacements)
-            self._closure_cache[path] = closure
-        return closure
+    def _reach_of(self, path: Path, cols: List[int]) -> FrozenSet[int]:
+        closure = detour_closure(path, self._table, self._max_replacements)
+        index = self._space.index
+        return frozenset([index[link] for link in closure])
 
     def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
         super().add_flow(flow, path, demand)

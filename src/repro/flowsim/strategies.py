@@ -34,6 +34,7 @@ from repro.routing.ecmp import all_shortest_paths, ecmp_hash
 from repro.routing.paths import Path
 # Named dijkstra because perfbench's tracer times tree builds via this global.
 from repro.routing.shortest import hop_tree as dijkstra
+from repro.routing.shortest import tree_typecode
 from repro.topology.graph import Node, Topology
 
 FlowId = Hashable
@@ -63,9 +64,10 @@ class RoutingStrategy(abc.ABC):
     #: ``None`` on strategies that never detour (SP, ECMP).
     detour_depth: Optional[int] = None
 
-    #: Byte budget for cached shortest-path trees, one int32
-    #: predecessor-index array per source (~4 bytes/node instead of the
-    #: ~60 bytes/node of a ``(distances, predecessors)`` dict pair).
+    #: Byte budget for cached shortest-path trees, one predecessor-index
+    #: array per source (2 bytes/node as int16 on maps of at most 32,768
+    #: nodes, 4 as int32 beyond, instead of the ~60 bytes/node of a
+    #: ``(distances, predecessors)`` dict pair).
     #: A cached tree may be searched only to the level of the farthest
     #: destination routed from its source so far; it is still one
     #: full-length array.  Unbounded dict trees used to saturate at
@@ -89,8 +91,10 @@ class RoutingStrategy(abc.ABC):
         self._node_index = {node: i for i, node in enumerate(self._nodes)}
         self._path_cache: "OrderedDict[Tuple[Node, Node], Path]" = OrderedDict()
         self._sp_trees: "OrderedDict[Node, array]" = OrderedDict()
+        itemsize = array(tree_typecode(len(self._nodes))).itemsize
         self._tree_cache_size = max(
-            64, self._TREE_CACHE_BUDGET_BYTES // (4 * max(len(self._nodes), 1))
+            64,
+            self._TREE_CACHE_BUDGET_BYTES // (itemsize * max(len(self._nodes), 1)),
         )
 
     def _packed_tree(self, source: Node, target: int) -> array:

@@ -59,14 +59,22 @@ def _hop_search(
     return pred, order
 
 
+def tree_typecode(num_nodes: int) -> str:
+    """The :mod:`array` typecode of a :func:`hop_tree` over *num_nodes*
+    nodes: int16 (``"h"``) while every node index fits, int32 beyond."""
+    return "h" if num_nodes <= 1 << 15 else "i"
+
+
 def hop_tree(
     topo: Topology, source: Node, target: Optional[Node] = None
 ) -> array:
     """The hop-count shortest-path tree from *source*, packed.
 
-    An int32 array over :meth:`Topology.nodes` indices: entry *i* is
-    the index of node *i*'s predecessor, -1 for *source* and for nodes
-    the search did not reach.  The same tree as
+    An array over :meth:`Topology.nodes` indices: entry *i* is the
+    index of node *i*'s predecessor, -1 for *source* and for nodes the
+    search did not reach.  Its typecode is :func:`tree_typecode`'s:
+    int16 on maps of at most 32,768 nodes (every shipped map has at
+    most 1,273), int32 on larger ones.  The same tree as
     ``dijkstra(topo, source)``.
 
     With *target*, the search stops after the level that reaches it,
@@ -84,7 +92,7 @@ def hop_tree(
         goal = topo.node_index(target)
     pred, _ = _hop_search(topo, origin, goal)
     pred[origin] = -1
-    return array("i", pred)
+    return array(tree_typecode(len(pred)), pred)
 
 
 def _hop_dijkstra(

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.flowsim import IncrementalInrp, detour_closure, inrp_allocation
+from repro.flowsim import (
+    IncrementalInrp,
+    detour_closure,
+    inrp_allocation,
+    make_strategy,
+)
 from repro.routing import DetourTable, shortest_path
 from repro.routing.paths import cached_path_links
 from repro.topology import Topology, fig3_topology, mesh_topology
@@ -236,3 +241,44 @@ def test_incremental_inrp_matches_scratch_under_churn(seed, churn, demand):
         allocator.recompute()  # raises SimulationError on divergence
         _assert_matches_scratch(allocator, capacities, table, paths, demands)
     assert allocator.max_verify_deviation <= 1e-9
+
+
+def _sprint_local_paths(count):
+    topo = build_isp_topology("sprint", seed=0)
+    strategy = make_strategy("sp", topo)
+    sampler = local_pairs(topo, seed=1, max_hops=3)
+    paths = [strategy.route(flow, *sampler()) for flow in range(count)]
+    return topo, paths
+
+
+def test_departed_flows_leave_no_reach_behind():
+    """Once every flow has departed, the allocator keeps no closure,
+    reach, column or membership entry: a closure lives as long as its
+    flow, not as long as the allocator."""
+    topo, paths = _sprint_local_paths(120)
+    allocator = make_strategy("inrp", topo).incremental_allocator()
+    for flow, path in enumerate(paths):
+        allocator.add_flow(flow, path, mbps(10))
+        if flow % 3 == 0:
+            allocator.recompute()
+    allocator.recompute()
+    for flow in range(len(paths)):
+        allocator.remove_flow(flow)
+    allocator.recompute()
+    assert len(allocator) == 0
+    assert not getattr(allocator, "_closure_cache", {})
+    assert allocator._reach == {}
+    assert allocator._cols == {}
+    assert allocator._members == {}
+
+
+def test_closure_builds_do_not_fill_the_path_links_cache():
+    """Adding INRP flows puts at most one ``cached_path_links`` entry
+    per distinct primary path in the process-wide LRU: the closure walk
+    reads each detour option's links off the option itself."""
+    topo, paths = _sprint_local_paths(200)
+    allocator = make_strategy("inrp", topo).incremental_allocator()
+    cached_path_links.cache_clear()
+    for flow, path in enumerate(paths):
+        allocator.add_flow(flow, path, mbps(10))
+    assert cached_path_links.cache_info().currsize <= len(set(paths))

@@ -442,6 +442,49 @@ def test_inrp_fill_caches_carry_no_results_across_fills(monkeypatch):
     assert _fills_digest(shared) == _fills_digest(fresh)
 
 
+def _random_component(rng, space, prefix, num_links=6, num_flows=8):
+    """Rows of *num_flows* flows over links ``(prefix, i)``: each row a
+    random set of 1-3 of them, each demand inf or random."""
+    rows, demands = [], []
+    for _ in range(num_flows):
+        links = rng.sample(range(num_links), rng.randint(1, 3))
+        rows.append(space.columns([(prefix, link) for link in links]))
+        demands.append(rng.choice([math.inf, mbps(rng.uniform(0.5, 20.0))]))
+    return rows, demands
+
+
+def test_union_of_disjoint_components_fills_within_verify_bar():
+    """Filling two disjoint components together gives each flow its
+    separate-fill rate within the verify bar (relative 1e-9), not bit
+    for bit: the level's step sums run over both components.  That is
+    why the union-find tracker's schedule is part of the output."""
+    rng = random.Random(0)
+    differ = 0
+    for _ in range(200):
+        capacities = {
+            (prefix, link): mbps(rng.uniform(1.0, 20.0))
+            for prefix in "ab"
+            for link in range(6)
+        }
+        space = LinkSpace(capacities)
+        parts = [_random_component(rng, space, prefix) for prefix in "ab"]
+        separate = []
+        for rows, demands in parts:
+            lengths = [len(row) for row in rows]
+            separate += _kernel.maxmin_fill(
+                space, np.concatenate(rows), lengths, demands
+            ).tolist()
+        rows = parts[0][0] + parts[1][0]
+        demands = parts[0][1] + parts[1][1]
+        union = _kernel.maxmin_fill(
+            space, np.concatenate(rows), [len(row) for row in rows], demands
+        ).tolist()
+        for got, want in zip(union, separate):
+            assert abs(got - want) <= TOL * max(1.0, abs(want))
+        differ += union != separate
+    assert differ > 0
+
+
 @pytest.mark.parametrize("num_flows", [1, 20, 200])
 def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
     """With no replacement allowed, the INRP fill is progressive

@@ -172,6 +172,19 @@ def test_inrp_depth_zero_equals_sp():
     assert inrp0.allocate(flows).rates == pytest.approx(sp.allocate(flows).rates)
 
 
+def test_tree_cache_is_sized_by_the_tree_itemsize():
+    """The tree LRU holds as many trees as the byte budget fits at the
+    packed array's itemsize (2 bytes per node on the shipped maps)."""
+    topo = build_isp_topology("sprint", seed=0)
+    strategy = make_strategy("sp", topo)
+    num_nodes = len(topo.nodes())
+    tree = strategy._packed_tree(topo.nodes()[0], 1)
+    assert tree.itemsize == 2
+    assert strategy._tree_cache_size == max(
+        64, RoutingStrategy._TREE_CACHE_BUDGET_BYTES // (tree.itemsize * num_nodes)
+    )
+
+
 def test_inrp_rejects_negative_depth():
     with pytest.raises(ConfigurationError):
         make_strategy("inrp", fig3_topology(), detour_depth=-1)

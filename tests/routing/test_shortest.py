@@ -1,5 +1,7 @@
 """Deterministic Dijkstra tests, cross-checked against networkx."""
 
+from array import array
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -7,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing import shortest_path
-from repro.routing.shortest import dijkstra, hop_tree, iter_sp_next_hops
+from repro.routing.shortest import (
+    dijkstra,
+    hop_tree,
+    iter_sp_next_hops,
+    tree_typecode,
+)
 from repro.topology import Topology, build_isp_topology, mesh_topology
 
 from networkx_oracle import to_networkx
@@ -172,6 +179,27 @@ def test_bfs_trees_match_heap_dijkstra_on_mixed_type_meshes(labels, data):
             assert _path_or_none(topo, source, destination) == _path_or_none(
                 topo, source, destination, _unit
             )
+
+
+def test_hop_tree_packs_small_maps_as_int16():
+    """A map whose node indices fit in int16 gets an ``"h"`` tree with
+    the entries of the int32 tree built from ``dijkstra``."""
+    topo = build_isp_topology("exodus", seed=0)
+    nodes = topo.nodes()
+    for source in nodes[:20]:
+        tree = hop_tree(topo, source)
+        assert tree.typecode == "h" and tree.itemsize == 2
+        _, predecessors = dijkstra(topo, source)
+        want = array(
+            "i",
+            [
+                topo.node_index(predecessors[node]) if node in predecessors else -1
+                for node in nodes
+            ],
+        )
+        assert tree.tolist() == want.tolist()
+    assert tree_typecode(1 << 15) == "h"
+    assert tree_typecode((1 << 15) + 1) == "i"
 
 
 def test_hop_tree_unknown_source_raises():
