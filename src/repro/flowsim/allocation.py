@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from typing import (
-    Collection,
     Dict,
     FrozenSet,
     Hashable,
@@ -149,10 +148,11 @@ def max_min_allocation(
 class _ComponentTracker:
     """Amortized connectivity over the link-sharing relation.
 
-    A per-event BFS over the link-membership dicts finds the exact dirty
-    component, but costs O(component incidence) of Python dict traffic
-    on *every* event.  The incremental allocators instead select the
-    component from a union-find over live flows: an arriving flow
+    An exact search for the dirty component costs O(component
+    incidence) on *every* event.  The incremental allocators instead
+    select the component from a union-find over live flows (the exact
+    search runs only inside the simulator's full-refill probe, over
+    the class this tracker selects): an arriving flow
     unions with one representative per column it touches (all flows
     that ever shared a link are provably in one class), a departing
     flow is merely unlinked from its class's member set, and the whole
@@ -279,8 +279,10 @@ class _IncrementalAllocator:
     difference between the models (:meth:`_reach_of`): its path links
     under max-min, its detour closure under INRP.  Past
     :meth:`add_flow`, every link is its column id in the allocator's
-    :class:`~repro.flowsim.kernel.LinkSpace`: reaches, the membership
-    index, the dirty set and the component tracker all hold ints.
+    :class:`~repro.flowsim.kernel.LinkSpace`: reaches (tuples of
+    distinct column ids), the dirty set and the component tracker all
+    hold ints.  No link -> flows map is kept: :meth:`_dirty_component`
+    sweeps the tracker's class of the dirty links instead.
     """
 
     def __init__(self, capacities: Mapping[LinkId, float], verify: bool = False):
@@ -297,11 +299,9 @@ class _IncrementalAllocator:
         self._tracker = _ComponentTracker()
         self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
-        #: Flow -> column ids of the links it reaches.
-        self._reach: Dict[FlowId, Collection[int]] = {}
-        #: Column id -> flows reaching it; only the simulator's
-        #: full-refill :meth:`dirty_component_size` probe reads it.
-        self._members: Dict[int, Set[FlowId]] = {}
+        #: Flow -> distinct column ids of the links it reaches (one
+        #: tuple, shared with the tracker; only ever iterated).
+        self._reach: Dict[FlowId, Tuple[int, ...]] = {}
         self._rates: Dict[FlowId, float] = {}
         self._dirty_links: Set[int] = set()
         self._dirty_flows: Set[FlowId] = set()
@@ -320,7 +320,7 @@ class _IncrementalAllocator:
         """Current rate vector (a copy; call after ``recompute``)."""
         return dict(self._rates)
 
-    def _reach_of(self, path: Path, cols: List[int]) -> Collection[int]:
+    def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
         """Column ids of the links whose load can move the rate of a
         flow on *path* (*cols* are its distinct links' columns)."""
         raise NotImplementedError
@@ -348,9 +348,7 @@ class _IncrementalAllocator:
         self._paths[flow] = path
         self._demands[flow] = float(demand)
         self._reach[flow] = reach
-        for link in reach:
-            self._members.setdefault(link, set()).add(flow)
-            self._dirty_links.add(link)
+        self._dirty_links.update(reach)
         if not reach:
             # Source == destination: unconstrained, never shares a link.
             self._dirty_flows.add(flow)
@@ -366,13 +364,7 @@ class _IncrementalAllocator:
         self._rates.pop(flow, None)
         self._dirty_flows.discard(flow)
         reach = self._reach.pop(flow)
-        for link in reach:
-            members = self._members.get(link)
-            if members is not None:
-                members.discard(flow)
-                if not members:
-                    del self._members[link]
-            self._dirty_links.add(link)
+        self._dirty_links.update(reach)
         del self._cols[flow]
         if reach:
             self._tracker.remove(flow)
@@ -391,34 +383,40 @@ class _IncrementalAllocator:
         )
 
     def _dirty_component(self) -> Set[FlowId]:
-        """Flows transitively reachable from the dirty links via
-        shared-reach membership."""
-        members = self._members
+        """Flows transitively reachable from the dirty links via shared
+        reach.
+
+        Sweeps the tracker's class of the dirty links: a flow whose
+        reach meets the links found so far joins the component and adds
+        its reach to them, until a sweep adds no flow.  The class is a
+        superset of the dirty component and closed under shared reach,
+        so the sweeps stop at exactly that component, with no link ->
+        flows map kept or built.  A sweep costs one C-level
+        ``isdisjoint`` per remaining flow, and there are at most the
+        component's depth plus one of them: a few on the spanning
+        components where the simulator probes."""
         reaches = self._reach
+        links = set(self._dirty_links)
         component: Set[FlowId] = set()
-        add_flow = component.add
-        stack: List[int] = [
-            link for link in self._dirty_links if link in members
-        ]
-        seen_links: Set[int] = set(stack)
-        seen = seen_links.add
-        push = stack.append
-        while stack:
-            link = stack.pop()
-            for flow in members[link]:
-                if flow in component:
-                    continue
-                add_flow(flow)
-                for other in reaches[flow]:
-                    if other not in seen_links:
-                        seen(other)
-                        push(other)
+        pending = list(self._tracker.component(self._dirty_links))
+        while pending:
+            rest = []
+            for flow in pending:
+                reach = reaches[flow]
+                if links.isdisjoint(reach):
+                    rest.append(flow)
+                else:
+                    component.add(flow)
+                    links.update(reach)
+            if len(rest) == len(pending):
+                break
+            pending = rest
         return component
 
     def dirty_component_size(self) -> int:
         """Flows the next ``recompute`` would re-fill, without filling —
-        the simulator's probe while in full-refill mode (a BFS is far
-        cheaper than a wasted spanning re-fill)."""
+        the simulator's probe while in full-refill mode (a component
+        search is far cheaper than a wasted spanning re-fill)."""
         return len(self._dirty_component()) + len(self._dirty_flows)
 
     def _verify_rates(self, scratch: Mapping[FlowId, float], what: str) -> None:
@@ -548,6 +546,7 @@ def detour_closure(
     :class:`IncrementalInrp` is built on.  Only the primary path goes
     through the :func:`~repro.routing.paths.cached_path_links` LRU;
     each detour option's links are read off the option directly.
+    :class:`IncrementalInrp` keeps the result as a tuple of column ids.
     """
     links: Set[LinkId] = set(cached_path_links(tuple(path)))
     frontier = links
@@ -574,7 +573,8 @@ class IncrementalInrp(_IncrementalAllocator):
     allocation therefore decomposes over connected components of the
     closure flow-link graph exactly like max-min decomposes over path
     components.  Each flow's closure is built once, on arrival, and
-    kept as a frozenset of column ids for as long as the flow is live.
+    kept as a tuple of distinct column ids for as long as the flow is
+    live (nothing tests membership in it; it is only iterated).
     :meth:`recompute` re-runs the fluid filling over
     the dirty component alone — every other flow keeps its rate *and*
     its per-path splits.  The fill is the CSR kernel's
@@ -610,10 +610,10 @@ class IncrementalInrp(_IncrementalAllocator):
         #: Per-flow detour switches of the flow's latest fill.
         self._switches: Dict[FlowId, int] = {}
 
-    def _reach_of(self, path: Path, cols: List[int]) -> FrozenSet[int]:
+    def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
         closure = detour_closure(path, self._table, self._max_replacements)
         index = self._space.index
-        return frozenset([index[link] for link in closure])
+        return tuple([index[link] for link in closure])
 
     def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
         super().add_flow(flow, path, demand)

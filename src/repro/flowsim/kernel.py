@@ -54,7 +54,7 @@ from repro.flowsim.multipath import (
     splice_detour,
 )
 from repro.routing.detour import DetourTable
-from repro.routing.paths import Path, cached_path_links
+from repro.routing.paths import Path
 
 FlowId = Hashable
 LinkId = Hashable
@@ -270,8 +270,7 @@ def _fill(
         if entries is None:
             entries = []
             for option in detour_table.options(u, v):
-                olinks = cached_path_links(tuple(option))
-                ocols = tuple(index[link] for link in olinks)
+                ocols = tuple(index[link] for link in zip(option, option[1:]))
                 ofloor = max(floors.item(col) for col in ocols)
                 entries.append((option, ocols, ofloor, frozenset(option[1:-1])))
             option_cache[key] = entries
@@ -337,11 +336,10 @@ def _fill(
         splice would revisit a node."""
         pc = path_cols_cache.get(path)
         if pc is None:
-            links = cached_path_links(path)
             arr = np.fromiter(
-                (index[link] for link in links),
+                (index[link] for link in zip(path, path[1:])),
                 dtype=np.int64,
-                count=len(links),
+                count=len(path) - 1,
             )
             pc = (arr, arr.tolist(), {})
             path_cols_cache[path] = pc

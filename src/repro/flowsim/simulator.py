@@ -136,7 +136,7 @@ class _AdaptiveCorePolicy:
         """Should the next recompute be a full refill?
 
         ``measure`` is a zero-argument callable returning the current
-        dirty-component size (BFS only); it is consulted on full-mode
+        dirty-component size (a search, no fill); it is consulted on full-mode
         probe events, so its cost is amortised over ``PROBE_EVERY``
         refills.
         """

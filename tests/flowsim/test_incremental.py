@@ -1,15 +1,23 @@
 """Incremental max-min allocator: equality with from-scratch filling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.flowsim import IncrementalMaxMin, max_min_allocation
+from repro.flowsim import (
+    IncrementalMaxMin,
+    detour_closure,
+    make_strategy,
+    max_min_allocation,
+)
 from repro.routing import shortest_path
 from repro.routing.paths import cached_path_links
 from repro.topology import mesh_topology
+from repro.topology.isp import build_isp_topology
 from repro.units import mbps
-from repro.workloads import uniform_pairs
+from repro.workloads import local_pairs, uniform_pairs
 
 
 def _assert_matches_scratch(allocator, capacities, flow_links, demands):
@@ -140,3 +148,70 @@ def test_verify_mode_rejects_a_rate_off_by_1e_8():
     allocator._rates[1] *= 1.0 + 1e-8
     with pytest.raises(SimulationError, match="diverged"):
         allocator._check_against_scratch()
+
+
+def _reachable_from(dirty, reaches):
+    """Flows a BFS over every live flow's reach finds from *dirty*."""
+    by_link = {}
+    for flow, links in reaches.items():
+        for link in links:
+            by_link.setdefault(link, []).append(flow)
+    found = set()
+    stack = [link for link in dirty if link in by_link]
+    seen = set(stack)
+    while stack:
+        for flow in by_link[stack.pop()]:
+            if flow not in found:
+                found.add(flow)
+                for link in reaches[flow]:
+                    if link not in seen:
+                        seen.add(link)
+                        stack.append(link)
+    return found
+
+
+@pytest.mark.parametrize("name", ["sp", "inrp"])
+def test_dirty_component_size_is_exact_under_churn(name):
+    """Before every recompute, the full-refill probe counts exactly the
+    flows a BFS over every live flow's reach finds from the dirty links
+    (plus dirty link-less flows), across tracker rebuilds: the tracker
+    class the probe searches is only a superset of that component."""
+    topo = build_isp_topology("sprint", seed=0)
+    strategy = make_strategy(name, topo)
+    sampler = local_pairs(topo, seed=5, max_hops=3)
+    allocator = strategy.incremental_allocator()
+    rng = random.Random(17)
+    reaches = {}
+    dirty = set()
+    linkless = set()
+    nonzero = 0
+    for flow in range(700):
+        if reaches and rng.random() < len(reaches) / 120:
+            victim = rng.choice(sorted(reaches))
+            allocator.remove_flow(victim)
+            dirty.update(reaches.pop(victim))
+            linkless.discard(victim)
+        elif flow % 50 == 0:
+            node = sampler()[0]
+            allocator.add_flow(flow, (node,), mbps(10))
+            reaches[flow] = ()
+            linkless.add(flow)
+        else:
+            path = strategy.route(flow, *sampler())
+            allocator.add_flow(flow, path, mbps(rng.choice((2, 10, 40))))
+            if name == "inrp":
+                reaches[flow] = detour_closure(
+                    path, strategy.detour_table, strategy.max_replacements
+                )
+            else:
+                reaches[flow] = cached_path_links(path)
+            dirty.update(reaches[flow])
+        if rng.random() < 0.4:
+            want = len(_reachable_from(dirty, reaches)) + len(linkless)
+            assert allocator.dirty_component_size() == want
+            nonzero += want > 0
+            allocator.recompute()
+            dirty.clear()
+            linkless.clear()
+    assert allocator._tracker.rebuilds >= 3
+    assert nonzero > 100

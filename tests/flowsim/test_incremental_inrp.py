@@ -1,5 +1,6 @@
 """Incremental INRP allocator: detour-closure components vs scratch."""
 
+import math
 import random
 
 import pytest
@@ -253,8 +254,8 @@ def _sprint_local_paths(count):
 
 def test_departed_flows_leave_no_reach_behind():
     """Once every flow has departed, the allocator keeps no closure,
-    reach, column or membership entry: a closure lives as long as its
-    flow, not as long as the allocator."""
+    reach or column entry, and it has no link -> flows map at all: a
+    closure lives as long as its flow, not as long as the allocator."""
     topo, paths = _sprint_local_paths(120)
     allocator = make_strategy("inrp", topo).incremental_allocator()
     for flow, path in enumerate(paths):
@@ -269,16 +270,21 @@ def test_departed_flows_leave_no_reach_behind():
     assert not getattr(allocator, "_closure_cache", {})
     assert allocator._reach == {}
     assert allocator._cols == {}
-    assert allocator._members == {}
+    assert not hasattr(allocator, "_members")
 
 
 def test_closure_builds_do_not_fill_the_path_links_cache():
-    """Adding INRP flows puts at most one ``cached_path_links`` entry
-    per distinct primary path in the process-wide LRU: the closure walk
-    reads each detour option's links off the option itself."""
+    """Adding and filling INRP flows puts at most one
+    ``cached_path_links`` entry per distinct primary path in the
+    process-wide LRU: the closure walk and the fill's detour walk read
+    each option's and each spliced path's links off the path itself."""
     topo, paths = _sprint_local_paths(200)
     allocator = make_strategy("inrp", topo).incremental_allocator()
     cached_path_links.cache_clear()
+    switches = 0
     for flow, path in enumerate(paths):
-        allocator.add_flow(flow, path, mbps(10))
+        # Unbounded demands saturate links, so the fills splice detours.
+        allocator.add_flow(flow, path, math.inf)
+        switches += allocator.recompute()[2]
+    assert switches > 0
     assert cached_path_links.cache_info().currsize <= len(set(paths))

@@ -1,5 +1,7 @@
 """Event-driven flow-level simulator tests."""
 
+import hashlib
+
 import pytest
 from oracles import reference_run
 
@@ -375,6 +377,55 @@ def test_inrp_cores_equivalent_at_overload(seed):
     assert other.network_throughput == pytest.approx(
         ref.network_throughput, rel=1e-6
     )
+
+
+#: sha256 of SP's records on ``inrp-overload``'s map and schedule at
+#: seed 0 (350 flows), each float as ``float.hex``.
+_SP_OVERLOAD_GOLDEN = (
+    "42a64088823f22a25650bb524707dcca60b391c3631635861a77b4b03bf198ab"
+)
+
+
+def test_sp_overload_records_are_pinned():
+    """SP in deep overload, where the dirty-component probe decides
+    every return from full refills: the exodus map and uniform
+    schedule of the ``inrp-overload`` benchmark workload, run as SP,
+    switch to full refills and keep their records bit for bit."""
+    from repro.topology.isp import build_isp_topology
+    from repro.workloads import uniform_pairs
+
+    topo = build_isp_topology("exodus", seed=0)
+    specs = FlowWorkload(
+        topo,
+        arrival_rate=400.0,
+        mean_size_bits=4e6,
+        demand_bps=mbps(10),
+        seed=0,
+        pair_sampler=uniform_pairs(topo, seed=1),
+    ).generate(max_flows=350)
+    result = _simulate(topo, make_strategy("sp", topo), specs)
+    assert result.full_refills > 0
+    digest = hashlib.sha256()
+    for record in result.records:
+        fields = (
+            record.flow_id,
+            record.source,
+            record.destination,
+            record.size_bits,
+            record.arrival_time,
+            record.completion_time,
+            record.delivered_bits,
+            record.stretch,
+        )
+        digest.update(
+            repr(
+                tuple(
+                    value.hex() if isinstance(value, float) else value
+                    for value in fields
+                )
+            ).encode()
+        )
+    assert digest.hexdigest() == _SP_OVERLOAD_GOLDEN
 
 
 def test_inrp_incremental_verified_inside_simulator():
