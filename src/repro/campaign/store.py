@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
+
+logger = logging.getLogger(__name__)
 
 #: Bump on any change to the record layout or result semantics.
 SCHEMA_VERSION = 1
@@ -128,10 +130,10 @@ class ResultStore:
         """Yield stored records (current schema only), sorted by path.
 
         Damaged files — unreadable, truncated/corrupt JSON, or JSON
-        that is not a record object — are skipped with a
-        :class:`RuntimeWarning` naming the file, so ``campaign
-        report`` over a partially-written store degrades instead of
-        crashing.  Records from a different schema version are skipped
+        that is not a record object — are skipped with a warning
+        naming the file, logged on ``repro.campaign.store``, so
+        ``campaign report`` over a partially-written store degrades
+        instead of crashing.  Records from a different schema version are skipped
         silently: they are a stale cache, not damage.
         """
         if not self.root.exists():
@@ -141,18 +143,14 @@ class ResultStore:
             try:
                 record = json.loads(path.read_text())
             except (OSError, ValueError) as exc:
-                warnings.warn(
-                    f"skipping corrupt campaign record {path}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                logger.warning("skipping corrupt campaign record %s: %s", path, exc)
                 continue
             if not isinstance(record, dict):
-                warnings.warn(
-                    f"skipping malformed campaign record {path}: "
-                    f"expected a JSON object, got {type(record).__name__}",
-                    RuntimeWarning,
-                    stacklevel=2,
+                logger.warning(
+                    "skipping malformed campaign record %s: expected a JSON "
+                    "object, got %s",
+                    path,
+                    type(record).__name__,
                 )
                 continue
             if record.get("schema_version") != SCHEMA_VERSION:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.routing.paths import Path
 from repro.workloads.traffic import FlowSpec
 
@@ -33,18 +34,19 @@ class ActiveFlow:
         delivered = min(self.rate_bps * dt, self.remaining_bits)
         if delivered <= 0:
             return 0.0
-        if len(self.splits) == 1:
+        if len(self.splits) == 1 and self.splits[0][1] > 0:
             # Single-path flows (the vast majority) skip the share
             # arithmetic: everything rides one sub-path.
-            path, rate = self.splits[0]
-            if rate > 0:
-                hops = len(path) - 1
-                self.bits_by_hops[hops] = (
-                    self.bits_by_hops.get(hops, 0.0) + delivered
-                )
+            hops = len(self.splits[0][0]) - 1
+            self.bits_by_hops[hops] = self.bits_by_hops.get(hops, 0.0) + delivered
             self.remaining_bits -= delivered
             return delivered
-        total_rate = sum(rate for _, rate in self.splits) or self.rate_bps
+        total_rate = sum(rate for _, rate in self.splits)
+        if total_rate <= 0:
+            raise SimulationError(
+                f"flow {self.spec.flow_id} has rate {self.rate_bps} bit/s "
+                f"but no positive split: {self.splits!r}"
+            )
         for path, rate in self.splits:
             if rate <= 0:
                 continue

@@ -2,10 +2,11 @@
 
 The paper quantifies its Fig. 3 example with Jain's fairness index
 (Chiu & Jain): ``F = (sum T)^2 / (n * sum T^2)``.  This module also
-provides a max-min fairness *certificate* used by the test suite to
-verify the progressive-filling allocator: an allocation is max-min
-fair iff every flow is either satisfied or crosses a saturated link on
-which it receives at least as much as every other flow.
+provides :func:`max_min_violations`, a max-min fairness *certificate*
+the test suite uses to verify the progressive-filling allocator: an
+allocation is max-min fair iff every flow is either satisfied or
+crosses a saturated link on which it receives at least as much as
+every other flow.
 """
 
 from __future__ import annotations
@@ -98,13 +99,3 @@ def max_min_violations(
             )
     return violations
 
-
-def bottleneck_fairness_certificate(
-    rates: Mapping[FlowId, float],
-    demands: Mapping[FlowId, float],
-    flow_links: Mapping[FlowId, Sequence[LinkId]],
-    capacities: Mapping[LinkId, float],
-    tolerance: float = 1e-6,
-) -> bool:
-    """True iff the allocation passes :func:`max_min_violations`."""
-    return not max_min_violations(rates, demands, flow_links, capacities, tolerance)

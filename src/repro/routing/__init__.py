@@ -1,8 +1,9 @@
 """Routing substrate: shortest paths, ECMP, detours.
 
-All functions are deterministic: ties between equal-cost paths are
-broken lexicographically on the node sequence, so experiments are
-reproducible across runs and platforms.
+Every route is a hop-count shortest path, found by one search
+(:mod:`repro.routing.shortest`).  All functions are deterministic:
+ties between equal-hop paths are broken by a fixed node order, so
+experiments are reproducible across runs and platforms.
 """
 
 from repro.routing.paths import (
@@ -12,8 +13,8 @@ from repro.routing.paths import (
     path_links,
     path_stretch,
 )
-from repro.routing.shortest import dijkstra, hop_tree, shortest_path
-from repro.routing.ecmp import all_shortest_paths, ecmp_hash, ecmp_path_for_flow
+from repro.routing.shortest import hop_tree, shortest_path
+from repro.routing.ecmp import all_shortest_paths, ecmp_hash
 from repro.routing.detour import (
     DetourBreakdown,
     DetourClass,
@@ -29,12 +30,10 @@ __all__ = [
     "path_hops",
     "path_links",
     "path_stretch",
-    "dijkstra",
     "hop_tree",
     "shortest_path",
     "all_shortest_paths",
     "ecmp_hash",
-    "ecmp_path_for_flow",
     "DetourClass",
     "DetourBreakdown",
     "DetourTable",

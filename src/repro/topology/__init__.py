@@ -5,7 +5,7 @@ small worked-example topology (Fig. 3).  This package provides:
 
 - :class:`~repro.topology.graph.Topology` — a capacitated graph with
   per-direction link capacities (symmetric links are the special case
-  built by a scalar capacity spec) plus delay/weight attributes;
+  built by a scalar capacity spec) and link delays;
 - :mod:`~repro.topology.blocks` — motif builders (triangle fans,
   square chains, long cycles, pendants) whose links have a known detour
   class *by construction*;

@@ -1,9 +1,9 @@
 """Capacitated topology model with per-direction link capacities.
 
 :class:`Topology` is a plain adjacency structure that enforces the
-library-wide conventions: capacities in bits/s, delays in seconds and a
-routing weight per link (1.0 by default, i.e. hop-count routing as in
-the paper's flow-level evaluation).  Nodes are numbered in insertion
+library-wide conventions: capacities in bits/s and delays in seconds.
+Links carry no routing cost: routes are hop-count shortest paths, as
+in the paper's flow-level evaluation.  Nodes are numbered in insertion
 order, and alongside the node-keyed view it keeps the same adjacency
 as lists of node indices, which the hop-count routing walks.
 
@@ -154,7 +154,6 @@ class Topology:
         v: Node,
         capacity: CapacitySpec = DEFAULT_CAPACITY_BPS,
         delay: float = DEFAULT_DELAY_S,
-        weight: float = 1.0,
         capacity_reverse: Optional[float] = None,
     ) -> Link:
         """Add a link between *u* and *v*.
@@ -195,7 +194,6 @@ class Topology:
             "capacity": cap_fwd,
             "capacity_rev": cap_rev,
             "delay": float(delay),
-            "weight": float(weight),
         }
         iu, iv = self._index[u], self._index[v]
         self._nbrs[iu].append(iv)
@@ -205,7 +203,7 @@ class Topology:
 
     def remove_link(self, u: Node, v: Node) -> None:
         """Remove the link between *u* and *v*."""
-        self._require_link(u, v)
+        self._link_data(u, v)  # raises TopologyError for an unknown link
         del self._adj[u][v]
         del self._adj[v][u]
         iu, iv = self._index[u], self._index[v]
@@ -265,10 +263,6 @@ class Topology:
         """One-way propagation delay of link ``(u, v)`` in seconds."""
         return float(self._link_data(u, v)["delay"])
 
-    def weight(self, u: Node, v: Node) -> float:
-        """Routing weight of link ``(u, v)``."""
-        return float(self._link_data(u, v)["weight"])
-
     def set_capacity(self, u: Node, v: Node, capacity: CapacitySpec) -> None:
         """Set the link capacity.
 
@@ -303,17 +297,6 @@ class Topology:
         if not self._nodes:
             return True
         return len(self._reachable(0)) == len(self._nodes)
-
-    def is_bridge(self, u: Node, v: Node) -> bool:
-        """True if removing link ``(u, v)`` disconnects *u* from *v*.
-
-        A search that never takes the link itself; the topology, and
-        with it every iteration order, is left untouched.
-        """
-        self._require_link(u, v)
-        return self._index[v] not in self._reachable(
-            self._index[u], skip=self._index[v]
-        )
 
     # ------------------------------------------------------------------
     # Integer view (read-only; used by hop-count routing)
@@ -392,22 +375,17 @@ class Topology:
                     yield u, v, data
             done.add(u)
 
-    def _reachable(self, start: int, skip: int = -1) -> set:
-        """Indices reachable from *start*, never taking the direct link
-        ``start -- skip``."""
+    def _reachable(self, start: int) -> set:
+        """Indices reachable from *start*."""
         nbrs = self._nbrs
         seen = {start}
         stack = [start]
         while stack:
-            node = stack.pop()
-            for neighbour in nbrs[node]:
-                if neighbour not in seen and not (node == start and neighbour == skip):
+            for neighbour in nbrs[stack.pop()]:
+                if neighbour not in seen:
                     seen.add(neighbour)
                     stack.append(neighbour)
         return seen
-
-    def _require_link(self, u: Node, v: Node) -> None:
-        self._link_data(u, v)
 
     def _link_data(self, u: Node, v: Node) -> Dict[str, float]:
         try:

@@ -8,17 +8,17 @@ JSON schema::
     {"name": "...",
      "nodes": [...],
      "links": [{"u": ..., "v": ..., "capacity": bps,
-                "capacity_reverse": bps, "delay": s, "weight": w}, ...]}
+                "capacity_reverse": bps, "delay": s}, ...]}
 
 ``capacity`` is the ``u -> v`` direction and ``capacity_reverse`` the
 ``v -> u`` direction.  Legacy documents without ``capacity_reverse``
-load as symmetric links (a one-time warning notes the assumption).
+load as symmetric links, and a warning is logged once per document.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
+import logging
 from pathlib import Path
 from typing import Union
 
@@ -27,22 +27,7 @@ from repro.topology.graph import DEFAULT_CAPACITY_BPS, DEFAULT_DELAY_S, Topology
 
 PathLike = Union[str, Path]
 
-#: One-time flag: legacy (direction-less) documents warn only once per
-#: process, not once per link or per file.
-_warned_legacy_symmetric = False
-
-
-def _warn_legacy_symmetric(source: str) -> None:
-    global _warned_legacy_symmetric
-    if _warned_legacy_symmetric:
-        return
-    _warned_legacy_symmetric = True
-    warnings.warn(
-        f"{source} has no per-direction capacities ('capacity_reverse'); "
-        "loading links as symmetric (same capacity in both directions)",
-        UserWarning,
-        stacklevel=3,
-    )
+logger = logging.getLogger(__name__)
 
 
 def topology_to_dict(topo: Topology) -> dict:
@@ -57,7 +42,6 @@ def topology_to_dict(topo: Topology) -> dict:
                 "capacity": topo.capacity(u, v),
                 "capacity_reverse": topo.capacity(v, u),
                 "delay": topo.delay(u, v),
-                "weight": topo.weight(u, v),
             }
             for u, v in topo.links()
         ],
@@ -74,6 +58,14 @@ def topology_from_dict(document: dict) -> Topology:
     legacy = False
     for link in document["links"]:
         try:
+            # Routing is by hop count, so any other link weight would be
+            # ignored.  Older documents carry weight 1 and still load.
+            if link.get("weight", 1) != 1:
+                raise TopologyError(
+                    f"link {link['u']!r} -- {link['v']!r} has routing weight "
+                    f"{link['weight']!r}; routing is by hop count, so every "
+                    "link must weigh 1"
+                )
             capacity = float(link.get("capacity", DEFAULT_CAPACITY_BPS))
             if "capacity_reverse" in link:
                 reverse = float(link["capacity_reverse"])
@@ -86,12 +78,16 @@ def topology_from_dict(document: dict) -> Topology:
                 capacity=capacity,
                 capacity_reverse=reverse,
                 delay=float(link.get("delay", DEFAULT_DELAY_S)),
-                weight=float(link.get("weight", 1.0)),
             )
         except KeyError as missing:
             raise TopologyError(f"link record missing field {missing}") from None
     if legacy:
-        _warn_legacy_symmetric(f"topology document {topo.name!r}")
+        logger.warning(
+            "topology document %r has no per-direction capacities "
+            "('capacity_reverse'); loading links as symmetric (same "
+            "capacity in both directions)",
+            topo.name,
+        )
     return topo
 
 

@@ -1,7 +1,7 @@
 """Result store: run keys, schema versioning, record round-trips."""
 
 import json
-import warnings
+import logging
 
 import pytest
 
@@ -109,7 +109,15 @@ def test_failed_write_keeps_previous_record(tmp_path, monkeypatch):
     assert store.load("demo", params)["result"] == {"value": 1}
 
 
-def test_iter_records_warns_and_skips_corrupt_files(tmp_path):
+def _store_warnings(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "repro.campaign.store" and record.levelno == logging.WARNING
+    ]
+
+
+def test_iter_records_warns_and_skips_corrupt_files(tmp_path, caplog):
     # A partially-written (truncated) record must not crash `campaign
     # report`: the damaged file is skipped with a warning naming it,
     # and every healthy record still comes through.
@@ -117,21 +125,25 @@ def test_iter_records_warns_and_skips_corrupt_files(tmp_path):
     store.save("demo", {"seed": 0}, {"value": 1})
     truncated = store.save("demo", {"seed": 1}, {"value": 2})
     truncated.write_text(truncated.read_text()[:20])
-    with pytest.warns(RuntimeWarning, match=truncated.name):
+    with caplog.at_level(logging.WARNING):
         records = list(store.iter_records())
     assert [r["params"]["seed"] for r in records] == [0]
+    [message] = _store_warnings(caplog)
+    assert "corrupt" in message and truncated.name in message
 
 
-def test_iter_records_warns_on_non_object_json(tmp_path):
+def test_iter_records_warns_on_non_object_json(tmp_path, caplog):
     # Valid JSON that is not a record object (e.g. a file truncated to
     # `null`) used to crash on `.get`; now it is skipped with a warning.
     store = ResultStore(tmp_path)
     store.save("demo", {"seed": 0}, {"value": 1})
     rogue = tmp_path / "demo" / "rogue.json"
     rogue.write_text("null\n")
-    with pytest.warns(RuntimeWarning, match="rogue.json"):
+    with caplog.at_level(logging.WARNING):
         records = list(store.iter_records("demo"))
     assert len(records) == 1
+    [message] = _store_warnings(caplog)
+    assert "malformed" in message and "rogue.json" in message
     assert store.load("demo", {"seed": 0})["result"] == {"value": 1}
 
 
@@ -143,19 +155,19 @@ def test_load_treats_non_object_json_as_miss(tmp_path):
     assert store.load("demo", params) is None
 
 
-def test_schema_mismatch_skipped_silently_not_warned(tmp_path):
+def test_schema_mismatch_skipped_silently_not_warned(tmp_path, caplog):
     # A stale schema version is a cache miss, not damage: no warning.
     store = ResultStore(tmp_path)
     path = store.save("demo", {"seed": 0}, {"value": 1})
     record = json.loads(path.read_text())
     record["schema_version"] = SCHEMA_VERSION + 1
     path.write_text(json.dumps(record))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with caplog.at_level(logging.DEBUG):
         assert list(store.iter_records()) == []
+    assert caplog.records == []
 
 
-def test_campaign_report_survives_corrupt_store(tmp_path, capsys):
+def test_campaign_report_survives_corrupt_store(tmp_path, capsys, caplog):
     # End to end: the CLI report over a store with one damaged file
     # still renders the healthy records and exits zero.
     from repro.cli import main
@@ -164,8 +176,10 @@ def test_campaign_report_survives_corrupt_store(tmp_path, capsys):
     store.save("demo", {"seed": 0}, {"value": 1})
     broken = store.save("demo", {"seed": 1}, {"value": 2})
     broken.write_text('{"schema_version": 1, "trunc')
-    with pytest.warns(RuntimeWarning):
+    with caplog.at_level(logging.WARNING):
         code = main(["campaign", "report", "--results-dir", str(tmp_path)])
     assert code == 0
+    [message] = _store_warnings(caplog)
+    assert broken.name in message
     out = capsys.readouterr().out
     assert "1 stored record(s)" in out

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.flowsim import max_min_allocation
-from repro.metrics import bottleneck_fairness_certificate
+from repro.metrics import max_min_violations
 from repro.routing import shortest_path
 from repro.routing.paths import path_links
 from repro.topology import fig3_topology, mesh_topology
@@ -85,6 +85,7 @@ def test_max_min_certificate_on_random_instances(seed, num_flows, demand):
         demands[flow_id] = demand
     capacities = topo.directed_capacities()
     rates = max_min_allocation(capacities, flow_links, demands)
-    assert bottleneck_fairness_certificate(
-        rates, demands, flow_links, capacities, tolerance=1e-5
+    assert (
+        max_min_violations(rates, demands, flow_links, capacities, tolerance=1e-5)
+        == []
     )

@@ -12,6 +12,7 @@ from repro.flowsim import (
     StreamingSink,
     make_strategy,
 )
+from repro.flowsim.flow import ActiveFlow
 from repro.topology import Topology, fig3_topology, line_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import FlowSpec, FlowWorkload, local_pairs
@@ -175,6 +176,26 @@ def test_reused_sink_instance_cannot_rerun(sink_cls):
         sim.run()
     assert first.num_flows == 50
     assert first.completed_count == 50
+
+
+def test_positive_rate_without_positive_split_is_an_error():
+    """Delivery at a positive rate must be carried by some split:
+    otherwise the bits would be credited to no path's hop count."""
+    path, detour = (0, 1, 2), (0, 3, 1, 2)
+    flow = ActiveFlow(
+        spec=_spec(7, 0, 2, 0.0, 10e6),
+        primary_path=path,
+        remaining_bits=10e6,
+        rate_bps=mbps(5),
+    )
+    for splits in ([(path, 0.0), (detour, 0.0)], [(path, 0.0)], []):
+        flow.splits = splits
+        with pytest.raises(SimulationError, match="no positive split"):
+            flow.record_delivery(0.5)
+    # With a positive split the same delivery is credited to its hops.
+    flow.splits = [(path, mbps(3)), (detour, mbps(2))]
+    assert flow.record_delivery(0.5) == pytest.approx(mbps(5) * 0.5)
+    assert flow.bits_by_hops == pytest.approx({2: mbps(1.5), 3: mbps(1)})
 
 
 def test_mean_fct_and_stretch_helpers():

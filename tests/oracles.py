@@ -12,6 +12,9 @@
   :func:`reference_chunk_engine` runs every
   :class:`~repro.chunksim.network.ChunkNetwork` built inside it on
   that loop.
+- :func:`heap_dijkstra` is a heap Dijkstra over unit link costs with
+  the routing tie-break written out, the oracle of the hop-count
+  search in :mod:`repro.routing.shortest`.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``, so any test
 module imports these with ``from oracles import ...``.
@@ -36,7 +39,7 @@ from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
 from repro.flowsim.strategies import InrpStrategy, RoutingStrategy
 from repro.metrics.timeseries import TimeWeightedMean
 from repro.routing.paths import Path, cached_path_links
-from repro.topology.graph import Topology
+from repro.topology.graph import Node, Topology, node_rank
 from repro.workloads.traffic import FlowSpec
 
 
@@ -259,3 +262,42 @@ def reference_chunk_engine():
         yield built
     finally:
         _network.Simulator = original
+
+
+def heap_dijkstra(
+    topo: Topology, source: Node
+) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
+    """Hop distances and predecessors from *source*, by heap Dijkstra.
+
+    Nodes are settled in ``(distance, node_rank)`` order.  Of two
+    equal-distance predecessors the lower-ranked one wins, the
+    tie-break the production BFS gets from expanding each level in rank
+    order.  Both maps are filled in discovery order; unreachable nodes
+    are absent.
+    """
+    distances: Dict[Node, float] = {source: 0.0}
+    predecessors: Dict[Node, Node] = {}
+    settled = set()
+    frontier = [(0.0, node_rank(source), source)]
+    while frontier:
+        dist, _, node = heapq.heappop(frontier)
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbour in topo.neighbors(node):
+            if neighbour in settled:
+                continue
+            candidate = dist + 1.0
+            best = distances.get(neighbour)
+            if (
+                best is None
+                or candidate < best
+                or (
+                    candidate == best
+                    and node_rank(node) < node_rank(predecessors[neighbour])
+                )
+            ):
+                distances[neighbour] = candidate
+                predecessors[neighbour] = node
+                heapq.heappush(frontier, (candidate, node_rank(neighbour), neighbour))
+    return distances, predecessors

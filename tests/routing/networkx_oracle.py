@@ -10,6 +10,5 @@ def to_networkx(topo):
     """An :class:`networkx.Graph` with the nodes and links of *topo*."""
     graph = nx.Graph()
     graph.add_nodes_from(topo.nodes())
-    for u, v in topo.links():
-        graph.add_edge(u, v, weight=topo.weight(u, v))
+    graph.add_edges_from(topo.links())
     return graph

@@ -1,10 +1,15 @@
 """ECMP enumeration and hashing tests."""
 
+import random
+
+import networkx as nx
 import pytest
 
-from repro.errors import NoPathError
-from repro.routing import all_shortest_paths, ecmp_hash, ecmp_path_for_flow
-from repro.topology import Topology
+from repro.errors import NoPathError, RoutingError
+from repro.routing import all_shortest_paths, ecmp_hash
+from repro.topology import Topology, build_isp_topology, mesh_topology
+
+from networkx_oracle import to_networkx
 
 
 @pytest.fixture
@@ -28,6 +33,43 @@ def test_disconnected_raises():
         all_shortest_paths(topo, 0, 2)
 
 
+def test_unknown_endpoints_raise():
+    topo = Topology.from_links([(0, 1)])
+    with pytest.raises(RoutingError):
+        all_shortest_paths(topo, 99, 0)
+    with pytest.raises(NoPathError):
+        all_shortest_paths(topo, 0, 99)
+
+
+def test_trivial_path_set():
+    topo = Topology.from_links([(0, 1)])
+    assert all_shortest_paths(topo, 0, 0) == [(0,)]
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        build_isp_topology("exodus", seed=0),
+        build_isp_topology("tiscali", seed=0),
+        *(mesh_topology(40, extra_links=30, seed=seed) for seed in (1, 2, 3)),
+    ],
+    ids=["exodus", "tiscali", "mesh1", "mesh2", "mesh3"],
+)
+def test_path_sets_match_networkx(topo):
+    """Every equal-hop path networkx finds, and no other, sorted by the
+    ``repr`` of the node sequence, on seeded endpoint pairs."""
+    graph = to_networkx(topo)
+    nodes = topo.nodes()
+    rng = random.Random(7)
+    for _ in range(300):
+        source, destination = rng.choice(nodes), rng.choice(nodes)
+        paths = all_shortest_paths(topo, source, destination)
+        expected = nx.all_shortest_paths(graph, source, destination)
+        assert set(paths) == set(map(tuple, expected))
+        assert len(paths) == len(set(paths))
+        assert paths == sorted(paths, key=lambda p: tuple(map(repr, p)))
+
+
 def test_hash_stable_and_in_range():
     assert ecmp_hash(12345, 4) == ecmp_hash(12345, 4)
     for flow_id in range(200):
@@ -35,7 +77,8 @@ def test_hash_stable_and_in_range():
 
 
 def test_hash_uses_all_buckets(square):
-    chosen = {ecmp_path_for_flow(square, 0, 2, fid) for fid in range(50)}
+    paths = all_shortest_paths(square, 0, 2)
+    chosen = {paths[ecmp_hash(fid, len(paths))] for fid in range(50)}
     assert len(chosen) == 2  # both equal-cost paths get traffic
 
 

@@ -1,4 +1,5 @@
-"""Deterministic Dijkstra tests, cross-checked against networkx."""
+"""Hop-count shortest-path tests, cross-checked against networkx and
+the heap Dijkstra oracle."""
 
 from array import array
 
@@ -9,15 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing import shortest_path
-from repro.routing.shortest import (
-    dijkstra,
-    hop_tree,
-    iter_sp_next_hops,
-    tree_typecode,
-)
+from repro.routing.shortest import hop_tree, iter_sp_next_hops, tree_typecode
 from repro.topology import Topology, build_isp_topology, mesh_topology
 
 from networkx_oracle import to_networkx
+from oracles import heap_dijkstra
 
 
 def test_line_path():
@@ -42,6 +39,8 @@ def test_unknown_nodes_raise():
         shortest_path(topo, 0, 99)
     with pytest.raises(RoutingError):
         shortest_path(topo, 99, 0)
+    with pytest.raises(RoutingError):
+        list(iter_sp_next_hops(topo, 99))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -49,9 +48,17 @@ def test_lengths_match_networkx(seed):
     topo = mesh_topology(30, extra_links=25, seed=seed)
     graph = to_networkx(topo)
     expected = dict(nx.all_pairs_shortest_path_length(graph))
-    for source in topo.nodes():
-        distances, _ = dijkstra(topo, source)
-        assert distances == expected[source]
+    nodes = topo.nodes()
+    for source in nodes:
+        origin, tree = topo.node_index(source), hop_tree(topo, source)
+        lengths = {source: 0}
+        for index, node in enumerate(nodes):
+            hops = 0
+            while index != origin and tree[index] >= 0:
+                index, hops = tree[index], hops + 1
+            if index == origin and hops:
+                lengths[node] = hops
+        assert lengths == expected[source]
 
 
 def test_deterministic_tie_break():
@@ -62,21 +69,6 @@ def test_deterministic_tie_break():
         assert shortest_path(topo, 0, 2) == first
 
 
-def test_weighted_path_prefers_cheap_links():
-    topo = Topology()
-    topo.add_link("a", "b", weight=10.0)
-    topo.add_link("a", "c", weight=1.0)
-    topo.add_link("c", "b", weight=1.0)
-    path = shortest_path(topo, "a", "b", weight=topo.weight)
-    assert path == ("a", "c", "b")
-
-
-def test_negative_weight_rejected():
-    topo = Topology.from_links([(0, 1)])
-    with pytest.raises(RoutingError):
-        dijkstra(topo, 0, weight=lambda u, v: -1.0)
-
-
 def test_iter_sp_next_hops_builds_fib():
     topo = Topology.from_links([(0, 1), (1, 2), (2, 3)])
     fib = dict(iter_sp_next_hops(topo, 3))
@@ -84,20 +76,26 @@ def test_iter_sp_next_hops_builds_fib():
 
 
 # ----------------------------------------------------------------------
-# The hop-metric BFS against heap Dijkstra, its oracle: an explicit unit
-# weight forces the heap search, which must build the very same trees.
+# The hop-count BFS against heap Dijkstra (tests/oracles.py), which must
+# build the very same trees.
 # ----------------------------------------------------------------------
 
 
-def _unit(_u, _v):
-    return 1.0
-
-
-def _path_or_none(topo, source, destination, weight=None):
+def _path_or_none(topo, source, destination):
     try:
-        return shortest_path(topo, source, destination, weight)
+        return shortest_path(topo, source, destination)
     except NoPathError:
         return None
+
+
+def _heap_path_or_none(topo, source, destination):
+    distances, predecessors = heap_dijkstra(topo, source)
+    if destination not in distances:
+        return None
+    path = [destination]
+    while path[-1] != source:
+        path.append(predecessors[path[-1]])
+    return tuple(reversed(path))
 
 
 def _assert_bounded_trees_agree(topo):
@@ -107,7 +105,7 @@ def _assert_bounded_trees_agree(topo):
     nodes = topo.nodes()
     for source in nodes:
         full = np.asarray(hop_tree(topo, source))
-        distances, _ = dijkstra(topo, source)
+        distances, _ = heap_dijkstra(topo, source)
         hops = np.array([distances.get(node, np.inf) for node in nodes])
         hops[topo.node_index(source)] = np.inf  # the origin reads -1
         for target in nodes:
@@ -129,15 +127,14 @@ def test_bounded_hop_trees_agree_with_full_trees_on_isp_map():
 def _assert_bfs_matches_heap(topo):
     nodes = topo.nodes()
     for source in nodes:
-        distances, predecessors = dijkstra(topo, source)
-        heap_distances, heap_predecessors = dijkstra(topo, source, weight=_unit)
-        # Same maps, filled in the same order.
-        assert list(distances.items()) == list(heap_distances.items())
-        assert list(predecessors.items()) == list(heap_predecessors.items())
+        _, predecessors = heap_dijkstra(topo, source)
         packed = hop_tree(topo, source)
         assert [nodes[i] if i >= 0 else None for i in packed] == [
-            heap_predecessors.get(node) for node in nodes
+            predecessors.get(node) for node in nodes
         ]
+        # The FIB toward `source` is the same tree, yielded in the
+        # order the heap search discovers it.
+        assert list(iter_sp_next_hops(topo, source)) == list(predecessors.items())
 
 
 @pytest.mark.parametrize("isp", ["exodus", "ebone", "tiscali"])
@@ -176,20 +173,20 @@ def test_bfs_trees_match_heap_dijkstra_on_mixed_type_meshes(labels, data):
     # Per-pair searches stop early and must still agree.
     for source in labels[:4]:
         for destination in labels:
-            assert _path_or_none(topo, source, destination) == _path_or_none(
-                topo, source, destination, _unit
+            assert _path_or_none(topo, source, destination) == _heap_path_or_none(
+                topo, source, destination
             )
 
 
 def test_hop_tree_packs_small_maps_as_int16():
     """A map whose node indices fit in int16 gets an ``"h"`` tree with
-    the entries of the int32 tree built from ``dijkstra``."""
+    the entries of the int32 tree built from the heap oracle's."""
     topo = build_isp_topology("exodus", seed=0)
     nodes = topo.nodes()
     for source in nodes[:20]:
         tree = hop_tree(topo, source)
         assert tree.typecode == "h" and tree.itemsize == 2
-        _, predecessors = dijkstra(topo, source)
+        _, predecessors = heap_dijkstra(topo, source)
         want = array(
             "i",
             [

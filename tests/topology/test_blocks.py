@@ -72,7 +72,7 @@ def test_long_cycle_rejects_short():
         add_long_cycle(topo, root, 4, namer)
 
 
-def test_pendant_is_bridge():
+def test_pendant_has_no_detour():
     topo, namer, root = _fresh()
     u, v = add_pendant(topo, root, namer)
     assert classify_link_detour(topo, u, v) is DetourClass.NONE

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
+from repro.routing import DetourClass, classify_link_detour
 from repro.topology import Link, Topology, link_key, split_capacity_spec
 from repro.units import mbps
 
@@ -66,19 +67,19 @@ def test_set_capacity(triangle):
         triangle.set_capacity("a", "b", -1)
 
 
-def test_is_bridge(triangle):
-    # No triangle edge is a bridge; a pendant edge is.
-    assert not triangle.is_bridge("a", "b")
+def test_pendant_link_has_no_detour(triangle):
+    # Every triangle link has a detour; a pendant link has none.
+    assert classify_link_detour(triangle, "a", "b") is DetourClass.ONE_HOP
     triangle.add_link("c", "leaf")
-    assert triangle.is_bridge("c", "leaf")
-    # is_bridge must not mutate the graph, iteration orders included.
+    assert classify_link_detour(triangle, "c", "leaf") is DetourClass.NONE
+    # Classifying must not mutate the graph, iteration orders included.
     assert triangle.has_link("c", "leaf")
     assert triangle.num_links == 4
     topo = Topology.from_links([(0, 1), (0, 2), (1, 2), (2, 3)])
     neighbours = {node: topo.neighbors(node) for node in topo.nodes()}
     links = topo.links()
-    assert not topo.is_bridge(0, 1)
-    assert topo.is_bridge(2, 3)
+    assert classify_link_detour(topo, 0, 1) is not DetourClass.NONE
+    assert classify_link_detour(topo, 2, 3) is DetourClass.NONE
     assert {node: topo.neighbors(node) for node in topo.nodes()} == neighbours
     assert topo.links() == links
 
@@ -156,9 +157,15 @@ def test_iteration_orders_match_networkx(steps):
         )
     assert topo.num_links == graph.number_of_edges()
     assert topo.is_connected() == (graph.number_of_nodes() == 0 or nx.is_connected(graph))
+    detour_classes = {2: DetourClass.ONE_HOP, 3: DetourClass.TWO_HOP}
     for u, v in topo.links():
         without = nx.restricted_view(graph, [], [(u, v)])
-        assert topo.is_bridge(u, v) == (not nx.has_path(without, u, v))
+        if nx.has_path(without, u, v):
+            hops = nx.shortest_path_length(without, u, v)
+            expected = detour_classes.get(hops, DetourClass.THREE_PLUS)
+        else:
+            expected = DetourClass.NONE
+        assert classify_link_detour(topo, u, v) is expected
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +228,8 @@ def test_asymmetry_survives_copy(triangle):
     assert clone.capacity("a", "b") == mbps(10)
 
 
-def test_is_bridge_preserves_directed_capacities(triangle):
+def test_detour_classification_preserves_directed_capacities(triangle):
     triangle.set_directed_capacity("b", "a", mbps(1))
-    triangle.is_bridge("a", "b")
+    classify_link_detour(triangle, "a", "b")
     assert triangle.capacity("b", "a") == mbps(1)
     assert triangle.capacity("a", "b") == mbps(10)

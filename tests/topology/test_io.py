@@ -1,12 +1,11 @@
 """Topology serialisation round-trips."""
 
-import warnings
+import logging
 
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology import Topology, build_isp_topology, fig3_topology
-from repro.topology import io as topo_io
 from repro.topology.io import (
     load_topology,
     save_topology,
@@ -78,22 +77,43 @@ def test_json_file_round_trip_asymmetric(tmp_path):
     _assert_same(topo, load_topology(path))
 
 
-def test_legacy_document_warns_once_and_loads_symmetric(monkeypatch):
-    monkeypatch.setattr(topo_io, "_warned_legacy_symmetric", False)
-    legacy = {"name": "old", "links": [{"u": 1, "v": 2, "capacity": 4e6}]}
-    with pytest.warns(UserWarning, match="symmetric"):
+def _io_records(caplog):
+    return [r for r in caplog.records if r.name == "repro.topology.io"]
+
+
+def test_legacy_document_warns_once_and_loads_symmetric(caplog):
+    legacy = {
+        "name": "old",
+        "links": [
+            {"u": 1, "v": 2, "capacity": 4e6},
+            {"u": 2, "v": 3, "capacity": 2e6, "weight": 1.0},
+        ],
+    }
+    with caplog.at_level(logging.WARNING):
         topo = topology_from_dict(legacy)
     assert topo.capacity(1, 2) == 4e6
     assert topo.capacity(2, 1) == 4e6
-    # The warning is one-time per process, not per document.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        topology_from_dict(legacy)
+    # One warning per document, not one per link.
+    [record] = _io_records(caplog)
+    assert record.levelno == logging.WARNING
+    assert "'old'" in record.getMessage()
+    assert "symmetric" in record.getMessage()
 
 
-def test_directed_document_does_not_warn(monkeypatch):
-    monkeypatch.setattr(topo_io, "_warned_legacy_symmetric", False)
+def test_directed_document_does_not_warn(caplog):
     document = topology_to_dict(_asymmetric_topology())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with caplog.at_level(logging.DEBUG):
         topology_from_dict(document)
+    assert _io_records(caplog) == []
+
+
+def test_weighted_link_rejected():
+    # Routing is by hop count: a weight other than 1 would be ignored,
+    # so the document is refused instead of silently rerouted.
+    document = topology_to_dict(_asymmetric_topology())
+    assert all("weight" not in link for link in document["links"])
+    document["links"][0]["weight"] = 10
+    with pytest.raises(TopologyError, match="weight"):
+        topology_from_dict(document)
+    document["links"][0]["weight"] = 1.0
+    assert topology_from_dict(document).num_links == 2
