@@ -52,8 +52,10 @@ MEMORY_POINT = dict(
         full=dict(streaming=1_000_000, materialize=100_000),
         smoke=dict(streaming=60_000, materialize=60_000),
     ),
-    #: Peak-RSS-growth ceiling for the streaming run, in MB.
-    ceiling_mb=dict(full=192, smoke=96),
+    #: Peak-RSS-growth ceiling for the streaming run, in MB.  The smoke
+    #: run grows 8.4 MB when nothing is kept per path or pair, and grew
+    #: 28.9 MB with per-path LRUs, so 24 catches one coming back.
+    ceiling_mb=dict(full=192, smoke=24),
 )
 
 

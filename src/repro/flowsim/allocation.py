@@ -34,7 +34,7 @@ from repro.errors import SimulationError
 from repro.flowsim import kernel as _kernel
 from repro.flowsim.multipath import MultipathAllocation, _rel_tol, inrp_allocation
 from repro.routing.detour import DetourTable
-from repro.routing.paths import Path, cached_path_links
+from repro.routing.paths import Path, path_links
 
 FlowId = Hashable
 LinkId = Hashable
@@ -335,7 +335,7 @@ class _IncrementalAllocator:
         path = tuple(path)
         index = self._space.index
         cols: List[int] = []
-        for link in cached_path_links(path):
+        for link in path_links(path):
             col = index.get(link)
             if col is None:
                 raise SimulationError(f"flow {flow!r} uses unknown link {link!r}")
@@ -520,9 +520,7 @@ class IncrementalMaxMin(_IncrementalAllocator):
         return changed, None, 0
 
     def _check_against_scratch(self) -> None:
-        flow_links = {
-            flow: cached_path_links(path) for flow, path in self._paths.items()
-        }
+        flow_links = {flow: path_links(path) for flow, path in self._paths.items()}
         scratch = max_min_allocation(self._capacities, flow_links, self._demands)
         self._verify_rates(scratch, "max-min")
 
@@ -543,12 +541,12 @@ def detour_closure(
 
     Two flows whose closures share no link can therefore never
     influence each other's INRP allocation — the decomposition
-    :class:`IncrementalInrp` is built on.  Only the primary path goes
-    through the :func:`~repro.routing.paths.cached_path_links` LRU;
-    each detour option's links are read off the option directly.
-    :class:`IncrementalInrp` keeps the result as a tuple of column ids.
+    :class:`IncrementalInrp` is built on.  Every link is read off its
+    path (the primary's and each detour option's) at the call; nothing
+    is cached per path.  :class:`IncrementalInrp` keeps the result as a
+    tuple of column ids.
     """
-    links: Set[LinkId] = set(cached_path_links(tuple(path)))
+    links: Set[LinkId] = set(path_links(path))
     frontier = links
     for _ in range(max(rounds, 0)):
         grown: Set[LinkId] = set()

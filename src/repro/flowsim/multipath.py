@@ -23,7 +23,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.routing.detour import DetourTable
-from repro.routing.paths import Path, cached_path_links
+from repro.routing.paths import Path, path_links
 
 FlowId = Hashable
 LinkId = Hashable
@@ -155,15 +155,12 @@ def inrp_allocation(
     # the member sets give the saturation-affected flows directly.
     carriers: Dict[LinkId, Set[FlowId]] = {}
 
-    def _links(path: Path) -> Tuple[LinkId, ...]:
-        return cached_path_links(tuple(path))
-
     def _enter(flow_id: FlowId, path: Path) -> None:
-        for link in _links(path):
+        for link in path_links(path):
             carriers.setdefault(link, set()).add(flow_id)
 
     def _leave(flow_id: FlowId, path: Path) -> None:
-        for link in _links(path):
+        for link in path_links(path):
             members = carriers.get(link)
             if members is not None:
                 members.discard(flow_id)
@@ -185,7 +182,7 @@ def inrp_allocation(
             state.freeze_reason = "demand"
         flows[flow_id] = state
         if not state.frozen:
-            for link in _links(state.subpaths[0].path):
+            for link in path_links(state.subpaths[0].path):
                 if link not in residual:
                     raise SimulationError(
                         f"flow {flow_id!r} uses unknown link {link!r}"
@@ -199,7 +196,7 @@ def inrp_allocation(
         for option in detour_table.options(u, v):
             if any(node in exclude_nodes for node in option[1:-1]):
                 continue
-            option_links = _links(option)
+            option_links = path_links(option)
             spare = min(residual.get(l, 0.0) for l in option_links)
             floor = max(floors.get(l, _EPS) for l in option_links)
             if spare <= floor:
@@ -224,7 +221,7 @@ def inrp_allocation(
         changed = True
         while changed:
             changed = False
-            for index, link in enumerate(_links(candidate)):
+            for index, link in enumerate(path_links(candidate)):
                 if residual.get(link, 0.0) > floors.get(link, _EPS):
                     continue
                 if replacements >= max_replacements:

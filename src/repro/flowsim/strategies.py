@@ -77,10 +77,6 @@ class RoutingStrategy(abc.ABC):
     #: evicts — an eviction only costs a new search, never changes a
     #: path.
     _TREE_CACHE_BUDGET_BYTES = 16 << 20
-    #: Per-pair caches (paths, ECMP path sets) are LRU-bounded too:
-    #: a uniform-pair million-flow stream touches ~every pair once, and
-    #: streaming runs must not grow resident state with the flow count.
-    _PATH_CACHE_SIZE = 65536
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -89,7 +85,6 @@ class RoutingStrategy(abc.ABC):
         self.capacities = topology.directed_capacities()
         self._nodes = topology.nodes()
         self._node_index = {node: i for i, node in enumerate(self._nodes)}
-        self._path_cache: "OrderedDict[Tuple[Node, Node], Path]" = OrderedDict()
         self._sp_trees: "OrderedDict[Node, array]" = OrderedDict()
         itemsize = array(tree_typecode(len(self._nodes))).itemsize
         self._tree_cache_size = max(
@@ -116,43 +111,35 @@ class RoutingStrategy(abc.ABC):
         return packed
 
     def route(self, flow_id: FlowId, source: Node, destination: Node) -> Path:
-        """Primary path for a flow (deterministic, cached).
+        """Primary path for a flow (deterministic), walked back from
+        *destination* through the source's tree on every call.
 
-        One shortest-path tree is cached per source and amortised over
-        every destination routed from it.  It is searched only as far
-        as the deepest of those destinations needs (see
-        :func:`~repro.routing.shortest.hop_tree`), so a locality-bounded
-        workload pays for each source's neighbourhood, not the whole
-        map.  Per the tie-break argument in
+        No path is cached; one shortest-path tree is cached per source
+        and amortised over every destination routed from it.  It is
+        searched only as far as the deepest of those destinations needs
+        (see :func:`~repro.routing.shortest.hop_tree`), so a
+        locality-bounded workload pays for each source's neighbourhood,
+        not the whole map.  Per the tie-break argument in
         :mod:`repro.routing.shortest` the paths are identical to
         per-pair :func:`~repro.routing.shortest.shortest_path` calls.
         """
-        key = (source, destination)
-        path = self._path_cache.get(key)
-        if path is None:
-            index = self._node_index
-            for node in (destination, source):
-                if node not in index:
-                    raise RoutingError(f"unknown node: {node!r}")
-            nodes = self._nodes
-            cursor = index[destination]
-            origin = index[source]
-            reverse = [destination]
-            if cursor != origin:
-                packed = self._packed_tree(source, cursor)
-                if packed[cursor] < 0:
-                    raise NoPathError(source, destination)
-                while cursor != origin:
-                    cursor = packed[cursor]
-                    reverse.append(nodes[cursor])
-            reverse.reverse()
-            path = tuple(reverse)
-            self._path_cache[key] = path
-            if len(self._path_cache) > self._PATH_CACHE_SIZE:
-                self._path_cache.popitem(last=False)
-        else:
-            self._path_cache.move_to_end(key)
-        return path
+        index = self._node_index
+        for node in (destination, source):
+            if node not in index:
+                raise RoutingError(f"unknown node: {node!r}")
+        nodes = self._nodes
+        cursor = index[destination]
+        origin = index[source]
+        reverse = [destination]
+        if cursor != origin:
+            packed = self._packed_tree(source, cursor)
+            if packed[cursor] < 0:
+                raise NoPathError(source, destination)
+            while cursor != origin:
+                cursor = packed[cursor]
+                reverse.append(nodes[cursor])
+        reverse.reverse()
+        return tuple(reverse)
 
     def allocate(
         self, flows: Mapping[FlowId, Tuple[Path, float]]
@@ -216,6 +203,11 @@ class EcmpStrategy(ShortestPathStrategy):
     """Per-flow ECMP over equal-cost shortest paths, then max-min."""
 
     name = "ECMP"
+
+    #: Pair -> path-set LRU bound.  A path set costs a search per pair,
+    #: so it is cached (an SP path is one tree walk, and is not); the
+    #: bound keeps a uniform-pair stream's state flat in the flow count.
+    _PATH_CACHE_SIZE = 65536
 
     def __init__(self, topology: Topology):
         super().__init__(topology)

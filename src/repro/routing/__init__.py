@@ -8,7 +8,6 @@ experiments are reproducible across runs and platforms.
 
 from repro.routing.paths import (
     Path,
-    cached_path_links,
     path_hops,
     path_links,
     path_stretch,
@@ -26,7 +25,6 @@ from repro.routing.detour import (
 
 __all__ = [
     "Path",
-    "cached_path_links",
     "path_hops",
     "path_links",
     "path_stretch",

@@ -2,12 +2,14 @@
 
 A path is a plain tuple of nodes ``(n0, n1, ..., nk)``.  Using tuples
 (rather than a class) keeps paths hashable, cheap and directly usable
-as dictionary keys by the allocators.
+as dictionary keys by the allocators.  A path's links are derived
+where they are used (:func:`path_links`), never cached: deriving them
+is one ``zip``, about the cost of the hash a cache lookup needs, and a
+cache would keep per-path state resident after the flow has left.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.errors import RoutingError
@@ -35,17 +37,6 @@ def path_links(path: Sequence[Node]) -> List[Link]:
     reverse traffic over the same physical link never alias.
     """
     return list(zip(path, path[1:]))
-
-
-@lru_cache(maxsize=65536)
-def cached_path_links(path: Path) -> Tuple[Link, ...]:
-    """Directed links of *path* as a cached tuple.
-
-    The result depends only on the path itself and may be shared
-    across topologies.  The allocators call this in their hot loops;
-    caching amortises link derivation to once per distinct path.
-    """
-    return tuple(zip(path, path[1:]))
 
 
 def path_stretch(path: Sequence[Node], shortest_hops: int) -> float:

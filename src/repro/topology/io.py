@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from pathlib import Path
 from typing import Union
 
@@ -49,14 +50,21 @@ def topology_to_dict(topo: Topology) -> dict:
 
 
 def topology_from_dict(document: dict) -> Topology:
-    """Rebuild a topology from :func:`topology_to_dict` output."""
-    if "links" not in document:
-        raise TopologyError("topology document has no 'links' field")
+    """Rebuild a topology from :func:`topology_to_dict` output; any
+    malformed document raises :class:`~repro.errors.TopologyError`."""
+    if not isinstance(document, dict) or "links" not in document:
+        raise TopologyError("topology document is not an object with 'links'")
+    nodes, links = document.get("nodes", []), document["links"]
+    for field, value in (("nodes", nodes), ("links", links)):
+        if not isinstance(value, list):
+            raise TopologyError(f"topology field {field!r} is not a list")
     topo = Topology(document.get("name", "topology"))
-    for node in document.get("nodes", []):
+    for node in nodes:
         topo.add_node(_freeze(node))
     legacy = False
-    for link in document["links"]:
+    for link in links:
+        if not isinstance(link, dict):
+            raise TopologyError(f"link record {link!r} is not a JSON object")
         try:
             # Routing is by hop count, so any other link weight would be
             # ignored.  Older documents carry weight 1 and still load.
@@ -66,18 +74,15 @@ def topology_from_dict(document: dict) -> Topology:
                     f"{link['weight']!r}; routing is by hop count, so every "
                     "link must weigh 1"
                 )
-            capacity = float(link.get("capacity", DEFAULT_CAPACITY_BPS))
-            if "capacity_reverse" in link:
-                reverse = float(link["capacity_reverse"])
-            else:
-                legacy = True
-                reverse = capacity
+            legacy = legacy or "capacity_reverse" not in link
+            capacity = _number(link, "capacity", DEFAULT_CAPACITY_BPS)
+            reverse = _number(link, "capacity_reverse", capacity)
             topo.add_link(
                 _freeze(link["u"]),
                 _freeze(link["v"]),
                 capacity=capacity,
                 capacity_reverse=reverse,
-                delay=float(link.get("delay", DEFAULT_DELAY_S)),
+                delay=_number(link, "delay", DEFAULT_DELAY_S),
             )
         except KeyError as missing:
             raise TopologyError(f"link record missing field {missing}") from None
@@ -91,10 +96,23 @@ def topology_from_dict(document: dict) -> Topology:
     return topo
 
 
+def _number(link: dict, field: str, default: float) -> float:
+    """*link*'s *field* as a float (*default* when absent)."""
+    try:
+        number = float(link.get(field, default))
+    except (TypeError, ValueError):
+        number = math.nan
+    if math.isnan(number):
+        raise TopologyError(f"link field {field!r} is not a number: {link[field]!r}")
+    return number
+
+
 def _freeze(node):
     """JSON round-trips tuples into lists; restore hashability."""
     if isinstance(node, list):
         return tuple(_freeze(item) for item in node)
+    if isinstance(node, dict):
+        raise TopologyError(f"node {node!r} is a JSON object, not a name")
     return node
 
 

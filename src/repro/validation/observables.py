@@ -49,7 +49,7 @@ from repro.chunksim import ChunkNetwork, ChunkSimConfig
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.flowsim.flow import split_stretch
 from repro.metrics.fairness import jain_index
-from repro.routing.paths import Path, cached_path_links
+from repro.routing.paths import Path, path_links
 from repro.routing.shortest import shortest_path
 from repro.topology.graph import Topology
 from repro.validation.scenario import ValidationScenario
@@ -110,14 +110,14 @@ def _sp_hops(topo: Topology, source, destination) -> int:
 
 def _detour_only_links(splits: List[Tuple[Path, float]], primary: Path) -> Set:
     """Links used by a flow's non-primary splits but not its primary."""
-    primary_links = set(cached_path_links(tuple(primary)))
+    primary_links = set(path_links(primary))
     extra: Set = set()
     for path, rate in splits:
         if rate <= 0.0 or tuple(path) == tuple(primary):
             continue
         extra.update(
             link
-            for link in cached_path_links(tuple(path))
+            for link in path_links(path)
             if link not in primary_links
         )
     return extra
@@ -141,7 +141,7 @@ def predict_custody(
             link
             for path, rate in splits.get(fid, [])
             if rate > 0.0
-            for link in cached_path_links(tuple(path))
+            for link in path_links(path)
         }
         for fid in primaries
     }

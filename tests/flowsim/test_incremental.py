@@ -13,7 +13,7 @@ from repro.flowsim import (
     max_min_allocation,
 )
 from repro.routing import shortest_path
-from repro.routing.paths import cached_path_links
+from repro.routing.paths import path_links
 from repro.topology import mesh_topology
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
@@ -117,7 +117,7 @@ def test_incremental_matches_scratch_under_churn(seed, churn, demand):
             src, dst = sampler()
             path = shortest_path(topo, src, dst)
             allocator.add_flow(next_id, path, demand)
-            flow_links[next_id] = cached_path_links(path)
+            flow_links[next_id] = path_links(path)
             demands[next_id] = demand
             next_id += 1
         allocator.recompute()
@@ -204,7 +204,7 @@ def test_dirty_component_size_is_exact_under_churn(name):
                     path, strategy.detour_table, strategy.max_replacements
                 )
             else:
-                reaches[flow] = cached_path_links(path)
+                reaches[flow] = path_links(path)
             dirty.update(reaches[flow])
         if rng.random() < 0.4:
             want = len(_reachable_from(dirty, reaches)) + len(linkless)

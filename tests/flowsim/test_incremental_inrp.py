@@ -1,6 +1,5 @@
 """Incremental INRP allocator: detour-closure components vs scratch."""
 
-import math
 import random
 
 import pytest
@@ -14,7 +13,7 @@ from repro.flowsim import (
     make_strategy,
 )
 from repro.routing import DetourTable, shortest_path
-from repro.routing.paths import cached_path_links
+from repro.routing.paths import path_links
 from repro.topology import Topology, fig3_topology, mesh_topology
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
@@ -196,7 +195,7 @@ def test_detour_closure_rounds():
     topo = fig3_topology()
     table = DetourTable(topo, max_intermediate=1)
     path = shortest_path(topo, 1, 4)
-    primary = set(cached_path_links(tuple(path)))
+    primary = set(path_links(path))
     closure0 = detour_closure(path, table, 0)
     assert closure0 == frozenset(primary)
     closure1 = detour_closure(path, table, 1)
@@ -271,20 +270,3 @@ def test_departed_flows_leave_no_reach_behind():
     assert allocator._reach == {}
     assert allocator._cols == {}
     assert not hasattr(allocator, "_members")
-
-
-def test_closure_builds_do_not_fill_the_path_links_cache():
-    """Adding and filling INRP flows puts at most one
-    ``cached_path_links`` entry per distinct primary path in the
-    process-wide LRU: the closure walk and the fill's detour walk read
-    each option's and each spliced path's links off the path itself."""
-    topo, paths = _sprint_local_paths(200)
-    allocator = make_strategy("inrp", topo).incremental_allocator()
-    cached_path_links.cache_clear()
-    switches = 0
-    for flow, path in enumerate(paths):
-        # Unbounded demands saturate links, so the fills splice detours.
-        allocator.add_flow(flow, path, math.inf)
-        switches += allocator.recompute()[2]
-    assert switches > 0
-    assert cached_path_links.cache_info().currsize <= len(set(paths))

@@ -25,7 +25,7 @@ from repro.flowsim.allocation import (
 from repro.flowsim.kernel import LinkSpace
 from repro.flowsim.multipath import inrp_allocation
 from repro.routing.detour import DetourTable
-from repro.routing.paths import cached_path_links
+from repro.routing.paths import path_links
 from repro.topology import mesh_topology
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
@@ -70,7 +70,7 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
             del flow_links[flow], demands[flow]
             alloc.remove_flow(flow)
         else:
-            flow_links[flow], demands[flow] = cached_path_links(path), demand
+            flow_links[flow], demands[flow] = path_links(path), demand
             alloc.add_flow(flow, path, demand)
             live.add(flow)
             next_id += 1
@@ -129,7 +129,7 @@ def test_empty_and_single_flow_components(kernel_cls):
     alloc.add_flow(0, path, math.inf)
     if kernel_cls == "sp":
         expected = max_min_allocation(
-            topo.directed_capacities(), {0: cached_path_links(path)}, {0: math.inf}
+            topo.directed_capacities(), {0: path_links(path)}, {0: math.inf}
         )[0]
     else:
         # A lone INRP flow detours past its saturated primary path and
@@ -501,7 +501,7 @@ def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
         paths.append(tuple(strategy.route(flow, source, destination)))
         demands.append(rng.choice([math.inf, mbps(50), mbps(5), 0.0]))
     cols = np.concatenate(
-        [space.columns(cached_path_links(path)) for path in paths]
+        [space.columns(path_links(path)) for path in paths]
     )
     lengths = [len(path) - 1 for path in paths]
     want = _kernel.maxmin_fill(space, cols, lengths, demands).tolist()
@@ -539,7 +539,7 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     space = LinkSpace(capacities)
     table = DetourTable(topo)
     cols = np.concatenate(
-        [space.columns(cached_path_links(path)) for path in paths]
+        [space.columns(path_links(path)) for path in paths]
     )
     lengths = [len(path) - 1 for path in paths]
     scratch_inrp = inrp_allocation(
@@ -551,7 +551,7 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     rates = {
         "max_min_allocation": max_min_allocation(
             capacities,
-            {flow: cached_path_links(path) for flow, path in enumerate(paths)},
+            {flow: path_links(path) for flow, path in enumerate(paths)},
             dict(enumerate(demands)),
         )[0],
         "maxmin_fill": float(_kernel.maxmin_fill(space, cols, lengths, demands)[0]),

@@ -38,7 +38,7 @@ from repro.flowsim.simulator import _EPS, FlowLevelSimulator, _SpecSource
 from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
 from repro.flowsim.strategies import InrpStrategy, RoutingStrategy
 from repro.metrics.timeseries import TimeWeightedMean
-from repro.routing.paths import Path, cached_path_links
+from repro.routing.paths import Path, path_links
 from repro.topology.graph import Node, Topology, node_rank
 from repro.workloads.traffic import FlowSpec
 
@@ -61,7 +61,7 @@ def _scratch_allocate(
         return result.rates, result.splits, result.switches
     rates = max_min_allocation(
         strategy.capacities,
-        {fid: cached_path_links(tuple(path)) for fid, (path, _) in flows.items()},
+        {fid: path_links(path) for fid, (path, _) in flows.items()},
         demands,
     )
     splits = {fid: [(path, rates[fid])] for fid, (path, _) in flows.items()}

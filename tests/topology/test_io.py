@@ -61,6 +61,48 @@ def test_dict_validation():
         topology_from_dict({"links": [{"u": 1}]})
 
 
+_LINK = {"u": 1, "v": 2, "capacity": 1e6, "capacity_reverse": 1e6, "delay": 0.01}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"links": [{**_LINK, "capacity": "fast"}]},
+        {"links": [{**_LINK, "capacity_reverse": "fast"}]},
+        {"links": [{**_LINK, "delay": "fast"}]},
+        {"links": [{**_LINK, "capacity": None}]},
+        {"links": [{**_LINK, "capacity_reverse": None}]},
+        {"links": [{**_LINK, "delay": None}]},
+        {"links": [{**_LINK, "capacity": float("nan")}]},
+        {"links": [[1, 2]]},
+        {"links": 5},
+        {"nodes": 5, "links": []},
+        {"nodes": [{"id": 1}], "links": []},
+        [_LINK],
+    ],
+    ids=[
+        "capacity-text",
+        "capacity-reverse-text",
+        "delay-text",
+        "capacity-null",
+        "capacity-reverse-null",
+        "delay-null",
+        "capacity-nan",
+        "link-as-list",
+        "links-not-a-list",
+        "nodes-not-a-list",
+        "node-as-object",
+        "document-not-an-object",
+    ],
+)
+def test_malformed_document_raises_topology_error(document):
+    # A caller catching ReproError around load_topology must survive
+    # outside input: no bare TypeError/ValueError/AttributeError.
+    with pytest.raises(TopologyError):
+        topology_from_dict(document)
+    assert topology_from_dict({"links": [_LINK]}).num_links == 1
+
+
 def test_dict_round_trip_asymmetric():
     topo = _asymmetric_topology()
     clone = topology_from_dict(topology_to_dict(topo))
