@@ -158,7 +158,7 @@ class _ComponentTracker:
     flow is merely unlinked from its class's member set, and the whole
     structure is rebuilt from the live population once departures
     since the last rebuild exceed ``slack`` (a quarter) of it.  Links
-    are the allocator's column ids.
+    are the allocator's column ids, ``0 .. num_links - 1``.
 
     Between rebuilds a class may *over*-approximate the true component
     (a departed bridge flow leaves its neighbours merged).  A class is
@@ -179,11 +179,13 @@ class _ComponentTracker:
         "_link_rep",
         "_flow_links",
         "_removed",
+        "_num_links",
         "slack",
         "rebuilds",
     )
 
-    def __init__(self):
+    def __init__(self, num_links: int):
+        self._num_links = num_links
         self.slack = 0.25
         #: Number of full rebuilds performed (observable for tests).
         self.rebuilds = 0
@@ -193,7 +195,8 @@ class _ComponentTracker:
         self._parent: Dict[FlowId, FlowId] = {}
         self._size: Dict[FlowId, int] = {}
         self._members: Dict[FlowId, Set[FlowId]] = {}
-        self._link_rep: Dict[int, FlowId] = {}
+        # Column -> the first flow that touched it (None: no flow yet).
+        self._link_rep: List[Optional[FlowId]] = [None] * self._num_links
         self._flow_links: Dict[FlowId, Iterable[int]] = {}
         self._removed = 0
 
@@ -225,7 +228,7 @@ class _ComponentTracker:
         self._members[flow] = {flow}
         link_rep = self._link_rep
         for link in links:
-            rep = link_rep.get(link)
+            rep = link_rep[link]
             if rep is None:
                 link_rep[link] = flow
             else:
@@ -253,7 +256,7 @@ class _ComponentTracker:
         seen_roots: Set[FlowId] = set()
         link_rep = self._link_rep
         for link in links:
-            rep = link_rep.get(link)
+            rep = link_rep[link]
             if rep is None:
                 continue
             root = self._find(rep)
@@ -286,17 +289,15 @@ class _IncrementalAllocator:
     """
 
     def __init__(self, capacities: Mapping[LinkId, float], verify: bool = False):
-        self._capacities: Dict[LinkId, float] = {
-            link: float(capacity) for link, capacity in capacities.items()
-        }
         #: Gates only the from-scratch comparison after each recompute.
         self._verify = verify
-        self._space = _kernel.LinkSpace(self._capacities)
+        # The one copy of the capacities (see :meth:`_capacities`).
+        self._space = _kernel.LinkSpace(capacities)
         # Each flow's (deduplicated) path columns, computed once on
         # arrival for the kernel fills; component selection goes
         # through the amortized union-find tracker over reaches.
         self._cols: Dict[FlowId, np.ndarray] = {}
-        self._tracker = _ComponentTracker()
+        self._tracker = _ComponentTracker(self._space.num_links)
         self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
         #: Flow -> distinct column ids of the links it reaches (one
@@ -368,6 +369,12 @@ class _IncrementalAllocator:
         del self._cols[flow]
         if reach:
             self._tracker.remove(flow)
+
+    def _capacities(self) -> Dict[LinkId, float]:
+        """The capacity map, read back from the link space in its
+        order, for the scratch solvers that ``verify=True`` runs."""
+        space = self._space
+        return dict(zip(space.links, space.capacity.tolist()))
 
     def _gather(
         self, flows: Sequence[FlowId]
@@ -521,7 +528,7 @@ class IncrementalMaxMin(_IncrementalAllocator):
 
     def _check_against_scratch(self) -> None:
         flow_links = {flow: path_links(path) for flow, path in self._paths.items()}
-        scratch = max_min_allocation(self._capacities, flow_links, self._demands)
+        scratch = max_min_allocation(self._capacities(), flow_links, self._demands)
         self._verify_rates(scratch, "max-min")
 
 
@@ -599,9 +606,11 @@ class IncrementalInrp(_IncrementalAllocator):
         super().__init__(capacities, verify)
         self._table = detour_table
         self._max_replacements = max_replacements
-        #: Per-(u, v) detour options, shared across fills.
+        #: Per-(u, v) detour options, shared across fills (keyed by
+        #: link, so the map bounds it).
         self._option_cache: Dict = {}
-        #: Per-path global columns and splice memo, shared across fills.
+        #: The detour walk's per-path entries, shared across the fills
+        #: of one tracker epoch (see :meth:`remove_flow`).
         self._path_cols_cache: Dict = {}
         self._order: Dict[FlowId, int] = {}
         self._next_order = 0
@@ -619,9 +628,22 @@ class IncrementalInrp(_IncrementalAllocator):
         self._next_order += 1
 
     def remove_flow(self, flow: FlowId) -> None:
+        """Deregister a departing flow; a tracker rebuild it triggers
+        also drops the detour walk's path entries.
+
+        A fill makes entries only for the paths it walks: its flows'
+        primaries and their splices.  The flows of one epoch between
+        two rebuilds are its largest live set plus its departures, and
+        more than a quarter of the live set (at least 33) departing
+        ends it, so the live set bounds the entries, not the run's
+        history.  Entries hold no results: dropping them changes no
+        fill."""
+        rebuilds = self._tracker.rebuilds
         super().remove_flow(flow)
         del self._order[flow]
         self._switches.pop(flow, None)
+        if self._tracker.rebuilds != rebuilds:
+            self._path_cols_cache.clear()
 
     def recompute(
         self, full: bool = False
@@ -690,7 +712,7 @@ class IncrementalInrp(_IncrementalAllocator):
 
     def _check_against_scratch(self) -> None:
         scratch = inrp_allocation(
-            self._capacities,
+            self._capacities(),
             self._paths,
             self._demands,
             self._table,

@@ -128,6 +128,31 @@ def _joined(arrays: List[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+class _PathEntry:
+    """The detour walk's state for one (sub-)path, kept across fills.
+
+    *cols* holds the path's columns once, as a tuple of the
+    :attr:`LinkSpace.index` values themselves, so an entry boxes no int
+    of its own; the walk's and the on-detour scans read it.  *array* is
+    the same columns as int64 for the carrier counts, built the first
+    time the path becomes a detour row: primary paths and the
+    candidates a walk passes through never need one.  *splices*, made
+    at the first splice, memoizes the pure ``splice_detour`` off this
+    path: ``option -> entry of the spliced path``, or ``False`` when
+    the splice would revisit a node.  The option alone is the key: the
+    walk splices at the first saturated link, so the path and the
+    option's first hop fix the position.
+    """
+
+    __slots__ = ("path", "cols", "array", "splices")
+
+    def __init__(self, path: Path, cols: Tuple[int, ...]):
+        self.path = path
+        self.cols = cols
+        self.array: Optional[np.ndarray] = None
+        self.splices: Optional[Dict[Path, object]] = None
+
+
 def _fill(
     residual: np.ndarray,
     floors: np.ndarray,
@@ -327,23 +352,16 @@ def _fill(
                 best, best_spare = entry[0], spare
         return best
 
-    def _path_cols(path: Path) -> Tuple[np.ndarray, List[int], Dict]:
-        """Persistent per-(sub-)path entry ``(array, list, splices)``:
-        columns as an array for the carrier counts and as a list for
-        the walk's and the on-detour scans, and a memo of the pure
-        ``splice_detour`` off this path, ``(position, option) ->
-        (spliced path, its entry)`` or ``(None, None)`` when the
-        splice would revisit a node."""
-        pc = path_cols_cache.get(path)
-        if pc is None:
-            arr = np.fromiter(
-                (index[link] for link in zip(path, path[1:])),
-                dtype=np.int64,
-                count=len(path) - 1,
+    def _path_cols(path: Path) -> _PathEntry:
+        """*path*'s :class:`_PathEntry` in *path_cols_cache*, made with
+        its column tuple alone at the first walk over it; it lives as
+        long as the cache's owner keeps it (see :func:`inrp_fill`)."""
+        entry = path_cols_cache.get(path)
+        if entry is None:
+            entry = path_cols_cache[path] = _PathEntry(
+                path, tuple(map(index.__getitem__, zip(path, path[1:])))
             )
-            pc = (arr, arr.tolist(), {})
-            path_cols_cache[path] = pc
-        return pc
+        return entry
 
     # The walk reads the saturated-column set of the current round,
     # built by the round's first walk (residual does not change within
@@ -364,10 +382,10 @@ def _fill(
         path = candidate = (
             paths[row] if row < num_flows else detour_paths[row - num_flows]
         )
-        candidate_cols = _path_cols(candidate)
+        entry = _path_cols(candidate)
         while True:
             position = -1
-            for position_candidate, col in enumerate(candidate_cols[1]):
+            for position_candidate, col in enumerate(entry.cols):
                 if col in sat_cols:
                     position = position_candidate
                     break
@@ -380,19 +398,19 @@ def _fill(
             )
             if option is None:
                 return False
-            splices = candidate_cols[2]
-            spliced = splices.get((position, option))
+            splices = entry.splices
+            if splices is None:
+                splices = entry.splices = {}
+            spliced = splices.get(option)
             if spliced is None:
                 spliced_path = splice_detour(candidate, position, option)
-                spliced = (
-                    (None, None)
-                    if spliced_path is None
-                    else (spliced_path, _path_cols(spliced_path))
+                spliced = splices[option] = (
+                    False if spliced_path is None else _path_cols(spliced_path)
                 )
-                splices[position, option] = spliced
-            candidate, candidate_cols = spliced
-            if candidate is None:
+            if spliced is False:
                 return False
+            entry = spliced
+            candidate = entry.path
             replacements += 1
         if candidate is path:
             # Not taken: an affected flow crosses a column zeroed this
@@ -401,13 +419,16 @@ def _fill(
             return True
         _retire(row)
         new_row = num_flows + len(detours)
-        detours.append((candidate_cols[0], guard))
+        row_cols = entry.array
+        if row_cols is None:
+            row_cols = entry.array = np.array(entry.cols, dtype=np.int64)
+        detours.append((row_cols, guard))
         detour_paths.append(candidate)
         sub_repl.append(replacements)
         carried.append(0.0)
-        born.append(candidate_cols[0])
+        born.append(row_cols)
         detour_rows.setdefault(flow, []).append(new_row)
-        on_detour[flow] = candidate_cols[1]
+        on_detour[flow] = entry.cols
         active_row[flow] = new_row
         switches[flow] += 1
         return True
@@ -426,16 +447,6 @@ def _fill(
     scratch = np.empty(width, dtype=np.float64)
     guard = 0
     max_iterations = 16 * (num_flows + width) + 64
-    # Conservative lower bound on the current saturation step.  A round
-    # of size ``step`` shrinks every carrying column's headroom by at
-    # most ``step`` (freezes and switches only raise it), so the bound
-    # decays by ``step`` plus a slack dwarfing float rounding yet far
-    # below the freeze tolerance; a detour row born on a column lowers
-    # its headroom at once, so a round that births one drops the
-    # bound.  While the bound exceeds the demand step, the exact
-    # divide+min is provably a no-op and is skipped, so every freeze
-    # decision is bit-identical to the always-exact form.
-    sat_bound = -math.inf
     # The round head divides full width without ``where=``: a column
     # no row carries yields inf (headroom left) or nan (0/0), both
     # invisible to fmin's reduction and to the <= saturation test, so
@@ -451,12 +462,8 @@ def _fill(
             while not unfrozen[order[cursor]]:
                 cursor += 1
             demand_step = demands[order[cursor]] - level
-            if sat_bound > demand_step + _EPS * (1.0 + abs(demand_step)):
-                saturation_step = math.inf
-            else:
-                np.divide(residual, counts, out=steps)
-                saturation_step = float(np.fmin.reduce(steps))
-                sat_bound = saturation_step
+            np.divide(residual, counts, out=steps)
+            saturation_step = float(np.fmin.reduce(steps))
             step = min(demand_step, saturation_step)
             if step < -_EPS * (1.0 + abs(level)):
                 raise SimulationError("negative fill step; inconsistent state")
@@ -465,10 +472,6 @@ def _fill(
             np.subtract(residual, scratch, out=residual)
             level += step
             round_steps.append(step)
-            if sat_bound != math.inf:  # +inf: no carrying column yet
-                sat_bound = (sat_bound - step) - _EPS * (
-                    abs(sat_bound) + step + 1.0
-                )
 
             # Demand events.
             tol = _EPS * (1.0 + abs(level))
@@ -552,7 +555,6 @@ def _fill(
                 if frozen:
                     _freeze(frozen, "no-detour")
                 if born:
-                    sat_bound = -math.inf
                     np.add.at(counts, _joined(born), 1.0)
                     born.clear()
             if not progressed:
@@ -617,14 +619,20 @@ def inrp_fill(
     topology link): a per-round numpy pass over a few thousand floats
     costs about as much as one over a hundred, and global columns make
     the per-(u, v) detour options and the per-path column entries
-    *persistent across fills* — the caches are built once per
-    topology, not once per recompute.
+    *persistent across fills*: a cache is not rebuilt per recompute.
 
-    ``option_cache`` memoizes the per-(u, v) detour options and
-    ``path_cols_cache`` the per-path column entries with their splice
-    memo, across fills — pass persistent dicts when calling repeatedly
-    over one topology.  Neither holds per-fill state, so a fill gives
-    the same result with shared or fresh dicts.
+    ``option_cache`` memoizes the per-(u, v) detour options; it is
+    keyed by link, so the topology bounds it.  ``path_cols_cache`` maps
+    each path the walk has passed through (a flow's primary or a
+    splice) to its :class:`_PathEntry`: the path's columns as a tuple
+    of ``space.index``'s own ints, an int64 copy made only once the
+    path carries a detour row, and a splice memo made at its first
+    splice.  Entries stay until the caller drops them;
+    :class:`~repro.flowsim.allocation.IncrementalInrp` clears them at
+    every component-tracker rebuild, so they never outgrow the flows of
+    one epoch.  Pass persistent dicts when calling repeatedly over one
+    topology.  Neither holds per-fill state, so a fill gives the same
+    result with shared or fresh dicts.
     """
     for flow, demand in zip(flow_ids, demands):
         if demand < 0:

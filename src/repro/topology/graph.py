@@ -20,6 +20,7 @@ classification, serialisation, reporting).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TopologyError
@@ -88,6 +89,18 @@ def split_capacity_spec(capacity: CapacitySpec) -> Tuple[float, float]:
         ) from None
 
 
+def _capacity_error(u: Node, v: Node, capacity: float) -> TopologyError:
+    return TopologyError(
+        f"link {u!r} -> {v!r}: capacity must be finite and positive, "
+        f"got {capacity!r}"
+    )
+
+
+def _delay_error(u: Node, v: Node, delay: float) -> TopologyError:
+    return TopologyError(
+        f"link {u!r} -- {v!r}: delay must be finite and non-negative, "
+        f"got {delay!r}"
+    )
 
 
 def node_rank(node: Node) -> Tuple[str, str]:
@@ -166,8 +179,9 @@ class Topology:
         Raises
         ------
         TopologyError
-            If the link is a self-loop, a duplicate, or has a
-            non-positive capacity in either direction.
+            If the link is a self-loop or a duplicate, its capacity in
+            either direction is not finite and positive, or its delay
+            is not finite and non-negative.
         """
         forward, reverse = split_capacity_spec(capacity)
         if capacity_reverse is not None:
@@ -181,11 +195,14 @@ class Topology:
             raise TopologyError(f"self-loop not allowed: {u!r}")
         if self.has_link(u, v):
             raise TopologyError(f"duplicate link: {u!r} -- {v!r}")
-        if forward <= 0 or reverse <= 0:
-            bad = forward if forward <= 0 else reverse
-            raise TopologyError(f"capacity must be positive, got {bad!r}")
-        if delay < 0:
-            raise TopologyError(f"delay must be non-negative, got {delay!r}")
+        # Range checks written so that NaN fails them too: every
+        # comparison with NaN is False.
+        if not 0 < forward < math.inf:
+            raise _capacity_error(u, v, forward)
+        if not 0 < reverse < math.inf:
+            raise _capacity_error(v, u, reverse)
+        if not 0 <= delay < math.inf:
+            raise _delay_error(u, v, delay)
         key = Link.key(u, v)
         cap_fwd, cap_rev = (forward, reverse) if (u, v) == key else (reverse, forward)
         self.add_node(u)
@@ -276,15 +293,15 @@ class Topology:
 
     def set_directed_capacity(self, u: Node, v: Node, capacity: float) -> None:
         """Set the capacity of the ``u -> v`` direction only."""
-        if capacity <= 0:
-            raise TopologyError(f"capacity must be positive, got {capacity!r}")
+        if not 0 < capacity < math.inf:
+            raise _capacity_error(u, v, capacity)
         data = self._link_data(u, v)
         attr = "capacity" if (u, v) == Link.key(u, v) else "capacity_rev"
         data[attr] = float(capacity)
 
     def set_delay(self, u: Node, v: Node, delay: float) -> None:
-        if delay < 0:
-            raise TopologyError(f"delay must be non-negative, got {delay!r}")
+        if not 0 <= delay < math.inf:
+            raise _delay_error(u, v, delay)
         self._link_data(u, v)["delay"] = float(delay)
 
     def is_symmetric(self) -> bool:

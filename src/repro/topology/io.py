@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from pathlib import Path
 from typing import Union
 
@@ -97,14 +96,13 @@ def topology_from_dict(document: dict) -> Topology:
 
 
 def _number(link: dict, field: str, default: float) -> float:
-    """*link*'s *field* as a float (*default* when absent)."""
+    """*link*'s *field* as a float (*default* when absent).  Its range,
+    NaN included, is :meth:`Topology.add_link`'s to check."""
+    value = link.get(field, default)
     try:
-        number = float(link.get(field, default))
+        return float(value)
     except (TypeError, ValueError):
-        number = math.nan
-    if math.isnan(number):
-        raise TopologyError(f"link field {field!r} is not a number: {link[field]!r}")
-    return number
+        raise TopologyError(f"link field {field!r} is not a number: {value!r}") from None
 
 
 def _freeze(node):

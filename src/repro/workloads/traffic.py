@@ -11,6 +11,7 @@ million-flow runs out of memory), or materialised as a list
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +37,23 @@ class FlowSpec:
     size_bits: float
     #: Access-rate cap in bits/s (the sender cannot exceed this).
     demand_bps: float
+
+    def __post_init__(self):
+        # A NaN time or size never compares past the event clock, so
+        # the simulator would spin on it: reject it here, once per spec.
+        # An infinite demand stays legal (an uncapped sender).
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            self._reject("arrival_time", "a finite time >= 0")
+        if not (math.isfinite(self.size_bits) and self.size_bits > 0):
+            self._reject("size_bits", "finite and positive")
+        if not self.demand_bps >= 0:  # False for NaN too
+            self._reject("demand_bps", "a number >= 0")
+
+    def _reject(self, field_name: str, requirement: str) -> None:
+        raise WorkloadError(
+            f"flow {self.flow_id!r}: {field_name} must be {requirement}, "
+            f"got {getattr(self, field_name)!r}"
+        )
 
 
 def uniform_pairs(topo: Topology, seed: SeedLike = None) -> PairSampler:
@@ -73,9 +91,11 @@ def local_pairs(
     """
     if max_hops < 2:
         raise WorkloadError(f"max_hops must be >= 2, got {max_hops}")
-    core = [node for node in topo.nodes() if topo.degree(node) >= min_degree]
+    adjacency = {node: topo.neighbors(node) for node in topo.nodes()}
+    core = [node for node, nbrs in adjacency.items() if len(nbrs) >= min_degree]
     if len(core) < 2:
         raise WorkloadError("not enough core nodes for local pair sampling")
+    core_set = set(core)
     rng = make_rng(seed, "local-pairs")
 
     @lru_cache(maxsize=None)
@@ -85,14 +105,15 @@ def local_pairs(
         found: List[Node] = []
         while queue:
             node = queue.popleft()
-            if seen[node] >= max_hops:
+            hops = seen[node] + 1
+            if hops > max_hops:
                 continue
-            for neighbour in topo.neighbors(node):
+            for neighbour in adjacency[node]:
                 if neighbour in seen:
                     continue
-                seen[neighbour] = seen[node] + 1
+                seen[neighbour] = hops
                 queue.append(neighbour)
-                if seen[neighbour] >= 2 and topo.degree(neighbour) >= min_degree:
+                if hops >= 2 and neighbour in core_set:
                     found.append(neighbour)
         return found
 

@@ -1,5 +1,7 @@
 """Strategy object tests (SP / ECMP / INRP)."""
 
+import gc
+import math
 import random
 import tracemalloc
 
@@ -10,7 +12,12 @@ from repro.errors import ConfigurationError, NoPathError, RoutingError
 from repro.flowsim import RoutingStrategy, make_strategy
 from repro.flowsim import strategies
 from repro.routing import hop_tree, shortest_path
-from repro.topology import Topology, build_isp_topology, fig3_topology
+from repro.topology import (
+    Topology,
+    build_isp_topology,
+    fig3_topology,
+    mesh_topology,
+)
 from repro.units import mbps
 
 
@@ -197,6 +204,48 @@ def test_sp_streaming_state_does_not_grow_with_the_flow_count():
         tracemalloc.stop()
     # A per-pair route or links cache adds ~1.3 MB here; interpreter
     # free lists account for tens of KB.
+    assert after - before < 128 << 10
+    assert len(allocator) == 0
+
+
+def test_inrp_walk_state_does_not_grow_with_the_flow_count():
+    """INRP churn over fresh pairs with a bounded live set: the detour
+    walk's per-path entries live for one tracker epoch, so memory comes
+    back to where it was once the per-link option cache is warm."""
+    topo = mesh_topology(40, 40, seed=0)
+    strategy = make_strategy("inrp", topo)
+    nodes = topo.nodes()
+    for source in nodes:
+        strategy._sp_trees[source] = hop_tree(topo, source)
+    allocator = strategy.incremental_allocator()
+    pairs = [(s, d) for s in nodes for d in nodes if s != d]
+    random.Random(0).shuffle(pairs)
+
+    def stream(first, count, live=8):
+        flows = []
+        for flow in range(first, first + count):
+            # No demand cap: every fill saturates links and walks.
+            route = strategy.route(flow, *pairs[flow])
+            allocator.add_flow(flow, route, math.inf)
+            flows.append(flow)
+            if len(flows) > live:
+                allocator.remove_flow(flows.pop(0))
+            allocator.recompute()
+        for flow in flows:
+            allocator.remove_flow(flow)
+        allocator.recompute()
+
+    stream(0, 300)  # warm the option cache: it is keyed by link
+    tracemalloc.start()
+    try:
+        gc.collect()  # a fill's closures are freed by the cycle collector
+        before = tracemalloc.get_traced_memory()[0]
+        stream(300, 600)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Entries kept for every path ever walked add ~0.8 MB here.
     assert after - before < 128 << 10
     assert len(allocator) == 0
 

@@ -55,6 +55,42 @@ def test_nonpositive_capacity_rejected():
         topo.add_link("a", "b", capacity=-5)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "link",
+    [
+        dict(capacity=_NAN),
+        dict(capacity=_INF),
+        dict(capacity=(mbps(10), _NAN)),
+        dict(capacity=mbps(10), capacity_reverse=_NAN),
+        dict(delay=_NAN),
+        dict(delay=_INF),
+        dict(delay=-0.001),
+    ],
+    ids=["nan", "inf", "pair-nan", "reverse-nan", "delay-nan", "delay-inf", "delay-neg"],
+)
+def test_non_finite_link_values_rejected(link):
+    """Every comparison with NaN is False, so a range check that is not
+    written for it lets NaN through to the allocators."""
+    topo = Topology("x")
+    with pytest.raises(TopologyError, match=r"link [12] -"):
+        topo.add_link(1, 2, **link)
+    assert topo.num_links == 0
+
+
+def test_setters_reject_non_finite_values(triangle):
+    for bad in (_NAN, _INF, 0.0):
+        with pytest.raises(TopologyError, match="capacity"):
+            triangle.set_directed_capacity("a", "b", bad)
+    for bad in (_NAN, _INF, -1.0):
+        with pytest.raises(TopologyError, match="delay"):
+            triangle.set_delay("a", "b", bad)
+    assert triangle.capacity("a", "b") == mbps(10)
+    assert triangle.delay("a", "b") == 0.001
+
+
 def test_unknown_link_lookup_raises(triangle):
     with pytest.raises(TopologyError):
         triangle.capacity("a", "zzz")

@@ -7,6 +7,7 @@ from repro.errors import WorkloadError
 from repro.topology import fig3_topology, mesh_topology
 from repro.workloads import (
     ExponentialSize,
+    FlowSpec,
     FlowWorkload,
     PoissonArrivals,
     local_pairs,
@@ -166,3 +167,40 @@ def test_iter_specs_streams_lazily_and_matches_generate():
         a.arrival_time <= b.arrival_time
         for a, b in zip(streamed, streamed[1:])
     )
+
+
+# ----------------------------------------------------------------------
+# Flow specs
+# ----------------------------------------------------------------------
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("arrival_time", _NAN),
+        ("arrival_time", _INF),
+        ("arrival_time", -1.0),
+        ("size_bits", _NAN),
+        ("size_bits", _INF),
+        ("size_bits", 0.0),
+        ("size_bits", -1e6),
+        ("demand_bps", _NAN),
+        ("demand_bps", -1.0),
+    ],
+)
+def test_flow_spec_rejects_values_the_simulator_cannot_run(field, value):
+    """A NaN arrival time or size used to hang the event loop; every bad
+    value now fails where it enters, naming the flow and the field."""
+    spec = dict(
+        flow_id=7, source=0, destination=1, arrival_time=0.5,
+        size_bits=1e6, demand_bps=1e6,
+    )
+    spec[field] = value
+    with pytest.raises(WorkloadError, match=f"flow 7: {field}"):
+        FlowSpec(**spec)
+
+
+def test_flow_spec_accepts_uncapped_and_zero_demand():
+    assert FlowSpec(0, 0, 1, 0.0, 1.0, _INF).demand_bps == _INF
+    assert FlowSpec(1, 0, 1, 0.0, 1.0, 0.0).demand_bps == 0.0
