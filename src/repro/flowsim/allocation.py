@@ -505,7 +505,7 @@ class IncrementalMaxMin(_IncrementalAllocator):
         if flows:
             rates = _kernel.maxmin_fill(self._space, *self._gather(flows))
             if full:
-                changed.update(zip(flows, rates.tolist()))
+                changed.update(zip(flows, rates))
             else:
                 # Only the flows the fill actually moved: the simulator
                 # loops over this mapping per event, and a dirty
@@ -513,7 +513,7 @@ class IncrementalMaxMin(_IncrementalAllocator):
                 # same as last time.  ``_rates`` holds every filled
                 # flow's last rate; a new or re-added flow has none.
                 last = self._rates
-                for flow, rate in zip(flows, rates.tolist()):
+                for flow, rate in zip(flows, rates):
                     if last.get(flow) != rate:
                         changed[flow] = rate
         if full:

@@ -220,11 +220,16 @@ def _fill(
     if not num_ordered:
         return rates, reasons, switches, carried, detour_rows, detour_paths
     p_starts = [0, *accumulate(row_lengths)]
-    counts = np.bincount(
-        cols,
-        weights=np.repeat(np.array(unfrozen, dtype=np.float64), row_lengths),
-        minlength=width,
-    )
+    # Carriers per column, float64 as every round's arithmetic is.  When
+    # every row starts unfrozen (most fills) one unweighted count does.
+    if num_ordered == num_flows:
+        counts = np.bincount(cols, minlength=width).astype(np.float64)
+    else:
+        counts = np.bincount(
+            cols,
+            weights=np.repeat(np.array(unfrozen, dtype=np.float64), row_lengths),
+            minlength=width,
+        )
     sub_repl: List[int] = [0] * num_flows
     # Per detour row (index ``row - num_flows``): ``(column array,
     # round it was born in)``.
@@ -570,7 +575,7 @@ def maxmin_fill(
     cols: np.ndarray,
     row_lengths: List[int],
     demands: List[float],
-) -> np.ndarray:
+) -> List[float]:
     """Exact progressive filling: the INRP fill with no detour.
 
     Semantics of :func:`repro.flowsim.allocation.max_min_allocation`
@@ -580,17 +585,18 @@ def maxmin_fill(
     unfrozen rows grow at one common level; each round takes the next
     demand or saturation event, debits every carrying link by
     ``step * carriers``, freezes satisfied rows and every row crossing
-    a saturating link.  Returns the per-row rate vector, each rate
-    capped at its demand.
+    a saturating link.  Returns the per-row rates as a list of Python
+    floats, each capped at its demand: the caller reads them one flow
+    at a time, so no vector is built and converted back.
 
     Columns are compressed to the links actually present in ``cols``,
     so per-round cost scales with the component, not the topology.
     """
-    unique, local = space.compress(np.asarray(cols, dtype=np.int64))
+    unique, local = space.compress(cols)
     rates = _fill(
         space.capacity[unique], space.floor[unique], local, row_lengths, demands
     )[0]
-    return np.minimum(rates, demands)
+    return list(map(min, rates, demands))
 
 
 def inrp_fill(

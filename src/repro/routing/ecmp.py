@@ -34,7 +34,7 @@ def all_shortest_paths(topo: Topology, source: Node, destination: Node) -> List[
         raise NoPathError(source, destination)
     origin, goal = topo.node_index(source), topo.node_index(destination)
     pred, order = _hop_search(topo, origin, goal)
-    if pred[goal] < 0:
+    if goal != origin and pred[goal] < 0:
         raise NoPathError(source, destination)
     hops = [-1] * len(pred)
     hops[origin] = 0

@@ -9,7 +9,9 @@ of the previous level that links to it, the tree heap Dijkstra builds
 with unit costs, so routing tables are stable across runs and
 platforms.  :func:`hop_tree`, :func:`shortest_path`,
 :func:`iter_sp_next_hops` and
-:func:`~repro.routing.ecmp.all_shortest_paths` all read it.
+:func:`~repro.routing.ecmp.all_shortest_paths` all read it, and all
+read one representation of its tree: the packed predecessor array
+the search writes as it goes (see :func:`tree_typecode`).
 """
 
 from __future__ import annotations
@@ -24,28 +26,38 @@ from repro.topology.graph import Node, Topology
 
 def _hop_search(
     topo: Topology, source: int, target: int = -1
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[array, List[int]]:
     """Level-synchronous BFS from node index *source*.
 
-    Returns ``(pred, order)``: ``pred[i]`` is the index node *i* was
-    reached from (*source* maps to itself, -1 if unreached) and
-    ``order`` lists the reached indices in discovery order.  Each level
-    is expanded in :meth:`Topology.node_ranks` order, which is the
-    order heap Dijkstra pops it in.  Stops after the level that reaches
-    *target*: its predecessor is final from its first discovery, and
-    every node at most as far as *target* has been reached.
+    Returns ``(pred, order)``: ``pred`` is the packed tree
+    :func:`hop_tree` hands out, a :func:`tree_typecode` array in which
+    entry *i* is the index node *i* was reached from (-1 for *source*
+    and for unreached nodes), and ``order`` lists the reached indices
+    in discovery order, *source* first.  Each level is expanded in
+    :meth:`Topology.node_ranks` order, which is the order heap Dijkstra
+    pops it in.  Stops after the level that reaches *target*: its
+    predecessor is final from its first discovery, and every node at
+    most as far as *target* has been reached.
+
+    A predecessor is written into the array once, when its node is
+    discovered, so no list of every node is packed afterwards.  The
+    visited test reads a list instead: list reads are the interpreter's
+    fast path, and a full search makes one per link end.
     """
     adjacency = topo.adjacency()
     rank = topo.node_ranks().__getitem__
-    pred = [-1] * len(adjacency)
-    pred[source] = source
+    num_nodes = len(adjacency)
+    pred = array(tree_typecode(num_nodes), (-1,)) * num_nodes
+    seen = [False] * num_nodes
+    seen[source] = True
     order = [source]
     level = [source]
-    while level and (target < 0 or pred[target] < 0):
+    while level and (target < 0 or not seen[target]):
         reached = []
         for node in level:
             for neighbour in adjacency[node]:
-                if pred[neighbour] < 0:
+                if not seen[neighbour]:
+                    seen[neighbour] = True
                     pred[neighbour] = node
                     reached.append(neighbour)
         order += reached
@@ -69,7 +81,8 @@ def hop_tree(
     index of node *i*'s predecessor, -1 for *source* and for nodes the
     search did not reach.  Its typecode is :func:`tree_typecode`'s:
     int16 on maps of at most 32,768 nodes (every shipped map has at
-    most 1,273), int32 on larger ones.
+    most 1,273), int32 on larger ones.  It is the array
+    :func:`_hop_search` fills as it discovers each node, not a copy.
 
     With *target*, the search stops after the level that reaches it.
     Every node it reached still has its full-tree predecessor (a
@@ -79,13 +92,10 @@ def hop_tree(
     """
     if not topo.has_node(source):
         raise RoutingError(f"unknown node: {source!r}")
-    origin = topo.node_index(source)
     goal = -1
     if target is not None and topo.has_node(target):
         goal = topo.node_index(target)
-    pred, _ = _hop_search(topo, origin, goal)
-    pred[origin] = -1
-    return array(tree_typecode(len(pred)), pred)
+    return _hop_search(topo, topo.node_index(source), goal)[0]
 
 
 def shortest_path(topo: Topology, source: Node, destination: Node) -> Path:

@@ -12,15 +12,25 @@ block shape alone:
 - **pendant edge** (leaf) → no detour (bridge).
 
 Each builder takes a :class:`NodeNamer`, attaches the motif at an
-existing node and returns the list of links created.
+existing node and returns the list of links created.  Every link gets
+the builder's *capacity* and *delay* as it is added, so a generated
+map sets each value once.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
 from repro.errors import TopologyError
-from repro.topology.graph import Link, Node, Topology
+from repro.topology.graph import (
+    DEFAULT_CAPACITY_BPS,
+    DEFAULT_DELAY_S,
+    CapacitySpec,
+    Link,
+    Node,
+    Topology,
+    split_capacity_spec,
+)
 
 
 class NodeNamer:
@@ -39,8 +49,33 @@ class NodeNamer:
         self._next = max(self._next, up_to + 1)
 
 
+def _link_adder(
+    topo: Topology, capacity: CapacitySpec, delay: float
+) -> Callable[[Node, Node], Link]:
+    """``add(u, v)``: ``topo.add_link(u, v)`` with *capacity* and *delay*.
+
+    A ``(forward, reverse)`` *capacity* is read against the link's
+    :meth:`Link.key` orientation, not the order a block names the
+    endpoints in: forward is the ``key[0] -> key[1]`` direction, as
+    :meth:`Topology.set_capacity` over :meth:`Topology.links` sets it.
+    """
+    forward, reverse = split_capacity_spec(capacity)
+
+    def add(u: Node, v: Node) -> Link:
+        if forward == reverse or (u, v) == Link.key(u, v):
+            return topo.add_link(u, v, forward, delay, reverse)
+        return topo.add_link(u, v, reverse, delay, forward)
+
+    return add
+
+
 def add_triangle_fan(
-    topo: Topology, attach: Node, num_links: int, namer: NodeNamer
+    topo: Topology,
+    attach: Node,
+    num_links: int,
+    namer: NodeNamer,
+    capacity: CapacitySpec = DEFAULT_CAPACITY_BPS,
+    delay: float = DEFAULT_DELAY_S,
 ) -> List[Link]:
     """Attach a fan of triangles sharing the hub *attach*.
 
@@ -54,17 +89,23 @@ def add_triangle_fan(
             f"a triangle fan has an odd number of links >= 3, got {num_links}"
         )
     spokes = (num_links + 1) // 2
+    add = _link_adder(topo, capacity, delay)
     created: List[Link] = []
     spoke_nodes = [namer.fresh() for _ in range(spokes)]
     for node in spoke_nodes:
-        created.append(topo.add_link(attach, node))
+        created.append(add(attach, node))
     for left, right in zip(spoke_nodes, spoke_nodes[1:]):
-        created.append(topo.add_link(left, right))
+        created.append(add(left, right))
     return created
 
 
 def add_square_chain(
-    topo: Topology, attach: Node, num_links: int, namer: NodeNamer
+    topo: Topology,
+    attach: Node,
+    num_links: int,
+    namer: NodeNamer,
+    capacity: CapacitySpec = DEFAULT_CAPACITY_BPS,
+    delay: float = DEFAULT_DELAY_S,
 ) -> List[Link]:
     """Attach a chain of edge-sharing 4-cycles at *attach*.
 
@@ -77,28 +118,34 @@ def add_square_chain(
         raise TopologyError(
             f"a square chain has 4 + 3k links, got {num_links}"
         )
+    add = _link_adder(topo, capacity, delay)
     created: List[Link] = []
     # First square: attach - a - b - c - attach.
     a, b, c = namer.fresh(), namer.fresh(), namer.fresh()
-    created.append(topo.add_link(attach, a))
-    created.append(topo.add_link(a, b))
-    created.append(topo.add_link(b, c))
-    created.append(topo.add_link(c, attach))
+    created.append(add(attach, a))
+    created.append(add(a, b))
+    created.append(add(b, c))
+    created.append(add(c, attach))
     # Extensions share the "far" edge (a, b) of the most recent square.
     shared_u, shared_v = a, b
     remaining = num_links - 4
     while remaining > 0:
         p, q = namer.fresh(), namer.fresh()
-        created.append(topo.add_link(shared_v, p))
-        created.append(topo.add_link(p, q))
-        created.append(topo.add_link(q, shared_u))
+        created.append(add(shared_v, p))
+        created.append(add(p, q))
+        created.append(add(q, shared_u))
         shared_u, shared_v = q, p
         remaining -= 3
     return created
 
 
 def add_long_cycle(
-    topo: Topology, attach: Node, num_links: int, namer: NodeNamer
+    topo: Topology,
+    attach: Node,
+    num_links: int,
+    namer: NodeNamer,
+    capacity: CapacitySpec = DEFAULT_CAPACITY_BPS,
+    delay: float = DEFAULT_DELAY_S,
 ) -> List[Link]:
     """Attach a simple cycle of length *num_links* >= 5 through *attach*.
 
@@ -107,18 +154,25 @@ def add_long_cycle(
     """
     if num_links < 5:
         raise TopologyError(f"a long cycle needs >= 5 links, got {num_links}")
+    add = _link_adder(topo, capacity, delay)
     created: List[Link] = []
     nodes = [attach] + [namer.fresh() for _ in range(num_links - 1)]
     for left, right in zip(nodes, nodes[1:]):
-        created.append(topo.add_link(left, right))
-    created.append(topo.add_link(nodes[-1], attach))
+        created.append(add(left, right))
+    created.append(add(nodes[-1], attach))
     return created
 
 
-def add_pendant(topo: Topology, attach: Node, namer: NodeNamer) -> Link:
+def add_pendant(
+    topo: Topology,
+    attach: Node,
+    namer: NodeNamer,
+    capacity: CapacitySpec = DEFAULT_CAPACITY_BPS,
+    delay: float = DEFAULT_DELAY_S,
+) -> Link:
     """Attach a single leaf node; the new link is a bridge (no detour)."""
     leaf = namer.fresh()
-    return topo.add_link(attach, leaf)
+    return _link_adder(topo, capacity, delay)(attach, leaf)
 
 
 def decompose_one_hop(count: int) -> List[int]:

@@ -78,6 +78,10 @@ def block_mix_topology(
     seed:
         Seed (or generator) controlling motif order and attachment
         points only — the class mix itself is deterministic.
+    capacity, delay:
+        Every link's, set once as its block adds it.  A
+        ``(forward, reverse)`` capacity gives forward to the
+        ``key[0] -> key[1]`` direction of each link's :meth:`Link.key`.
 
     Returns
     -------
@@ -126,16 +130,12 @@ def block_mix_topology(
         label, size = plan[index]
         attach = attach_pool[int(rng.integers(0, len(attach_pool)))]
         if label == "none":
-            created = [blocks.add_pendant(topo, attach, namer)]
+            created = [blocks.add_pendant(topo, attach, namer, capacity, delay)]
         else:
-            created = builders[label](topo, attach, size, namer)
+            created = builders[label](topo, attach, size, namer, capacity, delay)
         report.built[label] += len(created)
         report.links_by_class[label].extend(created)
         attach_pool = topo.nodes()
-
-    for u, v in topo.links():
-        topo.set_capacity(u, v, capacity)
-        topo.set_delay(u, v, delay)
     return topo, report
 
 

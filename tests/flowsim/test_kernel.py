@@ -346,7 +346,7 @@ def _maxmin_churn_fills(monkeypatch, topo, seed, events):
 
     def capture(space, cols, row_lengths, demands):
         rates = fill(space, cols, row_lengths, demands)
-        fills.append((np.array(demands), rates))
+        fills.append((np.array(demands), np.array(rates)))
         return rates
 
     monkeypatch.setattr(_kernel, "maxmin_fill", capture)
@@ -473,12 +473,12 @@ def test_union_of_disjoint_components_fills_within_verify_bar():
             lengths = [len(row) for row in rows]
             separate += _kernel.maxmin_fill(
                 space, np.concatenate(rows), lengths, demands
-            ).tolist()
+            )
         rows = parts[0][0] + parts[1][0]
         demands = parts[0][1] + parts[1][1]
         union = _kernel.maxmin_fill(
             space, np.concatenate(rows), [len(row) for row in rows], demands
-        ).tolist()
+        )
         for got, want in zip(union, separate):
             assert abs(got - want) <= TOL * max(1.0, abs(want))
         differ += union != separate
@@ -504,7 +504,7 @@ def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
         [space.columns(path_links(path)) for path in paths]
     )
     lengths = [len(path) - 1 for path in paths]
-    want = _kernel.maxmin_fill(space, cols, lengths, demands).tolist()
+    want = _kernel.maxmin_fill(space, cols, lengths, demands)
     got = _kernel.inrp_fill(
         space,
         list(range(num_flows)),
@@ -554,7 +554,7 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
             {flow: path_links(path) for flow, path in enumerate(paths)},
             dict(enumerate(demands)),
         )[0],
-        "maxmin_fill": float(_kernel.maxmin_fill(space, cols, lengths, demands)[0]),
+        "maxmin_fill": _kernel.maxmin_fill(space, cols, lengths, demands)[0],
         "inrp_allocation": scratch_inrp.rates[0],
         "inrp_fill": kernel_inrp.rates[0],
     }

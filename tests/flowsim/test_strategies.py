@@ -274,6 +274,34 @@ def test_tree_cache_is_sized_by_the_tree_itemsize():
     )
 
 
+def test_tree_cache_evicts_the_least_recently_used_source(monkeypatch):
+    """The tree LRU orders sources by their last route, not by their
+    first: with room for two trees, routing from A, B, A, C evicts B
+    and keeps A.  Routing from B again searches anew and finds the
+    same path."""
+    topo = build_isp_topology("exodus", seed=0)
+    strategy = make_strategy("sp", topo)
+    strategy._tree_cache_size = 2
+    searched = []
+    search = strategies.dijkstra
+
+    def counted(topology, source, target):
+        searched.append(source)
+        return search(topology, source, target)
+
+    monkeypatch.setattr(strategies, "dijkstra", counted)
+    a, b, c, destination = topo.nodes()[:4]
+    paths = {}
+    for flow, source in enumerate((a, b, a, c)):
+        paths.setdefault(source, strategy.route(flow, source, destination))
+    assert searched == [a, b, c]
+    assert list(strategy._sp_trees) == [a, c]
+    again = strategy.route(4, b, destination)
+    assert again == paths[b] == shortest_path(topo, b, destination)
+    assert searched == [a, b, c, b]
+    assert list(strategy._sp_trees) == [c, b]
+
+
 def test_inrp_rejects_negative_depth():
     with pytest.raises(ConfigurationError):
         make_strategy("inrp", fig3_topology(), detour_depth=-1)

@@ -199,6 +199,33 @@ def test_hop_tree_packs_small_maps_as_int16():
     assert tree_typecode((1 << 15) + 1) == "i"
 
 
+def test_hop_tree_packs_maps_beyond_int16_as_int32():
+    """On a map of 32,769 nodes, one more than int16 indexes, the tree
+    is an ``"i"`` array holding the search's predecessors: the heap
+    oracle's, for a full tree and for one bounded by a target.  The
+    source is node index 32,768, so its neighbours' entries overflow
+    int16."""
+    num_nodes = (1 << 15) + 1
+    topo = mesh_topology(num_nodes, extra_links=3000, seed=0)
+    nodes = topo.nodes()
+    source = nodes[-1]
+    _, predecessors = heap_dijkstra(topo, source)
+    want = [
+        topo.node_index(predecessors[node]) if node in predecessors else -1
+        for node in nodes
+    ]
+    tree = hop_tree(topo, source)
+    assert tree.typecode == "i" and tree.itemsize == 4
+    assert tree.tolist() == want
+    assert 1 << 15 in want
+    target = nodes[num_nodes // 2]
+    bounded = hop_tree(topo, source, target=target)
+    assert bounded.typecode == "i"
+    assert bounded[topo.node_index(target)] == want[topo.node_index(target)]
+    assert all(got in (-1, full) for got, full in zip(bounded, want))
+    assert bounded.count(-1) > want.count(-1)
+
+
 def test_hop_tree_unknown_source_raises():
     topo = Topology.from_links([(0, 1)])
     with pytest.raises(RoutingError):

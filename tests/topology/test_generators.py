@@ -66,6 +66,38 @@ def test_block_mix_capacity_applied():
         assert topo.capacity(u, v) == 123456.0
 
 
+@pytest.mark.parametrize(
+    "capacity", [123456.0, (2e6, 3e6)], ids=["symmetric", "pair"]
+)
+def test_block_mix_sets_capacity_and_delay_as_the_two_pass_build(capacity):
+    """Capacities and delays set as the blocks add each link equal
+    those of a default build followed by ``set_capacity`` and
+    ``set_delay`` over ``links()``: a pair spec is oriented by
+    ``Link.key``, not by a block's call order, and node and link
+    orders are unchanged."""
+    counts = (7, 8, 6, 3)
+    topo, _ = block_mix_topology(*counts, seed=4, capacity=capacity, delay=0.007)
+    want, _ = block_mix_topology(*counts, seed=4)
+    for u, v in want.links():
+        want.set_capacity(u, v, capacity)
+        want.set_delay(u, v, 0.007)
+    assert topo.nodes() == want.nodes()
+    assert topo.links() == want.links()
+    assert [topo.neighbors(node) for node in topo.nodes()] == [
+        want.neighbors(node) for node in want.nodes()
+    ]
+    got_caps = topo.directed_capacities()
+    want_caps = want.directed_capacities()
+    assert list(got_caps) == list(want_caps)
+    for (u, v), value in want_caps.items():
+        assert got_caps[(u, v)] == value
+        assert topo.delay(u, v) == want.delay(u, v) == 0.007
+    if isinstance(capacity, tuple):
+        # Both orientations occur among the blocks' calls, so the pair
+        # really had to be re-oriented somewhere.
+        assert set(got_caps.values()) == set(capacity)
+
+
 def test_mesh_connected_with_expected_links():
     topo = mesh_topology(40, extra_links=30, seed=5)
     assert topo.is_connected()
