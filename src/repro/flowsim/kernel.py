@@ -221,7 +221,9 @@ def _fill(
         return rates, reasons, switches, carried, detour_rows, detour_paths
     p_starts = [0, *accumulate(row_lengths)]
     # Carriers per column, float64 as every round's arithmetic is.  When
-    # every row starts unfrozen (most fills) one unweighted count does.
+    # every row starts unfrozen (every fill of the perfbench workloads)
+    # one unweighted count does; a fill holding a no-path or zero-demand
+    # row weighs each row by whether it is unfrozen.
     if num_ordered == num_flows:
         counts = np.bincount(cols, minlength=width).astype(np.float64)
     else:

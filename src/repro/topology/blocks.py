@@ -14,12 +14,14 @@ block shape alone:
 Each builder takes a :class:`NodeNamer`, attaches the motif at an
 existing node and returns the list of links created.  Every link gets
 the builder's *capacity* and *delay* as it is added, so a generated
-map sets each value once.
+map sets each value once.  Builders name a link's endpoints in
+:meth:`Link.key` order, so a ``(forward, reverse)`` capacity gives
+forward to the ``key[0] -> key[1]`` direction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 from repro.errors import TopologyError
 from repro.topology.graph import (
@@ -29,7 +31,6 @@ from repro.topology.graph import (
     Link,
     Node,
     Topology,
-    split_capacity_spec,
 )
 
 
@@ -47,26 +48,6 @@ class NodeNamer:
     def reserve(self, up_to: int) -> None:
         """Ensure future names are strictly greater than *up_to*."""
         self._next = max(self._next, up_to + 1)
-
-
-def _link_adder(
-    topo: Topology, capacity: CapacitySpec, delay: float
-) -> Callable[[Node, Node], Link]:
-    """``add(u, v)``: ``topo.add_link(u, v)`` with *capacity* and *delay*.
-
-    A ``(forward, reverse)`` *capacity* is read against the link's
-    :meth:`Link.key` orientation, not the order a block names the
-    endpoints in: forward is the ``key[0] -> key[1]`` direction, as
-    :meth:`Topology.set_capacity` over :meth:`Topology.links` sets it.
-    """
-    forward, reverse = split_capacity_spec(capacity)
-
-    def add(u: Node, v: Node) -> Link:
-        if forward == reverse or (u, v) == Link.key(u, v):
-            return topo.add_link(u, v, forward, delay, reverse)
-        return topo.add_link(u, v, reverse, delay, forward)
-
-    return add
 
 
 def add_triangle_fan(
@@ -89,13 +70,12 @@ def add_triangle_fan(
             f"a triangle fan has an odd number of links >= 3, got {num_links}"
         )
     spokes = (num_links + 1) // 2
-    add = _link_adder(topo, capacity, delay)
     created: List[Link] = []
     spoke_nodes = [namer.fresh() for _ in range(spokes)]
     for node in spoke_nodes:
-        created.append(add(attach, node))
+        created.append(topo.add_link(*Link.key(attach, node), capacity, delay))
     for left, right in zip(spoke_nodes, spoke_nodes[1:]):
-        created.append(add(left, right))
+        created.append(topo.add_link(*Link.key(left, right), capacity, delay))
     return created
 
 
@@ -118,22 +98,21 @@ def add_square_chain(
         raise TopologyError(
             f"a square chain has 4 + 3k links, got {num_links}"
         )
-    add = _link_adder(topo, capacity, delay)
     created: List[Link] = []
     # First square: attach - a - b - c - attach.
     a, b, c = namer.fresh(), namer.fresh(), namer.fresh()
-    created.append(add(attach, a))
-    created.append(add(a, b))
-    created.append(add(b, c))
-    created.append(add(c, attach))
+    created.append(topo.add_link(*Link.key(attach, a), capacity, delay))
+    created.append(topo.add_link(*Link.key(a, b), capacity, delay))
+    created.append(topo.add_link(*Link.key(b, c), capacity, delay))
+    created.append(topo.add_link(*Link.key(c, attach), capacity, delay))
     # Extensions share the "far" edge (a, b) of the most recent square.
     shared_u, shared_v = a, b
     remaining = num_links - 4
     while remaining > 0:
         p, q = namer.fresh(), namer.fresh()
-        created.append(add(shared_v, p))
-        created.append(add(p, q))
-        created.append(add(q, shared_u))
+        created.append(topo.add_link(*Link.key(shared_v, p), capacity, delay))
+        created.append(topo.add_link(*Link.key(p, q), capacity, delay))
+        created.append(topo.add_link(*Link.key(q, shared_u), capacity, delay))
         shared_u, shared_v = q, p
         remaining -= 3
     return created
@@ -154,12 +133,11 @@ def add_long_cycle(
     """
     if num_links < 5:
         raise TopologyError(f"a long cycle needs >= 5 links, got {num_links}")
-    add = _link_adder(topo, capacity, delay)
     created: List[Link] = []
     nodes = [attach] + [namer.fresh() for _ in range(num_links - 1)]
     for left, right in zip(nodes, nodes[1:]):
-        created.append(add(left, right))
-    created.append(add(nodes[-1], attach))
+        created.append(topo.add_link(*Link.key(left, right), capacity, delay))
+    created.append(topo.add_link(*Link.key(nodes[-1], attach), capacity, delay))
     return created
 
 
@@ -172,7 +150,7 @@ def add_pendant(
 ) -> Link:
     """Attach a single leaf node; the new link is a bridge (no detour)."""
     leaf = namer.fresh()
-    return _link_adder(topo, capacity, delay)(attach, leaf)
+    return topo.add_link(*Link.key(attach, leaf), capacity, delay)
 
 
 def decompose_one_hop(count: int) -> List[int]:
