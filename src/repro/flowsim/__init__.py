@@ -9,14 +9,13 @@ provides:
   every allocation runs through (max-min and INRP).  They share one
   interface: ``add_flow(flow, path, demand)`` on a node path,
   ``remove_flow(flow)`` and ``recompute(full=False)`` returning
-  ``(rates, splits | None, switches)``.  Also the from-scratch max-min
-  solver (progressive filling for single-path flows), the oracle
-  ``verify=True`` and the tests check them against;
-- :mod:`~repro.flowsim.multipath` — the from-scratch INRP solver, the
-  oracle for the INRP fill: progressive filling where a flow blocked
-  at a saturated link *detours* its further growth through alternative
-  sub-paths (1-hop detours, with one extra hop allowed on the detour
-  path, as in the paper);
+  ``(rates, splits | None, switches)``;
+- :mod:`~repro.flowsim.multipath` — the one from-scratch solver, the
+  oracle ``verify=True`` and the tests check both fills against:
+  progressive filling where a flow blocked at a saturated link
+  *detours* its further growth through alternative sub-paths (1-hop
+  detours, with one extra hop allowed on the detour path, as in the
+  paper).  With no detour table the blocked flow freezes: e2e max-min;
 - :mod:`~repro.flowsim.kernel` — the CSR filling kernel both
   incremental allocators fill with: the production fills;
 - :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects,
@@ -36,7 +35,6 @@ from repro.flowsim.allocation import (
     IncrementalInrp,
     IncrementalMaxMin,
     detour_closure,
-    max_min_allocation,
 )
 from repro.flowsim.multipath import MultipathAllocation, inrp_allocation
 from repro.flowsim.kernel import LinkSpace, inrp_fill, maxmin_fill
@@ -59,7 +57,6 @@ from repro.flowsim.simulator import FlowLevelSimulator
 from repro.flowsim.snapshots import SnapshotResult, snapshot_experiment
 
 __all__ = [
-    "max_min_allocation",
     "IncrementalMaxMin",
     "IncrementalInrp",
     "detour_closure",

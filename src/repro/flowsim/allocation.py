@@ -1,20 +1,25 @@
-"""Exact max-min fair allocation by progressive filling.
+"""Rates maintained incrementally under flow churn, for both sharing
+models.
 
-This is the classic fluid model of fair sharing used by flow-level
-simulators: all unsatisfied flows grow at the same rate; a flow stops
-growing when its demand is met or any link of its (single) path
-saturates.  The implementation is event-driven (piecewise-linear in
-the common fill level), so it is exact rather than epsilon-stepped.
+E2e max-min fairness (SP, ECMP) is the classic fluid model of fair
+sharing used by flow-level simulators: all unsatisfied flows grow at
+the same rate; a flow stops growing when its demand is met or any
+link of its (single) path saturates.  The e2e behaviour the paper
+criticises falls out naturally: a flow's rate is dictated by the
+*slowest link of its whole path*, and a flow bottlenecked downstream
+leaves its upstream share to more fortunate flows (Fig. 3 left: rates
+(2, 8) on the shared 10 Mbps link).  INRP's fill instead detours a
+blocked flow's growth (:mod:`repro.flowsim.multipath`).
 
-The e2e behaviour the paper criticises falls out naturally: a flow's
-rate is dictated by the *slowest link of its whole path*, and a flow
-bottlenecked downstream leaves its upstream share to more fortunate
-flows (Fig. 3 left: rates (2, 8) on the shared 10 Mbps link).
+:class:`IncrementalMaxMin` and :class:`IncrementalInrp` re-fill only
+the dirty component with the CSR kernel
+(:mod:`repro.flowsim.kernel`).  Their one from-scratch oracle is
+:func:`~repro.flowsim.multipath.inrp_allocation`, which with no detour
+table is e2e max-min.
 """
 
 from __future__ import annotations
 
-import math
 from typing import (
     Dict,
     FrozenSet,
@@ -32,117 +37,16 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.multipath import MultipathAllocation, _rel_tol, inrp_allocation
+from repro.flowsim.multipath import MultipathAllocation, inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.paths import Path, path_links
 
 FlowId = Hashable
 LinkId = Hashable
 
-_EPS = 1e-9
-
 #: Relative bar on incremental-vs-scratch rate deviation for
 #: ``verify=True``; both incremental allocators raise above it.
 _VERIFY_TOL = 1e-9
-
-
-def max_min_allocation(
-    capacities: Mapping[LinkId, float],
-    flow_links: Mapping[FlowId, Sequence[LinkId]],
-    demands: Mapping[FlowId, float],
-) -> Dict[FlowId, float]:
-    """Max-min fair rates for single-path flows with demand caps.
-
-    The from-scratch oracle: ``verify=True`` and the tests; production
-    fills run :mod:`repro.flowsim.kernel`.
-
-    Parameters
-    ----------
-    capacities:
-        Link capacity in bits/s per link id.
-    flow_links:
-        For every flow, the links its path traverses.  A flow with an
-        empty link list (source == destination) gets its full demand.
-    demands:
-        Per-flow rate cap in bits/s (access-link limit).
-
-    Returns
-    -------
-    rates:
-        Max-min fair allocation; verified in the test suite with
-        :func:`repro.metrics.fairness.max_min_violations`.
-    """
-    for flow in flow_links:
-        if flow not in demands:
-            raise SimulationError(f"flow {flow!r} has no demand")
-        if demands[flow] < 0:
-            raise SimulationError(f"flow {flow!r} has negative demand")
-
-    rates: Dict[FlowId, float] = {}
-    unfrozen: Set[FlowId] = set()
-    for flow, links in flow_links.items():
-        if not links or demands[flow] <= _EPS:
-            rates[flow] = demands[flow]
-        else:
-            unfrozen.add(flow)
-
-    link_members: Dict[LinkId, Set[FlowId]] = {}
-    for flow in unfrozen:
-        for link in flow_links[flow]:
-            if link not in capacities:
-                raise SimulationError(f"flow {flow!r} uses unknown link {link!r}")
-            link_members.setdefault(link, set()).add(flow)
-
-    residual: Dict[LinkId, float] = {
-        link: float(capacities[link]) for link in link_members
-    }
-    level = 0.0  # common rate of all unfrozen flows
-
-    while unfrozen:
-        # Next demand event: the smallest unmet demand among growers.
-        demand_step = min(demands[flow] - level for flow in unfrozen)
-        # Next saturation event over links still carrying growers.  The
-        # links attaining the minimum are recorded and frozen explicitly,
-        # which keeps the algorithm robust at bits/s magnitudes where
-        # absolute epsilons are meaningless.
-        saturation_step = math.inf
-        saturating: List[LinkId] = []
-        for link, members in link_members.items():
-            growers = len(members)
-            if growers == 0:
-                continue
-            step = residual[link] / growers
-            if step < saturation_step - _rel_tol(saturation_step):
-                saturation_step = step
-                saturating = [link]
-            elif step <= saturation_step + _rel_tol(saturation_step):
-                saturating.append(link)
-        step = min(demand_step, saturation_step)
-        if step < -_rel_tol(level):
-            raise SimulationError("negative fill step; inconsistent state")
-        step = max(step, 0.0)
-        level += step
-        for link, members in link_members.items():
-            residual[link] -= step * len(members)
-
-        frozen_now: List[FlowId] = []
-        for flow in unfrozen:
-            if demands[flow] - level <= _rel_tol(level):
-                frozen_now.append(flow)
-        if saturation_step <= demand_step + _rel_tol(demand_step):
-            for link in saturating:
-                residual[link] = 0.0
-                frozen_now.extend(link_members[link])
-        if not frozen_now:
-            raise SimulationError("progressive filling made no progress")
-        for flow in set(frozen_now):
-            rates[flow] = min(level, demands[flow])
-            unfrozen.discard(flow)
-            for link in flow_links[flow]:
-                members = link_members.get(link)
-                if members is not None:
-                    members.discard(flow)
-    return rates
 
 
 class _ComponentTracker:
@@ -288,10 +192,15 @@ class _IncrementalAllocator:
     sweeps the tracker's class of the dirty links instead.
     """
 
+    #: Detour table and replacement budget of the fill; max-min has
+    #: neither, so a blocked flow freezes.
+    _table: Optional[DetourTable] = None
+    _max_replacements = 0
+
     def __init__(self, capacities: Mapping[LinkId, float], verify: bool = False):
         #: Gates only the from-scratch comparison after each recompute.
         self._verify = verify
-        # The one copy of the capacities (see :meth:`_capacities`).
+        # The one copy of the capacities.
         self._space = _kernel.LinkSpace(capacities)
         # Each flow's (deduplicated) path columns, computed once on
         # arrival for the kernel fills; component selection goes
@@ -342,7 +251,7 @@ class _IncrementalAllocator:
                 raise SimulationError(f"flow {flow!r} uses unknown link {link!r}")
             cols.append(col)
         # The kernels count row entries, so a repeated link is dropped
-        # (the scratch solvers collapse it through their sets).
+        # (the scratch solver collapses it through its sets).
         if len(cols) != len(set(cols)):
             cols = list(dict.fromkeys(cols))
         reach = self._reach_of(path, cols)
@@ -369,12 +278,6 @@ class _IncrementalAllocator:
         del self._cols[flow]
         if reach:
             self._tracker.remove(flow)
-
-    def _capacities(self) -> Dict[LinkId, float]:
-        """The capacity map, read back from the link space in its
-        order, for the scratch solvers that ``verify=True`` runs."""
-        space = self._space
-        return dict(zip(space.links, space.capacity.tolist()))
 
     def _gather(
         self, flows: Sequence[FlowId]
@@ -426,10 +329,21 @@ class _IncrementalAllocator:
         search is far cheaper than a wasted spanning re-fill)."""
         return len(self._dirty_component()) + len(self._dirty_flows)
 
-    def _verify_rates(self, scratch: Mapping[FlowId, float], what: str) -> None:
-        """Fold the worst relative deviation of the current rates from
-        *scratch* into :attr:`max_verify_deviation`; raises
-        :class:`SimulationError` above :data:`_VERIFY_TOL`."""
+    def _check_against_scratch(self) -> None:
+        """Re-fill the whole population from scratch with
+        :func:`~repro.flowsim.multipath.inrp_allocation` (this
+        allocator's detour table and budget: None and 0 under max-min)
+        and fold the worst relative deviation of the current rates into
+        :attr:`max_verify_deviation`; raises :class:`SimulationError`
+        above :data:`_VERIFY_TOL`."""
+        space = self._space
+        scratch = inrp_allocation(
+            dict(zip(space.links, space.capacity.tolist())),
+            self._paths,
+            self._demands,
+            self._table,
+            max_replacements=self._max_replacements,
+        ).rates
         rates = self._rates
         worst = 0.0
         diverged: Optional[FlowId] = None
@@ -443,9 +357,9 @@ class _IncrementalAllocator:
                 diverged = flow
         if worst > _VERIFY_TOL:
             raise SimulationError(
-                f"incremental {what} rate for flow {diverged!r} diverged: "
-                f"{rates[diverged]} != {scratch[diverged]} "
-                f"(relative deviation {worst:.3e})"
+                f"incremental {type(self).__name__} rate for flow "
+                f"{diverged!r} diverged: {rates[diverged]} != "
+                f"{scratch[diverged]} (relative deviation {worst:.3e})"
             )
         self.max_verify_deviation = max(self.max_verify_deviation, worst)
 
@@ -462,10 +376,11 @@ class IncrementalMaxMin(_IncrementalAllocator):
     own while the simulator's ``full=`` refill needs it and the
     benchmark's tracer times ``kernel.maxmin_fill`` by name.
 
-    The returned rates are those of :func:`max_min_allocation` from
-    scratch (the test suite asserts equality on randomized churn
-    sequences; ``verify=True`` re-checks after every recompute, for
-    benchmarks and debugging).
+    The returned rates are those of
+    :func:`~repro.flowsim.multipath.inrp_allocation` with no detour
+    table, from scratch (the test suite asserts equality on randomized
+    churn sequences; ``verify=True`` re-checks after every recompute,
+    for benchmarks and debugging).
     """
 
     def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
@@ -525,11 +440,6 @@ class IncrementalMaxMin(_IncrementalAllocator):
         if self._verify:
             self._check_against_scratch()
         return changed, None, 0
-
-    def _check_against_scratch(self) -> None:
-        flow_links = {flow: path_links(path) for flow, path in self._paths.items()}
-        scratch = max_min_allocation(self._capacities(), flow_links, self._demands)
-        self._verify_rates(scratch, "max-min")
 
 
 def detour_closure(
@@ -710,12 +620,3 @@ class IncrementalInrp(_IncrementalAllocator):
             path_cols_cache=self._path_cols_cache,
         )
 
-    def _check_against_scratch(self) -> None:
-        scratch = inrp_allocation(
-            self._capacities(),
-            self._paths,
-            self._demands,
-            self._table,
-            max_replacements=self._max_replacements,
-        )
-        self._verify_rates(scratch.rates, "INRP")

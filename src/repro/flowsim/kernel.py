@@ -13,20 +13,20 @@ representation of the flow-link incidence:
 - one round loop fills both sharing models.  All unfrozen flows grow
   at one scalar level; a round takes the next demand or saturation
   event, debits every carrying column, freezes satisfied flows and
-  reroutes or freezes the flows crossing a saturated column.
-  :func:`inrp_fill` (the semantics of
-  :func:`repro.flowsim.multipath.inrp_allocation`) runs it over the
-  global column space with detours; :func:`maxmin_fill` (the
-  semantics of :func:`repro.flowsim.allocation.max_min_allocation`)
-  is the same loop with no detour table and a replacement budget of
-  0, over the component's compressed columns.  Max-min is INRP's
-  zero-pooling end, not a second algorithm.
+  reroutes or freezes the flows crossing a saturated column.  Both
+  fills have the semantics of the one scalar solver,
+  :func:`repro.flowsim.multipath.inrp_allocation`: :func:`inrp_fill`
+  runs the loop over the global column space with detours;
+  :func:`maxmin_fill` is the same loop with no detour table and a
+  replacement budget of 0, over the component's compressed columns.
+  Max-min is INRP's zero-pooling end, not a second algorithm.
 
 Exactness is the contract: the loop performs the *same float
 arithmetic in the same order per link and per flow* as the scalar
-solvers, so results agree bit-for-bit except in degenerate
-tie-tolerance corner cases; the randomized churn tests and
-``verify=True`` hold them to <= 1e-9 of the scratch solvers, and two
+solver, so results agree bit-for-bit except in degenerate
+tie-tolerance corner cases (and :func:`maxmin_fill`'s demand cap,
+which can move a rate down by an ulp); the randomized churn tests and
+``verify=True`` hold them to <= 1e-9 of the scalar solver, and two
 sha256 goldens pin both fills bit for bit.
 """
 
@@ -98,13 +98,6 @@ class LinkSpace:
         # Scratch for :meth:`compress`; all-False between calls.
         self._marks = np.zeros(self.num_links, dtype=bool)
         self._local = np.empty(self.num_links, dtype=np.int64)
-
-    def columns(self, links: Sequence[LinkId]) -> np.ndarray:
-        """Column ids for *links* (raises ``KeyError`` on unknown)."""
-        index = self.index
-        return np.fromiter(
-            (index[link] for link in links), dtype=np.int64, count=len(links)
-        )
 
     def compress(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``np.unique(cols, return_inverse=True)`` without the sort.
@@ -580,16 +573,17 @@ def maxmin_fill(
 ) -> List[float]:
     """Exact progressive filling: the INRP fill with no detour.
 
-    Semantics of :func:`repro.flowsim.allocation.max_min_allocation`
-    over the rows described by ``(cols, row_lengths, demands)`` (the
-    rows' concatenated column ids, and per row its length and demand
-    as lists): all
+    Semantics of :func:`repro.flowsim.multipath.inrp_allocation` with
+    no detour table over the rows described by ``(cols, row_lengths,
+    demands)`` (the rows' concatenated column ids, and per row its
+    length and demand as lists): all
     unfrozen rows grow at one common level; each round takes the next
     demand or saturation event, debits every carrying link by
     ``step * carriers``, freezes satisfied rows and every row crossing
     a saturating link.  Returns the per-row rates as a list of Python
-    floats, each capped at its demand: the caller reads them one flow
-    at a time, so no vector is built and converted back.
+    floats, each capped at its demand (the scalar solver returns the
+    level, which can pass a finite demand by an ulp): the caller reads
+    them one flow at a time, so no vector is built and converted back.
 
     Columns are compressed to the links actually present in ``cols``,
     so per-round cost scales with the component, not the topology.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.routing.detour import DetourTable
@@ -116,13 +116,15 @@ def inrp_allocation(
     capacities: Mapping[LinkId, float],
     flow_paths: Mapping[FlowId, Path],
     demands: Mapping[FlowId, float],
-    detour_table: DetourTable,
+    detour_table: Optional[DetourTable],
     max_replacements: int = 2,
 ) -> MultipathAllocation:
     """INRP fluid allocation (see module docstring).
 
-    The from-scratch oracle: ``verify=True`` and the tests; production
-    fills run :mod:`repro.flowsim.kernel`.
+    The one from-scratch oracle of both sharing models: ``verify=True``
+    and the tests; production fills run :mod:`repro.flowsim.kernel`.
+    With no detour table it is e2e max-min fairness (SP and ECMP):
+    a flow blocked at a saturated link freezes instead of detouring.
 
     Parameters
     ----------
@@ -132,10 +134,14 @@ def inrp_allocation(
         Primary (shortest) path per flow.  Every link starts at its
         full capacity, so a subset of the active population must be
         closed: no flow outside it may use a link its members can
-        reach (detour-closure components are, by construction).
+        reach (detour-closure components are, by construction).  A
+        flow with one node (source == destination) gets its demand.
+    demands:
+        Per-flow rate cap in bits/s; every flow needs one.
     detour_table:
         Pre-computed detour options; its ``max_intermediate`` controls
-        detour depth (1 = the paper's one-hop detours).
+        detour depth (1 = the paper's one-hop detours).  None: no
+        detour exists anywhere (max-min).
     max_replacements:
         How many links of a single sub-path may be replaced by detours
         (2 models "nodes on the detour path can further detour, but
@@ -168,7 +174,9 @@ def inrp_allocation(
                     del carriers[link]
 
     for flow_id, path in flow_paths.items():
-        demand = demands[flow_id]
+        demand = demands.get(flow_id)
+        if demand is None:
+            raise SimulationError(f"flow {flow_id!r} has no demand")
         if demand < 0:
             raise SimulationError(f"flow {flow_id!r} has negative demand")
         state = _FlowState(demand=demand, subpaths=[_SubPath(tuple(path))])
@@ -224,7 +232,7 @@ def inrp_allocation(
             for index, link in enumerate(path_links(candidate)):
                 if residual.get(link, 0.0) > floors.get(link, _EPS):
                     continue
-                if replacements >= max_replacements:
+                if detour_table is None or replacements >= max_replacements:
                     return False
                 u, v = candidate[index], candidate[index + 1]
                 option = _best_option((u, v), set(candidate))

@@ -20,7 +20,7 @@ Same-instant arrivals and departures are batched into a single
 recompute.  The per-event cost is O(affected component · log flows)
 instead of O(all active flows), which is what makes 100k-flow load
 sweeps tractable.  The tests check it against a from-scratch
-O(active)-per-event loop over the scratch solvers.
+O(active)-per-event loop over the scratch solver.
 
 The loop follows the **streaming contract**: flow specs are pulled
 one at a time from any arrival-ordered iterator (a materialized list
@@ -190,9 +190,9 @@ class FlowLevelSimulator:
         does, instead of folding a second run into the first result.
     verify_allocator:
         Re-check every incremental recompute against the from-scratch solver
-        (:func:`~repro.flowsim.allocation.max_min_allocation` or
-        :func:`~repro.flowsim.multipath.inrp_allocation`; slow, used
-        by benchmarks and tests).  The run itself is unchanged: a
+        (:func:`~repro.flowsim.multipath.inrp_allocation`, with no
+        detour table under SP and ECMP; slow, used by benchmarks and
+        tests).  The run itself is unchanged: a
         verified run's result equals the unverified run's, plus
         ``max_verify_deviation``.
     """

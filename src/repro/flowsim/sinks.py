@@ -232,6 +232,8 @@ class SimulationResult:
     def fct_quantile(self, q: float) -> Optional[float]:
         """FCT quantile over completed flows (exact from records, within
         sketch rank error from aggregates; None when nothing completed)."""
+        if not 0.0 <= q <= 1.0:
+            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
         if self.records is None:
             if self.aggregates.completed == 0:
                 return None

@@ -19,7 +19,7 @@ small worked-example topology (Fig. 3).  This package provides:
 - :mod:`~repro.topology.capacity` — reverse-direction capacity asymmetry.
 """
 
-from repro.topology.graph import CapacitySpec, Link, Topology, link_key, split_capacity_spec
+from repro.topology.graph import CapacitySpec, Link, Topology, split_capacity_spec
 from repro.topology.builders import (
     dumbbell_topology,
     fig3_topology,
@@ -40,7 +40,6 @@ __all__ = [
     "Topology",
     "Link",
     "CapacitySpec",
-    "link_key",
     "split_capacity_spec",
     "fig3_topology",
     "dumbbell_topology",

@@ -45,10 +45,6 @@ class NodeNamer:
         self._next += 1
         return name
 
-    def reserve(self, up_to: int) -> None:
-        """Ensure future names are strictly greater than *up_to*."""
-        self._next = max(self._next, up_to + 1)
-
 
 def add_triangle_fan(
     topo: Topology,

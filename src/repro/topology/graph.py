@@ -65,11 +65,6 @@ class Link(tuple):
             return (u, v) if repr(u) <= repr(v) else (v, u)  # type: ignore[return-value]
 
 
-def link_key(u: Node, v: Node) -> Link:
-    """Canonical undirected link identifier (alias of :meth:`Link.key`)."""
-    return Link.key(u, v)
-
-
 def split_capacity_spec(capacity: CapacitySpec) -> Tuple[float, float]:
     """Normalise a capacity spec into a ``(forward, reverse)`` pair.
 

@@ -9,8 +9,8 @@ from repro.errors import SimulationError
 from repro.flowsim import (
     IncrementalMaxMin,
     detour_closure,
+    inrp_allocation,
     make_strategy,
-    max_min_allocation,
 )
 from repro.routing import shortest_path
 from repro.routing.paths import path_links
@@ -20,8 +20,8 @@ from repro.units import mbps
 from repro.workloads import local_pairs, uniform_pairs
 
 
-def _assert_matches_scratch(allocator, capacities, flow_links, demands):
-    scratch = max_min_allocation(capacities, flow_links, demands)
+def _assert_matches_scratch(allocator, capacities, flow_paths, demands):
+    scratch = inrp_allocation(capacities, flow_paths, demands, None).rates
     rates = allocator.rates
     assert set(rates) == set(scratch)
     for flow, rate in scratch.items():
@@ -103,25 +103,25 @@ def test_incremental_matches_scratch_under_churn(seed, churn, demand):
     capacities = topo.directed_capacities()
     sampler = uniform_pairs(topo, seed=seed + 1)
     allocator = IncrementalMaxMin(capacities)
-    flow_links = {}
+    flow_paths = {}
     demands = {}
     next_id = 0
     for action in churn:
-        if action == 0 and flow_links:
+        if action == 0 and flow_paths:
             # Remove the oldest surviving flow.
-            victim = next(iter(flow_links))
+            victim = next(iter(flow_paths))
             allocator.remove_flow(victim)
-            del flow_links[victim]
+            del flow_paths[victim]
             del demands[victim]
         else:
             src, dst = sampler()
             path = shortest_path(topo, src, dst)
             allocator.add_flow(next_id, path, demand)
-            flow_links[next_id] = path_links(path)
+            flow_paths[next_id] = path
             demands[next_id] = demand
             next_id += 1
         allocator.recompute()
-        _assert_matches_scratch(allocator, capacities, flow_links, demands)
+        _assert_matches_scratch(allocator, capacities, flow_paths, demands)
 
 
 def test_verify_mode_accepts_correct_state():

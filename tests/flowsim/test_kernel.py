@@ -1,14 +1,16 @@
 """Property tests for the vectorized CSR allocation kernel.
 
 The kernel (`repro.flowsim.kernel`) must be a drop-in for the scratch
-solvers: randomized add/remove churn — including tracker rebuilds and
+solver: randomized add/remove churn — including tracker rebuilds and
 empty / single-flow components — must stay within 1e-9 of
-`max_min_allocation` / `inrp_allocation` after every event.
+`inrp_allocation` (with no detour table for max-min) after every
+event.
 """
 
 import hashlib
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,13 +19,10 @@ from oracles import reference_run
 
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.allocation import (
-    IncrementalInrp,
-    IncrementalMaxMin,
-    max_min_allocation,
-)
+from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
 from repro.flowsim.kernel import LinkSpace
 from repro.flowsim.multipath import inrp_allocation
+from repro.metrics import max_min_violations
 from repro.routing.detour import DetourTable
 from repro.routing.paths import path_links
 from repro.topology import mesh_topology
@@ -61,22 +60,24 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
     strategy = make_strategy("sp", topo)
     alloc = IncrementalMaxMin(topo.directed_capacities())
     rng = random.Random(seed)
-    flow_links, demands, live = {}, {}, set()
+    flow_paths, demands, live = {}, {}, set()
     next_id = 0
     for _ in range(140):
         action, flow, path, demand = _churn_step(rng, live, next_id, topo, strategy)
         if action == "remove":
             live.discard(flow)
-            del flow_links[flow], demands[flow]
+            del flow_paths[flow], demands[flow]
             alloc.remove_flow(flow)
         else:
-            flow_links[flow], demands[flow] = path_links(path), demand
+            flow_paths[flow], demands[flow] = path, demand
             alloc.add_flow(flow, path, demand)
             live.add(flow)
             next_id += 1
         alloc.recompute()
-        scratch = max_min_allocation(topo.directed_capacities(), flow_links, demands)
-        assert _relative_deviation(alloc.rates, scratch) <= TOL
+        scratch = inrp_allocation(
+            topo.directed_capacities(), flow_paths, demands, None
+        )
+        assert _relative_deviation(alloc.rates, scratch.rates) <= TOL
 
 
 @pytest.mark.parametrize("seed", [1, 4])
@@ -127,16 +128,12 @@ def test_empty_and_single_flow_components(kernel_cls):
     nodes = list(topo.nodes())
     path = tuple(strategy.route(0, nodes[0], nodes[-1]))
     alloc.add_flow(0, path, math.inf)
-    if kernel_cls == "sp":
-        expected = max_min_allocation(
-            topo.directed_capacities(), {0: path_links(path)}, {0: math.inf}
-        )[0]
-    else:
-        # A lone INRP flow detours past its saturated primary path and
-        # pools extra capacity, so compare against the scratch solver.
-        expected = inrp_allocation(
-            topo.directed_capacities(), {0: path}, {0: math.inf}, DetourTable(topo)
-        ).rates[0]
+    # A lone INRP flow detours past its saturated primary path and
+    # pools extra capacity; a lone max-min flow fills its bottleneck.
+    table = None if kernel_cls == "sp" else DetourTable(topo)
+    expected = inrp_allocation(
+        topo.directed_capacities(), {0: path}, {0: math.inf}, table
+    ).rates[0]
     alloc.recompute()
     assert alloc.rates[0] == pytest.approx(expected, rel=1e-9)
     assert expected >= mbps(10) * (1 - 1e-9)
@@ -339,14 +336,21 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
 
 
 def _maxmin_churn_fills(monkeypatch, topo, seed, events):
-    """Every ``(demands, rates)`` of ``maxmin_fill`` over
-    :func:`_overload_churn` through ``IncrementalMaxMin``."""
+    """Every ``maxmin_fill`` over :func:`_overload_churn` through
+    ``IncrementalMaxMin``, as ``(space, rows, demands, rates)``: its
+    link space, each row's column list, and the demand and rate
+    vectors."""
     fills = []
     fill = _kernel.maxmin_fill
 
     def capture(space, cols, row_lengths, demands):
         rates = fill(space, cols, row_lengths, demands)
-        fills.append((np.array(demands), np.array(rates)))
+        ends = list(accumulate(row_lengths))
+        rows = [
+            cols[end - length : end].tolist()
+            for end, length in zip(ends, row_lengths)
+        ]
+        fills.append((space, rows, np.array(demands), np.array(rates)))
         return rates
 
     monkeypatch.setattr(_kernel, "maxmin_fill", capture)
@@ -364,11 +368,9 @@ _SP_FILL_GOLDEN = (
 )
 
 
-def test_maxmin_fill_bit_for_bit_golden(monkeypatch):
-    """``maxmin_fill`` outputs stay bit-identical over seeded SP
-    overload churn on exodus and a 16-node mesh.  The fills must freeze
-    rows on both events: at a finite demand, and below it at a
-    saturated link."""
+def _golden_maxmin_fills(monkeypatch):
+    """The fills :data:`_SP_FILL_GOLDEN` pins: seeded SP overload churn
+    on exodus and a 16-node mesh."""
     mesh = mesh_topology(16, extra_links=14, seed=1, capacity=mbps(10))
     fills = []
     for topo, seed, events in (
@@ -376,15 +378,49 @@ def test_maxmin_fill_bit_for_bit_golden(monkeypatch):
         (mesh, 1, 200),
     ):
         fills += _maxmin_churn_fills(monkeypatch, topo, seed, events)
+    return fills
+
+
+def test_maxmin_fill_bit_for_bit_golden(monkeypatch):
+    """``maxmin_fill`` outputs stay bit-identical over seeded SP
+    overload churn on exodus and a 16-node mesh.  The fills must freeze
+    rows on both events: at a finite demand, and below it at a
+    saturated link."""
+    fills = _golden_maxmin_fills(monkeypatch)
     at_demand = saturated = 0
     digest = hashlib.sha256()
-    for demands, rates in fills:
+    for _, _, demands, rates in fills:
         finite = (demands > 0) & np.isfinite(demands)
         at_demand += int((finite & (rates == demands)).sum())
         saturated += int((rates < demands).sum())
         digest.update(repr([rate.hex() for rate in rates.tolist()]).encode())
     assert (len(fills), at_demand, saturated) == (380, 1791, 6220)
     assert digest.hexdigest() == _SP_FILL_GOLDEN
+
+
+def test_maxmin_fills_pass_the_fairness_certificate(monkeypatch):
+    """Every production SP fill of the golden churn passes
+    :func:`~repro.metrics.fairness.max_min_violations`, the max-min
+    check that shares no code with the fills or the scratch solver:
+    no link overloaded, and every flow below its demand holds the
+    largest rate on some saturated link.  The tolerance is the kernel's
+    saturation floor on the fill's links (1e-9 relative, 0.01 bit/s at
+    10 Mbps): within it the kernel counts a link as saturated."""
+    fills = _golden_maxmin_fills(monkeypatch)
+    flows = 0
+    for space, rows, demands, rates in fills:
+        used = sorted({col for row in rows for col in row})
+        capacities = dict(zip(used, space.capacity[used].tolist()))
+        violations = max_min_violations(
+            dict(enumerate(rates.tolist())),
+            dict(enumerate(demands.tolist())),
+            dict(enumerate(rows)),
+            capacities,
+            tolerance=float(space.floor[used].max()),
+        )
+        assert violations == []
+        flows += len(rows)
+    assert (len(fills), flows) == (380, 10094)
 
 
 def test_inrp_fill_caches_carry_no_results_across_fills(monkeypatch):
@@ -448,7 +484,7 @@ def _random_component(rng, space, prefix, num_links=6, num_flows=8):
     rows, demands = [], []
     for _ in range(num_flows):
         links = rng.sample(range(num_links), rng.randint(1, 3))
-        rows.append(space.columns([(prefix, link) for link in links]))
+        rows.append(np.array([space.index[prefix, link] for link in links]))
         demands.append(rng.choice([math.inf, mbps(rng.uniform(0.5, 20.0))]))
     return rows, demands
 
@@ -500,8 +536,8 @@ def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
         source, destination = rng.sample(nodes, 2)
         paths.append(tuple(strategy.route(flow, source, destination)))
         demands.append(rng.choice([math.inf, mbps(50), mbps(5), 0.0]))
-    cols = np.concatenate(
-        [space.columns(path_links(path)) for path in paths]
+    cols = np.array(
+        [space.index[link] for path in paths for link in path_links(path)]
     )
     lengths = [len(path) - 1 for path in paths]
     want = _kernel.maxmin_fill(space, cols, lengths, demands)
@@ -525,7 +561,7 @@ def test_inrp_fill_without_detours_is_maxmin_fill(num_flows):
 def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     """A flow with a path and a demand within ``_EPS`` of 0 never grows
     and gets its demand, under both sharing models and in both the
-    scratch solvers and the kernel; INRP at depth 0 is then SP bit for
+    scratch solver and the kernel; INRP at depth 0 is then SP bit for
     bit on such a population."""
     topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
     strategy = make_strategy("sp", topo)
@@ -538,8 +574,8 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     capacities = topo.directed_capacities()
     space = LinkSpace(capacities)
     table = DetourTable(topo)
-    cols = np.concatenate(
-        [space.columns(path_links(path)) for path in paths]
+    cols = np.array(
+        [space.index[link] for path in paths for link in path_links(path)]
     )
     lengths = [len(path) - 1 for path in paths]
     scratch_inrp = inrp_allocation(
@@ -548,12 +584,11 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     kernel_inrp = _kernel.inrp_fill(
         space, [0, 1], paths, cols, lengths, demands, table
     )
+    scratch_maxmin = inrp_allocation(
+        capacities, dict(enumerate(paths)), dict(enumerate(demands)), None
+    )
     rates = {
-        "max_min_allocation": max_min_allocation(
-            capacities,
-            {flow: path_links(path) for flow, path in enumerate(paths)},
-            dict(enumerate(demands)),
-        )[0],
+        "inrp_allocation without a table": scratch_maxmin.rates[0],
         "maxmin_fill": _kernel.maxmin_fill(space, cols, lengths, demands)[0],
         "inrp_allocation": scratch_inrp.rates[0],
         "inrp_fill": kernel_inrp.rates[0],

@@ -115,13 +115,7 @@ def test_no_link_overloaded_and_splits_consistent(seed, num_flows):
     for link, used in load.items():
         assert used <= capacities[link] + 1e-5, f"link {link} overloaded"
 
-    from repro.flowsim import max_min_allocation
-
-    e2e = max_min_allocation(
-        capacities,
-        {fid: path_links(path) for fid, path in flow_paths.items()},
-        demands,
-    )
+    e2e = inrp_allocation(capacities, flow_paths, demands, None).rates
     # Local stability / global fairness: pooling never hurts the
     # most-starved flow.
     assert min(result.rates.values()) >= min(e2e.values()) - 1e-6

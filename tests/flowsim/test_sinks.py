@@ -182,6 +182,32 @@ def test_empty_run_degrades_gracefully():
         assert result.jain_goodput() == 1.0
 
 
+@pytest.mark.parametrize("sink", ("materialize", "streaming"))
+@pytest.mark.parametrize("q", (-0.5, 1.5))
+def test_fct_quantile_rejects_q_outside_unit_interval(sink, q):
+    """Both sinks raise for a quantile outside [0, 1], as ``Cdf`` and
+    the sketch do: from records, ``q=-0.5`` used to index the sorted
+    FCTs from the end and ``q=1.5`` to return the maximum."""
+    from repro.topology import build_isp_topology
+
+    topo = build_isp_topology("vsnl", seed=0)
+    workload = FlowWorkload(
+        topo,
+        arrival_rate=40.0,
+        mean_size_bits=2.5e6,
+        demand_bps=mbps(10),
+        seed=1,
+        pair_sampler=local_pairs(topo, seed=2, max_hops=3),
+    )
+    result = FlowLevelSimulator(
+        topo, make_strategy("sp", topo), workload.generate(max_flows=40),
+        sink=sink,
+    ).run()
+    assert result.completed_count > 0
+    with pytest.raises(ConfigurationError, match="quantile"):
+        result.fct_quantile(q)
+
+
 def test_materializing_result_unchanged_by_refactor():
     """The default sink reproduces the historical result shape: sorted
     records, one per spec, with aggregates unset."""

@@ -46,7 +46,7 @@ def test_sp_allocation_matches_paper():
 @pytest.mark.parametrize("name", ["sp", "inrp"])
 def test_repeated_link_counts_once(name):
     """A primary path that crosses directed link (2, 4) twice loads it
-    once, as the scratch solvers do: ``allocate`` matches them, and a
+    once, as the scratch solver does: ``allocate`` matches it, and a
     verified allocator fed the same flows does not diverge."""
     strategy = make_strategy(name, fig3_topology())
     flows = {0: ((2, 4, 2, 4), mbps(100)), 1: ((2, 4), mbps(100))}

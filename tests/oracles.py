@@ -1,7 +1,7 @@
 """From-scratch oracles the production event loops are checked against.
 
 - :func:`reference_run` is the original O(active)-per-event flow-level
-  loop: every arrival or departure re-runs the scratch solvers
+  loop: every arrival or departure re-runs the scratch solver
   (:func:`_scratch_allocate`) over the whole active set and advances
   every flow.  It shares only the spec intake (``_SpecSource``) and
   the record/result assembly with
@@ -31,14 +31,13 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 from repro.chunksim import network as _network
 from repro.chunksim.engine import _SCHEDULE_CLAMP
 from repro.errors import SimulationError
-from repro.flowsim.allocation import max_min_allocation
 from repro.flowsim.flow import ActiveFlow
 from repro.flowsim.multipath import inrp_allocation
 from repro.flowsim.simulator import _EPS, FlowLevelSimulator, _SpecSource
 from repro.flowsim.sinks import ResultSink, SimulationResult, make_sink
-from repro.flowsim.strategies import InrpStrategy, RoutingStrategy
+from repro.flowsim.strategies import RoutingStrategy
 from repro.metrics.timeseries import TimeWeightedMean
-from repro.routing.paths import Path, path_links
+from repro.routing.paths import Path
 from repro.topology.graph import Node, Topology, node_rank
 from repro.workloads.traffic import FlowSpec
 
@@ -47,25 +46,17 @@ def _scratch_allocate(
     strategy: RoutingStrategy, flows: Mapping[int, Tuple[Path, float]]
 ) -> Tuple[Dict[int, float], Dict[int, List[Tuple[Path, float]]], int]:
     """``(rates, splits, switches)`` of *strategy*'s sharing model over
-    ``{id: (path, demand)}``, from the from-scratch solvers rather
-    than the kernel fill ``strategy.allocate`` runs."""
-    demands = {fid: demand for fid, (_, demand) in flows.items()}
-    if isinstance(strategy, InrpStrategy):
-        result = inrp_allocation(
-            strategy.capacities,
-            {fid: path for fid, (path, _) in flows.items()},
-            demands,
-            strategy.detour_table,
-            max_replacements=strategy.max_replacements,
-        )
-        return result.rates, result.splits, result.switches
-    rates = max_min_allocation(
+    ``{id: (path, demand)}``, from the from-scratch solver rather than
+    the kernel fill ``strategy.allocate`` runs (with no detour table
+    for SP and ECMP: e2e max-min)."""
+    result = inrp_allocation(
         strategy.capacities,
-        {fid: path_links(path) for fid, (path, _) in flows.items()},
-        demands,
+        {fid: path for fid, (path, _) in flows.items()},
+        {fid: demand for fid, (_, demand) in flows.items()},
+        getattr(strategy, "detour_table", None),
+        max_replacements=getattr(strategy, "max_replacements", 0),
     )
-    splits = {fid: [(path, rates[fid])] for fid, (path, _) in flows.items()}
-    return rates, splits, 0
+    return result.rates, result.splits, result.switches
 
 
 def reference_run(

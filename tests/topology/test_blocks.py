@@ -123,10 +123,3 @@ def test_decompose_three_plus_sums(count):
     parts = decompose_three_plus(count)
     assert sum(parts) == count
     assert all(p >= 5 for p in parts)
-
-
-def test_node_namer_reserve():
-    namer = NodeNamer()
-    assert namer.fresh() == 0
-    namer.reserve(10)
-    assert namer.fresh() == 11
