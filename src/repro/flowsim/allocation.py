@@ -516,8 +516,8 @@ class IncrementalInrp(_IncrementalAllocator):
         super().__init__(capacities, verify)
         self._table = detour_table
         self._max_replacements = max_replacements
-        #: Per-(u, v) detour options, shared across fills (keyed by
-        #: link, so the map bounds it).
+        #: Detour options per saturated link, shared across fills
+        #: (keyed by the link's column, so the map bounds it).
         self._option_cache: Dict = {}
         #: The detour walk's per-path entries, shared across the fills
         #: of one tracker epoch (see :meth:`remove_flow`).

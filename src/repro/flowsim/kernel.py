@@ -24,8 +24,7 @@ representation of the flow-link incidence:
 Exactness is the contract: the loop performs the *same float
 arithmetic in the same order per link and per flow* as the scalar
 solver, so results agree bit-for-bit except in degenerate
-tie-tolerance corner cases (and :func:`maxmin_fill`'s demand cap,
-which can move a rate down by an ulp); the randomized churn tests and
+tie-tolerance corner cases; the randomized churn tests and
 ``verify=True`` hold them to <= 1e-9 of the scalar solver, and two
 sha256 goldens pin both fills bit for bit.
 """
@@ -35,13 +34,13 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from typing import (
-    AbstractSet,
     Dict,
     Hashable,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -128,8 +127,10 @@ class _PathEntry:
     :attr:`LinkSpace.index` values themselves, so an entry boxes no int
     of its own; the walk's and the on-detour scans read it.  *array* is
     the same columns as int64 for the carrier counts, built the first
-    time the path becomes a detour row: primary paths and the
-    candidates a walk passes through never need one.  *splices*, made
+    time a detour row on the path freezes: a switch moves the counts by
+    its splices' columns alone, so primary paths, the candidates a walk
+    passes through and detour rows that switch away never need one.
+    *splices*, made
     at the first splice, memoizes the pure ``splice_detour`` off this
     path: ``option -> entry of the spliced path``, or ``False`` when
     the splice would revisit a node.  The option alone is the key: the
@@ -171,12 +172,37 @@ def _fill(
     *detour_table* and the two caches are read only by a walk, and
     none runs while *max_replacements* is 0.
 
-    Returns ``(rates, reasons, switches, carried, detour_rows,
-    detour_paths)``: per flow its rate (``level`` at its freeze, or its
-    demand when it never grew), freeze reason and detour switches; per
-    row its carried rate (a flow that never grew carries its demand on
-    its primary row); per flow its detour rows; per detour row
-    (index ``row - len(row_lengths)``) its path.
+    A round costs what its events cost, not what the fill holds:
+
+    - the flows crossing a saturated column come from a column ->
+      primary rows index, a counting sort built at the fill's first
+      saturation: the per-column entry count (which is also the
+      carrier count when every row starts unfrozen) gives the bucket
+      bounds by a running sum, and one sort of the entries by column
+      fills the buckets.  A column's rows are one slice;
+    - the walk scans a path for its first saturated column and, after
+      a splice, resumes past the option: the columns before the splice
+      held no saturated one, and every column of a live option has
+      residual above the option's floor, the largest floor on its
+      columns, so none of them is saturated either.  The scan exits
+      through a C-level ``isdisjoint`` once the spliced path is clear.
+      Resuming skips only columns that a rescan would pass, so every
+      walk splices where the scalar walk does;
+    - the saturated-column set grows within a fill (residual only
+      falls), so each round adds to it instead of rebuilding it;
+    - a switch moves the carrier counts by the splices' columns alone,
+      and frozen rows' columns leave in one ``ufunc.at`` per round
+      (none when the freeze ends the fill).  Counts are small
+      integers, exact in float64, so neither the order nor the
+      batching of these updates changes any value.
+
+    Returns ``(rates, reasons, switches, carried, detour_flows,
+    detour_paths)``: per flow its rate (``level`` at its freeze, at most
+    its demand when it froze on demand, or its demand when it never
+    grew), freeze reason and detour switches; per row its carried rate
+    (a flow that never grew carries its demand on its primary row); per
+    detour row (index ``row - len(row_lengths)``, in birth order) its
+    flow and its path.
     """
     num_flows = len(row_lengths)
     width = len(residual)
@@ -208,17 +234,17 @@ def _fill(
     switches = [0] * num_flows
     # An unfrozen flow's primary row settles when it retires.
     carried = rates.copy()
-    detour_rows: Dict[int, List[int]] = {}
-    detour_paths: List[Path] = []
     if not num_ordered:
-        return rates, reasons, switches, carried, detour_rows, detour_paths
+        return rates, reasons, switches, carried, [], []
     p_starts = [0, *accumulate(row_lengths)]
-    # Carriers per column, float64 as every round's arithmetic is.  When
-    # every row starts unfrozen (every fill of the perfbench workloads)
-    # one unweighted count does; a fill holding a no-path or zero-demand
-    # row weighs each row by whether it is unfrozen.
+    # Primary entries per column: the column index's bucket sizes (see
+    # ``col_rows``), and the carrier counts when every row starts
+    # unfrozen (every fill of the perfbench workloads).  Carriers are
+    # float64, as every round's arithmetic is; a fill holding a no-path
+    # or zero-demand row weighs each row by whether it is unfrozen.
+    col_entries = np.bincount(cols, minlength=width)
     if num_ordered == num_flows:
-        counts = np.bincount(cols, minlength=width).astype(np.float64)
+        counts = col_entries.astype(np.float64)
     else:
         counts = np.bincount(
             cols,
@@ -226,130 +252,137 @@ def _fill(
             minlength=width,
         )
     sub_repl: List[int] = [0] * num_flows
-    # Per detour row (index ``row - num_flows``): ``(column array,
-    # round it was born in)``.
-    detours: List[Tuple[np.ndarray, int]] = []
+    # Per detour row (index ``row - num_flows``): ``(path entry, round
+    # it was born in, flow)``.
+    detours: List[Tuple[_PathEntry, int, int]] = []
     # Flow -> column list of its active detour row, for the saturation
     # scan; a flow still on its primary row is not in it.
-    on_detour: Dict[int, List[int]] = {}
+    on_detour: Dict[int, Tuple[int, ...]] = {}
     active_left = num_ordered
 
     # Every unfrozen flow's total; a frozen flow's rate is ``level`` at
     # its freeze.
     level = 0.0
     # Step of every round so far; a detour row's carried rate is the
-    # left fold of the steps it lived through (see ``_retire``).
+    # left fold of the steps it lived through (see ``_settle``).
     round_steps: List[float] = []
-    # Carrier counts change in one batch per round: the columns of
-    # rows retired (freezes, reroute switches) and born (detour rows)
-    # queue up here and two ``ufunc.at`` calls apply them at the end
-    # of the round.  Nothing reads ``counts`` in between (steps come
-    # from the round start, spare checks read ``residual``), so the
-    # deferral is invisible to the filling semantics.
+    # Carrier counts hold small integers, exact in float64, so the
+    # order of their +-1 updates is free, and nothing reads them between
+    # a round's head and its end (steps come from the round start,
+    # spare checks read ``residual``).  A frozen row's columns queue up
+    # here for one ``ufunc.at`` at the end of the round; a switch moves
+    # its flow's count at once (see ``_reroute``).
     dead: List[np.ndarray] = []
-    born: List[np.ndarray] = []
+    counts_item = counts.item
 
-    def _retire(row: int) -> None:
-        """Settle *row*'s carried rate and queue its columns."""
-        if row < num_flows:
-            # A primary row grew from round 1: its carried sum is the
-            # level's own sum.
-            carried[row] = level
-            dead.append(cols[p_starts[row] : p_starts[row + 1]])
-            return
-        # A detour row grew from the round after its birth.  Fold its
-        # steps left to right, as a per-round ``+= step`` would have:
-        # ``sum()`` (compensated on Python >= 3.12) or a difference of
-        # levels would round differently.
-        row_cols, birth = detours[row - num_flows]
+    def _settle(row: int) -> _PathEntry:
+        """Settle detour row *row*'s carried rate; returns its entry.
+
+        A detour row grew from the round after its birth.  Fold its
+        steps left to right, as a per-round ``+= step`` would have:
+        ``sum()`` (compensated on Python >= 3.12) or a difference of
+        levels would round differently."""
+        entry, birth, _ = detours[row - num_flows]
         total = 0.0
         for step in round_steps[birth:]:
             total += step
         carried[row] = total
-        dead.append(row_cols)
+        return entry
 
     def _freeze(flows: List[int], reason: str) -> None:
-        """Freeze *flows* at the current level."""
+        """Freeze *flows* at the current level.  A freeze that ends the
+        fill queues no columns: no round reads the counts after it."""
         nonlocal active_left
         active_left -= len(flows)
         for flow in flows:
             row = active_row[flow]
-            if row == flow:  # ``_retire`` of a primary row, inline
+            if row == flow:
+                # A primary row grew from round 1: its carried sum is
+                # the level's own sum.
                 carried[row] = level
-                dead.append(cols[p_starts[row] : p_starts[row + 1]])
+                if active_left:
+                    dead.append(cols[p_starts[row] : p_starts[row + 1]])
             else:
-                _retire(row)
+                entry = _settle(row)
+                if active_left:
+                    row_cols = entry.array
+                    if row_cols is None:
+                        row_cols = entry.array = np.array(
+                            entry.cols, dtype=np.int64
+                        )
+                    dead.append(row_cols)
                 del on_detour[flow]
             active_row[flow] = -1
             unfrozen[flow] = False
             reasons[flow] = reason
             rates[flow] = level
 
-    def _option_state(u, v) -> List[Tuple]:
-        """Persistent per-(u, v) detour options, built once per
-        topology: one ``(option, cols, floor, interior)`` entry per
-        option, where *floor* is the largest saturation floor on its
-        columns and *interior* the frozenset of its inner nodes."""
-        key = (u, v)
-        entries = option_cache.get(key)
+    def _option_state(col: int, u, v) -> List[Tuple]:
+        """Persistent detour options of column *col*, the link
+        ``(u, v)``, built once per topology: one ``(option, cols,
+        floor, interior)`` entry per option, where *cols* are its
+        columns, *floor* the largest saturation floor on them and
+        *interior* the frozenset of its inner nodes."""
+        entries = option_cache.get(col)
         if entries is None:
             entries = []
             for option in detour_table.options(u, v):
                 ocols = tuple(index[link] for link in zip(option, option[1:]))
-                ofloor = max(floors.item(col) for col in ocols)
+                ofloor = max(map(floors.item, ocols))
                 entries.append((option, ocols, ofloor, frozenset(option[1:-1])))
-            option_cache[key] = entries
+            option_cache[col] = entries
         return entries
 
-    # Per (u, v): ``(round, live entries, their spares, winner, winner
-    # interior)``, refreshed at the first query of each saturation
-    # round.  Residual never changes within a round (freezes and
-    # splices defer their bookkeeping), so the spares are
-    # round-constant; across rounds it only falls, so an option at or
-    # below its floor is dead for the rest of the fill.  A spare is a
-    # Python ``min`` over ``residual.item`` reads: the float64 values a
-    # numpy reduction would compare, at no dispatch cost.  The cached
+    # Per saturated column: ``(round, live entries, their spares,
+    # winner entry)``, refreshed at the first query of each saturation
+    # round.  Residual never changes within a round (neither freezes
+    # nor splices touch it), so the spares are round-constant; across
+    # rounds it only falls, so an option at or below its floor is dead
+    # for the rest of the fill.  A spare is a Python ``min`` over
+    # ``residual.item`` reads: the float64 values a numpy reduction
+    # would compare, at no dispatch cost.  The cached
     # winner is the *unconstrained* winner of the scalar running-max
-    # loop; when its interior misses the caller's exclusion set it is
-    # also the constrained one (excluding losers can only lower the
-    # running max, and the tie tolerance is monotone).
-    fill_options: Dict[Tuple[Hashable, Hashable], Tuple] = {}
+    # loop; when its interior misses the walked path it is also the
+    # constrained one (excluding losers can only lower the running max,
+    # and the tie tolerance is monotone).
+    fill_options: Dict[int, Tuple] = {}
     residual_item = residual.item
 
-    def _best_option(u, v, exclude) -> Optional[Path]:
-        key = (u, v)
-        cached = fill_options.get(key)
-        if cached is None or cached[0] != guard:
-            entries = _option_state(u, v) if cached is None else cached[1]
-            live = []
-            spares = []
-            winner = None
-            winner_interior = None
-            best_spare = -1.0
-            for entry in entries:
-                spare = min(map(residual_item, entry[1]))
-                if spare <= entry[2]:
-                    continue
-                live.append(entry)
-                spares.append(spare)
-                if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
-                    winner, winner_interior = entry[0], entry[3]
-                    best_spare = spare
-            cached = (guard, live, spares, winner, winner_interior)
-            fill_options[key] = cached
-        _, live, spares, winner, winner_interior = cached
-        if winner is None:
-            return None
-        if winner_interior.isdisjoint(exclude):
-            return winner
-        best: Optional[Path] = None
+    def _live_options(col: int, path: Path, position: int, cached) -> Tuple:
+        """Refresh column *col*'s ``fill_options`` entry for this round;
+        *col* is *path*'s link at *position*."""
+        entries = (
+            _option_state(col, path[position], path[position + 1])
+            if cached is None
+            else cached[1]
+        )
+        live = []
+        spares = []
+        winner = None
+        best_spare = -1.0
+        for entry in entries:
+            spare = min(map(residual_item, entry[1]))
+            if spare <= entry[2]:
+                continue
+            live.append(entry)
+            spares.append(spare)
+            if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
+                winner = entry
+                best_spare = spare
+        cached = fill_options[col] = (guard, live, spares, winner)
+        return cached
+
+    def _disjoint_option(live, spares, path: Path) -> Optional[Tuple]:
+        """The scalar ``_best_option`` over the live options whose
+        interior misses *path*: the winner's entry, or None."""
+        best: Optional[Tuple] = None
         best_spare = -1.0
         for entry, spare in zip(live, spares):
-            if not entry[3].isdisjoint(exclude):
+            if not entry[3].isdisjoint(path):
                 continue
             # Relative tie tolerance, as in the scalar `_best_option`.
             if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
-                best, best_spare = entry[0], spare
+                best, best_spare = entry, spare
         return best
 
     def _path_cols(path: Path) -> _PathEntry:
@@ -363,10 +396,13 @@ def _fill(
             )
         return entry
 
-    # The walk reads the saturated-column set of the current round,
-    # built by the round's first walk (residual does not change within
-    # a round).
-    sat_cols: Optional[AbstractSet[int]] = None
+    # The saturated columns (``residual <= floors``) the walk avoids.
+    # Residual only falls, so the set only grows within a fill: the
+    # round's first walk adds the columns zeroed this round, and reads
+    # the full comparison back only when its count shows another column
+    # fell to its floor.
+    sat_cols: Set[int] = set()
+    sat_stale = False
 
     def _reroute(flow: int, row: int) -> bool:
         """Move the flow's growth off saturated links by splicing
@@ -375,73 +411,105 @@ def _fill(
         is within budget: every affected flow crosses a column zeroed
         this round, which lies in ``sat_cols``, so an exhausted walk
         would stop at its first budget test."""
-        nonlocal sat_cols
-        replacements = sub_repl[row]
-        if sat_cols is None:
-            sat_cols = set((residual <= floors).nonzero()[0].tolist())
-        path = candidate = (
-            paths[row] if row < num_flows else detour_paths[row - num_flows]
+        nonlocal sat_stale
+        if sat_stale:
+            sat_stale = False
+            sat_cols.update(sat_list)
+            at_floor = residual <= floors
+            if np.count_nonzero(at_floor) != len(sat_cols):
+                sat_cols.update(at_floor.nonzero()[0].tolist())
+        entry = (
+            _path_cols(paths[row])
+            if row < num_flows
+            else detours[row - num_flows][0]
         )
-        entry = _path_cols(candidate)
-        while True:
-            position = -1
-            for position_candidate, col in enumerate(entry.cols):
-                if col in sat_cols:
-                    position = position_candidate
-                    break
-            if position < 0:
+        path_cols = entry.cols
+        for col in path_cols:
+            if col in sat_cols:
                 break
-            if replacements >= max_replacements:
-                return False
-            option = _best_option(
-                candidate[position], candidate[position + 1], candidate
-            )
-            if option is None:
-                return False
-            splices = entry.splices
-            if splices is None:
-                splices = entry.splices = {}
-            spliced = splices.get(option)
-            if spliced is None:
-                spliced_path = splice_detour(candidate, position, option)
-                spliced = splices[option] = (
-                    False if spliced_path is None else _path_cols(spliced_path)
-                )
-            if spliced is False:
-                return False
-            entry = spliced
-            candidate = entry.path
-            replacements += 1
-        if candidate is path:
+        else:
             # Not taken: an affected flow crosses a column zeroed this
             # round, and 0 <= floor puts that column in ``sat_cols``.
             # A cheap guard against appending a copy of the active row.
             return True
-        _retire(row)
+        position = path_cols.index(col)
+        candidate = entry.path
+        replacements = sub_repl[row]
+        # ``(saturated column, option columns)`` of each splice so far.
+        taken = []
+        while True:
+            if replacements >= max_replacements:
+                return False
+            cached = fill_options.get(col)
+            if cached is None or cached[0] != guard:
+                cached = _live_options(col, candidate, position, cached)
+            choice = cached[3]
+            if choice is None:
+                return False
+            option = choice[0]
+            splices = entry.splices
+            spliced = None if splices is None else splices.get(option)
+            if not spliced:
+                # A memoized splice of the winner shows its interior
+                # misses the path; otherwise test it.
+                if not choice[3].isdisjoint(candidate):
+                    choice = _disjoint_option(cached[1], cached[2], candidate)
+                    if choice is None:
+                        return False
+                    option = choice[0]
+                    spliced = None if splices is None else splices.get(option)
+                if spliced is None:
+                    if splices is None:
+                        splices = entry.splices = {}
+                    spliced_path = splice_detour(candidate, position, option)
+                    spliced = splices[option] = (
+                        False
+                        if spliced_path is None
+                        else _path_cols(spliced_path)
+                    )
+            if spliced is False:
+                return False
+            entry = spliced
+            candidate = entry.path
+            path_cols = entry.cols
+            replacements += 1
+            taken.append((col, choice[1]))
+            if sat_cols.isdisjoint(path_cols):
+                break
+            # Resume past the option: the prefix held no saturated
+            # column, and a live option's columns are above their floors.
+            position += len(option) - 1
+            col = path_cols[position]
+            while col not in sat_cols:
+                position += 1
+                col = path_cols[position]
+        if row < num_flows:
+            carried[row] = level
+        else:
+            _settle(row)
+        # The new row is the old one with each saturated column swapped
+        # for its option's columns (splices keep the rest of the path),
+        # so the switch moves the flow's count on those columns alone.
+        for col, option_cols in taken:
+            counts[col] = counts_item(col) - 1.0
+            for option_col in option_cols:
+                counts[option_col] = counts_item(option_col) + 1.0
         new_row = num_flows + len(detours)
-        row_cols = entry.array
-        if row_cols is None:
-            row_cols = entry.array = np.array(entry.cols, dtype=np.int64)
-        detours.append((row_cols, guard))
-        detour_paths.append(candidate)
+        detours.append((entry, guard, flow))
         sub_repl.append(replacements)
         carried.append(0.0)
-        born.append(row_cols)
-        detour_rows.setdefault(flow, []).append(new_row)
-        on_detour[flow] = entry.cols
+        on_detour[flow] = path_cols
         active_row[flow] = new_row
         switches[flow] += 1
         return True
 
     cursor = 0
-    # Column -> primary rows index, built at the first saturation from
-    # one sort of the primary entries: the rows crossing column ``col``
-    # are ``col_rows[col_bounds[p]:col_bounds[p + 1]]`` with ``p =
-    # col_position[col]``.  The dict holds only the columns present,
-    # so the index costs work per entry, not per column of the space.
+    # Column -> primary rows index, a counting sort built at the first
+    # saturation: one sort of the primary entries by column, and the
+    # running sum of ``col_entries`` as bucket bounds.  The rows crossing
+    # column ``col`` are ``col_rows[col_bounds[col]:col_bounds[col +
+    # 1]]``, empty for a column no primary row crosses.
     col_rows: Optional[np.ndarray] = None
-    col_bounds: List[int] = []
-    col_position: Dict[int, int] = {}
     steps = np.empty(width, dtype=np.float64)
     sat_mask = np.empty(width, dtype=bool)
     scratch = np.empty(width, dtype=np.float64)
@@ -486,6 +554,10 @@ def _fill(
             progressed = bool(frozen)
             if frozen:
                 _freeze(frozen, "demand")
+                # The level can end an ulp above a finite demand: a flow
+                # frozen at its demand gets no more than it.
+                for flow in frozen:
+                    rates[flow] = min(level, demands[flow])
 
             # Saturation events: reroute or freeze affected flows.  Once
             # every flow froze on demand, none is left to affect.
@@ -503,36 +575,29 @@ def _fill(
                 sat_now = sat_mask.nonzero()[0]
                 residual[sat_now] = 0.0
                 progressed = True
-                sat_cols = None
+                sat_stale = True
                 if col_rows is None:
-                    # Row order within a column is free: a flow's turn
-                    # comes from ``sorted(affected)``.
-                    by_col = np.argsort(cols)
-                    col_sorted = cols[by_col]
-                    cuts = np.flatnonzero(col_sorted[1:] != col_sorted[:-1])
-                    cuts += 1
-                    col_bounds = [0, *cuts.tolist(), len(cols)]
-                    col_position = dict(
-                        zip(
-                            col_sorted[col_bounds[:-1]].tolist(),
-                            range(len(col_bounds)),
-                        )
+                    # Row order within a column is free (a flow's turn
+                    # comes from ``sorted(affected)``), so any sort
+                    # does: a stable one over the smallest dtype that
+                    # holds a column is numpy's radix sort.
+                    by_col = np.argsort(
+                        cols.astype(np.min_scalar_type(width)), kind="stable"
                     )
                     col_rows = np.repeat(
                         np.arange(num_flows, dtype=np.int64), row_lengths
                     )[by_col]
+                    col_bounds = np.zeros(width + 1, dtype=np.int64)
+                    np.cumsum(col_entries, out=col_bounds[1:])
+                    col_entries = None  # the bounds hold all it told
+                    bound = col_bounds.item
                 # A primary row counts while it is its unfrozen flow's
                 # active row (freezing resets ``active_row``, a switch
                 # moves the flow into ``on_detour``).
                 sat_list = sat_now.tolist()
                 affected = set()
                 for col in sat_list:
-                    position = col_position.get(col)
-                    if position is None:
-                        continue
-                    for row in col_rows[
-                        col_bounds[position] : col_bounds[position + 1]
-                    ].tolist():
+                    for row in col_rows[bound(col) : bound(col + 1)].tolist():
                         if active_row[row] == row:
                             affected.add(row)
                 if on_detour:
@@ -554,15 +619,14 @@ def _fill(
                         frozen.append(flow)
                 if frozen:
                     _freeze(frozen, "no-detour")
-                if born:
-                    np.add.at(counts, _joined(born), 1.0)
-                    born.clear()
             if not progressed:
                 raise SimulationError("progressive filling made no progress")
             if dead and active_left:
                 np.subtract.at(counts, _joined(dead), 1.0)
                 dead.clear()
-    return rates, reasons, switches, carried, detour_rows, detour_paths
+    detour_flows = [flow for _, _, flow in detours]
+    detour_paths = [entry.path for entry, _, _ in detours]
+    return rates, reasons, switches, carried, detour_flows, detour_paths
 
 
 def maxmin_fill(
@@ -581,18 +645,17 @@ def maxmin_fill(
     demand or saturation event, debits every carrying link by
     ``step * carriers``, freezes satisfied rows and every row crossing
     a saturating link.  Returns the per-row rates as a list of Python
-    floats, each capped at its demand (the scalar solver returns the
-    level, which can pass a finite demand by an ulp): the caller reads
+    floats, each at most its demand (a row frozen at its demand gets
+    ``min(level, demand)``, as in the scalar solver): the caller reads
     them one flow at a time, so no vector is built and converted back.
 
     Columns are compressed to the links actually present in ``cols``,
     so per-round cost scales with the component, not the topology.
     """
     unique, local = space.compress(cols)
-    rates = _fill(
+    return _fill(
         space.capacity[unique], space.floor[unique], local, row_lengths, demands
     )[0]
-    return list(map(min, rates, demands))
 
 
 def inrp_fill(
@@ -623,13 +686,13 @@ def inrp_fill(
     the per-(u, v) detour options and the per-path column entries
     *persistent across fills*: a cache is not rebuilt per recompute.
 
-    ``option_cache`` memoizes the per-(u, v) detour options; it is
-    keyed by link, so the topology bounds it.  ``path_cols_cache`` maps
-    each path the walk has passed through (a flow's primary or a
-    splice) to its :class:`_PathEntry`: the path's columns as a tuple
-    of ``space.index``'s own ints, an int64 copy made only once the
-    path carries a detour row, and a splice memo made at its first
-    splice.  Entries stay until the caller drops them;
+    ``option_cache`` memoizes the detour options of each link the walk
+    met saturated; it is keyed by the link's column, so the topology
+    bounds it.  ``path_cols_cache`` maps each path the walk has passed
+    through (a flow's primary or a splice) to its :class:`_PathEntry`:
+    the path's columns as a tuple of ``space.index``'s own ints, an
+    int64 copy made only once a detour row on the path freezes, and a
+    splice memo made at its first splice.  Entries stay until the caller drops them;
     :class:`~repro.flowsim.allocation.IncrementalInrp` clears them at
     every component-tracker rebuild, so they never outgrow the flows of
     one epoch.  Pass persistent dicts when calling repeatedly over one
@@ -640,7 +703,7 @@ def inrp_fill(
         if demand < 0:
             raise SimulationError(f"flow {flow!r} has negative demand")
     num_flows = len(flow_ids)
-    rates, reasons, switches, carried, detour_rows, detour_paths = _fill(
+    rates, reasons, switches, carried, detour_flows, detour_paths = _fill(
         space.capacity.copy(),
         space.floor,
         np.asarray(cols, dtype=np.int64),
@@ -653,13 +716,16 @@ def inrp_fill(
         {} if option_cache is None else option_cache,
         {} if path_cols_cache is None else path_cols_cache,
     )
-    splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
-    for flow in range(num_flows):
-        parts = [(paths[flow], carried[flow])]
-        for row in detour_rows.get(flow, ()):
-            if carried[row] > _EPS:
-                parts.append((detour_paths[row - num_flows], carried[row]))
-        splits[flow_ids[flow]] = parts
+    splits: Dict[FlowId, List[Tuple[Path, float]]] = {
+        flow: [(path, part)]
+        for flow, path, part in zip(flow_ids, paths, carried)
+    }
+    # Detour rows in birth order: each flow's in the order it took them.
+    for flow, path, part in zip(
+        detour_flows, detour_paths, carried[num_flows:]
+    ):
+        if part > _EPS:
+            splits[flow_ids[flow]].append((path, part))
     return MultipathAllocation(
         rates=dict(zip(flow_ids, rates)),
         splits=splits,

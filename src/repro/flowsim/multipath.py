@@ -298,6 +298,9 @@ def inrp_allocation(
         ]
         for flow_id in satisfied:
             state = flows[flow_id]
+            # The total can end an ulp above a finite demand: a flow
+            # frozen at its demand gets no more than it.
+            state.total = min(state.total, state.demand)
             _leave(flow_id, state.subpaths[state.active].path)
             state.frozen = True
             state.freeze_reason = "demand"

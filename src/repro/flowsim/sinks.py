@@ -250,6 +250,8 @@ class SimulationResult:
         """Traffic-weighted stretch quantile over completed flows
         (exact from records, within sketch rank error from aggregates;
         None when no completed flow delivered traffic)."""
+        if not 0.0 <= q <= 1.0:
+            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
         if self.records is None:
             if self.aggregates.stretch_sketch.count == 0:
                 return None

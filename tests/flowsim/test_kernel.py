@@ -25,7 +25,7 @@ from repro.flowsim.multipath import inrp_allocation
 from repro.metrics import max_min_violations
 from repro.routing.detour import DetourTable
 from repro.routing.paths import path_links
-from repro.topology import mesh_topology
+from repro.topology import Topology, mesh_topology
 from repro.topology.isp import build_isp_topology
 from repro.units import mbps
 from repro.workloads import FlowWorkload, local_pairs, uniform_pairs
@@ -604,6 +604,106 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     assert {flow: rate.hex() for flow, rate in depth0.items()} == {
         flow: rate.hex() for flow, rate in sp.items()
     }
+
+
+def test_demand_frozen_rate_never_exceeds_the_demand_in_any_solver():
+    """A flow frozen at its finite demand gets ``min(level, demand)``:
+    on this random telstra SP population the level ends one ulp above
+    one flow's demand (``0x1.962b3d7f02c41p+20`` bit/s).  The scratch
+    solver with no detour table, ``maxmin_fill`` and ``inrp_fill``
+    without replacements all hold every rate at or below its demand,
+    and agree bit for bit."""
+    topo = build_isp_topology("telstra", seed=0)
+    strategy = make_strategy("sp", topo)
+    nodes = list(topo.nodes())
+    rng = random.Random(10)
+    paths, demands = [], []
+    for flow in range(rng.randint(1, 150)):
+        if rng.random() < 0.05:
+            paths.append((rng.choice(nodes),))
+        else:
+            source, destination = rng.sample(nodes, 2)
+            paths.append(tuple(strategy.route(flow, source, destination)))
+        demands.append(
+            rng.choice(
+                [math.inf, 0.0, 1e-12, mbps(10), mbps(rng.uniform(0.1, 20.0))]
+            )
+        )
+    assert float.fromhex("0x1.962b3d7f02c41p+20") in demands
+    flows = list(range(len(paths)))
+    capacities = topo.directed_capacities()
+    space = LinkSpace(capacities)
+    cols = np.array(
+        [space.index[link] for path in paths for link in path_links(path)],
+        dtype=np.int64,
+    )
+    lengths = [len(path) - 1 for path in paths]
+    scratch = inrp_allocation(
+        capacities, dict(zip(flows, paths)), dict(zip(flows, demands)), None
+    )
+    rates = {
+        "inrp_allocation": [scratch.rates[flow] for flow in flows],
+        "maxmin_fill": _kernel.maxmin_fill(space, cols, lengths, demands),
+        "inrp_fill": [
+            _kernel.inrp_fill(
+                space,
+                flows,
+                paths,
+                cols,
+                lengths,
+                demands,
+                DetourTable(topo),
+                max_replacements=0,
+            ).rates[flow]
+            for flow in flows
+        ],
+    }
+    for solver, got in rates.items():
+        assert all(map(float.__le__, got, demands)), solver
+        assert [rate.hex() for rate in got] == [
+            rate.hex() for rate in rates["inrp_allocation"]
+        ], solver
+
+
+def test_walk_resumes_past_its_option_within_one_round():
+    """One flow splices twice in one walk: links ``a-b`` and ``b-c``
+    saturate in the same round, the walk takes ``a-x-b`` around the
+    first, and in the spliced path the second saturated link comes
+    right after that option, where the resumed scan must find it and
+    take ``b-y-c``.  A zero-demand flow crossing both links (and the
+    earlier ``x-a``) and a flow whose source is its destination make
+    the fill weigh its carrier counts, so the column index reads its
+    bucket sizes from the separate entry count.  The kernel matches
+    the scratch solver bit for bit."""
+    topo = Topology()
+    topo.add_link("x", "a", capacity=mbps(10))
+    topo.add_link("a", "b", capacity=mbps(1))
+    topo.add_link("b", "c", capacity=mbps(1))
+    for u, v in (("x", "b"), ("b", "y"), ("y", "c")):
+        topo.add_link(u, v, capacity=mbps(10))
+    paths = [("x", "a", "b", "c"), ("a", "b", "c"), ("y",)]
+    demands = [0.0, math.inf, mbps(3)]
+    flows = [0, 1, 2]
+    capacities = topo.directed_capacities()
+    table = DetourTable(topo)
+    space = LinkSpace(capacities)
+    cols = np.array(
+        [space.index[link] for path in paths for link in path_links(path)],
+        dtype=np.int64,
+    )
+    kernel = _kernel.inrp_fill(
+        space, flows, paths, cols, [len(path) - 1 for path in paths], demands, table
+    )
+    scratch = inrp_allocation(
+        capacities, dict(zip(flows, paths)), dict(zip(flows, demands)), table
+    )
+    assert kernel.splits[1] == [
+        (("a", "b", "c"), mbps(1)),
+        (("a", "x", "b", "y", "c"), mbps(10)),
+    ]
+    assert kernel.flow_switches == {0: 0, 1: 1, 2: 0}
+    assert kernel.rates == {0: 0.0, 1: mbps(11), 2: mbps(3)}
+    assert _fills_digest([kernel]) == _fills_digest([scratch])
 
 
 def test_inrp_splits_sum_to_each_rate():

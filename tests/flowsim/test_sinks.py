@@ -208,6 +208,25 @@ def test_fct_quantile_rejects_q_outside_unit_interval(sink, q):
         result.fct_quantile(q)
 
 
+@pytest.mark.parametrize("sink", ("materialize", "streaming"))
+@pytest.mark.parametrize("q", (-0.5, 1.5))
+def test_quantiles_reject_q_outside_unit_interval_on_an_empty_run(sink, q):
+    """With nothing completed, both quantiles still raise for ``q``
+    outside [0, 1] on both sinks before returning None: the stretch
+    quantile used to return None without looking at ``q``."""
+    topo = line_topology(2)
+    result = FlowLevelSimulator(
+        topo, make_strategy("sp", topo), [], sink=sink
+    ).run()
+    assert result.completed_count == 0
+    assert result.fct_quantile(0.5) is None
+    assert result.stretch_quantile(0.5) is None
+    with pytest.raises(ConfigurationError, match="quantile"):
+        result.fct_quantile(q)
+    with pytest.raises(ConfigurationError, match="quantile"):
+        result.stretch_quantile(q)
+
+
 def test_materializing_result_unchanged_by_refactor():
     """The default sink reproduces the historical result shape: sorted
     records, one per spec, with aggregates unset."""
