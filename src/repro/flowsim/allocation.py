@@ -159,11 +159,16 @@ class _ComponentTracker:
         out: Set[FlowId] = set()
         seen_roots: Set[FlowId] = set()
         link_rep = self._link_rep
+        parent = self._parent
         for link in links:
             rep = link_rep[link]
             if rep is None:
                 continue
-            root = self._find(rep)
+            # A representative one step below its root has no path to
+            # compress: read the root without the call.
+            root = parent[rep]
+            if parent[root] != root:
+                root = self._find(rep)
             if root not in seen_roots:
                 seen_roots.add(root)
                 out |= self._members[root]
@@ -240,8 +245,11 @@ class _IncrementalAllocator:
         becomes dirty."""
         if flow in self._paths:
             raise SimulationError(f"flow {flow!r} already present")
-        if demand < 0:
-            raise SimulationError(f"flow {flow!r} has negative demand")
+        if not demand >= 0:
+            raise SimulationError(
+                f"flow {flow!r} has demand {demand!r}; a demand must be a "
+                "number >= 0"
+            )
         path = tuple(path)
         index = self._space.index
         cols: List[int] = []
@@ -414,9 +422,11 @@ class IncrementalMaxMin(_IncrementalAllocator):
             if not self._dirty_links and not self._dirty_flows:
                 return {}, None, 0
             flows = list(self._tracker.component(self._dirty_links))
-            changed = {
-                flow: self._demands[flow] for flow in self._dirty_flows
-            }
+            changed = (
+                {flow: self._demands[flow] for flow in self._dirty_flows}
+                if self._dirty_flows
+                else {}
+            )
         if flows:
             rates = _kernel.maxmin_fill(self._space, *self._gather(flows))
             if full:

@@ -18,8 +18,14 @@ representation of the flow-link incidence:
   :func:`repro.flowsim.multipath.inrp_allocation`: :func:`inrp_fill`
   runs the loop over the global column space with detours;
   :func:`maxmin_fill` is the same loop with no detour table and a
-  replacement budget of 0, over the component's compressed columns.
-  Max-min is INRP's zero-pooling end, not a second algorithm.
+  replacement budget of 0, over the component's columns numbered in
+  order of first appearance.  Max-min is INRP's zero-pooling end, not
+  a second algorithm.
+
+A fill pays per call only for what scales with its rows: no
+full-width scratch vector outlives a round, and the detour walk's
+closures and state (:func:`_detour_walk`) are built only for a fill
+with a replacement budget.
 
 Exactness is the contract: the loop performs the *same float
 arithmetic in the same order per link and per flow* as the scalar
@@ -68,15 +74,7 @@ class LinkSpace:
     so a flow's column array stays valid for the allocator's lifetime.
     """
 
-    __slots__ = (
-        "index",
-        "links",
-        "capacity",
-        "floor",
-        "num_links",
-        "_marks",
-        "_local",
-    )
+    __slots__ = ("index", "links", "capacity", "floor", "num_links")
 
     def __init__(self, capacities: Mapping[LinkId, float]):
         self.index: Dict[LinkId, int] = {}
@@ -94,26 +92,6 @@ class LinkSpace:
         self.floor = _EPS * (1.0 + np.abs(self.capacity))
         self.floor[np.isinf(self.capacity)] = _EPS
         self.num_links = len(links)
-        # Scratch for :meth:`compress`; all-False between calls.
-        self._marks = np.zeros(self.num_links, dtype=bool)
-        self._local = np.empty(self.num_links, dtype=np.int64)
-
-    def compress(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``np.unique(cols, return_inverse=True)`` without the sort.
-
-        Marks *cols* in a bool array over the column space, reads the
-        sorted distinct columns back from the marks, and maps each
-        entry of *cols* to its position among them.  Costs a few
-        fixed-size vector ops, where ``np.unique`` pays a sort and its
-        own Python-level setup on every call.
-        """
-        marks = self._marks
-        marks[cols] = True
-        unique = np.flatnonzero(marks)
-        marks[unique] = False
-        local = self._local
-        local[unique] = np.arange(len(unique))
-        return unique, local[cols]
 
 
 def _joined(arrays: List[np.ndarray]) -> np.ndarray:
@@ -149,10 +127,10 @@ class _PathEntry:
 
 def _fill(
     residual: np.ndarray,
-    floors: np.ndarray,
     cols: np.ndarray,
     row_lengths: List[int],
     demands: List[float],
+    floors: Optional[np.ndarray] = None,
     paths: Sequence[Path] = (),
     index: Optional[Mapping[LinkId, int]] = None,
     detour_table: Optional[DetourTable] = None,
@@ -166,11 +144,14 @@ def _fill(
     *floors* are per-column capacity and saturation floor, *cols* the
     rows' concatenated column ids in it, *row_lengths* and *demands*
     per-row lists, and *index* maps a link to its
-    column for the detour walk.  Row ``flow`` is flow ``flow``'s
+    column for the detour walk.  The loop does each column's arithmetic
+    apart from every other column's, so the numbering of the columns
+    changes no bit of the result.  Row ``flow`` is flow ``flow``'s
     primary path; detour rows appended during the fill get ids from
     ``len(row_lengths)`` up.  *floors*, *paths*, *index*,
-    *detour_table* and the two caches are read only by a walk, and
-    none runs while *max_replacements* is 0.
+    *detour_table* and the two caches are read only by the detour walk,
+    which is not even built while *max_replacements* is 0.  A NaN or
+    negative demand raises :class:`SimulationError`; ``inf`` is legal.
 
     A round costs what its events cost, not what the fill holds:
 
@@ -196,13 +177,13 @@ def _fill(
       integers, exact in float64, so neither the order nor the
       batching of these updates changes any value.
 
-    Returns ``(rates, reasons, switches, carried, detour_flows,
-    detour_paths)``: per flow its rate (``level`` at its freeze, at most
-    its demand when it froze on demand, or its demand when it never
-    grew), freeze reason and detour switches; per row its carried rate
-    (a flow that never grew carries its demand on its primary row); per
-    detour row (index ``row - len(row_lengths)``, in birth order) its
-    flow and its path.
+    Returns ``(rates, reasons, switches, carried, detours)``: per flow
+    its rate (``level`` at its freeze, at most its demand when it froze
+    on demand, or its demand when it never grew), freeze reason and
+    detour switches; per row its carried rate (a flow that never
+    switched carries its rate on its primary row); per detour row
+    (index ``row - len(row_lengths)``, in birth order) its ``(path
+    entry, birth round, flow)``.
     """
     num_flows = len(row_lengths)
     width = len(residual)
@@ -213,29 +194,35 @@ def _fill(
         for length, demand in zip(row_lengths, demands)
     ]
     # A flow with no path or a demand within _EPS of 0 never grows: it
-    # gets its demand, and its primary row carries it.
-    rates = [
-        0.0 if active else demand
-        for active, demand in zip(unfrozen, demands)
-    ]
-    reasons = ["" if active else "demand" for active in unfrozen]
-    active_row = [
-        flow if active else -1 for flow, active in enumerate(unfrozen)
-    ]
+    # gets its demand, and its primary row carries it.  Every other
+    # flow's rate, reason and primary carried rate are set when it
+    # freezes (or, for the carried rate, when it switches).
+    rates = list(demands)
+    reasons = ["demand"] * num_flows
+    carried = list(demands)
+    active_row = list(range(num_flows))
+    active_flows = active_row
+    if False in unfrozen:
+        # ``demand > _EPS`` is false for a NaN or negative demand, so
+        # only a row that starts frozen can hold one.
+        for row, active in enumerate(unfrozen):
+            if not active:
+                if not demands[row] >= 0:
+                    raise SimulationError(
+                        f"fill row {row} has demand {demands[row]!r}; "
+                        "a demand must be a number >= 0"
+                    )
+                active_row[row] = -1
+        active_flows = [flow for flow, active in enumerate(unfrozen) if active]
     # Demand events in sorted order: the smallest unfrozen demand is a
     # cursor walk, ``min(d_i - level) == min(d_i) - level`` (float
     # subtraction is monotone), and for the same reason the satisfied
     # flows of a round are a prefix of the order.
-    order = sorted(
-        [flow for flow, active in enumerate(unfrozen) if active],
-        key=demands.__getitem__,
-    )
+    order = sorted(active_flows, key=demands.__getitem__)
     num_ordered = len(order)
     switches = [0] * num_flows
-    # An unfrozen flow's primary row settles when it retires.
-    carried = rates.copy()
     if not num_ordered:
-        return rates, reasons, switches, carried, [], []
+        return rates, reasons, switches, carried, []
     p_starts = [0, *accumulate(row_lengths)]
     # Primary entries per column: the column index's bucket sizes (see
     # ``col_rows``), and the carrier counts when every row starts
@@ -273,6 +260,218 @@ def _fill(
     # here for one ``ufunc.at`` at the end of the round; a switch moves
     # its flow's count at once (see ``_reroute``).
     dead: List[np.ndarray] = []
+
+    def _freeze(flows: List[int], reason: str) -> None:
+        """Freeze *flows* at the current level.  The level can end an
+        ulp above a finite demand, so a flow frozen on its demand gets
+        no more than it.  A freeze that ends the fill queues no
+        columns: no round reads the counts after it."""
+        nonlocal active_left
+        active_left -= len(flows)
+        on_demand = reason == "demand"
+        for flow in flows:
+            rate = min(level, demands[flow]) if on_demand else level
+            row = active_row[flow]
+            if row == flow:
+                # A primary row grew from round 1, so its carried sum is
+                # the level's own sum: the flow never switched, and the
+                # row carries exactly its rate.
+                carried[row] = rate
+                if active_left:
+                    dead.append(cols[p_starts[row] : p_starts[row + 1]])
+            else:
+                entry = settle(row)
+                if active_left:
+                    row_cols = entry.array
+                    if row_cols is None:
+                        row_cols = entry.array = np.array(
+                            entry.cols, dtype=np.int64
+                        )
+                    dead.append(row_cols)
+                del on_detour[flow]
+            active_row[flow] = -1
+            unfrozen[flow] = False
+            reasons[flow] = reason
+            rates[flow] = rate
+
+    # A fill with no replacement budget never walks (every affected
+    # flow fails the budget test first), so it builds no walk.
+    reroute = settle = None
+    if max_replacements:
+        reroute, settle = _detour_walk(
+            residual,
+            floors,
+            counts,
+            paths,
+            index,
+            detour_table,
+            max_replacements,
+            option_cache,
+            path_cols_cache,
+            carried,
+            detours,
+            sub_repl,
+            on_detour,
+            active_row,
+            switches,
+            round_steps,
+        )
+
+    cursor = 0
+    # Column -> primary rows index, a counting sort built at the first
+    # saturation: one sort of the primary entries by column, and the
+    # running sum of ``col_entries`` as bucket bounds.  The rows crossing
+    # column ``col`` are ``col_rows[col_bounds[col]:col_bounds[col +
+    # 1]]``, empty for a column no primary row crosses.
+    col_rows: Optional[np.ndarray] = None
+    guard = 0
+    max_iterations = 16 * (num_flows + width) + 64
+    # The round head divides full width without ``where=``: a column
+    # no row carries yields inf (headroom left) or nan (0/0), both
+    # invisible to fmin's reduction and to the <= saturation test, so
+    # carrying columns see bit-identical values.  ``-inf`` cannot
+    # occur: an unflagged carrying column keeps ``residual > 0`` (its
+    # step exceeds the round's by the relative tolerance) and flagged
+    # ones are zeroed.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active_left:
+            guard += 1
+            if guard > max_iterations:
+                raise SimulationError("progressive filling did not converge")
+            while not unfrozen[order[cursor]]:
+                cursor += 1
+            demand_step = demands[order[cursor]] - level
+            steps = residual / counts
+            saturation_step = float(np.fmin.reduce(steps))
+            step = min(demand_step, saturation_step)
+            if step < -_EPS * (1.0 + abs(level)):
+                raise SimulationError("negative fill step; inconsistent state")
+            step = max(step, 0.0)
+            residual -= counts * step
+            level += step
+            round_steps.append(step)
+
+            # Demand events.
+            tol = _EPS * (1.0 + abs(level))
+            frozen = []
+            while cursor < num_ordered:
+                flow = order[cursor]
+                if unfrozen[flow]:
+                    if demands[flow] - level > tol:
+                        break
+                    frozen.append(flow)
+                cursor += 1
+            progressed = bool(frozen)
+            if frozen:
+                _freeze(frozen, "demand")
+
+            # Saturation events: reroute or freeze affected flows.  Once
+            # every flow froze on demand, none is left to affect.
+            if (
+                active_left
+                and not math.isinf(saturation_step)
+                and saturation_step
+                <= demand_step + _EPS * (1.0 + abs(demand_step))
+            ):
+                sat_now = (
+                    steps <= saturation_step + _EPS * (1.0 + abs(saturation_step))
+                ).nonzero()[0]
+                residual[sat_now] = 0.0
+                progressed = True
+                if col_rows is None:
+                    # Row order within a column is free (a flow's turn
+                    # comes from ``sorted(affected)``), so any sort
+                    # does: a stable one over the smallest dtype that
+                    # holds a column is numpy's radix sort.
+                    by_col = np.argsort(
+                        cols.astype(np.min_scalar_type(width)), kind="stable"
+                    )
+                    col_rows = np.repeat(
+                        np.arange(num_flows, dtype=np.int64), row_lengths
+                    )[by_col]
+                    col_bounds = np.zeros(width + 1, dtype=np.int64)
+                    np.cumsum(col_entries, out=col_bounds[1:])
+                    col_entries = None  # the bounds hold all it told
+                    bound = col_bounds.item
+                # A primary row counts while it is its unfrozen flow's
+                # active row (freezing resets ``active_row``, a switch
+                # moves the flow into ``on_detour``).
+                sat_list = sat_now.tolist()
+                affected = set()
+                for col in sat_list:
+                    for row in col_rows[bound(col) : bound(col + 1)].tolist():
+                        if active_row[row] == row:
+                            affected.add(row)
+                if on_detour:
+                    sat_set = set(sat_list)
+                    for flow, detour_cols in on_detour.items():
+                        if not sat_set.isdisjoint(detour_cols):
+                            affected.add(flow)
+                # Ascending flow ids are arrival order: older flows
+                # reroute first (the id-type invariant).  A flow with
+                # no replacement or switch left freezes unwalked.
+                frozen = []
+                for flow in sorted(affected):
+                    row = active_row[flow]
+                    if (
+                        sub_repl[row] >= max_replacements
+                        or switches[flow] >= MAX_SWITCHES_PER_FLOW
+                        or not reroute(flow, row, guard, level, sat_list)
+                    ):
+                        frozen.append(flow)
+                if frozen:
+                    _freeze(frozen, "no-detour")
+            if not progressed:
+                raise SimulationError("progressive filling made no progress")
+            if dead and active_left:
+                np.subtract.at(counts, _joined(dead), 1.0)
+                dead.clear()
+    return rates, reasons, switches, carried, detours
+
+
+def _disjoint_option(live, spares, path: Path) -> Optional[Tuple]:
+    """The scalar ``_best_option`` over the live options whose interior
+    misses *path*: the winner's entry, or None."""
+    best: Optional[Tuple] = None
+    best_spare = -1.0
+    for entry, spare in zip(live, spares):
+        if not entry[3].isdisjoint(path):
+            continue
+        # Relative tie tolerance, as in the scalar `_best_option`.
+        if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
+            best, best_spare = entry, spare
+    return best
+
+
+def _detour_walk(
+    residual: np.ndarray,
+    floors: np.ndarray,
+    counts: np.ndarray,
+    paths: Sequence[Path],
+    index: Mapping[LinkId, int],
+    detour_table: DetourTable,
+    max_replacements: int,
+    option_cache: Dict,
+    path_cols_cache: Dict,
+    carried: List[float],
+    detours: List[Tuple[_PathEntry, int, int]],
+    sub_repl: List[int],
+    on_detour: Dict[int, Tuple[int, ...]],
+    active_row: List[int],
+    switches: List[int],
+    round_steps: List[float],
+):
+    """The detour walk of one :func:`_fill`: returns its ``(reroute,
+    settle)`` closures over the fill's vectors and per-row lists, which
+    they update in place.  Only a fill with a replacement budget makes
+    one, so a fill that cannot walk pays for none of its state.
+
+    ``reroute(flow, row, round, level, sat_list)`` takes the fill's
+    round number, level and the columns zeroed this round;
+    ``settle(row)`` settles a detour row's carried rate.
+    """
+    # One entry per primary row until the first switch appends more.
+    num_flows = len(sub_repl)
     counts_item = counts.item
 
     def _settle(row: int) -> _PathEntry:
@@ -288,34 +487,6 @@ def _fill(
             total += step
         carried[row] = total
         return entry
-
-    def _freeze(flows: List[int], reason: str) -> None:
-        """Freeze *flows* at the current level.  A freeze that ends the
-        fill queues no columns: no round reads the counts after it."""
-        nonlocal active_left
-        active_left -= len(flows)
-        for flow in flows:
-            row = active_row[flow]
-            if row == flow:
-                # A primary row grew from round 1: its carried sum is
-                # the level's own sum.
-                carried[row] = level
-                if active_left:
-                    dead.append(cols[p_starts[row] : p_starts[row + 1]])
-            else:
-                entry = _settle(row)
-                if active_left:
-                    row_cols = entry.array
-                    if row_cols is None:
-                        row_cols = entry.array = np.array(
-                            entry.cols, dtype=np.int64
-                        )
-                    dead.append(row_cols)
-                del on_detour[flow]
-            active_row[flow] = -1
-            unfrozen[flow] = False
-            reasons[flow] = reason
-            rates[flow] = level
 
     def _option_state(col: int, u, v) -> List[Tuple]:
         """Persistent detour options of column *col*, the link
@@ -369,21 +540,8 @@ def _fill(
             if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
                 winner = entry
                 best_spare = spare
-        cached = fill_options[col] = (guard, live, spares, winner)
+        cached = fill_options[col] = (synced, live, spares, winner)
         return cached
-
-    def _disjoint_option(live, spares, path: Path) -> Optional[Tuple]:
-        """The scalar ``_best_option`` over the live options whose
-        interior misses *path*: the winner's entry, or None."""
-        best: Optional[Tuple] = None
-        best_spare = -1.0
-        for entry, spare in zip(live, spares):
-            if not entry[3].isdisjoint(path):
-                continue
-            # Relative tie tolerance, as in the scalar `_best_option`.
-            if spare > best_spare + _EPS * (1.0 + abs(best_spare)):
-                best, best_spare = entry, spare
-        return best
 
     def _path_cols(path: Path) -> _PathEntry:
         """*path*'s :class:`_PathEntry` in *path_cols_cache*, made with
@@ -400,20 +558,26 @@ def _fill(
     # Residual only falls, so the set only grows within a fill: the
     # round's first walk adds the columns zeroed this round, and reads
     # the full comparison back only when its count shows another column
-    # fell to its floor.
+    # fell to its floor.  ``synced`` is the round it last did so.
     sat_cols: Set[int] = set()
-    sat_stale = False
+    synced = 0
 
-    def _reroute(flow: int, row: int) -> bool:
+    # ``_reroute`` closes over 19 variables.  Keep it off 20: CPython
+    # 3.11 parks a freed 20-tuple in a free list it never takes one
+    # from, so a 20-cell closure made per fill holds its cell tuple for
+    # good (up to 2,000 of them, ~0.4 MB of peak RSS on ``inrp-local``).
+    def _reroute(
+        flow: int, row: int, guard: int, level: float, sat_list: List[int]
+    ) -> bool:
         """Move the flow's growth off saturated links by splicing
         detours until nothing on its path is saturated; False = the
         flow must freeze.  The caller has checked that *replacements*
         is within budget: every affected flow crosses a column zeroed
         this round, which lies in ``sat_cols``, so an exhausted walk
         would stop at its first budget test."""
-        nonlocal sat_stale
-        if sat_stale:
-            sat_stale = False
+        nonlocal synced
+        if synced != guard:
+            synced = guard
             sat_cols.update(sat_list)
             at_floor = residual <= floors
             if np.count_nonzero(at_floor) != len(sat_cols):
@@ -503,130 +667,7 @@ def _fill(
         switches[flow] += 1
         return True
 
-    cursor = 0
-    # Column -> primary rows index, a counting sort built at the first
-    # saturation: one sort of the primary entries by column, and the
-    # running sum of ``col_entries`` as bucket bounds.  The rows crossing
-    # column ``col`` are ``col_rows[col_bounds[col]:col_bounds[col +
-    # 1]]``, empty for a column no primary row crosses.
-    col_rows: Optional[np.ndarray] = None
-    steps = np.empty(width, dtype=np.float64)
-    sat_mask = np.empty(width, dtype=bool)
-    scratch = np.empty(width, dtype=np.float64)
-    guard = 0
-    max_iterations = 16 * (num_flows + width) + 64
-    # The round head divides full width without ``where=``: a column
-    # no row carries yields inf (headroom left) or nan (0/0), both
-    # invisible to fmin's reduction and to the <= saturation test, so
-    # carrying columns see bit-identical values.  ``-inf`` cannot
-    # occur: an unflagged carrying column keeps ``residual > 0`` (its
-    # step exceeds the round's by the relative tolerance) and flagged
-    # ones are zeroed.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while active_left:
-            guard += 1
-            if guard > max_iterations:
-                raise SimulationError("progressive filling did not converge")
-            while not unfrozen[order[cursor]]:
-                cursor += 1
-            demand_step = demands[order[cursor]] - level
-            np.divide(residual, counts, out=steps)
-            saturation_step = float(np.fmin.reduce(steps))
-            step = min(demand_step, saturation_step)
-            if step < -_EPS * (1.0 + abs(level)):
-                raise SimulationError("negative fill step; inconsistent state")
-            step = max(step, 0.0)
-            np.multiply(counts, step, out=scratch)
-            np.subtract(residual, scratch, out=residual)
-            level += step
-            round_steps.append(step)
-
-            # Demand events.
-            tol = _EPS * (1.0 + abs(level))
-            frozen = []
-            while cursor < num_ordered:
-                flow = order[cursor]
-                if unfrozen[flow]:
-                    if demands[flow] - level > tol:
-                        break
-                    frozen.append(flow)
-                cursor += 1
-            progressed = bool(frozen)
-            if frozen:
-                _freeze(frozen, "demand")
-                # The level can end an ulp above a finite demand: a flow
-                # frozen at its demand gets no more than it.
-                for flow in frozen:
-                    rates[flow] = min(level, demands[flow])
-
-            # Saturation events: reroute or freeze affected flows.  Once
-            # every flow froze on demand, none is left to affect.
-            if (
-                active_left
-                and not math.isinf(saturation_step)
-                and saturation_step
-                <= demand_step + _EPS * (1.0 + abs(demand_step))
-            ):
-                np.less_equal(
-                    steps,
-                    saturation_step + _EPS * (1.0 + abs(saturation_step)),
-                    out=sat_mask,
-                )
-                sat_now = sat_mask.nonzero()[0]
-                residual[sat_now] = 0.0
-                progressed = True
-                sat_stale = True
-                if col_rows is None:
-                    # Row order within a column is free (a flow's turn
-                    # comes from ``sorted(affected)``), so any sort
-                    # does: a stable one over the smallest dtype that
-                    # holds a column is numpy's radix sort.
-                    by_col = np.argsort(
-                        cols.astype(np.min_scalar_type(width)), kind="stable"
-                    )
-                    col_rows = np.repeat(
-                        np.arange(num_flows, dtype=np.int64), row_lengths
-                    )[by_col]
-                    col_bounds = np.zeros(width + 1, dtype=np.int64)
-                    np.cumsum(col_entries, out=col_bounds[1:])
-                    col_entries = None  # the bounds hold all it told
-                    bound = col_bounds.item
-                # A primary row counts while it is its unfrozen flow's
-                # active row (freezing resets ``active_row``, a switch
-                # moves the flow into ``on_detour``).
-                sat_list = sat_now.tolist()
-                affected = set()
-                for col in sat_list:
-                    for row in col_rows[bound(col) : bound(col + 1)].tolist():
-                        if active_row[row] == row:
-                            affected.add(row)
-                if on_detour:
-                    sat_set = set(sat_list)
-                    for flow, detour_cols in on_detour.items():
-                        if not sat_set.isdisjoint(detour_cols):
-                            affected.add(flow)
-                # Ascending flow ids are arrival order: older flows
-                # reroute first (the id-type invariant).  A flow with
-                # no replacement or switch left freezes unwalked.
-                frozen = []
-                for flow in sorted(affected):
-                    row = active_row[flow]
-                    if (
-                        sub_repl[row] >= max_replacements
-                        or switches[flow] >= MAX_SWITCHES_PER_FLOW
-                        or not _reroute(flow, row)
-                    ):
-                        frozen.append(flow)
-                if frozen:
-                    _freeze(frozen, "no-detour")
-            if not progressed:
-                raise SimulationError("progressive filling made no progress")
-            if dead and active_left:
-                np.subtract.at(counts, _joined(dead), 1.0)
-                dead.clear()
-    detour_flows = [flow for _, _, flow in detours]
-    detour_paths = [entry.path for entry, _, _ in detours]
-    return rates, reasons, switches, carried, detour_flows, detour_paths
+    return _reroute, _settle
 
 
 def maxmin_fill(
@@ -650,11 +691,20 @@ def maxmin_fill(
     them one flow at a time, so no vector is built and converted back.
 
     Columns are compressed to the links actually present in ``cols``,
-    so per-round cost scales with the component, not the topology.
+    numbered in order of first appearance by one pass over the entries,
+    so per-call and per-round cost scale with the component, not the
+    topology.  No floor vector is built: only a detour walk reads one.
     """
-    unique, local = space.compress(cols)
+    entries = cols.tolist()
+    local: Dict[int, int] = {}
+    for col in entries:
+        if col not in local:
+            local[col] = len(local)
     return _fill(
-        space.capacity[unique], space.floor[unique], local, row_lengths, demands
+        space.capacity.take(list(local)),
+        np.array([local[col] for col in entries], dtype=np.int64),
+        row_lengths,
+        demands,
     )[0]
 
 
@@ -681,10 +731,12 @@ def inrp_fill(
     usable detour freeze.
 
     The working vectors span the full column space (one slot per
-    topology link): a per-round numpy pass over a few thousand floats
-    costs about as much as one over a hundred, and global columns make
-    the per-(u, v) detour options and the per-path column entries
-    *persistent across fills*: a cache is not rebuilt per recompute.
+    topology link).  That is not free: a round head over sprint's 4,310
+    columns costs about three times one over 150.  Global columns pay
+    because they keep the per-(u, v) detour options and the per-path
+    column entries *valid across fills*: the walk's caches are not
+    rebuilt per recompute, and a fill-local column space, remapped at
+    every switch, measured slower.
 
     ``option_cache`` memoizes the detour options of each link the walk
     met saturated; it is keyed by the link's column, so the topology
@@ -699,16 +751,13 @@ def inrp_fill(
     topology.  Neither holds per-fill state, so a fill gives the same
     result with shared or fresh dicts.
     """
-    for flow, demand in zip(flow_ids, demands):
-        if demand < 0:
-            raise SimulationError(f"flow {flow!r} has negative demand")
     num_flows = len(flow_ids)
-    rates, reasons, switches, carried, detour_flows, detour_paths = _fill(
+    rates, reasons, switches, carried, detours = _fill(
         space.capacity.copy(),
-        space.floor,
         np.asarray(cols, dtype=np.int64),
         row_lengths,
         demands,
+        space.floor,
         paths,
         space.index,
         detour_table,
@@ -721,11 +770,9 @@ def inrp_fill(
         for flow, path, part in zip(flow_ids, paths, carried)
     }
     # Detour rows in birth order: each flow's in the order it took them.
-    for flow, path, part in zip(
-        detour_flows, detour_paths, carried[num_flows:]
-    ):
+    for (entry, _, flow), part in zip(detours, carried[num_flows:]):
         if part > _EPS:
-            splits[flow_ids[flow]].append((path, part))
+            splits[flow_ids[flow]].append((entry.path, part))
     return MultipathAllocation(
         rates=dict(zip(flow_ids, rates)),
         splits=splits,

@@ -69,8 +69,12 @@ class MultipathAllocation:
     rates:
         Total rate per flow (bits/s).
     splits:
-        Per flow, the ``(path, rate)`` pairs with positive rate, in
-        creation order (primary first).
+        Per flow, the ``(path, rate)`` pairs in creation order: always
+        the primary first, at whatever it carried (0.0 included), then
+        each detour sub-path that carried more than ``1e-9`` bit/s.  A
+        flow that never switched carries exactly its rate on its
+        primary.  The simulator keeps only the pairs with a positive
+        rate.
     switches:
         Total number of detour switches this fill performed, summed
         over the flows it filled (the sum of :attr:`flow_switches`).
@@ -177,8 +181,11 @@ def inrp_allocation(
         demand = demands.get(flow_id)
         if demand is None:
             raise SimulationError(f"flow {flow_id!r} has no demand")
-        if demand < 0:
-            raise SimulationError(f"flow {flow_id!r} has negative demand")
+        if not demand >= 0:
+            raise SimulationError(
+                f"flow {flow_id!r} has demand {demand!r}; a demand must be "
+                "a number >= 0"
+            )
         state = _FlowState(demand=demand, subpaths=[_SubPath(tuple(path))])
         if len(path) < 2 or demand <= _EPS:
             # No path, or a demand within _EPS of 0: it never grows and
@@ -299,8 +306,11 @@ def inrp_allocation(
         for flow_id in satisfied:
             state = flows[flow_id]
             # The total can end an ulp above a finite demand: a flow
-            # frozen at its demand gets no more than it.
+            # frozen at its demand gets no more than it, and one that
+            # never switched carries its rate on its primary path.
             state.total = min(state.total, state.demand)
+            if not state.switches:
+                state.subpaths[0].carried = state.total
             _leave(flow_id, state.subpaths[state.active].path)
             state.frozen = True
             state.freeze_reason = "demand"

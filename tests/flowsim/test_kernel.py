@@ -14,9 +14,9 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from oracles import reference_run
 
+from repro.errors import SimulationError
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.flowsim import kernel as _kernel
 from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
@@ -150,26 +150,60 @@ def test_empty_and_single_flow_components(kernel_cls):
     assert alloc.rates == {}
 
 
-_COMPRESS_LINKS = 40
-_COLUMN_MULTISETS = st.lists(st.integers(0, _COMPRESS_LINKS - 1), max_size=60)
+def _random_rows(rng, width):
+    """A random fill over *width* columns: rows of distinct columns, with
+    no-path rows (length 0) and zero-demand rows among them."""
+    rows, demands = [], []
+    for _ in range(rng.randint(1, 14)):
+        length = rng.choice([0, 1, 2, 3, 4]) if rng.random() < 0.9 else 0
+        rows.append(rng.sample(range(width), length))
+        demands.append(
+            rng.choice([math.inf, math.inf, 0.0, mbps(rng.uniform(0.5, 6.0))])
+        )
+    return rows, demands
 
 
-@settings(deadline=None, max_examples=200)
-@given(first=_COLUMN_MULTISETS, second=_COLUMN_MULTISETS)
-@example(first=[], second=[3, 3])
-@example(first=[7, 2, 7, 39, 0], second=[5])
-def test_link_space_compress_matches_unique(first, second):
-    """``LinkSpace.compress`` is ``np.unique(..., return_inverse=True)``,
-    also on duplicates, one column and no columns, and two calls in a
-    row do not see each other's columns."""
-    space = LinkSpace({(i, i + 1): 1.0 for i in range(_COMPRESS_LINKS)})
-    for cols in (first, second, first[:1]):
-        cols = np.asarray(cols, dtype=np.int64)
-        unique, inverse = space.compress(cols)
-        want_unique, want_inverse = np.unique(cols, return_inverse=True)
-        assert np.array_equal(unique, want_unique)
-        assert np.array_equal(inverse, want_inverse)
-        assert len(inverse) == len(cols)
+def test_fill_is_bit_identical_under_any_column_numbering():
+    """``maxmin_fill`` numbers a fill's columns in first-appearance
+    order, which is exact only if the numbering changes no bit: each
+    column's arithmetic is its own, the fmin reduction skips the nan
+    and inf of uncarried columns, and saturated columns reach their
+    flows through a sorted set.  ``_fill`` over a randomly permuted
+    column space returns the same rates, reasons, switches and carried
+    rates bit for bit, and ``maxmin_fill`` over its compressed columns
+    returns the rates of ``_fill`` over the whole space.  The fills
+    take several saturation rounds and hold no-path and zero-demand
+    rows."""
+    width = 12
+    rng = random.Random(7)
+    rounds, no_path, zero_demand = [], 0, 0
+    for _ in range(150):
+        space = LinkSpace(
+            {(i, i + 1): mbps(rng.choice([1, 2, 3, 5, 8])) for i in range(width)}
+        )
+        rows, demands = _random_rows(rng, width)
+        lengths = [len(row) for row in rows]
+        cols = np.array([col for row in rows for col in row], dtype=np.int64)
+        want = _kernel._fill(space.capacity.copy(), cols, lengths, demands)
+
+        perm = np.array(rng.sample(range(width), width), dtype=np.int64)
+        residual = np.empty(width)
+        residual[perm] = space.capacity
+        got = _kernel._fill(residual, perm[cols], lengths, demands)
+        for name, a, b in zip(
+            ("rates", "reasons", "switches", "carried"), want, got
+        ):
+            assert list(map(repr, a)) == list(map(repr, b)), name
+        compressed = _kernel.maxmin_fill(space, cols, lengths, demands)
+        assert list(map(float.hex, compressed)) == list(map(float.hex, want[0]))
+
+        reasons, rates = want[1], want[0]
+        rounds.append(
+            len({rate for rate, why in zip(rates, reasons) if why == "no-detour"})
+        )
+        no_path += lengths.count(0)
+        zero_demand += demands.count(0.0)
+    assert max(rounds) >= 3 and no_path and zero_demand
 
 
 class _CountingBudget(int):
@@ -606,13 +640,59 @@ def test_tiny_demand_gets_its_demand_in_every_solver(demand):
     }
 
 
+@pytest.mark.parametrize("demand", [-1.0, math.nan])
+def test_every_solver_rejects_a_nan_or_negative_demand(demand):
+    """A NaN demand passes every ``demand < 0`` test, and a negative one
+    once came back from ``maxmin_fill`` as a rate.  All five entry
+    points raise :class:`SimulationError` for both, on a flow with a
+    path and next to a flow with a legal demand; ``inf`` stays legal."""
+    topo = mesh_topology(6, extra_links=3, seed=0, capacity=mbps(10))
+    strategy = make_strategy("sp", topo)
+    nodes = list(topo.nodes())
+    paths = [
+        tuple(strategy.route(0, nodes[0], nodes[-1])),
+        tuple(strategy.route(1, nodes[1], nodes[-2])),
+    ]
+    demands = [math.inf, demand]
+    capacities = topo.directed_capacities()
+    space = LinkSpace(capacities)
+    table = DetourTable(topo)
+    cols = np.array(
+        [space.index[link] for path in paths for link in path_links(path)],
+        dtype=np.int64,
+    )
+    lengths = [len(path) - 1 for path in paths]
+    solvers = {
+        "maxmin_fill": lambda: _kernel.maxmin_fill(space, cols, lengths, demands),
+        "inrp_fill": lambda: _kernel.inrp_fill(
+            space, [0, 1], paths, cols, lengths, demands, table
+        ),
+        "inrp_allocation": lambda: inrp_allocation(
+            capacities, dict(enumerate(paths)), dict(enumerate(demands)), table
+        ),
+        "IncrementalMaxMin.add_flow": lambda: IncrementalMaxMin(
+            capacities
+        ).add_flow(1, paths[1], demand),
+        "IncrementalInrp.add_flow": lambda: IncrementalInrp(
+            capacities, table
+        ).add_flow(1, paths[1], demand),
+    }
+    for solver, call in solvers.items():
+        with pytest.raises(SimulationError, match="a demand must be"):
+            call()
+            pytest.fail(f"{solver} accepted demand {demand!r}")
+    assert _kernel.maxmin_fill(space, cols, lengths, [math.inf, math.inf])
+
+
 def test_demand_frozen_rate_never_exceeds_the_demand_in_any_solver():
     """A flow frozen at its finite demand gets ``min(level, demand)``:
     on this random telstra SP population the level ends one ulp above
     one flow's demand (``0x1.962b3d7f02c41p+20`` bit/s).  The scratch
     solver with no detour table, ``maxmin_fill`` and ``inrp_fill``
     without replacements all hold every rate at or below its demand,
-    and agree bit for bit."""
+    and agree bit for bit.  In both INRP solvers, with and without
+    detours, a flow that never switched carries exactly its rate on its
+    one split, so its splits never sum above its demand."""
     topo = build_isp_topology("telstra", seed=0)
     strategy = make_strategy("sp", topo)
     nodes = list(topo.nodes())
@@ -633,36 +713,51 @@ def test_demand_frozen_rate_never_exceeds_the_demand_in_any_solver():
     flows = list(range(len(paths)))
     capacities = topo.directed_capacities()
     space = LinkSpace(capacities)
+    table = DetourTable(topo)
     cols = np.array(
         [space.index[link] for path in paths for link in path_links(path)],
         dtype=np.int64,
     )
     lengths = [len(path) - 1 for path in paths]
-    scratch = inrp_allocation(
-        capacities, dict(zip(flows, paths)), dict(zip(flows, demands)), None
-    )
+    scratch = {
+        budget: inrp_allocation(
+            capacities,
+            dict(zip(flows, paths)),
+            dict(zip(flows, demands)),
+            table if budget else None,
+            max_replacements=budget,
+        )
+        for budget in (0, 2)
+    }
+    kernel = {
+        budget: _kernel.inrp_fill(
+            space,
+            flows,
+            paths,
+            cols,
+            lengths,
+            demands,
+            table,
+            max_replacements=budget,
+        )
+        for budget in (0, 2)
+    }
     rates = {
-        "inrp_allocation": [scratch.rates[flow] for flow in flows],
+        "inrp_allocation": [scratch[0].rates[flow] for flow in flows],
         "maxmin_fill": _kernel.maxmin_fill(space, cols, lengths, demands),
-        "inrp_fill": [
-            _kernel.inrp_fill(
-                space,
-                flows,
-                paths,
-                cols,
-                lengths,
-                demands,
-                DetourTable(topo),
-                max_replacements=0,
-            ).rates[flow]
-            for flow in flows
-        ],
+        "inrp_fill": [kernel[0].rates[flow] for flow in flows],
     }
     for solver, got in rates.items():
         assert all(map(float.__le__, got, demands)), solver
         assert [rate.hex() for rate in got] == [
             rate.hex() for rate in rates["inrp_allocation"]
         ], solver
+    for allocation in (*scratch.values(), *kernel.values()):
+        for flow in flows:
+            if not allocation.flow_switches[flow]:
+                assert allocation.splits[flow] == [
+                    (paths[flow], allocation.rates[flow])
+                ], flow
 
 
 def test_walk_resumes_past_its_option_within_one_round():
