@@ -11,9 +11,11 @@ leaves its upstream share to more fortunate flows (Fig. 3 left: rates
 (2, 8) on the shared 10 Mbps link).  INRP's fill instead detours a
 blocked flow's growth (:mod:`repro.flowsim.multipath`).
 
-:class:`IncrementalMaxMin` and :class:`IncrementalInrp` re-fill only
-the dirty component with the CSR kernel
-(:mod:`repro.flowsim.kernel`).  Their one from-scratch oracle is
+Max-min is INRP's zero-pooling end: a replacement budget of 0, with
+no detour table.  One allocator, :class:`IncrementalInrp`, runs both
+(SP and ECMP build it with ``max_replacements=0``) and re-fills only
+the dirty component with the CSR kernel (:mod:`repro.flowsim.kernel`).
+Its one from-scratch oracle is
 :func:`~repro.flowsim.multipath.inrp_allocation`, which with no detour
 table is e2e max-min.
 """
@@ -35,9 +37,9 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.multipath import MultipathAllocation, inrp_allocation
+from repro.flowsim.multipath import inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.paths import Path, path_links
 
@@ -45,7 +47,7 @@ FlowId = Hashable
 LinkId = Hashable
 
 #: Relative bar on incremental-vs-scratch rate deviation for
-#: ``verify=True``; both incremental allocators raise above it.
+#: ``verify=True``; the allocator raises above it under both models.
 _VERIFY_TOL = 1e-9
 
 
@@ -53,7 +55,7 @@ class _ComponentTracker:
     """Amortized connectivity over the link-sharing relation.
 
     An exact search for the dirty component costs O(component
-    incidence) on *every* event.  The incremental allocators instead
+    incidence) on *every* event.  The incremental allocator instead
     select the component from a union-find over live flows (the exact
     search runs only inside the simulator's full-refill probe, over
     the class this tracker selects): an arriving flow
@@ -175,34 +177,110 @@ class _ComponentTracker:
         return out
 
 
-class _IncrementalAllocator:
-    """Rates maintained incrementally under flow churn, over the
-    connected components of the flow-link *reach* graph.
+def detour_closure(
+    path: Path, detour_table: DetourTable, rounds: int
+) -> FrozenSet[LinkId]:
+    """Links reachable by INRP rerouting of a flow on *path*.
 
-    Both sharing models decompose over those components: flows whose
-    reaches share no link (even transitively) cannot influence each
-    other's rate.  :meth:`add_flow` / :meth:`remove_flow` therefore only
-    mark the flow's reach dirty, and a subclass's ``recompute(full=)``
-    re-fills the dirty component alone, returning ``(rates, splits,
-    switches)`` for the flows whose allocation may have changed
-    (``splits`` is None for single-path sharing).
+    Round 0 is the primary path's links; each further round adds the
+    links of every detour option around the links found so far.  With
+    ``rounds = max_replacements`` this covers every link the fluid
+    filling (:func:`repro.flowsim.multipath.inrp_allocation`) can ever
+    *carry traffic on or read the residual of* for this flow: a link
+    introduced by the k-th replacement can only be detoured while the
+    replacement budget lasts, so its options are examined no deeper
+    than round ``max_replacements``.
 
-    A flow enters on its node path.  What it *reaches* is the one
-    difference between the models (:meth:`_reach_of`): its path links
-    under max-min, its detour closure under INRP.  Past
-    :meth:`add_flow`, every link is its column id in the allocator's
-    :class:`~repro.flowsim.kernel.LinkSpace`: reaches (tuples of
-    distinct column ids), the dirty set and the component tracker all
-    hold ints.  No link -> flows map is kept: :meth:`_dirty_component`
-    sweeps the tracker's class of the dirty links instead.
+    Two flows whose closures share no link can therefore never
+    influence each other's INRP allocation — the decomposition
+    :class:`IncrementalInrp` is built on.  Every link is read off its
+    path (the primary's and each detour option's) at the call; nothing
+    is cached per path.  :class:`IncrementalInrp` keeps the result as a
+    tuple of column ids.
+    """
+    links: Set[LinkId] = set(path_links(path))
+    frontier = links
+    for _ in range(max(rounds, 0)):
+        grown: Set[LinkId] = set()
+        for u, v in frontier:
+            for option in detour_table.options(u, v):
+                for link in zip(option, option[1:]):
+                    if link not in links:
+                        grown.add(link)
+        if not grown:
+            break
+        links |= grown
+        frontier = grown
+    return frozenset(links)
+
+
+class IncrementalInrp:
+    """Rates and per-path splits maintained incrementally under flow
+    churn, for both sharing models.
+
+    One model with a replacement budget: ``max_replacements=0`` and no
+    detour table is e2e max-min (SP, ECMP), where a blocked flow
+    freezes; a positive budget over a :class:`DetourTable` is INRP,
+    where growth blocked at a saturated link detours around it.  Both
+    decompose over the connected components of the flow-link *reach*
+    graph: flows whose reaches share no link (even transitively)
+    cannot influence each other's rate.  :meth:`add_flow` and
+    :meth:`remove_flow` therefore only mark the flow's reach dirty, and
+    :meth:`recompute` re-fills the dirty component alone — every other
+    flow keeps its rate *and* its splits.
+
+    The budget picks the reach and the fill, each the one that pays on
+    its side:
+
+    - budget 0: a flow reaches its path links, and the fill is
+      :func:`~repro.flowsim.kernel.maxmin_fill` over the component's
+      own columns;
+    - a positive budget: a flow reaches its *detour closure* (see
+      :func:`detour_closure`), built once on arrival, and the fill is
+      :func:`~repro.flowsim.kernel.inrp_fill` over the global columns,
+      whose per-link options and per-path entries stay valid across
+      fills.
+
+    Past :meth:`add_flow`, every link is its column id in the
+    allocator's :class:`~repro.flowsim.kernel.LinkSpace`: reaches
+    (tuples of distinct column ids, only ever iterated), the dirty set
+    and the component tracker all hold ints.  No link -> flows map is
+    kept: :meth:`_dirty_component` sweeps the tracker's class of the
+    dirty links instead.
+
+    The rates returned are those of a from-scratch
+    :func:`~repro.flowsim.multipath.inrp_allocation` over the whole
+    population, with this allocator's table and budget (the test suite
+    asserts it on randomized churn).  ``verify=True`` runs the same
+    fill as production and only adds that from-scratch comparison after
+    every recompute, recording the worst observed deviation in
+    :attr:`max_verify_deviation`; a verified run's rates, splits and
+    switch counts are those of an unverified one.
+
+    Parameters mirror :func:`~repro.flowsim.multipath.inrp_allocation`;
+    ``max_replacements`` additionally bounds the closure depth.  A
+    negative budget, or a positive one with no detour table, raises
+    :class:`ConfigurationError`.
     """
 
-    #: Detour table and replacement budget of the fill; max-min has
-    #: neither, so a blocked flow freezes.
-    _table: Optional[DetourTable] = None
-    _max_replacements = 0
-
-    def __init__(self, capacities: Mapping[LinkId, float], verify: bool = False):
+    def __init__(
+        self,
+        capacities: Mapping[LinkId, float],
+        detour_table: Optional[DetourTable],
+        max_replacements: int = 2,
+        verify: bool = False,
+    ):
+        if max_replacements < 0:
+            raise ConfigurationError(
+                f"max_replacements must be >= 0, got {max_replacements}"
+            )
+        if max_replacements and detour_table is None:
+            raise ConfigurationError(
+                f"max_replacements={max_replacements} needs a detour table; "
+                "e2e max-min is max_replacements=0"
+            )
+        self._table = detour_table
+        self._max_replacements = max_replacements
         #: Gates only the from-scratch comparison after each recompute.
         self._verify = verify
         # The one copy of the capacities.
@@ -223,6 +301,19 @@ class _IncrementalAllocator:
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
         self.max_verify_deviation = 0.0
+        # The rest serves only fills with a budget.
+        #: Detour options per saturated link, shared across fills
+        #: (keyed by the link's column, so the map bounds it).
+        self._option_cache: Dict = {}
+        #: The detour walk's per-path entries, shared across the fills
+        #: of one tracker epoch (see :meth:`remove_flow`).
+        self._path_cols_cache: Dict = {}
+        #: Arrival rank of each live flow: the walk reroutes the oldest
+        #: flow first.
+        self._order: Dict[FlowId, int] = {}
+        self._next_order = 0
+        #: Per-flow detour switches of the flow's latest fill.
+        self._switches: Dict[FlowId, int] = {}
 
     def __len__(self) -> int:
         return len(self._paths)
@@ -234,11 +325,6 @@ class _IncrementalAllocator:
     def rates(self) -> Dict[FlowId, float]:
         """Current rate vector (a copy; call after ``recompute``)."""
         return dict(self._rates)
-
-    def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
-        """Column ids of the links whose load can move the rate of a
-        flow on *path* (*cols* are its distinct links' columns)."""
-        raise NotImplementedError
 
     def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
         """Register an arriving flow on node *path*; its component
@@ -262,7 +348,13 @@ class _IncrementalAllocator:
         # (the scratch solver collapses it through its sets).
         if len(cols) != len(set(cols)):
             cols = list(dict.fromkeys(cols))
-        reach = self._reach_of(path, cols)
+        if self._max_replacements:
+            closure = detour_closure(path, self._table, self._max_replacements)
+            reach = tuple([index[link] for link in closure])
+            self._order[flow] = self._next_order
+            self._next_order += 1
+        else:
+            reach = tuple(cols)
         self._paths[flow] = path
         self._demands[flow] = float(demand)
         self._reach[flow] = reach
@@ -275,7 +367,17 @@ class _IncrementalAllocator:
             self._tracker.add(flow, reach)
 
     def remove_flow(self, flow: FlowId) -> None:
-        """Deregister a departing flow; its component becomes dirty."""
+        """Deregister a departing flow; its component becomes dirty.  A
+        tracker rebuild it triggers also drops the detour walk's path
+        entries.
+
+        A fill makes entries only for the paths it walks: its flows'
+        primaries and their splices.  The flows of one epoch between
+        two rebuilds are its largest live set plus its departures, and
+        more than a quarter of the live set (at least 33) departing
+        ends it, so the live set bounds the entries, not the run's
+        history.  Entries hold no results: dropping them changes no
+        fill."""
         if self._paths.pop(flow, None) is None:
             raise SimulationError(f"flow {flow!r} is not present")
         del self._demands[flow]
@@ -284,8 +386,92 @@ class _IncrementalAllocator:
         reach = self._reach.pop(flow)
         self._dirty_links.update(reach)
         del self._cols[flow]
+        self._order.pop(flow, None)
+        self._switches.pop(flow, None)
         if reach:
+            rebuilds = self._tracker.rebuilds
             self._tracker.remove(flow)
+            if self._tracker.rebuilds != rebuilds:
+                self._path_cols_cache.clear()
+
+    def recompute(
+        self, full: bool = False
+    ) -> Tuple[
+        Dict[FlowId, float], Dict[FlowId, List[Tuple[Path, float]]], int
+    ]:
+        """Re-fill the dirty component; return ``(rates, splits, switches)``.
+
+        The two mappings cover the same flows, among them every flow
+        whose allocation may have changed since the previous call;
+        flows outside them keep their previous rates and splits.  Both
+        are empty when nothing is dirty.  The component comes from the
+        union-find tracker, whose classes are unions of whole
+        components and so fill to the same allocation (to <= 1e-9) as
+        the exact dirty component.  A flow's splits list
+        its primary path first; past it, a detour split carries more
+        than the fill's tolerance.  ``switches`` counts the detour
+        switches performed by this re-fill.
+
+        What is reported differs by budget.  A budget-0 fill reports
+        only the flows whose rate moved: a single-path flow's one split
+        is its rate, and a dirty component is mostly flows whose rate
+        came out the same as last time.  A fill with a budget reports
+        every flow it filled.  A flow new to the allocator (or re-added)
+        has no last rate, so it is always reported.
+
+        ``full=True`` (the simulator's mode for spanning components)
+        fills the same dirty component and returns the same mappings;
+        only ``switches`` differs: it is the sum of every active flow's
+        switch count from that flow's latest fill.  Fills decompose
+        over reach components, so that sum is exactly what a re-fill
+        of the whole population would count (0 with no budget).
+        """
+        if not self._dirty_links and not self._dirty_flows:
+            return {}, {}, sum(self._switches.values()) if full else 0
+        rates: Dict[FlowId, float] = {}
+        splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
+        for flow in self._dirty_flows:
+            # Unconstrained: it gets its demand, on its one path.
+            rates[flow] = self._demands[flow]
+            splits[flow] = [(self._paths[flow], self._demands[flow])]
+        switches = 0
+        component = self._tracker.component(self._dirty_links)
+        if component and self._max_replacements:
+            # Arrival order: the walk reroutes the oldest flow first.
+            flows = sorted(component, key=self._order.__getitem__)
+            result = _kernel.inrp_fill(
+                self._space,
+                flows,
+                [self._paths[flow] for flow in flows],
+                *self._gather(flows),
+                self._table,
+                max_replacements=self._max_replacements,
+                option_cache=self._option_cache,
+                path_cols_cache=self._path_cols_cache,
+            )
+            switches = result.switches
+            self._switches.update(result.flow_switches)
+            rates.update(result.rates)
+            splits.update(result.splits)
+        elif component:
+            # No walk, so row order is free.  ``_rates`` holds every
+            # filled flow's last rate; a new or re-added flow has none.
+            flows = list(component)
+            last = self._rates
+            paths = self._paths
+            filled = _kernel.maxmin_fill(self._space, *self._gather(flows))
+            for flow, rate in zip(flows, filled):
+                if last.get(flow) != rate:
+                    rates[flow] = rate
+                    splits[flow] = [(paths[flow], rate)]
+        self._rates.update(rates)
+        self._dirty_links.clear()
+        self._dirty_flows.clear()
+        if self._verify:
+            self._check_against_scratch()
+        if full:
+            switches = sum(self._switches.values())
+        return rates, splits, switches
 
     def _gather(
         self, flows: Sequence[FlowId]
@@ -332,9 +518,9 @@ class _IncrementalAllocator:
         return component
 
     def dirty_component_size(self) -> int:
-        """Flows the next ``recompute`` would re-fill, without filling —
-        the simulator's probe while in full-refill mode (a component
-        search is far cheaper than a wasted spanning re-fill)."""
+        """Flows the next ``recompute`` would re-fill at most, without
+        filling: the simulator's probe while in full-refill mode (a
+        component search is far cheaper than a spanning re-fill)."""
         return len(self._dirty_component()) + len(self._dirty_flows)
 
     def _check_against_scratch(self) -> None:
@@ -370,263 +556,3 @@ class _IncrementalAllocator:
                 f"{scratch[diverged]} (relative deviation {worst:.3e})"
             )
         self.max_verify_deviation = max(self.max_verify_deviation, worst)
-
-
-class IncrementalMaxMin(_IncrementalAllocator):
-    """Max-min fair rates maintained incrementally under flow churn.
-
-    A flow reaches its path links.  :meth:`recompute` re-runs
-    progressive filling (:func:`repro.flowsim.kernel.maxmin_fill`, the
-    kernel's one round loop with no detour) on the *dirty component
-    closure alone*, leaving every other flow's rate untouched.  On an
-    event-driven simulation this turns the per-event cost from
-    O(all flows) into O(affected component).  It stays a class of its
-    own while the simulator's ``full=`` refill needs it and the
-    benchmark's tracer times ``kernel.maxmin_fill`` by name.
-
-    The returned rates are those of
-    :func:`~repro.flowsim.multipath.inrp_allocation` with no detour
-    table, from scratch (the test suite asserts equality on randomized
-    churn sequences; ``verify=True`` re-checks after every recompute,
-    for benchmarks and debugging).
-    """
-
-    def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
-        return tuple(cols)
-
-    def recompute(
-        self, full: bool = False
-    ) -> Tuple[Dict[FlowId, float], None, int]:
-        """Re-fill the dirty components; return ``(rates, None, 0)``.
-
-        ``rates`` covers the flows whose rate changed since the previous
-        call; flows outside it keep their previous rates.  It is empty
-        when nothing is dirty.  The component comes from the union-find
-        tracker and may be a superset of the true dirty component,
-        which re-fills to the same rates (components allocate
-        independently).  Single-path sharing has no splits and no
-        detour switches.
-
-        With ``full=True`` the whole population is re-filled in one
-        pass, skipping the dirty-component search entirely, and every
-        flow's rate is returned.  The simulator's adaptive fallback uses
-        this when the dirty component keeps spanning the active set
-        (deep overload), where the component search and subset copies
-        are pure overhead.
-        """
-        if full:
-            # Arrival order, as the paths were added.
-            flows: List[FlowId] = list(self._paths)
-            changed: Dict[FlowId, float] = {}
-        else:
-            if not self._dirty_links and not self._dirty_flows:
-                return {}, None, 0
-            flows = list(self._tracker.component(self._dirty_links))
-            changed = (
-                {flow: self._demands[flow] for flow in self._dirty_flows}
-                if self._dirty_flows
-                else {}
-            )
-        if flows:
-            rates = _kernel.maxmin_fill(self._space, *self._gather(flows))
-            if full:
-                changed.update(zip(flows, rates))
-            else:
-                # Only the flows the fill actually moved: the simulator
-                # loops over this mapping per event, and a dirty
-                # component is mostly flows whose rate came out the
-                # same as last time.  ``_rates`` holds every filled
-                # flow's last rate; a new or re-added flow has none.
-                last = self._rates
-                for flow, rate in zip(flows, rates):
-                    if last.get(flow) != rate:
-                        changed[flow] = rate
-        if full:
-            self._rates = dict(changed)
-        else:
-            self._rates.update(changed)
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
-        if self._verify:
-            self._check_against_scratch()
-        return changed, None, 0
-
-
-def detour_closure(
-    path: Path, detour_table: DetourTable, rounds: int
-) -> FrozenSet[LinkId]:
-    """Links reachable by INRP rerouting of a flow on *path*.
-
-    Round 0 is the primary path's links; each further round adds the
-    links of every detour option around the links found so far.  With
-    ``rounds = max_replacements`` this covers every link the fluid
-    filling (:func:`repro.flowsim.multipath.inrp_allocation`) can ever
-    *carry traffic on or read the residual of* for this flow: a link
-    introduced by the k-th replacement can only be detoured while the
-    replacement budget lasts, so its options are examined no deeper
-    than round ``max_replacements``.
-
-    Two flows whose closures share no link can therefore never
-    influence each other's INRP allocation — the decomposition
-    :class:`IncrementalInrp` is built on.  Every link is read off its
-    path (the primary's and each detour option's) at the call; nothing
-    is cached per path.  :class:`IncrementalInrp` keeps the result as a
-    tuple of column ids.
-    """
-    links: Set[LinkId] = set(path_links(path))
-    frontier = links
-    for _ in range(max(rounds, 0)):
-        grown: Set[LinkId] = set()
-        for u, v in frontier:
-            for option in detour_table.options(u, v):
-                for link in zip(option, option[1:]):
-                    if link not in links:
-                        grown.add(link)
-        if not grown:
-            break
-        links |= grown
-        frontier = grown
-    return frozenset(links)
-
-
-class IncrementalInrp(_IncrementalAllocator):
-    """INRP fluid allocation maintained incrementally under flow churn.
-
-    Detour coupling is local, not global: a flow can only ever touch
-    its primary links plus the detour options around them, so its reach
-    is its *detour closure* (see :func:`detour_closure`).  INRP
-    allocation therefore decomposes over connected components of the
-    closure flow-link graph exactly like max-min decomposes over path
-    components.  Each flow's closure is built once, on arrival, and
-    kept as a tuple of distinct column ids for as long as the flow is
-    live (nothing tests membership in it; it is only iterated).
-    :meth:`recompute` re-runs the fluid filling over
-    the dirty component alone — every other flow keeps its rate *and*
-    its per-path splits.  The fill is the CSR kernel's
-    :func:`~repro.flowsim.kernel.inrp_fill`.
-
-    The rates returned are exactly those of a from-scratch
-    ``inrp_allocation`` over the whole population.  ``verify=True``
-    runs the same fill as production and only adds that from-scratch
-    comparison after every recompute, recording the worst observed
-    deviation in :attr:`max_verify_deviation`; a verified run's
-    rates, splits and switch counts are those of an unverified one.
-
-    Parameters mirror :func:`~repro.flowsim.multipath.inrp_allocation`;
-    ``max_replacements`` additionally bounds the closure depth.
-    """
-
-    def __init__(
-        self,
-        capacities: Mapping[LinkId, float],
-        detour_table: DetourTable,
-        max_replacements: int = 2,
-        verify: bool = False,
-    ):
-        super().__init__(capacities, verify)
-        self._table = detour_table
-        self._max_replacements = max_replacements
-        #: Detour options per saturated link, shared across fills
-        #: (keyed by the link's column, so the map bounds it).
-        self._option_cache: Dict = {}
-        #: The detour walk's per-path entries, shared across the fills
-        #: of one tracker epoch (see :meth:`remove_flow`).
-        self._path_cols_cache: Dict = {}
-        self._order: Dict[FlowId, int] = {}
-        self._next_order = 0
-        #: Per-flow detour switches of the flow's latest fill.
-        self._switches: Dict[FlowId, int] = {}
-
-    def _reach_of(self, path: Path, cols: List[int]) -> Tuple[int, ...]:
-        closure = detour_closure(path, self._table, self._max_replacements)
-        index = self._space.index
-        return tuple([index[link] for link in closure])
-
-    def add_flow(self, flow: FlowId, path: Path, demand: float) -> None:
-        super().add_flow(flow, path, demand)
-        self._order[flow] = self._next_order
-        self._next_order += 1
-
-    def remove_flow(self, flow: FlowId) -> None:
-        """Deregister a departing flow; a tracker rebuild it triggers
-        also drops the detour walk's path entries.
-
-        A fill makes entries only for the paths it walks: its flows'
-        primaries and their splices.  The flows of one epoch between
-        two rebuilds are its largest live set plus its departures, and
-        more than a quarter of the live set (at least 33) departing
-        ends it, so the live set bounds the entries, not the run's
-        history.  Entries hold no results: dropping them changes no
-        fill."""
-        rebuilds = self._tracker.rebuilds
-        super().remove_flow(flow)
-        del self._order[flow]
-        self._switches.pop(flow, None)
-        if self._tracker.rebuilds != rebuilds:
-            self._path_cols_cache.clear()
-
-    def recompute(
-        self, full: bool = False
-    ) -> Tuple[
-        Dict[FlowId, float], Dict[FlowId, List[Tuple[Path, float]]], int
-    ]:
-        """Re-fill the dirty component; return ``(rates, splits, switches)``.
-
-        The two mappings cover exactly the flows whose allocation *may*
-        have changed since the previous call; flows outside them keep
-        their previous rates and splits.  ``switches`` counts the
-        detour switches performed by this re-fill.
-
-        ``full=True`` (the simulator's mode for spanning components)
-        fills the same dirty component and returns the same mappings;
-        only ``switches`` differs: it is the sum of every active flow's
-        switch count from that flow's latest fill.
-        INRP fills decompose over closure components, so that sum is
-        exactly what a re-fill of the whole population would count.
-        """
-        if not self._dirty_links and not self._dirty_flows:
-            return {}, {}, sum(self._switches.values()) if full else 0
-        changed_rates: Dict[FlowId, float] = {}
-        changed_splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
-        for flow in self._dirty_flows:
-            changed_rates[flow] = self._demands[flow]
-            # Unconstrained: it gets its demand, on its one path.
-            changed_splits[flow] = [(self._paths[flow], self._demands[flow])]
-        result = self._fill_kernel()
-        switches = 0
-        if result is not None:
-            switches = result.switches
-            self._switches.update(result.flow_switches)
-            changed_rates.update(result.rates)
-            changed_splits.update(result.splits)
-        self._rates.update(changed_rates)
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
-        if self._verify:
-            self._check_against_scratch()
-        if full:
-            switches = sum(self._switches.values())
-        return changed_rates, changed_splits, switches
-
-    def _fill_kernel(self) -> Optional[MultipathAllocation]:
-        """Fill the dirty component with the CSR kernel
-        (:func:`repro.flowsim.kernel.inrp_fill`); None when the
-        component is empty.  The component comes from the union-find
-        tracker, whose classes are unions of whole closure components
-        and so fill to the same allocation (to <= 1e-9) as the exact
-        component."""
-        component = self._tracker.component(self._dirty_links)
-        if not component:
-            return None
-        flows = sorted(component, key=self._order.__getitem__)
-        return _kernel.inrp_fill(
-            self._space,
-            flows,
-            [self._paths[flow] for flow in flows],
-            *self._gather(flows),
-            self._table,
-            max_replacements=self._max_replacements,
-            option_cache=self._option_cache,
-            path_cols_cache=self._path_cols_cache,
-        )
-

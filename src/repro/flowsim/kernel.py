@@ -1,6 +1,6 @@
 """Vectorized CSR allocation kernel: one progressive-filling loop.
 
-The incremental allocators of :mod:`repro.flowsim.allocation` re-fill
+The incremental allocator of :mod:`repro.flowsim.allocation` re-fills
 only the dirty component; this module makes each filling round inside
 that re-fill a handful of numpy vector operations over a CSR-style
 representation of the flow-link incidence:

@@ -136,17 +136,19 @@ class SimulationResult:
     allocations: int
     unfinished: int = 0
     #: Detour switches, summed over the ``switches`` each allocator
-    #: ``recompute`` returned (always 0 under SP/ECMP max-min).  An
-    #: incremental INRP re-fill reports the switches of the flows it
-    #: re-filled; a full refill (the simulator's fallback for spanning
-    #: components) reports every active flow's.  The count
-    #: therefore depends on which recomputes were full, while rates,
-    #: FCTs and allocations do not.  Seed-0 ``inrp-local`` of perfbench
-    #: gives 59661 (1136 full refills); the same run with every
-    #: recompute incremental counts 31971.  FCTs agree to 1e-15
-    #: relative and the allocation count (1999) is the same.
+    #: ``recompute`` returned (always 0 under SP/ECMP, whose
+    #: replacement budget is 0).  An incremental INRP recompute reports
+    #: the switches of the flows it re-filled; a full one (the
+    #: simulator's mode for spanning components) fills the same flows
+    #: and reports every active flow's.  The count therefore depends on
+    #: which recomputes were full, while records, rates and allocations
+    #: do not.  Seed-0 ``inrp-local`` of perfbench gives 59661 (1136
+    #: full refills); the same run with every recompute incremental
+    #: counts 31971, with the same records and allocation count (1999).
     total_switches: int = 0
-    #: Recomputes the simulator ran as full refills.
+    #: Recomputes the simulator ran in full mode.  A full recompute
+    #: fills what an incremental one fills, so under SP and ECMP this
+    #: count is the only output the mode moves.
     full_refills: int = 0
     #: Worst incremental-vs-scratch rate deviation observed when
     #: ``verify_allocator=True`` (None when verification did not run).

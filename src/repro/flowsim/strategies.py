@@ -13,9 +13,11 @@ flow and (b) how bandwidth is shared among the active flows:
   saturated link detours around it instead of freezing.
 
 Every strategy allocates through its incremental allocator, the one
-the simulator runs: :meth:`RoutingStrategy.allocate` adds the flows to
-a fresh one and unpacks the ``(rates, splits | None, switches)`` of a
-single recompute.
+the simulator runs: an :class:`~repro.flowsim.allocation.IncrementalInrp`,
+with no detour table and a replacement budget of 0 under SP and ECMP
+(e2e max-min is INRP's zero-pooling end).
+:meth:`RoutingStrategy.allocate` adds the flows to a fresh one and
+unpacks the ``(rates, splits, switches)`` of a single recompute.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import OrderedDict
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, NoPathError, RoutingError
-from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
+from repro.flowsim.allocation import IncrementalInrp
 from repro.flowsim.multipath import _rel_tol
 from repro.routing.detour import DetourTable
 from repro.routing.ecmp import all_shortest_paths, ecmp_hash
@@ -149,42 +151,38 @@ class RoutingStrategy(abc.ABC):
         One fill of a fresh :meth:`incremental_allocator`, the fill the
         simulator runs.  Flows are added in the mapping's order (INRP
         fills depend on it), and the outcome is keyed in that order.
-        A first recompute reports every flow: a max-min recompute
-        reports each flow whose rate differs from its last one, and a
-        flow new to the allocator has none; a fresh INRP component
-        covers the whole population.
+        A first recompute reports every flow: a flow new to the
+        allocator has no last rate.  Only a strategy that detours
+        reports back-pressured flows.
         """
         allocator = self.incremental_allocator()
         for fid, (path, demand) in flows.items():
             allocator.add_flow(fid, path, demand)
         rates, splits, switches = allocator.recompute()
         rates = {fid: rates[fid] for fid in flows}
-        if splits is None:  # single path: SP and ECMP
-            return AllocationOutcome(
-                rates=rates,
-                splits={fid: [(flows[fid][0], rates[fid])] for fid in flows},
-            )
+        backpressured = []
+        if self.detour_depth is not None:
+            backpressured = [
+                fid
+                for fid, (_, demand) in flows.items()
+                if demand - rates[fid] > _rel_tol(rates[fid])
+            ]
         return AllocationOutcome(
             rates=rates,
             splits={fid: splits[fid] for fid in flows},
             switches=switches,
-            backpressured=[
-                fid
-                for fid, (_, demand) in flows.items()
-                if demand - rates[fid] > _rel_tol(rates[fid])
-            ],
+            backpressured=backpressured,
         )
 
     @abc.abstractmethod
     def incremental_allocator(self, verify: bool = False):
-        """Fresh incremental allocator for the event-driven simulator.
+        """Fresh :class:`~repro.flowsim.allocation.IncrementalInrp` for
+        the event-driven simulator.
 
         Strategies whose allocation is plain e2e max-min over a single
-        path per flow (SP, ECMP) return an
-        :class:`~repro.flowsim.allocation.IncrementalMaxMin`; INRP
-        returns an :class:`~repro.flowsim.allocation.IncrementalInrp`
-        over its detour-closure components.  The simulator then
-        recomputes only the component dirtied by each
+        path per flow (SP, ECMP) build it with no detour table and a
+        replacement budget of 0; INRP passes its table and budget.  The
+        simulator then recomputes only the component dirtied by each
         arrival/departure.  ``verify=True`` re-checks every recompute
         against the from-scratch solver.
         """
@@ -195,8 +193,10 @@ class ShortestPathStrategy(RoutingStrategy):
 
     name = "SP"
 
-    def incremental_allocator(self, verify: bool = False) -> IncrementalMaxMin:
-        return IncrementalMaxMin(self.capacities, verify=verify)
+    def incremental_allocator(self, verify: bool = False) -> IncrementalInrp:
+        return IncrementalInrp(
+            self.capacities, None, max_replacements=0, verify=verify
+        )
 
 
 class EcmpStrategy(ShortestPathStrategy):
@@ -255,8 +255,10 @@ class InrpStrategy(RoutingStrategy):
             raise ConfigurationError(f"detour_depth must be >= 0, got {detour_depth}")
         self.detour_depth = detour_depth
         self.max_replacements = self._MAX_REPLACEMENTS if detour_depth > 0 else 0
-        # depth 0 still needs a table object; it simply never offers paths.
-        self.detour_table = DetourTable(topology, max(detour_depth, 1))
+        #: None at depth 0: a budget-0 allocator never reads a table.
+        self.detour_table: Optional[DetourTable] = (
+            DetourTable(topology, detour_depth) if detour_depth > 0 else None
+        )
 
     def incremental_allocator(self, verify: bool = False) -> IncrementalInrp:
         return IncrementalInrp(

@@ -1,4 +1,5 @@
-"""Incremental max-min allocator: equality with from-scratch filling."""
+"""The incremental allocator with no detours (e2e max-min, as SP and
+ECMP build it): equality with from-scratch filling."""
 
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.flowsim import (
-    IncrementalMaxMin,
+    IncrementalInrp,
     detour_closure,
     inrp_allocation,
     make_strategy,
@@ -20,6 +21,11 @@ from repro.units import mbps
 from repro.workloads import local_pairs, uniform_pairs
 
 
+def _maxmin(capacities, verify=False):
+    """The allocator SP and ECMP build: no detour table, budget 0."""
+    return IncrementalInrp(capacities, None, max_replacements=0, verify=verify)
+
+
 def _assert_matches_scratch(allocator, capacities, flow_paths, demands):
     scratch = inrp_allocation(capacities, flow_paths, demands, None).rates
     rates = allocator.rates
@@ -29,12 +35,14 @@ def _assert_matches_scratch(allocator, capacities, flow_paths, demands):
 
 
 def test_single_link_share_and_release():
-    allocator = IncrementalMaxMin({("a", "b"): 9.0})
+    allocator = _maxmin({("a", "b"): 9.0})
     for flow in (1, 2, 3):
         allocator.add_flow(flow, ("a", "b"), 100.0)
     changed, splits, switches = allocator.recompute()
     assert changed[1] == pytest.approx(3.0)
-    assert splits is None and switches == 0
+    # One split per flow, its path at its rate; no detour switches.
+    assert splits == {flow: [(("a", "b"), rate)] for flow, rate in changed.items()}
+    assert switches == 0
     allocator.remove_flow(2)
     changed, _, _ = allocator.recompute()
     assert changed[1] == pytest.approx(4.5)
@@ -43,7 +51,7 @@ def test_single_link_share_and_release():
 
 def test_untouched_component_is_not_recomputed():
     # Two disjoint links: churn on "b" must not report "a"'s flow.
-    allocator = IncrementalMaxMin({("a", "b"): 10.0, ("c", "d"): 10.0})
+    allocator = _maxmin({("a", "b"): 10.0, ("c", "d"): 10.0})
     allocator.add_flow("left", ("a", "b"), 100.0)
     allocator.add_flow("right", ("c", "d"), 100.0)
     allocator.recompute()
@@ -56,20 +64,20 @@ def test_untouched_component_is_not_recomputed():
 
 
 def test_recompute_without_churn_is_empty():
-    allocator = IncrementalMaxMin({("a", "b"): 1.0})
+    allocator = _maxmin({("a", "b"): 1.0})
     allocator.add_flow(1, ("a", "b"), 5.0)
     allocator.recompute()
-    assert allocator.recompute() == ({}, None, 0)
+    assert allocator.recompute() == ({}, {}, 0)
 
 
 def test_linkless_flow_gets_full_demand():
-    allocator = IncrementalMaxMin({("a", "b"): 1.0})
+    allocator = _maxmin({("a", "b"): 1.0})
     allocator.add_flow(1, ("a",), 42.0)
     assert allocator.recompute()[0][1] == 42.0
 
 
 def test_validation_errors():
-    allocator = IncrementalMaxMin({("a", "b"): 1.0})
+    allocator = _maxmin({("a", "b"): 1.0})
     with pytest.raises(SimulationError):
         allocator.add_flow(1, ("a", "nope"), 1.0)
     with pytest.raises(SimulationError):
@@ -82,7 +90,7 @@ def test_validation_errors():
 
 
 def test_membership_and_len():
-    allocator = IncrementalMaxMin({("a", "b"): 1.0})
+    allocator = _maxmin({("a", "b"): 1.0})
     assert 1 not in allocator and len(allocator) == 0
     allocator.add_flow(1, ("a", "b"), 1.0)
     assert 1 in allocator and len(allocator) == 1
@@ -102,7 +110,7 @@ def test_incremental_matches_scratch_under_churn(seed, churn, demand):
     topo = mesh_topology(15, extra_links=12, seed=seed, capacity=10.0)
     capacities = topo.directed_capacities()
     sampler = uniform_pairs(topo, seed=seed + 1)
-    allocator = IncrementalMaxMin(capacities)
+    allocator = _maxmin(capacities)
     flow_paths = {}
     demands = {}
     next_id = 0
@@ -128,7 +136,7 @@ def test_verify_mode_accepts_correct_state():
     topo = mesh_topology(10, extra_links=8, seed=3, capacity=mbps(10))
     capacities = topo.directed_capacities()
     sampler = uniform_pairs(topo, seed=4)
-    allocator = IncrementalMaxMin(capacities, verify=True)
+    allocator = _maxmin(capacities, verify=True)
     for flow_id in range(12):
         src, dst = sampler()
         allocator.add_flow(flow_id, shortest_path(topo, src, dst), mbps(5))
@@ -141,7 +149,7 @@ def test_verify_mode_accepts_correct_state():
 def test_verify_mode_rejects_a_rate_off_by_1e_8():
     """``verify=True`` holds max-min to the same 1e-9 relative bar as
     INRP: a rate perturbed by 1e-8 relative raises."""
-    allocator = IncrementalMaxMin({("a", "b"): mbps(9)}, verify=True)
+    allocator = _maxmin({("a", "b"): mbps(9)}, verify=True)
     for flow in (1, 2, 3):
         allocator.add_flow(flow, ("a", "b"), mbps(100))
     allocator.recompute()

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.flowsim import (
     IncrementalInrp,
     detour_closure,
@@ -189,6 +189,30 @@ def test_validation_errors():
     with pytest.raises(SimulationError):
         allocator.remove_flow(2)
     assert 1 in allocator and len(allocator) == 1
+
+
+def test_allocator_checks_its_budget_and_table():
+    """A replacement budget needs a detour table, and a budget is never
+    negative: both fail at construction, not at the first flow.  A
+    budget of 0 needs no table (e2e max-min) and ignores one."""
+    topo = fig3_topology()
+    capacities = topo.directed_capacities()
+    table = DetourTable(topo, max_intermediate=1)
+    with pytest.raises(ConfigurationError, match="needs a detour table"):
+        IncrementalInrp(capacities, None)
+    with pytest.raises(ConfigurationError, match="needs a detour table"):
+        IncrementalInrp(capacities, None, max_replacements=1)
+    for detour_table in (None, table):
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            IncrementalInrp(capacities, detour_table, max_replacements=-1)
+    rates = []
+    for detour_table in (None, table):
+        allocator = IncrementalInrp(capacities, detour_table, max_replacements=0)
+        allocator.add_flow(1, shortest_path(topo, 1, 4), mbps(10))
+        allocator.add_flow(2, shortest_path(topo, 1, 5), mbps(10))
+        rates.append(allocator.recompute()[0])
+    # Fig. 3 left: with no detour the shared link splits (2, 8).
+    assert rates[0] == rates[1] == {1: mbps(2), 2: mbps(8)}
 
 
 def test_detour_closure_rounds():

@@ -19,7 +19,7 @@ from oracles import reference_run
 from repro.errors import SimulationError
 from repro.flowsim import FlowLevelSimulator, make_strategy
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.allocation import IncrementalInrp, IncrementalMaxMin
+from repro.flowsim.allocation import IncrementalInrp
 from repro.flowsim.kernel import LinkSpace
 from repro.flowsim.multipath import inrp_allocation
 from repro.metrics import max_min_violations
@@ -58,7 +58,7 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
     across add/remove churn."""
     topo = mesh_topology(24, extra_links=24, seed=seed, capacity=mbps(10))
     strategy = make_strategy("sp", topo)
-    alloc = IncrementalMaxMin(topo.directed_capacities())
+    alloc = IncrementalInrp(topo.directed_capacities(), None, max_replacements=0)
     rng = random.Random(seed)
     flow_paths, demands, live = {}, {}, set()
     next_id = 0
@@ -118,7 +118,7 @@ def test_empty_and_single_flow_components(kernel_cls):
     flow, and removal back down to empty."""
     topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
     if kernel_cls == "sp":
-        alloc = IncrementalMaxMin(topo.directed_capacities())
+        alloc = IncrementalInrp(topo.directed_capacities(), None, max_replacements=0)
     else:
         alloc = IncrementalInrp(topo.directed_capacities(), DetourTable(topo))
     alloc.recompute()
@@ -370,8 +370,8 @@ def test_inrp_fill_bit_for_bit_golden(monkeypatch):
 
 
 def _maxmin_churn_fills(monkeypatch, topo, seed, events):
-    """Every ``maxmin_fill`` over :func:`_overload_churn` through
-    ``IncrementalMaxMin``, as ``(space, rows, demands, rates)``: its
+    """Every ``maxmin_fill`` over :func:`_overload_churn` through the
+    allocator with no detours (as SP builds it), as ``(space, rows, demands, rates)``: its
     link space, each row's column list, and the demand and rate
     vectors."""
     fills = []
@@ -388,7 +388,7 @@ def _maxmin_churn_fills(monkeypatch, topo, seed, events):
         return rates
 
     monkeypatch.setattr(_kernel, "maxmin_fill", capture)
-    alloc = IncrementalMaxMin(topo.directed_capacities())
+    alloc = IncrementalInrp(topo.directed_capacities(), None, max_replacements=0)
     _overload_churn(alloc, topo, "sp", seed, events)
     monkeypatch.undo()
     return fills
@@ -670,8 +670,8 @@ def test_every_solver_rejects_a_nan_or_negative_demand(demand):
         "inrp_allocation": lambda: inrp_allocation(
             capacities, dict(enumerate(paths)), dict(enumerate(demands)), table
         ),
-        "IncrementalMaxMin.add_flow": lambda: IncrementalMaxMin(
-            capacities
+        "IncrementalInrp.add_flow (budget 0)": lambda: IncrementalInrp(
+            capacities, None, max_replacements=0
         ).add_flow(1, paths[1], demand),
         "IncrementalInrp.add_flow": lambda: IncrementalInrp(
             capacities, table

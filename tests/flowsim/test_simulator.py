@@ -400,18 +400,9 @@ def test_inrp_cores_equivalent_at_overload(seed):
     )
 
 
-#: sha256 of SP's records on ``inrp-overload``'s map and schedule at
-#: seed 0 (350 flows), each float as ``float.hex``.
-_SP_OVERLOAD_GOLDEN = (
-    "42a64088823f22a25650bb524707dcca60b391c3631635861a77b4b03bf198ab"
-)
-
-
-def test_sp_overload_records_are_pinned():
-    """SP in deep overload, where the dirty-component probe decides
-    every return from full refills: the exodus map and uniform
-    schedule of the ``inrp-overload`` benchmark workload, run as SP,
-    switch to full refills and keep their records bit for bit."""
+def _inrp_overload_schedule():
+    """The exodus map and 350-flow uniform schedule of the
+    ``inrp-overload`` benchmark workload at seed 0."""
     from repro.topology.isp import build_isp_topology
     from repro.workloads import uniform_pairs
 
@@ -424,8 +415,11 @@ def test_sp_overload_records_are_pinned():
         seed=0,
         pair_sampler=uniform_pairs(topo, seed=1),
     ).generate(max_flows=350)
-    result = _simulate(topo, make_strategy("sp", topo), specs)
-    assert result.full_refills > 0
+    return topo, specs
+
+
+def _records_digest(result):
+    """sha256 of a run's records, each float as ``float.hex``."""
     digest = hashlib.sha256()
     for record in result.records:
         fields = (
@@ -446,7 +440,60 @@ def test_sp_overload_records_are_pinned():
                 )
             ).encode()
         )
-    assert digest.hexdigest() == _SP_OVERLOAD_GOLDEN
+    return digest.hexdigest()
+
+
+#: sha256 of SP's records on ``inrp-overload``'s map and schedule at
+#: seed 0 (350 flows), each float as ``float.hex``.
+_SP_OVERLOAD_GOLDEN = (
+    "f7d71efb7f498587f875fa80368f74cc03918a0dd56bdec0107a7d396c0f6480"
+)
+
+
+def test_sp_overload_records_are_pinned():
+    """SP in deep overload, where the dirty-component probe decides
+    every return from full refills: the exodus map and uniform
+    schedule of the ``inrp-overload`` benchmark workload, run as SP,
+    switch to full refills and keep their records bit for bit."""
+    topo, specs = _inrp_overload_schedule()
+    result = _simulate(topo, make_strategy("sp", topo), specs)
+    assert result.full_refills > 0
+    assert _records_digest(result) == _SP_OVERLOAD_GOLDEN
+
+
+@pytest.mark.parametrize("name", ["sp", "ecmp"])
+def test_single_path_records_do_not_depend_on_full_refills(monkeypatch, name):
+    """Under SP and ECMP a full recompute fills what an incremental one
+    fills: on ``inrp-overload``'s schedule, a run that enters full
+    mode gives the records and throughput, bit for bit, of the same
+    run with the adaptive policy held off full mode."""
+    from repro.flowsim.simulator import _AdaptiveCorePolicy
+
+    topo, specs = _inrp_overload_schedule()
+    adaptive = _simulate(topo, make_strategy(name, topo), specs)
+    assert adaptive.full_refills > 0
+    monkeypatch.setattr(_AdaptiveCorePolicy, "decide", lambda *args: False)
+    incremental = _simulate(topo, make_strategy(name, topo), specs)
+    assert incremental.full_refills == 0
+    assert _records_digest(adaptive) == _records_digest(incremental)
+    assert adaptive.network_throughput.hex() == (
+        incremental.network_throughput.hex()
+    )
+    assert adaptive.total_switches == incremental.total_switches == 0
+
+
+def test_inrp_without_detours_is_sp_bit_for_bit():
+    """INRP at ``detour_depth=0`` has no replacement budget, so it is
+    SP, the zero-pooling end of one model: on ``inrp-overload``'s
+    schedule its records, full-refill count and throughput equal SP's
+    bit for bit, and it makes no detour switch."""
+    topo, specs = _inrp_overload_schedule()
+    sp = _simulate(topo, make_strategy("sp", topo), specs)
+    inrp = _simulate(topo, make_strategy("inrp", topo, detour_depth=0), specs)
+    assert _records_digest(inrp) == _records_digest(sp)
+    assert inrp.full_refills == sp.full_refills > 0
+    assert inrp.total_switches == sp.total_switches == 0
+    assert inrp.network_throughput.hex() == sp.network_throughput.hex()
 
 
 def test_inrp_incremental_verified_inside_simulator():
